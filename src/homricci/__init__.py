@@ -8,7 +8,13 @@ solver.
 """
 
 from ._kernels import BACKEND as kernel_backend
-from .catalog import CatalogEntry, abelian_line_two_summand, flag3, two_summand
+from .catalog import (
+    CatalogEntry,
+    abelian_line_two_summand,
+    flag3,
+    full_flag,
+    two_summand,
+)
 from .chains import (
     ChainCondition,
     ChainError,
@@ -61,7 +67,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CatalogEntry",
     "ChainCondition",
     "ChainError",
@@ -95,6 +100,7 @@ __all__ = [
     "eta",
     "flag3",
     "form_stats",
+    "full_flag",
     "grad_S",
     "hat_S",
     "kernel_backend",

@@ -1,10 +1,11 @@
 """Built-in model generators.
 
-Two families are constructible from closed-form data: the three-summand
+Three families are constructible from closed-form data: the three-summand
 flag spaces (structure constants determined by the dimensions alone, with the
-background form normalized against the Killing form so every b_i = 1) and
-two-summand spaces where the first summand spans the subalgebra side.  Both
-generate exact-rational models that pass validation by construction.
+background form normalized against the Killing form so every b_i = 1), the
+full flag manifolds SU(n)/T, and two-summand spaces where the first summand
+spans the subalgebra side.  All generate exact-rational models that pass
+validation by construction.
 
 Known spaces with the unconditional-existence structure (a single abelian
 line as the only proper subalgebra) are listed by name only; their summand
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .model import ModelError, SpaceModel, build_model
 from .numbers import parse_number
@@ -68,6 +70,33 @@ def flag3(d1: int, d2: int, d3: int) -> SpaceModel:
         name=f"flag3:{d1},{d2},{d3}",
         dims=(d1, d2, d3),
         killing=(1, 1, 1),
+        triples=triples,
+        pairwise_inequivalent=True,
+    )
+
+
+def full_flag(n: int) -> SpaceModel:
+    """Full flag manifold SU(n)/T from its rank, n >= 3.
+
+    One 2-dimensional summand m_ab per root pair a < b, numbered in
+    lexicographic order of the pairs.  With the background form set to minus
+    the Killing form, b_i = 1 and the only nonzero bracket norms are
+    [ijk] = 1/n on every triangle {ab, bc, ac}; validation derives
+    zeta_i = 1/n.  The lattice members are the set partitions of {1..n}, so
+    there are Bell(n) of them.
+    """
+    n = int(n)
+    if n < 3:
+        raise ModelError(f"SU(n)/T needs n >= 3, got n={n}")
+    pairs = {p: i for i, p in enumerate(combinations(range(1, n + 1), 2), start=1)}
+    triples = {
+        tuple(sorted((pairs[(a, b)], pairs[(b, c)], pairs[(a, c)]))): Fraction(1, n)
+        for a, b, c in combinations(range(1, n + 1), 3)
+    }
+    return build_model(
+        name=f"SU({n})/T",
+        dims=(2,) * len(pairs),
+        killing=(1,) * len(pairs),
         triples=triples,
         pairwise_inequivalent=True,
     )
@@ -133,15 +162,42 @@ def abelian_line_two_summand(d2: int, zeta2, t122, t222=0) -> SpaceModel:
     )
 
 
+#: Usage line of each catalog kind, as the command line lists them.
+USAGE = {
+    "flag3": "flag3 d1 d2 d3",
+    "fullflag": "fullflag n",
+    "twosum": "twosum d1 d2 zeta1 zeta2 t122 [t111] [t222]",
+    "g2u2": "g2u2",
+}
+
+
+def _ints(kind: str, params, count: int) -> list[int]:
+    if len(params) != count:
+        raise ModelError(f"usage: {USAGE[kind]}")
+    try:
+        return [int(p) for p in params]
+    except ValueError as exc:
+        raise ModelError(f"usage: {USAGE[kind]} ({exc})") from exc
+
+
 def entry(kind: str, *params) -> CatalogEntry:
-    """Build a named catalog entry: kind "flag3", "twosum" or an alias."""
+    """Build a named catalog entry: kind "flag3", "fullflag", "twosum" or
+    the alias "g2u2"; ``params`` may be numbers or their text."""
     if kind == "g2u2":
         model = flag3(4, 2, 4)
         return CatalogEntry("g2u2", {"dims": (4, 2, 4)}, model)
     if kind == "flag3":
-        model = flag3(*params)
-        return CatalogEntry(model.name, {"dims": tuple(int(p) for p in params)}, model)
+        dims = tuple(_ints(kind, params, 3))
+        model = flag3(*dims)
+        return CatalogEntry(model.name, {"dims": dims}, model)
+    if kind == "fullflag":
+        (n,) = _ints(kind, params, 1)
+        model = full_flag(n)
+        return CatalogEntry(model.name, {"n": n}, model)
     if kind == "twosum":
-        model = two_summand(*params)
+        if not 5 <= len(params) <= 7:
+            raise ModelError(f"usage: {USAGE[kind]}")
+        d1, d2 = _ints(kind, params[:2], 2)
+        model = two_summand(d1, d2, *params[2:])
         return CatalogEntry(model.name, {"params": params}, model)
     raise ModelError(f"unknown catalog kind {kind!r}")

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .curvature import CurvatureContext, ricci as _ricci
+from .curvature import ricci as _ricci
 from .model import (
     DiagonalForm,
+    HypothesisVerdict,
     SpaceModel,
     SubalgebraLattice,
     check_hypothesis,
@@ -78,48 +79,53 @@ class SimpleChain:
         }
 
 
+def _mask(J) -> int:
+    return sum(1 << (i - 1) for i in J)
+
+
+def _block_sum(rows, A, B: int, C: int):
+    """Bracket mass <A B C> = sum_{a in A, b in B, c in C} [abc], with A an
+    index tuple and B, C bitmasks, in the units of ``SpaceModel.scaled``."""
+    return sum(v for a in A for b, c, v in rows[a - 1] if b & B and c & C)
+
+
 def _eta_parts(model: SpaceModel, J_k: tuple[int, ...], J_kprime: tuple[int, ...]):
     """Both closed forms of eta; returns (value, numerator, denominator).
 
     Numerator and denominator are the non-negative Casimir-form quantities
-    (denominator already includes the omega factor).
+    (denominator already includes the omega factor).  Every block sum runs
+    in the model's scaled units, so an exact model adds integers and each
+    form builds one Fraction at the end.
     """
-    ctx = CurvatureContext(model, J_k, J_kprime)
-    n, l, j, jp = J_kprime, ctx.J_l, ctx.J_j, ctx.J_jprime
+    outer, inner = _mask(J_k), _mask(J_kprime)
+    if inner & ~outer:
+        raise ChainError(f"inner set {J_kprime} is not contained in {J_k}")
+    n = J_kprime
+    l = tuple(i for i in J_k if not (inner >> (i - 1)) & 1)
     if not n or not l:
         raise ChainError(f"degenerate chain ({J_k}, {J_kprime})")
+    middle = outer & ~inner
     omega = min(model.dims[i - 1] for i in n)
+    data = model.scaled
+    rows, killing, casimir = data.rows, data.killing_mass, data.casimir_mass
+    nnn = _block_sum(rows, n, inner, inner)
+    lll = _block_sum(rows, l, middle, middle)
 
+    # defining form: Killing traces and bracket masses of the derived blocks
     num_def = (
-        2 * ctx.killing_trace(n)
-        + 2 * ctx.bracket_sum(n, jp, jp)
-        + ctx.bracket_sum(n, n, n)
+        -2 * sum(killing[i - 1] for i in n)
+        + 2 * _block_sum(rows, n, ~inner, ~inner)
+        + nnn
     )
     den_def = omega * (
-        2 * ctx.killing_trace(l)
-        + ctx.bracket_sum(l, l, l)
-        + 2 * ctx.bracket_sum(l, j, j)
+        -2 * sum(killing[i - 1] for i in l)
+        + lll
+        + 2 * _block_sum(rows, l, ~outer, ~outer)
     )
-
-    zero = Fraction(0) if model.exact else 0.0
-    n_set, l_set = set(n), set(l)
-    within_n = {i: zero for i in n}
-    within_l = {i: zero for i in l}
-    cross = {i: zero for i in l}
-    for a, b, c, v in model.ordered_triples:
-        if a in n_set and b in n_set and c in n_set:
-            within_n[a] = within_n[a] + v
-        if a in l_set:
-            if b in l_set and c in l_set:
-                within_l[a] = within_l[a] + v
-            if b in n_set and c in l_set:
-                cross[a] = cross[a] + v
-    num_z = sum(
-        4 * model.dims[i - 1] * model.casimir[i - 1] + within_n[i] for i in n
-    )
-    den_z = omega * sum(
-        4 * model.dims[i - 1] * model.casimir[i - 1] + within_l[i] + 4 * cross[i]
-        for i in l
+    # Casimir form
+    num_z = 4 * sum(casimir[i - 1] for i in n) + nnn
+    den_z = omega * (
+        4 * sum(casimir[i - 1] for i in l) + lll + 4 * _block_sum(rows, l, inner, middle)
     )
 
     if den_z == 0:
@@ -127,70 +133,66 @@ def _eta_parts(model: SpaceModel, J_k: tuple[int, ...], J_kprime: tuple[int, ...
             f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
             "requirement 2 (a summand block commutes with the inner subalgebra)"
         )
-    value = num_z / den_z
-    value_def = num_def / den_def
-    if is_exact(value) and is_exact(value_def):
-        if value != value_def:
-            raise ChainError(
-                f"eta forms disagree on chain ({J_k}, {J_kprime}): "
-                f"{value_def} vs {value}"
-            )
+    if model.exact:
+        value, value_def = Fraction(num_z, den_z), Fraction(num_def, den_def)
+        agree = value == value_def
     else:
-        if abs(float(value) - float(value_def)) > ETA_AGREEMENT_TOL * max(
-            1.0, abs(float(value))
-        ):
-            raise ChainError(
-                f"eta forms disagree on chain ({J_k}, {J_kprime}): "
-                f"{value_def} vs {value}"
-            )
+        value, value_def = num_z / den_z, num_def / den_def
+        agree = abs(value - value_def) <= ETA_AGREEMENT_TOL * max(1.0, abs(value))
+    if not agree:
+        raise ChainError(
+            f"eta forms disagree on chain ({J_k}, {J_kprime}): "
+            f"{value_def} vs {value}"
+        )
+    if model.exact:
+        return value, Fraction(num_z, data.scale), Fraction(den_z, data.scale)
     return value, num_z, den_z
 
 
 def enumerate_simple_chains(
-    model: SpaceModel, lattice: Optional[SubalgebraLattice] = None
+    model: SpaceModel,
+    lattice: Optional[SubalgebraLattice] = None,
+    verdict: Optional[HypothesisVerdict] = None,
 ) -> tuple[SimpleChain, ...]:
     """All simple chains of the model's lattice, in deterministic order.
 
-    Raises :class:`HypothesisViolatedError` when the structural requirements
-    demonstrably fail (the conditions would be meaningless).
+    The chains are the lattice's covering pairs whose lower member is
+    nonempty, ordered by (size, lex) of the upper and then the lower member.
+    ``verdict`` is the :func:`check_hypothesis` result for ``lattice`` when
+    the caller already has it.  Raises :class:`HypothesisViolatedError` when
+    the structural requirements demonstrably fail (the conditions would be
+    meaningless).
     """
     if lattice is None:
         lattice = enumerate_subalgebras(model)
-    verdict = check_hypothesis(model, lattice)
+    if verdict is None:
+        verdict = check_hypothesis(model, lattice)
     if verdict.status == "violated":
         raise HypothesisViolatedError(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
     members = lattice.members
+    full = range(1, model.s + 1)
     chains = []
-    for K in members:
-        if not K:
+    for upper, lower in lattice.covers:
+        K, Kp = members[upper], members[lower]
+        if not Kp:
             continue
-        K_set = set(K)
-        for Kp in members:
-            if not Kp or Kp == K or not set(Kp) < K_set:
-                continue
-            between = any(
-                M != K and M != Kp and set(Kp) < set(M) < K_set for M in members
+        value, num, den = _eta_parts(model, K, Kp)
+        in_k, in_kp = set(K), set(Kp)
+        chains.append(
+            SimpleChain(
+                J_k=K,
+                J_kprime=Kp,
+                J_l=tuple(i for i in K if i not in in_kp),
+                J_j=tuple(i for i in full if i not in in_k),
+                J_jprime=tuple(i for i in full if i not in in_kp),
+                omega=min(model.dims[i - 1] for i in Kp),
+                eta=value,
+                eta_numerator=num,
+                eta_denominator=den,
             )
-            if between:
-                continue
-            ctx = CurvatureContext(model, K, Kp)
-            value, num, den = _eta_parts(model, K, Kp)
-            chains.append(
-                SimpleChain(
-                    J_k=K,
-                    J_kprime=Kp,
-                    J_l=ctx.J_l,
-                    J_j=ctx.J_j,
-                    J_jprime=ctx.J_jprime,
-                    omega=min(model.dims[i - 1] for i in Kp),
-                    eta=value,
-                    eta_numerator=num,
-                    eta_denominator=den,
-                )
-            )
-    chains.sort(key=lambda ch: (len(ch.J_k), ch.J_k, len(ch.J_kprime), ch.J_kprime))
+        )
     return tuple(chains)
 
 
@@ -270,12 +272,7 @@ def _prepare_check(model: SpaceModel, T: DiagonalForm, lattice):
         raise ChainError("target form must cover the full index set")
     if lattice is None:
         lattice = enumerate_subalgebras(model)
-    verdict = check_hypothesis(model, lattice)
-    if verdict.status == "violated":
-        raise HypothesisViolatedError(
-            f"hypothesis requirement 2 is violated at {verdict.violations}"
-        )
-    return lattice, verdict.status == "unknown"
+    return lattice, check_hypothesis(model, lattice)
 
 
 def check_theorem(
@@ -286,10 +283,10 @@ def check_theorem(
     """Evaluate min z over the inner block / d-weighted trace over the middle
     block > eta for every simple chain.  No chains means an unconditional pass.
     """
-    lattice, caveat = _prepare_check(model, T, lattice)
+    lattice, verdict = _prepare_check(model, T, lattice)
     conditions = []
     failing = None
-    for chain in enumerate_simple_chains(model, lattice):
+    for chain in enumerate_simple_chains(model, lattice, verdict):
         lam = min(T[i] for i in chain.J_kprime)
         trace = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
         margin = lam / trace - chain.eta
@@ -303,7 +300,7 @@ def check_theorem(
         passed=failing is None,
         conditions=tuple(conditions),
         failing=failing,
-        requirement1_unknown=caveat,
+        requirement1_unknown=verdict.status == "unknown",
     )
 
 
@@ -315,10 +312,10 @@ def check_corollary_lambda(
     """Eigenvalue-ratio variant: min z over the inner block / max z over the
     middle block > eta * dim(l) per chain.  Stronger than the trace form.
     """
-    lattice, caveat = _prepare_check(model, T, lattice)
+    lattice, verdict = _prepare_check(model, T, lattice)
     conditions = []
     failing = None
-    for chain in enumerate_simple_chains(model, lattice):
+    for chain in enumerate_simple_chains(model, lattice, verdict):
         lam = min(T[i] for i in chain.J_kprime)
         lam_plus = max(T[i] for i in chain.J_l)
         dim_l = sum(model.dims[i - 1] for i in chain.J_l)
@@ -334,7 +331,7 @@ def check_corollary_lambda(
         passed=failing is None,
         conditions=tuple(conditions),
         failing=failing,
-        requirement1_unknown=caveat,
+        requirement1_unknown=verdict.status == "unknown",
     )
 
 

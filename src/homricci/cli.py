@@ -230,7 +230,7 @@ def cmd_iterate(args) -> int:
 def cmd_catalog(args) -> int:
     if args.kind == "list" or args.kind is None:
         payload = {
-            "generators": ["flag3 d1 d2 d3", "twosum d1 d2 zeta1 zeta2 t122 [t111] [t222]", "g2u2"],
+            "generators": list(catalog_mod.USAGE.values()),
             "placeholders": list(catalog_mod.PLACEHOLDER_SPACES),
         }
         lines = ["generators:"]
@@ -239,23 +239,8 @@ def cmd_catalog(args) -> int:
         lines += [f"  {p}" for p in payload["placeholders"]]
         _emit(args, payload, lines)
         return 0
-    if args.kind == "g2u2":
-        model = catalog_mod.flag3(4, 2, 4)
-    elif args.kind == "flag3":
-        if len(args.params) != 3:
-            raise ModelError("flag3 needs three dimensions: flag3 d1 d2 d3")
-        model = catalog_mod.flag3(*(int(p) for p in args.params))
-    elif args.kind == "twosum":
-        if not 5 <= len(args.params) <= 7:
-            raise ModelError(
-                "twosum needs: d1 d2 zeta1 zeta2 t122 [t111] [t222]"
-            )
-        d1, d2 = int(args.params[0]), int(args.params[1])
-        rest = [parse_number(p, rational=True) for p in args.params[2:]]
-        model = catalog_mod.two_summand(d1, d2, *rest)
-    else:
-        raise ModelError(f"unknown catalog kind {args.kind!r}")
-    sys.stdout.write(serialize_model(model))
+    entry = catalog_mod.entry(args.kind, *args.params)
+    sys.stdout.write(serialize_model(entry.model))
     return 0
 
 
@@ -313,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="multistart seed")
 
     p = add("catalog", cmd_catalog, "emit a built-in model as JSON", with_model=False)
-    p.add_argument("kind", nargs="?", help="flag3 | twosum | g2u2 | list")
+    p.add_argument("kind", nargs="?", help="flag3 | fullflag | twosum | g2u2 | list")
     p.add_argument("params", nargs="*", help="generator parameters")
 
     return parser

@@ -14,17 +14,24 @@ float data; when only one of zeta/b is supplied the other is derived from it.
 Index sets J whose summand span closes under the Lie bracket form the
 subalgebra lattice.  Closure is visible directly in the data: J is closed
 exactly when every nonzero triple [ijk] has either at most one or all three
-of its indices inside J.
+of its indices inside J.  So the closed sets form a closure system, and the
+closure of any set follows from one rule: when a nonzero triple has two of
+its slots inside J (counted with multiplicity), the index in its third slot
+joins J.  The lattice is listed upward from the empty set through its
+covering relation: the upper covers of a member J are the inclusion-minimal
+sets among the closures of J + {k}, k outside J.  That costs at most s
+closures per member, instead of a scan of all 2^s subsets.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .numbers import (
     NumberFormatError,
@@ -47,6 +54,20 @@ class ModelError(ValueError):
 def canonical_triple(i: int, j: int, k: int) -> tuple[int, int, int]:
     a, b, c = sorted((i, j, k))
     return a, b, c
+
+
+class ScaledData(NamedTuple):
+    """A validated model's numbers over one common denominator.
+
+    For an exact model every entry is the integer ``scale`` times the true
+    value; a float model keeps its floats, with ``scale`` 1.  Bit ``i - 1``
+    of a mask stands for summand ``i``.
+    """
+
+    scale: int
+    killing_mass: tuple  # d_i b_i per index
+    casimir_mass: tuple  # d_i zeta_i per index
+    rows: tuple  # per index a: (bit of b, bit of c, [abc]) per nonzero ordered triple
 
 
 @dataclass(frozen=True)
@@ -102,6 +123,48 @@ class SpaceModel:
             for perm in sorted(set(permutations((i, j, k)))):
                 out.append((*perm, v))
         return tuple(out)
+
+    @cached_property
+    def closure_rules(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per index a (0-based), pairs (bit of b, mask of every c with
+        [abc] != 0): a closed set that holds a and b holds each such c."""
+        rules = [{} for _ in range(self.s)]
+        for a, b, c, _ in self.ordered_triples:
+            rules[a - 1][b - 1] = rules[a - 1].get(b - 1, 0) | 1 << (c - 1)
+        return tuple(
+            tuple((1 << b, implied) for b, implied in sorted(r.items())) for r in rules
+        )
+
+    @cached_property
+    def scaled(self) -> ScaledData:
+        """The model's numbers as integers over a common denominator; needs
+        a validated model."""
+        if self.casimir is None or self.killing is None:
+            raise ModelError("scaled data needs a validated model")
+        if self.exact:
+            scale = math.lcm(
+                *(v.denominator for *_, v in self.ordered_triples),
+                *(v.denominator for v in self.killing + self.casimir),
+            )
+
+            def fix(v):
+                return v.numerator * (scale // v.denominator)
+
+        else:
+            scale = 1
+
+            def fix(v):
+                return v
+
+        rows = [[] for _ in range(self.s)]
+        for a, b, c, v in self.ordered_triples:
+            rows[a - 1].append((1 << (b - 1), 1 << (c - 1), fix(v)))
+        return ScaledData(
+            scale=scale,
+            killing_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.killing)),
+            casimir_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.casimir)),
+            rows=tuple(tuple(r) for r in rows),
+        )
 
     @cached_property
     def row_sums(self) -> tuple[Scalar, ...]:
@@ -200,11 +263,15 @@ class SubalgebraLattice:
 
     Always contains the empty set (the isotropy algebra itself) and the full
     index set.  ``member_dims`` holds sum_{i in J} d_i per member.
+    ``covers`` holds every covering pair (no member strictly between) as
+    ``(upper, lower)`` indices into ``members``, sorted, so its order follows
+    the members' order.
     """
 
     s: int
     members: tuple[tuple[int, ...], ...]
     member_dims: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
 
     def __contains__(self, indices) -> bool:
         return tuple(sorted(indices)) in self._member_set
@@ -378,35 +445,69 @@ def build_model(
     return report.model
 
 
-def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
-    """All bracket-closed index sets, by brute force over subsets.
+def _closure(rules, closed: int, added: int) -> int:
+    """Smallest closed superset of ``closed | added`` (bitmasks), for a
+    closed ``closed``: only the rules of newly added indices can fire."""
+    J = closed | added
+    pending = added & ~closed
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        for partner, implied in rules[bit.bit_length() - 1]:
+            if J & partner:
+                new = implied & ~J
+                if new:
+                    pending |= new
+                    J |= new
+    return J
 
-    A subset J fails exactly when some nonzero triple has two of its indices
-    (counted with multiplicity) inside J and one outside.
+
+def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
+    """All bracket-closed index sets and their covering pairs.
+
+    Walks the lattice upward from the empty set.  The upper covers of a
+    member J are the inclusion-minimal sets among the closures cl(J + {k}),
+    k outside J; such a closure C is minimal exactly when every k in C - J
+    generates it.  Every nonempty member covers some member, so the walk
+    reaches all of them.  It costs at most s closures per member, each
+    firing only the rules of the indices it adds (``closure_rules``).
     """
     s = model.s
     if s > MAX_SUMMANDS:
         raise ModelError(f"s={s} exceeds the enumeration cap {MAX_SUMMANDS}")
-    nonzero = [
-        (i - 1, j - 1, k - 1) for i, j, k, v in model.triples if v != 0
-    ]
-    members = []
-    for mask in range(1 << s):
-        closed = True
-        for a, b, c in nonzero:
-            inside = ((mask >> a) & 1) + ((mask >> b) & 1) + ((mask >> c) & 1)
-            if inside == 2:
-                closed = False
-                break
-        if closed:
-            members.append(mask)
+    rules = model.closure_rules
+    everything = (1 << s) - 1
+    upper: dict[int, list[int]] = {}
+    todo = [0]
+    while todo:
+        J = todo.pop()
+        if J in upper:
+            continue
+        generators: dict[int, int] = {}
+        outside = everything & ~J
+        while outside:
+            bit = outside & -outside
+            outside ^= bit
+            C = _closure(rules, J, bit)
+            generators[C] = generators.get(C, 0) | bit
+        covers = [C for C, gens in generators.items() if gens == C & ~J]
+        upper[J] = covers
+        todo.extend(C for C in covers if C not in upper)
 
     def unpack(mask: int) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(s) if (mask >> i) & 1)
 
-    sets = sorted((unpack(m) for m in members), key=lambda J: (len(J), J))
-    dims = tuple(sum(model.dims[i - 1] for i in J) for J in sets)
-    return SubalgebraLattice(s=s, members=tuple(sets), member_dims=dims)
+    order = sorted(((unpack(m), m) for m in upper), key=lambda p: (len(p[0]), p[0]))
+    index = {m: pos for pos, (_, m) in enumerate(order)}
+    sets = tuple(J for J, _ in order)
+    return SubalgebraLattice(
+        s=s,
+        members=sets,
+        member_dims=tuple(sum(model.dims[i - 1] for i in J) for J in sets),
+        covers=tuple(
+            sorted((index[C], index[J]) for J, ups in upper.items() for C in ups)
+        ),
+    )
 
 
 def check_hypothesis(

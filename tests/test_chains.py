@@ -1,5 +1,6 @@
 """Simple chains, eta formulas, and the solvability conditions."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,11 @@ from homricci import (
     enumerate_subalgebras,
     eta,
     flag3,
+    full_flag,
     two_summand,
     two_summand_condition,
 )
+from homricci import chains as chains_mod
 from homricci.chains import _eta_parts
 from helpers import oracle_simple_chains, random_positive_form, random_space_model
 
@@ -37,6 +40,67 @@ def test_flag_chains_and_eta_golden():
     assert chains[1].eta == Fraction(3, 20)
     assert chains[0].omega == 2 and chains[1].omega == 4
     assert eta(G2, chains[0]) == Fraction(1, 48)
+
+
+def test_eta_parts_golden_flag3_and_full_flag():
+    # exact (eta, numerator, denominator) per chain: the Casimir-form
+    # quantities, omega included in the denominator, unscaled
+    got = [
+        (ch.J_kprime, ch.eta, ch.eta_numerator, ch.eta_denominator)
+        for ch in enumerate_simple_chains(flag3(1, 2, 3))
+    ]
+    assert got == [
+        ((2,), Fraction(13, 72), Fraction(26, 9), Fraction(16)),
+        ((3,), Fraction(2, 7), Fraction(5), Fraction(35, 2)),
+    ]
+    assert [(ch.eta_numerator, ch.eta_denominator) for ch in enumerate_simple_chains(G2)] == [
+        (Fraction(2, 3), Fraction(32)),
+        (Fraction(6), Fraction(40)),
+    ]
+    F = Fraction
+    by_shape = Counter(
+        (len(ch.J_k), len(ch.J_kprime), ch.eta, ch.eta_numerator, ch.eta_denominator)
+        for ch in enumerate_simple_chains(full_flag(5))
+    )
+    assert by_shape == {
+        (2, 1, F(1, 2), F(8, 5), F(16, 5)): 30,
+        (3, 1, F(1, 6), F(8, 5), F(48, 5)): 30,
+        (4, 2, F(1, 3), F(16, 5), F(48, 5)): 30,
+        (4, 3, F(15, 8), F(6), F(16, 5)): 10,
+        (6, 2, F(1, 8), F(16, 5), F(128, 5)): 15,
+        (6, 3, F(5, 16), F(6), F(96, 5)): 20,
+        (10, 4, F(19, 120), F(38, 5), F(48)): 10,
+        (10, 6, F(9, 20), F(72, 5), F(32)): 5,
+    }
+
+
+def test_full_flag_simple_chain_counts():
+    for n, count in ((5, 150), (6, 841), (7, 4781)):
+        m = full_flag(n)
+        lat = enumerate_subalgebras(m)
+        chains = enumerate_simple_chains(m, lat)
+        assert len(chains) == count
+        if n == 5:
+            pairs = [(ch.J_k, ch.J_kprime) for ch in chains]
+            assert pairs == oracle_simple_chains(lat.members)
+
+
+def test_hypothesis_checked_once_per_condition_check(monkeypatch):
+    calls = []
+    original = chains_mod.check_hypothesis
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chains_mod, "check_hypothesis", counted)
+    for check in (check_theorem, check_corollary_lambda):
+        calls.clear()
+        check(G2, DiagonalForm.full((1, 1, 1)))
+        assert len(calls) == 1
+    calls.clear()
+    enumerate_simple_chains(G2)
+    assert len(calls) == 1
 
 
 def test_no_chains_when_isotropy_algebra_maximal():
@@ -204,6 +268,8 @@ def test_check_raises_on_violated_hypothesis():
     )
     with pytest.raises(HypothesisViolatedError):
         check_theorem(m, DiagonalForm.full((1, 1, 1)))
+    with pytest.raises(HypothesisViolatedError):
+        enumerate_simple_chains(m)
 
 
 def test_check_carries_caveat_when_flag_unset():

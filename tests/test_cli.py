@@ -159,6 +159,19 @@ def test_catalog_list(capsys):
     assert "flag3" in out and "E7/E6" in out
 
 
+def test_catalog_fullflag_and_usage_errors(capsys):
+    code, out, _ = run(capsys, "catalog", "fullflag", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["name"] == "SU(4)/T" and doc["dims"] == [2] * 6
+    assert doc["casimir"] == ["1/4"] * 6
+    assert len(doc["triples"]) == 4
+    assert "fullflag n" in run(capsys, "catalog", "list")[1]
+    for argv in (("flag3", "4", "2"), ("fullflag", "two"), ("fullflag", "2"), ("twosum", "2", "3")):
+        code, _, err = run(capsys, "catalog", *argv)
+        assert code == 2 and "error:" in err
+
+
 def test_validate_prints_derived_values(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text('{"name": "x", "s": 1, "dims": [3], "killing": [1], '

@@ -1,6 +1,7 @@
 """Model validation, lattice enumeration, hypothesis and classification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,11 +15,17 @@ from homricci import (
     classify_cor_all,
     enumerate_subalgebras,
     flag3,
+    full_flag,
     parse_model,
     serialize_model,
     validate,
 )
-from helpers import oracle_lattice, random_space_model
+from helpers import (
+    combinations_with_repetition,
+    oracle_lattice,
+    oracle_simple_chains,
+    random_space_model,
+)
 
 
 def test_single_summand_derives_casimir():
@@ -175,6 +182,54 @@ def test_lattice_monotone_under_zeroing():
         )
         after = set(enumerate_subalgebras(reduced).members)
         assert before <= after
+
+
+def _sparse_model(rng, s):
+    """Few nonzero triples, so the lattice has tens to hundreds of members;
+    every dimension is at least 2, so triples (i,i,k) and (i,i,i) occur."""
+    dims = [int(rng.integers(2, 4)) for _ in range(s)]
+    # chance of a nonzero triple by its number of distinct indices
+    chance = {1: 0.3, 2: 1.0 / s**2, 3: 6.0 / s**2}
+    triples = {
+        t: Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        for t in combinations_with_repetition(s)
+        if rng.random() < chance[len(set(t))]
+    }
+    casimir = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(s)]
+    return build_model(f"sparse-s{s}", dims, casimir=casimir, triples=triples)
+
+
+def test_lattice_and_covers_match_oracles_up_to_s12():
+    rng = np.random.default_rng(31)
+    shapes = set()
+    for s in (4, 5, 6, 7, 8, 9, 10, 11, 12):
+        for m in (_sparse_model(rng, s), _sparse_model(rng, s), random_space_model(rng, s=s)):
+            shapes.update(len({i, j, k}) for i, j, k, _ in m.triples)
+            lat = enumerate_subalgebras(m)
+            assert list(lat.members) == oracle_lattice(m)
+            pairs = [(lat.members[u], lat.members[l]) for u, l in lat.covers]
+            assert [p for p in pairs if p[1]] == oracle_simple_chains(lat.members)
+            nonempty = [frozenset(J) for J in lat.members if J]
+            atoms = [J for J in nonempty if not any(M < J for M in nonempty)]
+            assert sorted(K for K, Kp in pairs if not Kp) == sorted(
+                tuple(sorted(J)) for J in atoms
+            )
+    assert shapes == {1, 2, 3}  # (i,i,i), (i,i,k) and (i,j,k) triples all occurred
+
+
+def test_full_flag_members_are_bell_numbers():
+    for n, bell in zip(range(3, 8), (5, 15, 52, 203, 877)):
+        m = full_flag(n)
+        assert m.casimir == (Fraction(1, n),) * (n * (n - 1) // 2)
+        assert len(enumerate_subalgebras(m).members) == bell
+
+
+def test_star_import_exports_every_name():
+    namespace = {}
+    exec("from homricci import *", namespace)
+    import homricci
+
+    assert all(name in namespace for name in homricci.__all__)
 
 
 def test_lattice_summand_cap():
