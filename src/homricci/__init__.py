@@ -7,7 +7,6 @@ curvature on the constraint set, or run the Ricci iteration on top of the
 solver.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .catalog import (
     CatalogEntry,
     abelian_line_two_summand,
@@ -65,6 +64,9 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+#: The evaluation kernel in use; the numpy kernel in ``_kernels`` is the only one.
+kernel_backend = "python"
 
 __all__ = [
     "CatalogEntry",

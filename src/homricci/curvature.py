@@ -17,8 +17,8 @@ and the Ricci coefficients relative to the background form are
 equivalently r_i = -(x_i^2/d_i) dS/dx_i, so the gradient of S comes for free.
 
 Exact (Fraction) inputs are evaluated exactly; float inputs go through the
-kernel backend (compiled when available).  Evaluation tables per (model,
-index set) are cached, since the optimizer calls these in a tight loop.
+numpy kernel in ``_kernels``.  Evaluation tables per (model, index set) are
+cached, since the optimizer calls these in a tight loop.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ class _Tables:
             if a in inside and bb not in inside and c not in inside:
                 penalty[self.pos[a]] += float(v)
         self.hat_penalty = penalty
+
+    def value_and_ricci(self, x: np.ndarray, out_r: np.ndarray) -> float:
+        """S on this index set at the float coefficients x; fills out_r with
+        the Ricci coefficients (see ``_kernels`` for the formulas)."""
+        return _kernels.value_and_ricci(
+            self.db, self.b, self.d, self.ti, self.tj, self.tk, self.tv, x, out_r
+        )
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[SpaceModel, dict]" = weakref.WeakKeyDictionary()
@@ -115,9 +122,8 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
             if a in inside and b in inside and c in inside
         )
         return lin / 2 - tri / 4
-    tab = tables_for(model, J)
     xs = np.array([float(xr[i]) for i in J], dtype=np.float64)
-    return float(_kernels.scalar_value(tab.db, tab.ti, tab.tj, tab.tk, tab.tv, xs))
+    return float(tables_for(model, J).value_and_ricci(xs, np.empty(len(J))))
 
 
 def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = None) -> Scalar:
@@ -145,7 +151,7 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
         return lin / 2 - pen / 2 - tri / 4
     tab = tables_for(model, J_k)
     xs = np.array([float(xr[i]) for i in J_k], dtype=np.float64)
-    base = _kernels.scalar_value(tab.db, tab.ti, tab.tj, tab.tk, tab.tv, xs)
+    base = tab.value_and_ricci(xs, np.empty(len(J_k)))
     return float(base - 0.5 * np.dot(tab.hat_penalty, 1.0 / xs))
 
 
@@ -171,14 +177,9 @@ def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
             - acc_b[i - 1] / (2 * model.dims[i - 1])
             for i in full
         )
-    tab = tables_for(model, full)
     xs = np.array([float(x[i]) for i in full], dtype=np.float64)
     out = np.empty(model.s, dtype=np.float64)
-    scratch_a = np.empty(model.s, dtype=np.float64)
-    scratch_b = np.empty(model.s, dtype=np.float64)
-    _kernels.value_and_ricci(
-        tab.db, tab.b, tab.d, tab.ti, tab.tj, tab.tk, tab.tv, xs, out, scratch_a, scratch_b
-    )
+    tables_for(model, full).value_and_ricci(xs, out)
     return tuple(float(v) for v in out)
 
 

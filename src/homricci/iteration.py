@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from . import curvature
 from .model import DiagonalForm, SpaceModel, classify_cor_all
 from .solver import SolveReport, SolverOptions, solve_prescribed_ricci
 
@@ -96,25 +95,19 @@ def ricci_iterate(
         if report.status != "solved":
             failure = report
             break
-        g_bar_next = report.x
-        c_i = report.c
-        g_i = g_bar.scale(c_i)
-        r_next = curvature.ricci(model, g_bar_next)
-        g_vals = [float(v) for v in g_i.values]
-        residual = max(
-            abs(float(r_next[i]) - g_vals[i]) for i in range(model.s)
-        ) / max(abs(v) for v in g_vals)
+        # max|Ric(gbar_{i+1}) - g_i| / max g_i with g_i = c_i gbar_i is the
+        # solve's residual max|r - c z| / max z divided by c_i > 0.
         completed.append(
             IterationStep(
                 index=index,
                 g_bar=g_bar,
-                c=c_i,
-                g=g_i,
-                residual=float(residual),
+                c=report.c,
+                g=g_bar.scale(report.c),
+                residual=report.residual / report.c,
                 status="solved",
             )
         )
-        g_bar = g_bar_next
+        g_bar = report.x
 
     cauchy = []
     for prev, cur in zip(completed, completed[1:]):

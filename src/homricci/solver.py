@@ -11,16 +11,17 @@ exist (some u_i then collapses to 0, i.e. x_i grows without bound).
 
 A converged or stalled start is polished by a damped Newton iteration on the
 critical-point system r(u) = c z, sum u = 1 (finite-difference Jacobian),
-then certified componentwise: status "solved" requires
-max_i |r_i - c z_i| <= tol * max_i z_i with c > 0.  Collapse of some u_i
-below threshold with stagnating curvature value is reported as "diverged" --
-evidence that the supremum is not attained, never a proof of nonexistence.
+then certified componentwise on the returned metric x = d z / u: status
+"solved" requires max_i |r_i - c z_i| <= tol * max_i z_i with c > 0.
+Collapse of some u_i below threshold with stagnating curvature value is
+reported as "diverged" -- evidence that the supremum is not attained, never
+a proof of nonexistence.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -113,27 +114,9 @@ class _Evaluator:
         self.tab = curvature.tables_for(model, full)
         self.z = z
         self.dz = self.tab.d * z
-        n = model.s
-        self._acc_a = np.empty(n)
-        self._acc_b = np.empty(n)
 
     def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray) -> float:
-        from . import _kernels
-
-        x = self.dz / u
-        return _kernels.value_and_ricci(
-            self.tab.db,
-            self.tab.b,
-            self.tab.d,
-            self.tab.ti,
-            self.tab.tj,
-            self.tab.tk,
-            self.tab.tv,
-            x,
-            out_r,
-            self._acc_a,
-            self._acc_b,
-        )
+        return self.tab.value_and_ricci(self.dz / u, out_r)
 
     def fit_c(self, r: np.ndarray) -> float:
         d, z = self.tab.d, self.z
@@ -152,20 +135,13 @@ def _softmax(v: np.ndarray) -> np.ndarray:
 _POLISH_TRIGGER = 1e-6
 
 
-def _run_start(
-    ev: _Evaluator,
-    v0: np.ndarray,
-    opts: SolverOptions,
-    record: Optional[list] = None,
-) -> _StartOutcome:
+def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOutcome:
     n = len(v0)
     v = v0 - np.max(v0)
     u = _softmax(v)
     r = np.empty(n)
     r_trial = np.empty(n)
     S = ev.value_and_ricci(u, r)
-    if record is not None:
-        record.append(S)
     alpha = 1.0
     history: deque = deque(maxlen=opts.stagnation_window + 1)
     history.append(S)
@@ -213,8 +189,6 @@ def _run_start(
         r, r_trial = r_trial, r
         alpha = min(a * 2.0, 1e12)
         history.append(S)
-        if record is not None:
-            record.append(S)
 
     c = ev.fit_c(r)
     res = ev.residual(r, c)
@@ -433,9 +407,9 @@ def solve_prescribed_ricci(
     """Solve Ric g = c T for the given positive target form.
 
     Runs the chain conditions first (advisory: a failing or unknown check
-    does not stop the solve), then maximizes S on the constraint set and
-    re-certifies the reported metric componentwise through an independent
-    Ricci evaluation.
+    does not stop the solve), then maximizes S on the constraint set; a
+    "solved" report is certified componentwise on exactly the metric it
+    returns.
     """
     opts = options or SolverOptions()
     notes: list[str] = []
@@ -451,59 +425,4 @@ def solve_prescribed_ricci(
             notes.append(f"eta undefined: {exc}")
 
     report = maximize_S_on_MT(model, T, opts)
-
-    if report.status == "solved":
-        r = curvature.ricci(model, report.x)
-        z = [float(v) for v in T.values]
-        d = model.dims
-        c = sum(d[i] * r[i] * z[i] for i in range(model.s)) / sum(
-            d[i] * z[i] * z[i] for i in range(model.s)
-        )
-        residual = max(abs(r[i] - c * z[i]) for i in range(model.s)) / max(z)
-        if residual > opts.residual_tol or c <= 0:
-            return SolveReport(
-                status="inconclusive",
-                x=report.x,
-                c=float(c),
-                residual=float(residual),
-                S_value=report.S_value,
-                constraint_error=report.constraint_error,
-                starts_used=report.starts_used,
-                iterations=report.iterations,
-                start_values=report.start_values,
-                condition=condition,
-                notes=tuple(
-                    notes
-                    + ["re-certification failed after optimizer convergence"]
-                ),
-            )
-        report = SolveReport(
-            status="solved",
-            x=report.x,
-            c=float(c),
-            residual=float(residual),
-            S_value=report.S_value,
-            constraint_error=report.constraint_error,
-            starts_used=report.starts_used,
-            iterations=report.iterations,
-            start_values=report.start_values,
-            alternates=report.alternates,
-            condition=condition,
-            notes=tuple(notes),
-        )
-        return report
-
-    return SolveReport(
-        status=report.status,
-        x=report.x,
-        c=report.c,
-        residual=report.residual,
-        S_value=report.S_value,
-        constraint_error=report.constraint_error,
-        starts_used=report.starts_used,
-        iterations=report.iterations,
-        collapsed=report.collapsed,
-        start_values=report.start_values,
-        condition=condition,
-        notes=tuple(notes) + report.notes,
-    )
+    return replace(report, condition=condition, notes=tuple(notes) + report.notes)

@@ -45,6 +45,10 @@ def test_step_verification_identity():
         target = [float(v) for v in prev.g.values]
         scale = max(abs(v) for v in target)
         assert max(abs(float(a) - b) for a, b in zip(r, target)) / scale < 1e-7
+        # the step residual is the solve's certified one, rescaled by c
+        r_bar = ricci(m, cur.g_bar)
+        direct = max(abs(float(a) - b) for a, b in zip(r_bar, target)) / scale
+        assert prev.residual == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_single_summand_constant_ray():

@@ -86,12 +86,18 @@ def test_multistart_agreement_on_passing_model():
 
 
 def test_iterates_monotone_in_S():
+    # S after k ascent iterations never decreases in k
     z = np.array([1.0, 1.0, 1.0])
     ev = solver_mod._Evaluator(G2, z)
-    trace = []
-    solver_mod._run_start(ev, np.log(ev.dz) + 0.3, SolverOptions(), record=trace)
-    diffs = np.diff(np.array(trace))
-    assert np.all(diffs >= 0)
+    v0 = np.log(ev.dz) + 0.3
+    full = solver_mod._run_start(ev, v0, SolverOptions())
+    assert full.status == "converged" and full.iterations > 50
+    values = [
+        solver_mod._run_start(ev, v0, SolverOptions(max_iterations=k)).S
+        for k in range(1, full.iterations + 1)
+    ]
+    assert values[-1] == full.S
+    assert np.all(np.diff(np.array(values)) >= 0)
 
 
 def test_determinism_and_seed_sensitivity():
