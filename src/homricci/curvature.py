@@ -67,11 +67,14 @@ class _Tables:
                 penalty[self.pos[a]] += float(v)
         self.hat_penalty = penalty
 
-    def value_and_ricci(self, x: np.ndarray, out_r: np.ndarray) -> float:
+    def value_and_ricci(
+        self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
+    ) -> float:
         """S on this index set at the float coefficients x; fills out_r with
-        the Ricci coefficients (see ``_kernels`` for the formulas)."""
+        the Ricci coefficients and, if given, out_jac with dr/dx (see
+        ``_kernels`` for the formulas)."""
         return _kernels.value_and_ricci(
-            self.db, self.b, self.d, self.ti, self.tj, self.tk, self.tv, x, out_r
+            self.db, self.b, self.d, self.ti, self.tj, self.tk, self.tv, x, out_r, out_jac
         )
 
 

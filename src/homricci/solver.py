@@ -1,27 +1,33 @@
 """Constrained maximization of scalar curvature and the certified solve.
 
 The feasible set {x positive : sum d_i z_i / x_i = 1} is the image of the
-open unit simplex under u_i = d_i z_i / x_i, so the constraint is eliminated
-exactly; optimization runs in softmax coordinates v (u = softmax(v)), where
-positivity is automatic.  The ascent direction used is the ratio vector
-r_i / z_i centered at its u-average: its inner product with the true
-v-gradient u_i (r_i/z_i - cbar) is a positive combination of squares, and it
-keeps escaping coordinates moving at unit speed when a maximizer fails to
-exist (some u_i then collapses to 0, i.e. x_i grows without bound).
+open unit simplex under u_i = d_i z_i / x_i.  In u the gradient of S is
+F = r / z, so Ric g = c T is the Lagrange system F(u) = c 1, sum u = 1 of
+maximizing S on the simplex, and one ascent solves it.  Each step solves
+the Newton system of that Lagrange system, with the Hessian dF/du built
+from the kernel's analytic Ricci Jacobian, and takes the Newton step when
+it ascends (F . du > 0), capped at 0.9 of the distance to the boundary.
+Otherwise it steps along F centered at its u-average in softmax
+coordinates (u = softmax(v)), an ascent direction that keeps escaping
+coordinates moving at unit speed when no maximizer exists (some u_i then
+collapses to 0, i.e. x_i grows without bound).  One backtracking line
+search accepts an Armijo increase of S, or a Newton step that lowers the
+residual without lowering S; trial points with non-finite curvature are
+rejected and counted.
 
-A converged or stalled start is polished by a damped Newton iteration on the
-critical-point system r(u) = c z, sum u = 1 (finite-difference Jacobian),
-then certified componentwise on the returned metric x = d z / u: status
-"solved" requires max_i |r_i - c z_i| <= tol * max_i z_i with c > 0.
-Collapse of some u_i below threshold with stagnating curvature value is
-reported as "diverged" -- evidence that the supremum is not attained, never
-a proof of nonexistence.
+A start stops when its projected gradient vanishes, if its residual
+certifies or some u_i is below the collapse threshold; when S gains
+nothing over the stagnation window or no step is accepted; or after
+max_iterations steps.  "solved" is certified componentwise on the returned
+metric x = d z / u: max_i |r_i - c z_i| <= tol * max_i z_i with c > 0.
+Collapse with no certified start is reported as "diverged" -- evidence
+that the supremum is not attained, never a proof of nonexistence.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -97,13 +103,13 @@ class SolveReport:
 class _StartOutcome:
     S: float
     u: np.ndarray
-    r: np.ndarray
     c: float
     residual: float
     status: str  # converged | stalled | collapsed | budget
     iterations: int
-    certified: bool = False
-    collapsed: tuple[int, ...] = field(default_factory=tuple)
+    certified: bool
+    collapsed: tuple[int, ...]
+    rejected: int  # trial points with non-finite curvature
 
 
 class _Evaluator:
@@ -115,15 +121,16 @@ class _Evaluator:
         self.z = z
         self.dz = self.tab.d * z
 
-    def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray) -> float:
-        return self.tab.value_and_ricci(self.dz / u, out_r)
+    def value_and_ricci(
+        self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
+    ) -> float:
+        return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
 
-    def fit_c(self, r: np.ndarray) -> float:
+    def fit(self, r: np.ndarray) -> tuple[float, float]:
+        """Least-squares c for r = c z, and the residual max|r - c z| / max z."""
         d, z = self.tab.d, self.z
-        return float(np.dot(d * r, z) / np.dot(d * z, z))
-
-    def residual(self, r: np.ndarray, c: float) -> float:
-        return float(np.max(np.abs(r - c * self.z)) / np.max(self.z))
+        c = float(np.dot(d * r, z) / np.dot(d * z, z))
+        return c, float(np.max(np.abs(r - c * z)) / np.max(z))
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
@@ -131,133 +138,110 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return w / np.sum(w)
 
 
-#: residual level at which the gradient phase hands over to Newton polish
-_POLISH_TRIGGER = 1e-6
-
-
 def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOutcome:
     n = len(v0)
+    z = ev.z
     v = v0 - np.max(v0)
     u = _softmax(v)
-    r = np.empty(n)
-    r_trial = np.empty(n)
-    S = ev.value_and_ricci(u, r)
+    r, r_t = np.empty(n), np.empty(n)
+    jac, jac_t = np.empty((n, n)), np.empty((n, n))
+    # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c)
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = -1.0
+    kkt[n, :n] = 1.0
+    S = ev.value_and_ricci(u, r, jac)
+    c, res = ev.fit(r)
     alpha = 1.0
     history: deque = deque(maxlen=opts.stagnation_window + 1)
     history.append(S)
-    status = "budget"
     iterations = 0
+    rejected = 0
 
-    for iterations in range(1, opts.max_iterations + 1):
+    while True:
         interior = float(np.min(u)) >= opts.collapse_threshold
-        ratio = r / ev.z
-        cbar = float(u @ ratio)
-        p = ratio - cbar
+        certified = res <= opts.residual_tol and c > 0
+        F = r / z
+        cbar = float(u @ F)
+        p = F - cbar
         gv = u * p
-        gnorm = float(np.max(np.abs(gv)))
-        if gnorm <= opts.gradient_tol:
-            # A vanishing projected gradient at the boundary only means the
-            # escaping coordinates stopped registering: that is collapse.
-            status = "converged" if interior else "collapsed"
-            break
-        if interior and ev.residual(r, ev.fit_c(r)) <= _POLISH_TRIGGER:
-            status = "converged"
-            break
-        if (
-            len(history) == history.maxlen
-            and S - history[0] <= 1e-12 * (1.0 + abs(S))
+        # F, c and S scale alike with the target, hence the relative test.
+        # Uncertified in the interior, a vanishing gradient means escaping
+        # coordinates that stopped registering: go on until they collapse.
+        if float(np.max(np.abs(gv))) <= opts.gradient_tol * abs(cbar) and (
+            certified or not interior
         ):
-            status = "stalled" if interior else "collapsed"
             break
-        slope = float(gv @ p)
-        a = alpha
+        if len(history) == history.maxlen and S - history[0] <= 1e-12 * (1.0 + abs(S)):
+            break
+        if iterations == opts.max_iterations:
+            break
+        # dF_i/du_m = -J[i, m] / z_i * x_m / u_m, with x = dz / u
+        kkt[:n, :n] = jac * (-ev.dz / (u * u)) / z[:, None]
+        try:
+            du = np.linalg.solve(kkt, np.append(-F, 0.0))[:n]
+            slope = float(F @ du)
+        except np.linalg.LinAlgError:
+            slope = 0.0
+        newton = slope > 0
+        if newton:
+            shrink = du < 0
+            t = min(1.0, 0.9 * float(np.min(u[shrink] / -du[shrink]))) if shrink.any() else 1.0
+        else:
+            slope, t = float(gv @ p), alpha
         accepted = False
         for _ in range(60):
-            v_t = v + a * p
-            v_t -= np.max(v_t)
-            u_t = _softmax(v_t)
+            if newton:
+                u_t = u + t * du
+                u_t /= np.sum(u_t)
+            else:
+                v_t = v + t * p
+                v_t -= np.max(v_t)
+                u_t = _softmax(v_t)
             if np.all(u_t > 0):
-                S_t = ev.value_and_ricci(u_t, r_trial)
-                if S_t >= S + 1e-4 * a * slope:
+                S_t = ev.value_and_ricci(u_t, r_t, jac_t)
+                if not (np.isfinite(S_t) and np.all(np.isfinite(r_t))):
+                    rejected += 1
+                elif S_t >= S + 1e-4 * t * slope:
                     accepted = True
+                elif newton and S_t >= S:
+                    accepted = ev.fit(r_t)[1] < res
+                if accepted:
                     break
-            a *= 0.5
+            t *= 0.5
+            # rounding in S hides any gain of a shorter step
+            if t * slope <= 1e-15 * abs(S):
+                break
         if not accepted:
-            status = "stalled" if interior else "collapsed"
             break
-        v, u, S = v_t, u_t, S_t
-        r, r_trial = r_trial, r
-        alpha = min(a * 2.0, 1e12)
+        if newton:
+            v = np.log(u_t)
+        else:
+            v = v_t
+            alpha = min(t * 2.0, 1e12)
+        u, S = u_t, S_t
+        r, r_t = r_t, r
+        jac, jac_t = jac_t, jac
+        c, res = ev.fit(r)
+        iterations += 1
         history.append(S)
 
-    c = ev.fit_c(r)
-    res = ev.residual(r, c)
-    collapsed = tuple(
-        int(i) + 1 for i in np.flatnonzero(u < opts.collapse_threshold)
-    )
+    if certified:
+        status = "converged"
+    elif iterations == opts.max_iterations:
+        status = "budget"
+    else:
+        status = "collapsed" if not interior else "stalled"
     return _StartOutcome(
         S=S,
         u=u,
-        r=r.copy(),
         c=c,
         residual=res,
         status=status,
         iterations=iterations,
-        collapsed=collapsed,
+        certified=certified,
+        collapsed=tuple(int(i) + 1 for i in np.flatnonzero(u < opts.collapse_threshold)),
+        rejected=rejected,
     )
-
-
-def _polish(ev: _Evaluator, u0: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Damped Newton on r(u) - c z = 0, sum(u) = 1, with (u, c) unknowns."""
-    n = len(u0)
-    u = u0.copy()
-    r = np.empty(n)
-    ev.value_and_ricci(u, r)
-    c = ev.fit_c(r)
-    jac = np.empty((n + 1, n + 1))
-    r_pert = np.empty(n)
-    for _ in range(30):
-        G = np.concatenate([r - c * ev.z, [np.sum(u) - 1.0]])
-        gnorm = float(np.max(np.abs(G)))
-        if gnorm <= 1e-14 * max(1.0, abs(c)):
-            break
-        for m in range(n):
-            h = 1e-7 * max(u[m], 1e-9)
-            u_p = u.copy()
-            u_p[m] += h
-            ev.value_and_ricci(u_p, r_pert)
-            jac[:n, m] = (r_pert - r) / h
-            jac[n, m] = 1.0
-        jac[:n, n] = -ev.z
-        jac[n, n] = 0.0
-        try:
-            delta = np.linalg.solve(jac, -G)
-        except np.linalg.LinAlgError:
-            break
-        du, dc = delta[:n], float(delta[n])
-        t = 1.0
-        negative = du < 0
-        if negative.any():
-            t = min(1.0, float(0.9 * np.min(-u[negative] / du[negative])))
-        improved = False
-        for _ in range(12):
-            u_t = u + t * du
-            if np.all(u_t > 0):
-                ev.value_and_ricci(u_t, r_pert)
-                c_t = c + t * dc
-                G_t = np.concatenate([r_pert - c_t * ev.z, [np.sum(u_t) - 1.0]])
-                if float(np.max(np.abs(G_t))) < gnorm:
-                    u, c = u_t, c_t
-                    r[:] = r_pert
-                    improved = True
-                    break
-            t *= 0.5
-        if not improved:
-            break
-    total = np.sum(u)
-    if total > 0:
-        u = u / total
-    return u
 
 
 def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
@@ -268,14 +252,19 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
     return np.array([float(v) for v in T.values], dtype=np.float64)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def maximize_S_on_MT(
     model: SpaceModel, T: DiagonalForm, options: Optional[SolverOptions] = None
 ) -> SolveReport:
-    """Multistart ascent of S over the constraint set, with certification.
+    """Multistart Newton ascent of S over the constraint set, certified.
 
     Starts are seeded deterministically; the first start is the constant
-    multiple of the background form that sits on the constraint set.  All
-    starts run to completion and are merged by best certified value.
+    multiple of the background form that sits on the constraint set.  Each
+    runs the module's one ascent until it converges (projected gradient
+    vanished, residual certified), collapses, stalls or spends its budget.
+    The best certified start by S is "solved"; else a collapsed start makes
+    "diverged"; else "inconclusive".  Overflow raises no warning: a note
+    counts the rejected trial points with non-finite curvature.
     """
     opts = options or SolverOptions()
     z = _as_target(model, T)
@@ -308,33 +297,21 @@ def maximize_S_on_MT(
     for _ in range(max(0, opts.multistarts - 1)):
         v0s.append(base + rng.normal(0.0, 0.75, size=s))
 
-    outcomes: list[_StartOutcome] = []
-    for v0 in v0s:
-        out = _run_start(ev, v0, opts)
-        if (
-            out.status in ("converged", "stalled")
-            and out.residual < 1e-3
-            and float(np.min(out.u)) > 1e-10
-        ):
-            u = _polish(ev, out.u, opts)
-            r = np.empty(s)
-            S = ev.value_and_ricci(u, r)
-            c = ev.fit_c(r)
-            res = ev.residual(r, c)
-            if res <= out.residual:
-                out.u, out.r, out.S, out.c, out.residual = u, r, float(S), c, res
-        out.certified = out.residual <= opts.residual_tol and out.c > 0
-        outcomes.append(out)
-
+    outcomes = [_run_start(ev, v0, opts) for v0 in v0s]
     certified = [o for o in outcomes if o.certified]
     iterations = sum(o.iterations for o in outcomes)
     start_values = tuple(float(o.S) for o in outcomes)
+    rejected = sum(o.rejected for o in outcomes)
+    notes = (f"{rejected} trial points with non-finite curvature rejected",) if rejected else ()
 
     def build_x(u: np.ndarray) -> DiagonalForm:
         return DiagonalForm.full(tuple(float(v) for v in ev.dz / u))
 
     if certified:
-        best = max(certified, key=lambda o: o.S)
+        # of the starts tied in S to rounding, return the most accurate
+        top = max(o.S for o in certified)
+        tied = [o for o in certified if top - o.S <= 1e-12 * (1.0 + abs(top))]
+        best = min(tied, key=lambda o: o.residual)
         x = build_x(best.u)
         alternates = []
         xb = np.asarray(x.values, dtype=float)
@@ -361,6 +338,7 @@ def maximize_S_on_MT(
             iterations=iterations,
             start_values=start_values,
             alternates=tuple(alternates),
+            notes=notes,
         )
 
     collapsed_runs = [o for o in outcomes if o.status == "collapsed"]
@@ -380,7 +358,8 @@ def maximize_S_on_MT(
             notes=(
                 "supremum appears unattained; coordinates "
                 f"{best.collapsed} escaped (x there grows without bound)",
-            ),
+            )
+            + notes,
         )
 
     best = max(outcomes, key=lambda o: o.S)
@@ -394,7 +373,7 @@ def maximize_S_on_MT(
         starts_used=len(outcomes),
         iterations=iterations,
         start_values=start_values,
-        notes=("no start certified; best residual " + format(best.residual, ".3e"),),
+        notes=("no start certified; best residual " + format(best.residual, ".3e"),) + notes,
     )
 
 

@@ -59,6 +59,37 @@ def test_value_and_ricci_consistent_with_public_ricci():
     np.testing.assert_allclose(out, [float(v) for v in ricci(m, form)], rtol=1e-12)
 
 
+def test_ricci_jacobian_matches_central_differences():
+    rng = np.random.default_rng(45)
+    cases = [random_space_model(rng, exact=bool(k % 2)) for k in range(12)]
+    # (1,1,1) and (1,1,2) triples, and a model with no triple rows
+    cases.append(
+        build_model(
+            "repeated", dims=(3, 2), casimir=(0.3, 0.4), triples={(1, 1, 1): 0.5, (1, 1, 2): 0.7}
+        )
+    )
+    cases.append(build_model("no-triples", dims=(2, 3), killing=(1, Fraction(1, 2))))
+    for m in cases:
+        tab, x = _random_inputs(rng, m)
+        n = m.s
+        r_plain, r, jac = np.empty(n), np.empty(n), np.empty((n, n))
+        args = (tab.db, tab.b, tab.d, tab.ti, tab.tj, tab.tk, tab.tv)
+        _kernels.value_and_ricci(*args, x, r_plain)
+        _kernels.value_and_ricci(*args, x, r, jac)
+        assert np.array_equal(r, r_plain)
+        fd = np.empty((n, n))
+        r_hi, r_lo = np.empty(n), np.empty(n)
+        for m_ in range(n):
+            h = 1e-6 * x[m_]
+            step = np.zeros(n)
+            step[m_] = h
+            _kernels.value_and_ricci(*args, x + step, r_hi)
+            _kernels.value_and_ricci(*args, x - step, r_lo)
+            fd[:, m_] = (r_hi - r_lo) / (2 * h)
+        np.testing.assert_allclose(jac, fd, rtol=1e-8, atol=1e-8 * np.max(np.abs(jac)))
+    assert len(tables_for(cases[-1], (1, 2)).tv) == 0
+
+
 def test_float_evaluations_reach_the_module_kernel(monkeypatch):
     # A wrapper that takes positional arguments only, installed on the
     # module, must see every float evaluation: run records count kernel

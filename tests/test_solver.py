@@ -1,5 +1,7 @@
 """Solver behavior: certification, divergence, scale laws, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from homricci import (
     DiagonalForm,
     SolverError,
     SolverOptions,
+    _kernels,
     build_model,
     flag3,
     grad_S,
@@ -24,6 +27,13 @@ G2 = flag3(4, 2, 4)
 UNIT = DiagonalForm.full((1.0, 1.0, 1.0))
 
 FAST = SolverOptions(multistarts=6, seed=0)
+
+
+def flag3_target(p, q):
+    """Unit-led target whose chain margins are p = 12 z2/(z1+z3) and
+    q = (10/3) z3/(2 z1+z2)."""
+    z3 = (0.6 * q + 0.025 * p * q) / (1.0 - 0.025 * p * q)
+    return DiagonalForm.full((1.0, p * (1.0 + z3) / 12.0, z3))
 
 
 def test_flag_solve_certifies():
@@ -78,6 +88,14 @@ def test_constraint_and_tangent_criticality():
     assert np.linalg.norm(proj) < 1e-8
 
 
+def test_solved_metric_accurate_beyond_tolerance():
+    # of the starts tied in S, the report returns the most accurate one
+    for p, q in ((4.0, 2.0), (2.0, 2.0), (4.0, 1.4)):
+        rep = solve_prescribed_ricci(G2, flag3_target(p, q))
+        assert rep.status == "solved"
+        assert rep.residual <= 1e-11 * rep.c
+
+
 def test_multistart_agreement_on_passing_model():
     rep = solve_prescribed_ricci(G2, UNIT)  # default 16 starts
     best = max(rep.start_values)
@@ -91,13 +109,29 @@ def test_iterates_monotone_in_S():
     ev = solver_mod._Evaluator(G2, z)
     v0 = np.log(ev.dz) + 0.3
     full = solver_mod._run_start(ev, v0, SolverOptions())
-    assert full.status == "converged" and full.iterations > 50
+    assert full.status == "converged" and full.iterations > 3
     values = [
         solver_mod._run_start(ev, v0, SolverOptions(max_iterations=k)).S
         for k in range(1, full.iterations + 1)
     ]
     assert values[-1] == full.S
     assert np.all(np.diff(np.array(values)) >= 0)
+
+
+def test_every_start_monotone_in_S():
+    # Newton steps accepted on a smaller residual must not lower S either
+    rng = np.random.default_rng(0)
+    for T in (flag3_target(1.2, 1.4), DiagonalForm.full((1.0, 0.5, 2.0))):
+        ev = solver_mod._Evaluator(G2, np.array(T.values))
+        for _ in range(8):
+            v0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=3)
+            full = solver_mod._run_start(ev, v0, SolverOptions())
+            assert full.status == "converged"
+            values = [
+                solver_mod._run_start(ev, v0, SolverOptions(max_iterations=k)).S
+                for k in range(1, full.iterations + 1)
+            ]
+            assert np.all(np.diff(np.array(values)) >= 0)
 
 
 def test_determinism_and_seed_sensitivity():
@@ -116,6 +150,45 @@ def test_randomized_two_summand_agreement_small():
         rep = solve_prescribed_ricci(model, T, options=SolverOptions(multistarts=4))
         want = two_summand_condition(model, T).passed
         assert (rep.status == "solved") == want
+
+
+def test_status_matches_exact_threshold_within_one_percent():
+    # s = 2: "solved" exactly above the threshold and "diverged" below it,
+    # at ratios within 1% of it on both sides
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        model, _, threshold = random_two_summand_case(rng, pass_side=True)
+        for factor in (0.99, 0.995, 1.005, 1.01):
+            T = DiagonalForm.full((factor * threshold, 1.0))
+            assert two_summand_condition(model, T).passed == (factor > 1)
+            rep = solve_prescribed_ricci(model, T, options=SolverOptions(multistarts=4))
+            assert rep.status == ("solved" if factor > 1 else "diverged"), (factor, model.dims)
+
+
+def test_unit_solve_kernel_calls(monkeypatch):
+    original = _kernels.value_and_ricci
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "value_and_ricci", counting)
+    rep = solve_prescribed_ricci(G2, UNIT)
+    assert rep.status == "solved"
+    assert len(calls) <= 600
+
+
+def test_solves_leak_no_numeric_warnings():
+    opts = SolverOptions(max_iterations=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passing = solve_prescribed_ricci(G2, flag3_target(1.2, 1.4), options=opts)
+        failing = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)), options=opts)
+    assert passing.status == "solved"
+    assert failing.status != "solved"
+    # the overflowing trial points were rejected, and counted in one note
+    assert sum("non-finite curvature" in note for note in failing.notes) == 1
 
 
 def test_solver_rejects_partial_target():
