@@ -267,72 +267,49 @@ def _strictly_positive(margin: Scalar) -> bool:
     return margin > FLOAT_MARGIN_EPS
 
 
-def _prepare_check(model: SpaceModel, T: DiagonalForm, lattice):
+def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionReport:
+    """One condition per simple chain, for criterion "theorem" or "corollary"."""
     if T.support != tuple(range(1, model.s + 1)):
         raise ChainError("target form must cover the full index set")
-    if lattice is None:
-        lattice = enumerate_subalgebras(model)
-    return lattice, check_hypothesis(model, lattice)
+    lattice = enumerate_subalgebras(model)
+    verdict = check_hypothesis(model, lattice)
+    conditions = []
+    failing = None
+    for chain in enumerate_simple_chains(model, lattice, verdict):
+        lam = min(T[i] for i in chain.J_kprime)
+        if criterion == "theorem":
+            bound = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
+            threshold = chain.eta
+        else:
+            bound = max(T[i] for i in chain.J_l)
+            threshold = chain.eta * sum(model.dims[i - 1] for i in chain.J_l)
+        margin = lam / bound - threshold
+        ok = _strictly_positive(margin)
+        cond = ChainCondition(chain, lam, bound, threshold, margin, ok)
+        conditions.append(cond)
+        if not ok and failing is None:
+            failing = cond
+    return ConditionReport(
+        criterion=criterion,
+        passed=failing is None,
+        conditions=tuple(conditions),
+        failing=failing,
+        requirement1_unknown=verdict.status == "unknown",
+    )
 
 
-def check_theorem(
-    model: SpaceModel,
-    T: DiagonalForm,
-    lattice: Optional[SubalgebraLattice] = None,
-) -> ConditionReport:
+def check_theorem(model: SpaceModel, T: DiagonalForm) -> ConditionReport:
     """Evaluate min z over the inner block / d-weighted trace over the middle
     block > eta for every simple chain.  No chains means an unconditional pass.
     """
-    lattice, verdict = _prepare_check(model, T, lattice)
-    conditions = []
-    failing = None
-    for chain in enumerate_simple_chains(model, lattice, verdict):
-        lam = min(T[i] for i in chain.J_kprime)
-        trace = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
-        margin = lam / trace - chain.eta
-        ok = _strictly_positive(margin)
-        cond = ChainCondition(chain, lam, trace, chain.eta, margin, ok)
-        conditions.append(cond)
-        if not ok and failing is None:
-            failing = cond
-    return ConditionReport(
-        criterion="theorem",
-        passed=failing is None,
-        conditions=tuple(conditions),
-        failing=failing,
-        requirement1_unknown=verdict.status == "unknown",
-    )
+    return _check(model, T, "theorem")
 
 
-def check_corollary_lambda(
-    model: SpaceModel,
-    T: DiagonalForm,
-    lattice: Optional[SubalgebraLattice] = None,
-) -> ConditionReport:
+def check_corollary_lambda(model: SpaceModel, T: DiagonalForm) -> ConditionReport:
     """Eigenvalue-ratio variant: min z over the inner block / max z over the
     middle block > eta * dim(l) per chain.  Stronger than the trace form.
     """
-    lattice, verdict = _prepare_check(model, T, lattice)
-    conditions = []
-    failing = None
-    for chain in enumerate_simple_chains(model, lattice, verdict):
-        lam = min(T[i] for i in chain.J_kprime)
-        lam_plus = max(T[i] for i in chain.J_l)
-        dim_l = sum(model.dims[i - 1] for i in chain.J_l)
-        threshold = chain.eta * dim_l
-        margin = lam / lam_plus - threshold
-        ok = _strictly_positive(margin)
-        cond = ChainCondition(chain, lam, lam_plus, threshold, margin, ok)
-        conditions.append(cond)
-        if not ok and failing is None:
-            failing = cond
-    return ConditionReport(
-        criterion="corollary",
-        passed=failing is None,
-        conditions=tuple(conditions),
-        failing=failing,
-        requirement1_unknown=verdict.status == "unknown",
-    )
+    return _check(model, T, "corollary")
 
 
 class TwoSummandReport(NamedTuple):

@@ -184,11 +184,14 @@ def cmd_ricci(args) -> int:
     return 0
 
 
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(seed=args.seed, residual_tol=args.tol or SolverOptions.residual_tol)
+
+
 def cmd_solve(args) -> int:
     model = _load(args)
     T = _parse_form(args.T, args.rational)
-    opts = SolverOptions(seed=args.seed, residual_tol=args.tol or 1e-8)
-    report = solve_prescribed_ricci(model, T, options=opts)
+    report = solve_prescribed_ricci(model, T, options=_solver_options(args))
     payload = report.to_dict()
     lines = [f"{model.name}: solve status = {report.status}"]
     if report.x is not None:
@@ -208,8 +211,7 @@ def cmd_solve(args) -> int:
 def cmd_iterate(args) -> int:
     model = _load(args)
     start = _parse_form(args.start, args.rational)
-    opts = SolverOptions(seed=args.seed)
-    trace = ricci_iterate(model, start, args.steps, options=opts)
+    trace = ricci_iterate(model, start, args.steps, options=_solver_options(args))
     if args.json:
         sys.stdout.write(trace.to_json_lines())
         if trace.status != "completed":
@@ -256,7 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="tolerance override (validation residual; solve certification)",
+        help="tolerance override (validation residual; relative residual "
+        "certifying solve and iterate steps)",
     )
 
     parser = argparse.ArgumentParser(

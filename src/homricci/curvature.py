@@ -43,7 +43,7 @@ class CurvatureError(ValueError):
 class _Tables:
     """Flat float64 arrays for one (model, index set) pair."""
 
-    __slots__ = ("J", "pos", "d", "b", "db", "ti", "tj", "tk", "tv", "hat_penalty")
+    __slots__ = ("J", "pos", "d", "b", "db", "ti", "tj", "tk", "tv")
 
     def __init__(self, model: SpaceModel, J: tuple[int, ...]):
         self.J = J
@@ -61,11 +61,6 @@ class _Tables:
         self.tj = np.array([r[1] for r in rows], dtype=np.int64)
         self.tk = np.array([r[2] for r in rows], dtype=np.int64)
         self.tv = np.array([r[3] for r in rows], dtype=np.float64)
-        penalty = np.zeros(len(J), dtype=np.float64)
-        for a, bb, c, v in model.ordered_triples:
-            if a in inside and bb not in inside and c not in inside:
-                penalty[self.pos[a]] += float(v)
-        self.hat_penalty = penalty
 
     def value_and_ricci(
         self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
@@ -116,13 +111,15 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
     xr = x.restrict(J)
     if _use_exact(model, x):
         inside = set(J)
-        lin = sum(
-            model.dims[i - 1] * model.killing[i - 1] / xr[i] for i in J
-        )
+        lin = sum(model.dims[i - 1] * model.killing[i - 1] / xr[i] for i in J)
+        # a Fraction start keeps an empty triple sum exact
         tri = sum(
-            v * xr[c] / (xr[a] * xr[b])
-            for a, b, c, v in model.ordered_triples
-            if a in inside and b in inside and c in inside
+            (
+                v * xr[c] / (xr[a] * xr[b])
+                for a, b, c, v in model.ordered_triples
+                if a in inside and b in inside and c in inside
+            ),
+            Fraction(0),
         )
         return lin / 2 - tri / 4
     xs = np.array([float(xr[i]) for i in J], dtype=np.float64)
@@ -140,22 +137,16 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     if not J_k:
         raise CurvatureError("hat_S needs a non-empty index set")
     xr = x.restrict(J_k)
-    if _use_exact(model, x):
-        inside = set(J_k)
-        lin = sum(model.dims[i - 1] * model.killing[i - 1] / xr[i] for i in J_k)
-        pen = Fraction(0)
-        tri = Fraction(0)
-        for a, b, c, v in model.ordered_triples:
-            if a in inside:
-                if b in inside and c in inside:
-                    tri += v * xr[c] / (xr[a] * xr[b])
-                elif b not in inside and c not in inside:
-                    pen += v / xr[a]
-        return lin / 2 - pen / 2 - tri / 4
-    tab = tables_for(model, J_k)
-    xs = np.array([float(xr[i]) for i in J_k], dtype=np.float64)
-    base = tab.value_and_ricci(xs, np.empty(len(J_k)))
-    return float(base - 0.5 * np.dot(tab.hat_penalty, 1.0 / xs))
+    inside = set(J_k)
+    penalty = sum(
+        (
+            v / xr[a]
+            for a, b, c, v in model.ordered_triples
+            if a in inside and b not in inside and c not in inside
+        ),
+        Fraction(0),
+    )
+    return scalar_S(model, xr, J_k) - penalty / 2
 
 
 def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:

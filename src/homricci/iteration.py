@@ -96,14 +96,14 @@ def ricci_iterate(
             failure = report
             break
         # max|Ric(gbar_{i+1}) - g_i| / max g_i with g_i = c_i gbar_i is the
-        # solve's residual max|r - c z| / max z divided by c_i > 0.
+        # solve's relative residual max|r - c z| / (c max z), c = c_i > 0.
         completed.append(
             IterationStep(
                 index=index,
                 g_bar=g_bar,
                 c=report.c,
                 g=g_bar.scale(report.c),
-                residual=report.residual / report.c,
+                residual=report.residual,
                 status="solved",
             )
         )

@@ -19,9 +19,11 @@ A start stops when its projected gradient vanishes, if its residual
 certifies or some u_i is below the collapse threshold; when S gains
 nothing over the stagnation window or no step is accepted; or after
 max_iterations steps.  "solved" is certified componentwise on the returned
-metric x = d z / u: max_i |r_i - c z_i| <= tol * max_i z_i with c > 0.
-Collapse with no certified start is reported as "diverged" -- evidence
-that the supremum is not attained, never a proof of nonexistence.
+metric x = d z / u: c > 0 and the relative residual
+max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T scales c
+inversely and leaves the residual unchanged.  Collapse with no
+certified start is reported as "diverged" -- evidence that the supremum
+is not attained, never a proof of nonexistence.
 """
 
 from __future__ import annotations
@@ -46,25 +48,33 @@ class SolverError(ValueError):
     """Raised for malformed solve requests."""
 
 
+# A start stops once its projected gradient is this small relative to the
+# multiplier, S gains nothing over the stagnation window, or some u_i falls
+# below the collapse threshold (see _run_start).
+GRADIENT_TOL = 1e-10
+STAGNATION_WINDOW = 100
+COLLAPSE_THRESHOLD = 1e-12
+
+
 @dataclass
 class SolverOptions:
     residual_tol: float = 1e-8
-    gradient_tol: float = 1e-10
     max_iterations: int = 10_000
     multistarts: int = 16
     seed: int = 0
-    stagnation_window: int = 100
-    collapse_threshold: float = 1e-12
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one prescribed-curvature solve.
 
-    status "solved" implies residual <= tolerance, c > 0 and the constraint
-    holds; "diverged" reports which coordinates collapsed (the escaping
-    subalgebra direction); "inconclusive" covers exhausted budgets and
-    failed certification.
+    ``residual`` is the relative residual max|r - c z| / (|c| max z) of the
+    Ricci coefficients r of the returned metric (when diverged, of the
+    best escaping start's last one) against the target z.  Status "solved"
+    implies residual <= tolerance, c > 0 and the constraint holds;
+    "diverged" reports which coordinates collapsed (the escaping subalgebra
+    direction); "inconclusive" covers exhausted budgets and failed
+    certification.
     """
 
     status: str
@@ -127,10 +137,12 @@ class _Evaluator:
         return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
 
     def fit(self, r: np.ndarray) -> tuple[float, float]:
-        """Least-squares c for r = c z, and the residual max|r - c z| / max z."""
+        """Least-squares c for r = c z, and the relative residual
+        max|r - c z| / (|c| max z), the same for T and any multiple of T
+        (over max z alone when c = 0, so that it stays finite)."""
         d, z = self.tab.d, self.z
         c = float(np.dot(d * r, z) / np.dot(d * z, z))
-        return c, float(np.max(np.abs(r - c * z)) / np.max(z))
+        return c, float(np.max(np.abs(r - c * z)) / ((abs(c) or 1.0) * np.max(z)))
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
@@ -152,13 +164,13 @@ def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOut
     S = ev.value_and_ricci(u, r, jac)
     c, res = ev.fit(r)
     alpha = 1.0
-    history: deque = deque(maxlen=opts.stagnation_window + 1)
+    history: deque = deque(maxlen=STAGNATION_WINDOW + 1)
     history.append(S)
     iterations = 0
     rejected = 0
 
     while True:
-        interior = float(np.min(u)) >= opts.collapse_threshold
+        interior = float(np.min(u)) >= COLLAPSE_THRESHOLD
         certified = res <= opts.residual_tol and c > 0
         F = r / z
         cbar = float(u @ F)
@@ -167,7 +179,7 @@ def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOut
         # F, c and S scale alike with the target, hence the relative test.
         # Uncertified in the interior, a vanishing gradient means escaping
         # coordinates that stopped registering: go on until they collapse.
-        if float(np.max(np.abs(gv))) <= opts.gradient_tol * abs(cbar) and (
+        if float(np.max(np.abs(gv))) <= GRADIENT_TOL * abs(cbar) and (
             certified or not interior
         ):
             break
@@ -239,7 +251,7 @@ def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOut
         status=status,
         iterations=iterations,
         certified=certified,
-        collapsed=tuple(int(i) + 1 for i in np.flatnonzero(u < opts.collapse_threshold)),
+        collapsed=tuple(int(i) + 1 for i in np.flatnonzero(u < COLLAPSE_THRESHOLD)),
         rejected=rejected,
     )
 
@@ -269,111 +281,64 @@ def maximize_S_on_MT(
     opts = options or SolverOptions()
     z = _as_target(model, T)
     ev = _Evaluator(model, z)
-    s = model.s
-
-    if s == 1:
-        x1 = float(ev.dz[0])
-        u = np.array([1.0])
-        r = np.empty(1)
-        S = ev.value_and_ricci(u, r)
-        c = float(r[0] / z[0])
-        status = "solved" if c > 0 else "inconclusive"
-        return SolveReport(
-            status=status,
-            x=DiagonalForm.full((x1,)),
-            c=c,
-            residual=0.0,
-            S_value=float(S),
-            constraint_error=abs(model.dims[0] * z[0] / x1 - 1.0),
-            starts_used=1,
-            iterations=0,
-            start_values=(float(S),),
-            notes=() if c > 0 else ("single-summand space with non-positive curvature",),
-        )
-
-    rng = np.random.default_rng(opts.seed)
     base = np.log(ev.dz)
-    v0s = [base.copy()]
-    for _ in range(max(0, opts.multistarts - 1)):
-        v0s.append(base + rng.normal(0.0, 0.75, size=s))
+    if model.s == 1:
+        # the constraint set is a point: the base start, and no steps
+        outcomes = [_run_start(ev, base, replace(opts, max_iterations=0))]
+    else:
+        rng = np.random.default_rng(opts.seed)
+        v0s = [base] + [
+            base + rng.normal(0.0, 0.75, size=model.s) for _ in range(opts.multistarts - 1)
+        ]
+        outcomes = [_run_start(ev, v0, opts) for v0 in v0s]
 
-    outcomes = [_run_start(ev, v0, opts) for v0 in v0s]
     certified = [o for o in outcomes if o.certified]
-    iterations = sum(o.iterations for o in outcomes)
-    start_values = tuple(float(o.S) for o in outcomes)
-    rejected = sum(o.rejected for o in outcomes)
-    notes = (f"{rejected} trial points with non-finite curvature rejected",) if rejected else ()
-
-    def build_x(u: np.ndarray) -> DiagonalForm:
-        return DiagonalForm.full(tuple(float(v) for v in ev.dz / u))
-
+    collapsed = [o for o in outcomes if o.status == "collapsed"]
     if certified:
         # of the starts tied in S to rounding, return the most accurate
         top = max(o.S for o in certified)
         tied = [o for o in certified if top - o.S <= 1e-12 * (1.0 + abs(top))]
-        best = min(tied, key=lambda o: o.residual)
-        x = build_x(best.u)
-        alternates = []
-        xb = np.asarray(x.values, dtype=float)
-        for o in certified:
-            if o is best or best.S - o.S > 1e-9 * (1.0 + abs(best.S)):
-                continue
-            xo = ev.dz / o.u
-            if float(np.max(np.abs(xo - xb)) / np.max(xb)) > 1e-6:
-                cand = build_x(o.u)
-                if all(
-                    float(np.max(np.abs(np.asarray(a.values) - xo)) / np.max(xb)) > 1e-6
-                    for a in alternates
-                ):
-                    alternates.append(cand)
-        constraint = abs(float(np.sum(ev.dz / np.asarray(x.values, dtype=float))) - 1.0)
-        return SolveReport(
-            status="solved",
-            x=x,
-            c=best.c,
-            residual=best.residual,
-            S_value=best.S,
-            constraint_error=constraint,
-            starts_used=len(outcomes),
-            iterations=iterations,
-            start_values=start_values,
-            alternates=tuple(alternates),
-            notes=notes,
+        status, best = "solved", min(tied, key=lambda o: o.residual)
+        notes = ()
+    elif collapsed:
+        status, best = "diverged", max(collapsed, key=lambda o: o.S)
+        notes = (
+            "supremum appears unattained; coordinates "
+            f"{best.collapsed} escaped (x there grows without bound)",
         )
-
-    collapsed_runs = [o for o in outcomes if o.status == "collapsed"]
-    if collapsed_runs:
-        best = max(collapsed_runs, key=lambda o: o.S)
-        return SolveReport(
-            status="diverged",
-            x=None,
-            c=None,
-            residual=best.residual,
-            S_value=best.S,
-            constraint_error=None,
-            starts_used=len(outcomes),
-            iterations=iterations,
-            collapsed=best.collapsed,
-            start_values=start_values,
-            notes=(
-                "supremum appears unattained; coordinates "
-                f"{best.collapsed} escaped (x there grows without bound)",
-            )
-            + notes,
+    else:
+        status, best = "inconclusive", max(outcomes, key=lambda o: o.S)
+        notes = (
+            "no start certified; best residual " + format(best.residual, ".3e")
+            + ("" if best.c > 0 else f", c = {best.c:.3e} not positive"),
         )
+    rejected = sum(o.rejected for o in outcomes)
+    if rejected:
+        notes += (f"{rejected} trial points with non-finite curvature rejected",)
 
-    best = max(outcomes, key=lambda o: o.S)
+    # alternates: other certified maximizers within 1e-9 in S, 1e-6 apart in x
+    xb = ev.dz / best.u
+    alternates = []
+    for o in certified:
+        if o is best or best.S - o.S > 1e-9 * (1.0 + abs(best.S)):
+            continue
+        xo = ev.dz / o.u
+        if all(float(np.max(np.abs(xo - xa)) / np.max(xb)) > 1e-6 for xa in [xb] + alternates):
+            alternates.append(xo)
+    x = None if status == "diverged" else DiagonalForm.full(tuple(float(v) for v in xb))
     return SolveReport(
-        status="inconclusive",
-        x=build_x(best.u),
-        c=best.c,
+        status=status,
+        x=x,
+        c=None if x is None else best.c,
         residual=best.residual,
         S_value=best.S,
-        constraint_error=None,
+        constraint_error=None if x is None else abs(float(np.sum(ev.dz / xb)) - 1.0),
         starts_used=len(outcomes),
-        iterations=iterations,
-        start_values=start_values,
-        notes=("no start certified; best residual " + format(best.residual, ".3e"),) + notes,
+        iterations=sum(o.iterations for o in outcomes),
+        collapsed=best.collapsed if status == "diverged" else (),
+        start_values=tuple(float(o.S) for o in outcomes),
+        alternates=tuple(DiagonalForm.full(tuple(float(v) for v in xa)) for xa in alternates),
+        notes=notes,
     )
 
 

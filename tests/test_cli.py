@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from homricci import cli
+from homricci import cli, iteration
 
 
 def run(capsys, *argv):
@@ -151,6 +151,24 @@ def test_iterate_json_lines(tmp_path, capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [ln["step"] for ln in lines] == [1, 2, 3]
     assert all(ln["residual"] < 1e-7 for ln in lines)
+
+
+def test_iterate_tol_reaches_the_solves(tmp_path, capsys, monkeypatch):
+    code, out, _ = run(capsys, "catalog", "twosum", "1", "4", "0", "1/3", "1/2")
+    path = tmp_path / "line.json"
+    path.write_text(out)
+    seen = []
+    original = iteration.solve_prescribed_ricci
+
+    def recording(model, T, options=None, check_condition=True):
+        seen.append(options.residual_tol)
+        return original(model, T, options=options, check_condition=check_condition)
+
+    monkeypatch.setattr(iteration, "solve_prescribed_ricci", recording)
+    argv = ["iterate", str(path), "--start", "1,1", "--steps", "2", "--json"]
+    assert run(capsys, *argv, "--tol", "1e-6")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [1e-6, 1e-6, 1e-8, 1e-8]
 
 
 def test_catalog_list(capsys):

@@ -38,6 +38,18 @@ def test_scalar_single_summand():
     assert scalar_S(m, x, (1,)) == m.dims[0] * m.killing[0] / 2
 
 
+def test_exact_scalar_S_without_triples_is_a_fraction():
+    # an empty triple sum must not turn the exact value into a float
+    x = DiagonalForm((1,), (2,))
+    assert scalar_S(G2, x, (2,)) == 1
+    assert isinstance(scalar_S(G2, x, (2,)), Fraction)
+    m = build_model("no-triples", dims=(2, 3), killing=(1, Fraction(1, 2)))
+    value = scalar_S(m, DiagonalForm.full((1, 2)))
+    assert value == Fraction(11, 8)
+    assert isinstance(value, Fraction)
+    assert isinstance(hat_S(m, DiagonalForm.full((1, 2))), Fraction)
+
+
 def test_scalar_flag_golden():
     assert scalar_S(G2, DiagonalForm.full((1, 1, 1))) == Fraction(15, 4)
     val = scalar_S(G2, DiagonalForm.full((1.0, 1.0, 1.0)))

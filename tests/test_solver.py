@@ -1,5 +1,6 @@
 """Solver behavior: certification, divergence, scale laws, determinism."""
 
+import json
 import warnings
 
 import numpy as np
@@ -58,6 +59,17 @@ def test_single_summand_trivial_point():
     assert rep.residual == 0.0
 
 
+def test_single_summand_flat_torus():
+    # Ric = 0 = 0 T: c = 0 does not certify, and the residual stays finite
+    m = build_model("torus", dims=(3,), killing=(0,))
+    rep = solve_prescribed_ricci(m, DiagonalForm.full((2.0,)))
+    assert rep.status == "inconclusive"
+    assert (rep.c, rep.residual, rep.iterations, rep.starts_used) == (0.0, 0.0, 0, 1)
+    assert rep.x.values == (6.0,)
+    assert "not positive" in rep.notes[-1]
+    assert "Infinity" not in json.dumps(rep.to_dict()) and "NaN" not in json.dumps(rep.to_dict())
+
+
 def test_scale_coherence():
     rep1 = solve_prescribed_ricci(G2, UNIT, options=FAST)
     rep2 = solve_prescribed_ricci(G2, UNIT.scale(2.0), options=FAST)
@@ -93,7 +105,21 @@ def test_solved_metric_accurate_beyond_tolerance():
     for p, q in ((4.0, 2.0), (2.0, 2.0), (4.0, 1.4)):
         rep = solve_prescribed_ricci(G2, flag3_target(p, q))
         assert rep.status == "solved"
-        assert rep.residual <= 1e-11 * rep.c
+        assert rep.residual <= 1e-11
+
+
+def test_residual_is_scale_invariant():
+    # a metric 0.1% off the solution is no more certified for 1e6 T than for T
+    rep = solve_prescribed_ricci(G2, UNIT)
+    x = np.array([float(v) for v in rep.x.values]) * np.array([1.001, 1.0, 1.0])
+    r = np.array(ricci(G2, DiagonalForm.full(tuple(x))))
+    residuals = []
+    for lam in (1e-6, 1.0, 1e6):
+        c, res = solver_mod._Evaluator(G2, lam * np.ones(3)).fit(r)
+        assert c == pytest.approx(rep.c / lam, rel=1e-2)
+        residuals.append(res)
+    assert residuals == pytest.approx([residuals[1]] * 3, rel=1e-12)
+    assert residuals[1] > 1e-8
 
 
 def test_multistart_agreement_on_passing_model():
