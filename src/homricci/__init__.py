@@ -8,7 +8,6 @@ solver.
 """
 
 from .catalog import (
-    CatalogEntry,
     abelian_line_two_summand,
     flag3,
     full_flag,
@@ -25,16 +24,12 @@ from .chains import (
     check_corollary_lambda,
     check_theorem,
     enumerate_simple_chains,
-    eta,
     two_summand_condition,
 )
 from .curvature import (
-    CurvatureContext,
     CurvatureError,
-    form_stats,
     grad_S,
     hat_S,
-    mt_constraint,
     ricci,
     scalar_S,
 )
@@ -69,11 +64,9 @@ __version__ = "0.1.0"
 kernel_backend = "python"
 
 __all__ = [
-    "CatalogEntry",
     "ChainCondition",
     "ChainError",
     "ConditionReport",
-    "CurvatureContext",
     "CurvatureError",
     "DiagonalForm",
     "EtaUndefinedError",
@@ -99,16 +92,13 @@ __all__ = [
     "classify_cor_all",
     "enumerate_simple_chains",
     "enumerate_subalgebras",
-    "eta",
     "flag3",
-    "form_stats",
     "full_flag",
     "grad_S",
     "hat_S",
     "kernel_backend",
     "load_model",
     "maximize_S_on_MT",
-    "mt_constraint",
     "parse_model",
     "ricci",
     "ricci_iterate",

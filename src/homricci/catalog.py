@@ -14,19 +14,11 @@ data is not embedded and must be supplied by the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .model import ModelError, SpaceModel, build_model
 from .numbers import parse_number
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    parameters: dict
-    model: SpaceModel
 
 
 #: Spaces known to satisfy the unconditional-existence structure; summand
@@ -180,24 +172,17 @@ def _ints(kind: str, params, count: int) -> list[int]:
         raise ModelError(f"usage: {USAGE[kind]} ({exc})") from exc
 
 
-def entry(kind: str, *params) -> CatalogEntry:
-    """Build a named catalog entry: kind "flag3", "fullflag", "twosum" or
+def entry(kind: str, *params) -> SpaceModel:
+    """Build the model of a catalog kind: "flag3", "fullflag", "twosum" or
     the alias "g2u2"; ``params`` may be numbers or their text."""
     if kind == "g2u2":
-        model = flag3(4, 2, 4)
-        return CatalogEntry("g2u2", {"dims": (4, 2, 4)}, model)
+        return flag3(4, 2, 4)
     if kind == "flag3":
-        dims = tuple(_ints(kind, params, 3))
-        model = flag3(*dims)
-        return CatalogEntry(model.name, {"dims": dims}, model)
+        return flag3(*_ints(kind, params, 3))
     if kind == "fullflag":
-        (n,) = _ints(kind, params, 1)
-        model = full_flag(n)
-        return CatalogEntry(model.name, {"n": n}, model)
+        return full_flag(*_ints(kind, params, 1))
     if kind == "twosum":
         if not 5 <= len(params) <= 7:
             raise ModelError(f"usage: {USAGE[kind]}")
-        d1, d2 = _ints(kind, params[:2], 2)
-        model = two_summand(d1, d2, *params[2:])
-        return CatalogEntry(model.name, {"params": params}, model)
+        return two_summand(*_ints(kind, params[:2], 2), *params[2:])
     raise ModelError(f"unknown catalog kind {kind!r}")

@@ -62,8 +62,6 @@ class SimpleChain:
     J_k: tuple[int, ...]
     J_kprime: tuple[int, ...]
     J_l: tuple[int, ...]
-    J_j: tuple[int, ...]
-    J_jprime: tuple[int, ...]
     omega: int
     eta: Scalar
     eta_numerator: Scalar
@@ -172,21 +170,18 @@ def enumerate_simple_chains(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
     members = lattice.members
-    full = range(1, model.s + 1)
     chains = []
     for upper, lower in lattice.covers:
         K, Kp = members[upper], members[lower]
         if not Kp:
             continue
         value, num, den = _eta_parts(model, K, Kp)
-        in_k, in_kp = set(K), set(Kp)
+        in_kp = set(Kp)
         chains.append(
             SimpleChain(
                 J_k=K,
                 J_kprime=Kp,
                 J_l=tuple(i for i in K if i not in in_kp),
-                J_j=tuple(i for i in full if i not in in_k),
-                J_jprime=tuple(i for i in full if i not in in_kp),
                 omega=min(model.dims[i - 1] for i in Kp),
                 eta=value,
                 eta_numerator=num,
@@ -194,12 +189,6 @@ def enumerate_simple_chains(
             )
         )
     return tuple(chains)
-
-
-def eta(model: SpaceModel, chain: SimpleChain) -> Scalar:
-    """Obstruction number of a chain (recomputed and cross-checked)."""
-    value, _, _ = _eta_parts(model, chain.J_k, chain.J_kprime)
-    return value
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load(args):
-    return load_model(
-        args.model, rational=args.rational, tol=args.tol or CASIMIR_TOL
-    )
+def _load(args, tol=None):
+    """Read and validate the model file; ``tol`` overrides the Casimir-identity
+    tolerance for float data."""
+    return load_model(args.model, rational=args.rational, tol=tol or CASIMIR_TOL)
 
 
 def cmd_validate(args) -> int:
@@ -93,7 +93,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_subalgebras(args) -> int:
-    model = _load(args)
+    model = _load(args, args.tol)
     lattice = enumerate_subalgebras(model)
     verdict = check_hypothesis(model, lattice)
     payload = {
@@ -111,7 +111,7 @@ def cmd_subalgebras(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    model = _load(args)
+    model = _load(args, args.tol)
     chains = enumerate_simple_chains(model)
     payload = {"chains": [ch.to_dict() for ch in chains]}
     lines = [f"{model.name}: {len(chains)} simple chain(s)"]
@@ -125,7 +125,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    model = _load(args)
+    model = _load(args, args.tol)
     chains = enumerate_simple_chains(model)
     payload = {
         "chains": [
@@ -142,7 +142,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = _load(args)
+    model = _load(args, args.tol)
     T = _parse_form(args.T, args.rational)
     if args.corollary:
         report = check_corollary_lambda(model, T)
@@ -171,7 +171,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ricci(args) -> int:
-    model = _load(args)
+    model = _load(args, args.tol)
     x = _parse_form(args.x, args.rational)
     r = ricci(model, x)
     g = grad_S(model, x)
@@ -241,8 +241,7 @@ def cmd_catalog(args) -> int:
         lines += [f"  {p}" for p in payload["placeholders"]]
         _emit(args, payload, lines)
         return 0
-    entry = catalog_mod.entry(args.kind, *args.params)
-    sys.stdout.write(serialize_model(entry.model))
+    sys.stdout.write(serialize_model(catalog_mod.entry(args.kind, *args.params)))
     return 0
 
 
@@ -258,8 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="tolerance override (validation residual; relative residual "
-        "certifying solve and iterate steps)",
+        help="tolerance override: for solve and iterate, the relative residual "
+        "certifying each solve (default 1e-8); for every other command, the "
+        "Casimir-identity residual of float model data (default 1e-9)",
     )
 
     parser = argparse.ArgumentParser(
@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="multistart seed")
 
     p = add("catalog", cmd_catalog, "emit a built-in model as JSON", with_model=False)
-    p.add_argument("kind", nargs="?", help="flag3 | fullflag | twosum | g2u2 | list")
+    p.add_argument("kind", nargs="?", help=" | ".join([*catalog_mod.USAGE, "list"]))
     p.add_argument("params", nargs="*", help="generator parameters")
 
     return parser

@@ -24,9 +24,7 @@ cached, since the optimizer calls these in a tight loop.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,89 +181,3 @@ def grad_S(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
     return tuple(
         -model.dims[i - 1] * r[i - 1] / (x[i] * x[i]) for i in range(1, model.s + 1)
     )
-
-
-def form_stats(
-    model: SpaceModel, z: DiagonalForm, J: Optional[Sequence[int]] = None
-) -> tuple[Scalar, Scalar, Scalar]:
-    """(smallest eigenvalue, largest eigenvalue, Q-trace) of z restricted to J."""
-    J = _resolve_J(model, z, J)
-    if not J:
-        raise CurvatureError("form_stats needs a non-empty index set")
-    zr = z.restrict(J)
-    values = [zr[i] for i in J]
-    trace = sum(model.dims[i - 1] * zr[i] for i in J)
-    return min(values), max(values), trace
-
-
-def mt_constraint(
-    model: SpaceModel, T: DiagonalForm, x: DiagonalForm, J: Optional[Sequence[int]] = None
-) -> Scalar:
-    """Value of the normalization sum_{i in J} d_i z_i / x_i (equals 1 on the constraint set)."""
-    J = _resolve_J(model, x, J)
-    if not J:
-        raise CurvatureError("constraint needs a non-empty index set")
-    Tr = T.restrict(J)
-    xr = x.restrict(J)
-    return sum(model.dims[i - 1] * Tr[i] / xr[i] for i in J)
-
-
-@dataclass(frozen=True)
-class CurvatureContext:
-    """A model together with a nested pair of subalgebra index sets.
-
-    Houses the derived index sets (complementary and difference blocks) used
-    by the chain conditions, plus bracket and trace sums over arbitrary
-    blocks.  Both sets are expected to be lattice members when supplied.
-    """
-
-    model: SpaceModel
-    J_k: Optional[tuple[int, ...]] = None
-    J_kprime: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.J_k is not None:
-            object.__setattr__(self, "J_k", tuple(sorted(self.J_k)))
-        if self.J_kprime is not None:
-            object.__setattr__(self, "J_kprime", tuple(sorted(self.J_kprime)))
-        if self.J_k is not None and self.J_kprime is not None:
-            if not set(self.J_kprime) <= set(self.J_k):
-                raise CurvatureError(
-                    f"inner set {self.J_kprime} is not contained in {self.J_k}"
-                )
-
-    @property
-    def full(self) -> tuple[int, ...]:
-        return tuple(range(1, self.model.s + 1))
-
-    @cached_property
-    def J_l(self) -> tuple[int, ...]:
-        return tuple(i for i in (self.J_k or ()) if i not in set(self.J_kprime or ()))
-
-    @cached_property
-    def J_j(self) -> tuple[int, ...]:
-        outer = set(self.J_k or ())
-        return tuple(i for i in self.full if i not in outer)
-
-    @cached_property
-    def J_jprime(self) -> tuple[int, ...]:
-        inner = set(self.J_kprime or ())
-        return tuple(i for i in self.full if i not in inner)
-
-    @property
-    def row_sums(self) -> tuple[Scalar, ...]:
-        return self.model.row_sums
-
-    def bracket_sum(self, A: Sequence[int], B: Sequence[int], C: Sequence[int]) -> Scalar:
-        """Total bracket mass <u v w> = sum_{i in A, j in B, k in C} [ijk]."""
-        sa, sb, sc = set(A), set(B), set(C)
-        zero = Fraction(0) if self.model.exact else 0.0
-        total = zero
-        for a, b, c, v in self.model.ordered_triples:
-            if a in sa and b in sb and c in sc:
-                total = total + v
-        return total
-
-    def killing_trace(self, J: Sequence[int]) -> Scalar:
-        """Q-trace of the Killing form over the block: -sum d_i b_i."""
-        return -sum(self.model.dims[i - 1] * self.model.killing[i - 1] for i in J)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import DiagonalForm, SpaceModel, classify_cor_all
+from .model import DiagonalForm, SpaceModel
 from .solver import SolveReport, SolverOptions, solve_prescribed_ricci
 
 
@@ -73,9 +73,8 @@ def ricci_iterate(
 ) -> IterationTrace:
     """Run the iteration for the requested number of solve steps.
 
-    The chain condition is re-checked for each step's target unless the model
-    has the structure that makes every step unconditionally solvable; a
-    failing check is advisory (the solve still runs).  On a failed solve the
+    Each step's solve checks the chain condition for its target; a failing
+    check is advisory (the solve still runs).  On a failed solve the
     trace is truncated with that step's report attached.
     """
     if steps < 1:
@@ -83,15 +82,12 @@ def ricci_iterate(
     if g_bar_1.support != tuple(range(1, model.s + 1)):
         raise IterationError("starting form must cover the full index set")
     opts = options or SolverOptions()
-    unconditional = classify_cor_all(model)
 
     g_bar = g_bar_1.to_float()
     completed: list[IterationStep] = []
     failure = None
     for index in range(1, steps + 1):
-        report = solve_prescribed_ricci(
-            model, g_bar, options=opts, check_condition=not unconditional
-        )
+        report = solve_prescribed_ricci(model, g_bar, options=opts)
         if report.status != "solved":
             failure = report
             break

@@ -51,11 +51,6 @@ class ModelError(ValueError):
     """Raised for structurally broken or inconsistent space data."""
 
 
-def canonical_triple(i: int, j: int, k: int) -> tuple[int, int, int]:
-    a, b, c = sorted((i, j, k))
-    return a, b, c
-
-
 class ScaledData(NamedTuple):
     """A validated model's numbers over one common denominator.
 
@@ -75,7 +70,7 @@ class SpaceModel:
     """A homogeneous space reduced to summand-level numbers.
 
     ``triples`` stores only canonical index triples i <= j <= k (1-based);
-    lookups through :meth:`triple` are symmetric in all three slots.
+    :attr:`ordered_triples` expands each to its distinct orderings.
     ``casimir``/``killing`` may be None on a raw model; :func:`validate`
     completes whichever is missing.
     """
@@ -103,15 +98,6 @@ class SpaceModel:
         if self.killing is not None:
             arrays.extend(self.killing)
         return all_exact(arrays)
-
-    @cached_property
-    def triple_map(self) -> dict[tuple[int, int, int], Scalar]:
-        return {(i, j, k): v for i, j, k, v in self.triples}
-
-    def triple(self, i: int, j: int, k: int) -> Scalar:
-        """Value of [ijk]; symmetric in the indices, 0 when absent."""
-        zero = Fraction(0) if self.exact else 0.0
-        return self.triple_map.get(canonical_triple(i, j, k), zero)
 
     @cached_property
     def ordered_triples(self) -> tuple[tuple[int, int, int, Scalar], ...]:

@@ -87,7 +87,6 @@ class SolveReport:
     iterations: int
     collapsed: tuple[int, ...] = ()
     start_values: tuple[float, ...] = ()
-    alternates: tuple[DiagonalForm, ...] = ()
     condition: Optional[ConditionReport] = None
     notes: tuple[str, ...] = ()
 
@@ -103,7 +102,6 @@ class SolveReport:
             "iterations": self.iterations,
             "collapsed": list(self.collapsed),
             "start_S_values": [float(v) for v in self.start_values],
-            "alternates": [[float(v) for v in alt.values] for alt in self.alternates],
             "condition": None if self.condition is None else self.condition.to_dict(),
             "notes": list(self.notes),
         }
@@ -256,6 +254,15 @@ def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOut
     )
 
 
+def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
+    """Of the starts tied in S with the highest to rounding, the one with the
+    smallest residual."""
+    top = max(outcomes, key=lambda o: o.S)
+    tied = [o for o in outcomes if top.S - o.S <= 1e-12 * (1.0 + abs(top.S))]
+    # a non-finite top S ties with no start
+    return min(tied, key=lambda o: o.residual, default=top)
+
+
 def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
     if not isinstance(T, DiagonalForm):
         raise SolverError("target must be a DiagonalForm")
@@ -274,9 +281,11 @@ def maximize_S_on_MT(
     multiple of the background form that sits on the constraint set.  Each
     runs the module's one ascent until it converges (projected gradient
     vanished, residual certified), collapses, stalls or spends its budget.
-    The best certified start by S is "solved"; else a collapsed start makes
-    "diverged"; else "inconclusive".  Overflow raises no warning: a note
-    counts the rejected trial points with non-finite curvature.
+    A certified start makes "solved"; else a collapsed start makes
+    "diverged"; else "inconclusive".  Of the starts that decide the status,
+    the report returns the most accurate one tied in S with the highest.
+    Overflow raises no warning: a note counts the rejected trial points with
+    non-finite curvature.
     """
     opts = options or SolverOptions()
     z = _as_target(model, T)
@@ -295,19 +304,16 @@ def maximize_S_on_MT(
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]
     if certified:
-        # of the starts tied in S to rounding, return the most accurate
-        top = max(o.S for o in certified)
-        tied = [o for o in certified if top - o.S <= 1e-12 * (1.0 + abs(top))]
-        status, best = "solved", min(tied, key=lambda o: o.residual)
+        status, best = "solved", _most_accurate(certified)
         notes = ()
     elif collapsed:
-        status, best = "diverged", max(collapsed, key=lambda o: o.S)
+        status, best = "diverged", _most_accurate(collapsed)
         notes = (
             "supremum appears unattained; coordinates "
             f"{best.collapsed} escaped (x there grows without bound)",
         )
     else:
-        status, best = "inconclusive", max(outcomes, key=lambda o: o.S)
+        status, best = "inconclusive", _most_accurate(outcomes)
         notes = (
             "no start certified; best residual " + format(best.residual, ".3e")
             + ("" if best.c > 0 else f", c = {best.c:.3e} not positive"),
@@ -316,15 +322,7 @@ def maximize_S_on_MT(
     if rejected:
         notes += (f"{rejected} trial points with non-finite curvature rejected",)
 
-    # alternates: other certified maximizers within 1e-9 in S, 1e-6 apart in x
     xb = ev.dz / best.u
-    alternates = []
-    for o in certified:
-        if o is best or best.S - o.S > 1e-9 * (1.0 + abs(best.S)):
-            continue
-        xo = ev.dz / o.u
-        if all(float(np.max(np.abs(xo - xa)) / np.max(xb)) > 1e-6 for xa in [xb] + alternates):
-            alternates.append(xo)
     x = None if status == "diverged" else DiagonalForm.full(tuple(float(v) for v in xb))
     return SolveReport(
         status=status,
@@ -337,7 +335,6 @@ def maximize_S_on_MT(
         iterations=sum(o.iterations for o in outcomes),
         collapsed=best.collapsed if status == "diverged" else (),
         start_values=tuple(float(o.S) for o in outcomes),
-        alternates=tuple(DiagonalForm.full(tuple(float(v) for v in xa)) for xa in alternates),
         notes=notes,
     )
 
@@ -346,7 +343,6 @@ def solve_prescribed_ricci(
     model: SpaceModel,
     T: DiagonalForm,
     options: Optional[SolverOptions] = None,
-    check_condition: bool = True,
 ) -> SolveReport:
     """Solve Ric g = c T for the given positive target form.
 
@@ -358,15 +354,14 @@ def solve_prescribed_ricci(
     opts = options or SolverOptions()
     notes: list[str] = []
     condition = None
-    if check_condition:
-        try:
-            condition = check_theorem(model, T)
-            if not condition.passed:
-                notes.append("chain condition failed; existence not guaranteed")
-        except HypothesisViolatedError as exc:
-            notes.append(f"hypothesis violated: {exc}")
-        except EtaUndefinedError as exc:
-            notes.append(f"eta undefined: {exc}")
+    try:
+        condition = check_theorem(model, T)
+        if not condition.passed:
+            notes.append("chain condition failed; existence not guaranteed")
+    except HypothesisViolatedError as exc:
+        notes.append(f"hypothesis violated: {exc}")
+    except EtaUndefinedError as exc:
+        notes.append(f"eta undefined: {exc}")
 
     report = maximize_S_on_MT(model, T, opts)
     return replace(report, condition=condition, notes=tuple(notes) + report.notes)

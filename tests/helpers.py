@@ -7,8 +7,9 @@ deliberately protected index sets so the subalgebra lattice is nontrivial.
 
 The oracles here never share code with the library paths they check: the
 scalar-curvature oracle sums over the dense s^3 tensor, the closure oracle
-tests subsets against that same dense tensor, and the chain oracle redoes
-betweenness with set algebra.
+tests subsets against that same dense tensor, the chain oracle redoes
+betweenness with set algebra, and the eta oracle sums the defining form over
+the ordered triples rather than the library's scaled bitmask rows.
 """
 
 from __future__ import annotations
@@ -150,6 +151,26 @@ def oracle_hat_S(model: SpaceModel, x: DiagonalForm, J_k) -> float:
         for j, k in product(comp, repeat=2):
             pen += t[i - 1, j - 1, k - 1] / float(x[i])
     return oracle_scalar_S(model, x, J_k) - 0.5 * pen
+
+
+def def_form_eta(model: SpaceModel, chain):
+    """Defining form of eta, from Killing traces and bracket masses of the
+    chain's blocks summed straight over the ordered triples."""
+    full = range(1, model.s + 1)
+    n, l = chain.J_kprime, chain.J_l
+    j = [i for i in full if i not in chain.J_k]
+    jp = [i for i in full if i not in n]
+
+    def mass(A, B, C):
+        return sum(v for a, b, c, v in model.ordered_triples if a in A and b in B and c in C)
+
+    def trace(J):
+        return -sum(model.dims[i - 1] * model.killing[i - 1] for i in J)
+
+    omega = min(model.dims[i - 1] for i in n)
+    num = 2 * trace(n) + 2 * mass(n, jp, jp) + mass(n, n, n)
+    den = omega * (2 * trace(l) + mass(l, l, l) + 2 * mass(l, j, j))
+    return num / den
 
 
 def fd_grad_S(model: SpaceModel, x: DiagonalForm, step=1e-5):

@@ -28,8 +28,8 @@ from homricci import (
     two_summand_condition,
     validate,
 )
-from homricci.curvature import CurvatureContext
 from helpers import (
+    def_form_eta,
     fd_grad_S,
     oracle_simple_chains,
     random_positive_form,
@@ -46,24 +46,6 @@ def criterion(number: int, description: str):
         print(f"criterion {number:2d}: FAIL - {description}")
         raise
     print(f"criterion {number:2d}: PASS - {description}")
-
-
-def def_form_eta(model, chain):
-    """Defining form of eta, recomputed from traces and bracket masses."""
-    ctx = CurvatureContext(model, chain.J_k, chain.J_kprime)
-    n, l, j, jp = chain.J_kprime, ctx.J_l, ctx.J_j, ctx.J_jprime
-    omega = min(model.dims[i - 1] for i in n)
-    num = (
-        2 * ctx.killing_trace(n)
-        + 2 * ctx.bracket_sum(n, jp, jp)
-        + ctx.bracket_sum(n, n, n)
-    )
-    den = omega * (
-        2 * ctx.killing_trace(l)
-        + ctx.bracket_sum(l, l, l)
-        + 2 * ctx.bracket_sum(l, j, j)
-    )
-    return num / den
 
 
 def test_criterion_1_flag_golden_values():

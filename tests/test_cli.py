@@ -160,15 +160,35 @@ def test_iterate_tol_reaches_the_solves(tmp_path, capsys, monkeypatch):
     seen = []
     original = iteration.solve_prescribed_ricci
 
-    def recording(model, T, options=None, check_condition=True):
+    def recording(model, T, options=None):
         seen.append(options.residual_tol)
-        return original(model, T, options=options, check_condition=check_condition)
+        return original(model, T, options=options)
 
     monkeypatch.setattr(iteration, "solve_prescribed_ricci", recording)
     argv = ["iterate", str(path), "--start", "1,1", "--steps", "2", "--json"]
     assert run(capsys, *argv, "--tol", "1e-6")[0] == 0
     assert run(capsys, *argv)[0] == 0
     assert seen == [1e-6, 1e-6, 1e-8, 1e-8]
+
+
+def test_tol_on_solve_and_iterate_leaves_validation_alone(tmp_path, capsys):
+    doc = {"name": "twosum-float", "s": 2, "dims": [2, 3], "casimir": [0.1, 0.3],
+           "killing": [0.55, 1.0666666666666667], "triples": [[1, 2, 2, 0.7]],
+           "pairwise_inequivalent": True}
+    rounded = tmp_path / "rounded.json"  # Casimir identity holds to 4.4e-16
+    rounded.write_text(json.dumps(doc))
+    doc["killing"][0] = 0.5501  # Casimir identity off by 2e-4
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps(doc))
+    for argv in (("solve", "--T", "5,1"), ("iterate", "--start", "5,1", "--steps", "1")):
+        # tighter than rounding: the model loads, the solve does not certify
+        code, _, err = run(capsys, argv[0], str(rounded), *argv[1:], "--tol", "1e-20")
+        assert code == 1 and err == ""
+        # looser than the model's error: validation still rejects it
+        code, _, err = run(capsys, argv[0], str(off), *argv[1:], "--tol", "1e-3")
+        assert code == 2 and "casimir identity fails" in err
+    # elsewhere --tol is still the validation tolerance
+    assert run(capsys, "subalgebras", str(off), "--tol", "1e-3")[0] == 0
 
 
 def test_catalog_list(capsys):

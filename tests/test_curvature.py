@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from homricci import (
-    CurvatureContext,
     CurvatureError,
     DiagonalForm,
     build_model,
     enumerate_simple_chains,
     enumerate_subalgebras,
     flag3,
-    form_stats,
     grad_S,
     hat_S,
-    mt_constraint,
     ricci,
     scalar_S,
 )
@@ -206,18 +203,6 @@ def test_grad_matches_central_differences():
             assert abs(a - n) <= 1e-6 * max(1.0, abs(a))
 
 
-def test_form_stats_examples():
-    m = build_model("d424", dims=(4, 2, 4), killing=(1, 1, 1))
-    lo, hi, tr = form_stats(m, DiagonalForm.full((1, 2, 3)), (1, 3))
-    assert (lo, hi, tr) == (1, 3, 16)
-    lo, hi, tr = form_stats(m, DiagonalForm.full((5, 5, 5)), (1, 2, 3))
-    assert (lo, hi, tr) == (5, 5, 50)
-    lo, hi, tr = form_stats(G2, DiagonalForm.full((1, 1, 1)), (1, 3))
-    assert tr == 8
-    with pytest.raises(CurvatureError):
-        form_stats(m, DiagonalForm.full((1, 2, 3)), ())
-
-
 def test_trace_constraint_characterization():
     rng = np.random.default_rng(8)
     m = random_space_model(rng, s=3)
@@ -225,16 +210,9 @@ def test_trace_constraint_characterization():
     # x with u on the simplex lands exactly on the constraint set
     u = np.array([0.2, 0.5, 0.3])
     x = DiagonalForm.full(tuple(m.dims[i] * float(T.values[i]) / u[i] for i in range(3)))
-    assert mt_constraint(m, T, x) == pytest.approx(1.0, abs=1e-12)
-    assert mt_constraint(m, T, x.scale(2.0)) != pytest.approx(1.0, abs=1e-3)
 
+    def constraint(x):
+        return sum(m.dims[i - 1] * float(T[i]) / float(x[i]) for i in (1, 2, 3))
 
-def test_context_blocks_and_sums():
-    ctx = CurvatureContext(G2, (1, 2, 3), (2,))
-    assert ctx.J_l == (1, 3)
-    assert ctx.J_j == ()
-    assert ctx.J_jprime == (1, 3)
-    assert ctx.killing_trace((2,)) == -2
-    assert ctx.bracket_sum((2,), (1, 3), (1, 3)) == Fraction(2, 3) + 2 * Fraction(1, 2)
-    with pytest.raises(CurvatureError):
-        CurvatureContext(G2, (1,), (1, 2))
+    assert constraint(x) == pytest.approx(1.0, abs=1e-12)
+    assert constraint(x.scale(2.0)) != pytest.approx(1.0, abs=1e-3)

@@ -80,13 +80,6 @@ def test_structural_rejections():
         build_model("derived-neg", dims=(2, 2), killing=(1, 0), triples={(1, 2, 2): 5})
 
 
-def test_triple_lookup_symmetric():
-    m = flag3(4, 2, 4)
-    assert m.triple(2, 1, 1) == m.triple(1, 1, 2) == Fraction(2, 3)
-    assert m.triple(3, 1, 2) == Fraction(1, 2)
-    assert m.triple(2, 2, 3) == 0
-
-
 def test_parse_rejects_bad_documents():
     good = serialize_model(flag3(4, 2, 4))
     parse_model(good)
