@@ -54,13 +54,11 @@ class ModelError(ValueError):
 class ScaledData(NamedTuple):
     """A validated model's numbers over one common denominator.
 
-    For an exact model every entry is the integer ``scale`` times the true
-    value; a float model keeps its floats, with ``scale`` 1.  Bit ``i - 1``
-    of a mask stands for summand ``i``.
+    For an exact model every entry is the true value times one integer, the
+    same for all; a float model keeps its floats.  Bit ``i - 1`` of a mask
+    stands for summand ``i``.
     """
 
-    scale: int
-    killing_mass: tuple  # d_i b_i per index
     casimir_mass: tuple  # d_i zeta_i per index
     rows: tuple  # per index a: (bit of b, bit of c, [abc]) per nonzero ordered triple
 
@@ -130,15 +128,13 @@ class SpaceModel:
         if self.exact:
             scale = math.lcm(
                 *(v.denominator for *_, v in self.ordered_triples),
-                *(v.denominator for v in self.killing + self.casimir),
+                *(v.denominator for v in self.casimir),
             )
 
             def fix(v):
                 return v.numerator * (scale // v.denominator)
 
         else:
-            scale = 1
-
             def fix(v):
                 return v
 
@@ -146,8 +142,6 @@ class SpaceModel:
         for a, b, c, v in self.ordered_triples:
             rows[a - 1].append((1 << (b - 1), 1 << (c - 1), fix(v)))
         return ScaledData(
-            scale=scale,
-            killing_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.killing)),
             casimir_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.casimir)),
             rows=tuple(tuple(r) for r in rows),
         )

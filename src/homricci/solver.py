@@ -289,7 +289,12 @@ def maximize_S_on_MT(
     """
     opts = options or SolverOptions()
     z = _as_target(model, T)
-    ev = _Evaluator(model, z)
+    # Ric g = c T is the same problem for every multiple of T: the ascent
+    # runs on z / 2**k with max z / 2**k in [1, 2), and x, c and S are
+    # mapped back by 2**k, exactly, so that S, r and the Jacobian neither
+    # overflow nor underflow at any scale of T.
+    k = int(np.frexp(np.max(z))[1]) - 1
+    ev = _Evaluator(model, np.ldexp(z, -k))
     base = np.log(ev.dz)
     if model.s == 1:
         # the constraint set is a point: the base start, and no steps
@@ -316,25 +321,25 @@ def maximize_S_on_MT(
         status, best = "inconclusive", _most_accurate(outcomes)
         notes = (
             "no start certified; best residual " + format(best.residual, ".3e")
-            + ("" if best.c > 0 else f", c = {best.c:.3e} not positive"),
+            + ("" if best.c > 0 else f", c = {np.ldexp(best.c, -k):.3e} not positive"),
         )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
         notes += (f"{rejected} trial points with non-finite curvature rejected",)
 
     xb = ev.dz / best.u
-    x = None if status == "diverged" else DiagonalForm.full(tuple(float(v) for v in xb))
+    x = None if status == "diverged" else DiagonalForm.full(tuple(np.ldexp(xb, k).tolist()))
     return SolveReport(
         status=status,
         x=x,
-        c=None if x is None else best.c,
+        c=None if x is None else float(np.ldexp(best.c, -k)),
         residual=best.residual,
-        S_value=best.S,
+        S_value=float(np.ldexp(best.S, -k)),
         constraint_error=None if x is None else abs(float(np.sum(ev.dz / xb)) - 1.0),
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=best.collapsed if status == "diverged" else (),
-        start_values=tuple(float(o.S) for o in outcomes),
+        start_values=tuple(np.ldexp([o.S for o in outcomes], -k).tolist()),
         notes=notes,
     )
 

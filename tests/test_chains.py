@@ -23,8 +23,12 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import chains as chains_mod
-from homricci.chains import _eta_parts
-from helpers import oracle_simple_chains, random_positive_form, random_space_model
+from helpers import (
+    def_form_eta,
+    oracle_simple_chains,
+    random_positive_form,
+    random_space_model,
+)
 
 G2 = flag3(4, 2, 4)
 
@@ -41,34 +45,21 @@ def test_flag_chains_and_eta_golden():
 
 
 def test_eta_parts_golden_flag3_and_full_flag():
-    # exact (eta, numerator, denominator) per chain: the Casimir-form
-    # quantities, omega included in the denominator, unscaled
-    got = [
-        (ch.J_kprime, ch.eta, ch.eta_numerator, ch.eta_denominator)
-        for ch in enumerate_simple_chains(flag3(1, 2, 3))
-    ]
-    assert got == [
-        ((2,), Fraction(13, 72), Fraction(26, 9), Fraction(16)),
-        ((3,), Fraction(2, 7), Fraction(5), Fraction(35, 2)),
-    ]
-    assert [(ch.eta_numerator, ch.eta_denominator) for ch in enumerate_simple_chains(G2)] == [
-        (Fraction(2, 3), Fraction(32)),
-        (Fraction(6), Fraction(40)),
-    ]
+    got = [(ch.J_kprime, ch.eta) for ch in enumerate_simple_chains(flag3(1, 2, 3))]
+    assert got == [((2,), Fraction(13, 72)), ((3,), Fraction(2, 7))]
     F = Fraction
     by_shape = Counter(
-        (len(ch.J_k), len(ch.J_kprime), ch.eta, ch.eta_numerator, ch.eta_denominator)
-        for ch in enumerate_simple_chains(full_flag(5))
+        (len(ch.J_k), len(ch.J_kprime), ch.eta) for ch in enumerate_simple_chains(full_flag(5))
     )
     assert by_shape == {
-        (2, 1, F(1, 2), F(8, 5), F(16, 5)): 30,
-        (3, 1, F(1, 6), F(8, 5), F(48, 5)): 30,
-        (4, 2, F(1, 3), F(16, 5), F(48, 5)): 30,
-        (4, 3, F(15, 8), F(6), F(16, 5)): 10,
-        (6, 2, F(1, 8), F(16, 5), F(128, 5)): 15,
-        (6, 3, F(5, 16), F(6), F(96, 5)): 20,
-        (10, 4, F(19, 120), F(38, 5), F(48)): 10,
-        (10, 6, F(9, 20), F(72, 5), F(32)): 5,
+        (2, 1, F(1, 2)): 30,
+        (3, 1, F(1, 6)): 30,
+        (4, 2, F(1, 3)): 30,
+        (4, 3, F(15, 8)): 10,
+        (6, 2, F(1, 8)): 15,
+        (6, 3, F(5, 16)): 20,
+        (10, 4, F(19, 120)): 10,
+        (10, 6, F(9, 20)): 5,
     }
 
 
@@ -145,10 +136,19 @@ def test_eta_forms_agree_on_random_exact_models():
         m = random_space_model(rng, exact=True)
         for ch in enumerate_simple_chains(m):
             assert ch.eta >= 0
-            assert ch.eta_denominator > 0
-            # _eta_parts raises internally when the two forms disagree
-            value, num, den = _eta_parts(m, ch.J_k, ch.J_kprime)
-            assert value == ch.eta == num / den
+            assert ch.eta == def_form_eta(m, ch)
+
+
+def test_eta_is_the_casimir_form_within_validation_tolerance():
+    # the Casimir identity is off by 9e-10 at index 1, inside the default
+    # 1e-9, which moves the defining form of eta but not the Casimir form
+    m = build_model(
+        "twosum-off", dims=(2, 3), casimir=(0.25, 0.3),
+        killing=(0.9 + 4.5e-10, 3.4 / 3), triples={(1, 2, 2): 0.8},
+    )
+    (chain,) = enumerate_simple_chains(m)
+    assert chain.eta == pytest.approx(2.0 / (2 * (3.6 + 3.2)), rel=1e-14, abs=0)
+    assert def_form_eta(m, chain) != pytest.approx(chain.eta, rel=1e-10, abs=0)
 
 
 def test_eta_zero_iff_abelian_line():

@@ -187,8 +187,16 @@ def test_tol_on_solve_and_iterate_leaves_validation_alone(tmp_path, capsys):
         # looser than the model's error: validation still rejects it
         code, _, err = run(capsys, argv[0], str(off), *argv[1:], "--tol", "1e-3")
         assert code == 2 and "casimir identity fails" in err
-    # elsewhere --tol is still the validation tolerance
+    # elsewhere --tol is still the validation tolerance, and a model it
+    # accepts gets eta in the Casimir form, 0.8 / (2 * (3.6 + 2.8))
     assert run(capsys, "subalgebras", str(off), "--tol", "1e-3")[0] == 0
+    assert run(capsys, "chains", str(off), "--tol", "1e-3")[0] == 0
+    code, out, _ = run(capsys, "eta", str(off), "--tol", "1e-3", "--json")
+    assert code == 0
+    assert float(json.loads(out)["chains"][0]["eta"]) == pytest.approx(0.0625, rel=1e-12)
+    code, out, _ = run(capsys, "check", str(off), "--T", "5,1", "--tol", "1e-3", "--json")
+    assert code in (0, 1)
+    assert float(json.loads(out)["conditions"][0]["eta"]) == pytest.approx(0.0625, rel=1e-12)
 
 
 def test_catalog_list(capsys):

@@ -70,11 +70,20 @@ def test_single_summand_flat_torus():
 
 
 def test_scale_coherence():
-    rep1 = solve_prescribed_ricci(G2, UNIT, options=FAST)
-    rep2 = solve_prescribed_ricci(G2, UNIT.scale(2.0), options=FAST)
-    for a, b in zip(rep2.x.values, rep1.x.values):
-        assert float(a) == pytest.approx(2 * float(b), rel=1e-7)
-    assert rep2.c == pytest.approx(rep1.c / 2, rel=1e-7)
+    unit = maximize_S_on_MT(G2, UNIT, FAST)
+    for lam in (1e-300, 1e-160, 1e-100, 1e-7, 2.0, 3.0, 1e100, 1e160, 1e300):
+        T = UNIT.scale(lam)
+        rep = maximize_S_on_MT(G2, T, FAST)
+        assert rep.status == "solved"
+        assert [v / lam for v in rep.x.values] == pytest.approx(unit.x.values, rel=1e-9)
+        assert rep.c * lam == pytest.approx(unit.c, rel=1e-9)
+        if 1e-100 <= lam <= 1e100:
+            # the residual is the returned metric's own, bit for bit (beyond
+            # 1e+-154 the kernel's products overflow at that metric)
+            r = np.array(ricci(G2, rep.x))
+            assert solver_mod._Evaluator(G2, np.array(T.values)).fit(r)[1] == rep.residual
+        text = json.dumps(rep.to_dict())
+        assert "NaN" not in text and "Infinity" not in text
 
 
 def test_two_summand_sides():
@@ -128,9 +137,12 @@ def test_uncertified_solve_returns_most_accurate_tied_start():
     rep = solve_prescribed_ricci(m, DiagonalForm.full((5.0, 1.0)), options=opts)
     assert rep.status == "inconclusive"
     assert rep.residual <= 1e-15
-    # with S = -inf at every start, the first start is returned
-    rep = maximize_S_on_MT(G2, DiagonalForm.full((1e-300,) * 3), FAST)
-    assert rep.status == "inconclusive" and rep.S_value == -np.inf
+    # with S = -inf at every start no start ties, and the first is returned
+    outcomes = [
+        solver_mod._StartOutcome(-np.inf, np.ones(3) / 3, 1.0, res, "stalled", 0, False, (), 0)
+        for res in (0.5, 0.1)
+    ]
+    assert solver_mod._most_accurate(outcomes) is outcomes[0]
 
 
 def test_multistart_agreement_on_passing_model():
