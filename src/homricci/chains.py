@@ -22,6 +22,7 @@ below it they do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -197,6 +198,13 @@ class ConditionReport:
         }
 
 
+def _in_float_range(value: Scalar) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an exact value beyond the largest double
+        return False
+
+
 def _strictly_positive(margin: Scalar) -> bool:
     if is_exact(margin):
         return margin > 0
@@ -207,6 +215,15 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     """One condition per simple chain, for criterion "theorem" or "corollary"."""
     if T.support != tuple(range(1, model.s + 1)):
         raise ChainError("target form must cover the full index set")
+    # Each chain's lambda_min and trace are at most the d-weighted trace of
+    # T, and lambda_min / trace at most max z / min z: when these two are
+    # doubles, so is every figure of the report.
+    trace = sum(d * z for d, z in zip(model.dims, T.values))
+    if not (_in_float_range(trace) and _in_float_range(max(T.values) / min(T.values))):
+        raise ChainError(
+            "target out of range: its d-weighted trace or max z / min z is beyond "
+            "the float range; rescale T (the conditions do not depend on its scale)"
+        )
     lattice = enumerate_subalgebras(model)
     verdict = check_hypothesis(model, lattice)
     conditions = []

@@ -17,8 +17,10 @@ and the Ricci coefficients relative to the background form are
 equivalently r_i = -(x_i^2/d_i) dS/dx_i, so the gradient of S comes for free.
 
 Exact (Fraction) inputs are evaluated exactly; float inputs go through the
-numpy kernel in ``_kernels``.  Evaluation tables per (model, index set) are
-cached, since the optimizer calls these in a tight loop.
+numpy kernel in ``_kernels``, as a batch of one point taken to the scale
+[1, 2) and mapped back exactly, so that no scale of x a double holds
+overflows.  Evaluation tables per (model, index set) are cached, since the
+optimizer calls the kernel in a tight loop.
 """
 
 from __future__ import annotations
@@ -62,13 +64,25 @@ class _Tables:
 
     def value_and_ricci(
         self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
-    ) -> float:
-        """S on this index set at the float coefficients x; fills out_r with
-        the Ricci coefficients and, if given, out_jac with dr/dx (see
-        ``_kernels`` for the formulas)."""
+    ) -> np.ndarray:
+        """S on this index set at each row of the float coefficients x (m, n);
+        fills out_r (m, n) with the Ricci coefficients and, if given, out_jac
+        (m, n, n) with dr/dx (see ``_kernels`` for the formulas)."""
         return _kernels.value_and_ricci(
             self.db, self.b, self.d, self.ti, self.tj, self.tk, self.tv, x, out_r, out_jac
         )
+
+    def at_any_scale(self, x: np.ndarray, out_r: np.ndarray) -> float:
+        """S at the one point x (length n), out_r filled with its Ricci
+        coefficients, at any scale of x that a double holds.
+
+        The kernel runs at x / 2**k with max x / 2**k in [1, 2): r does not
+        depend on the scale, and S(x) = 2**-k S(x / 2**k), exactly, so
+        neither overflows nor underflows where the result fits.
+        """
+        k = int(np.frexp(np.max(x))[1]) - 1
+        S = self.value_and_ricci(np.ldexp(x, -k)[None, :], out_r[None, :])
+        return float(np.ldexp(S[0], -k))
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[SpaceModel, dict]" = weakref.WeakKeyDictionary()
@@ -121,7 +135,7 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
         )
         return lin / 2 - tri / 4
     xs = np.array([float(xr[i]) for i in J], dtype=np.float64)
-    return float(tables_for(model, J).value_and_ricci(xs, np.empty(len(J))))
+    return tables_for(model, J).at_any_scale(xs, np.empty(len(J)))
 
 
 def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = None) -> Scalar:
@@ -171,7 +185,7 @@ def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
         )
     xs = np.array([float(x[i]) for i in full], dtype=np.float64)
     out = np.empty(model.s, dtype=np.float64)
-    tables_for(model, full).value_and_ricci(xs, out)
+    tables_for(model, full).at_any_scale(xs, out)
     return tuple(float(v) for v in out)
 
 

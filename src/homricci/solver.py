@@ -15,6 +15,13 @@ search accepts an Armijo increase of S, or a Newton step that lowers the
 residual without lowering S; trial points with non-finite curvature are
 rejected and counted.
 
+The multistarts run in lockstep: each start keeps its own state as one row
+of arrays, and each round evaluates the trial points of all running starts
+in one batched kernel call and builds the Newton steps of the starts that
+have just accepted one in one stacked linear solve.  Every operation acts on
+each row alone, so a start's outcome is bit for bit the one it has run
+alone.
+
 A start stops when its projected gradient vanishes, if its residual
 certifies or some u_i is below the collapse threshold; when S gains
 nothing over the stagnation window or no step is accepted; or after
@@ -28,7 +35,6 @@ is not attained, never a proof of nonexistence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -50,7 +56,7 @@ class SolverError(ValueError):
 
 # A start stops once its projected gradient is this small relative to the
 # multiplier, S gains nothing over the stagnation window, or some u_i falls
-# below the collapse threshold (see _run_start).
+# below the collapse threshold (see _run_starts).
 GRADIENT_TOL = 1e-10
 STAGNATION_WINDOW = 100
 COLLAPSE_THRESHOLD = 1e-12
@@ -74,7 +80,9 @@ class SolveReport:
     implies residual <= tolerance, c > 0 and the constraint holds;
     "diverged" reports which coordinates collapsed (the escaping subalgebra
     direction); "inconclusive" covers exhausted budgets and failed
-    certification.
+    certification, and a certified answer whose x or c is beyond the float
+    range at the scale of T.  Any of x, c, S and the start values that is
+    beyond the float range is None, so that ``to_dict`` is strict JSON.
     """
 
     status: str
@@ -86,7 +94,7 @@ class SolveReport:
     starts_used: int
     iterations: int
     collapsed: tuple[int, ...] = ()
-    start_values: tuple[float, ...] = ()
+    start_values: tuple[Optional[float], ...] = ()
     condition: Optional[ConditionReport] = None
     notes: tuple[str, ...] = ()
 
@@ -101,7 +109,7 @@ class SolveReport:
             "starts_used": self.starts_used,
             "iterations": self.iterations,
             "collapsed": list(self.collapsed),
-            "start_S_values": [float(v) for v in self.start_values],
+            "start_S_values": list(self.start_values),
             "condition": None if self.condition is None else self.condition.to_dict(),
             "notes": list(self.notes),
         }
@@ -121,137 +129,222 @@ class _StartOutcome:
 
 
 class _Evaluator:
-    """Preallocated kernel calls for one model/target pair (single-threaded)."""
+    """Kernel calls and the fit of r = c z for one model/target pair, on
+    batches of points u (m, n) on the simplex."""
 
     def __init__(self, model: SpaceModel, z: np.ndarray):
         full = tuple(range(1, model.s + 1))
         self.tab = curvature.tables_for(model, full)
         self.z = z
         self.dz = self.tab.d * z
+        self.dzz = float(np.dot(self.dz, z))
+        self.zmax = float(np.max(z))
 
     def value_and_ricci(
         self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
-    ) -> float:
+    ) -> np.ndarray:
+        """S at each row of u (m, n); fills out_r (m, n) and out_jac (m, n, n)."""
         return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
 
-    def fit(self, r: np.ndarray) -> tuple[float, float]:
+    def fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares c for r = c z, and the relative residual
         max|r - c z| / (|c| max z), the same for T and any multiple of T
-        (over max z alone when c = 0, so that it stays finite)."""
-        d, z = self.tab.d, self.z
-        c = float(np.dot(d * r, z) / np.dot(d * z, z))
-        return c, float(np.max(np.abs(r - c * z)) / ((abs(c) or 1.0) * np.max(z)))
+        (over max z alone when c = 0, so that it stays finite); per row of
+        r, along its last axis."""
+        c = np.vecdot(self.tab.d * r, self.z) / self.dzz
+        scale = np.where(c == 0, 1.0, np.abs(c)) * self.zmax
+        return c, np.abs(r - c[..., None] * self.z).max(axis=-1) / scale
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    w = np.exp(v - np.max(v))
-    return w / np.sum(w)
+    w = np.exp(v - v.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _run_start(ev: _Evaluator, v0: np.ndarray, opts: SolverOptions) -> _StartOutcome:
-    n = len(v0)
-    z = ev.z
-    v = v0 - np.max(v0)
-    u = _softmax(v)
-    r, r_t = np.empty(n), np.empty(n)
-    jac, jac_t = np.empty((n, n)), np.empty((n, n))
-    # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c)
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, n] = -1.0
-    kkt[n, :n] = 1.0
-    S = ev.value_and_ricci(u, r, jac)
-    c, res = ev.fit(r)
-    alpha = 1.0
-    history: deque = deque(maxlen=STAGNATION_WINDOW + 1)
-    history.append(S)
-    iterations = 0
-    rejected = 0
+class _Starts:
+    """The running starts of one solve, one row each (see ``_run_starts``).
 
-    while True:
-        interior = float(np.min(u)) >= COLLAPSE_THRESHOLD
-        certified = res <= opts.residual_tol and c > 0
-        F = r / z
-        cbar = float(u @ F)
-        p = F - cbar
-        gv = u * p
-        # F, c and S scale alike with the target, hence the relative test.
-        # Uncertified in the interior, a vanishing gradient means escaping
-        # coordinates that stopped registering: go on until they collapse.
-        if float(np.max(np.abs(gv))) <= GRADIENT_TOL * abs(cbar) and (
-            certified or not interior
-        ):
-            break
-        if len(history) == history.maxlen and S - history[0] <= 1e-12 * (1.0 + abs(S)):
-            break
-        if iterations == opts.max_iterations:
-            break
-        # dF_i/du_m = -J[i, m] / z_i * x_m / u_m, with x = dz / u
-        kkt[:n, :n] = jac * (-ev.dz / (u * u)) / z[:, None]
-        try:
-            du = np.linalg.solve(kkt, np.append(-F, 0.0))[:n]
-            slope = float(F @ du)
-        except np.linalg.LinAlgError:
-            slope = 0.0
-        newton = slope > 0
-        if newton:
-            shrink = du < 0
-            t = min(1.0, 0.9 * float(np.min(u[shrink] / -du[shrink]))) if shrink.any() else 1.0
-        else:
-            slope, t = float(gv @ p), alpha
-        accepted = False
-        for _ in range(60):
-            if newton:
-                u_t = u + t * du
-                u_t /= np.sum(u_t)
-            else:
-                v_t = v + t * p
-                v_t -= np.max(v_t)
-                u_t = _softmax(v_t)
-            if np.all(u_t > 0):
-                S_t = ev.value_and_ricci(u_t, r_t, jac_t)
-                if not (np.isfinite(S_t) and np.all(np.isfinite(r_t))):
-                    rejected += 1
-                elif S_t >= S + 1e-4 * t * slope:
-                    accepted = True
-                elif newton and S_t >= S:
-                    accepted = ev.fit(r_t)[1] < res
-                if accepted:
-                    break
-            t *= 0.5
-            # rounding in S hides any gain of a shorter step
-            if t * slope <= 1e-15 * abs(S):
-                break
-        if not accepted:
-            break
-        if newton:
-            v = np.log(u_t)
-        else:
-            v = v_t
-            alpha = min(t * 2.0, 1e12)
-        u, S = u_t, S_t
-        r, r_t = r_t, r
-        jac, jac_t = jac_t, jac
-        c, res = ev.fit(r)
-        iterations += 1
-        history.append(S)
+    ``step`` is the Newton step du where ``newton`` is set, else the
+    centered softmax gradient p; ``t`` is the trial step length, ``tries``
+    the trials of the current line search, ``history`` a ring of S over the
+    last STAGNATION_WINDOW + 1 iterations.
+    """
 
+    __slots__ = (
+        "index", "v", "u", "S", "r", "jac", "c", "res", "alpha", "history",
+        "iterations", "rejected", "step", "t", "slope", "newton", "tries",
+    )
+
+    def keep(self, rows: np.ndarray) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[rows])
+
+
+def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The stacked solve; when a matrix is singular, the stack is solved one
+    by one and each singular matrix's row is NaN."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(kkt)):
+            try:
+                out[i] = np.linalg.solve(kkt[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _outcome(st: _Starts, i: int, opts: SolverOptions) -> _StartOutcome:
+    u = st.u[i]
+    c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
+    certified = res <= opts.residual_tol and c > 0
     if certified:
         status = "converged"
     elif iterations == opts.max_iterations:
         status = "budget"
     else:
-        status = "collapsed" if not interior else "stalled"
+        status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
     return _StartOutcome(
-        S=S,
-        u=u,
+        S=float(st.S[i]),
+        u=u.copy(),
         c=c,
         residual=res,
         status=status,
         iterations=iterations,
         certified=certified,
-        collapsed=tuple(int(i) + 1 for i in np.flatnonzero(u < COLLAPSE_THRESHOLD)),
-        rejected=rejected,
+        collapsed=tuple(int(j) + 1 for j in np.flatnonzero(u < COLLAPSE_THRESHOLD)),
+        rejected=int(st.rejected[i]),
     )
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_StartOutcome]:
+    """Run the ascent from each row of V0 (softmax coordinates), all starts
+    in lockstep; the outcomes in the order of the rows.
+
+    Every start follows its own ascent (see the module docstring), and its
+    outcome is the one it has run alone.  Each round makes one kernel call,
+    at the trial point of every running start (the first of a new step or a
+    halved one of its line search), and one stacked linear solve, for the
+    Newton steps of the starts that have just accepted a step.  A start
+    leaves the batch when it stops.
+    """
+    m, n = V0.shape
+    z, dz, window = ev.z, ev.dz, STAGNATION_WINDOW
+    st = _Starts()
+    st.index = np.arange(m)
+    st.v = V0 - V0.max(axis=1, keepdims=True)
+    st.u = _softmax(st.v)
+    st.r, st.jac = np.empty((m, n)), np.empty((m, n, n))
+    st.S = ev.value_and_ricci(st.u, st.r, st.jac)
+    st.c, st.res = ev.fit(st.r)
+    st.alpha = np.ones(m)
+    st.history = np.zeros((m, window + 1))
+    st.history[:, 0] = st.S
+    st.iterations = np.zeros(m, dtype=np.int64)
+    st.rejected = np.zeros(m, dtype=np.int64)
+    st.step, st.t, st.slope = np.empty((m, n)), np.empty(m), np.empty(m)
+    st.newton = np.zeros(m, dtype=bool)
+    st.tries = np.zeros(m, dtype=np.int64)
+    outcomes: list = [None] * m
+    fresh = np.ones(m, dtype=bool)
+
+    def stop(rows: np.ndarray) -> None:
+        if rows.any():
+            for i in np.flatnonzero(rows):
+                outcomes[st.index[i]] = _outcome(st, i, opts)
+            st.keep(~rows)
+
+    while len(st.index):
+        # A new step for every start that has just accepted one (or begun).
+        if fresh.any():
+            f = slice(None) if fresh.all() else np.flatnonzero(fresh)
+            u, S, it = st.u[f], st.S[f], st.iterations[f]
+            F = st.r[f] / z
+            cbar = np.vecdot(u, F)
+            p = F - cbar[:, None]
+            gv = u * p
+            # F, c and S scale alike with the target, hence the relative test.
+            # Uncertified in the interior, a vanishing gradient means escaping
+            # coordinates that stopped registering: go on until they collapse.
+            certified = (st.res[f] <= opts.residual_tol) & (st.c[f] > 0)
+            interior = u.min(axis=1) >= COLLAPSE_THRESHOLD
+            done = (np.abs(gv).max(axis=1) <= GRADIENT_TOL * np.abs(cbar)) & (
+                certified | ~interior
+            )
+            ring = (st.iterations - window) % (window + 1)
+            oldest = st.history[np.arange(len(st.index)), ring][f]
+            done |= (it >= window) & (S - oldest <= 1e-12 * (1.0 + np.abs(S)))
+            done |= it == opts.max_iterations
+            # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c);
+            # dF_i/du_m = -J[i, m] / z_i * x_m / u_m, with x = dz / u
+            kkt = np.zeros((len(u), n + 1, n + 1))
+            kkt[:, :n, n] = -1.0
+            kkt[:, n, :n] = 1.0
+            kkt[:, :n, :n] = st.jac[f] * (-dz / (u * u))[:, None, :] / z[:, None]
+            rhs = np.zeros((len(u), n + 1, 1))
+            rhs[:, :n, 0] = -F
+            du = _newton_solve(kkt, rhs)[:, :n, 0]
+            slope = np.vecdot(F, du)
+            # a singular system (NaN du) takes the gradient step
+            newton = slope > 0
+            ratio = np.where(du < 0, u / -du, np.inf).min(axis=1)
+            st.t[f] = np.where(newton, np.minimum(1.0, 0.9 * ratio), st.alpha[f])
+            st.slope[f] = np.where(newton, slope, np.vecdot(gv, p))
+            st.step[f] = np.where(newton[:, None], du, p)
+            st.newton[f] = newton
+            st.tries[f] = 0
+            ended = np.zeros(len(st.index), dtype=bool)
+            ended[f] = done
+            stop(ended)
+
+        # Trial points; one without a positive u_i is skipped unevaluated.
+        while True:
+            u_t = st.u + st.t[:, None] * st.step
+            u_t /= u_t.sum(axis=1, keepdims=True)
+            v_t = st.v + st.t[:, None] * st.step
+            v_t -= v_t.max(axis=1, keepdims=True)
+            u_t = np.where(st.newton[:, None], u_t, _softmax(v_t))
+            skip = ~(u_t > 0).all(axis=1)
+            if not skip.any():
+                break
+            st.t[skip] *= 0.5
+            st.tries[skip] += 1
+            # rounding in S hides any gain of a shorter step
+            stop(skip & ((st.t * st.slope <= 1e-15 * np.abs(st.S)) | (st.tries == 60)))
+        if not len(st.index):
+            break
+
+        k = len(st.index)
+        r_t, jac_t = np.empty((k, n)), np.empty((k, n, n))
+        S_t = ev.value_and_ricci(u_t, r_t, jac_t)
+        finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1)
+        st.rejected += ~finite
+        c_t, res_t = ev.fit(r_t)
+        # an Armijo increase of S, or a Newton step that lowers the residual
+        # without lowering S
+        fresh = finite & (
+            (S_t >= st.S + 1e-4 * st.t * st.slope)
+            | (st.newton & (S_t >= st.S) & (res_t < st.res))
+        )
+        row = fresh[:, None]
+        st.v = np.where(row, np.where(st.newton[:, None], np.log(u_t), v_t), st.v)
+        st.alpha = np.where(fresh & ~st.newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
+        st.u, st.r = np.where(row, u_t, st.u), np.where(row, r_t, st.r)
+        st.jac = np.where(row[:, :, None], jac_t, st.jac)
+        st.S = np.where(fresh, S_t, st.S)
+        st.c = np.where(fresh, c_t, st.c)
+        st.res = np.where(fresh, res_t, st.res)
+        st.iterations += fresh
+        # a start that took no step rewrites its current S
+        st.history[np.arange(k), st.iterations % (window + 1)] = st.S
+        st.t = np.where(fresh, st.t, 0.5 * st.t)
+        st.tries += ~fresh
+        failed = ~fresh & ((st.t * st.slope <= 1e-15 * np.abs(st.S)) | (st.tries == 60))
+        fresh = fresh[~failed]
+        stop(failed)
+    return outcomes
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -268,7 +361,15 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
         raise SolverError("target must be a DiagonalForm")
     if T.support != tuple(range(1, model.s + 1)):
         raise SolverError("target form must cover the full index set")
-    return np.array([float(v) for v in T.values], dtype=np.float64)
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    try:
+        z = np.array([float(v) for v in T.values], dtype=np.float64)
+    except OverflowError:  # an exact coefficient beyond the largest double
+        z = None
+    # a subnormal z_i has lost precision, and c, of order 1/z, overflows
+    if z is None or not (np.all(np.isfinite(z)) and np.min(z) >= tiny):
+        raise SolverError(f"target coefficients must be normal doubles, {tiny:.4g} to {huge:.4g}")
+    return z
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -298,13 +399,11 @@ def maximize_S_on_MT(
     base = np.log(ev.dz)
     if model.s == 1:
         # the constraint set is a point: the base start, and no steps
-        outcomes = [_run_start(ev, base, replace(opts, max_iterations=0))]
+        outcomes = _run_starts(ev, base[None, :], replace(opts, max_iterations=0))
     else:
         rng = np.random.default_rng(opts.seed)
-        v0s = [base] + [
-            base + rng.normal(0.0, 0.75, size=model.s) for _ in range(opts.multistarts - 1)
-        ]
-        outcomes = [_run_start(ev, v0, opts) for v0 in v0s]
+        spread = rng.normal(0.0, 0.75, size=(max(opts.multistarts - 1, 0), model.s))
+        outcomes = _run_starts(ev, np.vstack([base, base + spread]), opts)
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]
@@ -328,18 +427,25 @@ def maximize_S_on_MT(
         notes += (f"{rejected} trial points with non-finite curvature rejected",)
 
     xb = ev.dz / best.u
-    x = None if status == "diverged" else DiagonalForm.full(tuple(np.ldexp(xb, k).tolist()))
+    x, c, S = np.ldexp(xb, k), float(np.ldexp(best.c, -k)), float(np.ldexp(best.S, -k))
+    if status != "diverged" and not (np.all(np.isfinite(x)) and np.isfinite(c)):
+        # certified at T / 2**k, but the answer at T has no double
+        status = "inconclusive"
+        notes += ("x or c is beyond the float range at this scale of T; rescale T",)
+    returns_x = status != "diverged" and bool(np.all(np.isfinite(x)))
     return SolveReport(
         status=status,
-        x=x,
-        c=None if x is None else float(np.ldexp(best.c, -k)),
+        x=DiagonalForm.full(tuple(x.tolist())) if returns_x else None,
+        c=c if status != "diverged" and np.isfinite(c) else None,
         residual=best.residual,
-        S_value=float(np.ldexp(best.S, -k)),
-        constraint_error=None if x is None else abs(float(np.sum(ev.dz / xb)) - 1.0),
+        S_value=S if np.isfinite(S) else None,
+        constraint_error=abs(float(np.sum(ev.dz / xb)) - 1.0) if returns_x else None,
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=best.collapsed if status == "diverged" else (),
-        start_values=tuple(np.ldexp([o.S for o in outcomes], -k).tolist()),
+        start_values=tuple(
+            v if np.isfinite(v) else None for v in np.ldexp([o.S for o in outcomes], -k).tolist()
+        ),
         notes=notes,
     )
 

@@ -141,6 +141,18 @@ def test_solve_failure_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "diverged"
 
 
+def test_targets_beyond_the_float_range_exit_two(g2_path, capsys):
+    # the d-weighted trace of T is 3e308: one error line, no traceback
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, str(g2_path), "--T", "3e307,3e307,3e307", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: target out of range") and err.count("\n") == 1
+    # a subnormal coefficient passes the check but not the solver
+    code, out, err = run(capsys, "solve", str(g2_path), "--T", "1e-310,1e-310,1e-310", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: target coefficients must be normal doubles")
+
+
 def test_iterate_json_lines(tmp_path, capsys):
     code, out, _ = run(capsys, "catalog", "twosum", "1", "4", "0", "1/3", "1/2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Curvature functionals against dense-tensor oracles and exact identities."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,23 @@ def test_ricci_scale_invariance():
         a = ricci(m, x.scale(float(rng.uniform(0.3, 4.0))))
         b = ricci(m, x)
         assert all(abs(p - q) <= 1e-12 * max(1.0, abs(q)) for p, q in zip(a, b))
+
+
+def test_float_curvature_at_any_scale():
+    # the kernel runs at x / 2**k: no overflow or underflow at any scale a
+    # double holds; a power-of-two scale maps r and S back bit for bit
+    x = DiagonalForm.full((1.0, 0.5, 2.0))
+    r, S, S_hat = ricci(G2, x), scalar_S(G2, x), hat_S(G2, x, (2,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (-1000, -500, -3, 5, 700, 1000):
+            lam = 2.0**e
+            assert ricci(G2, x.scale(lam)) == r
+            assert scalar_S(G2, x.scale(lam)) == S / lam
+        for lam in (1e-300, 1e-200, 1e-154, 1e154, 1e200, 1e300):
+            assert ricci(G2, x.scale(lam)) == pytest.approx(r, rel=1e-14)
+            assert scalar_S(G2, x.scale(lam)) * lam == pytest.approx(S, rel=1e-14)
+            assert hat_S(G2, x.scale(lam), (2,)) * lam == pytest.approx(S_hat, rel=1e-14)
 
 
 def test_ricci_requires_full_support():

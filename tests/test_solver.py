@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import solver as solver_mod
-from helpers import random_two_summand_case
+from helpers import random_positive_form, random_space_model, random_two_summand_case
 
 G2 = flag3(4, 2, 4)
 UNIT = DiagonalForm.full((1.0, 1.0, 1.0))
@@ -156,11 +157,11 @@ def test_iterates_monotone_in_S():
     # S after k ascent iterations never decreases in k
     z = np.array([1.0, 1.0, 1.0])
     ev = solver_mod._Evaluator(G2, z)
-    v0 = np.log(ev.dz) + 0.3
-    full = solver_mod._run_start(ev, v0, SolverOptions())
+    v0 = (np.log(ev.dz) + 0.3)[None, :]
+    (full,) = solver_mod._run_starts(ev, v0, SolverOptions())
     assert full.status == "converged" and full.iterations > 3
     values = [
-        solver_mod._run_start(ev, v0, SolverOptions(max_iterations=k)).S
+        solver_mod._run_starts(ev, v0, SolverOptions(max_iterations=k))[0].S
         for k in range(1, full.iterations + 1)
     ]
     assert values[-1] == full.S
@@ -172,15 +173,37 @@ def test_every_start_monotone_in_S():
     rng = np.random.default_rng(0)
     for T in (flag3_target(1.2, 1.4), DiagonalForm.full((1.0, 0.5, 2.0))):
         ev = solver_mod._Evaluator(G2, np.array(T.values))
-        for _ in range(8):
-            v0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=3)
-            full = solver_mod._run_start(ev, v0, SolverOptions())
-            assert full.status == "converged"
-            values = [
-                solver_mod._run_start(ev, v0, SolverOptions(max_iterations=k)).S
-                for k in range(1, full.iterations + 1)
-            ]
-            assert np.all(np.diff(np.array(values)) >= 0)
+        V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(8, 3))
+        full = solver_mod._run_starts(ev, V0, SolverOptions())
+        assert all(o.status == "converged" for o in full)
+        values = np.array([
+            [o.S for o in solver_mod._run_starts(ev, V0, SolverOptions(max_iterations=k))]
+            for k in range(1, max(o.iterations for o in full) + 1)
+        ])
+        assert np.all(np.diff(values, axis=0) >= 0)
+        assert list(values[-1]) == [o.S for o in full]
+
+
+def test_lockstep_starts_match_starts_run_alone():
+    # a start's outcome does not depend on the starts it runs beside
+    rng = np.random.default_rng(3)
+    s6 = random_space_model(rng, s=6)
+    cases = [(G2, T) for T in (UNIT, flag3_target(4.0, 1.4), DiagonalForm.full((1.0, 1.0, 0.1)))]
+    cases += [(s6, random_positive_form(rng, 6)) for _ in range(2)]
+    opts = SolverOptions(max_iterations=100)
+    statuses = set()
+    for model, T in cases:
+        ev = solver_mod._Evaluator(model, np.array([float(v) for v in T.values]))
+        V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(16, model.s))
+        together = solver_mod._run_starts(ev, V0, opts)
+        for v0, o in zip(V0, together):
+            (alone,) = solver_mod._run_starts(ev, v0[None, :], opts)
+            assert (alone.S, alone.status, alone.iterations, alone.rejected) == (
+                o.S, o.status, o.iterations, o.rejected
+            )
+            assert np.array_equal(alone.u, o.u)
+            statuses.add(o.status)
+    assert statuses == {"converged", "collapsed", "stalled", "budget"}
 
 
 def test_determinism_and_seed_sensitivity():
@@ -243,6 +266,34 @@ def test_solves_leak_no_numeric_warnings():
 def test_solver_rejects_partial_target():
     with pytest.raises(SolverError):
         maximize_S_on_MT(G2, DiagonalForm((1.0,), (2,)))
+
+
+def _raise(constant):
+    raise ValueError(f"{constant} in strict JSON")
+
+
+def test_target_range_is_the_normal_doubles():
+    # a subnormal or unrepresentable coefficient is an input error ...
+    for T in ((1e-310, 1e-310, 1e-310), (1.0, 5e-324, 1.0), (1.0, Fraction(10) ** 400, 1.0)):
+        with pytest.raises(SolverError):
+            maximize_S_on_MT(G2, DiagonalForm.full(T), FAST)
+    # ... and at both ends of the normal range the report is strict JSON
+    tiny = np.finfo(np.float64).tiny
+    low = maximize_S_on_MT(G2, UNIT.scale(tiny), FAST)
+    assert low.status == "solved" and low.c * tiny == pytest.approx(0.3844014068, rel=1e-9)
+    high = maximize_S_on_MT(G2, UNIT.scale(1.7e308), FAST)
+    # c fits a double there, but x = d z / u does not
+    assert (high.status, high.x) == ("inconclusive", None)
+    assert high.c * 1.7e308 == pytest.approx(0.3844014068, rel=1e-9)
+    assert "beyond the float range" in high.notes[-1]
+    for rep in (low, high):
+        assert np.isfinite(rep.c) and np.isfinite(rep.S_value)
+        json.loads(json.dumps(rep.to_dict()), parse_constant=_raise)
+    # c = 10 / z and S = c overflow at the smallest normal z: None, not inf
+    m = build_model("pt", dims=(3,), killing=(20,))
+    rep = maximize_S_on_MT(m, DiagonalForm.full((tiny,)))
+    assert (rep.status, rep.c, rep.S_value, rep.start_values) == ("inconclusive", None, None, (None,))
+    json.loads(json.dumps(rep.to_dict()), parse_constant=_raise)
 
 
 def test_exact_target_converted_to_float():
