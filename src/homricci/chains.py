@@ -3,16 +3,25 @@
 A simple chain is a nested pair of subalgebra index sets (J_k, J_k') with
 J_k' proper, non-empty and maximal inside J_k (no lattice member strictly
 between).  Each chain carries an obstruction number eta(k, k'), evaluated in
-the Casimir form eta = N / (omega * D) with
+the Casimir form eta = N / (omega * D).  With the mass of an index set
 
-    N = sum_{j in J_k'} (4 d_j zeta_j + sum_{k,l in J_k'} [jkl]),
-    D = sum_{j in J_l}  (4 d_j zeta_j + sum_{k,l in J_l} [jkl]
-                         + 4 sum_{k in J_k'} sum_{l in J_l} [jkl]),
+    P(J) = 4 sum_{j in J} d_j zeta_j + <J J J>,   <A B C> = sum_{a in A, b in B, c in C} [abc],
 
-where omega = min_{j in J_k'} d_j.  The defining form, from Killing traces
-and bracket masses of the four derived blocks, equals it wherever the
-Casimir identity holds, which ``validate`` enforces; the tests check the two
-forms against each other.
+and J_l = J_k - J_k', it reads
+
+    N = P(J_k'),
+    D = P(J_k) - P(J_k') + <J_l J_k' J_l>,
+
+where omega = min_{j in J_k'} d_j.  D is the sum over j in J_l of
+4 d_j zeta_j + <j J_l J_l> + 4 <j J_k' J_l>: expanding <J_k J_k J_k> over
+J_k = J_k' + J_l gives P(J_k) - P(J_k') = 4 sum_{j in J_l} d_j zeta_j
++ <J_l J_l J_l> + 3 <J_l J_k' J_l> + 3 <J_k' J_k' J_l>, and the last term
+is zero because J_k' is closed (a nonzero [abc] with a, b in J_k' has c in
+J_k').  So P is computed once per lattice member and a chain sums only its
+cross term.  The defining form, from Killing traces and bracket masses of
+the four derived blocks, equals the Casimir form wherever the Casimir
+identity holds, which ``validate`` enforces; the tests check the two forms
+against each other.
 
 A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
@@ -83,29 +92,34 @@ def _block_sum(rows, A, B: int, C: int):
     return sum(v for a in A for b, c, v in rows[a - 1] if b & B and c & C)
 
 
-def _chain(model: SpaceModel, J_k: tuple[int, ...], J_kprime: tuple[int, ...]) -> SimpleChain:
-    """The chain (J_k, J_kprime) with eta in the Casimir form.
+def _mass(model: SpaceModel, J: tuple[int, ...]):
+    """P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>, in the units of
+    ``SpaceModel.scaled``."""
+    inside = _mask(J)
+    casimir = model.scaled.casimir_mass
+    return 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, inside, inside)
 
-    Every block sum runs in the model's scaled units, so an exact model adds
-    integers and the common denominator cancels in one Fraction.
+
+def _chain(
+    model: SpaceModel, J_k: tuple[int, ...], J_kprime: tuple[int, ...], P_k, P_kprime
+) -> SimpleChain:
+    """The chain (J_k, J_kprime) with eta in the Casimir form, from the masses
+    ``P_k`` = P(J_k) and ``P_kprime`` = P(J_kprime) (see :func:`_mass`).
+
+    Only the cross term <J_l J_k' J_l> is summed here.  Everything runs in
+    the model's scaled units, so an exact model adds integers and the common
+    denominator cancels in one Fraction.
     """
     inner = _mask(J_kprime)
-    middle = _mask(J_k) & ~inner
     l = tuple(i for i in J_k if not (inner >> (i - 1)) & 1)
     omega = min(model.dims[i - 1] for i in J_kprime)
-    rows, casimir = model.scaled.rows, model.scaled.casimir_mass
-    num = 4 * sum(casimir[i - 1] for i in J_kprime) + _block_sum(rows, J_kprime, inner, inner)
-    den = omega * (
-        4 * sum(casimir[i - 1] for i in l)
-        + _block_sum(rows, l, middle, middle)
-        + 4 * _block_sum(rows, l, inner, middle)
-    )
+    den = omega * (P_k - P_kprime + _block_sum(model.scaled.rows, l, inner, _mask(l)))
     if den == 0:
         raise EtaUndefinedError(
             f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
             "requirement 2 (a summand block commutes with the inner subalgebra)"
         )
-    eta = Fraction(num, den) if model.exact else num / den
+    eta = Fraction(P_kprime, den) if model.exact else P_kprime / den
     return SimpleChain(J_k=J_k, J_kprime=J_kprime, J_l=l, omega=omega, eta=eta)
 
 
@@ -132,8 +146,9 @@ def enumerate_simple_chains(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
     members = lattice.members
+    masses = [_mass(model, J) for J in members]
     return tuple(
-        _chain(model, members[upper], members[lower])
+        _chain(model, members[upper], members[lower], masses[upper], masses[lower])
         for upper, lower in lattice.covers
         if members[lower]
     )
@@ -224,19 +239,34 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
             "target out of range: its d-weighted trace or max z / min z is beyond "
             "the float range; rescale T (the conditions do not depend on its scale)"
         )
+    # An exact T is read as integers over one common denominator, as
+    # SpaceModel.scaled reads the model, so min, trace and max are integer
+    # work and an exact margin is one Fraction; a float T keeps its floats.
+    if T.exact:
+        scale = math.lcm(*(v.denominator for v in T.values))
+        z = [v.numerator * (scale // v.denominator) for v in T.values]
+    else:
+        scale, z = None, T.values
+    dims = model.dims
     lattice = enumerate_subalgebras(model)
     verdict = check_hypothesis(model, lattice)
     conditions = []
     failing = None
     for chain in enumerate_simple_chains(model, lattice, verdict):
-        lam = min(T[i] for i in chain.J_kprime)
+        lam = min(z[i - 1] for i in chain.J_kprime)
         if criterion == "theorem":
-            bound = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
+            bound = sum(dims[i - 1] * z[i - 1] for i in chain.J_l)
             threshold = chain.eta
         else:
-            bound = max(T[i] for i in chain.J_l)
-            threshold = chain.eta * sum(model.dims[i - 1] for i in chain.J_l)
-        margin = lam / bound - threshold
+            bound = max(z[i - 1] for i in chain.J_l)
+            threshold = chain.eta * sum(dims[i - 1] for i in chain.J_l)
+        if scale is not None and is_exact(threshold):
+            q = threshold.denominator
+            margin = Fraction(lam * q - threshold.numerator * bound, bound * q)
+        else:
+            margin = lam / bound - threshold
+        if scale is not None:
+            lam, bound = Fraction(lam, scale), Fraction(bound, scale)
         ok = _strictly_positive(margin)
         cond = ChainCondition(chain, lam, bound, threshold, margin, ok)
         conditions.append(cond)
@@ -318,7 +348,7 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         return TwoSummandReport(None, None, parallel, True, None, None)
     a = closed[0]
     o = 3 - a
-    value = _chain(model, (1, 2), (a,)).eta
+    value = _chain(model, (1, 2), (a,), _mass(model, (1, 2)), _mass(model, (a,))).eta
     threshold = model.dims[o - 1] * value
     ratio = T[a] / T[o]
     return TwoSummandReport(

@@ -10,6 +10,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,11 +57,13 @@ def _parse_form(text: str, rational: bool) -> DiagonalForm:
     return DiagonalForm.full(tuple(parse_number(p, rational=rational) for p in parts))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text) -> None:
+    """Print ``payload`` as one JSON line under ``--json``, else the lines
+    that ``text()`` yields: the text is built only when it is printed."""
     if args.json:
         print(json.dumps(payload))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -75,20 +78,23 @@ def cmd_validate(args) -> int:
         raw = parse_model(fh.read(), rational=args.rational)
     report = validate(raw, tol=args.tol or CASIMIR_TOL)
     payload = report.to_dict()
-    lines = []
+    model = report.model
     if report.ok:
-        model = report.model
-        lines.append(f"{model.name}: valid (s={model.s}, dim={model.dimension})")
-        if report.derived:
-            values = ", ".join(
-                str(format_number(v)) for v in getattr(model, report.derived)
-            )
-            lines.append(f"derived {report.derived}: {values}")
         payload["model"] = json.loads(serialize_model(model))
-    else:
-        lines.append("invalid model:")
-        lines.extend(f"  - {err}" for err in report.errors)
-    _emit(args, payload, lines)
+
+    def text():
+        if report.ok:
+            yield f"{model.name}: valid (s={model.s}, dim={model.dimension})"
+            if report.derived:
+                values = ", ".join(
+                    str(format_number(v)) for v in getattr(model, report.derived)
+                )
+                yield f"derived {report.derived}: {values}"
+        else:
+            yield "invalid model:"
+            yield from (f"  - {err}" for err in report.errors)
+
+    _emit(args, payload, text)
     return 0 if report.ok else 2
 
 
@@ -101,12 +107,15 @@ def cmd_subalgebras(args) -> int:
         "hypothesis": verdict.to_dict(),
         "unconditional": classify_cor_all(model, lattice),
     }
-    lines = [f"{model.name}: {len(lattice.members)} bracket-closed index sets"]
-    for J, dim in zip(lattice.members, lattice.member_dims):
-        label = "{" + ",".join(map(str, J)) + "}" if J else "{}"
-        lines.append(f"  {label}  dim={dim}")
-    lines.append(f"hypothesis: {verdict.status}")
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{model.name}: {len(lattice.members)} bracket-closed index sets"
+        for J, dim in zip(lattice.members, lattice.member_dims):
+            label = "{" + ",".join(map(str, J)) + "}" if J else "{}"
+            yield f"  {label}  dim={dim}"
+        yield f"hypothesis: {verdict.status}"
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -114,13 +123,16 @@ def cmd_chains(args) -> int:
     model = _load(args, args.tol)
     chains = enumerate_simple_chains(model)
     payload = {"chains": [ch.to_dict() for ch in chains]}
-    lines = [f"{model.name}: {len(chains)} simple chain(s)"]
-    for ch in chains:
-        lines.append(
-            f"  k={list(ch.J_k)} k'={list(ch.J_kprime)} l={list(ch.J_l)} "
-            f"omega={ch.omega} eta={format_number(ch.eta)}"
-        )
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{model.name}: {len(chains)} simple chain(s)"
+        for ch in chains:
+            yield (
+                f"  k={list(ch.J_k)} k'={list(ch.J_kprime)} l={list(ch.J_l)} "
+                f"omega={ch.omega} eta={format_number(ch.eta)}"
+            )
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -133,11 +145,14 @@ def cmd_eta(args) -> int:
             for ch in chains
         ]
     }
-    lines = [
-        f"eta(k={list(ch.J_k)}, k'={list(ch.J_kprime)}) = {format_number(ch.eta)}"
-        for ch in chains
-    ] or ["no simple chains (isotropy algebra is maximal)"]
-    _emit(args, payload, lines)
+
+    def text():
+        if not chains:
+            yield "no simple chains (isotropy algebra is maximal)"
+        for ch in chains:
+            yield f"eta(k={list(ch.J_k)}, k'={list(ch.J_kprime)}) = {format_number(ch.eta)}"
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -151,22 +166,24 @@ def cmd_check(args) -> int:
     payload = report.to_dict()
     if model.s == 2:
         payload["two_summand"] = two_summand_condition(model, T).to_dict()
-    lines = [f"{model.name}: {report.criterion} check "
-             + ("PASS" if report.passed else "FAIL")]
-    for cond in report.conditions:
-        lines.append(
-            f"  k'={list(cond.chain.J_kprime)}: "
-            f"{float(cond.lambda_min):.6g}/{float(cond.trace):.6g} vs "
-            f"threshold {format_number(cond.threshold)} margin {float(cond.margin):+.6g} "
-            + ("ok" if cond.passed else "FAIL")
-        )
-    if not report.conditions:
-        lines.append("  no simple chains: passes unconditionally")
-    if report.requirement1_unknown:
-        lines.append("  caveat: inequivalence requirement not certified by the data")
-    if not report.passed:
-        lines.append("  verdict: inconclusive (the condition is sufficient, not necessary)")
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{model.name}: {report.criterion} check " + ("PASS" if report.passed else "FAIL")
+        for cond in report.conditions:
+            yield (
+                f"  k'={list(cond.chain.J_kprime)}: "
+                f"{float(cond.lambda_min):.6g}/{float(cond.trace):.6g} vs "
+                f"threshold {format_number(cond.threshold)} margin {float(cond.margin):+.6g} "
+                + ("ok" if cond.passed else "FAIL")
+            )
+        if not report.conditions:
+            yield "  no simple chains: passes unconditionally"
+        if report.requirement1_unknown:
+            yield "  caveat: inequivalence requirement not certified by the data"
+        if not report.passed:
+            yield "  verdict: inconclusive (the condition is sufficient, not necessary)"
+
+    _emit(args, payload, text)
     return 0 if report.passed else 1
 
 
@@ -179,8 +196,7 @@ def cmd_ricci(args) -> int:
         "ricci": [format_number(v) for v in r],
         "grad_S": [format_number(v) for v in g],
     }
-    lines = ["ricci: " + ", ".join(str(format_number(v)) for v in r)]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: ["ricci: " + ", ".join(str(format_number(v)) for v in r)])
     return 0
 
 
@@ -193,18 +209,21 @@ def cmd_solve(args) -> int:
     T = _parse_form(args.T, args.rational)
     report = solve_prescribed_ricci(model, T, options=_solver_options(args))
     payload = report.to_dict()
-    lines = [f"{model.name}: solve status = {report.status}"]
-    if report.x is not None:
-        lines.append("  x = " + ", ".join(f"{float(v):.12g}" for v in report.x.values))
-    if report.c is not None:
-        lines.append(f"  c = {report.c:.12g}")
-    if report.residual is not None:
-        lines.append(f"  residual = {report.residual:.3e}")
-    if report.collapsed:
-        lines.append(f"  escaped coordinates: {list(report.collapsed)}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    _emit(args, payload, lines)
+
+    def text():
+        yield f"{model.name}: solve status = {report.status}"
+        if report.x is not None:
+            yield "  x = " + ", ".join(f"{float(v):.12g}" for v in report.x.values)
+        if report.c is not None:
+            yield f"  c = {report.c:.12g}"
+        if report.residual is not None:
+            yield f"  residual = {report.residual:.3e}"
+        if report.collapsed:
+            yield f"  escaped coordinates: {list(report.collapsed)}"
+        for note in report.notes:
+            yield f"  note: {note}"
+
+    _emit(args, payload, text)
     return 0 if report.status == "solved" else 1
 
 
@@ -235,11 +254,14 @@ def cmd_catalog(args) -> int:
             "generators": list(catalog_mod.USAGE.values()),
             "placeholders": list(catalog_mod.PLACEHOLDER_SPACES),
         }
-        lines = ["generators:"]
-        lines += [f"  {g}" for g in payload["generators"]]
-        lines.append("placeholder spaces (supply your own constants):")
-        lines += [f"  {p}" for p in payload["placeholders"]]
-        _emit(args, payload, lines)
+
+        def text():
+            yield "generators:"
+            yield from (f"  {g}" for g in payload["generators"])
+            yield "placeholder spaces (supply your own constants):"
+            yield from (f"  {p}" for p in payload["placeholders"])
+
+        _emit(args, payload, text)
         return 0
     sys.stdout.write(serialize_model(catalog_mod.entry(args.kind, *args.params)))
     return 0
@@ -307,9 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

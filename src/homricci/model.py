@@ -425,11 +425,18 @@ def build_model(
     return report.model
 
 
-def _closure(rules, closed: int, added: int) -> int:
+def _closure(rules, closed: int, added: int, known: dict) -> int:
     """Smallest closed superset of ``closed | added`` (bitmasks), for a
-    closed ``closed``: only the rules of newly added indices can fire."""
+    closed ``closed``: only the rules of newly added indices can fire.
+
+    ``known`` maps bits k0 to known closures cl(closed + k0).  Once the
+    growing set takes in such a k0 whose closure holds ``added``, that
+    closure is the answer: it is closed and holds ``closed | added``, and
+    the growing set, which holds ``closed + k0``, lies inside the answer.
+    """
     J = closed | added
     pending = added & ~closed
+    known_bits = sum(known)
     while pending:
         bit = pending & -pending
         pending ^= bit
@@ -439,6 +446,13 @@ def _closure(rules, closed: int, added: int) -> int:
                 if new:
                     pending |= new
                     J |= new
+                    hit = new & known_bits
+                    while hit:
+                        k0 = hit & -hit
+                        hit ^= k0
+                        C0 = known[k0]
+                        if not added & ~C0:
+                            return C0
     return J
 
 
@@ -451,6 +465,16 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     generates it.  Every nonempty member covers some member, so the walk
     reaches all of them.  It costs at most s closures per member, each
     firing only the rules of the indices it adds (``closure_rules``).
+
+    The closures of one member J are found in order of k, and each one is
+    grown with the earlier ones at hand: as soon as cl(J + {k}) takes in an
+    index k0 whose closure cl(J + {k0}) holds k, the two closures are equal
+    (each one holds the other's generator), and the growth stops with that
+    closure.  This is exact, and it saves most of the work on a cover C
+    with many generators, such as the merge of two blocks A and B of SU(n)/T
+    with its |A| |B| generators: every index of C - J generates C, so only
+    the first is grown in full, and each later one stops at the first
+    earlier generator it takes in.
     """
     s = model.s
     if s > MAX_SUMMANDS:
@@ -464,11 +488,13 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
         if J in upper:
             continue
         generators: dict[int, int] = {}
+        known: dict[int, int] = {}
         outside = everything & ~J
         while outside:
             bit = outside & -outside
             outside ^= bit
-            C = _closure(rules, J, bit)
+            C = _closure(rules, J, bit, known)
+            known[bit] = C
             generators[C] = generators.get(C, 0) | bit
         covers = [C for C, gens in generators.items() if gens == C & ~J]
         upper[J] = covers

@@ -228,3 +228,46 @@ def oracle_simple_chains(members):
                 continue
             chains.append((tuple(sorted(K)), tuple(sorted(Kp))))
     return sorted(chains, key=lambda ck: (len(ck[0]), ck[0], len(ck[1]), ck[1]))
+
+
+def oracle_full_flag(n: int):
+    """Lattice members and simple chains of SU(n)/T from set partitions.
+
+    The summands of SU(n)/T are the root pairs a < b, numbered in
+    lexicographic order.  A closed index set is the set of pairs joined by
+    a set partition of {1..n}; covering pairs merge two blocks, and a
+    simple chain is a covering pair whose lower partition is not the
+    discrete one.  The partitions are listed as restricted growth strings.
+    Returns the members and the (J_k, J_k') pairs, each in (size, lex)
+    order.
+    """
+    number = {p: i for i, p in enumerate(combinations(range(1, n + 1), 2), start=1)}
+
+    def growth_strings(length):
+        strings = [[0]]
+        for _ in range(length - 1):
+            strings = [w + [b] for w in strings for b in range(max(w) + 2)]
+        return strings
+
+    def member(labels):
+        return tuple(
+            sorted(number[(a, b)] for a, b in number if labels[a - 1] == labels[b - 1])
+        )
+
+    members, chains = set(), set()
+    for labels in growth_strings(n):
+        inner = member(labels)
+        members.add(inner)
+        blocks = max(labels) + 1
+        for x, y in combinations(range(blocks), 2):
+            outer = member([x if c == y else c for c in labels])
+            if inner:
+                chains.add((outer, inner))
+
+    def order(J):
+        return (len(J), J)
+
+    return (
+        sorted(members, key=order),
+        sorted(chains, key=lambda ck: (*order(ck[0]), *order(ck[1]))),
+    )

@@ -25,6 +25,7 @@ from homricci import (
 from homricci import chains as chains_mod
 from helpers import (
     def_form_eta,
+    oracle_full_flag,
     oracle_simple_chains,
     random_positive_form,
     random_space_model,
@@ -69,8 +70,9 @@ def test_full_flag_simple_chain_counts():
         lat = enumerate_subalgebras(m)
         chains = enumerate_simple_chains(m, lat)
         assert len(chains) == count
+        pairs = [(ch.J_k, ch.J_kprime) for ch in chains]
+        assert pairs == oracle_full_flag(n)[1]
         if n == 5:
-            pairs = [(ch.J_k, ch.J_kprime) for ch in chains]
             assert pairs == oracle_simple_chains(lat.members)
 
 
@@ -137,6 +139,17 @@ def test_eta_forms_agree_on_random_exact_models():
         for ch in enumerate_simple_chains(m):
             assert ch.eta >= 0
             assert ch.eta == def_form_eta(m, ch)
+
+
+def test_eta_matches_the_defining_form_on_random_float_models():
+    rng = np.random.default_rng(23)
+    count = 0
+    for _ in range(30):
+        m = random_space_model(rng)
+        for ch in enumerate_simple_chains(m):
+            assert ch.eta == pytest.approx(def_form_eta(m, ch), rel=1e-12, abs=0)
+            count += 1
+    assert count > 30
 
 
 def test_eta_is_the_casimir_form_within_validation_tolerance():
@@ -221,6 +234,44 @@ def test_corollary_check_flag_golden():
     assert rep.passed
     thresholds = [c.threshold for c in rep.conditions]
     assert thresholds == [Fraction(8, 48), Fraction(18, 20)]
+
+
+def _generic_figures(model, T, chain, criterion):
+    """lambda_min, trace, threshold and margin of one chain, in the plain
+    arithmetic of T's values and chain.eta."""
+    lam = min(T[i] for i in chain.J_kprime)
+    if criterion == "theorem":
+        bound = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
+        threshold = chain.eta
+    else:
+        bound = max(T[i] for i in chain.J_l)
+        threshold = chain.eta * sum(model.dims[i - 1] for i in chain.J_l)
+    return lam, bound, threshold, lam / bound - threshold
+
+
+@pytest.mark.parametrize("exact_model", [True, False])
+@pytest.mark.parametrize("exact_T", [True, False])
+def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
+    rng = np.random.default_rng([27, exact_model, exact_T])
+    exact = exact_model and exact_T
+    count = 0
+    for _ in range(12):
+        m = random_space_model(rng, exact=exact_model)
+        T = random_positive_form(rng, m.s, exact=exact_T)
+        for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
+            for cond in check(m, T).conditions:
+                got = (cond.lambda_min, cond.trace, cond.threshold, cond.margin)
+                want = _generic_figures(m, T, cond.chain, criterion)
+                if exact:
+                    assert got == want
+                    assert all(isinstance(v, Fraction) for v in got)
+                    assert cond.passed == (want[3] > 0)
+                else:
+                    assert [float(v) for v in got] == [float(v) for v in want]
+                    assert isinstance(cond.margin, float)
+                    assert cond.passed == (want[3] > chains_mod.FLOAT_MARGIN_EPS)
+                count += 1
+    assert count > 50
 
 
 def test_corollary_implies_theorem():

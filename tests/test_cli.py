@@ -105,6 +105,60 @@ def test_check_pass_and_fail_exit_codes(g2_path, capsys):
     assert json.loads(out)["criterion"] == "corollary"
 
 
+def test_check_text_golden(g2_path, capsys):
+    code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,1")
+    assert code == 0
+    assert out.splitlines() == [
+        "flag3:4,2,4: theorem check PASS",
+        "  k'=[2]: 1/8 vs threshold 1/48 margin +0.104167 ok",
+        "  k'=[3]: 1/6 vs threshold 3/20 margin +0.0166667 ok",
+    ]
+    code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,0.1")
+    assert code == 1
+    assert out.splitlines() == [
+        "flag3:4,2,4: theorem check FAIL",
+        "  k'=[2]: 1/4.4 vs threshold 1/48 margin +0.206439 ok",
+        "  k'=[3]: 0.1/6 vs threshold 3/20 margin -0.133333 FAIL",
+        "  verdict: inconclusive (the condition is sufficient, not necessary)",
+    ]
+
+
+def test_subalgebras_text_line_count(tmp_path, capsys):
+    path = tmp_path / "su5.json"
+    assert cli.main(["catalog", "fullflag", "5"]) == 0
+    path.write_text(capsys.readouterr().out)
+    code, out, _ = run(capsys, "subalgebras", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    # a header, one line per member (Bell(5) = 52) and the hypothesis verdict
+    assert len(lines) == 54
+    assert lines[0] == "SU(5)/T: 52 bracket-closed index sets"
+    assert lines[1] == "  {}  dim=0" and lines[-2] == "  {1,2,3,4,5,6,7,8,9,10}  dim=20"
+    assert lines[-1] == "hypothesis: satisfied"
+
+
+def test_parser_built_once_without_leaking_flags(g2_path, capsys, monkeypatch):
+    builds = []
+    original = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,1", "--corollary", "--json")
+        assert code == 0 and json.loads(out)["criterion"] == "corollary"
+        code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,1")
+        assert code == 0 and out.startswith("flag3:4,2,4: theorem check PASS\n")
+        code, out, _ = run(capsys, "eta", str(g2_path))
+        assert code == 0 and out.startswith("eta(k=[1, 2, 3], k'=[2]) = 1/48\n")
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_check_rational_margins(g2_path, capsys):
     code, out, _ = run(capsys, "check", str(g2_path), "--T", "1/2,1/2,1/2", "--json", "--rational")
     assert code == 0

@@ -22,6 +22,7 @@ from homricci import (
 )
 from helpers import (
     combinations_with_repetition,
+    oracle_full_flag,
     oracle_lattice,
     oracle_simple_chains,
     random_space_model,
@@ -192,10 +193,10 @@ def _sparse_model(rng, s):
     return build_model(f"sparse-s{s}", dims, casimir=casimir, triples=triples)
 
 
-def test_lattice_and_covers_match_oracles_up_to_s12():
+def test_lattice_and_covers_match_oracles_up_to_s14():
     rng = np.random.default_rng(31)
     shapes = set()
-    for s in (4, 5, 6, 7, 8, 9, 10, 11, 12):
+    for s in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
         for m in (_sparse_model(rng, s), _sparse_model(rng, s), random_space_model(rng, s=s)):
             shapes.update(len({i, j, k}) for i, j, k, _ in m.triples)
             lat = enumerate_subalgebras(m)
@@ -214,7 +215,9 @@ def test_full_flag_members_are_bell_numbers():
     for n, bell in zip(range(3, 8), (5, 15, 52, 203, 877)):
         m = full_flag(n)
         assert m.casimir == (Fraction(1, n),) * (n * (n - 1) // 2)
-        assert len(enumerate_subalgebras(m).members) == bell
+        members = enumerate_subalgebras(m).members
+        assert len(members) == bell
+        assert list(members) == oracle_full_flag(n)[0]
 
 
 def test_star_import_exports_every_name():
