@@ -154,35 +154,27 @@ def abelian_line_two_summand(d2: int, zeta2, t122, t222=0) -> SpaceModel:
     )
 
 
-#: Usage line of each catalog kind, as the command line lists them.
-USAGE = {
-    "flag3": "flag3 d1 d2 d3",
-    "fullflag": "fullflag n",
-    "twosum": "twosum d1 d2 zeta1 zeta2 t122 [t111] [t222]",
-    "g2u2": "g2u2",
+#: Each catalog kind, in the order the command line lists them: its usage
+#: line, the parameter counts it takes, how many of them (leading) are
+#: integers, and the builder they are passed to.
+KINDS = {
+    "flag3": ("flag3 d1 d2 d3", (3,), 3, flag3),
+    "fullflag": ("fullflag n", (1,), 1, full_flag),
+    "twosum": ("twosum d1 d2 zeta1 zeta2 t122 [t111] [t222]", (5, 6, 7), 2, two_summand),
+    "g2u2": ("g2u2", (0,), 0, lambda: flag3(4, 2, 4)),
 }
 
 
-def _ints(kind: str, params, count: int) -> list[int]:
-    if len(params) != count:
-        raise ModelError(f"usage: {USAGE[kind]}")
-    try:
-        return [int(p) for p in params]
-    except ValueError as exc:
-        raise ModelError(f"usage: {USAGE[kind]} ({exc})") from exc
-
-
 def entry(kind: str, *params) -> SpaceModel:
-    """Build the model of a catalog kind: "flag3", "fullflag", "twosum" or
-    the alias "g2u2"; ``params`` may be numbers or their text."""
-    if kind == "g2u2":
-        return flag3(4, 2, 4)
-    if kind == "flag3":
-        return flag3(*_ints(kind, params, 3))
-    if kind == "fullflag":
-        return full_flag(*_ints(kind, params, 1))
-    if kind == "twosum":
-        if not 5 <= len(params) <= 7:
-            raise ModelError(f"usage: {USAGE[kind]}")
-        return two_summand(*_ints(kind, params[:2], 2), *params[2:])
-    raise ModelError(f"unknown catalog kind {kind!r}")
+    """Build the model of a catalog kind (see :data:`KINDS`); ``params`` may
+    be numbers or their text."""
+    if kind not in KINDS:
+        raise ModelError(f"unknown catalog kind {kind!r}")
+    usage, counts, ints, build = KINDS[kind]
+    if len(params) not in counts:
+        raise ModelError(f"usage: {usage}")
+    try:
+        leading = [int(p) for p in params[:ints]]
+    except ValueError as exc:
+        raise ModelError(f"usage: {usage} ({exc})") from exc
+    return build(*leading, *params[ints:])

@@ -37,14 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .curvature import ricci as _ricci
-from .model import (
-    DiagonalForm,
-    HypothesisVerdict,
-    SpaceModel,
-    SubalgebraLattice,
-    check_hypothesis,
-    enumerate_subalgebras,
-)
+from .model import DiagonalForm, SpaceModel, check_hypothesis
 from .numbers import Scalar, format_number, is_exact
 
 FLOAT_MARGIN_EPS = 1e-12
@@ -123,33 +116,24 @@ def _chain(
     return SimpleChain(J_k=J_k, J_kprime=J_kprime, J_l=l, omega=omega, eta=eta)
 
 
-def enumerate_simple_chains(
-    model: SpaceModel,
-    lattice: Optional[SubalgebraLattice] = None,
-    verdict: Optional[HypothesisVerdict] = None,
-) -> tuple[SimpleChain, ...]:
+def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
     """All simple chains of the model's lattice, in deterministic order.
 
     The chains are the lattice's covering pairs whose lower member is
     nonempty, ordered by (size, lex) of the upper and then the lower member.
-    ``verdict`` is the :func:`check_hypothesis` result for ``lattice`` when
-    the caller already has it.  Raises :class:`HypothesisViolatedError` when
-    the structural requirements demonstrably fail (the conditions would be
-    meaningless).
+    Raises :class:`HypothesisViolatedError` when the structural requirements
+    demonstrably fail (the conditions would be meaningless).
     """
-    if lattice is None:
-        lattice = enumerate_subalgebras(model)
-    if verdict is None:
-        verdict = check_hypothesis(model, lattice)
+    verdict = check_hypothesis(model)
     if verdict.status == "violated":
         raise HypothesisViolatedError(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
-    members = lattice.members
+    members = model.lattice.members
     masses = [_mass(model, J) for J in members]
     return tuple(
         _chain(model, members[upper], members[lower], masses[upper], masses[lower])
-        for upper, lower in lattice.covers
+        for upper, lower in model.lattice.covers
         if members[lower]
     )
 
@@ -248,11 +232,9 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     else:
         scale, z = None, T.values
     dims = model.dims
-    lattice = enumerate_subalgebras(model)
-    verdict = check_hypothesis(model, lattice)
     conditions = []
     failing = None
-    for chain in enumerate_simple_chains(model, lattice, verdict):
+    for chain in enumerate_simple_chains(model):
         lam = min(z[i - 1] for i in chain.J_kprime)
         if criterion == "theorem":
             bound = sum(dims[i - 1] * z[i - 1] for i in chain.J_l)
@@ -277,7 +259,7 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
         passed=failing is None,
         conditions=tuple(conditions),
         failing=failing,
-        requirement1_unknown=verdict.status == "unknown",
+        requirement1_unknown=not model.pairwise_inequivalent,
     )
 
 
@@ -330,9 +312,7 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         raise ChainError(f"two-summand condition needs s=2, got s={model.s}")
     if T.support != (1, 2):
         raise ChainError("target form must cover both summands")
-    lattice = enumerate_subalgebras(model)
-    proper = lattice.proper_nontrivial()
-    closed = [J[0] for J in proper if len(J) == 1]
+    closed = [J[0] for J in model.lattice.proper_nontrivial() if len(J) == 1]
     if len(closed) != 1:
         # Degenerate lattice; see the class docstring.
         if not closed:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import catalog as catalog_mod
@@ -30,7 +31,6 @@ from .model import (
     ModelError,
     check_hypothesis,
     classify_cor_all,
-    enumerate_subalgebras,
     load_model,
     parse_model,
     serialize_model,
@@ -67,9 +67,31 @@ def _emit(args, payload: dict, text) -> None:
             print(line)
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _load(args, tol=None):
     """Read and validate the model file; ``tol`` overrides the Casimir-identity
-    tolerance for float data."""
+    tolerance for float data (a ``--tol`` value is never 0)."""
     return load_model(args.model, rational=args.rational, tol=tol or CASIMIR_TOL)
 
 
@@ -100,12 +122,12 @@ def cmd_validate(args) -> int:
 
 def cmd_subalgebras(args) -> int:
     model = _load(args, args.tol)
-    lattice = enumerate_subalgebras(model)
-    verdict = check_hypothesis(model, lattice)
+    lattice = model.lattice
+    verdict = check_hypothesis(model)
     payload = {
         "lattice": lattice.to_dict(),
         "hypothesis": verdict.to_dict(),
-        "unconditional": classify_cor_all(model, lattice),
+        "unconditional": classify_cor_all(model),
     }
 
     def text():
@@ -251,7 +273,7 @@ def cmd_iterate(args) -> int:
 def cmd_catalog(args) -> int:
     if args.kind == "list" or args.kind is None:
         payload = {
-            "generators": list(catalog_mod.USAGE.values()),
+            "generators": [usage for usage, *_ in catalog_mod.KINDS.values()],
             "placeholders": list(catalog_mod.PLACEHOLDER_SPACES),
         }
 
@@ -267,7 +289,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
@@ -277,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="tolerance override: for solve and iterate, the relative residual "
         "certifying each solve (default 1e-8); for every other command, the "
@@ -315,24 +339,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", cmd_solve, "solve Ric g = c T for a positive target form")
     p.add_argument("--T", required=True, help="comma-separated positive coefficients")
-    p.add_argument("--seed", type=int, default=0, help="multistart seed")
+    p.add_argument("--seed", type=_seed, default=0, help="multistart seed")
 
     p = add("iterate", cmd_iterate, "run the Ricci iteration")
     p.add_argument("--start", required=True, help="starting form coefficients")
     p.add_argument("--steps", type=int, required=True, help="number of solve steps")
-    p.add_argument("--seed", type=int, default=0, help="multistart seed")
+    p.add_argument("--seed", type=_seed, default=0, help="multistart seed")
 
     p = add("catalog", cmd_catalog, "emit a built-in model as JSON", with_model=False)
-    p.add_argument("kind", nargs="?", help=" | ".join([*catalog_mod.USAGE, "list"]))
+    p.add_argument("kind", nargs="?", help=" | ".join([*catalog_mod.KINDS, "list"]))
     p.add_argument("params", nargs="*", help="generator parameters")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return _build_parser()
 
 
 def main(argv=None) -> int:

@@ -43,17 +43,16 @@ class CurvatureError(ValueError):
 class _Tables:
     """Flat float64 arrays for one (model, index set) pair."""
 
-    __slots__ = ("J", "pos", "d", "b", "db", "ti", "tj", "tk", "tv")
+    __slots__ = ("d", "b", "db", "ti", "tj", "tk", "tv")
 
     def __init__(self, model: SpaceModel, J: tuple[int, ...]):
-        self.J = J
-        self.pos = {g: i for i, g in enumerate(J)}
+        pos = {g: i for i, g in enumerate(J)}
         self.d = np.array([model.dims[g - 1] for g in J], dtype=np.float64)
         self.b = np.array([float(model.killing[g - 1]) for g in J], dtype=np.float64)
         self.db = self.d * self.b
         inside = set(J)
         rows = [
-            (self.pos[a], self.pos[bb], self.pos[c], float(v))
+            (pos[a], pos[bb], pos[c], float(v))
             for a, bb, c, v in model.ordered_triples
             if a in inside and bb in inside and c in inside
         ]

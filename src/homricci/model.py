@@ -120,6 +120,12 @@ class SpaceModel:
         )
 
     @cached_property
+    def lattice(self) -> SubalgebraLattice:
+        """The subalgebra lattice (:func:`enumerate_subalgebras`), walked once
+        per model: it depends on the bracket data alone."""
+        return enumerate_subalgebras(self)
+
+    @cached_property
     def scaled(self) -> ScaledData:
         """The model's numbers as integers over a common denominator; needs
         a validated model."""
@@ -516,34 +522,28 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     )
 
 
-def check_hypothesis(
-    model: SpaceModel, lattice: Optional[SubalgebraLattice] = None
-) -> HypothesisVerdict:
+def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:
     """Verify the per-subalgebra requirements at the data level.
 
     For every proper nontrivial member J and every outside index j with
     d_j = 1, the summand must interact with the subalgebra: zeta_j > 0 (it
-    sees the isotropy algebra) or some [j,k,*] with k in J is nonzero.
+    sees the isotropy algebra) or some [j,k,*] with k in J is nonzero.  So
+    only the lines with zeta_j = 0 are looked at, each through the mask of j
+    and its bracket partners k (from ``closure_rules``): J violates the
+    requirement at j when it holds none of them.
     """
     if model.casimir is None:
         raise ModelError("hypothesis check needs a validated model (casimir missing)")
-    if lattice is None:
-        lattice = enumerate_subalgebras(model)
+    lines = [
+        (j, 1 << (j - 1) | sum(partner for partner, _ in model.closure_rules[j - 1]))
+        for j in range(1, model.s + 1)
+        if model.dims[j - 1] == 1 and model.casimir[j - 1] == 0
+    ]
     violations = []
-    for J in lattice.proper_nontrivial():
-        inside = set(J)
-        for j in range(1, model.s + 1):
-            if j in inside or model.dims[j - 1] != 1:
-                continue
-            if model.casimir[j - 1] > 0:
-                continue
-            link = sum(
-                v
-                for a, b, _, v in model.ordered_triples
-                if a == j and b in inside
-            )
-            if link == 0:
-                violations.append((J, j))
+    if lines:
+        for J in model.lattice.proper_nontrivial():
+            inside = sum(1 << (i - 1) for i in J)
+            violations.extend((J, j) for j, touched in lines if not inside & touched)
     requirement2 = "violated" if violations else "satisfied"
     requirement1 = "satisfied" if model.pairwise_inequivalent else "unknown"
     if violations:
@@ -560,9 +560,7 @@ def check_hypothesis(
     )
 
 
-def classify_cor_all(
-    model: SpaceModel, lattice: Optional[SubalgebraLattice] = None
-) -> bool:
+def classify_cor_all(model: SpaceModel) -> bool:
     """True when every positive form admits a solution unconditionally.
 
     Requires exactly one summand with zero Casimir eigenvalue (necessarily a
@@ -577,9 +575,7 @@ def classify_cor_all(
     i = zeros[0]
     if model.dims[i - 1] != 1:
         return False
-    if lattice is None:
-        lattice = enumerate_subalgebras(model)
-    return lattice.proper_nontrivial() == ((i,),)
+    return model.lattice.proper_nontrivial() == ((i,),)
 
 
 # --- JSON model files -------------------------------------------------------

@@ -140,9 +140,7 @@ class _Evaluator:
         self.dzz = float(np.dot(self.dz, z))
         self.zmax = float(np.max(z))
 
-    def value_and_ricci(
-        self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
         """S at each row of u (m, n); fills out_r (m, n) and out_jac (m, n, n)."""
         return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
 

@@ -2,13 +2,14 @@
 
 Random models are Casimir-consistent by construction (Killing coefficients
 are derived from the Casimir eigenvalues), have every eigenvalue positive
-(so the structural hypothesis holds outright), and carry one or two
-deliberately protected index sets so the subalgebra lattice is nontrivial.
+(so the structural hypothesis holds outright) unless zero-Casimir lines are
+asked for, and carry one or two deliberately protected index sets so the
+subalgebra lattice is nontrivial.
 
 The oracles here never share code with the library paths they check: the
-scalar-curvature oracle sums over the dense s^3 tensor, the closure oracle
-tests subsets against that same dense tensor, the chain oracle redoes
-betweenness with set algebra, and the eta oracle sums the defining form over
+scalar-curvature oracle sums over the dense s^3 tensor, the closure and
+requirement-2 oracles test subsets against that same dense tensor, the
+chain oracle redoes betweenness with set algebra, and the eta oracle sums the defining form over
 the ordered triples rather than the library's scaled bitmask rows.
 """
 
@@ -26,13 +27,20 @@ def _count_inside(subset, triple) -> int:
     return sum(1 for t in triple if t in subset)
 
 
-def random_space_model(rng, s=None, exact=False, ensure_proper_subalgebra=True):
-    """A validated random model with positive Casimir eigenvalues."""
+def random_space_model(rng, s=None, exact=False, ensure_proper_subalgebra=True, zero_lines=0):
+    """A validated random model with positive Casimir eigenvalues, except on
+    ``zero_lines`` summands: lines whose Casimir eigenvalue is 0."""
     if s is None:
         s = int(rng.integers(2, 6))
     dims = [int(rng.integers(1, 6)) for _ in range(s)]
+    lines = set()
+    if zero_lines:
+        lines = {int(i) for i in rng.choice(s, size=zero_lines, replace=False)}
+        for i in lines:
+            dims[i] = 1
+    others = [i for i in range(s) if i not in lines]
     while sum(dims) < 3:
-        dims[int(rng.integers(0, s))] += 1
+        dims[others[int(rng.integers(0, len(others)))]] += 1
 
     protected = []
     if ensure_proper_subalgebra and s >= 2:
@@ -68,6 +76,8 @@ def random_space_model(rng, s=None, exact=False, ensure_proper_subalgebra=True):
         casimir = [Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 25))) for _ in range(s)]
     else:
         casimir = [float(rng.uniform(0.05, 0.8)) for _ in range(s)]
+    for i in lines:
+        casimir[i] = Fraction(0) if exact else 0.0
 
     return build_model(
         name=f"random-s{s}",
@@ -212,6 +222,25 @@ def oracle_lattice(model: SpaceModel):
             if closed:
                 members.append(tuple(sorted(combo)))
     return sorted(members, key=lambda J: (len(J), J))
+
+
+def oracle_requirement2(model: SpaceModel):
+    """Requirement-2 violations straight off the dense tensor: every proper
+    nontrivial closed set J (from :func:`oracle_lattice`) times every line j
+    outside J with zero Casimir eigenvalue and [j b c] = 0 for every b in J
+    and every c."""
+    t = dense_tensor(model)
+    full = tuple(range(1, model.s + 1))
+    return [
+        (J, j)
+        for J in oracle_lattice(model)
+        if J and J != full
+        for j in full
+        if j not in J
+        and model.dims[j - 1] == 1
+        and model.casimir[j - 1] == 0
+        and not any(t[j - 1, b - 1].any() for b in J)
+    ]
 
 
 def oracle_simple_chains(members):

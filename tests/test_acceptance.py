@@ -235,9 +235,8 @@ def test_criterion_9_ricci_iteration():
 def test_criterion_10_enumeration_golden_and_oracle():
     with criterion(10, "flag lattice and chains; set-algebra oracle on random lattices"):
         m = flag3(4, 2, 4)
-        lat = enumerate_subalgebras(m)
-        assert lat.members == ((), (2,), (3,), (1, 2, 3))
-        chains = enumerate_simple_chains(m, lat)
+        assert m.lattice.members == ((), (2,), (3,), (1, 2, 3))
+        chains = enumerate_simple_chains(m)
         assert [(ch.J_k, ch.J_kprime) for ch in chains] == [
             ((1, 2, 3), (2,)),
             ((1, 2, 3), (3,)),
@@ -245,9 +244,5 @@ def test_criterion_10_enumeration_golden_and_oracle():
         rng = np.random.default_rng(10)
         for _ in range(50):
             model = random_space_model(rng)
-            lattice = enumerate_subalgebras(model)
-            got = [
-                (ch.J_k, ch.J_kprime)
-                for ch in enumerate_simple_chains(model, lattice)
-            ]
-            assert got == oracle_simple_chains(lattice.members)
+            got = [(ch.J_k, ch.J_kprime) for ch in enumerate_simple_chains(model)]
+            assert got == oracle_simple_chains(model.lattice.members)

@@ -67,13 +67,12 @@ def test_eta_parts_golden_flag3_and_full_flag():
 def test_full_flag_simple_chain_counts():
     for n, count in ((5, 150), (6, 841), (7, 4781)):
         m = full_flag(n)
-        lat = enumerate_subalgebras(m)
-        chains = enumerate_simple_chains(m, lat)
+        chains = enumerate_simple_chains(m)
         assert len(chains) == count
         pairs = [(ch.J_k, ch.J_kprime) for ch in chains]
         assert pairs == oracle_full_flag(n)[1]
         if n == 5:
-            assert pairs == oracle_simple_chains(lat.members)
+            assert pairs == oracle_simple_chains(m.lattice.members)
 
 
 def test_hypothesis_checked_once_per_condition_check(monkeypatch):
@@ -127,9 +126,8 @@ def test_chain_enumeration_matches_set_oracle():
     rng = np.random.default_rng(21)
     for _ in range(40):
         m = random_space_model(rng)
-        lat = enumerate_subalgebras(m)
-        got = [(ch.J_k, ch.J_kprime) for ch in enumerate_simple_chains(m, lat)]
-        assert got == oracle_simple_chains(lat.members)
+        got = [(ch.J_k, ch.J_kprime) for ch in enumerate_simple_chains(m)]
+        assert got == oracle_simple_chains(m.lattice.members)
 
 
 def test_eta_forms_agree_on_random_exact_models():

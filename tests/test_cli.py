@@ -137,15 +137,7 @@ def test_subalgebras_text_line_count(tmp_path, capsys):
     assert lines[-1] == "hypothesis: satisfied"
 
 
-def test_parser_built_once_without_leaking_flags(g2_path, capsys, monkeypatch):
-    builds = []
-    original = cli._build_parser
-
-    def counted():
-        builds.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "_build_parser", counted)
+def test_parser_built_once_without_leaking_flags(g2_path, capsys):
     cli._parser.cache_clear()
     try:
         code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,1", "--corollary", "--json")
@@ -154,9 +146,10 @@ def test_parser_built_once_without_leaking_flags(g2_path, capsys, monkeypatch):
         assert code == 0 and out.startswith("flag3:4,2,4: theorem check PASS\n")
         code, out, _ = run(capsys, "eta", str(g2_path))
         assert code == 0 and out.startswith("eta(k=[1, 2, 3], k'=[2]) = 1/48\n")
+        info = cli._parser.cache_info()
     finally:
         cli._parser.cache_clear()
-    assert len(builds) == 1
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_check_rational_margins(g2_path, capsys):
@@ -265,6 +258,41 @@ def test_tol_on_solve_and_iterate_leaves_validation_alone(tmp_path, capsys):
     assert float(json.loads(out)["conditions"][0]["eta"]) == pytest.approx(0.0625, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the model's Casimir identity fails by 8.2: no tolerance may accept it
+        ("validate", "--tol", "nan"),
+        ("validate", "--tol", "inf"),
+        ("subalgebras", "--tol", "nan"),
+        ("chains", "--tol", "inf"),
+        ("eta", "--tol", "nan"),
+        ("check", "--T", "5,1", "--tol", "nan"),
+        ("ricci", "--x", "1,1", "--tol", "inf"),
+        ("validate", "--tol", "0"),
+        ("validate", "--tol", "abc"),
+        ("solve", "--T", "5,1", "--tol", "-1"),
+        ("solve", "--T", "5,1", "--tol", "nan"),
+        ("solve", "--T", "5,1", "--tol", "0"),
+        ("solve", "--T", "5,1", "--seed", "-1"),
+        ("solve", "--T", "5,1", "--seed", "1.5"),
+        ("iterate", "--start", "5,1", "--steps", "1", "--seed", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_bad_tol_and_seed_values_exit_two(tmp_path, capsys, argv):
+    doc = {"name": "twosum-float", "s": 2, "dims": [2, 3], "casimir": [0.1, 0.3],
+           "killing": [4.65, 1.0666666666666667], "triples": [[1, 2, 2, 0.7]],
+           "pairwise_inequivalent": True}
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {argv[-2]}: must be a" in err and "Traceback" not in err
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -279,7 +307,10 @@ def test_catalog_fullflag_and_usage_errors(capsys):
     assert doc["casimir"] == ["1/4"] * 6
     assert len(doc["triples"]) == 4
     assert "fullflag n" in run(capsys, "catalog", "list")[1]
-    for argv in (("flag3", "4", "2"), ("fullflag", "two"), ("fullflag", "2"), ("twosum", "2", "3")):
+    for argv in (
+        ("flag3", "4", "2"), ("fullflag", "two"), ("fullflag", "2"), ("twosum", "2", "3"),
+        ("g2u2", "4"),
+    ):
         code, _, err = run(capsys, "catalog", *argv)
         assert code == 2 and "error:" in err
 

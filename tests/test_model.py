@@ -1,5 +1,6 @@
 """Model validation, lattice enumeration, hypothesis and classification."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,13 +18,17 @@ from homricci import (
     flag3,
     full_flag,
     parse_model,
+    ricci_iterate,
     serialize_model,
     validate,
 )
+from homricci import catalog, cli
+from homricci import model as model_mod
 from helpers import (
     combinations_with_repetition,
     oracle_full_flag,
     oracle_lattice,
+    oracle_requirement2,
     oracle_simple_chains,
     random_space_model,
 )
@@ -252,6 +257,47 @@ def test_hypothesis_violation_detected():
     verdict = check_hypothesis(m)
     assert verdict.status == "violated"
     assert ((2,), 1) in verdict.violations
+
+
+def test_requirement2_matches_dense_oracle_on_models_with_lines():
+    rng = np.random.default_rng(2)
+    violated = 0
+    for _ in range(60):
+        s = int(rng.integers(3, 8))
+        m = random_space_model(rng, s=s, exact=True, zero_lines=int(rng.integers(1, 3)))
+        verdict = check_hypothesis(m)
+        expected = oracle_requirement2(m)
+        assert list(verdict.violations) == expected
+        assert verdict.requirement2 == ("violated" if expected else "satisfied")
+        violated += bool(expected)
+    # both outcomes occur among the draws
+    assert 10 <= violated <= 50
+
+
+def test_lattice_walked_once_per_model(tmp_path, capsys, monkeypatch):
+    walks = []
+    original = model_mod.enumerate_subalgebras
+
+    def counted(model):
+        walks.append(model.name)
+        return original(model)
+
+    # wrapped in every homricci module that holds it, as the benchmark's tracer does
+    for name, module in list(sys.modules.items()):
+        if name == "homricci" or name.startswith("homricci."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    params = ("2", "3", "1/4", "3/10", "4/5")
+    path = tmp_path / "twosum.json"
+    path.write_text(serialize_model(catalog.entry("twosum", *params)))
+    assert cli.main(["check", str(path), "--T", "1,1"]) == 0
+    assert len(walks) == 1
+    walks.clear()
+    m = catalog.entry("twosum", *params)
+    trace = ricci_iterate(m, DiagonalForm.full((1, 1)), steps=4)
+    assert len(trace.steps) == 4
+    assert len(walks) == 1
 
 
 def test_hypothesis_unknown_without_flag():
