@@ -193,7 +193,8 @@ class ConditionReport:
             "existence": self.existence,
             "caveat_requirement1": self.requirement1_unknown,
             "conditions": [c.to_dict() for c in self.conditions],
-            "failing": None if self.failing is None else self.failing.to_dict(),
+            # each condition is serialized once: the first failing one by index
+            "failing": None if self.failing is None else self.conditions.index(self.failing),
         }
 
 

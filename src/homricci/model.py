@@ -305,6 +305,11 @@ class HypothesisVerdict:
         }
 
 
+def _finite(value: Scalar) -> bool:
+    # a Fraction is always finite, and may be beyond the float range
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _structural_errors(model: SpaceModel) -> list[str]:
     errors = []
     if model.s < 1:
@@ -317,6 +322,8 @@ def _structural_errors(model: SpaceModel) -> list[str]:
     for arr, label in ((model.casimir, "casimir"), (model.killing, "killing")):
         if arr is not None and len(arr) != model.s:
             errors.append(f"{label} has length {len(arr)}, expected {model.s}")
+        if arr is not None and not all(map(_finite, arr)):
+            errors.append(f"{label} values must be finite: {arr}")
     if model.casimir is None and model.killing is None:
         errors.append("at least one of casimir/killing must be given")
     seen = set()
@@ -326,7 +333,9 @@ def _structural_errors(model: SpaceModel) -> list[str]:
         if (i, j, k) in seen:
             errors.append(f"duplicate triple ({i},{j},{k})")
         seen.add((i, j, k))
-        if v < 0:
+        if not _finite(v):
+            errors.append(f"bracket norm [{i}{j}{k}] = {v} is not finite")
+        elif v < 0:
             errors.append(f"negative bracket norm [{i}{j}{k}] = {v}")
     return errors
 

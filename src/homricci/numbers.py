@@ -8,6 +8,7 @@ optimizer always works in floats regardless of the model's arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -48,6 +49,8 @@ def parse_number(raw, rational: bool = False) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise NumberFormatError(f"cannot parse number {raw!r}") from exc
     if isinstance(raw, float) and rational:
+        if not math.isfinite(raw):
+            raise NumberFormatError(f"not a finite number: {raw!r}")
         return Fraction(repr(raw))
     return normalize(raw)
 

@@ -12,23 +12,22 @@ coordinates (u = softmax(v)), an ascent direction that keeps escaping
 coordinates moving at unit speed when no maximizer exists (some u_i then
 collapses to 0, i.e. x_i grows without bound).  One backtracking line
 search accepts an Armijo increase of S, or a Newton step that lowers the
-residual without lowering S; trial points with non-finite curvature are
-rejected and counted.
+residual without lowering S; a trial point with non-finite curvature, or
+without a positive u_i, is rejected, counted and halved like any other.
 
-The multistarts run in lockstep: each start keeps its own state as one row
-of arrays, and each round evaluates the trial points of all running starts
-in one batched kernel call and builds the Newton steps of the starts that
-have just accepted one in one stacked linear solve.  Every operation acts on
-each row alone, so a start's outcome is bit for bit the one it has run
-alone.
+The MULTISTARTS seeded starts run in lockstep: each start keeps its own
+state as one row of arrays, and each round builds the new steps of the
+starts that have just accepted one in one stacked linear solve, makes one
+trial point per running start, evaluates them all in one batched kernel
+call, and accepts or halves each.  Every operation acts on each row alone,
+so a start's outcome is bit for bit the one it has run alone.
 
 A start stops when its projected gradient vanishes, if its residual
-certifies or some u_i is below the collapse threshold; when S gains
-nothing over the stagnation window or no step is accepted; or after
-max_iterations steps.  "solved" is certified componentwise on the returned
-metric x = d z / u: c > 0 and the relative residual
-max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T scales c
-inversely and leaves the residual unchanged.  Collapse with no
+certifies or some u_i is below the collapse threshold; when its line search
+accepts no step; or after MAX_ITERATIONS steps.  "solved" is certified
+componentwise on the returned metric x = d z / u: c > 0 and the relative
+residual max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T
+scales c inversely and leaves the residual unchanged.  Collapse with no
 certified start is reported as "diverged" -- evidence that the supremum
 is not attained, never a proof of nonexistence.
 """
@@ -54,19 +53,19 @@ class SolverError(ValueError):
     """Raised for malformed solve requests."""
 
 
-# A start stops once its projected gradient is this small relative to the
-# multiplier, S gains nothing over the stagnation window, or some u_i falls
-# below the collapse threshold (see _run_starts).
+# A solve runs MULTISTARTS starts of at most MAX_ITERATIONS steps each; a
+# start stops once its projected gradient is this small relative to the
+# multiplier, or some u_i falls below the collapse threshold (see
+# _run_starts).
+MULTISTARTS = 16
+MAX_ITERATIONS = 10_000
 GRADIENT_TOL = 1e-10
-STAGNATION_WINDOW = 100
 COLLAPSE_THRESHOLD = 1e-12
 
 
 @dataclass
 class SolverOptions:
     residual_tol: float = 1e-8
-    max_iterations: int = 10_000
-    multistarts: int = 16
     seed: int = 0
 
 
@@ -125,7 +124,7 @@ class _StartOutcome:
     iterations: int
     certified: bool
     collapsed: tuple[int, ...]
-    rejected: int  # trial points with non-finite curvature
+    rejected: int  # trial points with non-finite curvature or some u_i <= 0
 
 
 class _Evaluator:
@@ -163,13 +162,12 @@ class _Starts:
     """The running starts of one solve, one row each (see ``_run_starts``).
 
     ``step`` is the Newton step du where ``newton`` is set, else the
-    centered softmax gradient p; ``t`` is the trial step length, ``tries``
-    the trials of the current line search, ``history`` a ring of S over the
-    last STAGNATION_WINDOW + 1 iterations.
+    centered softmax gradient p; ``t`` is the trial step length and
+    ``tries`` the trials of the current line search.
     """
 
     __slots__ = (
-        "index", "v", "u", "S", "r", "jac", "c", "res", "alpha", "history",
+        "index", "v", "u", "S", "r", "jac", "c", "res", "alpha",
         "iterations", "rejected", "step", "t", "slope", "newton", "tries",
     )
 
@@ -193,13 +191,13 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _outcome(st: _Starts, i: int, opts: SolverOptions) -> _StartOutcome:
+def _outcome(st: _Starts, i: int, tol: float, budget: int) -> _StartOutcome:
     u = st.u[i]
     c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
-    certified = res <= opts.residual_tol and c > 0
+    certified = res <= tol and c > 0
     if certified:
         status = "converged"
-    elif iterations == opts.max_iterations:
+    elif iterations == budget:
         status = "budget"
     else:
         status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
@@ -217,19 +215,20 @@ def _outcome(st: _Starts, i: int, opts: SolverOptions) -> _StartOutcome:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_StartOutcome]:
+def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list[_StartOutcome]:
     """Run the ascent from each row of V0 (softmax coordinates), all starts
-    in lockstep; the outcomes in the order of the rows.
+    in lockstep, each for at most ``budget`` steps, certifying at residual
+    ``tol``; the outcomes in the order of the rows.
 
     Every start follows its own ascent (see the module docstring), and its
-    outcome is the one it has run alone.  Each round makes one kernel call,
-    at the trial point of every running start (the first of a new step or a
-    halved one of its line search), and one stacked linear solve, for the
-    Newton steps of the starts that have just accepted a step.  A start
+    outcome is the one it has run alone.  Each round makes one stacked
+    linear solve, for the Newton steps of the starts that have just accepted
+    a step, and one kernel call, at the trial point of every running start
+    (the first of a new step or a halved one of its line search).  A start
     leaves the batch when it stops.
     """
     m, n = V0.shape
-    z, dz, window = ev.z, ev.dz, STAGNATION_WINDOW
+    z, dz = ev.z, ev.dz
     st = _Starts()
     st.index = np.arange(m)
     st.v = V0 - V0.max(axis=1, keepdims=True)
@@ -238,8 +237,6 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_St
     st.S = ev.value_and_ricci(st.u, st.r, st.jac)
     st.c, st.res = ev.fit(st.r)
     st.alpha = np.ones(m)
-    st.history = np.zeros((m, window + 1))
-    st.history[:, 0] = st.S
     st.iterations = np.zeros(m, dtype=np.int64)
     st.rejected = np.zeros(m, dtype=np.int64)
     st.step, st.t, st.slope = np.empty((m, n)), np.empty(m), np.empty(m)
@@ -251,14 +248,14 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_St
     def stop(rows: np.ndarray) -> None:
         if rows.any():
             for i in np.flatnonzero(rows):
-                outcomes[st.index[i]] = _outcome(st, i, opts)
+                outcomes[st.index[i]] = _outcome(st, i, tol, budget)
             st.keep(~rows)
 
     while len(st.index):
         # A new step for every start that has just accepted one (or begun).
         if fresh.any():
             f = slice(None) if fresh.all() else np.flatnonzero(fresh)
-            u, S, it = st.u[f], st.S[f], st.iterations[f]
+            u = st.u[f]
             F = st.r[f] / z
             cbar = np.vecdot(u, F)
             p = F - cbar[:, None]
@@ -266,15 +263,12 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_St
             # F, c and S scale alike with the target, hence the relative test.
             # Uncertified in the interior, a vanishing gradient means escaping
             # coordinates that stopped registering: go on until they collapse.
-            certified = (st.res[f] <= opts.residual_tol) & (st.c[f] > 0)
+            certified = (st.res[f] <= tol) & (st.c[f] > 0)
             interior = u.min(axis=1) >= COLLAPSE_THRESHOLD
             done = (np.abs(gv).max(axis=1) <= GRADIENT_TOL * np.abs(cbar)) & (
                 certified | ~interior
             )
-            ring = (st.iterations - window) % (window + 1)
-            oldest = st.history[np.arange(len(st.index)), ring][f]
-            done |= (it >= window) & (S - oldest <= 1e-12 * (1.0 + np.abs(S)))
-            done |= it == opts.max_iterations
+            done |= st.iterations[f] == budget
             # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c);
             # dF_i/du_m = -J[i, m] / z_i * x_m / u_m, with x = dz / u
             kkt = np.zeros((len(u), n + 1, n + 1))
@@ -297,27 +291,19 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_St
             ended[f] = done
             stop(ended)
 
-        # Trial points; one without a positive u_i is skipped unevaluated.
-        while True:
-            u_t = st.u + st.t[:, None] * st.step
-            u_t /= u_t.sum(axis=1, keepdims=True)
-            v_t = st.v + st.t[:, None] * st.step
-            v_t -= v_t.max(axis=1, keepdims=True)
-            u_t = np.where(st.newton[:, None], u_t, _softmax(v_t))
-            skip = ~(u_t > 0).all(axis=1)
-            if not skip.any():
-                break
-            st.t[skip] *= 0.5
-            st.tries[skip] += 1
-            # rounding in S hides any gain of a shorter step
-            stop(skip & ((st.t * st.slope <= 1e-15 * np.abs(st.S)) | (st.tries == 60)))
         if not len(st.index):
             break
 
+        # One trial point per running start, all in one kernel call.
+        u_t = st.u + st.t[:, None] * st.step
+        u_t /= u_t.sum(axis=1, keepdims=True)
+        v_t = st.v + st.t[:, None] * st.step
+        v_t -= v_t.max(axis=1, keepdims=True)
+        u_t = np.where(st.newton[:, None], u_t, _softmax(v_t))
         k = len(st.index)
         r_t, jac_t = np.empty((k, n)), np.empty((k, n, n))
         S_t = ev.value_and_ricci(u_t, r_t, jac_t)
-        finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1)
+        finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1) & (u_t > 0).all(axis=1)
         st.rejected += ~finite
         c_t, res_t = ev.fit(r_t)
         # an Armijo increase of S, or a Newton step that lowers the residual
@@ -335,10 +321,9 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, opts: SolverOptions) -> list[_St
         st.c = np.where(fresh, c_t, st.c)
         st.res = np.where(fresh, res_t, st.res)
         st.iterations += fresh
-        # a start that took no step rewrites its current S
-        st.history[np.arange(k), st.iterations % (window + 1)] = st.S
         st.t = np.where(fresh, st.t, 0.5 * st.t)
         st.tries += ~fresh
+        # rounding in S hides any gain of a shorter step
         failed = ~fresh & ((st.t * st.slope <= 1e-15 * np.abs(st.S)) | (st.tries == 60))
         fresh = fresh[~failed]
         stop(failed)
@@ -397,11 +382,12 @@ def maximize_S_on_MT(
     base = np.log(ev.dz)
     if model.s == 1:
         # the constraint set is a point: the base start, and no steps
-        outcomes = _run_starts(ev, base[None, :], replace(opts, max_iterations=0))
+        V0, budget = base[None, :], 0
     else:
         rng = np.random.default_rng(opts.seed)
-        spread = rng.normal(0.0, 0.75, size=(max(opts.multistarts - 1, 0), model.s))
-        outcomes = _run_starts(ev, np.vstack([base, base + spread]), opts)
+        V0 = np.vstack([base, base + rng.normal(0.0, 0.75, size=(MULTISTARTS - 1, model.s))])
+        budget = MAX_ITERATIONS
+    outcomes = _run_starts(ev, V0, opts.residual_tol, budget)
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]

@@ -146,7 +146,6 @@ def test_criterion_6_two_summand_iff_oracle():
     with criterion(6, "solver agrees with the exact two-summand threshold, 100 models"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(6)
-        opts = SolverOptions(multistarts=4, seed=0)
         for n in range(100):
             pass_side = n % 2 == 0
             model, T, threshold = random_two_summand_case(rng, pass_side)
@@ -154,7 +153,7 @@ def test_criterion_6_two_summand_iff_oracle():
             ratio = float(cond.ratio)
             assert abs(ratio - threshold) >= 0.05 * threshold
             assert cond.passed == pass_side
-            rep = solve_prescribed_ricci(model, T, options=opts)
+            rep = solve_prescribed_ricci(model, T)
             assert (rep.status == "solved") == pass_side, (
                 f"model {model.name} ratio={ratio:.4f} threshold={threshold:.4f} "
                 f"status={rep.status}"

@@ -48,6 +48,29 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "below 3" in out
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        '"casimir": [NaN, 0.3], "triples": [[1, 2, 2, 0.7]]',
+        '"killing": [Infinity, 1.0], "triples": [[1, 2, 2, 0.7]]',
+        '"casimir": [0.1, 0.3], "triples": [[1, 2, 2, -Infinity]]',
+    ],
+)
+def test_non_finite_model_data_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "nan.json"
+    path.write_text('{"name": "x", "s": 2, "dims": [2, 3], ' + data
+                    + ', "pairwise_inequivalent": true}')
+    for argv in (
+        ("validate", str(path)),
+        ("validate", str(path), "--rational"),
+        ("check", str(path), "--T", "1,1"),
+        ("solve", str(path), "--T", "1,1", "--json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "finite" in out + err and "Traceback" not in err
+
+
 def test_unknown_field_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x", "s": 1, "dims": [3], "killing": [1], '
@@ -103,6 +126,15 @@ def test_check_pass_and_fail_exit_codes(g2_path, capsys):
     code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,1", "--corollary", "--json")
     assert code == 0
     assert json.loads(out)["criterion"] == "corollary"
+    assert json.loads(out)["failing"] is None
+
+
+def test_check_json_names_the_failing_condition_by_index(g2_path, capsys):
+    code, out, _ = run(capsys, "check", str(g2_path), "--T", "1,1,0.1", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["failing"] == 1
+    assert [c["passed"] for c in doc["conditions"]] == [True, False]
+    assert doc["conditions"][1]["kprime"] == [3]
 
 
 def test_check_text_golden(g2_path, capsys):

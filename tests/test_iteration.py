@@ -7,7 +7,6 @@ import pytest
 from homricci import (
     DiagonalForm,
     IterationError,
-    SolverOptions,
     abelian_line_two_summand,
     build_model,
     classify_cor_all,
@@ -17,8 +16,6 @@ from homricci import (
     two_summand_condition,
 )
 
-OPTS = SolverOptions(multistarts=6, seed=0)
-
 
 def line_space():
     return abelian_line_two_summand(4, Fraction(1, 3), Fraction(1, 2))
@@ -27,7 +24,7 @@ def line_space():
 def test_iteration_on_unconditional_space():
     m = line_space()
     assert classify_cor_all(m)
-    trace = ricci_iterate(m, DiagonalForm.full((1.0, 1.0)), steps=10, options=OPTS)
+    trace = ricci_iterate(m, DiagonalForm.full((1.0, 1.0)), steps=10)
     assert trace.status == "completed"
     assert len(trace.steps) == 10
     for st in trace.steps:
@@ -37,7 +34,7 @@ def test_iteration_on_unconditional_space():
 
 def test_step_verification_identity():
     m = line_space()
-    trace = ricci_iterate(m, DiagonalForm.full((2.0, 0.5)), steps=4, options=OPTS)
+    trace = ricci_iterate(m, DiagonalForm.full((2.0, 0.5)), steps=4)
     steps = trace.steps
     # ricci(g_{i+1}) = ricci(gbar_{i+1}) = c_i gbar_i = g_i, by scale invariance
     for prev, cur in zip(steps, steps[1:]):
@@ -53,7 +50,7 @@ def test_step_verification_identity():
 
 def test_single_summand_constant_ray():
     m = build_model("pt", dims=(3,), killing=(1,))
-    trace = ricci_iterate(m, DiagonalForm.full((2.0,)), steps=5, options=OPTS)
+    trace = ricci_iterate(m, DiagonalForm.full((2.0,)), steps=5)
     assert trace.status == "completed"
     # rescaled metric is pinned at the fixed Ricci coefficient b/2
     for st in trace.steps:
@@ -66,8 +63,8 @@ def test_single_summand_constant_ray():
 
 def test_trace_bit_reproducible():
     m = line_space()
-    t1 = ricci_iterate(m, DiagonalForm.full((1.0, 3.0)), steps=6, options=OPTS)
-    t2 = ricci_iterate(m, DiagonalForm.full((1.0, 3.0)), steps=6, options=OPTS)
+    t1 = ricci_iterate(m, DiagonalForm.full((1.0, 3.0)), steps=6)
+    t2 = ricci_iterate(m, DiagonalForm.full((1.0, 3.0)), steps=6)
     assert t1.to_json_lines() == t2.to_json_lines()
 
 
@@ -75,7 +72,7 @@ def test_truncates_when_a_step_fails():
     m = two_summand(2, 3, 0.25, 0.3, 0.8)
     thr = float(two_summand_condition(m, DiagonalForm.full((1.0, 1.0))).threshold)
     start = DiagonalForm.full((0.5 * thr, 1.0))
-    trace = ricci_iterate(m, start, steps=5, options=OPTS)
+    trace = ricci_iterate(m, start, steps=5)
     assert trace.status == "truncated"
     assert trace.steps == ()
     assert trace.failure is not None and trace.failure.status == "diverged"
@@ -91,7 +88,7 @@ def test_iteration_input_validation():
 
 def test_cauchy_diagnostics_monotone_for_contracting_space():
     m = line_space()
-    trace = ricci_iterate(m, DiagonalForm.full((5.0, 0.2)), steps=8, options=OPTS)
+    trace = ricci_iterate(m, DiagonalForm.full((5.0, 0.2)), steps=8)
     assert len(trace.cauchy) == 7
     # not asserted to converge in general; this space does settle down
     assert trace.cauchy[-1] < trace.cauchy[0]

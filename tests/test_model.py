@@ -84,6 +84,13 @@ def test_structural_rejections():
         build_model("none", dims=(3,))
     with pytest.raises(ModelError):
         build_model("derived-neg", dims=(2, 2), killing=(1, 0), triples={(1, 2, 2): 5})
+    for kwargs in (
+        {"casimir": (float("nan"), 0.3)},
+        {"killing": (float("inf"), 1.0)},
+        {"casimir": (0.1, 0.3), "triples": {(1, 2, 2): float("nan")}},
+    ):
+        with pytest.raises(ModelError, match="finite"):
+            build_model("non-finite", dims=(2, 3), **kwargs)
 
 
 def test_parse_rejects_bad_documents():

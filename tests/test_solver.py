@@ -26,8 +26,7 @@ from helpers import random_positive_form, random_space_model, random_two_summand
 
 G2 = flag3(4, 2, 4)
 UNIT = DiagonalForm.full((1.0, 1.0, 1.0))
-
-FAST = SolverOptions(multistarts=6, seed=0)
+TOL = SolverOptions.residual_tol
 
 
 def flag3_target(p, q):
@@ -71,10 +70,10 @@ def test_single_summand_flat_torus():
 
 
 def test_scale_coherence():
-    unit = maximize_S_on_MT(G2, UNIT, FAST)
+    unit = maximize_S_on_MT(G2, UNIT)
     for lam in (1e-300, 1e-160, 1e-100, 1e-7, 2.0, 3.0, 1e100, 1e160, 1e300):
         T = UNIT.scale(lam)
-        rep = maximize_S_on_MT(G2, T, FAST)
+        rep = maximize_S_on_MT(G2, T)
         assert rep.status == "solved"
         assert [v / lam for v in rep.x.values] == pytest.approx(unit.x.values, rel=1e-9)
         assert rep.c * lam == pytest.approx(unit.c, rel=1e-9)
@@ -90,9 +89,9 @@ def test_scale_coherence():
 def test_two_summand_sides():
     m = two_summand(2, 3, 0.25, 0.3, 0.8)
     thr = float(two_summand_condition(m, DiagonalForm.full((1.0, 1.0))).threshold)
-    passing = solve_prescribed_ricci(m, DiagonalForm.full((1.3 * thr, 1.0)), options=FAST)
+    passing = solve_prescribed_ricci(m, DiagonalForm.full((1.3 * thr, 1.0)))
     assert passing.status == "solved"
-    failing = solve_prescribed_ricci(m, DiagonalForm.full((0.7 * thr, 1.0)), options=FAST)
+    failing = solve_prescribed_ricci(m, DiagonalForm.full((0.7 * thr, 1.0)))
     assert failing.status == "diverged"
     # the escaping direction is the complement of the subalgebra side
     assert failing.collapsed == (2,)
@@ -158,10 +157,10 @@ def test_iterates_monotone_in_S():
     z = np.array([1.0, 1.0, 1.0])
     ev = solver_mod._Evaluator(G2, z)
     v0 = (np.log(ev.dz) + 0.3)[None, :]
-    (full,) = solver_mod._run_starts(ev, v0, SolverOptions())
+    (full,) = solver_mod._run_starts(ev, v0, TOL, solver_mod.MAX_ITERATIONS)
     assert full.status == "converged" and full.iterations > 3
     values = [
-        solver_mod._run_starts(ev, v0, SolverOptions(max_iterations=k))[0].S
+        solver_mod._run_starts(ev, v0, TOL, k)[0].S
         for k in range(1, full.iterations + 1)
     ]
     assert values[-1] == full.S
@@ -174,10 +173,10 @@ def test_every_start_monotone_in_S():
     for T in (flag3_target(1.2, 1.4), DiagonalForm.full((1.0, 0.5, 2.0))):
         ev = solver_mod._Evaluator(G2, np.array(T.values))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(8, 3))
-        full = solver_mod._run_starts(ev, V0, SolverOptions())
+        full = solver_mod._run_starts(ev, V0, TOL, solver_mod.MAX_ITERATIONS)
         assert all(o.status == "converged" for o in full)
         values = np.array([
-            [o.S for o in solver_mod._run_starts(ev, V0, SolverOptions(max_iterations=k))]
+            [o.S for o in solver_mod._run_starts(ev, V0, TOL, k)]
             for k in range(1, max(o.iterations for o in full) + 1)
         ])
         assert np.all(np.diff(values, axis=0) >= 0)
@@ -190,20 +189,35 @@ def test_lockstep_starts_match_starts_run_alone():
     s6 = random_space_model(rng, s=6)
     cases = [(G2, T) for T in (UNIT, flag3_target(4.0, 1.4), DiagonalForm.full((1.0, 1.0, 0.1)))]
     cases += [(s6, random_positive_form(rng, 6)) for _ in range(2)]
-    opts = SolverOptions(max_iterations=100)
-    statuses = set()
+    statuses, zero_points = set(), 0
     for model, T in cases:
         ev = solver_mod._Evaluator(model, np.array([float(v) for v in T.values]))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(16, model.s))
-        together = solver_mod._run_starts(ev, V0, opts)
+        together = solver_mod._run_starts(ev, V0, TOL, 100)
+        evaluate, points = ev.value_and_ricci, []
+
+        def recording(u, out_r, out_jac):
+            S = evaluate(u, out_r, out_jac)
+            points.append((u.min(), np.isfinite(S[0]) and np.isfinite(out_r).all()))
+            return S
+
+        ev.value_and_ricci = recording
         for v0, o in zip(V0, together):
-            (alone,) = solver_mod._run_starts(ev, v0[None, :], opts)
+            points.clear()
+            (alone,) = solver_mod._run_starts(ev, v0[None, :], TOL, 100)
             assert (alone.S, alone.status, alone.iterations, alone.rejected) == (
                 o.S, o.status, o.iterations, o.rejected
             )
             assert np.array_equal(alone.u, o.u)
+            # a trial point with a zero u_i is evaluated, counted as
+            # rejected and never accepted
+            trials = points[1:]
+            assert o.rejected == sum(not (u_min > 0 and finite) for u_min, finite in trials)
+            zero_points += sum(u_min <= 0 for u_min, _ in trials)
+            assert np.all(np.isfinite(o.u)) and np.all(o.u > 0)
             statuses.add(o.status)
     assert statuses == {"converged", "collapsed", "stalled", "budget"}
+    assert zero_points > 0
 
 
 def test_determinism_and_seed_sensitivity():
@@ -219,7 +233,7 @@ def test_randomized_two_summand_agreement_small():
     rng = np.random.default_rng(31)
     for n in range(12):
         model, T, _ = random_two_summand_case(rng, pass_side=(n % 2 == 0))
-        rep = solve_prescribed_ricci(model, T, options=SolverOptions(multistarts=4))
+        rep = solve_prescribed_ricci(model, T)
         want = two_summand_condition(model, T).passed
         assert (rep.status == "solved") == want
 
@@ -233,7 +247,7 @@ def test_status_matches_exact_threshold_within_one_percent():
         for factor in (0.99, 0.995, 1.005, 1.01):
             T = DiagonalForm.full((factor * threshold, 1.0))
             assert two_summand_condition(model, T).passed == (factor > 1)
-            rep = solve_prescribed_ricci(model, T, options=SolverOptions(multistarts=4))
+            rep = solve_prescribed_ricci(model, T)
             assert rep.status == ("solved" if factor > 1 else "diverged"), (factor, model.dims)
 
 
@@ -251,12 +265,12 @@ def test_unit_solve_kernel_calls(monkeypatch):
     assert len(calls) <= 600
 
 
-def test_solves_leak_no_numeric_warnings():
-    opts = SolverOptions(max_iterations=100)
+def test_solves_leak_no_numeric_warnings(monkeypatch):
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        passing = solve_prescribed_ricci(G2, flag3_target(1.2, 1.4), options=opts)
-        failing = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)), options=opts)
+        passing = solve_prescribed_ricci(G2, flag3_target(1.2, 1.4))
+        failing = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)))
     assert passing.status == "solved"
     assert failing.status != "solved"
     # the overflowing trial points were rejected, and counted in one note
@@ -276,12 +290,12 @@ def test_target_range_is_the_normal_doubles():
     # a subnormal or unrepresentable coefficient is an input error ...
     for T in ((1e-310, 1e-310, 1e-310), (1.0, 5e-324, 1.0), (1.0, Fraction(10) ** 400, 1.0)):
         with pytest.raises(SolverError):
-            maximize_S_on_MT(G2, DiagonalForm.full(T), FAST)
+            maximize_S_on_MT(G2, DiagonalForm.full(T))
     # ... and at both ends of the normal range the report is strict JSON
     tiny = np.finfo(np.float64).tiny
-    low = maximize_S_on_MT(G2, UNIT.scale(tiny), FAST)
+    low = maximize_S_on_MT(G2, UNIT.scale(tiny))
     assert low.status == "solved" and low.c * tiny == pytest.approx(0.3844014068, rel=1e-9)
-    high = maximize_S_on_MT(G2, UNIT.scale(1.7e308), FAST)
+    high = maximize_S_on_MT(G2, UNIT.scale(1.7e308))
     # c fits a double there, but x = d z / u does not
     assert (high.status, high.x) == ("inconclusive", None)
     assert high.c * 1.7e308 == pytest.approx(0.3844014068, rel=1e-9)
@@ -297,13 +311,13 @@ def test_target_range_is_the_normal_doubles():
 
 
 def test_exact_target_converted_to_float():
-    rep = solve_prescribed_ricci(G2, DiagonalForm.full((1, 1, 1)), options=FAST)
+    rep = solve_prescribed_ricci(G2, DiagonalForm.full((1, 1, 1)))
     assert rep.status == "solved"
     assert rep.c == pytest.approx(0.3844014068, abs=1e-9)
 
 
 def test_report_serializes():
-    rep = solve_prescribed_ricci(G2, UNIT, options=FAST)
+    rep = solve_prescribed_ricci(G2, UNIT)
     doc = rep.to_dict()
     assert doc["status"] == "solved"
     assert len(doc["x"]) == 3
