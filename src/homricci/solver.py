@@ -30,11 +30,25 @@ residual max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T
 scales c inversely and leaves the residual unchanged.  Collapse with no
 certified start is reported as "diverged" -- evidence that the supremum
 is not attained, never a proof of nonexistence.
+
+Two summands take no ascent.  Along x = (1, t), P(t) = t^2 (z_2 r_1 -
+z_1 r_2) is a polynomial of degree at most 4, and dS/dt has the sign of P.
+Its coefficients are exact (Fractions) from d, b, [111], [112], [122] and
+[222]; a Sturm sequence counts its positive roots exactly, and each is
+isolated, polished in float and kept when c = r_1 / z_1 > 0 there (an
+admissible root).  Each admissible root is certified like a start, at x =
+lambda (1, t) with one kernel evaluation.  With no admissible root no
+solution exists, so for s = 2 "diverged" is a proof of nonexistence; the
+escaping coordinate is x_2 when P > 0 for large t (S grows as t grows
+without bound) and x_1 when P < 0 for small t.  When P vanishes
+identically (both singletons close and T is parallel to r), every t
+solves, and the solve returns t = 1, the base start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -82,6 +96,11 @@ class SolveReport:
     certification, and a certified answer whose x or c is beyond the float
     range at the scale of T.  Any of x, c, S and the start values that is
     beyond the float range is None, so that ``to_dict`` is strict JSON.
+
+    For s = 2 (see the module docstring) the starts are the admissible
+    roots: ``starts_used`` counts them, ``start_values`` holds S at each,
+    and ``iterations`` is 0.  There "diverged" is a proof that no solution
+    exists, and its residual and S are None, since no point was evaluated.
     """
 
     status: str
@@ -120,7 +139,7 @@ class _StartOutcome:
     u: np.ndarray
     c: float
     residual: float
-    status: str  # converged | stalled | collapsed | budget
+    status: str  # converged | stalled | collapsed | budget; an s = 2 root converged | stalled
     iterations: int
     certified: bool
     collapsed: tuple[int, ...]
@@ -139,8 +158,11 @@ class _Evaluator:
         self.dzz = float(np.dot(self.dz, z))
         self.zmax = float(np.max(z))
 
-    def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
-        """S at each row of u (m, n); fills out_r (m, n) and out_jac (m, n, n)."""
+    def value_and_ricci(
+        self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """S at each row of u (m, n); fills out_r (m, n) and, if given,
+        out_jac (m, n, n)."""
         return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
 
     def fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,6 +352,154 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     return outcomes
 
 
+def _ascend(ev: _Evaluator, opts: SolverOptions) -> list[_StartOutcome]:
+    """The seeded starts' ascent: the base start, the constant multiple of the
+    background form that sits on the constraint set, then MULTISTARTS - 1
+    random ones; for s = 1 the constraint set is a point: the base start,
+    and no steps."""
+    base = np.log(ev.dz)
+    if len(base) == 1:
+        return _run_starts(ev, base[None, :], opts.residual_tol, 0)
+    rng = np.random.default_rng(opts.seed)
+    V0 = np.vstack([base, base + rng.normal(0.0, 0.75, size=(MULTISTARTS - 1, len(base)))])
+    return _run_starts(ev, V0, opts.residual_tol, MAX_ITERATIONS)
+
+
+def _horner(p: list, t):
+    """The polynomial p (coefficients lowest degree first) at t."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of the polynomials a by b (b's last coefficient
+    nonzero); the remainder has no trailing zeros."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = q[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+    rem = a[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
+
+
+def _sturm(p: list) -> list[list]:
+    """The Sturm sequence of p, of degree at least 1; it ends in gcd(p, p')."""
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while rem := _divmod(seq[-2], seq[-1])[1]:
+        seq.append([-c for c in rem])
+    return seq
+
+
+def _sign_changes(seq: list[list], t: Fraction) -> int:
+    """Sign changes along the polynomials of seq at t."""
+    signs = [v > 0 for v in (_horner(q, t) for q in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _to_float(p: list) -> list[float]:
+    """The exact polynomial p over its largest coefficient, in float: the
+    same signs everywhere, and no coefficient overflows."""
+    scale = max(abs(c) for c in p) or 1
+    return [float(c / scale) for c in p]
+
+
+_FLOAT_MAX = Fraction(np.finfo(np.float64).max)
+
+
+def _positive_roots(p: list) -> list[float]:
+    """The distinct positive roots of the nonzero exact polynomial p,
+    counted and isolated exactly, then polished in float by bisection."""
+    while p[-1] == 0:
+        p = p[:-1]
+    while p[0] == 0:  # roots at 0 do not count, and p(0) != 0 from here
+        p = p[1:]
+    if len(p) == 1:
+        return []
+    seq = _sturm(p)
+    if len(seq[-1]) > 1:  # repeated roots: the square-free part's are simple
+        p = _divmod(p, seq[-1])[0]
+        seq = _sturm(p)
+    pf = _to_float(p)
+    bound = 1 + max(abs(c / p[-1]) for c in p[:-1])  # above every root (Cauchy)
+    roots = []
+    stack = [(Fraction(0), bound, _sign_changes(seq, Fraction(0)), _sign_changes(seq, bound))]
+    while stack:
+        a, b, changes_a, changes_b = stack.pop()
+        if changes_a - changes_b > 1:
+            m = (a + b) / 2
+            while _horner(p, m) == 0:
+                m = (a + m) / 2
+            changes_m = _sign_changes(seq, m)
+            stack += [(a, m, changes_a, changes_m), (m, b, changes_m, changes_b)]
+        elif changes_a - changes_b == 1:
+            # one simple root in (a, b): p changes sign there
+            lo, hi = float(min(a, _FLOAT_MAX)), float(min(b, _FLOAT_MAX))
+            low_negative = _horner(p, a) < 0
+            while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
+                if (_horner(pf, t) < 0) == low_negative:
+                    lo = t
+                else:
+                    hi = t
+            roots.append(t)
+    return sorted(roots)
+
+
+def _two_summand_roots(
+    model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
+) -> tuple[list[_StartOutcome], tuple[int, ...]]:
+    """The s = 2 solve (see the module docstring): one outcome per admissible
+    root of P, certified at residual ``tol`` in one kernel call, and the
+    coordinate that escapes when there is none."""
+    d1, d2 = model.dims
+    b1, b2 = (Fraction(v) for v in model.killing)
+    z1, z2 = (Fraction(v) for v in T.values)
+    bracket = {(i, j, k): Fraction(v) for i, j, k, v in model.triples}
+    t111, t112, t122, t222 = (
+        bracket.get(key, Fraction(0)) for key in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+    )
+    # t^2 r_1 and t^2 r_2 at x = (1, t), from the kernel formula
+    r1 = [t122 / (4 * d1), 0, b1 / 2 - t111 / (4 * d1) - t122 / (2 * d1), -t112 / (2 * d1), 0]
+    r2 = [0, -t122 / (2 * d2), b2 / 2 - t222 / (4 * d2) - t112 / (2 * d2), 0, t112 / (4 * d2)]
+    P = [z2 * a - z1 * b for a, b in zip(r1, r2)]
+    if any(P):
+        roots = _positive_roots(P)
+        ends = [c for c in P if c != 0]
+        escaped = (2,) if ends[-1] > 0 else (1,) if ends[0] < 0 else ()
+    else:
+        roots, escaped = [1.0], ()
+    # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
+    # even where one z_i is so small that r_i cancels to rounding
+    wf = _to_float([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
+    t = np.array([root for root in roots if _horner(wf, root) > 0])
+    if not len(t):
+        return [], escaped
+    u = np.column_stack([np.full(len(t), ev.dz[0]), ev.dz[1] / t])
+    u /= u.sum(axis=1, keepdims=True)
+    r = np.empty(u.shape)
+    S = ev.value_and_ricci(u, r)
+    c, res = ev.fit(r)
+    certified = (res <= tol) & (c > 0)
+    return [
+        _StartOutcome(
+            S=float(S[i]),
+            u=u[i],
+            c=float(c[i]),
+            residual=float(res[i]),
+            status="converged" if certified[i] else "stalled",
+            iterations=0,
+            certified=bool(certified[i]),
+            collapsed=(),
+            rejected=0,
+        )
+        for i in range(len(t))
+    ], escaped
+
+
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
     """Of the starts tied in S with the highest to rounding, the one with the
     smallest residual."""
@@ -370,6 +540,11 @@ def maximize_S_on_MT(
     the report returns the most accurate one tied in S with the highest.
     Overflow raises no warning: a note counts the rejected trial points with
     non-finite curvature.
+
+    For s = 2 the admissible roots of the exact polynomial take the place
+    of the starts (see the module docstring): a certified root makes
+    "solved", no admissible root makes "diverged", a proof of
+    nonexistence, and an uncertified one "inconclusive".
     """
     opts = options or SolverOptions()
     z = _as_target(model, T)
@@ -379,39 +554,45 @@ def maximize_S_on_MT(
     # overflow nor underflow at any scale of T.
     k = int(np.frexp(np.max(z))[1]) - 1
     ev = _Evaluator(model, np.ldexp(z, -k))
-    base = np.log(ev.dz)
-    if model.s == 1:
-        # the constraint set is a point: the base start, and no steps
-        V0, budget = base[None, :], 0
+    if model.s == 2:
+        outcomes, escaped = _two_summand_roots(model, T, ev, opts.residual_tol)
     else:
-        rng = np.random.default_rng(opts.seed)
-        V0 = np.vstack([base, base + rng.normal(0.0, 0.75, size=(MULTISTARTS - 1, model.s))])
-        budget = MAX_ITERATIONS
-    outcomes = _run_starts(ev, V0, opts.residual_tol, budget)
+        outcomes = _ascend(ev, opts)
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]
     if certified:
-        status, best = "solved", _most_accurate(certified)
+        status, best, escaped = "solved", _most_accurate(certified), ()
         notes = ()
+    elif not outcomes:
+        # s = 2, and the exact count found no admissible root
+        status, best = "diverged", None
+        notes = (
+            "no solution exists: the exact root count finds no root with c > 0"
+            + (f"; coordinates {escaped} escape (x there grows without bound)" if escaped else ""),
+        )
     elif collapsed:
         status, best = "diverged", _most_accurate(collapsed)
+        escaped = best.collapsed
         notes = (
             "supremum appears unattained; coordinates "
             f"{best.collapsed} escaped (x there grows without bound)",
         )
     else:
-        status, best = "inconclusive", _most_accurate(outcomes)
+        status, best, escaped = "inconclusive", _most_accurate(outcomes), ()
         notes = (
-            "no start certified; best residual " + format(best.residual, ".3e")
+            ("no root" if model.s == 2 else "no start")
+            + " certified; best residual " + format(best.residual, ".3e")
             + ("" if best.c > 0 else f", c = {np.ldexp(best.c, -k):.3e} not positive"),
         )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
         notes += (f"{rejected} trial points with non-finite curvature rejected",)
 
-    xb = ev.dz / best.u
-    x, c, S = np.ldexp(xb, k), float(np.ldexp(best.c, -k)), float(np.ldexp(best.S, -k))
+    x = c = S = None
+    if best is not None:
+        xb = ev.dz / best.u
+        x, c, S = np.ldexp(xb, k), float(np.ldexp(best.c, -k)), float(np.ldexp(best.S, -k))
     if status != "diverged" and not (np.all(np.isfinite(x)) and np.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
@@ -421,12 +602,12 @@ def maximize_S_on_MT(
         status=status,
         x=DiagonalForm.full(tuple(x.tolist())) if returns_x else None,
         c=c if status != "diverged" and np.isfinite(c) else None,
-        residual=best.residual,
-        S_value=S if np.isfinite(S) else None,
+        residual=None if best is None else best.residual,
+        S_value=S if S is not None and np.isfinite(S) else None,
         constraint_error=abs(float(np.sum(ev.dz / xb)) - 1.0) if returns_x else None,
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
-        collapsed=best.collapsed if status == "diverged" else (),
+        collapsed=escaped,
         start_values=tuple(
             v if np.isfinite(v) else None for v in np.ldexp([o.S for o in outcomes], -k).tolist()
         ),

@@ -131,12 +131,17 @@ def test_residual_is_scale_invariant():
 
 
 def test_uncertified_solve_returns_most_accurate_tied_start():
-    # 14 of the 16 starts tie in S; their residuals run from 3e-17 to 4e-10
-    m = two_summand(2, 3, "1/10", "3/10", "7/10")
+    # all 16 starts tie in S; their residuals run from 1e-16 to 1.5e-10, and
+    # the start with the highest S has the largest
     opts = SolverOptions(residual_tol=1e-20)
-    rep = solve_prescribed_ricci(m, DiagonalForm.full((5.0, 1.0)), options=opts)
+    rep = solve_prescribed_ricci(G2, flag3_target(2.0, 2.0), options=opts)
     assert rep.status == "inconclusive"
     assert rep.residual <= 1e-15
+    # for s = 2 an admissible root that fails certification is inconclusive
+    m = two_summand(2, 3, "1/10", "3/10", "7/10")
+    rep = solve_prescribed_ricci(m, DiagonalForm.full((5.0, 1.0)), options=opts)
+    assert (rep.status, rep.starts_used) == ("inconclusive", 1)
+    assert rep.residual <= 1e-15 and rep.x is not None
     # with S = -inf at every start no start ties, and the first is returned
     outcomes = [
         solver_mod._StartOutcome(-np.inf, np.ones(3) / 3, 1.0, res, "stalled", 0, False, (), 0)
@@ -238,9 +243,29 @@ def test_randomized_two_summand_agreement_small():
         assert (rep.status == "solved") == want
 
 
-def test_status_matches_exact_threshold_within_one_percent():
+def newton_solve(monkeypatch, model, T):
+    """The s = 2 solve by the multistart Newton ascent instead of the exact
+    root count, through the same report."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            solver_mod,
+            "_two_summand_roots",
+            lambda model, T, ev, tol: (solver_mod._ascend(ev, SolverOptions()), ()),
+        )
+        return maximize_S_on_MT(model, T)
+
+
+def assert_same_solve(exact, newton):
+    assert exact.status == newton.status
+    if exact.status == "solved":
+        assert exact.x.values == pytest.approx(newton.x.values, rel=1e-8)
+    if exact.status == "diverged":
+        assert exact.collapsed == newton.collapsed
+
+
+def test_status_matches_exact_threshold_within_one_percent(monkeypatch):
     # s = 2: "solved" exactly above the threshold and "diverged" below it,
-    # at ratios within 1% of it on both sides
+    # at ratios within 1% of it on both sides, as the Newton ascent finds
     rng = np.random.default_rng(37)
     for _ in range(12):
         model, _, threshold = random_two_summand_case(rng, pass_side=True)
@@ -249,6 +274,34 @@ def test_status_matches_exact_threshold_within_one_percent():
             assert two_summand_condition(model, T).passed == (factor > 1)
             rep = solve_prescribed_ricci(model, T)
             assert rep.status == ("solved" if factor > 1 else "diverged"), (factor, model.dims)
+            assert_same_solve(rep, newton_solve(monkeypatch, model, T))
+            if rep.status == "diverged":
+                assert rep.collapsed == (2,) and "no solution exists" in rep.notes[-1]
+
+
+def test_degenerate_two_summand_lattices(monkeypatch):
+    # both singletons closed: every metric has r = (1/2, 1/3)
+    frozen = build_model("frozen", dims=(2, 2), casimir=(Fraction(1, 2), Fraction(1, 3)))
+    # neither closed: every target is solvable
+    unclosed = build_model(
+        "unclosed", dims=(2, 2), casimir=(Fraction(1, 4), Fraction(1, 4)),
+        triples={(1, 1, 2): Fraction(1, 3), (1, 2, 2): Fraction(1, 3)},
+    )
+    cases = [
+        (frozen, (3, 2), "solved", ()),  # parallel: t = 1, the base start
+        (frozen, (1, 5), "diverged", (2,)),
+        (frozen, (5, 1), "diverged", (1,)),
+        (unclosed, (1, 1), "solved", ()),
+        (unclosed, (7, 1), "solved", ()),
+        (unclosed, (1, 9), "solved", ()),
+    ]
+    for model, values, status, collapsed in cases:
+        T = DiagonalForm.full(values)
+        rep = maximize_S_on_MT(model, T)
+        assert two_summand_condition(model, T).passed == (status == "solved")
+        assert (rep.status, rep.collapsed) == (status, collapsed), (model.name, values)
+        assert_same_solve(rep, newton_solve(monkeypatch, model, T))
+    assert maximize_S_on_MT(frozen, DiagonalForm.full((3, 2))).x.values == (10.0, 10.0)
 
 
 def test_unit_solve_kernel_calls(monkeypatch):
@@ -263,6 +316,60 @@ def test_unit_solve_kernel_calls(monkeypatch):
     rep = solve_prescribed_ricci(G2, UNIT)
     assert rep.status == "solved"
     assert len(calls) <= 600
+
+
+def test_two_summand_status_at_extreme_ratios():
+    # with z_1 tiny, r_1 = c z_1 cancels to rounding at the root, but the
+    # sign of c must still decide the status
+    side1 = two_summand(2, 3, "1/4", "3/10", "4/5")
+    side2 = build_model(
+        "side2", dims=(2, 3), casimir=(Fraction(1, 4), Fraction(3, 10)),
+        triples={(1, 1, 2): Fraction(4, 5)},
+    )
+    for model in (side1, side2):
+        for values in ((2.3e-308, 1.0), (1e-200, 1.0), (1e-20, 1.0), (1.0, 1e-20), (1.0, 1e-200)):
+            T = DiagonalForm.full(values)
+            rep = maximize_S_on_MT(model, T)
+            passed = two_summand_condition(model, T).passed
+            assert rep.status == ("solved" if passed else "diverged"), (model.name, values)
+
+
+def test_positive_roots_are_counted_once_each():
+    def poly(*roots):  # -3/7 prod (t - root), coefficients lowest degree first
+        p = [Fraction(-3, 7)]
+        for root in roots:
+            p = [-root * a + b for a, b in zip(p + [0], [0] + p)]
+        return p
+
+    third = Fraction(1, 3)
+    cases = [
+        (poly(1, 1, 2), [1.0, 2.0]),  # a double root has no sign change
+        (poly(third, third, third, 5), [1 / 3, 5.0]),
+        (poly(0, 0, 1, 2), [1.0, 2.0]),  # roots at 0 are not positive
+        (poly(-1, Fraction(1, 1000), Fraction(1001, 1000000)), [1e-3, 1.001e-3]),
+        (poly(1, 2, 3, 4), [1.0, 2.0, 3.0, 4.0]),
+        ([Fraction(1), Fraction(0), Fraction(1)], []),
+    ]
+    for p, roots in cases:
+        assert solver_mod._positive_roots(p) == pytest.approx(roots, rel=1e-12)
+
+
+def test_two_summand_solve_kernel_calls(monkeypatch):
+    # no ascent: at most one evaluated point per admissible root, in one call
+    original = _kernels.value_and_ricci
+    points = []
+
+    def counting(*args):
+        points.append(args[7].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "value_and_ricci", counting)
+    m = two_summand(2, 3, "1/4", "3/10", "4/5")
+    for values, status in (((1, 1), "solved"), ((Fraction(1, 4), 1), "diverged")):
+        points.clear()
+        rep = maximize_S_on_MT(m, DiagonalForm.full(values))
+        assert (rep.status, rep.iterations) == (status, 0)
+        assert len(points) <= 1 and sum(points) == rep.starts_used == (status == "solved")
 
 
 def test_solves_leak_no_numeric_warnings(monkeypatch):
