@@ -34,15 +34,18 @@ is not attained, never a proof of nonexistence.
 Two summands take no ascent.  Along x = (1, t), P(t) = t^2 (z_2 r_1 -
 z_1 r_2) is a polynomial of degree at most 4, and dS/dt has the sign of P.
 Its coefficients are exact (Fractions) from d, b, [111], [112], [122] and
-[222]; a Sturm sequence counts its positive roots exactly, and each is
-isolated, polished in float and kept when c = r_1 / z_1 > 0 there (an
-admissible root).  Each admissible root is certified like a start, at x =
-lambda (1, t) with one kernel evaluation.  With no admissible root no
-solution exists, so for s = 2 "diverged" is a proof of nonexistence; the
-escaping coordinate is x_2 when P > 0 for large t (S grows as t grows
-without bound) and x_1 when P < 0 for small t.  When P vanishes
-identically (both singletons close and T is parallel to r), every t
-solves, and the solve returns t = 1, the base start.
+[222], and since d, z > 0 and every [ijk] >= 0 their signs, lowest degree
+first, are (+, +, any, -, -), zeros allowed.  By Descartes' rule of signs P
+has exactly one positive root, a simple one, when its nonzero coefficients
+change sign, and none otherwise.  The root is polished in float and kept
+when c = r_1 / z_1 > 0 there: the at most one admissible root, so unless
+P vanishes identically (below) the solution is unique up to scale.  It is
+certified like a start, at x = lambda (1, t) with one kernel evaluation.
+With no admissible root no solution exists, so for s = 2 "diverged" is a
+proof of nonexistence; with no root the escaping coordinate is x_2 when
+P > 0 (S grows as t grows without bound) and x_1 when P < 0.  When P
+vanishes identically (both singletons close and T is parallel to r),
+every t solves, and the solve returns t = 1, the base start.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .chains import (
     ConditionReport,
     EtaUndefinedError,
     HypothesisViolatedError,
+    _in_float_range,
     check_theorem,
 )
 from .model import DiagonalForm, SpaceModel
@@ -97,10 +101,11 @@ class SolveReport:
     range at the scale of T.  Any of x, c, S and the start values that is
     beyond the float range is None, so that ``to_dict`` is strict JSON.
 
-    For s = 2 (see the module docstring) the starts are the admissible
-    roots: ``starts_used`` counts them, ``start_values`` holds S at each,
-    and ``iterations`` is 0.  There "diverged" is a proof that no solution
-    exists, and its residual and S are None, since no point was evaluated.
+    For s = 2 (see the module docstring) the one start is the admissible
+    root, if there is one: ``starts_used`` is 0 or 1, ``start_values``
+    holds S there, and ``iterations`` is 0.  There "diverged" is a proof
+    that no solution exists, and its residual and S are None, since no
+    point was evaluated.
     """
 
     status: str
@@ -373,34 +378,6 @@ def _horner(p: list, t):
     return acc
 
 
-def _divmod(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of the polynomials a by b (b's last coefficient
-    nonzero); the remainder has no trailing zeros."""
-    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
-    for shift in range(len(a) - len(b), -1, -1):
-        f = q[shift] = a[shift + len(b) - 1] / b[-1]
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-    rem = a[: len(b) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
-
-
-def _sturm(p: list) -> list[list]:
-    """The Sturm sequence of p, of degree at least 1; it ends in gcd(p, p')."""
-    seq = [p, [i * c for i, c in enumerate(p)][1:]]
-    while rem := _divmod(seq[-2], seq[-1])[1]:
-        seq.append([-c for c in rem])
-    return seq
-
-
-def _sign_changes(seq: list[list], t: Fraction) -> int:
-    """Sign changes along the polynomials of seq at t."""
-    signs = [v > 0 for v in (_horner(q, t) for q in seq) if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def _to_float(p: list) -> list[float]:
     """The exact polynomial p over its largest coefficient, in float: the
     same signs everywhere, and no coefficient overflows."""
@@ -411,50 +388,31 @@ def _to_float(p: list) -> list[float]:
 _FLOAT_MAX = Fraction(np.finfo(np.float64).max)
 
 
-def _positive_roots(p: list) -> list[float]:
-    """The distinct positive roots of the nonzero exact polynomial p,
-    counted and isolated exactly, then polished in float by bisection."""
+def _positive_root(p: list) -> float:
+    """The positive root of the exact polynomial p whose nonzero
+    coefficients, lowest degree first, change sign once, from + to -,
+    polished in float by bisection."""
     while p[-1] == 0:
         p = p[:-1]
-    while p[0] == 0:  # roots at 0 do not count, and p(0) != 0 from here
+    while p[0] == 0:  # a root at 0 is not positive
         p = p[1:]
-    if len(p) == 1:
-        return []
-    seq = _sturm(p)
-    if len(seq[-1]) > 1:  # repeated roots: the square-free part's are simple
-        p = _divmod(p, seq[-1])[0]
-        seq = _sturm(p)
     pf = _to_float(p)
-    bound = 1 + max(abs(c / p[-1]) for c in p[:-1])  # above every root (Cauchy)
-    roots = []
-    stack = [(Fraction(0), bound, _sign_changes(seq, Fraction(0)), _sign_changes(seq, bound))]
-    while stack:
-        a, b, changes_a, changes_b = stack.pop()
-        if changes_a - changes_b > 1:
-            m = (a + b) / 2
-            while _horner(p, m) == 0:
-                m = (a + m) / 2
-            changes_m = _sign_changes(seq, m)
-            stack += [(a, m, changes_a, changes_m), (m, b, changes_m, changes_b)]
-        elif changes_a - changes_b == 1:
-            # one simple root in (a, b): p changes sign there
-            lo, hi = float(min(a, _FLOAT_MAX)), float(min(b, _FLOAT_MAX))
-            low_negative = _horner(p, a) < 0
-            while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
-                if (_horner(pf, t) < 0) == low_negative:
-                    lo = t
-                else:
-                    hi = t
-            roots.append(t)
-    return sorted(roots)
+    # p > 0 on (0, root) and p < 0 from there to the Cauchy bound
+    lo, hi = 0.0, float(min(1 + max(abs(c / p[-1]) for c in p[:-1]), _FLOAT_MAX))
+    while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
+        if _horner(pf, t) < 0:
+            hi = t
+        else:
+            lo = t
+    return t
 
 
 def _two_summand_roots(
     model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
 ) -> tuple[list[_StartOutcome], tuple[int, ...]]:
-    """The s = 2 solve (see the module docstring): one outcome per admissible
-    root of P, certified at residual ``tol`` in one kernel call, and the
-    coordinate that escapes when there is none."""
+    """The s = 2 solve (see the module docstring): an outcome for the one
+    admissible root of P, if any, certified at residual ``tol`` in one
+    kernel call, and the coordinate that escapes when P has no root."""
     d1, d2 = model.dims
     b1, b2 = (Fraction(v) for v in model.killing)
     z1, z2 = (Fraction(v) for v in T.values)
@@ -466,38 +424,35 @@ def _two_summand_roots(
     r1 = [t122 / (4 * d1), 0, b1 / 2 - t111 / (4 * d1) - t122 / (2 * d1), -t112 / (2 * d1), 0]
     r2 = [0, -t122 / (2 * d2), b2 / 2 - t222 / (4 * d2) - t112 / (2 * d2), 0, t112 / (4 * d2)]
     P = [z2 * a - z1 * b for a, b in zip(r1, r2)]
-    if any(P):
-        roots = _positive_roots(P)
-        ends = [c for c in P if c != 0]
-        escaped = (2,) if ends[-1] > 0 else (1,) if ends[0] < 0 else ()
-    else:
-        roots, escaped = [1.0], ()
-    # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
-    # even where one z_i is so small that r_i cancels to rounding
-    wf = _to_float([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
-    t = np.array([root for root in roots if _horner(wf, root) > 0])
-    if not len(t):
-        return [], escaped
-    u = np.column_stack([np.full(len(t), ev.dz[0]), ev.dz[1] / t])
+    # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
+    # signs one change of sign is one positive root, and none is none
+    ends = [c for c in P if c != 0]
+    if ends and not ends[0] > 0 > ends[-1]:
+        return [], (2,) if ends[0] > 0 else (1,)
+    t = _positive_root(P) if ends else 1.0
+    # at the root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of
+    # c even where one z_i is so small that r_i cancels to rounding
+    if _horner(_to_float([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)]), t) <= 0:
+        return [], ()
+    u = np.array([[ev.dz[0], ev.dz[1] / t]])
     u /= u.sum(axis=1, keepdims=True)
     r = np.empty(u.shape)
     S = ev.value_and_ricci(u, r)
-    c, res = ev.fit(r)
-    certified = (res <= tol) & (c > 0)
+    (c,), (res,) = ev.fit(r)
+    certified = bool(res <= tol and c > 0)
     return [
         _StartOutcome(
-            S=float(S[i]),
-            u=u[i],
-            c=float(c[i]),
-            residual=float(res[i]),
-            status="converged" if certified[i] else "stalled",
+            S=float(S[0]),
+            u=u[0],
+            c=float(c),
+            residual=float(res),
+            status="converged" if certified else "stalled",
             iterations=0,
-            certified=bool(certified[i]),
+            certified=certified,
             collapsed=(),
             rejected=0,
         )
-        for i in range(len(t))
-    ], escaped
+    ], ()
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -522,6 +477,10 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
     # a subnormal z_i has lost precision, and c, of order 1/z, overflows
     if z is None or not (np.all(np.isfinite(z)) and np.min(z) >= tiny):
         raise SolverError(f"target coefficients must be normal doubles, {tiny:.4g} to {huge:.4g}")
+    # the chain check's bound; far beyond it the smallest coefficient of
+    # z / 2**k (see maximize_S_on_MT) underflows to 0
+    if not _in_float_range(max(T.values) / min(T.values)):
+        raise SolverError("target out of range: max z / min z is beyond the float range")
     return z
 
 
@@ -541,9 +500,9 @@ def maximize_S_on_MT(
     Overflow raises no warning: a note counts the rejected trial points with
     non-finite curvature.
 
-    For s = 2 the admissible roots of the exact polynomial take the place
-    of the starts (see the module docstring): a certified root makes
-    "solved", no admissible root makes "diverged", a proof of
+    For s = 2 the at most one admissible root of the exact polynomial takes
+    the place of the starts (see the module docstring): a certified root
+    makes "solved", no admissible root makes "diverged", a proof of
     nonexistence, and an uncertified one "inconclusive".
     """
     opts = options or SolverOptions()
@@ -633,7 +592,9 @@ def solve_prescribed_ricci(
     try:
         condition = check_theorem(model, T)
         if not condition.passed:
-            notes.append("chain condition failed; existence not guaranteed")
+            # for s = 2 the solve below decides existence exactly
+            gloss = "" if model.s == 2 else "; existence not guaranteed"
+            notes.append("chain condition failed" + gloss)
     except HypothesisViolatedError as exc:
         notes.append(f"hypothesis violated: {exc}")
     except EtaUndefinedError as exc:

@@ -334,24 +334,35 @@ def test_two_summand_status_at_extreme_ratios():
             assert rep.status == ("solved" if passed else "diverged"), (model.name, values)
 
 
-def test_positive_roots_are_counted_once_each():
-    def poly(*roots):  # -3/7 prod (t - root), coefficients lowest degree first
-        p = [Fraction(-3, 7)]
-        for root in roots:
-            p = [-root * a + b for a, b in zip(p + [0], [0] + p)]
-        return p
+def test_two_summand_root_read_from_sign_pattern():
+    # P's nonzero coefficients, lowest degree first, read (+, +, any, -, -):
+    # one sign change is one positive root, checked against its closed form
+    def poly(*coefficients):  # lowest degree first
+        return [Fraction(c) for c in coefficients]
 
-    third = Fraction(1, 3)
+    s = Fraction(3, 7)
     cases = [
-        (poly(1, 1, 2), [1.0, 2.0]),  # a double root has no sign change
-        (poly(third, third, third, 5), [1 / 3, 5.0]),
-        (poly(0, 0, 1, 2), [1.0, 2.0]),  # roots at 0 are not positive
-        (poly(-1, Fraction(1, 1000), Fraction(1001, 1000000)), [1e-3, 1.001e-3]),
-        (poly(1, 2, 3, 4), [1.0, 2.0, 3.0, 4.0]),
-        ([Fraction(1), Fraction(0), Fraction(1)], []),
+        # (1 + t/s)(1 - (t/s)^3), a zero t^2 coefficient
+        (poly(1, 1 / s, 0, -(1 / s) ** 3, -(1 / s) ** 4), 3 / 7),
+        # t^2 (1 - t - t^2): the root at 0 is stripped
+        (poly(0, 0, 1, -1, -1), (5**0.5 - 1) / 2),
+        # (1/2 - t)(1 + 4 t + t^2 + t^3)
+        (poly("1/2", 1, "-7/2", "-1/2", -1), 0.5),
+        # 1/10 + 7 t - 2 t^2
+        (poly("1/10", 7, -2, 0, 0), (7 + 49.8**0.5) / 4),
     ]
-    for p, roots in cases:
-        assert solver_mod._positive_roots(p) == pytest.approx(roots, rel=1e-12)
+    for p, root in cases:
+        assert solver_mod._positive_root(p) == pytest.approx(root, rel=1e-12)
+    # one sign throughout: no root, and the coordinate on the side S grows
+    # towards escapes
+    side1 = two_summand(2, 3, "1/4", "3/10", "4/5")  # [112] = 0: P >= 0
+    side2 = build_model(  # [122] = 0: P <= 0
+        "side2", dims=(2, 3), casimir=(Fraction(1, 4), Fraction(3, 10)),
+        triples={(1, 1, 2): Fraction(4, 5)},
+    )
+    for model, values, escaped in ((side1, (Fraction(1, 4), 1), (2,)), (side2, (5, 1), (1,))):
+        rep = maximize_S_on_MT(model, DiagonalForm.full(values))
+        assert (rep.status, rep.collapsed, rep.starts_used) == ("diverged", escaped, 0)
 
 
 def test_two_summand_solve_kernel_calls(monkeypatch):
@@ -394,10 +405,17 @@ def _raise(constant):
 
 
 def test_target_range_is_the_normal_doubles():
-    # a subnormal or unrepresentable coefficient is an input error ...
-    for T in ((1e-310, 1e-310, 1e-310), (1.0, 5e-324, 1.0), (1.0, Fraction(10) ** 400, 1.0)):
-        with pytest.raises(SolverError):
-            maximize_S_on_MT(G2, DiagonalForm.full(T))
+    # a subnormal or unrepresentable coefficient, or a max z / min z beyond
+    # the float range (the chain check's bound), is an input error ...
+    twosum = two_summand(2, 3, "1/4", "3/10", "4/5")
+    bad = [(1e-310, 1e-310, 1e-310), (1.0, 5e-324, 1.0), (1.0, Fraction(10) ** 400, 1.0),
+           (1e300, 1e-300, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, T in [(G2, T) for T in bad] + [(twosum, (1e300, 1e-300))]:
+            with pytest.raises(SolverError):
+                maximize_S_on_MT(model, DiagonalForm.full(T))
+    assert maximize_S_on_MT(twosum, DiagonalForm.full((1e300, 1e-8))).status == "solved"
     # ... and at both ends of the normal range the report is strict JSON
     tiny = np.finfo(np.float64).tiny
     low = maximize_S_on_MT(G2, UNIT.scale(tiny))
@@ -415,6 +433,17 @@ def test_target_range_is_the_normal_doubles():
     rep = maximize_S_on_MT(m, DiagonalForm.full((tiny,)))
     assert (rep.status, rep.c, rep.S_value, rep.start_values) == ("inconclusive", None, None, (None,))
     json.loads(json.dumps(rep.to_dict()), parse_constant=_raise)
+
+
+def test_failing_chain_note_glosses_only_a_sufficient_condition(monkeypatch):
+    # for s = 2 the solve decides existence exactly, for s >= 3 it does not
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 100)
+    twosum = two_summand(2, 3, "1/4", "3/10", "4/5")
+    rep = solve_prescribed_ricci(twosum, DiagonalForm.full((Fraction(1, 4), 1)))
+    assert rep.status == "diverged"
+    assert rep.notes[0] == "chain condition failed"
+    rep = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)))
+    assert rep.notes[0] == "chain condition failed; existence not guaranteed"
 
 
 def test_exact_target_converted_to_float():
