@@ -27,6 +27,14 @@ A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
 summands the corresponding threshold is exact: above it solutions exist,
 below it they do not.
+
+Each lattice member's mask, mass and omega are computed once per
+enumeration.  An exact T is read as integers over its common denominator,
+so for an exact model each chain's figures and the numerator and
+denominator of its margin are integers, and the verdict is an integer
+sign; the exact ``Fraction`` figures of a :class:`ChainCondition` are
+built only when read, and its report writes their floats straight from
+the integers.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .curvature import ricci as _ricci
-from .model import DiagonalForm, SpaceModel, check_hypothesis
+from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
 from .numbers import Scalar, format_number, is_exact
 
 FLOAT_MARGIN_EPS = 1e-12
@@ -82,31 +90,41 @@ def _mask(J) -> int:
 def _block_sum(rows, A, B: int, C: int):
     """Bracket mass <A B C> = sum_{a in A, b in B, c in C} [abc], with A an
     index tuple and B, C bitmasks, in the units of ``SpaceModel.scaled``."""
-    return sum(v for a in A for b, c, v in rows[a - 1] if b & B and c & C)
+    return sum([v for a in A for b, c, v in rows[a - 1] if b & B and c & C])
 
 
-def _mass(model: SpaceModel, J: tuple[int, ...]):
-    """P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>, in the units of
-    ``SpaceModel.scaled``."""
-    inside = _mask(J)
+class _Member(NamedTuple):
+    """A lattice member with what its chains read: its indices, its mask,
+    its mass P(J) in the units of ``SpaceModel.scaled`` and omega = min d_j
+    (0 for the empty set)."""
+
+    J: tuple[int, ...]
+    mask: int
+    mass: Scalar
+    omega: int
+
+
+def _member(model: SpaceModel, J: tuple[int, ...]) -> _Member:
+    """J with P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>."""
+    mask = _mask(J)
     casimir = model.scaled.casimir_mass
-    return 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, inside, inside)
+    mass = 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, mask, mask)
+    return _Member(J, mask, mass, min((model.dims[i - 1] for i in J), default=0))
 
 
-def _chain(
-    model: SpaceModel, J_k: tuple[int, ...], J_kprime: tuple[int, ...], P_k, P_kprime
-) -> SimpleChain:
-    """The chain (J_k, J_kprime) with eta in the Casimir form, from the masses
-    ``P_k`` = P(J_k) and ``P_kprime`` = P(J_kprime) (see :func:`_mass`).
+def _chain(model: SpaceModel, upper: _Member, lower: _Member) -> SimpleChain:
+    """The chain (J_k, J_k') = (``upper``, ``lower``) with eta in the Casimir
+    form.
 
     Only the cross term <J_l J_k' J_l> is summed here.  Everything runs in
     the model's scaled units, so an exact model adds integers and the common
     denominator cancels in one Fraction.
     """
-    inner = _mask(J_kprime)
-    l = tuple(i for i in J_k if not (inner >> (i - 1)) & 1)
-    omega = min(model.dims[i - 1] for i in J_kprime)
-    den = omega * (P_k - P_kprime + _block_sum(model.scaled.rows, l, inner, _mask(l)))
+    J_k, outer, P_k, _ = upper
+    J_kprime, inner, P_kprime, omega = lower
+    between = outer & ~inner
+    l = unpack(between)
+    den = omega * (P_k - P_kprime + _block_sum(model.scaled.rows, l, inner, between))
     if den == 0:
         raise EtaUndefinedError(
             f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
@@ -129,42 +147,92 @@ def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
         raise HypothesisViolatedError(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
-    members = model.lattice.members
-    masses = [_mass(model, J) for J in members]
+    members = [_member(model, J) for J in model.lattice.members]
     return tuple(
-        _chain(model, members[upper], members[lower], masses[upper], masses[lower])
+        _chain(model, members[upper], members[lower])
         for upper, lower in model.lattice.covers
-        if members[lower]
+        if members[lower].mask
     )
 
 
-@dataclass(frozen=True)
 class ChainCondition:
     """One chain's inequality: lambda_min / trace > threshold.
 
     For the eigenvalue variant ``trace`` holds the largest eigenvalue over
     the middle block and ``threshold`` is eta * dim(l).
+
+    For an exact T, lambda_min and trace are kept as integers in units of
+    T's common denominator, and with an exact model the margin as an
+    integer numerator over a positive integer denominator, so ``passed`` is
+    an integer sign.  A float T keeps its floats.  ``lambda_min``,
+    ``trace``, ``threshold`` and ``margin`` build their exact values only
+    when read.
     """
 
-    chain: SimpleChain
-    lambda_min: Scalar
-    trace: Scalar
-    threshold: Scalar
-    margin: Scalar
-    passed: bool
+    __slots__ = ("chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_weight")
+
+    def __init__(self, chain, passed, lam, bound, scale, margin, den, weight):
+        self.chain = chain
+        self.passed = passed
+        self._lam = lam
+        self._bound = bound
+        self._scale = scale
+        self._margin = margin
+        self._den = den
+        self._weight = weight  # dim(l) for the eigenvalue variant, else None
+
+    @property
+    def lambda_min(self) -> Scalar:
+        return self._lam if self._scale is None else Fraction(self._lam, self._scale)
+
+    @property
+    def trace(self) -> Scalar:
+        return self._bound if self._scale is None else Fraction(self._bound, self._scale)
+
+    @property
+    def threshold(self) -> Scalar:
+        eta = self.chain.eta
+        return eta if self._weight is None else eta * self._weight
+
+    @property
+    def margin(self) -> Scalar:
+        return self._margin if self._den is None else Fraction(self._margin, self._den)
+
+    def __repr__(self) -> str:
+        return (
+            f"ChainCondition(chain={self.chain!r}, lambda_min={self.lambda_min!r}, "
+            f"trace={self.trace!r}, threshold={self.threshold!r}, "
+            f"margin={self.margin!r}, passed={self.passed!r})"
+        )
 
     def to_dict(self) -> dict:
-        out = self.chain.to_dict()
-        out.update(
-            {
-                "lambda_min": float(self.lambda_min),
-                "trace": float(self.trace),
-                "threshold": format_number(self.threshold),
-                "margin": float(self.margin),
-                "passed": self.passed,
-            }
-        )
-        return out
+        # Int true division is correctly rounded, so each float is the one
+        # float() gives of the exact value.
+        chain = self.chain
+        eta = format_number(chain.eta)
+        scale = self._scale
+        if self._weight is None:
+            threshold = eta
+        elif is_exact(chain.eta):
+            # eta * dim(l) in lowest terms: eta is, so only dim(l) and eta's
+            # denominator can share a factor
+            g = math.gcd(self._weight, chain.eta.denominator)
+            p, q = chain.eta.numerator * (self._weight // g), chain.eta.denominator // g
+            threshold = p if q == 1 else f"{p}/{q}"
+        else:
+            threshold = self.threshold
+        return {
+            "k": list(chain.J_k),
+            "kprime": list(chain.J_kprime),
+            "l": list(chain.J_l),
+            "omega": chain.omega,
+            "eta": eta,
+            "lambda_min": float(self._lam) if scale is None else self._lam / scale,
+            "trace": float(self._bound) if scale is None else self._bound / scale,
+            "threshold": threshold,
+            "margin": float(self._margin) if self._den is None else self._margin / self._den,
+            "passed": self.passed,
+        }
 
 
 @dataclass(frozen=True)
@@ -194,7 +262,9 @@ class ConditionReport:
             "caveat_requirement1": self.requirement1_unknown,
             "conditions": [c.to_dict() for c in self.conditions],
             # each condition is serialized once: the first failing one by index
-            "failing": None if self.failing is None else self.conditions.index(self.failing),
+            "failing": next(
+                (pos for pos, c in enumerate(self.conditions) if c is self.failing), None
+            ),
         }
 
 
@@ -225,33 +295,39 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
             "the float range; rescale T (the conditions do not depend on its scale)"
         )
     # An exact T is read as integers over one common denominator, as
-    # SpaceModel.scaled reads the model, so min, trace and max are integer
-    # work and an exact margin is one Fraction; a float T keeps its floats.
+    # SpaceModel.scaled reads the model, so lam, bound and, for an exact
+    # model, the margin stay integers; a float T keeps its floats.  The
+    # 1-based tables let each figure be one map over a chain's indices.
     if T.exact:
         scale = math.lcm(*(v.denominator for v in T.values))
-        z = [v.numerator * (scale // v.denominator) for v in T.values]
+        z = (0, *(v.numerator * (scale // v.denominator) for v in T.values))
     else:
-        scale, z = None, T.values
-    dims = model.dims
+        scale, z = None, (0, *T.values)
+    dims = (0, *model.dims)
+    dz = tuple(d * v for d, v in zip(dims, z))
+    integer = scale is not None and model.exact
+    corollary = criterion == "corollary"
     conditions = []
     failing = None
     for chain in enumerate_simple_chains(model):
-        lam = min(z[i - 1] for i in chain.J_kprime)
-        if criterion == "theorem":
-            bound = sum(dims[i - 1] * z[i - 1] for i in chain.J_l)
-            threshold = chain.eta
+        lam = min(map(z.__getitem__, chain.J_kprime))
+        if corollary:
+            bound = max(map(z.__getitem__, chain.J_l))
+            weight = sum(map(dims.__getitem__, chain.J_l))
         else:
-            bound = max(z[i - 1] for i in chain.J_l)
-            threshold = chain.eta * sum(dims[i - 1] for i in chain.J_l)
-        if scale is not None and is_exact(threshold):
-            q = threshold.denominator
-            margin = Fraction(lam * q - threshold.numerator * bound, bound * q)
+            bound = sum(map(dz.__getitem__, chain.J_l))
+            weight = None
+        eta = chain.eta
+        if integer:
+            p, q = eta.numerator, eta.denominator
+            margin = lam * q - (p if weight is None else p * weight) * bound
+            den = bound * q
+            ok = margin > 0
         else:
-            margin = lam / bound - threshold
-        if scale is not None:
-            lam, bound = Fraction(lam, scale), Fraction(bound, scale)
-        ok = _strictly_positive(margin)
-        cond = ChainCondition(chain, lam, bound, threshold, margin, ok)
+            margin = lam / bound - (eta if weight is None else eta * weight)
+            den = None
+            ok = _strictly_positive(margin)
+        cond = ChainCondition(chain, ok, lam, bound, scale, margin, den, weight)
         conditions.append(cond)
         if not ok and failing is None:
             failing = cond
@@ -329,7 +405,7 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         return TwoSummandReport(None, None, parallel, True, None, None)
     a = closed[0]
     o = 3 - a
-    value = _chain(model, (1, 2), (a,), _mass(model, (1, 2)), _mass(model, (a,))).eta
+    value = _chain(model, _member(model, (1, 2)), _member(model, (a,))).eta
     threshold = model.dims[o - 1] * value
     ratio = T[a] / T[o]
     return TwoSummandReport(

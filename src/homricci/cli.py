@@ -59,9 +59,10 @@ def _parse_form(text: str, rational: bool) -> DiagonalForm:
 
 def _emit(args, payload: dict, text) -> None:
     """Print ``payload`` as one JSON line under ``--json``, else the lines
-    that ``text()`` yields: the text is built only when it is printed."""
+    that ``text()`` yields: the text is built only when it is printed.  Every
+    payload is a freshly built tree, so the circular-reference check is off."""
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, check_circular=False))
     else:
         for line in text():
             print(line)

@@ -109,15 +109,16 @@ class SpaceModel:
         return tuple(out)
 
     @cached_property
-    def closure_rules(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per index a (0-based), pairs (bit of b, mask of every c with
-        [abc] != 0): a closed set that holds a and b holds each such c."""
-        rules = [{} for _ in range(self.s)]
+    def closure_rules(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """Per index a (0-based), ``(partners, implied)``: ``partners`` is the
+        mask of every b with some [abc] != 0, and ``implied`` maps the bit of
+        each such b to the mask of every c with [abc] != 0.  A closed set that
+        holds a and b holds each such c."""
+        implied = [{} for _ in range(self.s)]
         for a, b, c, _ in self.ordered_triples:
-            rules[a - 1][b - 1] = rules[a - 1].get(b - 1, 0) | 1 << (c - 1)
-        return tuple(
-            tuple((1 << b, implied) for b, implied in sorted(r.items())) for r in rules
-        )
+            row, bit = implied[a - 1], 1 << (b - 1)
+            row[bit] = row.get(bit, 0) | 1 << (c - 1)
+        return tuple((sum(row), row) for row in implied)
 
     @cached_property
     def lattice(self) -> SubalgebraLattice:
@@ -440,35 +441,52 @@ def build_model(
     return report.model
 
 
-def _closure(rules, closed: int, added: int, known: dict) -> int:
+def _closure(rules, closed: int, added: int, known: dict, known_bits: int) -> int:
     """Smallest closed superset of ``closed | added`` (bitmasks), for a
-    closed ``closed``: only the rules of newly added indices can fire.
+    closed ``closed``: only the rules of newly added indices can fire, and of
+    those only the ones whose partner is already in the set.  ``rules`` maps
+    the bit of each index to its ``SpaceModel.closure_rules`` entry.
 
-    ``known`` maps bits k0 to known closures cl(closed + k0).  Once the
-    growing set takes in such a k0 whose closure holds ``added``, that
-    closure is the answer: it is closed and holds ``closed | added``, and
-    the growing set, which holds ``closed + k0``, lies inside the answer.
+    ``known`` maps bits k0 to known closures cl(closed + k0), and
+    ``known_bits`` is the OR of its keys.  Once the growing set takes in such
+    a k0 whose closure holds ``added``, that closure is the answer: it is
+    closed and holds ``closed | added``, and the growing set, which holds
+    ``closed + k0``, lies inside the answer.
     """
     J = closed | added
     pending = added & ~closed
-    known_bits = sum(known)
     while pending:
         bit = pending & -pending
         pending ^= bit
-        for partner, implied in rules[bit.bit_length() - 1]:
-            if J & partner:
-                new = implied & ~J
-                if new:
-                    pending |= new
-                    J |= new
-                    hit = new & known_bits
-                    while hit:
-                        k0 = hit & -hit
-                        hit ^= k0
-                        C0 = known[k0]
-                        if not added & ~C0:
-                            return C0
+        partners, implied = rules[bit]
+        fire = partners & J
+        new = 0
+        while fire:
+            b = fire & -fire
+            fire ^= b
+            new |= implied[b]
+        new &= ~J
+        if new:
+            pending |= new
+            J |= new
+            hit = new & known_bits
+            while hit:
+                k0 = hit & -hit
+                hit ^= k0
+                C0 = known[k0]
+                if not added & ~C0:
+                    return C0
     return J
+
+
+def unpack(mask: int) -> tuple[int, ...]:
+    """The 1-based indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length())
+    return tuple(out)
 
 
 def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
@@ -494,7 +512,7 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     s = model.s
     if s > MAX_SUMMANDS:
         raise ModelError(f"s={s} exceeds the enumeration cap {MAX_SUMMANDS}")
-    rules = model.closure_rules
+    rules = {1 << a: rule for a, rule in enumerate(model.closure_rules)}
     everything = (1 << s) - 1
     upper: dict[int, list[int]] = {}
     todo = [0]
@@ -504,19 +522,18 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
             continue
         generators: dict[int, int] = {}
         known: dict[int, int] = {}
+        known_bits = 0
         outside = everything & ~J
         while outside:
             bit = outside & -outside
             outside ^= bit
-            C = _closure(rules, J, bit, known)
+            C = _closure(rules, J, bit, known, known_bits)
             known[bit] = C
+            known_bits |= bit
             generators[C] = generators.get(C, 0) | bit
         covers = [C for C, gens in generators.items() if gens == C & ~J]
         upper[J] = covers
         todo.extend(C for C in covers if C not in upper)
-
-    def unpack(mask: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(s) if (mask >> i) & 1)
 
     order = sorted(((unpack(m), m) for m in upper), key=lambda p: (len(p[0]), p[0]))
     index = {m: pos for pos, (_, m) in enumerate(order)}
@@ -538,13 +555,13 @@ def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:
     d_j = 1, the summand must interact with the subalgebra: zeta_j > 0 (it
     sees the isotropy algebra) or some [j,k,*] with k in J is nonzero.  So
     only the lines with zeta_j = 0 are looked at, each through the mask of j
-    and its bracket partners k (from ``closure_rules``): J violates the
-    requirement at j when it holds none of them.
+    and its bracket partners k (the partner mask of ``closure_rules``): J
+    violates the requirement at j when it holds none of them.
     """
     if model.casimir is None:
         raise ModelError("hypothesis check needs a validated model (casimir missing)")
     lines = [
-        (j, 1 << (j - 1) | sum(partner for partner, _ in model.closure_rules[j - 1]))
+        (j, 1 << (j - 1) | model.closure_rules[j - 1][0])
         for j in range(1, model.s + 1)
         if model.dims[j - 1] == 1 and model.casimir[j - 1] == 0
     ]

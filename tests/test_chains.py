@@ -23,6 +23,7 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import chains as chains_mod
+from homricci.numbers import format_number
 from helpers import (
     def_form_eta,
     oracle_full_flag,
@@ -257,7 +258,8 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
         m = random_space_model(rng, exact=exact_model)
         T = random_positive_form(rng, m.s, exact=exact_T)
         for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
-            for cond in check(m, T).conditions:
+            report = check(m, T)
+            for cond in report.conditions:
                 got = (cond.lambda_min, cond.trace, cond.threshold, cond.margin)
                 want = _generic_figures(m, T, cond.chain, criterion)
                 if exact:
@@ -268,8 +270,47 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
                     assert [float(v) for v in got] == [float(v) for v in want]
                     assert isinstance(cond.margin, float)
                     assert cond.passed == (want[3] > chains_mod.FLOAT_MARGIN_EPS)
+                # the report: the chain's fields, then the figures, each
+                # float bit for bit the float of the generic figure
+                out = cond.to_dict()
+                chain_out = cond.chain.to_dict()
+                assert list(out) == [*chain_out, "lambda_min", "trace", "threshold", "margin", "passed"]
+                assert {key: out[key] for key in chain_out} == chain_out
+                assert out["eta"] == format_number(cond.chain.eta)
+                assert out["threshold"] == format_number(want[2])
+                for key, value in zip(("lambda_min", "trace", "margin"), (want[0], want[1], want[3])):
+                    assert type(out[key]) is float and out[key] == float(value)
+                assert out["passed"] is cond.passed
                 count += 1
+            first_failing = next(
+                (pos for pos, cond in enumerate(report.conditions) if not cond.passed), None
+            )
+            assert report.to_dict()["failing"] == first_failing
     assert count > 50
+
+
+def test_exact_check_builds_fractions_only_when_read(monkeypatch):
+    """On SU(6)/T with an exact T, a check builds one Fraction a chain, its
+    eta; lambda_min, trace and margin are built when read."""
+    model = full_flag(6)
+    T = random_positive_form(np.random.default_rng(29), model.s, exact=True)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(chains_mod, "Fraction", counted)
+    for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
+        built.clear()
+        report = check(model, T)
+        assert len(report.conditions) == 841
+        assert len(built) <= len(report.conditions)
+        for cond in report.conditions:
+            lam, bound, _, margin = _generic_figures(model, T, cond.chain, criterion)
+            got = (cond.lambda_min, cond.trace, cond.margin)
+            assert got == (lam, bound, margin)
+            assert all(type(v) is Fraction for v in got)
 
 
 def test_corollary_implies_theorem():
