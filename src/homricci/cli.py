@@ -257,7 +257,7 @@ def cmd_iterate(args) -> int:
     if args.json:
         sys.stdout.write(trace.to_json_lines())
         if trace.status != "completed":
-            print(json.dumps({"status": trace.status}))
+            print(json.dumps({"status": trace.status, "failure": trace.failed_step}))
     else:
         for st in trace.steps:
             print(
@@ -265,6 +265,11 @@ def cmd_iterate(args) -> int:
                 f"g=({', '.join(f'{float(v):.9g}' for v in st.g.values)})"
             )
         print(f"status: {trace.status}; completed {len(trace.steps)}/{args.steps} steps")
+        failed = trace.failed_step
+        if failed is not None:
+            print(f"step {failed['step']} failed: solve status = {failed['status']}")
+            for note in failed["notes"]:
+                print(f"  note: {note}")
         if trace.cauchy:
             print(f"normalized step differences: "
                   + ", ".join(f"{v:.3e}" for v in trace.cauchy))

@@ -54,11 +54,24 @@ class IterationTrace:
     cauchy: tuple[float, ...]
     failure: Optional[SolveReport] = None
 
+    @property
+    def failed_step(self) -> Optional[dict]:
+        """The failing solve's step index, status and notes; None when
+        every step solved."""
+        if self.failure is None:
+            return None
+        return {
+            "step": len(self.steps) + 1,
+            "status": self.failure.status,
+            "notes": list(self.failure.notes),
+        }
+
     def to_dict(self) -> dict:
         return {
             "status": self.status,
             "steps": [st.to_dict() for st in self.steps],
             "cauchy": list(self.cauchy),
+            "failure": self.failed_step,
         }
 
     def to_json_lines(self) -> str:

@@ -29,23 +29,39 @@ componentwise on the returned metric x = d z / u: c > 0 and the relative
 residual max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T
 scales c inversely and leaves the residual unchanged.  Collapse with no
 certified start is reported as "diverged" -- evidence that the supremum
-is not attained, never a proof of nonexistence.
+is not attained, never a proof of nonexistence.  The ascent runs for
+s = 1 and s >= 4, and for s = 3 only where the elimination below is
+degenerate.
 
-Two summands take no ascent.  Along x = (1, t), P(t) = t^2 (z_2 r_1 -
-z_1 r_2) is a polynomial of degree at most 4, and dS/dt has the sign of P.
-Its coefficients are exact (Fractions) from d, b, [111], [112], [122] and
-[222], and since d, z > 0 and every [ijk] >= 0 their signs, lowest degree
-first, are (+, +, any, -, -), zeros allowed.  By Descartes' rule of signs P
-has exactly one positive root, a simple one, when its nonzero coefficients
+Two and three summands take no ascent: Ric g = c T is solved exactly on the
+polynomial Ricci core (``_elimination``), each r_i times x_2^2 ... x_s^2 as
+an integer polynomial at x = (1, x_2, ..., x_s), with T as exact integers.
+
+For s = 2, along x = (1, t), P(t) = M t^2 (z_2 r_1 - z_1 r_2) is a
+polynomial of degree at most 4, and dS/dt has the sign of P.  Since d,
+z > 0 and every [ijk] >= 0 its coefficients' signs, lowest degree first,
+are (+, +, any, -, -), zeros allowed.  By Descartes' rule of signs P has
+exactly one positive root, a simple one, when its nonzero coefficients
 change sign, and none otherwise.  The root is polished in float and kept
 when c = r_1 / z_1 > 0 there: the at most one admissible root, so unless
-P vanishes identically (below) the solution is unique up to scale.  It is
-certified like a start, at x = lambda (1, t) with one kernel evaluation.
-With no admissible root no solution exists, so for s = 2 "diverged" is a
-proof of nonexistence; with no root the escaping coordinate is x_2 when
-P > 0 (S grows as t grows without bound) and x_1 when P < 0.  When P
-vanishes identically (both singletons close and T is parallel to r),
-every t solves, and the solve returns t = 1, the base start.
+P vanishes identically (below) the solution is unique up to scale.  With
+no root the escaping coordinate is x_2 when P > 0 (S grows as t grows
+without bound) and x_1 when P < 0.  When P vanishes identically (both
+singletons close and T is parallel to r), every t solves, and the solve
+returns t = 1, the base start.
+
+For s = 3, along x = (1, t, u), the positive roots t of the resultant
+R(t) = Res_u(E_1, E_2) of E_1 = z_2 r_1 - z_1 r_2 and E_2 = z_3 r_1 -
+z_1 r_3 (numerators) are isolated exactly, u = -b(t) / a(t) is read off the
+first subresultant, and a root is admissible when u > 0 and c > 0, both
+decided exactly.  Where R vanishes identically (a curve of solutions) or a
+vanishes at a positive root (two solutions share t), the ascent decides
+instead, with a note.
+
+Each admissible root is certified like a start, at its float metric, all
+in one kernel call; the report returns the certified one with the highest
+S, and lists every admissible root.  With no admissible root no solution
+exists, so for s <= 3 "diverged" is a proof of nonexistence.
 """
 
 from __future__ import annotations
@@ -101,11 +117,13 @@ class SolveReport:
     range at the scale of T.  Any of x, c, S and the start values that is
     beyond the float range is None, so that ``to_dict`` is strict JSON.
 
-    For s = 2 (see the module docstring) the one start is the admissible
-    root, if there is one: ``starts_used`` is 0 or 1, ``start_values``
-    holds S there, and ``iterations`` is 0.  There "diverged" is a proof
-    that no solution exists, and its residual and S are None, since no
-    point was evaluated.
+    For s = 2 and s = 3 (see the module docstring) the starts are the
+    admissible roots of the exact solve: ``starts_used`` counts them,
+    ``start_values`` holds S at each, ``iterations`` is 0, and
+    ``solutions`` holds the metric at each, in the order of x_2 / x_1 (it
+    is None where the ascent decided).  There "diverged" is a proof that no
+    solution exists, and its residual and S are None, since no point was
+    evaluated; for s = 3 it names no escaping coordinates.
     """
 
     status: str
@@ -119,6 +137,7 @@ class SolveReport:
     collapsed: tuple[int, ...] = ()
     start_values: tuple[Optional[float], ...] = ()
     condition: Optional[ConditionReport] = None
+    solutions: Optional[tuple[tuple[Optional[float], ...], ...]] = None
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -134,6 +153,7 @@ class SolveReport:
             "collapsed": list(self.collapsed),
             "start_S_values": list(self.start_values),
             "condition": None if self.condition is None else self.condition.to_dict(),
+            "solutions": None if self.solutions is None else [list(x) for x in self.solutions],
             "notes": list(self.notes),
         }
 
@@ -144,7 +164,7 @@ class _StartOutcome:
     u: np.ndarray
     c: float
     residual: float
-    status: str  # converged | stalled | collapsed | budget; an s = 2 root converged | stalled
+    status: str  # converged | stalled | collapsed | budget; an exact root converged | stalled
     iterations: int
     certified: bool
     collapsed: tuple[int, ...]
@@ -388,6 +408,35 @@ def _to_float(p: list) -> list[float]:
 _FLOAT_MAX = Fraction(np.finfo(np.float64).max)
 
 
+def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]:
+    """An outcome for each metric, a row of X (m, s), certified at residual
+    ``tol`` in one kernel call."""
+    if not len(X):
+        return []
+    u = ev.dz / X
+    u /= u.sum(axis=1, keepdims=True)
+    r = np.empty(u.shape)
+    S = ev.value_and_ricci(u, r)
+    c, res = ev.fit(r)
+    out = []
+    for i in range(len(X)):
+        certified = bool(res[i] <= tol and c[i] > 0)
+        out.append(
+            _StartOutcome(
+                S=float(S[i]),
+                u=u[i],
+                c=float(c[i]),
+                residual=float(res[i]),
+                status="converged" if certified else "stalled",
+                iterations=0,
+                certified=certified,
+                collapsed=(),
+                rejected=0,
+            )
+        )
+    return out
+
+
 def _positive_root(p: list) -> float:
     """The positive root of the exact polynomial p whose nonzero
     coefficients, lowest degree first, change sign once, from + to -,
@@ -398,7 +447,7 @@ def _positive_root(p: list) -> float:
         p = p[1:]
     pf = _to_float(p)
     # p > 0 on (0, root) and p < 0 from there to the Cauchy bound
-    lo, hi = 0.0, float(min(1 + max(abs(c / p[-1]) for c in p[:-1]), _FLOAT_MAX))
+    lo, hi = 0.0, float(min(1 + max(abs(Fraction(c, p[-1])) for c in p[:-1]), _FLOAT_MAX))
     while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
         if _horner(pf, t) < 0:
             hi = t
@@ -413,16 +462,14 @@ def _two_summand_roots(
     """The s = 2 solve (see the module docstring): an outcome for the one
     admissible root of P, if any, certified at residual ``tol`` in one
     kernel call, and the coordinate that escapes when P has no root."""
+    # the exact algebra is imported on first use, so that a process that
+    # solves no two- or three-summand problem never compiles it
+    from . import _elimination
+
     d1, d2 = model.dims
-    b1, b2 = (Fraction(v) for v in model.killing)
-    z1, z2 = (Fraction(v) for v in T.values)
-    bracket = {(i, j, k): Fraction(v) for i, j, k, v in model.triples}
-    t111, t112, t122, t222 = (
-        bracket.get(key, Fraction(0)) for key in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
-    )
-    # t^2 r_1 and t^2 r_2 at x = (1, t), from the kernel formula
-    r1 = [t122 / (4 * d1), 0, b1 / 2 - t111 / (4 * d1) - t122 / (2 * d1), -t112 / (2 * d1), 0]
-    r2 = [0, -t122 / (2 * d2), b2 / 2 - t222 / (4 * d2) - t112 / (2 * d2), 0, t112 / (4 * d2)]
+    z1, z2 = _elimination.integer_target(T)
+    # M t^2 r_1 and M t^2 r_2 at x = (1, t)
+    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in _elimination.ricci_core(model))
     P = [z2 * a - z1 * b for a, b in zip(r1, r2)]
     # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
     # signs one change of sign is one positive root, and none is none
@@ -434,25 +481,19 @@ def _two_summand_roots(
     # c even where one z_i is so small that r_i cancels to rounding
     if _horner(_to_float([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)]), t) <= 0:
         return [], ()
-    u = np.array([[ev.dz[0], ev.dz[1] / t]])
-    u /= u.sum(axis=1, keepdims=True)
-    r = np.empty(u.shape)
-    S = ev.value_and_ricci(u, r)
-    (c,), (res,) = ev.fit(r)
-    certified = bool(res <= tol and c > 0)
-    return [
-        _StartOutcome(
-            S=float(S[0]),
-            u=u[0],
-            c=float(c),
-            residual=float(res),
-            status="converged" if certified else "stalled",
-            iterations=0,
-            certified=certified,
-            collapsed=(),
-            rejected=0,
-        )
-    ], ()
+    return _certified(ev, np.array([[1.0, t]]), tol), ()
+
+
+def _three_summand_roots(
+    model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
+) -> Optional[list[_StartOutcome]]:
+    """The s = 3 solve by elimination (see the module docstring): an outcome
+    for each admissible root, each certified at residual ``tol`` in one
+    kernel call; None when the elimination is degenerate."""
+    from . import _elimination  # on first use, as in _two_summand_roots
+
+    points = _elimination.three_summand_points(model, T)
+    return None if points is None else _certified(ev, np.array(points), tol)
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -500,10 +541,10 @@ def maximize_S_on_MT(
     Overflow raises no warning: a note counts the rejected trial points with
     non-finite curvature.
 
-    For s = 2 the at most one admissible root of the exact polynomial takes
-    the place of the starts (see the module docstring): a certified root
-    makes "solved", no admissible root makes "diverged", a proof of
-    nonexistence, and an uncertified one "inconclusive".
+    For s = 2 and s = 3 the admissible roots of the exact solve take the
+    place of the starts (see the module docstring): a certified root makes
+    "solved", no admissible root makes "diverged", a proof of nonexistence,
+    and only uncertified ones "inconclusive".
     """
     opts = options or SolverOptions()
     z = _as_target(model, T)
@@ -513,34 +554,42 @@ def maximize_S_on_MT(
     # overflow nor underflow at any scale of T.
     k = int(np.frexp(np.max(z))[1]) - 1
     ev = _Evaluator(model, np.ldexp(z, -k))
+    outcomes, escaped, notes = None, (), ()
     if model.s == 2:
         outcomes, escaped = _two_summand_roots(model, T, ev, opts.residual_tol)
-    else:
+    elif model.s == 3:
+        outcomes = _three_summand_roots(model, T, ev, opts.residual_tol)
+        if outcomes is None:
+            notes = (
+                "the exact elimination is degenerate here (a curve of solutions, "
+                "or two at one root); the multistart ascent decided",
+            )
+    exact = outcomes is not None
+    if not exact:
         outcomes = _ascend(ev, opts)
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]
     if certified:
         status, best, escaped = "solved", _most_accurate(certified), ()
-        notes = ()
     elif not outcomes:
-        # s = 2, and the exact count found no admissible root
+        # s <= 3, and the exact count found no admissible root
         status, best = "diverged", None
-        notes = (
-            "no solution exists: the exact root count finds no root with c > 0"
+        notes += (
+            "no solution exists: the exact root count finds no root with x > 0 and c > 0"
             + (f"; coordinates {escaped} escape (x there grows without bound)" if escaped else ""),
         )
     elif collapsed:
         status, best = "diverged", _most_accurate(collapsed)
         escaped = best.collapsed
-        notes = (
+        notes += (
             "supremum appears unattained; coordinates "
             f"{best.collapsed} escaped (x there grows without bound)",
         )
     else:
         status, best, escaped = "inconclusive", _most_accurate(outcomes), ()
-        notes = (
-            ("no root" if model.s == 2 else "no start")
+        notes += (
+            ("no root" if exact else "no start")
             + " certified; best residual " + format(best.residual, ".3e")
             + ("" if best.c > 0 else f", c = {np.ldexp(best.c, -k):.3e} not positive"),
         )
@@ -570,6 +619,10 @@ def maximize_S_on_MT(
         start_values=tuple(
             v if np.isfinite(v) else None for v in np.ldexp([o.S for o in outcomes], -k).tolist()
         ),
+        solutions=None if not exact else tuple(
+            tuple(v if np.isfinite(v) else None for v in np.ldexp(ev.dz / o.u, k).tolist())
+            for o in outcomes
+        ),
         notes=notes,
     )
 
@@ -592,8 +645,8 @@ def solve_prescribed_ricci(
     try:
         condition = check_theorem(model, T)
         if not condition.passed:
-            # for s = 2 the solve below decides existence exactly
-            gloss = "" if model.s == 2 else "; existence not guaranteed"
+            # for s <= 3 the solve below decides existence exactly
+            gloss = "" if model.s <= 3 else "; existence not guaranteed"
             notes.append("chain condition failed" + gloss)
     except HypothesisViolatedError as exc:
         notes.append(f"hypothesis violated: {exc}")

@@ -244,6 +244,23 @@ def test_iterate_json_lines(tmp_path, capsys):
     assert all(ln["residual"] < 1e-7 for ln in lines)
 
 
+def test_iterate_reports_the_failing_step(g2_path, capsys):
+    # the README example: step 2's target has no solution
+    argv = ["iterate", str(g2_path), "--start", "1,1,1", "--steps", "5"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [ln["step"] for ln in lines[:-1]] == [1]
+    last = lines[-1]
+    assert last["status"] == "truncated" and "step" not in last
+    assert (last["failure"]["step"], last["failure"]["status"]) == (2, "diverged")
+    assert last["failure"]["notes"][-1].startswith("no solution exists")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "step 2 failed: solve status = diverged" in out
+    assert "note: no solution exists" in out
+
+
 def test_iterate_tol_reaches_the_solves(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "catalog", "twosum", "1", "4", "0", "1/3", "1/2")
     path = tmp_path / "line.json"

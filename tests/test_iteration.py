@@ -1,5 +1,6 @@
 """Ricci iteration: per-step exactness, reproducibility, truncation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from homricci import (
     abelian_line_two_summand,
     build_model,
     classify_cor_all,
+    flag3,
     ricci,
     ricci_iterate,
     two_summand,
@@ -76,6 +78,23 @@ def test_truncates_when_a_step_fails():
     assert trace.status == "truncated"
     assert trace.steps == ()
     assert trace.failure is not None and trace.failure.status == "diverged"
+    failure = trace.to_dict()["failure"]
+    assert (failure["step"], failure["status"]) == (1, "diverged")
+    assert failure["notes"] == list(trace.failure.notes)
+    assert ricci_iterate(m, DiagonalForm.full((1.0, 1.0)), steps=2).to_dict()["failure"] is None
+
+
+def test_three_summand_iteration_ends_with_a_proof():
+    # g2u2 and flag3(1,2,3) from the unit metric: the step-2 target has no
+    # solution, which the exact s = 3 solve proves at once
+    for model in (flag3(4, 2, 4), flag3(1, 2, 3)):
+        t0 = time.perf_counter()
+        trace = ricci_iterate(model, DiagonalForm.full((1.0, 1.0, 1.0)), steps=5)
+        assert time.perf_counter() - t0 < 1.0
+        assert (trace.status, len(trace.steps)) == ("truncated", 1)
+        failure = trace.to_dict()["failure"]
+        assert (failure["step"], failure["status"]) == (2, "diverged")
+        assert failure["notes"][-1].startswith("no solution exists")
 
 
 def test_iteration_input_validation():

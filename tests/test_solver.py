@@ -1,6 +1,7 @@
 """Solver behavior: certification, divergence, scale laws, determinism."""
 
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from homricci import (
     _kernels,
     build_model,
     flag3,
+    full_flag,
     grad_S,
     maximize_S_on_MT,
     ricci,
@@ -22,6 +24,8 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import solver as solver_mod
+from homricci._elimination import by_power, equations
+from homricci._polynomials import bisect, isolate, subresultant, value_at
 from helpers import random_positive_form, random_space_model, random_two_summand_case
 
 G2 = flag3(4, 2, 4)
@@ -130,18 +134,21 @@ def test_residual_is_scale_invariant():
     assert residuals[1] > 1e-8
 
 
-def test_uncertified_solve_returns_most_accurate_tied_start():
+def test_uncertified_solve_returns_most_accurate_tied_start(monkeypatch):
     # all 16 starts tie in S; their residuals run from 1e-16 to 1.5e-10, and
     # the start with the highest S has the largest
     opts = SolverOptions(residual_tol=1e-20)
-    rep = solve_prescribed_ricci(G2, flag3_target(2.0, 2.0), options=opts)
+    rep = newton_solve(monkeypatch, G2, flag3_target(2.0, 2.0), opts)
     assert rep.status == "inconclusive"
     assert rep.residual <= 1e-15
-    # for s = 2 an admissible root that fails certification is inconclusive
+    # for s = 2 and s = 3 an admissible root that fails certification is
+    # inconclusive
     m = two_summand(2, 3, "1/10", "3/10", "7/10")
-    rep = solve_prescribed_ricci(m, DiagonalForm.full((5.0, 1.0)), options=opts)
-    assert (rep.status, rep.starts_used) == ("inconclusive", 1)
-    assert rep.residual <= 1e-15 and rep.x is not None
+    for model, T in ((m, DiagonalForm.full((5.0, 1.0))), (G2, flag3_target(2.0, 2.0))):
+        rep = solve_prescribed_ricci(model, T, options=opts)
+        assert (rep.status, rep.starts_used) == ("inconclusive", 1)
+        assert rep.residual <= 1e-15 and rep.x is not None
+        assert "no root certified" in rep.notes[-1]
     # with S = -inf at every start no start ties, and the first is returned
     outcomes = [
         solver_mod._StartOutcome(-np.inf, np.ones(3) / 3, 1.0, res, "stalled", 0, False, (), 0)
@@ -150,8 +157,9 @@ def test_uncertified_solve_returns_most_accurate_tied_start():
     assert solver_mod._most_accurate(outcomes) is outcomes[0]
 
 
-def test_multistart_agreement_on_passing_model():
-    rep = solve_prescribed_ricci(G2, UNIT)  # default 16 starts
+def test_multistart_agreement_on_passing_model(monkeypatch):
+    rep = newton_solve(monkeypatch, G2, UNIT)  # default 16 starts
+    assert len(rep.start_values) == solver_mod.MULTISTARTS
     best = max(rep.start_values)
     close = sum(1 for v in rep.start_values if abs(v - best) <= 1e-6)
     assert close >= 0.9 * len(rep.start_values)
@@ -225,13 +233,17 @@ def test_lockstep_starts_match_starts_run_alone():
     assert zero_points > 0
 
 
-def test_determinism_and_seed_sensitivity():
-    a = solve_prescribed_ricci(G2, UNIT, options=SolverOptions(seed=5))
-    b = solve_prescribed_ricci(G2, UNIT, options=SolverOptions(seed=5))
+def test_determinism_and_seed_sensitivity(monkeypatch):
+    a = newton_solve(monkeypatch, G2, UNIT, SolverOptions(seed=5))
+    b = newton_solve(monkeypatch, G2, UNIT, SolverOptions(seed=5))
     assert a.to_dict() == b.to_dict()
-    c = solve_prescribed_ricci(G2, UNIT, options=SolverOptions(seed=9))
+    c = newton_solve(monkeypatch, G2, UNIT, SolverOptions(seed=9))
     assert c.status == "solved"
     assert c.S_value == pytest.approx(a.S_value, abs=1e-9)
+    # the exact path has no seed
+    exact = [solve_prescribed_ricci(G2, UNIT, options=SolverOptions(seed=k)) for k in (5, 9)]
+    assert exact[0].to_dict() == exact[1].to_dict()
+    assert exact[0].S_value == pytest.approx(a.S_value, abs=1e-9)
 
 
 def test_randomized_two_summand_agreement_small():
@@ -243,24 +255,30 @@ def test_randomized_two_summand_agreement_small():
         assert (rep.status == "solved") == want
 
 
-def newton_solve(monkeypatch, model, T):
-    """The s = 2 solve by the multistart Newton ascent instead of the exact
-    root count, through the same report."""
+def newton_solve(monkeypatch, model, T, options=None):
+    """The s = 2 or s = 3 solve by the multistart Newton ascent instead of
+    the exact path, through the same report: for s = 3 the exact path
+    reports itself degenerate, so the solve falls back to the ascent."""
+    opts = options or SolverOptions()
     with monkeypatch.context() as patch:
         patch.setattr(
             solver_mod,
             "_two_summand_roots",
-            lambda model, T, ev, tol: (solver_mod._ascend(ev, SolverOptions()), ()),
+            lambda model, T, ev, tol: (solver_mod._ascend(ev, opts), ()),
         )
-        return maximize_S_on_MT(model, T)
+        patch.setattr(solver_mod, "_three_summand_roots", lambda model, T, ev, tol: None)
+        return solve_prescribed_ricci(model, T, opts)
 
 
-def assert_same_solve(exact, newton):
+def assert_same_solve(exact, newton, escaping=True):
+    """Same status and x; for a diverged solve, the same escaping
+    coordinates, which the exact solve names for s = 2 (``escaping``) and
+    not for s = 3."""
     assert exact.status == newton.status
     if exact.status == "solved":
         assert exact.x.values == pytest.approx(newton.x.values, rel=1e-8)
     if exact.status == "diverged":
-        assert exact.collapsed == newton.collapsed
+        assert exact.collapsed == (newton.collapsed if escaping else ())
 
 
 def test_status_matches_exact_threshold_within_one_percent(monkeypatch):
@@ -388,8 +406,10 @@ def test_solves_leak_no_numeric_warnings(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         passing = solve_prescribed_ricci(G2, flag3_target(1.2, 1.4))
-        failing = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)))
+        exact = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)))
+        failing = newton_solve(monkeypatch, G2, DiagonalForm.full((1.0, 1.0, 0.1)))
     assert passing.status == "solved"
+    assert exact.status == "diverged"
     assert failing.status != "solved"
     # the overflowing trial points were rejected, and counted in one note
     assert sum("non-finite curvature" in note for note in failing.notes) == 1
@@ -436,13 +456,17 @@ def test_target_range_is_the_normal_doubles():
 
 
 def test_failing_chain_note_glosses_only_a_sufficient_condition(monkeypatch):
-    # for s = 2 the solve decides existence exactly, for s >= 3 it does not
+    # for s <= 3 the solve decides existence exactly, for s >= 4 it does not
     monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 100)
     twosum = two_summand(2, 3, "1/4", "3/10", "4/5")
     rep = solve_prescribed_ricci(twosum, DiagonalForm.full((Fraction(1, 4), 1)))
     assert rep.status == "diverged"
     assert rep.notes[0] == "chain condition failed"
     rep = solve_prescribed_ricci(G2, DiagonalForm.full((1.0, 1.0, 0.1)))
+    assert rep.status == "diverged"
+    assert rep.notes[0] == "chain condition failed"
+    # SU(4)/T with the unit target: the first chain fails with margin 0
+    rep = solve_prescribed_ricci(full_flag(4), DiagonalForm.full((1.0,) * 6))
     assert rep.notes[0] == "chain condition failed; existence not guaranteed"
 
 
@@ -458,3 +482,145 @@ def test_report_serializes():
     assert doc["status"] == "solved"
     assert len(doc["x"]) == 3
     assert doc["condition"]["passed"] is True
+
+
+def test_three_summand_table_rows():
+    # flag3(4,2,4): one solution for the unit target, none for the two
+    # failing ones, where the ascent ran out its budget
+    rep = solve_prescribed_ricci(G2, UNIT)
+    assert (rep.status, rep.starts_used, rep.iterations) == ("solved", 1, 0)
+    assert rep.c == pytest.approx(0.38440, abs=1e-5)
+    x = np.array(rep.x.values)
+    assert x / x[0] == pytest.approx([1.0, 1.02066, 0.39237], abs=1e-5)
+    assert rep.to_dict()["solutions"] == [list(rep.x.values)]
+    for values in ((1.0, 1.0, 0.1), (1.0, 5.0, 1.0)):
+        t0 = time.perf_counter()
+        rep = solve_prescribed_ricci(G2, DiagonalForm.full(values))
+        assert time.perf_counter() - t0 < 1.0
+        assert (rep.status, rep.starts_used, rep.x, rep.S_value) == ("diverged", 0, None, None)
+        assert rep.notes[-1].startswith("no solution exists")
+        assert rep.to_dict()["solutions"] == []
+
+
+def stripped_system(model, T):
+    """E_1 and E_2 of the s = 3 solve over their monomial factors, by powers
+    of u."""
+    E, _ = equations(model, T)
+    return [by_power(e, swap=False) for e in E]
+
+
+def test_three_summand_roots_off_the_unit_interval(monkeypatch):
+    # the grid targets (p, q) = (1.2, 3) and (4, 3): the resultant vanishes at
+    # t = 1, where u = 0 is a common root, and the only solution of the second
+    # has t = x_2 / x_1 > 1
+    for (p, q), t in (((1.2, 3.0), 0.517991), ((4.0, 3.0), 1.736553)):
+        T = flag3_target(p, q)
+        f, g = stripped_system(G2, T)
+        assert value_at(subresultant(f, g, 0)[0], 1, 0) == 0
+        assert value_at(f[0], 1, 0) == value_at(g[0], 1, 0) == 0
+        rep = solve_prescribed_ricci(G2, T)
+        assert rep.status == "solved" and rep.starts_used == 1
+        assert rep.x[2] / rep.x[1] == pytest.approx(t, abs=1e-6)
+        assert_same_solve(rep, newton_solve(monkeypatch, G2, T), escaping=False)
+
+
+def test_three_summand_degenerate_eliminations(monkeypatch):
+    # summand 3 brackets with nothing: E_1 and E_2 do not depend on u, so t
+    # is eliminated instead, and their resultant is a constant
+    decoupled = build_model(
+        "decoupled", dims=(2, 3, 2), casimir=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+        triples={(1, 1, 2): Fraction(1, 2), (1, 2, 2): Fraction(1, 3)},
+    )
+    assert [len(e) for e in stripped_system(decoupled, UNIT)] == [1, 1]
+    rep = solve_prescribed_ricci(decoupled, UNIT)
+    assert (rep.status, rep.starts_used) == ("diverged", 0)
+    assert newton_solve(monkeypatch, decoupled, UNIT).status == "diverged"
+    # ... and when they share a root in t, every u solves: R = 0, a curve of
+    # solutions, and the ascent decides
+    T = DiagonalForm.full(ricci(decoupled, DiagonalForm.full((1, 1, 1))))
+    rep = solve_prescribed_ricci(decoupled, T)
+    assert rep.status == "solved" and rep.starts_used == solver_mod.MULTISTARTS
+    assert rep.notes[-1].startswith("the exact elimination is degenerate")
+    assert rep.solutions is None and rep.to_dict()["solutions"] is None
+    # SU(3)/T with z_1 = z_2 has two solutions at t = 1, u = 1 and u = 2: the
+    # first subresultant vanishes there, a(1) = 0, and the ascent decides
+    su3 = full_flag(3)
+    rep = solve_prescribed_ricci(su3, UNIT)
+    assert rep.status == "solved" and rep.notes[-1].startswith("the exact elimination is degenerate")
+    assert solver_mod._three_summand_roots(su3, UNIT, solver_mod._Evaluator(su3, np.ones(3)), TOL) is None
+    # E_1 of degree 1 in u (a draw of the s = 3 sweep): u is read off E_1
+    linear = build_model(
+        "linear", dims=(1, 5, 4), casimir=(Fraction(3, 13), Fraction(8, 17), Fraction(2, 3)),
+        triples={(1, 2, 2): Fraction(9, 10), (2, 2, 2): Fraction(1, 2), (2, 2, 3): Fraction(5, 3)},
+    )
+    statuses = []
+    for values in ((1.7117, 0.09559, 2.6901), (1.0, 1.0, 1.0), (1.0, 5.0, 0.1)):
+        T = DiagonalForm.full(values)
+        assert [len(e) - 1 for e in stripped_system(linear, T)] == [1, 2]
+        rep = solve_prescribed_ricci(linear, T)
+        assert_same_solve(rep, newton_solve(monkeypatch, linear, T), escaping=False)
+        statuses.append(rep.status)
+    assert statuses == ["solved", "solved", "diverged"]
+
+
+def test_three_summand_exact_matches_bounded_ascent():
+    # the first 30 targets of the s = 3 sweep: wherever 16 ascent starts of
+    # at most 100 steps decide, the exact path agrees, and its x matches
+    rng = np.random.default_rng(2026)
+    decided = {"solved": 0, "diverged": 0}
+    for _ in range(30):
+        model = random_space_model(rng, 3, exact=True)
+        z = rng.uniform(0.05, 5, 3)
+        exact = maximize_S_on_MT(model, DiagonalForm.full(tuple(float(v) for v in z)))
+        ev = solver_mod._Evaluator(model, z)
+        base = np.log(ev.dz)
+        V0 = np.vstack([base, base + np.random.default_rng(0).normal(0.0, 0.75, size=(15, 3))])
+        outcomes = solver_mod._run_starts(ev, V0, TOL, 100)
+        certified = [o for o in outcomes if o.certified]
+        if certified:
+            best = solver_mod._most_accurate(certified)
+            x, y = np.array(exact.x.values), ev.dz / best.u
+            assert exact.status == "solved"
+            assert x / x[0] == pytest.approx(y / y[0], rel=1e-8)
+            decided["solved"] += 1
+        elif any(o.status == "collapsed" for o in outcomes):
+            assert exact.status == "diverged"
+            decided["diverged"] += 1
+    assert decided["solved"] >= 10 and decided["diverged"] >= 10
+
+
+def test_three_summand_saddle_solution_is_found(monkeypatch):
+    # the only solution is a saddle point of S on the constraint set: the
+    # ascent climbs past it and escapes, the exact solve finds it
+    model = build_model(
+        "saddle", dims=(5, 3, 1), casimir=(Fraction(11, 24), Fraction(1, 21), Fraction(1, 6)),
+        triples={(1, 1, 1): Fraction(5, 3), (1, 2, 2): Fraction(7, 10), (1, 2, 3): Fraction(4, 3),
+                 (2, 2, 2): Fraction(3, 8), (2, 2, 3): Fraction(7, 2)},
+    )
+    T = DiagonalForm.full((0.06292302025130755, 9.776903803386878, 0.47748253852506883))
+    rep = solve_prescribed_ricci(model, T)
+    assert (rep.status, rep.starts_used) == ("solved", 1)
+    r = np.array(ricci(model, rep.x))
+    assert np.max(np.abs(r - rep.c * np.array(T.values))) <= 1e-8 * rep.c * max(T.values)
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 150)
+    ascent = newton_solve(monkeypatch, model, T)
+    assert ascent.status == "diverged" and ascent.S_value > rep.S_value
+
+
+def test_root_bisection_lands_on_a_dyadic_root():
+    # (4t - 3)(8t - 1): the roots 1/8 and 3/4 are isolated in (0, 1/2) and
+    # (1/2, 1); one bisection of the second lands on its root exactly
+    p = [3, -28, 32]
+    assert sorted(isolate(p)) == [(1, 0, 1), (1, 1, -1)]
+    assert bisect(p, (1, 1, -1)) == (2, 3, 0)
+    assert bisect(p, (1, 0, 1)) == (2, 0, 1)
+    # a target built from the metric (1, 2, 3): the resultant's root t = 2
+    # is a dyadic point that the refinement reaches exactly
+    model = build_model(
+        "dyadic", dims=(4, 3, 1), casimir=(Fraction(11, 20), Fraction(2, 7), Fraction(5, 13)),
+        triples={(1, 2, 2): Fraction(5, 8), (1, 2, 3): Fraction(11)},
+    )
+    T = DiagonalForm.full(ricci(model, DiagonalForm.full((1, 2, 3))))
+    rep = solve_prescribed_ricci(model, T)
+    assert (rep.status, rep.starts_used) == ("solved", 1)
+    assert np.array(rep.x.values) / rep.x[1] == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
