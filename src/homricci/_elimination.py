@@ -9,16 +9,19 @@ rational).  Ric g = c T is then E_1 = z_2 r_1 - z_1 r_2 = 0 and, for s = 3,
 E_2 = z_3 r_1 - z_1 r_3 = 0, polynomial equations in (t, u) = (x_2, x_3)
 with c = r_1 / z_1.
 
-For s = 3, ``three_summand_points`` eliminates u: every common root has t a
-root of the resultant R(t) = Res_u(E_1, E_2), and there u = -b(t) / a(t),
-read off the first subresultant a u + b (or off an E_i of degree 1 in u).
-The positive roots of R are isolated exactly, and on each isolating interval
-the signs of a, b and c are decided exactly; a root is admissible when u > 0
-and c > 0.  Roots where u = 0 or c = 0 are divided out of R first; where a
+For s = 2, ``two_summand_points`` reads the one positive root of E_1 (see
+``solver``).  For s = 3, ``three_summand_points`` eliminates u: every
+common root has t a root of the resultant R(t) = Res_u(E_1, E_2), and there
+u = -b(t) / a(t), read off the first subresultant a u + b (or off an E_i of
+degree 1 in u).  The positive roots of R are isolated exactly, and on each
+isolating interval the signs of a, b and c are decided exactly; a root is
+admissible when u > 0 and c > 0.  Roots where u = 0 or c = 0 are divided out of R first; where a
 vanishes at a positive root, or R vanishes identically, the elimination
-gives no single point and the caller falls back to the ascent.  With u
-missing from an E_i, and of degree >= 2 in the other, t is eliminated
-instead.
+gives no single point and the caller falls back to the ascent; so does a
+float target with no admissible root whose R is within its rounding of
+vanishing identically.  With u missing from an E_i, and of degree >= 2 in
+the other, t is eliminated instead.  Both solves bisect an isolated root to
+_ROOT_BITS bits and read it as a float by correctly rounded int division.
 """
 
 from __future__ import annotations
@@ -111,12 +114,85 @@ def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[dict
     return E, core
 
 
+def positive_roots(p: list) -> list[tuple[bool, tuple]]:
+    """The positive roots of p, with p(0) != 0, each as (reverse, root): a
+    root in (0, 1) or at 1 isolated as ``poly.isolate`` does, or, when
+    ``reverse``, a root v > 1 as the root 1/v of the reversed p.  p is
+    square-free, or has one positive root, a simple one."""
+    roots = [(False, root) for root in poly.isolate(p)]
+    if poly.sign_at(p, 1, 0) == 0:
+        roots.append((False, (0, 1, 0)))
+    return roots + [(True, root) for root in poly.isolate(p[::-1])]
+
+
+def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, int, int]:
+    """The root of p isolated by ``root`` (see ``poly.isolate``), bisected
+    to a relative width of 2**-_ROOT_BITS: (the root as a float, or its
+    reciprocal when ``reverse``; num and depth of the dyadic point
+    num / 2**depth in its final interval)."""
+    while root[2] and root[1] >> _ROOT_BITS == 0:
+        root = poly.bisect(p, root)
+    depth, num = (root[0] + 1, 2 * root[1] + 1) if root[2] else root[:2]
+    return (_ratio(1 << depth, num) if reverse else _ratio(num, 1 << depth)), num, depth
+
+
+def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple], tuple[int, ...]]:
+    """The metric (1, t) at the at most one admissible root of the s = 2
+    equation P(t) = M t^2 (z_2 r_1 - z_1 r_2) = 0, and the coordinate that
+    escapes when P has no positive root (see ``solver``)."""
+    d1, d2 = model.dims
+    z1, z2 = integer_target(T)
+    # M t^2 r_1 and M t^2 r_2 at x = (1, t)
+    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in ricci_core(model))
+    P = poly.trim([z2 * a - z1 * b for a, b in zip(r1, r2)])
+    # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
+    C = poly.trim([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
+    # where P = 0 every t solves: the base start t = 1; so for a float T
+    # within rounding of a target where P = 0 (see three_summand_points)
+    magnitude = z2 * sum(map(abs, r1)) + z1 * sum(map(abs, r2))
+    inexact = any(isinstance(v, float) for v in T.values)
+    if not P or inexact and sum(map(abs, P)) << 47 <= magnitude:
+        return ([(1.0, 1.0)] if poly.sign_at(C, 1, 0) > 0 else []), ()
+    # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
+    # signs one change of sign is one positive root, a simple one, and none
+    # is none
+    ends = [v for v in P if v]
+    if not ends[0] > 0 > ends[-1]:
+        return [], (2,) if ends[0] > 0 else (1,)
+    P = poly.primitive(P[P.index(ends[0]):])  # a root at 0 is not positive
+    if poly.has_positive_root(poly.gcd_poly(P, C)):
+        return [], ()  # c = 0 at the root
+    ((reverse, root),) = positive_roots(P)
+    if reverse:
+        P, C = P[::-1], C[::-1]
+    sign_c, root = poly.sign_at_root(P, poly.trim(C), root)
+    if sign_c < 0:
+        return [], ()
+    return [(1.0, read_root(P, root, reverse)[0])], ()
+
+
 def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tuple]]:
     """The metrics (1, t, u) at the admissible roots of the s = 3 system, as
-    floats in the order of t; None when the elimination is degenerate."""
+    floats in the order of t; None when the elimination is degenerate, or
+    finds no admissible root for a float T within rounding of a target
+    where it is."""
     E, core = equations(model, T)
+    # A float T stands for every target within its rounding.  Moving T by a
+    # relative 2**-47 (a few dozen units in the last place) moves each
+    # coefficient of E_i by at most 2**-47 of its magnitude z_(i+1) |r_1| +
+    # z_1 |r_(i+1)|: the norm of E_i, the sum of the absolute values of its
+    # coefficients, by at most 2**-47 |E_i|, and that of R, a determinant of
+    # m + n <= 8 rows, by at most 2**-44 |E_1|**n |E_2|**m.  An E_i or R no
+    # larger is within rounding of vanishing identically, where a nearby
+    # target has a curve of solutions: finding no root then proves nothing.
+    magnitude = []
+    if any(isinstance(v, float) for v in T.values):
+        z = integer_target(T)
+        size = [sum(abs(v) for v in terms.values()) for terms in core]
+        magnitude = [z[i] * size[0] + z[0] * size[i] for i in (1, 2)]
+    fragile = any(sum(map(abs, e.values())) << 47 <= bound for e, bound in zip(E, magnitude))
     if any(len(e) == 1 for e in E):
-        return []  # a monomial has no positive root
+        return None if fragile else []  # a monomial has no positive root
     if not all(E):
         return None  # an E_i = 0: the other leaves a curve of solutions, or more
     # eliminate u, or t when u is missing from one E_i and of degree >= 2 in
@@ -131,6 +207,21 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     R = poly.subresultant(f, g, 0)[0]
     if not R:
         return None  # a common factor: a curve of solutions
+    if magnitude and not fragile:
+        # f and g are E_1 and E_2 over the gcd of their coefficients
+        scaled, bound = sum(map(abs, R)) << 44, 1
+        for e, mag, power in zip(E, magnitude, (n, m)):
+            scaled *= math.gcd(*e.values()) ** power
+            bound *= mag**power
+        fragile = scaled <= bound
+    points = _admissible_points(f, g, R, core, swap)
+    return None if fragile and points == [] else points
+
+
+def _admissible_points(f: list, g: list, R: list, core: list[dict], swap: bool) -> Optional[list[tuple]]:
+    """``three_summand_points`` from the resultant R != 0 of the stripped
+    system f, g on."""
+    m, n = len(f) - 1, len(g) - 1
     R = poly.primitive(R[next(i for i, c in enumerate(R) if c):])
     if len(R) == 1:
         return []
@@ -166,12 +257,8 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     width = max(len(a), len(b))
     a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
 
-    roots = [(False, root) for root in poly.isolate(R)]
-    if poly.sign_at(R, 1, 0) == 0:
-        roots.append((False, (0, 1, 0)))
-    roots += [(True, root) for root in poly.isolate(R[::-1])]
     found = []
-    for reverse, root in roots:
+    for reverse, root in positive_roots(R):
         # a root v > 1 as 1/v, a root of the reversed polynomials in (0, 1);
         # a, b and C do not vanish there
         P, A, B, Cs = (p[::-1] if reverse else p for p in (R, a, b, C))
@@ -182,12 +269,7 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
         sign_c, root = poly.sign_at_root(P, poly.trim(Cs), root)
         if sign_c * sign_a**k < 0:
             continue
-        while root[2] and root[1] >> _ROOT_BITS == 0:
-            root = poly.bisect(P, root)
-        depth, num = (root[0] + 1, 2 * root[1] + 1) if root[2] else root[:2]
-        v = _ratio(1 << depth, num) if reverse else _ratio(num, 1 << depth)
+        v, num, depth = read_root(P, root, reverse)
         w = _ratio(-poly.value_at(B, num, depth), poly.value_at(A, num, depth))
         found.append((1.0, w, v) if swap else (1.0, v, w))
     return sorted(found)
-
-

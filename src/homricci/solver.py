@@ -42,13 +42,15 @@ polynomial of degree at most 4, and dS/dt has the sign of P.  Since d,
 z > 0 and every [ijk] >= 0 its coefficients' signs, lowest degree first,
 are (+, +, any, -, -), zeros allowed.  By Descartes' rule of signs P has
 exactly one positive root, a simple one, when its nonzero coefficients
-change sign, and none otherwise.  The root is polished in float and kept
-when c = r_1 / z_1 > 0 there: the at most one admissible root, so unless
-P vanishes identically (below) the solution is unique up to scale.  With
-no root the escaping coordinate is x_2 when P > 0 (S grows as t grows
-without bound) and x_1 when P < 0.  When P vanishes identically (both
-singletons close and T is parallel to r), every t solves, and the solve
-returns t = 1, the base start.
+change sign, and none otherwise.  The root is isolated and kept when
+c = r_1 / z_1 > 0 there, decided exactly: the at most one admissible root,
+so unless P vanishes identically (below) the solution is unique up to
+scale.  With no root the escaping coordinate is x_2 when P > 0 (S grows
+as t grows without bound) and x_1 when P < 0.  When P vanishes
+identically (both singletons close and T is parallel to r), every t
+solves, and the solve returns t = 1, the base start; so it does for a
+float T within rounding of such a target, where every t solves to
+rounding.
 
 For s = 3, along x = (1, t, u), the positive roots t of the resultant
 R(t) = Res_u(E_1, E_2) of E_1 = z_2 r_1 - z_1 r_2 and E_2 = z_3 r_1 -
@@ -56,18 +58,21 @@ z_1 r_3 (numerators) are isolated exactly, u = -b(t) / a(t) is read off the
 first subresultant, and a root is admissible when u > 0 and c > 0, both
 decided exactly.  Where R vanishes identically (a curve of solutions) or a
 vanishes at a positive root (two solutions share t), the ascent decides
-instead, with a note.
+instead, with a note; so it does where a float T has no admissible root
+but R is within the rounding of T of vanishing identically, since a target
+that T rounds may have a curve of solutions.
 
+Either way an isolated root is bisected to 55 bits and read as a float.
 Each admissible root is certified like a start, at its float metric, all
 in one kernel call; the report returns the certified one with the highest
 S, and lists every admissible root.  With no admissible root no solution
-exists, so for s <= 3 "diverged" is a proof of nonexistence.
+exists, so for s <= 3 "diverged" is a proof of nonexistence (of an exact
+solution for T as given).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -390,24 +395,6 @@ def _ascend(ev: _Evaluator, opts: SolverOptions) -> list[_StartOutcome]:
     return _run_starts(ev, V0, opts.residual_tol, MAX_ITERATIONS)
 
 
-def _horner(p: list, t):
-    """The polynomial p (coefficients lowest degree first) at t."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _to_float(p: list) -> list[float]:
-    """The exact polynomial p over its largest coefficient, in float: the
-    same signs everywhere, and no coefficient overflows."""
-    scale = max(abs(c) for c in p) or 1
-    return [float(c / scale) for c in p]
-
-
-_FLOAT_MAX = Fraction(np.finfo(np.float64).max)
-
-
 def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]:
     """An outcome for each metric, a row of X (m, s), certified at residual
     ``tol`` in one kernel call."""
@@ -437,25 +424,6 @@ def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]
     return out
 
 
-def _positive_root(p: list) -> float:
-    """The positive root of the exact polynomial p whose nonzero
-    coefficients, lowest degree first, change sign once, from + to -,
-    polished in float by bisection."""
-    while p[-1] == 0:
-        p = p[:-1]
-    while p[0] == 0:  # a root at 0 is not positive
-        p = p[1:]
-    pf = _to_float(p)
-    # p > 0 on (0, root) and p < 0 from there to the Cauchy bound
-    lo, hi = 0.0, float(min(1 + max(abs(Fraction(c, p[-1])) for c in p[:-1]), _FLOAT_MAX))
-    while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
-        if _horner(pf, t) < 0:
-            hi = t
-        else:
-            lo = t
-    return t
-
-
 def _two_summand_roots(
     model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
 ) -> tuple[list[_StartOutcome], tuple[int, ...]]:
@@ -466,22 +434,8 @@ def _two_summand_roots(
     # solves no two- or three-summand problem never compiles it
     from . import _elimination
 
-    d1, d2 = model.dims
-    z1, z2 = _elimination.integer_target(T)
-    # M t^2 r_1 and M t^2 r_2 at x = (1, t)
-    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in _elimination.ricci_core(model))
-    P = [z2 * a - z1 * b for a, b in zip(r1, r2)]
-    # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
-    # signs one change of sign is one positive root, and none is none
-    ends = [c for c in P if c != 0]
-    if ends and not ends[0] > 0 > ends[-1]:
-        return [], (2,) if ends[0] > 0 else (1,)
-    t = _positive_root(P) if ends else 1.0
-    # at the root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of
-    # c even where one z_i is so small that r_i cancels to rounding
-    if _horner(_to_float([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)]), t) <= 0:
-        return [], ()
-    return _certified(ev, np.array([[1.0, t]]), tol), ()
+    points, escaped = _elimination.two_summand_points(model, T)
+    return _certified(ev, np.array(points), tol), escaped
 
 
 def _three_summand_roots(
@@ -561,8 +515,9 @@ def maximize_S_on_MT(
         outcomes = _three_summand_roots(model, T, ev, opts.residual_tol)
         if outcomes is None:
             notes = (
-                "the exact elimination is degenerate here (a curve of solutions, "
-                "or two at one root); the multistart ascent decided",
+                "the exact elimination is degenerate here, or T is within rounding "
+                "of a target where it is (a curve of solutions, or two at one root); "
+                "the multistart ascent decided",
             )
     exact = outcomes is not None
     if not exact:

@@ -1,6 +1,7 @@
 """Solver behavior: certification, divergence, scale laws, determinism."""
 
 import json
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -24,8 +25,8 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import solver as solver_mod
-from homricci._elimination import by_power, equations
-from homricci._polynomials import bisect, isolate, subresultant, value_at
+from homricci._elimination import by_power, equations, positive_roots, read_root
+from homricci._polynomials import bisect, isolate, subresultant, trim, value_at
 from helpers import random_positive_form, random_space_model, random_two_summand_case
 
 G2 = flag3(4, 2, 4)
@@ -320,6 +321,11 @@ def test_degenerate_two_summand_lattices(monkeypatch):
         assert (rep.status, rep.collapsed) == (status, collapsed), (model.name, values)
         assert_same_solve(rep, newton_solve(monkeypatch, model, T))
     assert maximize_S_on_MT(frozen, DiagonalForm.full((3, 2))).x.values == (10.0, 10.0)
+    # a float target that rounds one parallel to r: P is within rounding of
+    # 0, and t = 1 certifies; P's signs alone would read as a proof that no
+    # t solves
+    rep = maximize_S_on_MT(frozen, DiagonalForm.full((0.15, 0.1)))
+    assert (rep.status, rep.starts_used, rep.x[1] / rep.x[2]) == ("solved", 1, 1.0)
 
 
 def test_unit_solve_kernel_calls(monkeypatch):
@@ -370,7 +376,14 @@ def test_two_summand_root_read_from_sign_pattern():
         (poly("1/10", 7, -2, 0, 0), (7 + 49.8**0.5) / 4),
     ]
     for p, root in cases:
-        assert solver_mod._positive_root(p) == pytest.approx(root, rel=1e-12)
+        # over a common denominator, without the root at 0 and trailing zeros
+        scale = math.lcm(*(c.denominator for c in p))
+        P = trim([int(c * scale) for c in p])
+        P = P[next(i for i, c in enumerate(P) if c):]
+        ((reverse, isolated),) = positive_roots(P)
+        if reverse:
+            P = P[::-1]
+        assert read_root(P, isolated, reverse)[0] == pytest.approx(root, rel=1e-12)
     # one sign throughout: no root, and the coordinate on the side S grows
     # towards escapes
     side1 = two_summand(2, 3, "1/4", "3/10", "4/5")  # [112] = 0: P >= 0
@@ -605,6 +618,27 @@ def test_three_summand_saddle_solution_is_found(monkeypatch):
     monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 150)
     ascent = newton_solve(monkeypatch, model, T)
     assert ascent.status == "diverged" and ascent.S_value > rep.S_value
+
+
+def test_three_summand_float_target_near_a_curve_of_solutions():
+    # with [123] alone the metrics (1, t, t - 1) share one Ricci form up to
+    # scale, so the target built from (1, 2, 1) has a curve of solutions;
+    # its float rounding has none, yet (1, 2, 1) certifies: the ascent decides
+    model = build_model(
+        "curve", dims=(1, 1, 4), casimir=(1 / 3, 1 / 3, 1 / 3), triples={(1, 2, 3): math.sqrt(4 / 3)}
+    )
+    T = DiagonalForm.full(ricci(model, DiagonalForm.full((1, 2, 1))))
+    assert all(isinstance(v, float) for v in T.values)
+    rep = solve_prescribed_ricci(model, T)
+    assert (rep.status, rep.starts_used, rep.solutions) == ("solved", solver_mod.MULTISTARTS, None)
+    assert rep.notes[-1].startswith("the exact elimination is degenerate here, or T is within rounding")
+    assert rep.x[2] == pytest.approx(rep.x[1] + rep.x[3], rel=1e-8)
+    ev = solver_mod._Evaluator(model, np.array(T.values))
+    assert solver_mod._certified(ev, np.array([[1.0, 2.0, 1.0]]), TOL)[0].certified
+    # the same dyadic numbers read as exact fractions: a proof of nonexistence
+    exact = solve_prescribed_ricci(model, DiagonalForm.full(tuple(Fraction(v) for v in T.values)))
+    assert (exact.status, exact.starts_used) == ("diverged", 0)
+    assert exact.notes[-1].startswith("no solution exists")
 
 
 def test_root_bisection_lands_on_a_dyadic_root():
