@@ -537,6 +537,17 @@ def test_three_summand_roots_off_the_unit_interval(monkeypatch):
         assert_same_solve(rep, newton_solve(monkeypatch, G2, T), escaping=False)
 
 
+def test_three_summand_grid_matches_ascent(monkeypatch):
+    # the flag3(4,2,4) targets on the condition-margin grid (p, q), both > 1:
+    # each is solved, at the ascent's x
+    for p in (1.2, 2.0, 4.0, 8.0):
+        for q in (1.1, 1.4, 2.0, 3.0):
+            T = flag3_target(p, q)
+            rep = solve_prescribed_ricci(G2, T)
+            assert (rep.status, rep.iterations) == ("solved", 0)
+            assert_same_solve(rep, newton_solve(monkeypatch, G2, T), escaping=False)
+
+
 def test_three_summand_degenerate_eliminations(monkeypatch):
     # summand 3 brackets with nothing: E_1 and E_2 do not depend on u, so t
     # is eliminated instead, and their resultant is a constant
