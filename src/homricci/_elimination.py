@@ -114,21 +114,10 @@ def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[dict
     return E, core
 
 
-def positive_roots(p: list) -> list[tuple[bool, tuple]]:
-    """The positive roots of p, with p(0) != 0, each as (reverse, root): a
-    root in (0, 1) or at 1 isolated as ``poly.isolate`` does, or, when
-    ``reverse``, a root v > 1 as the root 1/v of the reversed p.  p is
-    square-free, or has one positive root, a simple one."""
-    roots = [(False, root) for root in poly.isolate(p)]
-    if poly.sign_at(p, 1, 0) == 0:
-        roots.append((False, (0, 1, 0)))
-    return roots + [(True, root) for root in poly.isolate(p[::-1])]
-
-
 def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, int, int]:
-    """The root of p isolated by ``root`` (see ``poly.isolate``), bisected
-    to a relative width of 2**-_ROOT_BITS: (the root as a float, or its
-    reciprocal when ``reverse``; num and depth of the dyadic point
+    """The root of p isolated by ``root`` (see ``poly.positive_roots``),
+    bisected to a relative width of 2**-_ROOT_BITS: (the root as a float, or
+    its reciprocal when ``reverse``; num and depth of the dyadic point
     num / 2**depth in its final interval)."""
     while root[2] and root[1] >> _ROOT_BITS == 0:
         root = poly.bisect(p, root)
@@ -160,9 +149,9 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     if not ends[0] > 0 > ends[-1]:
         return [], (2,) if ends[0] > 0 else (1,)
     P = poly.primitive(P[P.index(ends[0]):])  # a root at 0 is not positive
-    if poly.has_positive_root(poly.gcd_poly(P, C)):
+    if poly.positive_roots(poly.gcd_poly(P, C)):
         return [], ()  # c = 0 at the root
-    ((reverse, root),) = positive_roots(P)
+    ((reverse, root),) = poly.positive_roots(P)
     if reverse:
         P, C = P[::-1], C[::-1]
     sign_c, root = poly.sign_at_root(P, poly.trim(C), root)
@@ -218,7 +207,9 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     return None if fragile and points == [] else points
 
 
-def _admissible_points(f: list, g: list, R: list, core: list[dict], swap: bool) -> Optional[list[tuple]]:
+def _admissible_points(
+    f: list, g: list, R: list, core: list[dict], swap: bool
+) -> Optional[list[tuple]]:
     """``three_summand_points`` from the resultant R != 0 of the stripped
     system f, g on."""
     m, n = len(f) - 1, len(g) - 1
@@ -232,10 +223,10 @@ def _admissible_points(f: list, g: list, R: list, core: list[dict], swap: bool) 
     # a simple common root unless a vanishes there too
     zero = poly.gcd_poly(R, poly.gcd_poly(f[0], g[0]))
     if len(zero) > 1:
-        if poly.has_positive_root(poly.gcd_poly(zero, a)):
+        if poly.positive_roots(poly.gcd_poly(zero, a)):
             return None
         R = poly.exact_div(R, zero)
-    if poly.has_positive_root(poly.gcd_poly(R, a)):
+    if poly.positive_roots(poly.gcd_poly(R, a)):
         return None  # a = 0 at a positive root: no single common root to read
     # sign c = sign r_i at the root, for the i of lowest degree k in the
     # eliminated variable, is sign a^k C with C = sum_j h_j (-b)^j a^(k-j),
@@ -258,7 +249,7 @@ def _admissible_points(f: list, g: list, R: list, core: list[dict], swap: bool) 
     a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
 
     found = []
-    for reverse, root in positive_roots(R):
+    for reverse, root in poly.positive_roots(R):
         # a root v > 1 as 1/v, a root of the reversed polynomials in (0, 1);
         # a, b and C do not vanish there
         P, A, B, Cs = (p[::-1] if reverse else p for p in (R, a, b, C))

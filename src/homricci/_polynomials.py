@@ -150,13 +150,6 @@ def derivative(p: list) -> list:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def has_positive_root(p: list) -> bool:
-    """Whether the square-free p has a root t > 0."""
-    return len(p) > 1 and (
-        sign_at(p, 1, 0) == 0 or bool(isolate(p)) or bool(isolate(trim(p[::-1])))
-    )
-
-
 def _variations(p: list) -> int:
     signs = [c > 0 for c in p if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -212,6 +205,17 @@ def isolate(p: list) -> list[tuple[int, int, int]]:
                 out.append((k + 1, 2 * c + 1, 0))
             stack += [(k + 1, 2 * c), (k + 1, 2 * c + 1)]
     return out
+
+
+def positive_roots(p: list) -> list[tuple[bool, tuple]]:
+    """The positive roots of p, with p(0) != 0, each as (reverse, root): a
+    root in (0, 1) or at 1 as ``isolate`` gives it, or, when ``reverse``, a
+    root v > 1 as the root 1/v of the reversed p.  p is square-free, or has
+    one positive root, a simple one; a constant p has none."""
+    roots = [(False, root) for root in isolate(p)]
+    if sign_at(p, 1, 0) == 0:
+        roots.append((False, (0, 1, 0)))
+    return roots + [(True, root) for root in isolate(p[::-1])]
 
 
 def bisect(p: list, root: tuple[int, int, int]) -> tuple[int, int, int]:
