@@ -13,15 +13,19 @@ For s = 2, ``two_summand_points`` reads the one positive root of E_1 (see
 ``solver``).  For s = 3, ``three_summand_points`` eliminates u: every
 common root has t a root of the resultant R(t) = Res_u(E_1, E_2), and there
 u = -b(t) / a(t), read off the first subresultant a u + b (or off an E_i of
-degree 1 in u).  The positive roots of R are isolated exactly, and on each
-isolating interval the signs of a, b and c are decided exactly; a root is
-admissible when u > 0 and c > 0.  Roots where u = 0 or c = 0 are divided out of R first; where a
-vanishes at a positive root, or R vanishes identically, the elimination
-gives no single point and the caller falls back to the ascent; so does a
-float target with no admissible root whose R is within its rounding of
-vanishing identically.  With u missing from an E_i, and of degree >= 2 in
-the other, t is eliminated instead.  Both solves bisect an isolated root to
-_ROOT_BITS bits and read it as a float by correctly rounded int division.
+degree 1 in u); one subresultant chain gives both.  The positive roots of
+R are isolated and read exactly, and at each the signs of a, b and c are
+decided exactly; a root is admissible when u > 0 and c > 0.  Roots where
+u = 0 are divided out of R first.  Where a vanishes at a rational positive
+root t_0, E_1(t_0, u) and E_2(t_0, u) are solved in u exactly.  A common
+factor of E_1 and E_2 whose coefficients share one sign has no point with
+t, u > 0 and is divided out.  Where a vanishes at an irrational positive
+root, or another common factor leaves a curve of solutions, the caller
+falls back to the ascent; so does a float target with no admissible root
+whose R is within its rounding of vanishing identically.  With u missing
+from an E_i, and of degree >= 2 in the other, t is eliminated instead.
+Both solves refine an isolated root to _ROOT_BITS bits, as bisection
+would, and read it as a float by correctly rounded int division.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from typing import Optional
 from . import _polynomials as poly
 from .model import DiagonalForm, SpaceModel
 
-# An admissible root is bisected to this relative width before it is read
-# as a float.
+# An isolated root is refined to this relative width before it is read as
+# a float.
 _ROOT_BITS = 55
 
 
@@ -114,15 +118,20 @@ def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[dict
     return E, core
 
 
-def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, int, int]:
+def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, tuple]:
     """The root of p isolated by ``root`` (see ``poly.positive_roots``),
-    bisected to a relative width of 2**-_ROOT_BITS: (the root as a float, or
-    its reciprocal when ``reverse``; num and depth of the dyadic point
-    num / 2**depth in its final interval)."""
-    while root[2] and root[1] >> _ROOT_BITS == 0:
-        root = poly.bisect(p, root)
-    depth, num = (root[0] + 1, 2 * root[1] + 1) if root[2] else root[:2]
-    return (_ratio(1 << depth, num) if reverse else _ratio(num, 1 << depth)), num, depth
+    refined to a relative width of 2**-_ROOT_BITS: (the root, or its
+    reciprocal when ``reverse``, as a float read at ``poly.point`` of the
+    refined root; the refined root)."""
+    root = poly.refine(p, root, _ROOT_BITS)
+    num, depth = poly.point(root)
+    return (_ratio(1 << depth, num) if reverse else _ratio(num, 1 << depth)), root
+
+
+def _sign(p: list, f: list, root: tuple) -> int:
+    """The sign of f at the root of p isolated by the refined ``root``, 0
+    where f vanishes."""
+    return poly.sign_near(p, f, root, poly.value_at(f, *poly.point(root)))
 
 
 def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple], tuple[int, ...]]:
@@ -149,15 +158,11 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     if not ends[0] > 0 > ends[-1]:
         return [], (2,) if ends[0] > 0 else (1,)
     P = poly.primitive(P[P.index(ends[0]):])  # a root at 0 is not positive
-    if poly.positive_roots(poly.gcd_poly(P, C)):
-        return [], ()  # c = 0 at the root
     ((reverse, root),) = poly.positive_roots(P)
     if reverse:
         P, C = P[::-1], C[::-1]
-    sign_c, root = poly.sign_at_root(P, poly.trim(C), root)
-    if sign_c < 0:
-        return [], ()
-    return [(1.0, read_root(P, root, reverse)[0])], ()
+    t, root = read_root(P, root, reverse)
+    return ([(1.0, t)] if _sign(P, C, root) > 0 else []), ()  # not where c = 0
 
 
 def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tuple]]:
@@ -193,9 +198,7 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
             break
     else:
         return None
-    R = poly.subresultant(f, g, 0)[0]
-    if not R:
-        return None  # a common factor: a curve of solutions
+    R, S1 = poly.subresultants(f, g)
     if magnitude and not fragile:
         # f and g are E_1 and E_2 over the gcd of their coefficients
         scaled, bound = sum(map(abs, R)) << 44, 1
@@ -203,34 +206,38 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
             scaled *= math.gcd(*e.values()) ** power
             bound *= mag**power
         fragile = scaled <= bound
-    points = _admissible_points(f, g, R, core, swap)
+    if not R:
+        # a common factor: a curve of solutions, unless, as when its
+        # coefficients share one sign, no point of it has t, u > 0
+        content = []
+        for c in S1:
+            content = poly.gcd_poly(c, content) if c else content
+        D = [poly.exact_div(c, content) if c else [] for c in S1]
+        scale = math.gcd(*(v for c in D for v in c))
+        D = [[v // scale for v in c] for c in D]
+        if len({v > 0 for c in D for v in c if v}) > 1:
+            return None
+        f, g = poly.exact_div_u(f, D), poly.exact_div_u(g, D)
+        if min(len(f), len(g)) < 2 and sorted((len(f), len(g))) != [1, 2]:
+            return None
+        R, S1 = poly.subresultants(f, g)
+    points = _admissible_points(f, g, R, S1, core, swap)
     return None if fragile and points == [] else points
 
 
 def _admissible_points(
-    f: list, g: list, R: list, core: list[dict], swap: bool
+    f: list, g: list, R: list, S1: list, core: list[dict], swap: bool
 ) -> Optional[list[tuple]]:
-    """``three_summand_points`` from the resultant R != 0 of the stripped
-    system f, g on."""
+    """``three_summand_points`` from the resultant R != 0 and the first
+    subresultant S1 of the stripped system f, g on."""
     m, n = len(f) - 1, len(g) - 1
     R = poly.primitive(R[next(i for i, c in enumerate(R) if c):])
     if len(R) == 1:
         return []
-    R = poly.primitive(poly.exact_div(R, poly.gcd_poly(R, poly.derivative(R))))
     # the common root's other coordinate is -b / a at a root of R
-    a, b = (f if m == 1 else g)[1::-1] if 1 in (m, n) else poly.subresultant(f, g, 1)
-    # the roots of R where that coordinate is 0 are never admissible; each is
-    # a simple common root unless a vanishes there too
-    zero = poly.gcd_poly(R, poly.gcd_poly(f[0], g[0]))
-    if len(zero) > 1:
-        if poly.positive_roots(poly.gcd_poly(zero, a)):
-            return None
-        R = poly.exact_div(R, zero)
-    if poly.positive_roots(poly.gcd_poly(R, a)):
-        return None  # a = 0 at a positive root: no single common root to read
+    b, a = (f if m == 1 else g)[:2] if 1 in (m, n) else (S1 + [[], []])[:2]
     # sign c = sign r_i at the root, for the i of lowest degree k in the
-    # eliminated variable, is sign a^k C with C = sum_j h_j (-b)^j a^(k-j),
-    # reduced mod R (whose leading coefficient is positive)
+    # eliminated variable, is sign a^k C with C = sum_j h_j (-b)^j a^(k-j)
     h = min((by_power(terms, swap) for terms in core if terms), key=len)
     k = len(h) - 1
     C = []
@@ -238,29 +245,72 @@ def _admissible_points(
         for factor in [[-v for v in b]] * j + [a] * (k - j):
             hj = poly.mul(hj, factor)
         C = poly.sub(C, [-v for v in hj])
-    C = poly.prem(C, R)
-    if C:
-        C = [v // math.gcd(*C) for v in C]
-        # where c = 0 no root is admissible
-        R = poly.exact_div(R, poly.gcd_poly(R, C))
-    if len(R) == 1 or not C:
-        return []
+    # roots of R where a = 0 are solved apart; where the other coordinate is
+    # 0 they are never admissible, and each is a simple common root unless
+    # a vanishes there too
+    shared = []
+    zero = poly.gcd_poly(R, poly.gcd_poly(f[0], g[0]))
+    if len(zero) > 1:
+        zero = poly.squarefree(zero)
+        shared.append(poly.gcd_poly(zero, a))
+        while len(zero) > 1:
+            R = poly.exact_div(R, zero)
+            zero = poly.gcd_poly(R, zero)
+    # almost always R is square-free and coprime to a: one test
+    if not poly.coprime(R, poly.derivative(R), a):
+        R = poly.squarefree(R)
+        shared.append(poly.gcd_poly(R, a))
+        R = poly.exact_div(R, shared[-1])
+    found = []
+    for G in shared:
+        for reverse, root in poly.positive_roots(G):
+            t0 = poly.rational_root(G[::-1] if reverse else G, root)
+            if t0 is None:
+                return None  # a = 0 at an irrational root: no point to read
+            points = _points_at(t0[::-1] if reverse else t0, f, g, h, swap)
+            if points is None:
+                return None
+            found += points
     width = max(len(a), len(b))
     a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
-
-    found = []
     for reverse, root in poly.positive_roots(R):
         # a root v > 1 as 1/v, a root of the reversed polynomials in (0, 1);
-        # a, b and C do not vanish there
+        # a and b do not vanish there
         P, A, B, Cs = (p[::-1] if reverse else p for p in (R, a, b, C))
-        sign_a, root = poly.sign_at_root(P, poly.trim(A), root)
-        sign_b, root = poly.sign_at_root(P, poly.trim(B), root)
-        if sign_a * sign_b > 0:
+        v, root = read_root(P, root, reverse)
+        num, depth = poly.point(root)
+        va, vb = poly.value_at(A, num, depth), poly.value_at(B, num, depth)
+        sign_a = poly.sign_near(P, A, root, va)
+        if sign_a * poly.sign_near(P, B, root, vb) > 0:
             continue  # the other coordinate is negative
-        sign_c, root = poly.sign_at_root(P, poly.trim(Cs), root)
-        if sign_c * sign_a**k < 0:
-            continue
-        v, num, depth = read_root(P, root, reverse)
-        w = _ratio(-poly.value_at(B, num, depth), poly.value_at(A, num, depth))
+        if _sign(P, Cs, root) * sign_a**k <= 0:
+            continue  # c <= 0
+        w = _ratio(-vb, va)
         found.append((1.0, w, v) if swap else (1.0, v, w))
     return sorted(found)
+
+
+def _points_at(t0: tuple[int, int], f: list, g: list, h: list, swap: bool) -> Optional[list[tuple]]:
+    """The admissible points at the rational root t0 = num / den of the
+    resultant: the positive common roots w of f(t0, w) and g(t0, w), with
+    c > 0 there, decided exactly; None when every w solves."""
+    num, den = t0
+    F, G, H = (
+        poly.trim([poly.homogeneous_value(c, num, den, max(map(len, e)) - 1) for c in e])
+        for e in (f, g, h)
+    )
+    if not F and not G:
+        return None
+    W = poly.gcd_poly(F, G) if F else poly.primitive(G)
+    W = W[next(i for i, c in enumerate(W) if c):]  # w = 0 is not admissible
+    if len(W) == 1:
+        return []
+    W = poly.squarefree(W)
+    v = _ratio(num, den)
+    found = []
+    for reverse, root in poly.positive_roots(W):
+        P, Hs = (W[::-1], H[::-1]) if reverse else (W, H)
+        w, root = read_root(P, root, reverse)
+        if _sign(P, Hs, root) > 0:
+            found.append((1.0, w, v) if swap else (1.0, v, w))
+    return found

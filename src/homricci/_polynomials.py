@@ -4,18 +4,22 @@ A polynomial is a list of Python ints, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  A polynomial in two variables
 is a list, by powers of one, of polynomials in the other.
 
-Determinants over Z[t] are fraction-free (Bareiss): every division is
+The resultant and first subresultant of two such polynomials come from one
+subresultant chain (Collins, J. ACM 14, 1967), in which every division is
 exact.  Positive roots are isolated by Descartes' rule of signs with
 bisection (Collins and Akritas, SYMSAC 1976) on dyadic intervals
 (c / 2**k, (c + 1) / 2**k) of (0, 1), written (k, c); a root at a dyadic
-point is found exactly.  Nothing here rounds.
+point is found exactly.  An isolated root is refined by exact Newton steps
+that each verify their own interval (Abbott, quadratic interval
+refinement, 2006).  Nothing here rounds.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Optional
 
-# A prime for the modular coprimality test in ``gcd_poly``.
+# A prime for the modular coprimality test.
 _PRIME = 2**61 - 1
 
 
@@ -75,26 +79,36 @@ def prem(p: list, q: list) -> list:
     return p
 
 
-def _coprime_mod_prime(p: list, q: list) -> bool:
-    """True when p and q have no common factor of positive degree, as their
-    images mod a prime show; False when the images cannot tell."""
-    a, b = trim([c % _PRIME for c in p]), trim([c % _PRIME for c in q])
+def _rem_mod(a: list, b: list) -> list:
+    """a mod b, both over the integers mod the prime, b != 0."""
+    n, inv, a = len(b) - 1, pow(b[-1], -1, _PRIME), a[:]
+    low = b[:-1]
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] * inv % _PRIME
+        if c:
+            for j, v in enumerate(low, i - n):
+                a[j] -= c * v
+    return trim([v % _PRIME for v in a[:n]])
+
+
+def coprime(p: list, *qs: list) -> bool:
+    """True when p has no factor of positive degree in common with any of
+    ``qs``, as the images mod a prime of p and of their product show; False
+    when the images cannot tell."""
+    a = trim([c % _PRIME for c in p])
     if len(a) != len(p):  # the prime divides p's leading coefficient
         return False
+    b = [1]
+    for q in qs:
+        b = _rem_mod(mul(b, [c % _PRIME for c in q]), a)
     while b:
-        inv = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % _PRIME, len(a) - len(b)
-            for j, v in enumerate(b, shift):
-                a[j] = (a[j] - c * v) % _PRIME
-            a = trim(a)
-        a, b = b, a
+        a, b = b, _rem_mod(a, b)
     return len(a) == 1
 
 
 def gcd_poly(p: list, q: list) -> list:
     """The primitive gcd in Z[t] of p != 0 and q (p itself when q = 0)."""
-    if _coprime_mod_prime(p, q):
+    if coprime(p, q):
         return [1]
     p, q = primitive(p), primitive(q)
     while q:
@@ -102,48 +116,82 @@ def gcd_poly(p: list, q: list) -> list:
     return p
 
 
-def bareiss(rows: list) -> list:
-    """The fraction-free elimination of ``rows`` (entries in Z[t]) on their
-    first len(rows) - 1 columns: entry j of the result is the minor of all
-    rows on those columns and column j (a single entry, the determinant,
-    when the rows are square)."""
-    M = [row[:] for row in rows]
-    n, sign, prev = len(M), 1, [1]
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:  # a zero column: every such minor vanishes
-                return [[] for _ in M[-1][n - 1:]]
-            M[k], M[swap], sign = M[swap], M[k], -sign
-        pivot, top = M[k][k], M[k]
-        for row in M[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, len(row)):
-                v = mul(pivot, row[j])
-                if lead and top[j]:
-                    v = sub(v, mul(lead, top[j]))
-                row[j] = exact_div(v, prev) if v else []
-        prev = pivot
-    return [e if sign > 0 else [-c for c in e] for e in M[-1][n - 1:]]
+def squarefree(p: list) -> list:
+    """The primitive product of the distinct irreducible factors of p."""
+    return primitive(exact_div(p, gcd_poly(p, derivative(p))))
 
 
-def subresultant(f: list, g: list, j: int) -> list:
-    """The j-th subresultant of f and g, polynomials of degrees m and n in
-    their outer variable u with coefficients in Z[t], as its coefficients
-    in Z[t] from the highest power of u: for j = 0 the resultant alone
-    (m + n >= 1), for j = 1 < min(m, n) the pair (a, b) of a u + b, which
-    at a root of the resultant vanishes at the common root u unless a
-    does."""
-    m, n = len(f) - 1, len(g) - 1
-    width = m + n - j
-    rows = []
-    for p, deg, count in ((f, m, n - j), (g, n, m - j)):
-        for r in range(count):
-            row = [[] for _ in range(width)]
-            for e, c in enumerate(p):
-                row[r + deg - e] = c
-            rows.append(row)
-    return bareiss(rows)
+def _prem_u(A: list, B: list) -> list:
+    """lead(B)**(deg A - deg B + 1) A mod B, for A and B in u with
+    coefficients in Z[t], deg A >= deg B."""
+    n, lead = len(B) - 1, B[-1]
+    A = A[:]
+    for i in range(len(A) - len(B), -1, -1):
+        c = A[n + i]
+        A = [mul(lead, v) for v in A[: n + i]]
+        if c:
+            for j, v in enumerate(B[:-1], i):
+                A[j] = sub(A[j], mul(c, v))
+    while A and not A[-1]:
+        A.pop()
+    return A
+
+
+def subresultants(f: list, g: list) -> tuple[list, list]:
+    """The subresultants S_0 and S_1 of f and g, polynomials in u with
+    coefficients in Z[t] of degrees m and n, m + n >= 1, each up to sign:
+    the resultant in Z[t], and S_1 in u (exact only when min(m, n) >= 2),
+    which at a root of the resultant vanishes at the common root u unless
+    its u coefficient does.  When f and g have a common factor of positive
+    degree in u, ([], G) instead, where G has the primitive part in u of
+    their gcd.
+
+    One subresultant chain: each pseudo-remainder B of A, over the
+    chain's divisor, is similar to S_(deg A - 1), and S_(deg B) is
+    lead(B)**d B / h**d with d = deg A - 1 - deg B, where h is the leading
+    coefficient of S_(deg A) up to sign (the subresultant theorem, which
+    also covers the defective steps, d > 0)."""
+    if len(f) < len(g):
+        f, g = g, f
+    A, B, lead, h, S1 = f, g, [1], [1], []
+    while True:
+        m, n = len(A) - 1, len(B) - 1
+        if n <= 1 < m or n == 0:
+            d = m - 1 - n
+            S = B
+            if d > 0:
+                num, den = _product([B[-1]] * d), _product([h] * d)
+                S = [exact_div(mul(v, num), den) for v in B]
+            if n == 1:
+                S1 = S
+            else:
+                return S[0], (B if m == 2 else S1)
+        delta = m - n
+        r = _prem_u(A, B)
+        if not r:
+            return [], B
+        divisor = mul(lead, _product([h] * delta))
+        A, B, lead = B, [exact_div(v, divisor) if v else [] for v in r], B[-1]
+        if delta:
+            h = exact_div(_product([lead] * delta), _product([h] * (delta - 1)))
+
+
+def exact_div_u(F: list, D: list) -> list:
+    """F / D, for F and D in u with coefficients in Z[t], when D divides F."""
+    F, n = F[:], len(D) - 1
+    Q = [[]] * (len(F) - n)
+    for i in range(len(Q) - 1, -1, -1):
+        c = Q[i] = exact_div(F[i + n], D[-1]) if F[i + n] else []
+        for j, d in enumerate(D, i):
+            F[j] = sub(F[j], mul(c, d))
+    return Q
+
+
+def _product(ps: list) -> list:
+    out = [1]
+    for p in ps:
+        out = mul(out, p)
+    return out
 
 
 def derivative(p: list) -> list:
@@ -183,6 +231,15 @@ def value_at(p: list, num: int, k: int) -> int:
     return acc
 
 
+def homogeneous_value(p: list, num: int, den: int, n: int) -> int:
+    """den**n p(num / den), for p of degree at most n."""
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return acc * den ** (n + 1 - len(p))
+
+
 def sign_at(p: list, num: int, k: int) -> int:
     """The sign of p at num / 2**k."""
     v = value_at(p, num, k)
@@ -212,34 +269,107 @@ def positive_roots(p: list) -> list[tuple[bool, tuple]]:
     root in (0, 1) or at 1 as ``isolate`` gives it, or, when ``reverse``, a
     root v > 1 as the root 1/v of the reversed p.  p is square-free, or has
     one positive root, a simple one; a constant p has none."""
+    if len(p) < 2:
+        return []
     roots = [(False, root) for root in isolate(p)]
     if sign_at(p, 1, 0) == 0:
         roots.append((False, (0, 1, 0)))
     return roots + [(True, root) for root in isolate(p[::-1])]
 
 
-def bisect(p: list, root: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The half of the interval of ``root`` (see ``isolate``) that holds the
-    root of the square-free p; the root itself, when it is the midpoint."""
+def point(root: tuple[int, int, int]) -> tuple[int, int]:
+    """(num, k) of the dyadic point num / 2**k that ``root`` reads: the root
+    itself, or the midpoint of its interval."""
     k, c, left = root
-    if not left:
+    return (2 * c + 1, k + 1) if left else (c, k)
+
+
+def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
+    """The root of the square-free p isolated by ``root``, as bisection
+    finds it at the first depth where c >= 2**bits: the interval there, or
+    the root itself when it is a dyadic point of no greater depth.
+
+    Each step from an interval at depth k puts the zero of the secant
+    through its ends on the grid of depth k + gain, and keeps the one
+    interval of that grid next to it that the sign there and at one
+    neighbour show to hold the root; the gain then doubles.  A step that
+    fails bisects once and halves the gain.  Any interval at depth K lies
+    in one of every lower depth, so the last is cut back to the first
+    depth with c >= 2**bits."""
+    k, c, left = root
+    if not left or c >> bits:
         return root
-    mid = sign_at(p, 2 * c + 1, k + 1)
-    if mid == 0:
-        return k + 1, 2 * c + 1, 0
-    return k + 1, 2 * c + (mid == left), left
+    k0, n, gain = k, len(p) - 1, 2
+    ends = value_at(p, c, k), value_at(p, c + 1, k)
+    while left and c >> bits == 0:
+        step = min(gain, bits + 1 - c.bit_length())
+        lo, hi = c << step, (c + 1) << step
+        # the values at the ends, on the grid of depth k + step
+        f0, f1 = ends[0] << (step * n), ends[1] << (step * n)
+        if step > 1 and f0 != f1:
+            X = min(max(lo + _round_div(f0 << step, f0 - f1), lo + 1), hi - 1)
+            vx = value_at(p, X, k + step)
+            sx = (vx > 0) - (vx < 0)
+            # the root lies on the side of X where p has the sign -sx
+            Y = X + 1 if sx == left else X - 1
+            vy = f1 if Y == hi else f0 if Y == lo else value_at(p, Y, k + step)
+            sy = -left if Y == hi else left if Y == lo else (vy > 0) - (vy < 0)
+            if not sx or not sy:
+                k, c, left = k + step, Y if sx else X, 0
+            elif sx != sy:
+                k, c, gain = k + step, min(X, Y), 2 * gain
+                ends = (vx, vy) if X < Y else (vy, vx)
+                continue
+        if left:  # bisect
+            vm = value_at(p, 2 * c + 1, k + 1)
+            mid = (vm > 0) - (vm < 0)
+            f0, f1 = ends[0] << n, ends[1] << n
+            k, c, left = (k + 1, 2 * c + 1, 0) if not mid else (k + 1, 2 * c + (mid == left), left)
+            ends = (vm, f1) if mid == left else (f0, vm)
+            gain = max(1, gain // 2) if step > 1 else 2 * gain
+    if not left:
+        while not c & 1:
+            k, c = k - 1, c >> 1
+    depth = max(k0, k - c.bit_length() + bits + 1)
+    if not left and k <= depth:
+        return k, c, 0
+    return depth, c >> (k - depth), left or root[2]
 
 
-def sign_at_root(p: list, f: list, root: tuple[int, int, int]) -> tuple[int, tuple]:
-    """(the sign of f at the root of the square-free p isolated by ``root``,
-    where f does not vanish; the root's refined interval), bisecting until f
-    has no root in the interval."""
-    # a bound costs a Taylor shift and a bisection a Horner evaluation:
-    # twice as many bisections between bounds each time
-    steps = 1
-    while root[2] and root_bound(f, root[0], root[1]):
-        for _ in range(steps):
-            root = bisect(p, root)
-        steps *= 2
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to an integer, b != 0."""
+    return (2 * a + b) // (2 * b) if b > 0 else (-2 * a - b) // (-2 * b)
+
+
+def sign_near(p: list, f: list, root: tuple[int, int, int], v: int) -> int:
+    """The sign of f at the root of the square-free p isolated by ``root``,
+    0 where f vanishes, given v = value_at(f, *point(root)): the sign of v
+    once |v| exceeds what f can change across the interval, refining the
+    interval until it does.  The interval lies in (0, 1], where
+    sum i |f_i| bounds |f'|."""
+    slope, n = sum(i * abs(x) for i, x in enumerate(f)), max(len(f) - 2, 0)
     k, c, left = root
-    return sign_at(f, 2 * c + 1, k + 1) if left else sign_at(f, c, k), root
+    if left and abs(v) <= slope << ((k + 1) * n):
+        common = gcd_poly(p, trim(f))
+        # the interval holds no root of p but this one
+        if len(common) > 1 and root_bound(common, k, c):
+            return 0
+        while root[2] and abs(v) <= slope << ((root[0] + 1) * n):
+            root = refine(p, root, 2 * root[0] + 2)
+            v = value_at(f, *point(root))
+    return (v > 0) - (v < 0)
+
+
+def rational_root(p: list, root: tuple[int, int, int]) -> Optional[tuple[int, int]]:
+    """The root of the square-free p isolated by ``root`` as (num, den) when
+    it is rational, else None.  A rational root's denominator divides
+    lead = |p[-1]|, so the root is N / lead for the one integer N that an
+    interval narrower than 1 / (2 lead) can hold."""
+    lead = abs(p[-1])
+    k, c, left = refine(p, root, lead.bit_length() + 1)
+    if not left:
+        return c, 1 << k
+    N = (c * lead >> k) + 1
+    if N << k < (c + 1) * lead and homogeneous_value(p, N, lead, len(p) - 1) == 0:
+        return N, lead
+    return None

@@ -63,8 +63,7 @@ class EtaUndefinedError(ChainError):
     """A chain denominator vanished (requirement 2 fails for the model)."""
 
 
-@dataclass(frozen=True)
-class SimpleChain:
+class SimpleChain(NamedTuple):
     """A maximal nested pair of lattice members with its obstruction number."""
 
     J_k: tuple[int, ...]

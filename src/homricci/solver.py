@@ -55,14 +55,17 @@ rounding.
 For s = 3, along x = (1, t, u), the positive roots t of the resultant
 R(t) = Res_u(E_1, E_2) of E_1 = z_2 r_1 - z_1 r_2 and E_2 = z_3 r_1 -
 z_1 r_3 (numerators) are isolated exactly, u = -b(t) / a(t) is read off the
-first subresultant, and a root is admissible when u > 0 and c > 0, both
-decided exactly.  Where R vanishes identically (a curve of solutions) or a
-vanishes at a positive root (two solutions share t), the ascent decides
-instead, with a note; so it does where a float T has no admissible root
-but R is within the rounding of T of vanishing identically, since a target
-that T rounds may have a curve of solutions.
+first subresultant (both from one subresultant chain), and a root is
+admissible when u > 0 and c > 0, both decided exactly.  Where two
+solutions share a rational t_0 (a(t_0) = 0), u is solved for at t_0
+exactly.  Where E_1 and E_2 share a factor with points at t, u > 0 (a
+curve of solutions), or a vanishes at an irrational positive root, the
+ascent decides instead, with a note; so it does where a float T has no
+admissible root but R is within the rounding of T of vanishing
+identically, since a target that T rounds may have a curve of solutions.
 
-Either way an isolated root is bisected to 55 bits and read as a float.
+Either way an isolated root is refined to 55 bits by exact secant-Newton
+steps, ending on the interval bisection would reach, and read as a float.
 Each admissible root is certified like a start, at its float metric, all
 in one kernel call; the report returns the certified one with the highest
 S, and lists every admissible root.  With no admissible root no solution

@@ -10,7 +10,10 @@ The oracles here never share code with the library paths they check: the
 scalar-curvature oracle sums over the dense s^3 tensor, the closure and
 requirement-2 oracles test subsets against that same dense tensor, the
 chain oracle redoes betweenness with set algebra, and the eta oracle sums the defining form over
-the ordered triples rather than the library's scaled bitmask rows.
+the ordered triples rather than the library's scaled bitmask rows.  The
+subresultant oracle takes Sylvester determinants by fraction-free (Bareiss)
+elimination, where the library runs a subresultant chain, and the root
+oracle bisects one bit at a time, where the library takes Newton steps.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from homricci import DiagonalForm, SpaceModel, build_model, two_summand
+from homricci._polynomials import exact_div, mul, sign_at, sub
 
 
 def _count_inside(subset, triple) -> int:
@@ -300,3 +304,68 @@ def oracle_full_flag(n: int):
         sorted(members, key=order),
         sorted(chains, key=lambda ck: (*order(ck[0]), *order(ck[1]))),
     )
+
+
+def bareiss(rows: list) -> list:
+    """The fraction-free elimination of ``rows`` (entries in Z[t]) on their
+    first len(rows) - 1 columns: entry j of the result is the minor of all
+    rows on those columns and column j (a single entry, the determinant,
+    when the rows are square)."""
+    M = [row[:] for row in rows]
+    n, sign, prev = len(M), 1, [1]
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:  # a zero column: every such minor vanishes
+                return [[] for _ in M[-1][n - 1:]]
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        pivot, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                v = mul(pivot, row[j])
+                if lead and top[j]:
+                    v = sub(v, mul(lead, top[j]))
+                row[j] = exact_div(v, prev) if v else []
+        prev = pivot
+    return [e if sign > 0 else [-c for c in e] for e in M[-1][n - 1:]]
+
+
+def subresultant(f: list, g: list, j: int) -> list:
+    """The j-th subresultant of f and g, polynomials of degrees m and n in
+    their outer variable u with coefficients in Z[t], from its Sylvester
+    matrix, as its coefficients in Z[t] from the highest power of u: for
+    j = 0 the resultant alone (m + n >= 1), for j = 1 < min(m, n) the pair
+    (a, b) of a u + b."""
+    m, n = len(f) - 1, len(g) - 1
+    width = m + n - j
+    rows = []
+    for p, deg, count in ((f, m, n - j), (g, n, m - j)):
+        for r in range(count):
+            row = [[] for _ in range(width)]
+            for e, c in enumerate(p):
+                row[r + deg - e] = c
+            rows.append(row)
+    return bareiss(rows)
+
+
+def bisect(p: list, root: tuple) -> tuple:
+    """The half of the interval of ``root`` (see
+    ``homricci._polynomials.isolate``) that holds the root of the
+    square-free p; the root itself, when it is the midpoint."""
+    k, c, left = root
+    if not left:
+        return root
+    mid = sign_at(p, 2 * c + 1, k + 1)
+    if mid == 0:
+        return k + 1, 2 * c + 1, 0
+    return k + 1, 2 * c + (mid == left), left
+
+
+def bisected_root(p: list, root: tuple, bits: int) -> tuple:
+    """The root of the square-free p isolated by ``root`` (see
+    ``homricci._polynomials.isolate``), bisected one bit at a time until
+    c >= 2**bits or the root is hit exactly."""
+    while root[2] and root[1] >> bits == 0:
+        root = bisect(p, root)
+    return root

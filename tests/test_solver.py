@@ -2,9 +2,11 @@
 
 import json
 import math
+import random
 import time
 import warnings
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -26,12 +28,54 @@ from homricci import (
 )
 from homricci import solver as solver_mod
 from homricci._elimination import by_power, equations, read_root
-from homricci._polynomials import bisect, isolate, positive_roots, subresultant, trim, value_at
-from helpers import random_positive_form, random_space_model, random_two_summand_case
+from homricci._polynomials import (
+    isolate,
+    mul,
+    point,
+    positive_roots,
+    refine,
+    sign_near,
+    squarefree,
+    sub,
+    subresultants,
+    trim,
+    value_at,
+)
+from helpers import (
+    bisected_root,
+    random_positive_form,
+    random_space_model,
+    random_two_summand_case,
+    subresultant,
+)
 
 G2 = flag3(4, 2, 4)
 UNIT = DiagonalForm.full((1.0, 1.0, 1.0))
 TOL = SolverOptions.residual_tol
+
+# s = 3 models whose elimination takes a special turn: summand 3 brackets
+# with nothing (E_1 and E_2 free of u); E_1 of degree 1 in u (a draw of the
+# s = 3 sweep); a target whose only solution is a saddle point of S; a
+# target whose resultant has the dyadic root t = 2
+DECOUPLED = build_model(
+    "decoupled", dims=(2, 3, 2), casimir=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+    triples={(1, 1, 2): Fraction(1, 2), (1, 2, 2): Fraction(1, 3)},
+)
+LINEAR = build_model(
+    "linear", dims=(1, 5, 4), casimir=(Fraction(3, 13), Fraction(8, 17), Fraction(2, 3)),
+    triples={(1, 2, 2): Fraction(9, 10), (2, 2, 2): Fraction(1, 2), (2, 2, 3): Fraction(5, 3)},
+)
+SADDLE = build_model(
+    "saddle", dims=(5, 3, 1), casimir=(Fraction(11, 24), Fraction(1, 21), Fraction(1, 6)),
+    triples={(1, 1, 1): Fraction(5, 3), (1, 2, 2): Fraction(7, 10), (1, 2, 3): Fraction(4, 3),
+             (2, 2, 2): Fraction(3, 8), (2, 2, 3): Fraction(7, 2)},
+)
+SADDLE_T = DiagonalForm.full((0.06292302025130755, 9.776903803386878, 0.47748253852506883))
+DYADIC = build_model(
+    "dyadic", dims=(4, 3, 1), casimir=(Fraction(11, 20), Fraction(2, 7), Fraction(5, 13)),
+    triples={(1, 2, 2): Fraction(5, 8), (1, 2, 3): Fraction(11)},
+)
+DYADIC_T = DiagonalForm.full(ricci(DYADIC, DiagonalForm.full((1, 2, 3))))
 
 
 def flag3_target(p, q):
@@ -551,38 +595,39 @@ def test_three_summand_grid_matches_ascent(monkeypatch):
 def test_three_summand_degenerate_eliminations(monkeypatch):
     # summand 3 brackets with nothing: E_1 and E_2 do not depend on u, so t
     # is eliminated instead, and their resultant is a constant
-    decoupled = build_model(
-        "decoupled", dims=(2, 3, 2), casimir=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
-        triples={(1, 1, 2): Fraction(1, 2), (1, 2, 2): Fraction(1, 3)},
-    )
-    assert [len(e) for e in stripped_system(decoupled, UNIT)] == [1, 1]
-    rep = solve_prescribed_ricci(decoupled, UNIT)
+    assert [len(e) for e in stripped_system(DECOUPLED, UNIT)] == [1, 1]
+    rep = solve_prescribed_ricci(DECOUPLED, UNIT)
     assert (rep.status, rep.starts_used) == ("diverged", 0)
-    assert newton_solve(monkeypatch, decoupled, UNIT).status == "diverged"
+    assert newton_solve(monkeypatch, DECOUPLED, UNIT).status == "diverged"
     # ... and when they share a root in t, every u solves: R = 0, a curve of
     # solutions, and the ascent decides
-    T = DiagonalForm.full(ricci(decoupled, DiagonalForm.full((1, 1, 1))))
-    rep = solve_prescribed_ricci(decoupled, T)
+    T = DiagonalForm.full(ricci(DECOUPLED, DiagonalForm.full((1, 1, 1))))
+    rep = solve_prescribed_ricci(DECOUPLED, T)
     assert rep.status == "solved" and rep.starts_used == solver_mod.MULTISTARTS
     assert rep.notes[-1].startswith("the exact elimination is degenerate")
     assert rep.solutions is None and rep.to_dict()["solutions"] is None
-    # SU(3)/T with z_1 = z_2 has two solutions at t = 1, u = 1 and u = 2: the
-    # first subresultant vanishes there, a(1) = 0, and the ascent decides
+    # SU(3)/T with the unit target: E_1 = (1 - t)(1 + t - u)(1 + t + u) and
+    # E_2 share the factor 1 + t + u, which vanishes at no t, u > 0 and is
+    # divided out; the rest leaves the whole line t = 1 to E_1, so a = 0
+    # there, and t = 1 is solved exactly: u = 1, the normal metric
     su3 = full_flag(3)
     rep = solve_prescribed_ricci(su3, UNIT)
+    assert (rep.status, rep.starts_used, rep.notes) == ("solved", 1, ())
+    assert rep.to_dict()["solutions"] == [[6.0, 6.0, 6.0]]
+    # the invariant Kahler metrics x_3 = x_1 + x_2 all have a Ricci form
+    # parallel to (1, 1, 2): a curve of solutions, and the ascent decides
+    T = DiagonalForm.full((1, 1, 2))
+    assert subresultant(*stripped_system(su3, T), 0) == [[]]
+    rep = solve_prescribed_ricci(su3, T)
     assert rep.status == "solved" and rep.notes[-1].startswith("the exact elimination is degenerate")
-    assert solver_mod._three_summand_roots(su3, UNIT, solver_mod._Evaluator(su3, np.ones(3)), TOL) is None
+    assert rep.x[3] == pytest.approx(rep.x[1] + rep.x[2], rel=1e-8)
     # E_1 of degree 1 in u (a draw of the s = 3 sweep): u is read off E_1
-    linear = build_model(
-        "linear", dims=(1, 5, 4), casimir=(Fraction(3, 13), Fraction(8, 17), Fraction(2, 3)),
-        triples={(1, 2, 2): Fraction(9, 10), (2, 2, 2): Fraction(1, 2), (2, 2, 3): Fraction(5, 3)},
-    )
     statuses = []
     for values in ((1.7117, 0.09559, 2.6901), (1.0, 1.0, 1.0), (1.0, 5.0, 0.1)):
         T = DiagonalForm.full(values)
-        assert [len(e) - 1 for e in stripped_system(linear, T)] == [1, 2]
-        rep = solve_prescribed_ricci(linear, T)
-        assert_same_solve(rep, newton_solve(monkeypatch, linear, T), escaping=False)
+        assert [len(e) - 1 for e in stripped_system(LINEAR, T)] == [1, 2]
+        rep = solve_prescribed_ricci(LINEAR, T)
+        assert_same_solve(rep, newton_solve(monkeypatch, LINEAR, T), escaping=False)
         statuses.append(rep.status)
     assert statuses == ["solved", "solved", "diverged"]
 
@@ -616,18 +661,12 @@ def test_three_summand_exact_matches_bounded_ascent():
 def test_three_summand_saddle_solution_is_found(monkeypatch):
     # the only solution is a saddle point of S on the constraint set: the
     # ascent climbs past it and escapes, the exact solve finds it
-    model = build_model(
-        "saddle", dims=(5, 3, 1), casimir=(Fraction(11, 24), Fraction(1, 21), Fraction(1, 6)),
-        triples={(1, 1, 1): Fraction(5, 3), (1, 2, 2): Fraction(7, 10), (1, 2, 3): Fraction(4, 3),
-                 (2, 2, 2): Fraction(3, 8), (2, 2, 3): Fraction(7, 2)},
-    )
-    T = DiagonalForm.full((0.06292302025130755, 9.776903803386878, 0.47748253852506883))
-    rep = solve_prescribed_ricci(model, T)
+    rep = solve_prescribed_ricci(SADDLE, SADDLE_T)
     assert (rep.status, rep.starts_used) == ("solved", 1)
-    r = np.array(ricci(model, rep.x))
-    assert np.max(np.abs(r - rep.c * np.array(T.values))) <= 1e-8 * rep.c * max(T.values)
+    r = np.array(ricci(SADDLE, rep.x))
+    assert np.max(np.abs(r - rep.c * np.array(SADDLE_T.values))) <= 1e-8 * rep.c * max(SADDLE_T.values)
     monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 150)
-    ascent = newton_solve(monkeypatch, model, T)
+    ascent = newton_solve(monkeypatch, SADDLE, SADDLE_T)
     assert ascent.status == "diverged" and ascent.S_value > rep.S_value
 
 
@@ -655,18 +694,156 @@ def test_three_summand_float_target_near_a_curve_of_solutions():
 
 def test_root_bisection_lands_on_a_dyadic_root():
     # (4t - 3)(8t - 1): the roots 1/8 and 3/4 are isolated in (0, 1/2) and
-    # (1/2, 1); one bisection of the second lands on its root exactly
+    # (1/2, 1); refining either lands on its root exactly
     p = [3, -28, 32]
     assert sorted(isolate(p)) == [(1, 0, 1), (1, 1, -1)]
-    assert bisect(p, (1, 1, -1)) == (2, 3, 0)
-    assert bisect(p, (1, 0, 1)) == (2, 0, 1)
+    assert refine(p, (1, 1, -1), 55) == (2, 3, 0)
+    assert refine(p, (1, 0, 1), 55) == (3, 1, 0)
     # a target built from the metric (1, 2, 3): the resultant's root t = 2
     # is a dyadic point that the refinement reaches exactly
-    model = build_model(
-        "dyadic", dims=(4, 3, 1), casimir=(Fraction(11, 20), Fraction(2, 7), Fraction(5, 13)),
-        triples={(1, 2, 2): Fraction(5, 8), (1, 2, 3): Fraction(11)},
-    )
-    T = DiagonalForm.full(ricci(model, DiagonalForm.full((1, 2, 3))))
-    rep = solve_prescribed_ricci(model, T)
+    rep = solve_prescribed_ricci(DYADIC, DYADIC_T)
     assert (rep.status, rep.starts_used) == ("solved", 1)
     assert np.array(rep.x.values) / rep.x[1] == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
+
+
+def negated(p):
+    return [[-c for c in q] for q in p] if p and isinstance(p[0], list) else [-c for c in p]
+
+
+def test_subresultant_chain_matches_sylvester_determinants():
+    # the chain's resultant and a u + b against Sylvester determinants, up to
+    # one sign, with u and with t eliminated: on the flag3 grid, the s = 3
+    # sweep, the special models above and SU(3)/T ...
+    cases = [(G2, flag3_target(p, q)) for p in (1.2, 2.0, 4.0, 8.0) for q in (1.1, 1.4, 2.0, 3.0)]
+    rng = np.random.default_rng(2026)
+    for _ in range(150):
+        model = random_space_model(rng, 3, exact=True)
+        cases.append((model, DiagonalForm.full(tuple(float(v) for v in rng.uniform(0.05, 5, 3)))))
+    cases += [(DECOUPLED, UNIT), (LINEAR, UNIT), (SADDLE, SADDLE_T), (DYADIC, DYADIC_T)]
+    cases += [(full_flag(3), DiagonalForm.full(T)) for T in ((3, 3, 1), (1, 1, 2))]
+    systems = []
+    for model, T in cases:
+        E, _ = equations(model, T)
+        systems += [[by_power(e, swap) for e in E] for swap in (False, True)]
+    # ... and on random pairs of degree up to 5 in u with gaps, where the
+    # chain takes defective steps
+    rand = random.Random(5)
+    for _ in range(300):
+        f, g = ([[rand.randint(-9, 9) for _ in range(rand.randint(1, 3))] if rand.random() < 0.6
+                 else [] for _ in range(rand.randint(1, 6))] for _ in range(2))
+        if f[-1] and g[-1] and any(f[-1]) and any(g[-1]):
+            systems.append([[trim(c) for c in f], [trim(c) for c in g]])
+    counts = {"S_1": 0, "gcd": 0}
+    for f, g in systems:
+        if len(f) + len(g) < 3:
+            continue
+        R, S1 = subresultants(f, g)
+        (R0,) = subresultant(f, g, 0)
+        assert R in (R0, negated(R0))
+        if not R0:
+            # the chain's last remainder: a common factor of f and g
+            counts["gcd"] += 1
+            assert len(S1) > 1 and poly_mod_u(f, S1) == poly_mod_u(g, S1) == []
+        elif min(len(f), len(g)) > 2:
+            counts["S_1"] += 1
+            a, b = subresultant(f, g, 1)
+            assert len(S1) <= 2 and [b, a] in ((S1 + [[], []])[:2], negated((S1 + [[], []])[:2]))
+    assert counts["S_1"] >= 150 and counts["gcd"] >= 2
+
+
+def poly_mod_u(f, D):
+    """f mod D in u, over the field of fractions of Z[t], up to a factor."""
+    f = [c[:] for c in f]
+    while len(f) >= len(D):
+        c, shift = f[-1], len(f) - len(D)
+        f = [mul(D[-1], v) for v in f]
+        for j, d in enumerate(D, shift):
+            f[j] = sub(f[j], mul(c, d))
+        while f and not f[-1]:
+            f.pop()
+    return f
+
+
+def test_newton_root_read_matches_bisection():
+    # the secant-Newton refinement ends on the interval that bisection one bit
+    # at a time reaches, or on the same exact dyadic root: on random
+    # square-free integer polynomials, roots near powers of two and dyadic
+    # roots of depth up to 70
+    rand = random.Random(17)
+    polys = []
+    for _ in range(150):
+        polys.append([rand.randint(-(2**60), 2**60) for _ in range(rand.randint(2, 12))])
+        j, e = rand.randint(0, 60), rand.randint(60, 120)
+        near = [-(2**e + rand.randint(-3, 3)), 2 ** (e + j)]  # a root near 2**-j
+        polys.append(mul(near, [rand.randint(-99, 99) for _ in range(rand.randint(1, 5))]))
+        dyadic = [1]
+        for _ in range(rand.randint(1, 3)):
+            j = rand.randint(1, 70)
+            dyadic = mul(dyadic, [-rand.randrange(1, 2**j), 2**j])
+        polys.append(mul(dyadic, [rand.randint(-99, 99) for _ in range(rand.randint(1, 4))]))
+    exact = reads = 0
+    for p in polys:
+        p = trim(p)
+        if len(p) < 2 or not p[0] or not p[-1]:
+            continue
+        p = squarefree(p)
+        for reverse, root in positive_roots(p):
+            P = p[::-1] if reverse else p
+            for bits in (55, rand.randint(1, 80)):
+                refined = refine(P, root, bits)
+                assert refined == bisected_root(P, root, bits), (P, root, bits)
+                reads += 1
+                exact += bool(root[2] and not refined[2])
+    assert reads > 600 and exact > 30
+
+
+def test_sign_near_a_root_falls_back_where_the_bound_fails():
+    # f = 2**80 (3t - 1) + e has the sign of e at the root 1/3 of p = 3t - 1,
+    # but at the read point, within 2**-56 of it, the sign of 3t - 1: the
+    # derivative bound fails there, and sign_at_root decides
+    p = [-1, 3]
+    ((_, root),) = positive_roots(p)
+    root = refine(p, root, 55)
+    num, depth = point(root)
+    wrong = 0
+    for e in (1, -1):
+        f = [e - 2**80, 3 * 2**80]
+        v = value_at(f, num, depth)
+        assert sign_near(p, f, root, v) == e
+        wrong += (v > 0) - (v < 0) != e
+    assert wrong == 1
+    # where f vanishes at the root the sign is 0; far from a root of f one
+    # evaluation decides
+    f = mul([-1, 3], [1, 1])
+    assert sign_near(p, f, root, value_at(f, num, depth)) == 0
+    assert sign_near(p, [5, 1], root, value_at([5, 1], num, depth)) == 1
+
+
+def test_three_summand_rational_shared_roots():
+    # flag3(4,2,4) shares t = 1 with the boundary root (t, u) = (1, 0): a
+    # target built from a metric with x_1 = x_2 has a = 0 at t = 1, which
+    # is solved in u exactly, beside any other solution
+    rep = solve_prescribed_ricci(G2, DiagonalForm.full(ricci(G2, DiagonalForm.full((1, 1, 3)))))
+    assert (rep.status, rep.starts_used) == ("solved", 2)
+    assert not any("degenerate" in note for note in rep.notes)
+    x = np.array(rep.solutions[1])
+    assert x / x[0] == pytest.approx([1.0, 1.0, 3.0], rel=1e-12)
+    # SU(3)/T: the Weyl group permutes the three summands, so every target in
+    # {1, 2, 3}^3 has the status and solution count of its permutations;
+    # each is decided exactly but those parallel to (1, 1, 2), whose
+    # solutions form a curve (see test_three_summand_degenerate_eliminations)
+    su3 = full_flag(3)
+    reports = {}
+    for T in product((1.0, 2.0, 3.0), repeat=3):
+        t0 = time.perf_counter()
+        reports[T] = solve_prescribed_ricci(su3, DiagonalForm.full(T))
+        assert time.perf_counter() - t0 < 0.5
+    for T, rep in reports.items():
+        assert {(reports[P].status, reports[P].starts_used) for P in permutations(T)} == {
+            (rep.status, rep.starts_used)
+        }
+        curve = sorted(T) == [1.0, 1.0, 2.0]
+        assert any("degenerate" in note for note in rep.notes) == curve
+    for T in ((3.0, 3.0, 1.0), (2.0, 2.0, 1.0)):
+        assert reports[T].status == "diverged"
+        assert reports[T].notes[-1].startswith("no solution exists")
