@@ -13,19 +13,21 @@ For s = 2, ``two_summand_points`` reads the one positive root of E_1 (see
 ``solver``).  For s = 3, ``three_summand_points`` eliminates u: every
 common root has t a root of the resultant R(t) = Res_u(E_1, E_2), and there
 u = -b(t) / a(t), read off the first subresultant a u + b (or off an E_i of
-degree 1 in u); one subresultant chain gives both.  The positive roots of
-R are isolated and read exactly, and at each the signs of a, b and c are
-decided exactly; a root is admissible when u > 0 and c > 0.  Roots where
-u = 0 are divided out of R first.  Where a vanishes at a rational positive
-root t_0, E_1(t_0, u) and E_2(t_0, u) are solved in u exactly.  A common
-factor of E_1 and E_2 whose coefficients share one sign has no point with
-t, u > 0 and is divided out.  Where a vanishes at an irrational positive
-root, or another common factor leaves a curve of solutions, the caller
-falls back to the ascent; so does a float target with no admissible root
-whose R is within its rounding of vanishing identically.  With u missing
-from an E_i, and of degree >= 2 in the other, t is eliminated instead.
-Both solves refine an isolated root to _ROOT_BITS bits, as bisection
-would, and read it as a float by correctly rounded int division.
+degree 1 in u); one subresultant chain gives both.  One pass over the
+positive roots of R decides each exactly: u < 0 where a and b keep one sign
+across the isolating interval, unread; else the root is read, u = 0 where
+b = 0, and c's sign comes from the core's values there (``c_sign``).  A
+root is admissible when u > 0 and c > 0.  Where a vanishes at a rational
+positive root t_0, E_1(t_0, u) and E_2(t_0, u) are solved in u exactly.  A
+common factor of E_1 and E_2 whose coefficients share one sign has no point
+with t, u > 0 and is divided out.  Where a vanishes at an irrational
+positive root, or another common factor leaves a curve of solutions, the
+caller falls back to the ascent; so does a float target with no admissible
+root whose R is within its rounding of vanishing identically.  With u
+missing from an E_i, and of degree >= 2 in the other, t is eliminated
+instead.  Both solves refine an isolated root to _ROOT_BITS bits, as
+bisection would, and read it as a float by correctly rounded int division;
+u = -b / a is read once it is as accurate as t.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from . import _polynomials as poly
 from .model import DiagonalForm, SpaceModel
 
 # An isolated root is refined to this relative width before it is read as
-# a float.
+# a float; isolation of the resultant stops at this depth, where it may have
+# a multiple root, and runs again on its square-free part.
 _ROOT_BITS = 55
+_ISOLATION_DEPTH = 64
 
 
 def _ratio(num: int, den: int) -> float:
@@ -108,7 +112,7 @@ def by_power(e: dict, swap: bool) -> list:
 def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[dict]]:
     """The s = 3 system [E_1, E_2] and the core, each polynomial in (t, u) as
     {(i, j): coefficient of t^i u^j}."""
-    core = ricci_core(model)
+    core = model.ricci_core
     z1, z2, z3 = integer_target(T)
     E = []
     for z, terms in ((z2, core[1]), (z3, core[2])):
@@ -141,7 +145,7 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     d1, d2 = model.dims
     z1, z2 = integer_target(T)
     # M t^2 r_1 and M t^2 r_2 at x = (1, t)
-    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in ricci_core(model))
+    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in model.ricci_core)
     P = poly.trim([z2 * a - z1 * b for a, b in zip(r1, r2)])
     # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
     C = poly.trim([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
@@ -232,62 +236,82 @@ def _admissible_points(
     subresultant S1 of the stripped system f, g on."""
     m, n = len(f) - 1, len(g) - 1
     R = poly.primitive(R[next(i for i, c in enumerate(R) if c):])
-    if len(R) == 1:
-        return []
+    roots = poly.positive_roots(R, _ISOLATION_DEPTH)
+    if roots is None:  # R has a multiple root, or two very close ones
+        R = poly.squarefree(R)
+        roots = poly.positive_roots(R)
     # the common root's other coordinate is -b / a at a root of R
     b, a = (f if m == 1 else g)[:2] if 1 in (m, n) else (S1 + [[], []])[:2]
     # sign c = sign r_i at the root, for the i of lowest degree k in the
     # eliminated variable, is sign a^k C with C = sum_j h_j (-b)^j a^(k-j)
-    h = min((by_power(terms, swap) for terms in core if terms), key=len)
-    k = len(h) - 1
-    C = []
-    for j, hj in enumerate(h):
-        for factor in [[-v for v in b]] * j + [a] * (k - j):
-            hj = poly.mul(hj, factor)
-        C = poly.sub(C, [-v for v in hj])
-    # roots of R where a = 0 are solved apart; where the other coordinate is
-    # 0 they are never admissible, and each is a simple common root unless
-    # a vanishes there too
-    shared = []
-    zero = poly.gcd_poly(R, poly.gcd_poly(f[0], g[0]))
-    if len(zero) > 1:
-        zero = poly.squarefree(zero)
-        shared.append(poly.gcd_poly(zero, a))
-        while len(zero) > 1:
-            R = poly.exact_div(R, zero)
-            zero = poly.gcd_poly(R, zero)
-    # almost always R is square-free and coprime to a: one test
-    if not poly.coprime(R, poly.derivative(R), a):
-        R = poly.squarefree(R)
-        shared.append(poly.gcd_poly(R, a))
-        R = poly.exact_div(R, shared[-1])
-    found = []
-    for G in shared:
-        for reverse, root in poly.positive_roots(G):
-            t0 = poly.rational_root(G[::-1] if reverse else G, root)
-            if t0 is None:
-                return None  # a = 0 at an irrational root: no point to read
-            points = _points_at(t0[::-1] if reverse else t0, f, g, h, swap)
-            if points is None:
-                return None
-            found += points
-    width = max(len(a), len(b))
+    row = min((r for r in core if r), key=lambda r: len({x[1 - swap] for x in r}))
+    h = by_power(row, swap)
+    width, hw = max(len(a), len(b)), max(map(len, h))
     a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
-    for reverse, root in poly.positive_roots(R):
-        # a root v > 1 as 1/v, a root of the reversed polynomials in (0, 1);
-        # a and b do not vanish there
-        P, A, B, Cs = (p[::-1] if reverse else p for p in (R, a, b, C))
+    H = [hj + [0] * (hw - len(hj)) for hj in h]
+    found = []
+    for reverse, root in roots:
+        # a root v > 1 as 1/v, a root of the reversed polynomials in (0, 1)
+        P, A, B, *Hs = (p[::-1] if reverse else p for p in (R, a, b, *H))
+        # u = -b / a < 0 where a and b have one sign at both ends of the
+        # interval and no root inside (an odd count would change the sign)
+        k, c, left = root
+        ends = left and {poly.sign_at(F, x, k) for F in (A, B) for x in (c, c + 1)}
+        if ends in ({1}, {-1}) and not any(poly.root_bound(F, k, c) for F in (A, B)):
+            continue
         v, root = read_root(P, root, reverse)
         num, depth = poly.point(root)
         va, vb = poly.value_at(A, num, depth), poly.value_at(B, num, depth)
         sign_a = poly.sign_near(P, A, root, va)
-        if sign_a * poly.sign_near(P, B, root, vb) > 0:
-            continue  # the other coordinate is negative
-        if _sign(P, Cs, root) * sign_a**k <= 0:
-            continue  # c <= 0
-        w = _ratio(-vb, va)
-        found.append((1.0, w, v) if swap else (1.0, v, w))
+        if not sign_a:
+            # two common roots share this t: solved for apart where t is rational
+            t0 = poly.rational_root(P, root)
+            points = None if t0 is None else _points_at(t0[::-1] if reverse else t0, f, g, h, swap)
+            if points is None:
+                return None  # a = 0 at an irrational root, or a curve: no point to read
+            found += points
+        elif sign_a * poly.sign_near(P, B, root, vb) < 0:  # u > 0
+            if c_sign(P, Hs, A, B, root, va, vb) * sign_a ** (len(h) - 1) > 0:
+                w = _read_ratio(P, B, A, root, _ratio(-vb, va))
+                found.append((1.0, w, v) if swap else (1.0, v, w))
     return sorted(found)
+
+
+def c_sign(P: list, H: list, A: list, B: list, root: tuple, va: int, vb: int) -> int:
+    """The sign of C = sum_j h_j (-b)^j a^(k-j) at the root of P isolated by
+    the refined ``root``, for A, B, H the padded a, b, h_j (reversed with P)
+    and va, vb the values of A, B there: the sign of C's value, unless the
+    bound deg C N(C) on |C'|, with N the sum of absolute values and
+    N(C) <= sum_j N(h_j) N(b)^j N(a)^(k-j), is too loose; then C decides."""
+    k, num, depth = len(H) - 1, *poly.point(root)
+    degree = len(H[0]) - 1 + k * (len(A) - 1)
+    slope = degree * sum(sum(map(abs, h)) for h in H) * max(sum(map(abs, A)), sum(map(abs, B)))**k
+    value = sum(poly.value_at(h, num, depth) * (-vb) ** j * va ** (k - j) for j, h in enumerate(H))
+    if not root[2] or abs(value) > slope << ((root[0] + 1) * max(degree - 1, 0)):
+        return (value > 0) - (value < 0)
+    C = []
+    for j, h in enumerate(H):
+        for factor in [[-x for x in B]] * j + [A] * (k - j):
+            h = poly.mul(h, factor)
+        C = poly.sub(C, [-x for x in h])
+    return _sign(P, C, root)
+
+
+def _read_ratio(P: list, B: list, A: list, root: tuple, w: float) -> float:
+    """-B / A at the root of P isolated by the refined ``root``: w, its value
+    at ``poly.point`` of the root, once -B / A at the two ends of the
+    interval round to doubles at most 1 ulp apart, refining until they do."""
+    while root[2]:
+        k, c, _ = root
+        a0, a1 = poly.value_at(A, c, k), poly.value_at(A, c + 1, k)
+        if a0 and a1:
+            w0 = _ratio(-poly.value_at(B, c, k), a0)
+            w1 = _ratio(-poly.value_at(B, c + 1, k), a1)
+            if w1 in (w0, math.nextafter(w0, w1)):
+                break
+        root = poly.refine(P, root, 2 * c.bit_length())
+        w = _ratio(-poly.value_at(B, *poly.point(root)), poly.value_at(A, *poly.point(root)))
+    return w
 
 
 def _points_at(t0: tuple[int, int], f: list, g: list, h: list, swap: bool) -> Optional[list[tuple]]:

@@ -8,18 +8,21 @@ The resultant and first subresultant of two such polynomials come from one
 subresultant chain (Collins, J. ACM 14, 1967), in which every division is
 exact.  Positive roots are isolated by Descartes' rule of signs with
 bisection (Collins and Akritas, SYMSAC 1976) on dyadic intervals
-(c / 2**k, (c + 1) / 2**k) of (0, 1), written (k, c); a root at a dyadic
-point is found exactly.  An isolated root is refined by exact Newton steps
-that each verify their own interval (Abbott, quadratic interval
-refinement, 2006).  Nothing here rounds.
+(c / 2**k, (c + 1) / 2**k) of (0, 1), written (k, c), each carrying
+2**(k n) p((x + c) / 2**k), whose halves are 2**n of it at x / 2 and
+(x + 1) / 2 (Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 2004);
+a root at a dyadic point is found exactly, and a multiple root nowhere else.
+An isolated root is refined by exact Newton steps that each verify their own
+interval (Abbott, quadratic interval refinement, 2006).  Nothing here rounds.
 """
 
 from __future__ import annotations
 
+import math
 from math import gcd
 from typing import Optional
 
-# A prime for the modular coprimality test.
+# A prime for the modular coprimality test of ``gcd_poly``.
 _PRIME = 2**61 - 1
 
 
@@ -91,25 +94,16 @@ def _rem_mod(a: list, b: list) -> list:
     return trim([v % _PRIME for v in a[:n]])
 
 
-def coprime(p: list, *qs: list) -> bool:
-    """True when p has no factor of positive degree in common with any of
-    ``qs``, as the images mod a prime of p and of their product show; False
-    when the images cannot tell."""
-    a = trim([c % _PRIME for c in p])
-    if len(a) != len(p):  # the prime divides p's leading coefficient
-        return False
-    b = [1]
-    for q in qs:
-        b = _rem_mod(mul(b, [c % _PRIME for c in q]), a)
-    while b:
-        a, b = b, _rem_mod(a, b)
-    return len(a) == 1
-
-
 def gcd_poly(p: list, q: list) -> list:
-    """The primitive gcd in Z[t] of p != 0 and q (p itself when q = 0)."""
-    if coprime(p, q):
-        return [1]
+    """The primitive gcd in Z[t] of p != 0 and q (p itself when q = 0); [1]
+    at once where their images mod a prime are coprime."""
+    a, b = trim([c % _PRIME for c in p]), [c % _PRIME for c in q]
+    if len(a) == len(p):  # unless the prime divides p's leading coefficient
+        b = _rem_mod(b, a)
+        while b:
+            a, b = b, _rem_mod(a, b)
+        if len(a) == 1:
+            return [1]
     p, q = primitive(p), primitive(q)
     while q:
         p, q = q, primitive(prem(p, q))
@@ -118,7 +112,7 @@ def gcd_poly(p: list, q: list) -> list:
 
 def squarefree(p: list) -> list:
     """The primitive product of the distinct irreducible factors of p."""
-    return primitive(exact_div(p, gcd_poly(p, derivative(p))))
+    return primitive(exact_div(p, gcd_poly(p, [i * c for i, c in enumerate(p)][1:])))
 
 
 def _prem_u(A: list, B: list) -> list:
@@ -194,10 +188,6 @@ def _product(ps: list) -> list:
     return out
 
 
-def derivative(p: list) -> list:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
 def _variations(p: list) -> int:
     signs = [c > 0 for c in p if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -213,9 +203,9 @@ def _taylor_shift(p: list, c: int) -> list:
 
 
 def root_bound(p: list, k: int, c: int) -> int:
-    """Descartes' bound on the number of roots of p in (k, c): the sign
-    variations of (1 + y)**n p((c + 1/(1 + y)) / 2**k) in y > 0, an exact
-    count when it is 0 or 1."""
+    """Descartes' bound on the number of roots of p in (k, c), counted with
+    multiplicity: the sign variations of (1 + y)**n p((c + 1/(1 + y)) / 2**k)
+    in y > 0, an exact count when it is 0 or 1."""
     n = len(p) - 1
     scaled = [v << (k * (n - i)) for i, v in enumerate(p)]
     if c:
@@ -246,35 +236,41 @@ def sign_at(p: list, num: int, k: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def isolate(p: list) -> list[tuple[int, int, int]]:
-    """The roots of the square-free p in (0, 1), each as (k, c, left): the
-    root c / 2**k when ``left`` is 0, else the one root in (k, c), where p
-    has the sign ``left`` just right of c / 2**k."""
-    out, stack = [], [(0, 0)]
+def isolate(p: list, cap: float = math.inf) -> Optional[list[tuple[int, int, int]]]:
+    """The roots of p in (0, 1), each as (k, c, left): the root c / 2**k
+    when ``left`` is 0, else the one root in (k, c), a simple one, where p
+    has the sign ``left`` just right of c / 2**k.  Bisection ends for a
+    square-free p; else None when it reaches depth ``cap``."""
+    out, stack, n = [], [(0, 0, p)], len(p) - 1
     while stack:
-        k, c = stack.pop()
-        count = root_bound(p, k, c)
+        k, c, q = stack.pop()
+        if k >= cap:
+            return None
+        d = _taylor_shift(q[::-1], 1)  # the interval taken to y > 0
+        count = _variations(d)
         if count == 1:
-            # an end of the interval may be another (simple) root of p
-            out.append((k, c, sign_at(p, c, k) or sign_at(derivative(p), c, k)))
+            out.append((k, c, 1 if trim(d)[-1] > 0 else -1))
         elif count > 1:
-            if sign_at(p, 2 * c + 1, k + 1) == 0:
+            half = [v << (n - i) for i, v in enumerate(q)]
+            right = _taylor_shift(half, 1)
+            if right[0] == 0:
                 out.append((k + 1, 2 * c + 1, 0))
-            stack += [(k + 1, 2 * c), (k + 1, 2 * c + 1)]
+            stack += [(k + 1, 2 * c, half), (k + 1, 2 * c + 1, right)]
     return out
 
 
-def positive_roots(p: list) -> list[tuple[bool, tuple]]:
+def positive_roots(p: list, cap: float = math.inf) -> Optional[list[tuple[bool, tuple]]]:
     """The positive roots of p, with p(0) != 0, each as (reverse, root): a
     root in (0, 1) or at 1 as ``isolate`` gives it, or, when ``reverse``, a
-    root v > 1 as the root 1/v of the reversed p.  p is square-free, or has
-    one positive root, a simple one; a constant p has none."""
+    root v > 1 as the root 1/v of the reversed p; a constant p has none.
+    None when ``isolate`` stops at ``cap``."""
     if len(p) < 2:
         return []
-    roots = [(False, root) for root in isolate(p)]
-    if sign_at(p, 1, 0) == 0:
-        roots.append((False, (0, 1, 0)))
-    return roots + [(True, root) for root in isolate(p[::-1])]
+    low, high = isolate(p, cap), isolate(p[::-1], cap)
+    if low is None or high is None:
+        return None
+    one = [(0, 1, 0)] if sign_at(p, 1, 0) == 0 else []
+    return [(False, root) for root in low + one] + [(True, root) for root in high]
 
 
 def point(root: tuple[int, int, int]) -> tuple[int, int]:
@@ -285,7 +281,7 @@ def point(root: tuple[int, int, int]) -> tuple[int, int]:
 
 
 def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
-    """The root of the square-free p isolated by ``root``, as bisection
+    """The root of p isolated by ``root``, a simple one, as bisection
     finds it at the first depth where c >= 2**bits: the interval there, or
     the root itself when it is a dyadic point of no greater depth.
 
@@ -342,11 +338,11 @@ def _round_div(a: int, b: int) -> int:
 
 
 def sign_near(p: list, f: list, root: tuple[int, int, int], v: int) -> int:
-    """The sign of f at the root of the square-free p isolated by ``root``,
-    0 where f vanishes, given v = value_at(f, *point(root)): the sign of v
-    once |v| exceeds what f can change across the interval, refining the
-    interval until it does.  The interval lies in (0, 1], where
-    sum i |f_i| bounds |f'|."""
+    """The sign of f at the root of p isolated by ``root``, 0 where f
+    vanishes, given v = value_at(f, *point(root)): the sign of v once |v|
+    exceeds what f can change across the interval, refining the interval
+    until it does.  The interval lies in (0, 1], where sum i |f_i| bounds
+    |f'|."""
     slope, n = sum(i * abs(x) for i, x in enumerate(f)), max(len(f) - 2, 0)
     k, c, left = root
     if left and abs(v) <= slope << ((k + 1) * n):

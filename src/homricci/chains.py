@@ -308,7 +308,7 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     corollary = criterion == "corollary"
     conditions = []
     failing = None
-    for chain in enumerate_simple_chains(model):
+    for chain in model.chains:
         lam = min(map(z.__getitem__, chain.J_kprime))
         if corollary:
             bound = max(map(z.__getitem__, chain.J_l))

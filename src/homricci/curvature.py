@@ -25,7 +25,6 @@ optimizer calls the kernel in a tight loop.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -84,17 +83,12 @@ class _Tables:
         return float(np.ldexp(S[0], -k))
 
 
-_TABLE_CACHE: "weakref.WeakKeyDictionary[SpaceModel, dict]" = weakref.WeakKeyDictionary()
-
-
 def tables_for(model: SpaceModel, J: tuple[int, ...]) -> _Tables:
     if model.killing is None:
         raise CurvatureError("model must be validated (killing coefficients missing)")
-    per_model = _TABLE_CACHE.setdefault(model, {})
-    tab = per_model.get(J)
+    tab = model.kernel_tables.get(J)
     if tab is None:
-        tab = _Tables(model, J)
-        per_model[J] = tab
+        tab = model.kernel_tables[J] = _Tables(model, J)
     return tab
 
 

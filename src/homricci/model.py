@@ -127,6 +127,27 @@ class SpaceModel:
         return enumerate_subalgebras(self)
 
     @cached_property
+    def chains(self) -> tuple:
+        """The simple chains (``chains.enumerate_simple_chains``), enumerated
+        once per model; where the hypothesis is violated, every read raises."""
+        from . import chains
+
+        return chains.enumerate_simple_chains(self)
+
+    @cached_property
+    def ricci_core(self) -> list[dict]:
+        """The polynomial Ricci core (``_elimination.ricci_core``), built once
+        per model; not to be modified."""
+        from . import _elimination  # on first use: only s <= 3 solves need it
+
+        return _elimination.ricci_core(self)
+
+    @cached_property
+    def kernel_tables(self) -> dict:
+        """The kernel's tables per index set, filled by ``curvature.tables_for``."""
+        return {}
+
+    @cached_property
     def scaled(self) -> ScaledData:
         """The model's numbers as integers over a common denominator; needs
         a validated model."""

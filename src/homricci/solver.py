@@ -54,18 +54,23 @@ rounding.
 
 For s = 3, along x = (1, t, u), the positive roots t of the resultant
 R(t) = Res_u(E_1, E_2) of E_1 = z_2 r_1 - z_1 r_2 and E_2 = z_3 r_1 -
-z_1 r_3 (numerators) are isolated exactly, u = -b(t) / a(t) is read off the
-first subresultant (both from one subresultant chain), and a root is
-admissible when u > 0 and c > 0, both decided exactly.  Where two
-solutions share a rational t_0 (a(t_0) = 0), u is solved for at t_0
-exactly.  Where E_1 and E_2 share a factor with points at t, u > 0 (a
-curve of solutions), or a vanishes at an irrational positive root, the
-ascent decides instead, with a note; so it does where a float T has no
-admissible root but R is within the rounding of T of vanishing
-identically, since a target that T rounds may have a curve of solutions.
+z_1 r_3 (numerators) are isolated exactly, R made square-free only where
+isolation cannot separate them, and u = -b(t) / a(t) is read off the
+first subresultant (both from one subresultant chain).  One pass over the
+roots decides each: a root is admissible when u > 0 and c > 0, both
+decided exactly, and one whose isolating interval already shows u < 0 is
+never read.  Where two solutions share a rational t_0 (a(t_0) = 0), u is
+solved for at t_0 exactly.  Where E_1 and E_2 share a factor with points
+at t, u > 0 (a curve of solutions), or a vanishes at an irrational
+positive root, the ascent decides instead, with a note; so it does where
+a float T has no admissible root but R is within the rounding of T of
+vanishing identically, since a target that T rounds may have a curve of
+solutions.
 
 Either way an isolated root is refined to 55 bits by exact secant-Newton
-steps, ending on the interval bisection would reach, and read as a float.
+steps, ending on the interval bisection would reach, and read as a float;
+for s = 3, u once -b / a at the ends of t's interval rounds to doubles at
+most 1 ulp apart.
 Each admissible root is certified like a start, at its float metric, all
 in one kernel call; the report returns the certified one with the highest
 S, and lists every admissible root.  With no admissible root no solution
@@ -75,8 +80,10 @@ solution for T as given).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +110,8 @@ MULTISTARTS = 16
 MAX_ITERATIONS = 10_000
 GRADIENT_TOL = 1e-10
 COLLAPSE_THRESHOLD = 1e-12
+# The normal doubles, the targets a solve takes.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 @dataclass
@@ -183,13 +192,13 @@ class _Evaluator:
     """Kernel calls and the fit of r = c z for one model/target pair, on
     batches of points u (m, n) on the simplex."""
 
-    def __init__(self, model: SpaceModel, z: np.ndarray):
+    def __init__(self, model: SpaceModel, z: Sequence[float]):
         full = tuple(range(1, model.s + 1))
         self.tab = curvature.tables_for(model, full)
-        self.z = z
-        self.dz = self.tab.d * z
-        self.dzz = float(np.dot(self.dz, z))
-        self.zmax = float(np.max(z))
+        self.z = np.asarray(z, dtype=np.float64)
+        self.dz = self.tab.d * self.z
+        self.dzz = float(np.dot(self.dz, self.z))
+        self.zmax = float(max(z))
 
     def value_and_ricci(
         self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
@@ -409,14 +418,14 @@ def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]
     S = ev.value_and_ricci(u, r)
     c, res = ev.fit(r)
     out = []
-    for i in range(len(X)):
-        certified = bool(res[i] <= tol and c[i] > 0)
+    for Si, ui, ci, ri in zip(S.tolist(), u, c.tolist(), res.tolist()):
+        certified = ri <= tol and ci > 0
         out.append(
             _StartOutcome(
-                S=float(S[i]),
-                u=u[i],
-                c=float(c[i]),
-                residual=float(res[i]),
+                S=Si,
+                u=ui,
+                c=ci,
+                residual=ri,
                 status="converged" if certified else "stalled",
                 iterations=0,
                 certified=certified,
@@ -462,19 +471,32 @@ def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
     return min(tied, key=lambda o: o.residual, default=top)
 
 
-def _as_target(model: SpaceModel, T: DiagonalForm) -> np.ndarray:
+def _ldexp(v: float, k: int) -> float:
+    """v * 2**k, infinite beyond the float range."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _finite(v: float) -> Optional[float]:
+    return v if math.isfinite(v) else None
+
+
+def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
     if not isinstance(T, DiagonalForm):
         raise SolverError("target must be a DiagonalForm")
     if T.support != tuple(range(1, model.s + 1)):
         raise SolverError("target form must cover the full index set")
-    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     try:
-        z = np.array([float(v) for v in T.values], dtype=np.float64)
+        z = [float(v) for v in T.values]
     except OverflowError:  # an exact coefficient beyond the largest double
         z = None
     # a subnormal z_i has lost precision, and c, of order 1/z, overflows
-    if z is None or not (np.all(np.isfinite(z)) and np.min(z) >= tiny):
-        raise SolverError(f"target coefficients must be normal doubles, {tiny:.4g} to {huge:.4g}")
+    if z is None or not all(_TINY <= v <= _HUGE for v in z):
+        raise SolverError(
+            f"target coefficients must be normal doubles, {_TINY:.4g} to {_HUGE:.4g}"
+        )
     # the chain check's bound; far beyond it the smallest coefficient of
     # z / 2**k (see maximize_S_on_MT) underflows to 0
     if not _in_float_range(max(T.values) / min(T.values)):
@@ -509,8 +531,8 @@ def maximize_S_on_MT(
     # runs on z / 2**k with max z / 2**k in [1, 2), and x, c and S are
     # mapped back by 2**k, exactly, so that S, r and the Jacobian neither
     # overflow nor underflow at any scale of T.
-    k = int(np.frexp(np.max(z))[1]) - 1
-    ev = _Evaluator(model, np.ldexp(z, -k))
+    k = math.frexp(max(z))[1] - 1
+    ev = _Evaluator(model, [math.ldexp(v, -k) for v in z])
     outcomes, escaped, notes = None, (), ()
     if model.s == 2:
         outcomes, escaped = _two_summand_roots(model, T, ev, opts.residual_tol)
@@ -549,7 +571,7 @@ def maximize_S_on_MT(
         notes += (
             ("no root" if exact else "no start")
             + " certified; best residual " + format(best.residual, ".3e")
-            + ("" if best.c > 0 else f", c = {np.ldexp(best.c, -k):.3e} not positive"),
+            + ("" if best.c > 0 else f", c = {_ldexp(best.c, -k):.3e} not positive"),
         )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
@@ -558,27 +580,26 @@ def maximize_S_on_MT(
     x = c = S = None
     if best is not None:
         xb = ev.dz / best.u
-        x, c, S = np.ldexp(xb, k), float(np.ldexp(best.c, -k)), float(np.ldexp(best.S, -k))
-    if status != "diverged" and not (np.all(np.isfinite(x)) and np.isfinite(c)):
+        x, c, S = [_ldexp(v, k) for v in xb.tolist()], _ldexp(best.c, -k), _ldexp(best.S, -k)
+    if status != "diverged" and not (all(map(math.isfinite, x)) and math.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
         notes += ("x or c is beyond the float range at this scale of T; rescale T",)
-    returns_x = status != "diverged" and bool(np.all(np.isfinite(x)))
+    returns_x = status != "diverged" and all(map(math.isfinite, x))
     return SolveReport(
         status=status,
-        x=DiagonalForm.full(tuple(x.tolist())) if returns_x else None,
-        c=c if status != "diverged" and np.isfinite(c) else None,
+        x=DiagonalForm.full(tuple(x)) if returns_x else None,
+        c=c if status != "diverged" and math.isfinite(c) else None,
         residual=None if best is None else best.residual,
-        S_value=S if S is not None and np.isfinite(S) else None,
+        S_value=None if S is None else _finite(S),
+        # numpy's sum, whose order of additions differs from sum() for s >= 8
         constraint_error=abs(float(np.sum(ev.dz / xb)) - 1.0) if returns_x else None,
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=escaped,
-        start_values=tuple(
-            v if np.isfinite(v) else None for v in np.ldexp([o.S for o in outcomes], -k).tolist()
-        ),
+        start_values=tuple(_finite(_ldexp(o.S, -k)) for o in outcomes),
         solutions=None if not exact else tuple(
-            tuple(v if np.isfinite(v) else None for v in np.ldexp(ev.dz / o.u, k).tolist())
+            tuple(_finite(_ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
             for o in outcomes
         ),
         notes=notes,

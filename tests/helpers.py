@@ -369,3 +369,30 @@ def bisected_root(p: list, root: tuple, bits: int) -> tuple:
     while root[2] and root[1] >> bits == 0:
         root = bisect(p, root)
     return root
+
+
+def has_root_in(p: list, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the polynomial p != 0 (lowest degree first) has a root in
+    [lo, hi], lo < hi, by Sturm's theorem in exact fractions."""
+    seq = [[Fraction(c) for c in p]]
+    while seq[0] and seq[0][-1] == 0:
+        seq[0].pop()
+    seq.append([i * c for i, c in enumerate(seq[0])][1:])
+    while seq[-1]:
+        r = seq[-2][:]
+        while len(r) >= len(seq[-1]):
+            q, shift = r[-1] / seq[-1][-1], len(r) - len(seq[-1])
+            for i, v in enumerate(seq[-1]):
+                r[i + shift] -= q * v
+            while r and r[-1] == 0:
+                r.pop()
+        seq.append([-v for v in r])
+    seq.pop()
+
+    def signs(x):
+        values = [sum(c * x**i for i, c in enumerate(q)) for q in seq]
+        return [v > 0 for v in values if v], values[0]
+
+    (low, at_lo), (high, at_hi) = signs(lo), signs(hi)
+    changes = [sum(a != b for a, b in zip(v, v[1:])) for v in (low, high)]
+    return at_lo == 0 or at_hi == 0 or changes[0] != changes[1]

@@ -87,8 +87,14 @@ def test_hypothesis_checked_once_per_condition_check(monkeypatch):
     monkeypatch.setattr(chains_mod, "check_hypothesis", counted)
     for check in (check_theorem, check_corollary_lambda):
         calls.clear()
-        check(G2, DiagonalForm.full((1, 1, 1)))
+        check(flag3(4, 2, 4), DiagonalForm.full((1, 1, 1)))
         assert len(calls) == 1
+    # the chains are enumerated once per model (SpaceModel.chains)
+    model = flag3(4, 2, 4)
+    calls.clear()
+    for check in (check_theorem, check_corollary_lambda, check_theorem):
+        check(model, DiagonalForm.full((1, 1, 1)))
+    assert len(calls) == 1
     calls.clear()
     enumerate_simple_chains(G2)
     assert len(calls) == 1

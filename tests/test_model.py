@@ -9,6 +9,7 @@ import pytest
 
 from homricci import (
     DiagonalForm,
+    HypothesisViolatedError,
     ModelError,
     SpaceModel,
     build_model,
@@ -305,6 +306,39 @@ def test_lattice_walked_once_per_model(tmp_path, capsys, monkeypatch):
     trace = ricci_iterate(m, DiagonalForm.full((1, 1)), steps=4)
     assert len(trace.steps) == 4
     assert len(walks) == 1
+
+
+def test_chains_and_core_built_once_per_model(monkeypatch):
+    from homricci import _elimination
+    from homricci import chains as chains_mod
+
+    calls = {"chains": 0, "core": 0}
+    originals = {"chains": chains_mod.enumerate_simple_chains, "core": _elimination.ricci_core}
+
+    def counted(key):
+        def wrapper(model):
+            calls[key] += 1
+            return originals[key](model)
+
+        return wrapper
+
+    monkeypatch.setattr(chains_mod, "enumerate_simple_chains", counted("chains"))
+    monkeypatch.setattr(_elimination, "ricci_core", counted("core"))
+    # a two-summand model whose first summand is a line: each of the ten
+    # steps checks the chain condition and solves on the core
+    line = catalog.entry("twosum", "1", "3", "0", "3/10", "4/5")
+    trace = ricci_iterate(line, DiagonalForm.full((1.0, 1.3)), steps=10)
+    assert (trace.status, len(trace.steps)) == ("completed", 10)
+    assert calls == {"chains": 1, "core": 1}
+    # a model that violates the hypothesis raises on every read
+    violated = build_model(
+        "isolated", dims=(1, 2, 2), casimir=(0, Fraction(3, 10), Fraction(2, 5)),
+        triples={(1, 3, 3): Fraction(1, 2)},
+    )
+    for _ in range(2):
+        with pytest.raises(HypothesisViolatedError):
+            violated.chains
+    assert calls["chains"] == 3
 
 
 def test_hypothesis_unknown_without_flag():

@@ -26,8 +26,10 @@ from homricci import (
     two_summand,
     two_summand_condition,
 )
+from homricci import _elimination
+from homricci import _polynomials as poly
 from homricci import solver as solver_mod
-from homricci._elimination import by_power, equations, read_root
+from homricci._elimination import by_power, c_sign, equations, read_root, three_summand_points
 from homricci._polynomials import (
     isolate,
     mul,
@@ -43,6 +45,7 @@ from homricci._polynomials import (
 )
 from helpers import (
     bisected_root,
+    has_root_in,
     random_positive_form,
     random_space_model,
     random_two_summand_case,
@@ -847,3 +850,188 @@ def test_three_summand_rational_shared_roots():
     for T in ((3.0, 3.0, 1.0), (2.0, 2.0, 1.0)):
         assert reports[T].status == "diverged"
         assert reports[T].notes[-1].startswith("no solution exists")
+
+
+def sweep_cases(count=150):
+    """The s = 3 sweep: random exact models with float targets."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(count):
+        model = random_space_model(rng, 3, exact=True)
+        cases.append((model, DiagonalForm.full(tuple(float(v) for v in rng.uniform(0.05, 5, 3)))))
+    return cases
+
+
+GRID = [(G2, flag3_target(p, q)) for p in (1.2, 2.0, 4.0, 8.0) for q in (1.1, 1.4, 2.0, 3.0)]
+
+
+def test_square_free_step_gives_the_same_points(monkeypatch):
+    # with the isolation cap at 0 every resultant is made square-free before
+    # it is isolated: the points are those of the default path, which takes
+    # that step only where the cap is hit (SU(3)/T with z_1 = z_2 and
+    # flag3(3,2,1) at multiples of (1, 1, 1) here)
+    cases = GRID + sweep_cases()
+    for model in (full_flag(3), flag3(3, 2, 1), flag3(1, 3, 3), flag3(1, 4, 2), flag3(2, 2, 5)):
+        cases += [(model, DiagonalForm.full(T)) for T in product((1.0, 2.0, 3.0), repeat=3)]
+    steps = []
+    original = poly.squarefree
+    monkeypatch.setattr(poly, "squarefree", lambda p: steps.append(p) or original(p))
+    default = [three_summand_points(model, T) for model, T in cases]
+    hit = len(steps)
+    monkeypatch.setattr(_elimination, "_ISOLATION_DEPTH", 0)
+    capped = [three_summand_points(model, T) for model, T in cases]
+    assert capped == default
+    assert 0 < hit and len(steps) >= hit + 150
+    # the ascent decides the seven targets whose solutions form a curve
+    assert sum(points is None for points in default) == 7 and sum(map(bool, default)) > 100
+
+
+def test_isolation_under_the_cap():
+    # a double irrational root, 1 / sqrt 2, is never separated: the cap stops
+    # the isolation, and the square-free part isolates as without a cap
+    p = mul(mul([-1, 0, 2], [-1, 0, 2]), [-1, 3])
+    assert positive_roots(p, 64) is None
+    q = squarefree(p)
+    assert q == mul([-1, 0, 2], [-1, 3]) and positive_roots(q, 64) == positive_roots(q)
+    # a double root at the dyadic point 1/2 is found exactly, and the
+    # interval right of it, whose left end it is, reads the root 2/3 with
+    # the sign p has there, as the square-free part reads it
+    p, q = mul(mul([-1, 2], [-1, 2]), [-2, 3]), mul([-1, 2], [-2, 3])
+    roots = positive_roots(p, 64)
+    assert (False, (1, 1, 0)) in roots and len(roots) == 2
+    ((_, root),) = [r for r in roots if r[1][2]]
+    ((_, twin),) = [r for r in positive_roots(q) if r[1][2]]
+    assert refine(p, root, 55) == refine(q, twin, 55) == bisected_root(q, twin, 55)
+    # square-free polynomials isolate under the cap as without it
+    rand = random.Random(31)
+    for _ in range(200):
+        p = trim([rand.randint(-(2**40), 2**40) for _ in range(rand.randint(2, 10))])
+        if len(p) > 1 and p[0]:
+            p = squarefree(p)
+            assert positive_roots(p, 64) == positive_roots(p)
+
+
+def test_c_sign_from_values_matches_the_polynomial(monkeypatch):
+    # the sign of C = sum_j h_j (-b)^j a^(k-j) at a root of P, from the
+    # values of the h_j, a and b there, against the sign of C itself
+    def c_poly(H, A, B):
+        C = []
+        for j, h in enumerate(H):
+            for factor in [[-v for v in B]] * j + [A] * (len(H) - 1 - j):
+                h = mul(h, factor)
+            C = sub(C, [-v for v in h])
+        return C
+
+    fallbacks = []
+    original = _elimination._sign
+    monkeypatch.setattr(
+        _elimination, "_sign", lambda *args: fallbacks.append(args) or original(*args)
+    )
+    rand = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        P = [1]
+        for _ in range(rand.randint(1, 4)):
+            P = mul(P, [-rand.randint(1, 2**20), rand.randint(1, 2**20)])
+        P = squarefree(P)
+        k, width, hw = rand.randint(0, 3), rand.randint(1, 5), rand.randint(1, 4)
+        A, B = ([rand.randint(-(2**30), 2**30) for _ in range(width)] for _ in range(2))
+        H = [[rand.randint(-(2**30), 2**30) for _ in range(hw)] for _ in range(k + 1)]
+        C = c_poly(H, A, B)
+        for reverse, root in positive_roots(P) or []:
+            Pr, Ar, Br, Cr = (q[::-1] for q in (P, A, B, C)) if reverse else (P, A, B, C)
+            Hr = [h[::-1] for h in H] if reverse else H
+            root = refine(Pr, root, 55)
+            num, depth = point(root)
+            va, vb = value_at(Ar, num, depth), value_at(Br, num, depth)
+            expected = sign_near(Pr, Cr, root, value_at(Cr, num, depth))
+            assert c_sign(Pr, Hr, Ar, Br, root, va, vb) == expected
+            checked += 1
+    assert checked > 300 and len(fallbacks) < checked / 10
+    # C = 2**80 (3t - 1) + e has the sign of e at the root 1/3 of P, but the
+    # bound from the norms cannot tell at the read point: C itself decides
+    P = [-1, 3]
+    ((_, root),) = positive_roots(P)
+    root = refine(P, root, 55)
+    num, depth = point(root)
+    fallbacks.clear()
+    for e in (1, -1):
+        H, A, B = [[e - 2**80, 3 * 2**80], [1, 1]], [1, 0], [0, 0]
+        assert c_poly(H, A, B) == H[0]
+        assert c_sign(P, H, A, B, root, value_at(A, num, depth), value_at(B, num, depth)) == e
+    assert len(fallbacks) == 2
+
+
+def test_three_summand_reads_only_roots_the_interval_cannot_reject(monkeypatch):
+    # on the flag3 grid and the s = 3 sweep a root of R is refined only when
+    # it is admissible, or when its isolating interval cannot show that
+    # u = -b / a < 0: a or b has a root there, or their signs differ (u > 0,
+    # and c decides); every other root is dropped unread
+    reads = []
+    original = _elimination.read_root
+
+    def recorded(P, root, reverse):
+        t, refined = original(P, root, reverse)
+        reads.append((root, reverse, t))
+        return t, refined
+
+    monkeypatch.setattr(_elimination, "read_root", recorded)
+    totals = {"roots": 0, "exact": 0, "reads": 0, "admissible": 0, "undecided": 0}
+    for model, T in GRID + sweep_cases():
+        f, g = stripped_system(model, T)
+        if min(len(f), len(g)) < 3:
+            continue  # u is read off an E_i, or t is eliminated
+        R, S1 = subresultants(f, g)
+        if not R:
+            continue
+        R = R[next(i for i, c in enumerate(R) if c):]
+        roots = positive_roots(R, 64)
+        if roots is None:
+            continue
+        reads.clear()
+        points = three_summand_points(model, T)
+        b, a = S1[:2]
+        width = max(len(a), len(b))
+        a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+        totals["roots"] += len(roots)
+        totals["admissible"] += len(points)
+        for root, reverse, t in reads:
+            k, c, left = root
+            if not left:
+                totals["exact"] += 1  # nothing to refine
+                continue
+            totals["reads"] += 1
+            A, B = (q[::-1] if reverse else q for q in (a, b))
+            lo, hi = Fraction(c, 2**k), Fraction(c + 1, 2**k)
+            undecided = has_root_in(A, lo, hi) or has_root_in(B, lo, hi)
+            totals["undecided"] += undecided
+            mid = (lo + hi) / 2
+            at_mid = [sum(x * mid**i for i, x in enumerate(F)) for F in (A, B)]
+            opposite = at_mid[0] * at_mid[1] < 0
+            assert undecided or opposite or t in [x[1] for x in points]
+    assert totals["reads"] <= totals["admissible"] + totals["undecided"]
+    assert totals["reads"] + totals["exact"] < totals["roots"]
+
+
+def test_three_summand_u_read_as_accurately_as_t():
+    # sweep target 3: u = -b / a is steep in t, and read at the 55-bit point
+    # of t it was about 1,000 ulps off; now t is refined until -b / a at the
+    # ends of its interval rounds to doubles at most 1 ulp apart.  The
+    # reference: t bisected to 200 bits, u = -b / a there as a Fraction
+    model, T = sweep_cases(4)[3]
+    ((one, t, u),) = three_summand_points(model, T)
+    f, g = stripped_system(model, T)
+    (R,) = subresultant(f, g, 0)
+    a, b = subresultant(f, g, 1)
+    R = squarefree(R[next(i for i, c in enumerate(R) if c):])
+    for reverse, root in positive_roots(R):
+        P = R[::-1] if reverse else R
+        k, c, _ = bisected_root(P, root, 200)
+        x = Fraction(2 * c + 1, 2 ** (k + 1))
+        x = 1 / x if reverse else x
+        if abs(float(x) - t) <= math.ulp(t):
+            ref = -sum(v * x**i for i, v in enumerate(b)) / sum(v * x**i for i, v in enumerate(a))
+            break
+    assert one == 1.0 and t == float(x)
+    assert abs(Fraction(u) - ref) <= 2 * Fraction(math.ulp(float(ref)))
+    assert u == 3.153812770743257
