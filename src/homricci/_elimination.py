@@ -50,7 +50,7 @@ def _ratio(num: int, den: int) -> float:
     try:
         return num / den
     except OverflowError:
-        return math.copysign(math.inf, num) * math.copysign(1, den)
+        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 def ricci_core(model: SpaceModel) -> list[dict]:
@@ -88,9 +88,7 @@ def ricci_core(model: SpaceModel) -> list[dict]:
 def integer_target(T: DiagonalForm) -> list[int]:
     """The target as coprime integers, a positive multiple of T (a float is
     an exact dyadic rational)."""
-    ratios = [v.as_integer_ratio() for v in T.values]
-    scale = math.lcm(*(den for _, den in ratios))
-    ints = [num * (scale // den) for num, den in ratios]
+    _, ints = T.integers
     g = math.gcd(*ints)
     return [v // g for v in ints]
 
@@ -109,17 +107,17 @@ def by_power(e: dict, swap: bool) -> list:
     return [poly.trim(row) for row in out]
 
 
-def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[dict]]:
-    """The s = 3 system [E_1, E_2] and the core, each polynomial in (t, u) as
-    {(i, j): coefficient of t^i u^j}."""
+def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[int]]:
+    """The s = 3 system [E_1, E_2], each polynomial in (t, u) as
+    {(i, j): coefficient of t^i u^j}, and the target's integers."""
     core = model.ricci_core
-    z1, z2, z3 = integer_target(T)
+    z = integer_target(T)
     E = []
-    for z, terms in ((z2, core[1]), (z3, core[2])):
+    for zi, terms in ((z[1], core[1]), (z[2], core[2])):
         keys = core[0].keys() | terms.keys()
-        diff = {e: z * core[0].get(e, 0) - z1 * terms.get(e, 0) for e in keys}
+        diff = {e: zi * core[0].get(e, 0) - z[0] * terms.get(e, 0) for e in keys}
         E.append({e: v for e, v in diff.items() if v})
-    return E, core
+    return E, z
 
 
 def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, tuple]:
@@ -152,8 +150,7 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     # where P = 0 every t solves: the base start t = 1; so for a float T
     # within rounding of a target where P = 0 (see three_summand_points)
     magnitude = z2 * sum(map(abs, r1)) + z1 * sum(map(abs, r2))
-    inexact = any(isinstance(v, float) for v in T.values)
-    if not P or inexact and sum(map(abs, P)) << 47 <= magnitude:
+    if not P or not T.exact and sum(map(abs, P)) << 47 <= magnitude:
         return ([(1.0, 1.0)] if poly.sign_at(C, 1, 0) > 0 else []), ()
     # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
     # signs one change of sign is one positive root, a simple one, and none
@@ -174,7 +171,8 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     floats in the order of t; None when the elimination is degenerate, or
     finds no admissible root for a float T within rounding of a target
     where it is."""
-    E, core = equations(model, T)
+    E, z = equations(model, T)
+    core = model.ricci_core
     # A float T stands for every target within its rounding.  Moving T by a
     # relative 2**-47 (a few dozen units in the last place) moves each
     # coefficient of E_i by at most 2**-47 of its magnitude z_(i+1) |r_1| +
@@ -184,8 +182,7 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     # larger is within rounding of vanishing identically, where a nearby
     # target has a curve of solutions: finding no root then proves nothing.
     magnitude = []
-    if any(isinstance(v, float) for v in T.values):
-        z = integer_target(T)
+    if not T.exact:
         size = [sum(abs(v) for v in terms.values()) for terms in core]
         magnitude = [z[i] * size[0] + z[0] * size[i] for i in (1, 2)]
     fragile = any(sum(map(abs, e.values())) << 47 <= bound for e, bound in zip(E, magnitude))

@@ -29,12 +29,17 @@ summands the corresponding threshold is exact: above it solutions exist,
 below it they do not.
 
 Each lattice member's mask, mass and omega are computed once per
-enumeration.  An exact T is read as integers over its common denominator,
-so for an exact model each chain's figures and the numerator and
-denominator of its margin are integers, and the verdict is an integer
-sign; the exact ``Fraction`` figures of a :class:`ChainCondition` are
-built only when read, and its report writes their floats straight from
-the integers.
+enumeration.  Every T is read as integers over its common denominator,
+exactly (a float is a dyadic rational), so each chain's lambda_min and
+trace are integers, whatever the arithmetic of T.  The model's arithmetic
+alone decides: on an exact model the margin is an integer numerator over
+an integer denominator and the verdict its sign, so a float T gets the
+verdict of its exact value; on a float model the margin is the correctly
+rounded lambda_min / trace less the float threshold, and must exceed
+FLOAT_MARGIN_EPS.  A :class:`ChainCondition` builds its figures only when
+read, as ``Fraction``s on an exact model and as correctly rounded floats
+on a float one, and its report writes the floats straight from the
+integers.
 """
 
 from __future__ import annotations
@@ -160,12 +165,11 @@ class ChainCondition:
     For the eigenvalue variant ``trace`` holds the largest eigenvalue over
     the middle block and ``threshold`` is eta * dim(l).
 
-    For an exact T, lambda_min and trace are kept as integers in units of
-    T's common denominator, and with an exact model the margin as an
-    integer numerator over a positive integer denominator, so ``passed`` is
-    an integer sign.  A float T keeps its floats.  ``lambda_min``,
-    ``trace``, ``threshold`` and ``margin`` build their exact values only
-    when read.
+    lambda_min and trace are kept as integers in units of T's common
+    denominator, and on an exact model the margin as an integer numerator
+    over a positive integer denominator (on a float model, a float over 1).
+    ``lambda_min``, ``trace`` and ``margin`` build their values only when
+    read: exact on an exact model, floats on a float one.
     """
 
     __slots__ = ("chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_weight")
@@ -180,13 +184,17 @@ class ChainCondition:
         self._den = den
         self._weight = weight  # dim(l) for the eigenvalue variant, else None
 
+    def _figure(self, num: int, den: int) -> Scalar:
+        # the model's arithmetic shows in eta's
+        return Fraction(num, den) if is_exact(self.chain.eta) else num / den
+
     @property
     def lambda_min(self) -> Scalar:
-        return self._lam if self._scale is None else Fraction(self._lam, self._scale)
+        return self._figure(self._lam, self._scale)
 
     @property
     def trace(self) -> Scalar:
-        return self._bound if self._scale is None else Fraction(self._bound, self._scale)
+        return self._figure(self._bound, self._scale)
 
     @property
     def threshold(self) -> Scalar:
@@ -195,7 +203,7 @@ class ChainCondition:
 
     @property
     def margin(self) -> Scalar:
-        return self._margin if self._den is None else Fraction(self._margin, self._den)
+        return self._figure(self._margin, self._den)
 
     def __repr__(self) -> str:
         return (
@@ -209,7 +217,6 @@ class ChainCondition:
         # float() gives of the exact value.
         chain = self.chain
         eta = format_number(chain.eta)
-        scale = self._scale
         if self._weight is None:
             threshold = eta
         elif is_exact(chain.eta):
@@ -226,10 +233,10 @@ class ChainCondition:
             "l": list(chain.J_l),
             "omega": chain.omega,
             "eta": eta,
-            "lambda_min": float(self._lam) if scale is None else self._lam / scale,
-            "trace": float(self._bound) if scale is None else self._bound / scale,
+            "lambda_min": self._lam / self._scale,
+            "trace": self._bound / self._scale,
             "threshold": threshold,
-            "margin": float(self._margin) if self._den is None else self._margin / self._den,
+            "margin": self._margin / self._den,
             "passed": self.passed,
         }
 
@@ -267,44 +274,30 @@ class ConditionReport:
         }
 
 
-def _in_float_range(value: Scalar) -> bool:
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:  # an exact value beyond the largest double
-        return False
-
-
-def _strictly_positive(margin: Scalar) -> bool:
-    if is_exact(margin):
-        return margin > 0
-    return margin > FLOAT_MARGIN_EPS
-
-
 def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionReport:
     """One condition per simple chain, for criterion "theorem" or "corollary"."""
     if T.support != tuple(range(1, model.s + 1)):
         raise ChainError("target form must cover the full index set")
+    # T is read as integers over one common denominator, as SpaceModel.scaled
+    # reads the model, so lam and bound are integer work, and on an exact
+    # model so is the margin (lam q - p w bound) / (bound q), eta = p / q.
+    # The 1-based tables let each figure be one map over a chain's indices.
+    scale, ints = T.integers
+    z = (0, *ints)
+    dims = (0, *model.dims)
+    dz = tuple(d * v for d, v in zip(dims, z))
     # Each chain's lambda_min and trace are at most the d-weighted trace of
     # T, and lambda_min / trace at most max z / min z: when these two are
-    # doubles, so is every figure of the report.
-    trace = sum(d * z for d, z in zip(model.dims, T.values))
-    if not (_in_float_range(trace) and _in_float_range(max(T.values) / min(T.values))):
+    # doubles, so is every figure of the report.  Int true division raises
+    # beyond the float range.
+    try:
+        sum(dz) / scale, max(ints) / min(ints)
+    except OverflowError:
         raise ChainError(
             "target out of range: its d-weighted trace or max z / min z is beyond "
             "the float range; rescale T (the conditions do not depend on its scale)"
-        )
-    # An exact T is read as integers over one common denominator, as
-    # SpaceModel.scaled reads the model, so lam, bound and, for an exact
-    # model, the margin stay integers; a float T keeps its floats.  The
-    # 1-based tables let each figure be one map over a chain's indices.
-    if T.exact:
-        scale = math.lcm(*(v.denominator for v in T.values))
-        z = (0, *(v.numerator * (scale // v.denominator) for v in T.values))
-    else:
-        scale, z = None, (0, *T.values)
-    dims = (0, *model.dims)
-    dz = tuple(d * v for d, v in zip(dims, z))
-    integer = scale is not None and model.exact
+        ) from None
+    exact = model.exact
     corollary = criterion == "corollary"
     conditions = []
     failing = None
@@ -317,15 +310,16 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
             bound = sum(map(dz.__getitem__, chain.J_l))
             weight = None
         eta = chain.eta
-        if integer:
+        if exact:
             p, q = eta.numerator, eta.denominator
             margin = lam * q - (p if weight is None else p * weight) * bound
             den = bound * q
             ok = margin > 0
         else:
+            # lam / bound correctly rounded, less the threshold: a float over 1
             margin = lam / bound - (eta if weight is None else eta * weight)
-            den = None
-            ok = _strictly_positive(margin)
+            den = 1
+            ok = margin > FLOAT_MARGIN_EPS
         cond = ChainCondition(chain, ok, lam, bound, scale, margin, den, weight)
         conditions.append(cond)
         if not ok and failing is None:
@@ -395,23 +389,21 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
             return TwoSummandReport(None, None, True, True, None, None)
         x = DiagonalForm.full((1, 1)) if model.exact else DiagonalForm.full((1.0, 1.0))
         r = _ricci(model, x)
-        ratios = [r[i] / T[i + 1] for i in range(2)]
-        if is_exact(ratios[0]) and is_exact(ratios[1]):
-            parallel = ratios[0] == ratios[1] and ratios[0] > 0
+        if model.exact:
+            _, (z1, z2) = T.integers
+            parallel = r[0] > 0 and r[0] * z2 == r[1] * z1
         else:
-            a, b = float(ratios[0]), float(ratios[1])
+            a, b = float(r[0] / T[1]), float(r[1] / T[2])
             parallel = a > 0 and abs(a - b) <= 1e-9 * max(1.0, abs(a))
         return TwoSummandReport(None, None, parallel, True, None, None)
-    a = closed[0]
-    o = 3 - a
-    value = _chain(model, _member(model, (1, 2)), _member(model, (a,))).eta
-    threshold = model.dims[o - 1] * value
-    ratio = T[a] / T[o]
+    # the one chain ({1, 2}, {a}), whose eigenvalue-variant margin is
+    # z_a / z_o - d_o eta: the threshold's verdict
+    (cond,) = check_corollary_lambda(model, T).conditions
     return TwoSummandReport(
-        eta=value,
-        threshold=threshold,
-        passed=_strictly_positive(ratio - threshold),
+        eta=cond.chain.eta,
+        threshold=cond.threshold,
+        passed=cond.passed,
         trivial=False,
-        subalgebra=a,
-        ratio=ratio,
+        subalgebra=cond.chain.J_kprime[0],
+        ratio=cond._figure(cond._lam, cond._bound),
     )

@@ -50,11 +50,11 @@ _INPUT_ERRORS = (
 )
 
 
-def _parse_form(text: str, rational: bool) -> DiagonalForm:
+def _parse_form(text: str) -> DiagonalForm:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise NumberFormatError("empty coefficient list")
-    return DiagonalForm.full(tuple(parse_number(p, rational=rational) for p in parts))
+    return DiagonalForm.full(tuple(parse_number(p) for p in parts))
 
 
 def _emit(args, payload: dict, text) -> None:
@@ -181,7 +181,7 @@ def cmd_eta(args) -> int:
 
 def cmd_check(args) -> int:
     model = _load(args, args.tol)
-    T = _parse_form(args.T, args.rational)
+    T = _parse_form(args.T)
     if args.corollary:
         report = check_corollary_lambda(model, T)
     else:
@@ -212,7 +212,7 @@ def cmd_check(args) -> int:
 
 def cmd_ricci(args) -> int:
     model = _load(args, args.tol)
-    x = _parse_form(args.x, args.rational)
+    x = _parse_form(args.x)
     r = ricci(model, x)
     g = grad_S(model, x)
     payload = {
@@ -229,7 +229,7 @@ def _solver_options(args) -> SolverOptions:
 
 def cmd_solve(args) -> int:
     model = _load(args)
-    T = _parse_form(args.T, args.rational)
+    T = _parse_form(args.T)
     report = solve_prescribed_ricci(model, T, options=_solver_options(args))
     payload = report.to_dict()
 
@@ -252,7 +252,7 @@ def cmd_solve(args) -> int:
 
 def cmd_iterate(args) -> int:
     model = _load(args)
-    start = _parse_form(args.start, args.rational)
+    start = _parse_form(args.start)
     trace = ricci_iterate(model, start, args.steps, options=_solver_options(args))
     if args.json:
         sys.stdout.write(trace.to_json_lines())
@@ -303,7 +303,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--rational",
         action="store_true",
-        help="force exact arithmetic (decimal literals become exact fractions)",
+        help="read the model file's decimal literals as exact fractions "
+        "(command-line coefficients are always read exactly)",
     )
     common.add_argument(
         "--tol",

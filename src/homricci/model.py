@@ -229,6 +229,14 @@ class DiagonalForm:
     def exact(self) -> bool:
         return all_exact(self.values)
 
+    @cached_property
+    def integers(self) -> tuple[int, tuple[int, ...]]:
+        """(scale, ints): the values as integers over their least common
+        denominator, exactly (a float is a dyadic rational)."""
+        ratios = [v.as_integer_ratio() for v in self.values]
+        scale = math.lcm(*(den for _, den in ratios))
+        return scale, tuple(num * (scale // den) for num, den in ratios)
+
     def restrict(self, indices: Iterable[int]) -> "DiagonalForm":
         J = tuple(sorted(set(int(i) for i in indices)))
         missing = [i for i in J if i not in self._by_index]

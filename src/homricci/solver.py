@@ -92,7 +92,6 @@ from .chains import (
     ConditionReport,
     EtaUndefinedError,
     HypothesisViolatedError,
-    _in_float_range,
     check_theorem,
 )
 from .model import DiagonalForm, SpaceModel
@@ -436,30 +435,22 @@ def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]
     return out
 
 
-def _two_summand_roots(
+def _exact_roots(
     model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
-) -> tuple[list[_StartOutcome], tuple[int, ...]]:
-    """The s = 2 solve (see the module docstring): an outcome for the one
-    admissible root of P, if any, certified at residual ``tol`` in one
-    kernel call, and the coordinate that escapes when P has no root."""
+) -> tuple[Optional[list[_StartOutcome]], tuple[int, ...]]:
+    """The s = 2 or s = 3 solve (see the module docstring): an outcome for
+    each admissible root, each certified at residual ``tol`` in one kernel
+    call, or None when the s = 3 elimination is degenerate; and, for s = 2,
+    the coordinate that escapes when P has no root."""
     # the exact algebra is imported on first use, so that a process that
     # solves no two- or three-summand problem never compiles it
     from . import _elimination
 
-    points, escaped = _elimination.two_summand_points(model, T)
-    return _certified(ev, np.array(points), tol), escaped
-
-
-def _three_summand_roots(
-    model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
-) -> Optional[list[_StartOutcome]]:
-    """The s = 3 solve by elimination (see the module docstring): an outcome
-    for each admissible root, each certified at residual ``tol`` in one
-    kernel call; None when the elimination is degenerate."""
-    from . import _elimination  # on first use, as in _two_summand_roots
-
-    points = _elimination.three_summand_points(model, T)
-    return None if points is None else _certified(ev, np.array(points), tol)
+    if model.s == 2:
+        points, escaped = _elimination.two_summand_points(model, T)
+    else:
+        points, escaped = _elimination.three_summand_points(model, T), ()
+    return (None if points is None else _certified(ev, np.array(points), tol)), escaped
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -498,9 +489,13 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
             f"target coefficients must be normal doubles, {_TINY:.4g} to {_HUGE:.4g}"
         )
     # the chain check's bound; far beyond it the smallest coefficient of
-    # z / 2**k (see maximize_S_on_MT) underflows to 0
-    if not _in_float_range(max(T.values) / min(T.values)):
-        raise SolverError("target out of range: max z / min z is beyond the float range")
+    # z / 2**k (see maximize_S_on_MT) underflows to 0.  Int true division
+    # raises beyond the float range.
+    _, ints = T.integers
+    try:
+        max(ints) / min(ints)
+    except OverflowError:
+        raise SolverError("target out of range: max z / min z is beyond the float range") from None
     return z
 
 
@@ -534,10 +529,8 @@ def maximize_S_on_MT(
     k = math.frexp(max(z))[1] - 1
     ev = _Evaluator(model, [math.ldexp(v, -k) for v in z])
     outcomes, escaped, notes = None, (), ()
-    if model.s == 2:
-        outcomes, escaped = _two_summand_roots(model, T, ev, opts.residual_tol)
-    elif model.s == 3:
-        outcomes = _three_summand_roots(model, T, ev, opts.residual_tol)
+    if model.s in (2, 3):
+        outcomes, escaped = _exact_roots(model, T, ev, opts.residual_tol)
         if outcomes is None:
             notes = (
                 "the exact elimination is degenerate here, or T is within rounding "

@@ -1,5 +1,6 @@
 """Simple chains, eta formulas, and the solvability conditions."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -243,13 +244,16 @@ def test_corollary_check_flag_golden():
 
 def _generic_figures(model, T, chain, criterion):
     """lambda_min, trace, threshold and margin of one chain, in the plain
-    arithmetic of T's values and chain.eta."""
-    lam = min(T[i] for i in chain.J_kprime)
+    arithmetic of the exact values of T and of chain.eta: exact on an exact
+    model; on a float model lambda_min / trace is rounded once and the
+    float threshold subtracted."""
+    z = {i: Fraction(v) for i, v in zip(T.support, T.values)}
+    lam = min(z[i] for i in chain.J_kprime)
     if criterion == "theorem":
-        bound = sum(model.dims[i - 1] * T[i] for i in chain.J_l)
+        bound = sum(model.dims[i - 1] * z[i] for i in chain.J_l)
         threshold = chain.eta
     else:
-        bound = max(T[i] for i in chain.J_l)
+        bound = max(z[i] for i in chain.J_l)
         threshold = chain.eta * sum(model.dims[i - 1] for i in chain.J_l)
     return lam, bound, threshold, lam / bound - threshold
 
@@ -257,8 +261,9 @@ def _generic_figures(model, T, chain, criterion):
 @pytest.mark.parametrize("exact_model", [True, False])
 @pytest.mark.parametrize("exact_T", [True, False])
 def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
+    """Every T, float or exact, is checked on its exact value: on an exact
+    model the figures are that value's, on a float model their floats."""
     rng = np.random.default_rng([27, exact_model, exact_T])
-    exact = exact_model and exact_T
     count = 0
     for _ in range(12):
         m = random_space_model(rng, exact=exact_model)
@@ -268,13 +273,13 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
             for cond in report.conditions:
                 got = (cond.lambda_min, cond.trace, cond.threshold, cond.margin)
                 want = _generic_figures(m, T, cond.chain, criterion)
-                if exact:
+                if exact_model:
                     assert got == want
                     assert all(isinstance(v, Fraction) for v in got)
                     assert cond.passed == (want[3] > 0)
                 else:
-                    assert [float(v) for v in got] == [float(v) for v in want]
-                    assert isinstance(cond.margin, float)
+                    assert got == tuple(float(v) for v in want)
+                    assert all(type(v) is float for v in got)
                     assert cond.passed == (want[3] > chains_mod.FLOAT_MARGIN_EPS)
                 # the report: the chain's fields, then the figures, each
                 # float bit for bit the float of the generic figure
@@ -293,6 +298,58 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
             )
             assert report.to_dict()["failing"] == first_failing
     assert count > 50
+
+
+def exact_of(T):
+    """T with each value replaced by its exact value."""
+    return DiagonalForm(tuple(Fraction(v) for v in T.values), T.support)
+
+
+# flag3(4,2,4) as a float model
+G2_FLOAT = build_model(
+    "g2u2-float", dims=(4, 2, 4), killing=(1.0, 1.0, 1.0),
+    triples={(1, 1, 2): 2 / 3, (1, 2, 3): 0.5},
+)
+
+
+def test_float_target_checked_on_its_exact_value(monkeypatch):
+    """On an exact model a float T gets the verdict and the figures of its
+    exact value.  On g2u2 with z_2 one ulp above 1/6 the first chain passes
+    by an exact margin of 2.3e-18, below FLOAT_MARGIN_EPS, which only a
+    float model reads."""
+    T = DiagonalForm.full((1.0, math.nextafter(1 / 6, 1), 1.0))
+    for check in (check_theorem, check_corollary_lambda):
+        got, want = check(G2, T), check(G2, exact_of(T))
+        assert got.passed and want.passed
+        assert got.to_dict() == want.to_dict()
+        for a, b in zip(got.conditions, want.conditions):
+            figures = (a.lambda_min, a.trace, a.threshold, a.margin)
+            assert figures == (b.lambda_min, b.trace, b.threshold, b.margin)
+            assert all(isinstance(v, Fraction) for v in figures)
+    assert check_theorem(G2, T).conditions[0].margin == Fraction(1, 432345564227567616)
+    monkeypatch.setattr(chains_mod, "FLOAT_MARGIN_EPS", math.inf)
+    assert check_theorem(G2, T).passed and check_corollary_lambda(G2, T).passed
+    assert not check_theorem(G2_FLOAT, DiagonalForm.full((1, 1, 1))).passed
+
+
+def test_two_summand_verdict_at_the_threshold():
+    """twosum 2 3 1/4 3/10 4/5 has the threshold 15/34: a float ratio one
+    ulp either side of it gets the verdict of its exact value, as does the
+    double nearest the threshold, with the figures of that value."""
+    m = two_summand(2, 3, Fraction(1, 4), Fraction(3, 10), Fraction(4, 5))
+    edge = float(Fraction(15, 34))
+    for ratio in (math.nextafter(edge, 0), edge, math.nextafter(edge, 1)):
+        T = DiagonalForm.full((ratio, 1.0))
+        rep = two_summand_condition(m, T)
+        assert rep == two_summand_condition(m, exact_of(T))
+        assert rep.passed == (Fraction(ratio) > Fraction(15, 34))
+        assert (rep.eta, rep.threshold, rep.ratio) == (Fraction(5, 34), Fraction(15, 34), Fraction(ratio))
+    assert two_summand_condition(m, DiagonalForm.full((math.nextafter(edge, 1), 1.0))).passed
+    # the verdict is the eigenvalue variant's on the chain ({1, 2}, {1})
+    for ratio in (0.25, Fraction(4, 9), 3.0):
+        T = DiagonalForm.full((ratio, 1))
+        (cond,) = check_corollary_lambda(m, T).conditions
+        assert two_summand_condition(m, T).passed == cond.passed == (ratio > Fraction(15, 34))
 
 
 def test_exact_check_builds_fractions_only_when_read(monkeypatch):
@@ -413,6 +470,13 @@ def test_two_summand_condition_degenerate_cases():
     assert aligned.trivial and aligned.passed
     skew = two_summand_condition(frozen, DiagonalForm.full((1, 5)))
     assert skew.trivial and not skew.passed
+    # a float T is compared exactly on the exact model: (0.15, 0.1) is not
+    # exactly parallel to r; on the float model it is, to 1e-9
+    T = DiagonalForm.full((0.15, 0.1))
+    assert not two_summand_condition(frozen, T).passed
+    frozen_float = build_model("frozen", dims=(2, 2), casimir=(0.5, 1 / 3))
+    assert two_summand_condition(frozen_float, T).passed
+    assert not two_summand_condition(frozen_float, DiagonalForm.full((1.0, 5.0))).passed
 
 
 def test_two_summand_zero_threshold_always_passes():

@@ -305,16 +305,11 @@ def test_randomized_two_summand_agreement_small():
 
 def newton_solve(monkeypatch, model, T, options=None):
     """The s = 2 or s = 3 solve by the multistart Newton ascent instead of
-    the exact path, through the same report: for s = 3 the exact path
-    reports itself degenerate, so the solve falls back to the ascent."""
+    the exact path, through the same report: the exact path reports itself
+    degenerate, so the solve falls back to the ascent."""
     opts = options or SolverOptions()
     with monkeypatch.context() as patch:
-        patch.setattr(
-            solver_mod,
-            "_two_summand_roots",
-            lambda model, T, ev, tol: (solver_mod._ascend(ev, opts), ()),
-        )
-        patch.setattr(solver_mod, "_three_summand_roots", lambda model, T, ev, tol: None)
+        patch.setattr(solver_mod, "_exact_roots", lambda model, T, ev, tol: (None, ()))
         return solve_prescribed_ricci(model, T, opts)
 
 
@@ -1035,3 +1030,40 @@ def test_three_summand_u_read_as_accurately_as_t():
     assert one == 1.0 and t == float(x)
     assert abs(Fraction(u) - ref) <= 2 * Fraction(math.ulp(float(ref)))
     assert u == 3.153812770743257
+
+
+def test_rational_root_off_the_dyadic_grid():
+    # 3t - 1: the root 1/3 is no dyadic point, so it is read as N / lead;
+    # 2t^2 - 1: the root 1 / sqrt(2) is irrational
+    ((reverse, root),) = positive_roots([-1, 3])
+    assert not reverse and poly.rational_root([-1, 3], root) == (1, 3)
+    # (3t - 1)(5t - 2): each root as N / 15; (3t - 4) (t - 2), its roots
+    # above 1 read as those of the reversed polynomial
+    p = mul([-1, 3], [-2, 5])
+    roots = [poly.rational_root(p, r) for _, r in positive_roots(p)]
+    assert sorted(Fraction(*r) for r in roots) == [Fraction(1, 3), Fraction(2, 5)]
+    p = mul([-4, 3], [-2, 1])
+    roots = [poly.rational_root(p[::-1], r) for reverse, r in positive_roots(p) if reverse]
+    assert sorted(Fraction(den, num) for num, den in roots) == [Fraction(4, 3), 2]
+    ((reverse, root),) = positive_roots([-1, 0, 2])
+    assert not reverse and poly.rational_root([-1, 0, 2], root) is None
+
+
+def test_points_at_a_rational_root_without_a_finite_point():
+    # f and g as lists by powers of w of polynomials in t
+    h = [[1]]
+    # both vanish identically at t = 1: every w solves
+    f, g = [[-1, 1]], [[-1, 1], [-1, 1]]
+    assert _elimination._points_at((1, 1), f, g, h, False) is None
+    # 1 + w and 2 + w share no root; w and w^2 only w = 0, not admissible
+    assert _elimination._points_at((1, 1), [[1], [1]], [[2], [1]], h, False) == []
+    assert _elimination._points_at((1, 1), [[0], [1]], [[0], [0], [1]], h, False) == []
+
+
+def test_ratio_overflows_to_infinity():
+    big = 10**400
+    assert _elimination._ratio(1, 3) == 1 / 3
+    assert _elimination._ratio(big, 1) == math.inf
+    assert _elimination._ratio(-big, 1) == -math.inf
+    assert _elimination._ratio(big, -3) == -math.inf
+    assert _elimination._ratio(-big, -3) == math.inf
