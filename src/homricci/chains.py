@@ -18,28 +18,36 @@ J_k = J_k' + J_l gives P(J_k) - P(J_k') = 4 sum_{j in J_l} d_j zeta_j
 + <J_l J_l J_l> + 3 <J_l J_k' J_l> + 3 <J_k' J_k' J_l>, and the last term
 is zero because J_k' is closed (a nonzero [abc] with a, b in J_k' has c in
 J_k').  So P is computed once per lattice member and a chain sums only its
-cross term.  The defining form, from Killing traces and bracket masses of
-the four derived blocks, equals the Casimir form wherever the Casimir
-identity holds, which ``validate`` enforces; the tests check the two forms
-against each other.
+cross term, as
+
+    <J_l J_k' J_l> = sum_{a in J_l} sum_{b in J_k'} M[a][b],   M[a][b] = sum_c [abc]:
+
+for a in J_l and b in J_k', a nonzero [abc] has c in J_k, as J_k is
+closed, and c outside J_k', as J_k' is closed (with b and c inside, a
+would be).  In the same way <J J J> = sum_{a, b in J} M[a][b] for a
+member J.  An exact model's scaled rows hold M[a][b]; a float model's hold
+each [abc] apart, so the sums add the triples in the model's order.  The
+defining form, from Killing traces and bracket masses of the four derived
+blocks, equals the Casimir form wherever the Casimir identity holds, which
+``validate`` enforces; the tests check the two forms against each other.
 
 A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
 summands the corresponding threshold is exact: above it solutions exist,
 below it they do not.
 
-Each lattice member's mask, mass and omega are computed once per
-enumeration.  Every T is read as integers over its common denominator,
-exactly (a float is a dyadic rational), so each chain's lambda_min and
-trace are integers, whatever the arithmetic of T.  The model's arithmetic
-alone decides: on an exact model the margin is an integer numerator over
-an integer denominator and the verdict its sign, so a float T gets the
-verdict of its exact value; on a float model the margin is the correctly
-rounded lambda_min / trace less the float threshold, and must exceed
-FLOAT_MARGIN_EPS.  A :class:`ChainCondition` builds its figures only when
-read, as ``Fraction``s on an exact model and as correctly rounded floats
-on a float one, and its report writes the floats straight from the
-integers.
+Each lattice member's mass and omega are computed once per enumeration,
+and its mask comes from the lattice walk.  Every T is read as integers
+over its common denominator, exactly (a float is a dyadic rational), so
+each chain's lambda_min and trace are integers, whatever the arithmetic of
+T.  The model's arithmetic alone decides: on an exact model the margin is
+an integer numerator over an integer denominator and the verdict its sign,
+so a float T gets the verdict of its exact value; on a float model the
+margin is the correctly rounded lambda_min / trace less the float
+threshold, and must exceed FLOAT_MARGIN_EPS.  A :class:`ChainCondition`
+builds its figures only when read, as ``Fraction``s on an exact model and
+as correctly rounded floats on a float one, and its report writes the
+floats straight from the integers.
 """
 
 from __future__ import annotations
@@ -87,14 +95,12 @@ class SimpleChain(NamedTuple):
         }
 
 
-def _mask(J) -> int:
-    return sum(1 << (i - 1) for i in J)
-
-
-def _block_sum(rows, A, B: int, C: int):
-    """Bracket mass <A B C> = sum_{a in A, b in B, c in C} [abc], with A an
-    index tuple and B, C bitmasks, in the units of ``SpaceModel.scaled``."""
-    return sum([v for a in A for b, c, v in rows[a - 1] if b & B and c & C])
+def _block_sum(rows, A, B: int):
+    """Bracket mass sum_{a in A, b in B} M[a][b], M[a][b] = sum_c [abc],
+    with A an index tuple and B a bitmask, in the units of
+    ``SpaceModel.scaled``: <A B C> wherever every nonzero [abc] with a in A
+    and b in B has c in C."""
+    return sum([v for a in A for b, v in rows[a - 1] if b & B])
 
 
 class _Member(NamedTuple):
@@ -108,34 +114,12 @@ class _Member(NamedTuple):
     omega: int
 
 
-def _member(model: SpaceModel, J: tuple[int, ...]) -> _Member:
-    """J with P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>."""
-    mask = _mask(J)
+def _member(model: SpaceModel, J: tuple[int, ...], mask: int) -> _Member:
+    """J with P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>; J is closed, so
+    every nonzero [abc] with a, b in J has c in J."""
     casimir = model.scaled.casimir_mass
-    mass = 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, mask, mask)
+    mass = 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, mask)
     return _Member(J, mask, mass, min((model.dims[i - 1] for i in J), default=0))
-
-
-def _chain(model: SpaceModel, upper: _Member, lower: _Member) -> SimpleChain:
-    """The chain (J_k, J_k') = (``upper``, ``lower``) with eta in the Casimir
-    form.
-
-    Only the cross term <J_l J_k' J_l> is summed here.  Everything runs in
-    the model's scaled units, so an exact model adds integers and the common
-    denominator cancels in one Fraction.
-    """
-    J_k, outer, P_k, _ = upper
-    J_kprime, inner, P_kprime, omega = lower
-    between = outer & ~inner
-    l = unpack(between)
-    den = omega * (P_k - P_kprime + _block_sum(model.scaled.rows, l, inner, between))
-    if den == 0:
-        raise EtaUndefinedError(
-            f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
-            "requirement 2 (a summand block commutes with the inner subalgebra)"
-        )
-    eta = Fraction(P_kprime, den) if model.exact else P_kprime / den
-    return SimpleChain(J_k=J_k, J_kprime=J_kprime, J_l=l, omega=omega, eta=eta)
 
 
 def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
@@ -143,20 +127,40 @@ def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
 
     The chains are the lattice's covering pairs whose lower member is
     nonempty, ordered by (size, lex) of the upper and then the lower member.
-    Raises :class:`HypothesisViolatedError` when the structural requirements
-    demonstrably fail (the conditions would be meaningless).
+    Each eta is in the Casimir form, and only its cross term <J_l J_k' J_l>
+    is summed per chain.  Everything runs in the model's scaled units, so an
+    exact model adds integers and the common denominator cancels in one
+    Fraction.  Raises :class:`HypothesisViolatedError` when the structural
+    requirements demonstrably fail (the conditions would be meaningless).
     """
     verdict = check_hypothesis(model)
     if verdict.status == "violated":
         raise HypothesisViolatedError(
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
-    members = [_member(model, J) for J in model.lattice.members]
-    return tuple(
-        _chain(model, members[upper], members[lower])
-        for upper, lower in model.lattice.covers
-        if members[lower].mask
-    )
+    lattice = model.lattice
+    rows, exact = model.scaled.rows, model.exact
+    members = [_member(model, J, m) for J, m in zip(lattice.members, lattice.masks)]
+    middles: dict[int, tuple[int, ...]] = {}  # J_l by mask: many chains share one
+    chains = []
+    for upper, lower in lattice.covers:
+        J_kprime, inner, P_kprime, omega = members[lower]
+        if not inner:
+            continue
+        J_k, outer, P_k, _ = members[upper]
+        between = outer & ~inner
+        l = middles.get(between)
+        if l is None:
+            l = middles[between] = unpack(between)
+        den = omega * (P_k - P_kprime + _block_sum(rows, l, inner))
+        if den == 0:
+            raise EtaUndefinedError(
+                f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
+                "requirement 2 (a summand block commutes with the inner subalgebra)"
+            )
+        eta = Fraction(P_kprime, den) if exact else P_kprime / den
+        chains.append(SimpleChain(J_k, J_kprime, l, omega, eta))
+    return tuple(chains)
 
 
 class ChainCondition:

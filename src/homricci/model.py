@@ -19,8 +19,18 @@ closure of any set follows from one rule: when a nonzero triple has two of
 its slots inside J (counted with multiplicity), the index in its third slot
 joins J.  The lattice is listed upward from the empty set through its
 covering relation: the upper covers of a member J are the inclusion-minimal
-sets among the closures of J + {k}, k outside J.  That costs at most s
-closures per member, instead of a scan of all 2^s subsets.
+sets among the closures of J + {k}, k outside J.
+
+Those closures come in classes.  Call two outside indices x and y joined
+when [x b y] != 0 for some b in J: the rule fired by x and b puts y in
+cl(J + x), and by the symmetry of the bracket the rule fired by y and b puts
+x in cl(J + y).  So every index of a class X (a connected component of
+"joined") generates the same closure cl(J | X).  And J | X is closed unless
+a rule with both slots in X leads outside J | X (the leak test): a rule
+with one slot in J and one in X leads into X, and J is closed.  So one
+search per class finds the closure whenever nothing leaks, and only a
+leaking class is grown further.  The walk raises :class:`ModelError` once
+it holds more than MAX_MEMBERS members; it sets no bound on s.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .numbers import (
     parse_number,
 )
 
-MAX_SUMMANDS = 24
+MAX_MEMBERS = 25_000  # admits SU(9)/T, with Bell(9) = 21,147 members
 
 CASIMIR_TOL = 1e-9
 
@@ -56,11 +66,14 @@ class ScaledData(NamedTuple):
 
     For an exact model every entry is the true value times one integer, the
     same for all; a float model keeps its floats.  Bit ``i - 1`` of a mask
-    stands for summand ``i``.
+    stands for summand ``i``.  A float model's ``rows`` keep one entry per
+    nonzero [abc], in the order of ``ordered_triples``, so that a sum over
+    them adds the triples in that order; an exact model's hold one entry
+    per b.
     """
 
     casimir_mass: tuple  # d_i zeta_i per index
-    rows: tuple  # per index a: (bit of b, bit of c, [abc]) per nonzero ordered triple
+    rows: tuple  # per index a: (bit of b, M[a][b]) with M[a][b] = sum_c [abc]
 
 
 @dataclass(frozen=True)
@@ -166,12 +179,16 @@ class SpaceModel:
             def fix(v):
                 return v
 
-        rows = [[] for _ in range(self.s)]
+        rows = [{} if self.exact else [] for _ in range(self.s)]
         for a, b, c, v in self.ordered_triples:
-            rows[a - 1].append((1 << (b - 1), 1 << (c - 1), fix(v)))
+            row, bit = rows[a - 1], 1 << (b - 1)
+            if self.exact:
+                row[bit] = row.get(bit, 0) + fix(v)
+            else:
+                row.append((bit, v))
         return ScaledData(
             casimir_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.casimir)),
-            rows=tuple(tuple(r) for r in rows),
+            rows=tuple(tuple(r.items() if self.exact else r) for r in rows),
         )
 
     @cached_property
@@ -281,13 +298,15 @@ class SubalgebraLattice:
     index set.  ``member_dims`` holds sum_{i in J} d_i per member.
     ``covers`` holds every covering pair (no member strictly between) as
     ``(upper, lower)`` indices into ``members``, sorted, so its order follows
-    the members' order.
+    the members' order.  ``masks`` holds each member as a bitmask, bit
+    ``i - 1`` for summand ``i``.
     """
 
     s: int
     members: tuple[tuple[int, ...], ...]
     member_dims: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...]
 
     def __contains__(self, indices) -> bool:
         return tuple(sorted(indices)) in self._member_set
@@ -470,42 +489,70 @@ def build_model(
     return report.model
 
 
-def _closure(rules, closed: int, added: int, known: dict, known_bits: int) -> int:
-    """Smallest closed superset of ``closed | added`` (bitmasks), for a
-    closed ``closed``: only the rules of newly added indices can fire, and of
-    those only the ones whose partner is already in the set.  ``rules`` maps
-    the bit of each index to its ``SpaceModel.closure_rules`` entry.
+def _class_of(rules, J: int, x: int) -> tuple[int, int]:
+    """The class X of outside index ``x`` over the closed member ``J``
+    (bitmasks), and the mask of every c with [a b c] != 0 for a, b in X.
 
-    ``known`` maps bits k0 to known closures cl(closed + k0), and
-    ``known_bits`` is the OR of its keys.  Once the growing set takes in such
-    a k0 whose closure holds ``added``, that closure is the answer: it is
-    closed and holds ``closed | added``, and the growing set, which holds
-    ``closed + k0``, lies inside the answer.
+    Two outside indices a, c are joined when [a b c] != 0 for some b in J;
+    X is the connected component of x.  ``rules`` maps the bit of each
+    index to its ``SpaceModel.closure_rules`` entry.  A rule (a, b) with
+    both slots in X fires when the later of a and b is reached, as by then
+    the earlier one is in X.
     """
-    J = closed | added
-    pending = added & ~closed
+    X = pending = x
+    reach = 0
     while pending:
         bit = pending & -pending
         pending ^= bit
         partners, implied = rules[bit]
         fire = partners & J
+        while fire:
+            b = fire & -fire
+            fire ^= b
+            new = implied[b] & ~X
+            X |= new
+            pending |= new
+        fire = partners & X
+        while fire:
+            b = fire & -fire
+            fire ^= b
+            reach |= implied[b]
+    return X, reach
+
+
+def _grow(rules, J: int, X: int, reach: int, grown: list) -> int:
+    """cl(J | X) for a class X of the closed member J whose rules ``reach``
+    outside J | X: every rule with both slots in J | X has already fired,
+    so only the rules of the indices added from here on can add more, and
+    of those only the ones whose partner is already in the set.
+
+    ``grown`` holds (Y, cl(J | Y)) for the classes Y grown before.  Once the
+    growing set takes in an index of such a Y whose closure holds X, that
+    closure is the answer: it is closed and holds J | X, and the growing
+    set, which holds an index of Y, lies inside the answer, and so does
+    the closure of that index, cl(J | Y).
+    """
+    C = J | X
+    pending = new = reach & ~C
+    C |= new
+    while True:
+        for Y, C0 in grown:
+            if new & Y and not X & ~C0:
+                return C0
+        if not pending:
+            return C
+        bit = pending & -pending
+        pending ^= bit
+        partners, implied = rules[bit]
+        fire = partners & C
         new = 0
         while fire:
             b = fire & -fire
             fire ^= b
             new |= implied[b]
-        new &= ~J
-        if new:
-            pending |= new
-            J |= new
-            hit = new & known_bits
-            while hit:
-                k0 = hit & -hit
-                hit ^= k0
-                C0 = known[k0]
-                if not added & ~C0:
-                    return C0
-    return J
+        new &= ~C
+        pending |= new
+        C |= new
 
 
 def unpack(mask: int) -> tuple[int, ...]:
@@ -525,22 +572,21 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     member J are the inclusion-minimal sets among the closures cl(J + {k}),
     k outside J; such a closure C is minimal exactly when every k in C - J
     generates it.  Every nonempty member covers some member, so the walk
-    reaches all of them.  It costs at most s closures per member, each
-    firing only the rules of the indices it adds (``closure_rules``).
+    reaches all of them.  It raises :class:`ModelError` once it holds more
+    than MAX_MEMBERS members.
 
-    The closures of one member J are found in order of k, and each one is
-    grown with the earlier ones at hand: as soon as cl(J + {k}) takes in an
-    index k0 whose closure cl(J + {k0}) holds k, the two closures are equal
-    (each one holds the other's generator), and the growth stops with that
-    closure.  This is exact, and it saves most of the work on a cover C
-    with many generators, such as the merge of two blocks A and B of SU(n)/T
-    with its |A| |B| generators: every index of C - J generates C, so only
-    the first is grown in full, and each later one stops at the first
-    earlier generator it takes in.
+    The closures of J are found per class X of outside indices (see the
+    module docstring), by one search each (``_class_of``) that also runs
+    the leak test.  When nothing leaks, J | X is the closure, and a cover,
+    as X fills C - J.  Otherwise the closure is grown (``_grow``), with the
+    closures of the classes grown before at hand: as soon as it takes in an
+    index of such a class whose closure holds X, the two closures are
+    equal.  A grown closure C is a cover when the classes that generate it
+    fill C - J.  On the full flags SU(n)/T no class leaks: a class of a
+    partition's member is the set of pairs between two of its blocks, and
+    J | X merges the two.
     """
     s = model.s
-    if s > MAX_SUMMANDS:
-        raise ModelError(f"s={s} exceeds the enumeration cap {MAX_SUMMANDS}")
     rules = {1 << a: rule for a, rule in enumerate(model.closure_rules)}
     everything = (1 << s) - 1
     upper: dict[int, list[int]] = {}
@@ -549,18 +595,28 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
         J = todo.pop()
         if J in upper:
             continue
-        generators: dict[int, int] = {}
-        known: dict[int, int] = {}
-        known_bits = 0
+        if len(upper) == MAX_MEMBERS:
+            raise ModelError(
+                f"the subalgebra lattice has more than {MAX_MEMBERS} members"
+            )
+        covers = []
+        leaking = []
         outside = everything & ~J
         while outside:
-            bit = outside & -outside
-            outside ^= bit
-            C = _closure(rules, J, bit, known, known_bits)
-            known[bit] = C
-            known_bits |= bit
-            generators[C] = generators.get(C, 0) | bit
-        covers = [C for C, gens in generators.items() if gens == C & ~J]
+            X, reach = _class_of(rules, J, outside & -outside)
+            outside &= ~X
+            if reach & ~(J | X):
+                leaking.append((X, reach))
+            else:
+                covers.append(J | X)
+        if leaking:
+            generators: dict[int, int] = {}
+            grown: list[tuple[int, int]] = []
+            for X, reach in leaking:
+                C = _grow(rules, J, X, reach, grown)
+                grown.append((X, C))
+                generators[C] = generators.get(C, 0) | X
+            covers.extend(C for C, gens in generators.items() if gens == C & ~J)
         upper[J] = covers
         todo.extend(C for C in covers if C not in upper)
 
@@ -574,6 +630,7 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
         covers=tuple(
             sorted((index[C], index[J]) for J, ups in upper.items() for C in ups)
         ),
+        masks=tuple(m for _, m in order),
     )
 
 

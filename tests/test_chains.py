@@ -158,6 +158,26 @@ def test_eta_matches_the_defining_form_on_random_float_models():
     assert count > 30
 
 
+def test_eta_matches_the_defining_form_where_pairs_have_several_brackets():
+    # s = 6 to 10: many pairs (a, b) have [abc] != 0 for several c, which
+    # an exact model's scaled rows sum into one M[a][b], and a float
+    # model's keep apart, in the order of the model's triples
+    rng = np.random.default_rng(24)
+    count = shared = 0
+    for k in range(24):
+        exact = k % 2 == 0
+        m = random_space_model(rng, s=6 + k % 5, exact=exact)
+        pairs = Counter((a, b) for a, b, _, _ in m.ordered_triples)
+        shared += sum(1 for n in pairs.values() if n > 1)
+        for ch in enumerate_simple_chains(m):
+            if exact:
+                assert ch.eta == def_form_eta(m, ch)
+            else:
+                assert ch.eta == pytest.approx(def_form_eta(m, ch), rel=1e-12, abs=0)
+            count += 1
+    assert count > 30 and shared > 100
+
+
 def test_eta_is_the_casimir_form_within_validation_tolerance():
     # the Casimir identity is off by 9e-10 at index 1, inside the default
     # 1e-9, which moves the defining form of eta but not the Casimir form

@@ -206,7 +206,24 @@ def _sparse_model(rng, s):
     return build_model(f"sparse-s{s}", dims, casimir=casimir, triples=triples)
 
 
-def test_lattice_and_covers_match_oracles_up_to_s14():
+def counted_growth(monkeypatch):
+    """The list of classes X the walk grows (``_grow``), those whose rules
+    lead outside J | X."""
+    calls = []
+    original = model_mod._grow
+
+    def counted(rules, J, X, reach, grown):
+        calls.append(X)
+        return original(rules, J, X, reach, grown)
+
+    monkeypatch.setattr(model_mod, "_grow", counted)
+    return calls
+
+
+def test_lattice_and_covers_match_oracles_up_to_s14(monkeypatch):
+    # the corpus enters both branches of the walk: classes whose J | X is
+    # closed, and classes whose closure is grown
+    grown = counted_growth(monkeypatch)
     rng = np.random.default_rng(31)
     shapes = set()
     for s in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
@@ -222,6 +239,18 @@ def test_lattice_and_covers_match_oracles_up_to_s14():
                 tuple(sorted(J)) for J in atoms
             )
     assert shapes == {1, 2, 3}  # (i,i,i), (i,i,k) and (i,j,k) triples all occurred
+    assert grown
+
+
+def test_full_flag_classes_never_grow(monkeypatch):
+    # on SU(n)/T each class of a partition's member is the set of pairs
+    # between two blocks, and J | X, the merge of the two, is closed
+    grown = counted_growth(monkeypatch)
+    for n, bell, chains in ((3, 5, 3), (4, 15, 25), (5, 52, 150), (6, 203, 841)):
+        m = full_flag(n)
+        assert len(enumerate_subalgebras(m).members) == bell
+        assert len(m.chains) == chains
+    assert grown == []
 
 
 def test_full_flag_members_are_bell_numbers():
@@ -241,10 +270,17 @@ def test_star_import_exports_every_name():
     assert all(name in namespace for name in homricci.__all__)
 
 
-def test_lattice_summand_cap():
+def test_lattice_member_guard():
+    # no brackets: every subset is closed, 2^25 members
     m = build_model("big", dims=(1,) * 25, casimir=(Fraction(1, 4),) * 25)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="more than 25000 members"):
         enumerate_subalgebras(m)
+
+
+def test_full_flag_su8_lattice():
+    lattice = enumerate_subalgebras(full_flag(8))
+    assert (len(lattice.members), len(lattice.covers)) == (4140, 28337)
+    assert list(lattice.members) == oracle_full_flag(8)[0]
 
 
 def test_hypothesis_flag_satisfied():
