@@ -44,17 +44,31 @@ T.  The model's arithmetic alone decides: on an exact model the margin is
 an integer numerator over an integer denominator and the verdict its sign,
 so a float T gets the verdict of its exact value; on a float model the
 margin is the correctly rounded lambda_min / trace less the float
-threshold, and must exceed FLOAT_MARGIN_EPS.  A :class:`ChainCondition`
-builds its figures only when read, as ``Fraction``s on an exact model and
-as correctly rounded floats on a float one, and its report writes the
-floats straight from the integers.
+threshold, and must exceed FLOAT_MARGIN_EPS.
+
+A :class:`ConditionReport` keeps these figures in columns, one entry per
+chain: lambda_min and trace over T's denominator, the margin's numerator
+and denominator, the factor w of the threshold eta * w, and the verdict.
+Its ``conditions`` are built from the columns on first read, and each
+:class:`ChainCondition` builds its figures only when read, as ``Fraction``s
+on an exact model and as correctly rounded floats on a float one.
+``to_json`` writes the report's JSON line in one pass over the columns,
+each index list, figure over T's denominator and exact eta text once per
+report.  Its bytes are those ``json.dumps`` writes of the same values, as
+it spells each one: ints and ``"p/q"`` strings in one way, every float as
+the repr of the same correctly rounded int true division (on a float
+model, of the same float), NaN and the infinities as the encoder names
+them, and keys and separators as its defaults place them.  ``to_dict``
+reads that line back, so the keys and the float format are in one place.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .curvature import ricci as _ricci
@@ -164,10 +178,10 @@ def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
 
 
 class ChainCondition:
-    """One chain's inequality: lambda_min / trace > threshold.
+    """One chain's inequality: lambda_min / trace > threshold = eta * w.
 
-    For the eigenvalue variant ``trace`` holds the largest eigenvalue over
-    the middle block and ``threshold`` is eta * dim(l).
+    For the theorem w = 1.  For the eigenvalue variant ``trace`` holds the
+    largest eigenvalue over the middle block and w = dim(l).
 
     lambda_min and trace are kept as integers in units of T's common
     denominator, and on an exact model the margin as an integer numerator
@@ -186,7 +200,7 @@ class ChainCondition:
         self._scale = scale
         self._margin = margin
         self._den = den
-        self._weight = weight  # dim(l) for the eigenvalue variant, else None
+        self._weight = weight
 
     def _figure(self, num: int, den: int) -> Scalar:
         # the model's arithmetic shows in eta's
@@ -202,8 +216,7 @@ class ChainCondition:
 
     @property
     def threshold(self) -> Scalar:
-        eta = self.chain.eta
-        return eta if self._weight is None else eta * self._weight
+        return self.chain.eta * self._weight
 
     @property
     def margin(self) -> Scalar:
@@ -216,66 +229,116 @@ class ChainCondition:
             f"margin={self.margin!r}, passed={self.passed!r})"
         )
 
-    def to_dict(self) -> dict:
-        # Int true division is correctly rounded, so each float is the one
-        # float() gives of the exact value.
-        chain = self.chain
-        eta = format_number(chain.eta)
-        if self._weight is None:
-            threshold = eta
-        elif is_exact(chain.eta):
-            # eta * dim(l) in lowest terms: eta is, so only dim(l) and eta's
-            # denominator can share a factor
-            g = math.gcd(self._weight, chain.eta.denominator)
-            p, q = chain.eta.numerator * (self._weight // g), chain.eta.denominator // g
-            threshold = p if q == 1 else f"{p}/{q}"
-        else:
-            threshold = self.threshold
-        return {
-            "k": list(chain.J_k),
-            "kprime": list(chain.J_kprime),
-            "l": list(chain.J_l),
-            "omega": chain.omega,
-            "eta": eta,
-            "lambda_min": self._lam / self._scale,
-            "trace": self._bound / self._scale,
-            "threshold": threshold,
-            "margin": self._margin / self._den,
-            "passed": self.passed,
-        }
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-@dataclass(frozen=True)
+def _ratio(p: int, q: int) -> str:
+    """p / q in lowest terms, in JSON as ``format_number`` gives it."""
+    return str(p) if q == 1 else f'"{p}/{q}"'
+
+
+def _exact_texts(key: tuple[int, int, int]) -> tuple[str, str]:
+    """eta = p / q and its threshold eta * w, in JSON.  eta is in lowest
+    terms, so only w and q can share a factor."""
+    p, q, w = key
+    g = math.gcd(w, q)
+    return _ratio(p, q), _ratio(p * (w // g), q // g)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    """x as ``json.dumps`` writes it: its repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
 class ConditionReport:
     """Chain-by-chain verdicts plus the overall outcome.
 
     A failing report never claims nonexistence: for three or more summands
     the conditions are sufficient only, so the existence field is left
     "inconclusive" on failure.
+
+    The figures are kept in columns, one entry per chain (see the module
+    docstring): ``conditions`` is built from them on first read, and
+    ``failing`` is the first failing one of its conditions.
     """
 
-    criterion: str
-    passed: bool
-    conditions: tuple[ChainCondition, ...]
-    failing: Optional[ChainCondition]
-    requirement1_unknown: bool
+    def __init__(self, criterion, chains, exact, scale, columns, requirement1_unknown):
+        self.criterion = criterion
+        self.requirement1_unknown = requirement1_unknown
+        # lambda_min and trace over scale, the margin over its denominator,
+        # w and the verdict
+        self._chains, self._exact, self._scale, self._columns = chains, exact, scale, columns
+        oks = columns[-1]
+        self._first = None if all(oks) else oks.index(False)
+        self.passed = self._first is None
+
+    @cached_property
+    def conditions(self) -> tuple[ChainCondition, ...]:
+        lams, bounds, margins, dens, weights, oks = self._columns
+        return tuple(map(
+            ChainCondition, self._chains, oks, lams, bounds, repeat(self._scale),
+            margins, dens, weights,
+        ))
+
+    @property
+    def failing(self) -> Optional[ChainCondition]:
+        return None if self._first is None else self.conditions[self._first]
 
     @property
     def existence(self) -> str:
         return "solvable" if self.passed else "inconclusive"
 
+    def to_json(self) -> str:
+        """The report as one line of JSON, the first failing condition named
+        by its index: byte for byte what ``json.dumps`` writes of
+        ``to_dict()``, written in one pass over the columns."""
+        exact, scale = self._exact, self._scale
+        # k, k' and l, the figures over T's denominator, and eta with its
+        # threshold repeat across chains: each is written once
+        lists = _Memo(lambda J: str(list(J)))  # a list of ints reads the same in JSON
+        figures = _Memo(lambda v: repr(v / scale))
+        texts = _Memo(_exact_texts)
+        rows = []
+        for (J_k, J_kprime, J_l, omega, eta), lam, bound, margin, den, weight, ok in zip(
+            self._chains, *self._columns
+        ):
+            if exact:
+                eta_text, threshold = texts[eta.numerator, eta.denominator, weight]
+                margin_text = repr(margin / den)
+            else:
+                eta_text, threshold = _float(eta), _float(eta * weight)
+                margin_text = _float(margin)  # over den = 1
+            rows.append(
+                f'{{"k": {lists[J_k]}, "kprime": {lists[J_kprime]}, "l": {lists[J_l]}, '
+                f'"omega": {omega}, "eta": {eta_text}, "lambda_min": {figures[lam]}, '
+                f'"trace": {figures[bound]}, "threshold": {threshold}, '
+                f'"margin": {margin_text}, "passed": {"true" if ok else "false"}}}'
+            )
+        failing = "null" if self._first is None else self._first
+        return (
+            f'{{"criterion": "{self.criterion}", "passed": {"true" if self.passed else "false"}, '
+            f'"existence": "{self.existence}", "caveat_requirement1": '
+            f'{"true" if self.requirement1_unknown else "false"}, '
+            f'"conditions": [{", ".join(rows)}], "failing": {failing}}}'
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "passed": self.passed,
-            "existence": self.existence,
-            "caveat_requirement1": self.requirement1_unknown,
-            "conditions": [c.to_dict() for c in self.conditions],
-            # each condition is serialized once: the first failing one by index
-            "failing": next(
-                (pos for pos, c in enumerate(self.conditions) if c is self.failing), None
-            ),
-        }
+        return json.loads(self.to_json())
 
 
 def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionReport:
@@ -301,38 +364,35 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
             "target out of range: its d-weighted trace or max z / min z is beyond "
             "the float range; rescale T (the conditions do not depend on its scale)"
         ) from None
-    exact = model.exact
-    corollary = criterion == "corollary"
-    conditions = []
-    failing = None
-    for chain in model.chains:
-        lam = min(map(z.__getitem__, chain.J_kprime))
-        if corollary:
-            bound = max(map(z.__getitem__, chain.J_l))
-            weight = sum(map(dims.__getitem__, chain.J_l))
-        else:
-            bound = sum(map(dz.__getitem__, chain.J_l))
-            weight = None
-        eta = chain.eta
-        if exact:
-            p, q = eta.numerator, eta.denominator
-            margin = lam * q - (p if weight is None else p * weight) * bound
-            den = bound * q
-            ok = margin > 0
-        else:
-            # lam / bound correctly rounded, less the threshold: a float over 1
-            margin = lam / bound - (eta if weight is None else eta * weight)
-            den = 1
-            ok = margin > FLOAT_MARGIN_EPS
-        cond = ChainCondition(chain, ok, lam, bound, scale, margin, den, weight)
-        conditions.append(cond)
-        if not ok and failing is None:
-            failing = cond
+    chains = model.chains
+    # J_k' and J_l repeat across chains: each figure is taken once per set
+    lam_of = _Memo(lambda J: min(map(z.__getitem__, J)))
+    lams = [lam_of[chain.J_kprime] for chain in chains]
+    if criterion == "corollary":
+        bound_of = _Memo(lambda J: max(map(z.__getitem__, J)))
+        weight_of = _Memo(lambda J: sum(map(dims.__getitem__, J)))
+        weights = [weight_of[chain.J_l] for chain in chains]
+    else:
+        bound_of = _Memo(lambda J: sum(map(dz.__getitem__, J)))
+        weights = [1] * len(chains)
+    bounds = [bound_of[chain.J_l] for chain in chains]
+    if model.exact:
+        margins, dens = [], []
+        for chain, lam, bound, w in zip(chains, lams, bounds, weights):
+            p, q = chain.eta.numerator, chain.eta.denominator
+            margins.append(lam * q - p * w * bound)
+            dens.append(bound * q)
+        oks = [margin > 0 for margin in margins]
+    else:
+        # lam / bound correctly rounded, less the threshold: a float over 1
+        margins = [
+            lam / bound - chain.eta * w
+            for chain, lam, bound, w in zip(chains, lams, bounds, weights)
+        ]
+        dens = [1] * len(chains)
+        oks = [margin > FLOAT_MARGIN_EPS for margin in margins]
     return ConditionReport(
-        criterion=criterion,
-        passed=failing is None,
-        conditions=tuple(conditions),
-        failing=failing,
+        criterion, chains, model.exact, scale, (lams, bounds, margins, dens, weights, oks),
         requirement1_unknown=not model.pairwise_inequivalent,
     )
 

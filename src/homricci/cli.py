@@ -57,15 +57,22 @@ def _parse_form(text: str) -> DiagonalForm:
     return DiagonalForm.full(tuple(parse_number(p) for p in parts))
 
 
-def _emit(args, payload: dict, text) -> None:
-    """Print ``payload`` as one JSON line under ``--json``, else the lines
-    that ``text()`` yields: the text is built only when it is printed.  Every
-    payload is a freshly built tree, so the circular-reference check is off."""
+def _emit(args, line, text) -> None:
+    """Print one JSON line under ``--json``, else lines of text.  ``line()``
+    returns the line already encoded, as ``ConditionReport.to_json`` writes
+    it or as ``_encoded`` dumps a payload, and ``text()`` yields the text
+    lines: each is built only when it is printed."""
     if args.json:
-        print(json.dumps(payload, check_circular=False))
+        print(line())
     else:
-        for line in text():
-            print(line)
+        for row in text():
+            print(row)
+
+
+def _encoded(payload: dict):
+    """``payload``'s JSON line, encoded when called.  Every payload is a
+    freshly built tree, so the circular-reference check is off."""
+    return lambda: json.dumps(payload, check_circular=False)
 
 
 def _tolerance(text: str) -> float:
@@ -117,7 +124,7 @@ def cmd_validate(args) -> int:
             yield "invalid model:"
             yield from (f"  - {err}" for err in report.errors)
 
-    _emit(args, payload, text)
+    _emit(args, _encoded(payload), text)
     return 0 if report.ok else 2
 
 
@@ -138,7 +145,7 @@ def cmd_subalgebras(args) -> int:
             yield f"  {label}  dim={dim}"
         yield f"hypothesis: {verdict.status}"
 
-    _emit(args, payload, text)
+    _emit(args, _encoded(payload), text)
     return 0
 
 
@@ -155,7 +162,7 @@ def cmd_chains(args) -> int:
                 f"omega={ch.omega} eta={format_number(ch.eta)}"
             )
 
-    _emit(args, payload, text)
+    _emit(args, _encoded(payload), text)
     return 0
 
 
@@ -175,7 +182,7 @@ def cmd_eta(args) -> int:
         for ch in chains:
             yield f"eta(k={list(ch.J_k)}, k'={list(ch.J_kprime)}) = {format_number(ch.eta)}"
 
-    _emit(args, payload, text)
+    _emit(args, _encoded(payload), text)
     return 0
 
 
@@ -186,9 +193,14 @@ def cmd_check(args) -> int:
         report = check_corollary_lambda(model, T)
     else:
         report = check_theorem(model, T)
-    payload = report.to_dict()
-    if model.s == 2:
-        payload["two_summand"] = two_summand_condition(model, T).to_dict()
+    two = two_summand_condition(model, T) if model.s == 2 else None
+
+    def line():
+        # the report's line, with the two-summand verdict as its last key
+        out = report.to_json()
+        if two is None:
+            return out
+        return f'{out[:-1]}, "two_summand": {json.dumps(two.to_dict())}}}'
 
     def text():
         yield f"{model.name}: {report.criterion} check " + ("PASS" if report.passed else "FAIL")
@@ -206,7 +218,7 @@ def cmd_check(args) -> int:
         if not report.passed:
             yield "  verdict: inconclusive (the condition is sufficient, not necessary)"
 
-    _emit(args, payload, text)
+    _emit(args, line, text)
     return 0 if report.passed else 1
 
 
@@ -219,7 +231,9 @@ def cmd_ricci(args) -> int:
         "ricci": [format_number(v) for v in r],
         "grad_S": [format_number(v) for v in g],
     }
-    _emit(args, payload, lambda: ["ricci: " + ", ".join(str(format_number(v)) for v in r)])
+    _emit(
+        args, _encoded(payload), lambda: ["ricci: " + ", ".join(str(format_number(v)) for v in r)]
+    )
     return 0
 
 
@@ -246,7 +260,7 @@ def cmd_solve(args) -> int:
         for note in report.notes:
             yield f"  note: {note}"
 
-    _emit(args, payload, text)
+    _emit(args, _encoded(payload), text)
     return 0 if report.status == "solved" else 1
 
 
@@ -289,7 +303,7 @@ def cmd_catalog(args) -> int:
             yield "placeholder spaces (supply your own constants):"
             yield from (f"  {p}" for p in payload["placeholders"])
 
-        _emit(args, payload, text)
+        _emit(args, _encoded(payload), text)
         return 0
     sys.stdout.write(serialize_model(catalog_mod.entry(args.kind, *args.params)))
     return 0

@@ -1,5 +1,6 @@
 """Simple chains, eta formulas, and the solvability conditions."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -278,46 +279,92 @@ def _generic_figures(model, T, chain, criterion):
     return lam, bound, threshold, lam / bound - threshold
 
 
+# no chains: the isotropy algebra is maximal
+MAXIMAL = build_model(
+    "maximal", dims=(2, 2), casimir=(Fraction(1, 4), Fraction(1, 4)),
+    triples={(1, 1, 2): Fraction(1, 3), (1, 2, 2): Fraction(1, 3)},
+)
+# g2u2 without the inequivalence flag
+UNFLAGGED = build_model(
+    "unflagged",
+    dims=(4, 2, 4),
+    killing=(1, 1, 1),
+    triples={(1, 1, 2): Fraction(2, 3), (1, 2, 3): Fraction(1, 2)},
+    pairwise_inequivalent=False,
+)
+
+
 @pytest.mark.parametrize("exact_model", [True, False])
 @pytest.mark.parametrize("exact_T", [True, False])
 def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
     """Every T, float or exact, is checked on its exact value: on an exact
-    model the figures are that value's, on a float model their floats."""
+    model the figures are that value's, on a float model their floats.  The
+    report's JSON line is what json.dumps writes of the same report built
+    here from those figures."""
     rng = np.random.default_rng([27, exact_model, exact_T])
+    models = [random_space_model(rng, exact=exact_model) for _ in range(12)]
     count = 0
-    for _ in range(12):
-        m = random_space_model(rng, exact=exact_model)
+    for m in [*models, MAXIMAL, UNFLAGGED]:
         T = random_positive_form(rng, m.s, exact=exact_T)
         for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
             report = check(m, T)
+            rows = []
             for cond in report.conditions:
                 got = (cond.lambda_min, cond.trace, cond.threshold, cond.margin)
                 want = _generic_figures(m, T, cond.chain, criterion)
-                if exact_model:
+                if m.exact:
                     assert got == want
                     assert all(isinstance(v, Fraction) for v in got)
-                    assert cond.passed == (want[3] > 0)
+                    passed = want[3] > 0
                 else:
                     assert got == tuple(float(v) for v in want)
                     assert all(type(v) is float for v in got)
-                    assert cond.passed == (want[3] > chains_mod.FLOAT_MARGIN_EPS)
-                # the report: the chain's fields, then the figures, each
-                # float bit for bit the float of the generic figure
-                out = cond.to_dict()
-                chain_out = cond.chain.to_dict()
-                assert list(out) == [*chain_out, "lambda_min", "trace", "threshold", "margin", "passed"]
-                assert {key: out[key] for key in chain_out} == chain_out
-                assert out["eta"] == format_number(cond.chain.eta)
-                assert out["threshold"] == format_number(want[2])
-                for key, value in zip(("lambda_min", "trace", "margin"), (want[0], want[1], want[3])):
-                    assert type(out[key]) is float and out[key] == float(value)
-                assert out["passed"] is cond.passed
+                    passed = want[3] > chains_mod.FLOAT_MARGIN_EPS
+                assert cond.passed is passed
+                # each float bit for bit the float of the generic figure
+                rows.append({
+                    **cond.chain.to_dict(),
+                    "lambda_min": float(want[0]),
+                    "trace": float(want[1]),
+                    "threshold": format_number(want[2]),
+                    "margin": float(want[3]),
+                    "passed": passed,
+                })
                 count += 1
-            first_failing = next(
-                (pos for pos, cond in enumerate(report.conditions) if not cond.passed), None
-            )
-            assert report.to_dict()["failing"] == first_failing
+            failing = next((pos for pos, row in enumerate(rows) if not row["passed"]), None)
+            assert report.passed is (failing is None)
+            assert report.failing is (None if failing is None else report.conditions[failing])
+            doc = {
+                "criterion": criterion,
+                "passed": failing is None,
+                "existence": "solvable" if failing is None else "inconclusive",
+                "caveat_requirement1": not m.pairwise_inequivalent,
+                "conditions": rows,
+                "failing": failing,
+            }
+            assert report.to_json() == json.dumps(doc)
+            assert report.to_dict() == doc
     assert count > 50
+
+
+def test_report_line_spells_non_finite_floats_as_the_encoder():
+    """A float model's eta, and so its threshold and margin, can leave the
+    float range: the line names them as json.dumps does, and keeps -0.0."""
+    etas = (math.inf, math.nan, -0.0)
+    chains = tuple(chains_mod.SimpleChain((1, 2), (1,), (2,), 1, eta) for eta in etas)
+    margins = [0.5 - 3 * eta for eta in etas]
+    oks = [margin > chains_mod.FLOAT_MARGIN_EPS for margin in margins]
+    columns = ([1] * 3, [2] * 3, margins, [1] * 3, [3] * 3, oks)
+    report = chains_mod.ConditionReport("corollary", chains, False, 4, columns, False)
+    rows = [
+        {**chain.to_dict(), "lambda_min": 0.25, "trace": 0.5, "threshold": chain.eta * 3,
+         "margin": margin, "passed": ok}
+        for chain, margin, ok in zip(chains, margins, oks)
+    ]
+    want = {"criterion": "corollary", "passed": False, "existence": "inconclusive",
+            "caveat_requirement1": False, "conditions": rows, "failing": 0}
+    assert report.to_json() == json.dumps(want)
+    assert "Infinity" in report.to_json() and "NaN" in report.to_json()
 
 
 def exact_of(T):
@@ -424,11 +471,7 @@ def test_margin_signs_invariant_under_scaling():
 
 
 def test_empty_chain_list_passes_unconditionally():
-    m = build_model(
-        "maximal", dims=(2, 2), casimir=(Fraction(1, 4), Fraction(1, 4)),
-        triples={(1, 1, 2): Fraction(1, 3), (1, 2, 2): Fraction(1, 3)},
-    )
-    rep = check_theorem(m, DiagonalForm.full((5, 1)))
+    rep = check_theorem(MAXIMAL, DiagonalForm.full((5, 1)))
     assert rep.passed and rep.conditions == ()
 
 
@@ -446,14 +489,7 @@ def test_check_raises_on_violated_hypothesis():
 
 
 def test_check_carries_caveat_when_flag_unset():
-    m = build_model(
-        "unflagged",
-        dims=(4, 2, 4),
-        killing=(1, 1, 1),
-        triples={(1, 1, 2): Fraction(2, 3), (1, 2, 3): Fraction(1, 2)},
-        pairwise_inequivalent=False,
-    )
-    rep = check_theorem(m, DiagonalForm.full((1, 1, 1)))
+    rep = check_theorem(UNFLAGGED, DiagonalForm.full((1, 1, 1)))
     assert rep.requirement1_unknown
     assert rep.passed
 

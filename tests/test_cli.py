@@ -155,6 +155,68 @@ def test_check_text_golden(g2_path, capsys):
     ]
 
 
+# The --json lines of `check`, captured before the report was written
+# straight from its columns: g2u2 failing, under both criteria, the same
+# check on g2u2 as a float model, and a two-summand check, whose verdict
+# follows the report's keys.
+CHECK_JSON_GOLDEN = {
+    ("g2u2", "1,1,0.1"): (
+        '{"criterion": "theorem", "passed": false, "existence": "inconclusive", '
+        '"caveat_requirement1": false, "conditions": ['
+        '{"k": [1, 2, 3], "kprime": [2], "l": [1, 3], "omega": 2, "eta": "1/48", '
+        '"lambda_min": 1.0, "trace": 4.4, "threshold": "1/48", '
+        '"margin": 0.20643939393939395, "passed": true}, '
+        '{"k": [1, 2, 3], "kprime": [3], "l": [1, 2], "omega": 4, "eta": "3/20", '
+        '"lambda_min": 0.1, "trace": 6.0, "threshold": "3/20", '
+        '"margin": -0.13333333333333333, "passed": false}], "failing": 1}'
+    ),
+    ("g2u2", "1,1,0.1", "--corollary"): (
+        '{"criterion": "corollary", "passed": false, "existence": "inconclusive", '
+        '"caveat_requirement1": false, "conditions": ['
+        '{"k": [1, 2, 3], "kprime": [2], "l": [1, 3], "omega": 2, "eta": "1/48", '
+        '"lambda_min": 1.0, "trace": 1.0, "threshold": "1/6", '
+        '"margin": 0.8333333333333334, "passed": true}, '
+        '{"k": [1, 2, 3], "kprime": [3], "l": [1, 2], "omega": 4, "eta": "3/20", '
+        '"lambda_min": 0.1, "trace": 1.0, "threshold": "9/10", '
+        '"margin": -0.8, "passed": false}], "failing": 1}'
+    ),
+    ("g2u2-float", "1,1,0.1"): (
+        '{"criterion": "theorem", "passed": false, "existence": "inconclusive", '
+        '"caveat_requirement1": false, "conditions": ['
+        '{"k": [1, 2, 3], "kprime": [2], "l": [1, 3], "omega": 2, '
+        '"eta": 0.020833333333333346, "lambda_min": 1.0, "trace": 4.4, '
+        '"threshold": 0.020833333333333346, "margin": 0.20643939393939392, "passed": true}, '
+        '{"k": [1, 2, 3], "kprime": [3], "l": [1, 2], "omega": 4, "eta": 0.15, '
+        '"lambda_min": 0.1, "trace": 6.0, "threshold": 0.15, '
+        '"margin": -0.13333333333333333, "passed": false}], "failing": 1}'
+    ),
+    ("twosum", "4/9,1"): (
+        '{"criterion": "theorem", "passed": true, "existence": "solvable", '
+        '"caveat_requirement1": false, "conditions": ['
+        '{"k": [1, 2], "kprime": [1], "l": [2], "omega": 2, "eta": "5/34", '
+        '"lambda_min": 0.4444444444444444, "trace": 3.0, "threshold": "5/34", '
+        '"margin": 0.0010893246187363835, "passed": true}], "failing": null, '
+        '"two_summand": {"eta": "5/34", "threshold": "15/34", "passed": true, '
+        '"trivial": false, "subalgebra": 1, "ratio": 0.4444444444444444}}'
+    ),
+}
+
+
+def test_check_json_golden_lines(g2_path, tmp_path, capsys):
+    # g2_path is tmp_path / "g2u2.json"; the other two models go beside it
+    float_doc = {"name": "g2u2-float", "s": 3, "dims": [4, 2, 4], "killing": [1.0, 1.0, 1.0],
+                 "triples": [[1, 1, 2, 2 / 3], [1, 2, 3, 0.5]], "pairwise_inequivalent": True}
+    (tmp_path / "g2u2-float.json").write_text(json.dumps(float_doc))
+    assert cli.main(["catalog", "twosum", "2", "3", "1/4", "3/10", "4/5"]) == 0
+    (tmp_path / "twosum.json").write_text(capsys.readouterr().out)
+    for (name, T, *flags), want in CHECK_JSON_GOLDEN.items():
+        path = str(tmp_path / f"{name}.json")
+        code, out, _ = run(capsys, "check", path, "--T", T, *flags, "--json")
+        assert code == (0 if name == "twosum" else 1)
+        assert out == want + "\n"
+        assert json.dumps(json.loads(out)) == want
+
+
 def test_subalgebras_text_line_count(tmp_path, capsys):
     path = tmp_path / "su5.json"
     assert cli.main(["catalog", "fullflag", "5"]) == 0
