@@ -25,8 +25,13 @@ cross term, as
 for a in J_l and b in J_k', a nonzero [abc] has c in J_k, as J_k is
 closed, and c outside J_k', as J_k' is closed (with b and c inside, a
 would be).  In the same way <J J J> = sum_{a, b in J} M[a][b] for a
-member J.  An exact model's scaled rows hold M[a][b]; a float model's hold
-each [abc] apart, so the sums add the triples in the model's order.  The
+member J.  The cross term depends on J_l alone, and is summed once per
+J_l: for a, c in J_l a nonzero [abc] has b in J_k, as J_k is closed, so
+its nonzero terms are those with a, c in J_l and b outside J_l, whichever
+chain it belongs to.  An exact model's scaled rows hold M[a][b]; a float
+model's hold each [abc] apart, so the sums add the triples in the model's
+order, and a float cross term reads the same terms in the same order
+for every chain with that J_l.  The
 defining form, from Killing traces and bracket masses of the four derived
 blocks, equals the Casimir form wherever the Casimir identity holds, which
 ``validate`` enforces; the tests check the two forms against each other.
@@ -36,8 +41,12 @@ chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
 summands the corresponding threshold is exact: above it solutions exist,
 below it they do not.
 
-Each lattice member's mass and omega are computed once per enumeration,
-and its mask comes from the lattice walk.  Every T is read as integers
+The chains are kept as columns over the lattice members
+(:class:`SimpleChains`): per chain the indices of J_k and J_k' among the
+members, the mask of J_l and eta, as (p, q) in lowest terms on an exact
+model and as a float on a float one; per member omega, and its mass, which
+is taken once.  The :class:`SimpleChain` items, with their eta
+``Fraction``s, are built only when read.  Every T is read as integers
 over its common denominator, exactly (a float is a dyadic rational), so
 each chain's lambda_min and trace are integers, whatever the arithmetic of
 T.  The model's arithmetic alone decides: on an exact model the margin is
@@ -46,26 +55,29 @@ so a float T gets the verdict of its exact value; on a float model the
 margin is the correctly rounded lambda_min / trace less the float
 threshold, and must exceed FLOAT_MARGIN_EPS.
 
-A :class:`ConditionReport` keeps these figures in columns, one entry per
-chain: lambda_min and trace over T's denominator, the margin's numerator
-and denominator, the factor w of the threshold eta * w, and the verdict.
-Its ``conditions`` are built from the columns on first read, and each
+A :class:`ConditionReport` keeps these figures in columns beside the
+chains', one entry per chain: lambda_min (taken once per J_k') and trace
+(once per J_l) over T's denominator, the margin's numerator and
+denominator, the factor w of the threshold eta * w, and the verdict.  Its
+``conditions`` are built from the columns on first read, and each
 :class:`ChainCondition` builds its figures only when read, as ``Fraction``s
 on an exact model and as correctly rounded floats on a float one.
 ``to_json`` writes the report's JSON line in one pass over the columns,
-each index list, figure over T's denominator and exact eta text once per
-report.  Its bytes are those ``json.dumps`` writes of the same values, as
-it spells each one: ints and ``"p/q"`` strings in one way, every float as
-the repr of the same correctly rounded int true division (on a float
-model, of the same float), NaN and the infinities as the encoder names
-them, and keys and separators as its defaults place them.  ``to_dict``
-reads that line back, so the keys and the float format are in one place.
+each member's and each J_l's index list, each figure over T's denominator
+and each exact (eta, threshold) text once per report.  Its bytes are
+those ``json.dumps`` writes of the same values, as it spells each one:
+ints and ``"p/q"`` strings in one way, every float as the repr of the
+same correctly rounded int true division (on a float model, of the same
+float), NaN and the infinities as the encoder names them, and keys and
+separators as its defaults place them.  ``to_dict`` reads that line
+back, so the keys and the float format are in one place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -117,35 +129,71 @@ def _block_sum(rows, A, B: int):
     return sum([v for a in A for b, v in rows[a - 1] if b & B])
 
 
-class _Member(NamedTuple):
-    """A lattice member with what its chains read: its indices, its mask,
-    its mass P(J) in the units of ``SpaceModel.scaled`` and omega = min d_j
-    (0 for the empty set)."""
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
 
-    J: tuple[int, ...]
-    mask: int
-    mass: Scalar
-    omega: int
+    __slots__ = ("fn",)
 
+    def __init__(self, fn):
+        self.fn = fn
 
-def _member(model: SpaceModel, J: tuple[int, ...], mask: int) -> _Member:
-    """J with P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>; J is closed, so
-    every nonzero [abc] with a, b in J has c in J."""
-    casimir = model.scaled.casimir_mass
-    mass = 4 * sum(casimir[i - 1] for i in J) + _block_sum(model.scaled.rows, J, mask)
-    return _Member(J, mask, mass, min((model.dims[i - 1] for i in J), default=0))
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
+class SimpleChains(Sequence):
+    """The simple chains of one model as columns (see the module docstring):
+    ``members`` and ``omegas`` per member, ``uppers``, ``lowers``,
+    ``middles`` and ``etas`` per chain, and ``middle_sets``, the index tuple
+    of each J_l mask.  As a sequence it equals the tuple of its
+    :class:`SimpleChain` items, which are built on first read."""
+
+    def __init__(self, exact, members, omegas, middle_sets, uppers, lowers, middles, etas):
+        self.exact, self.members, self.omegas = exact, members, omegas
+        self.middle_sets = middle_sets
+        self.uppers, self.lowers, self.middles, self.etas = uppers, lowers, middles, etas
+
+    @cached_property
+    def _items(self) -> tuple[SimpleChain, ...]:
+        members, etas = self.members.__getitem__, self.etas
+        if self.exact:  # chains share few etas: each Fraction is built once
+            etas = map(_Memo(lambda pq: Fraction(*pq)).__getitem__, etas)
+        return tuple(map(
+            SimpleChain, map(members, self.uppers), map(members, self.lowers),
+            map(self.middle_sets.__getitem__, self.middles),
+            map(self.omegas.__getitem__, self.lowers), etas,
+        ))
+
+    def __len__(self) -> int:
+        return len(self.uppers)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        if isinstance(other, SimpleChains):
+            other = other._items
+        return self._items == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
+def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
     """All simple chains of the model's lattice, in deterministic order.
 
     The chains are the lattice's covering pairs whose lower member is
     nonempty, ordered by (size, lex) of the upper and then the lower member.
-    Each eta is in the Casimir form, and only its cross term <J_l J_k' J_l>
-    is summed per chain.  Everything runs in the model's scaled units, so an
-    exact model adds integers and the common denominator cancels in one
-    Fraction.  Raises :class:`HypothesisViolatedError` when the structural
-    requirements demonstrably fail (the conditions would be meaningless).
+    Each eta is in the Casimir form: every member's mass and omega are
+    computed once, and only the cross term <J_l J_k' J_l> is summed per
+    chain.  Everything runs in the model's scaled units, so an exact model
+    adds integers and the common denominator cancels in one gcd.  Raises
+    :class:`HypothesisViolatedError` when the structural requirements
+    demonstrably fail (the conditions would be meaningless).
     """
     verdict = check_hypothesis(model)
     if verdict.status == "violated":
@@ -153,28 +201,43 @@ def enumerate_simple_chains(model: SpaceModel) -> tuple[SimpleChain, ...]:
             f"hypothesis requirement 2 is violated at {verdict.violations}"
         )
     lattice = model.lattice
-    rows, exact = model.scaled.rows, model.exact
-    members = [_member(model, J, m) for J, m in zip(lattice.members, lattice.masks)]
-    middles: dict[int, tuple[int, ...]] = {}  # J_l by mask: many chains share one
-    chains = []
+    members, masks = lattice.members, lattice.masks
+    rows, casimir, exact = model.scaled.rows, model.scaled.casimir_mass, model.exact
+    dims = (0, *model.dims)
+    # P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>; J is closed, so every
+    # nonzero [abc] with a, b in J has c in J
+    masses = [
+        4 * sum(casimir[i - 1] for i in J) + _block_sum(rows, J, mask)
+        for J, mask in zip(members, masks)
+    ]
+    omegas = tuple(min(map(dims.__getitem__, J), default=0) for J in members)
+    sets = _Memo(unpack)  # J_l by mask: many chains share one
+    crosses = {}  # <J_l J_k' J_l> by the mask of J_l (see the module docstring)
+    uppers, lowers, middles, etas = [], [], [], []
     for upper, lower in lattice.covers:
-        J_kprime, inner, P_kprime, omega = members[lower]
+        inner = masks[lower]
         if not inner:
             continue
-        J_k, outer, P_k, _ = members[upper]
-        between = outer & ~inner
-        l = middles.get(between)
-        if l is None:
-            l = middles[between] = unpack(between)
-        den = omega * (P_k - P_kprime + _block_sum(rows, l, inner))
+        between = masks[upper] & ~inner
+        cross = crosses.get(between)
+        if cross is None:
+            cross = crosses[between] = _block_sum(rows, sets[between], inner)
+        P_kprime = masses[lower]
+        den = omegas[lower] * (masses[upper] - P_kprime + cross)
         if den == 0:
             raise EtaUndefinedError(
-                f"chain ({J_k}, {J_kprime}) has zero denominator; the model violates "
-                "requirement 2 (a summand block commutes with the inner subalgebra)"
+                f"chain ({members[upper]}, {members[lower]}) has zero denominator; the model "
+                "violates requirement 2 (a summand block commutes with the inner subalgebra)"
             )
-        eta = Fraction(P_kprime, den) if exact else P_kprime / den
-        chains.append(SimpleChain(J_k, J_kprime, l, omega, eta))
-    return tuple(chains)
+        if exact:
+            g = math.gcd(P_kprime, den)
+            etas.append((P_kprime // g, den // g))
+        else:
+            etas.append(P_kprime / den)
+        uppers.append(upper)
+        lowers.append(lower)
+        middles.append(between)
+    return SimpleChains(exact, members, omegas, sets, uppers, lowers, middles, etas)
 
 
 class ChainCondition:
@@ -230,28 +293,15 @@ class ChainCondition:
         )
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _ratio(p: int, q: int) -> str:
     """p / q in lowest terms, in JSON as ``format_number`` gives it."""
     return str(p) if q == 1 else f'"{p}/{q}"'
 
 
-def _exact_texts(key: tuple[int, int, int]) -> tuple[str, str]:
+def _exact_texts(key: tuple[tuple[int, int], int]) -> tuple[str, str]:
     """eta = p / q and its threshold eta * w, in JSON.  eta is in lowest
     terms, so only w and q can share a factor."""
-    p, q, w = key
+    (p, q), w = key
     g = math.gcd(w, q)
     return _ratio(p, q), _ratio(p * (w // g), q // g)
 
@@ -277,12 +327,12 @@ class ConditionReport:
     ``failing`` is the first failing one of its conditions.
     """
 
-    def __init__(self, criterion, chains, exact, scale, columns, requirement1_unknown):
+    def __init__(self, criterion, chains, scale, columns, requirement1_unknown):
         self.criterion = criterion
         self.requirement1_unknown = requirement1_unknown
-        # lambda_min and trace over scale, the margin over its denominator,
-        # w and the verdict
-        self._chains, self._exact, self._scale, self._columns = chains, exact, scale, columns
+        # the SimpleChains, T's denominator, and lambda_min and trace over
+        # it, the margin over its denominator, w and the verdict
+        self._chains, self._scale, self._columns = chains, scale, columns
         oks = columns[-1]
         self._first = None if all(oks) else oks.index(False)
         self.passed = self._first is None
@@ -307,25 +357,29 @@ class ConditionReport:
         """The report as one line of JSON, the first failing condition named
         by its index: byte for byte what ``json.dumps`` writes of
         ``to_dict()``, written in one pass over the columns."""
-        exact, scale = self._exact, self._scale
+        chains, scale = self._chains, self._scale
+        exact, members, omegas = chains.exact, chains.members, chains.omegas
+        sets = chains.middle_sets
         # k, k' and l, the figures over T's denominator, and eta with its
         # threshold repeat across chains: each is written once
-        lists = _Memo(lambda J: str(list(J)))  # a list of ints reads the same in JSON
+        member_lists = _Memo(lambda i: str(list(members[i])))  # reads the same in JSON
+        middle_lists = _Memo(lambda mask: str(list(sets[mask])))
         figures = _Memo(lambda v: repr(v / scale))
         texts = _Memo(_exact_texts)
         rows = []
-        for (J_k, J_kprime, J_l, omega, eta), lam, bound, margin, den, weight, ok in zip(
-            self._chains, *self._columns
+        for upper, lower, middle, eta, lam, bound, margin, den, weight, ok in zip(
+            chains.uppers, chains.lowers, chains.middles, chains.etas, *self._columns
         ):
             if exact:
-                eta_text, threshold = texts[eta.numerator, eta.denominator, weight]
+                eta_text, threshold = texts[eta, weight]
                 margin_text = repr(margin / den)
             else:
                 eta_text, threshold = _float(eta), _float(eta * weight)
                 margin_text = _float(margin)  # over den = 1
             rows.append(
-                f'{{"k": {lists[J_k]}, "kprime": {lists[J_kprime]}, "l": {lists[J_l]}, '
-                f'"omega": {omega}, "eta": {eta_text}, "lambda_min": {figures[lam]}, '
+                f'{{"k": {member_lists[upper]}, "kprime": {member_lists[lower]}, '
+                f'"l": {middle_lists[middle]}, "omega": {omegas[lower]}, '
+                f'"eta": {eta_text}, "lambda_min": {figures[lam]}, '
                 f'"trace": {figures[bound]}, "threshold": {threshold}, '
                 f'"margin": {margin_text}, "passed": {"true" if ok else "false"}}}'
             )
@@ -365,34 +419,34 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
             "the float range; rescale T (the conditions do not depend on its scale)"
         ) from None
     chains = model.chains
-    # J_k' and J_l repeat across chains: each figure is taken once per set
-    lam_of = _Memo(lambda J: min(map(z.__getitem__, J)))
-    lams = [lam_of[chain.J_kprime] for chain in chains]
+    members, sets = chains.members, chains.middle_sets
+    # J_k' and J_l repeat across chains: each figure is taken once per
+    # member index or middle mask
+    lam_of = _Memo(lambda lower: min(map(z.__getitem__, members[lower])))
+    lams = list(map(lam_of.__getitem__, chains.lowers))
     if criterion == "corollary":
-        bound_of = _Memo(lambda J: max(map(z.__getitem__, J)))
-        weight_of = _Memo(lambda J: sum(map(dims.__getitem__, J)))
-        weights = [weight_of[chain.J_l] for chain in chains]
+        bound_of = _Memo(lambda mask: max(map(z.__getitem__, sets[mask])))
+        weight_of = _Memo(lambda mask: sum(map(dims.__getitem__, sets[mask])))
+        weights = list(map(weight_of.__getitem__, chains.middles))
     else:
-        bound_of = _Memo(lambda J: sum(map(dz.__getitem__, J)))
+        bound_of = _Memo(lambda mask: sum(map(dz.__getitem__, sets[mask])))
         weights = [1] * len(chains)
-    bounds = [bound_of[chain.J_l] for chain in chains]
+    bounds = list(map(bound_of.__getitem__, chains.middles))
     if model.exact:
         margins, dens = [], []
-        for chain, lam, bound, w in zip(chains, lams, bounds, weights):
-            p, q = chain.eta.numerator, chain.eta.denominator
+        for (p, q), lam, bound, w in zip(chains.etas, lams, bounds, weights):
             margins.append(lam * q - p * w * bound)
             dens.append(bound * q)
         oks = [margin > 0 for margin in margins]
     else:
         # lam / bound correctly rounded, less the threshold: a float over 1
         margins = [
-            lam / bound - chain.eta * w
-            for chain, lam, bound, w in zip(chains, lams, bounds, weights)
+            lam / bound - eta * w for eta, lam, bound, w in zip(chains.etas, lams, bounds, weights)
         ]
         dens = [1] * len(chains)
         oks = [margin > FLOAT_MARGIN_EPS for margin in margins]
     return ConditionReport(
-        criterion, chains, model.exact, scale, (lams, bounds, margins, dens, weights, oks),
+        criterion, chains, scale, (lams, bounds, margins, dens, weights, oks),
         requirement1_unknown=not model.pairwise_inequivalent,
     )
 

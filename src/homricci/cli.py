@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import catalog as catalog_mod
 from .chains import (
@@ -245,7 +246,15 @@ def cmd_solve(args) -> int:
     model = _load(args)
     T = _parse_form(args.T)
     report = solve_prescribed_ricci(model, T, options=_solver_options(args))
-    payload = report.to_dict()
+
+    def line():
+        # the chain report's own line goes in at its key, not read back and
+        # encoded again; every value before that key is the status, a number
+        # or a list of numbers, so the first "condition": null is the key's
+        out = json.dumps(replace(report, condition=None).to_dict(), check_circular=False)
+        if report.condition is None:
+            return out
+        return out.replace('"condition": null', f'"condition": {report.condition.to_json()}', 1)
 
     def text():
         yield f"{model.name}: solve status = {report.status}"
@@ -260,7 +269,7 @@ def cmd_solve(args) -> int:
         for note in report.notes:
             yield f"  note: {note}"
 
-    _emit(args, _encoded(payload), text)
+    _emit(args, line, text)
     return 0 if report.status == "solved" else 1
 
 

@@ -31,6 +31,17 @@ with one slot in J and one in X leads into X, and J is closed.  So one
 search per class finds the closure whenever nothing leaks, and only a
 leaking class is grown further.  The walk raises :class:`ModelError` once
 it holds more than MAX_MEMBERS members; it sets no bound on s.
+
+The walk reads the bracket from one integer per index b, its join row:
+row a of it (bits a*s to a*s + s - 1) is the mask of every c with
+[a b c] != 0.  The OR A_J of the join rows over a member J holds in its
+row x every index joined to x over J, so a class is found with one shift
+and mask per index.  The OR A_X over the class, gathered on the way,
+holds in its row x every c that a rule with slots x and b in X reaches:
+read when x is reached, the row holds the rules of x with the indices
+reached before it, and each index reached later adds its rule with x by
+the symmetry of the bracket.  That is the leak test, and a cover J | X
+takes A_J | A_X as its own.
 """
 
 from __future__ import annotations
@@ -122,16 +133,14 @@ class SpaceModel:
         return tuple(out)
 
     @cached_property
-    def closure_rules(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """Per index a (0-based), ``(partners, implied)``: ``partners`` is the
-        mask of every b with some [abc] != 0, and ``implied`` maps the bit of
-        each such b to the mask of every c with [abc] != 0.  A closed set that
-        holds a and b holds each such c."""
-        implied = [{} for _ in range(self.s)]
+    def join_rows(self) -> tuple[int, ...]:
+        """Per index b (0-based), one integer whose s-bit row a (bits a*s to
+        a*s + s - 1) is the mask of every c with [a b c] != 0: a closed set
+        that holds a and b holds each such c."""
+        s, rows = self.s, [0] * self.s
         for a, b, c, _ in self.ordered_triples:
-            row, bit = implied[a - 1], 1 << (b - 1)
-            row[bit] = row.get(bit, 0) | 1 << (c - 1)
-        return tuple((sum(row), row) for row in implied)
+            rows[b - 1] |= 1 << (a - 1) * s + c - 1
+        return tuple(rows)
 
     @cached_property
     def lattice(self) -> SubalgebraLattice:
@@ -140,7 +149,7 @@ class SpaceModel:
         return enumerate_subalgebras(self)
 
     @cached_property
-    def chains(self) -> tuple:
+    def chains(self) -> Sequence:
         """The simple chains (``chains.enumerate_simple_chains``), enumerated
         once per model; where the hypothesis is violated, every read raises."""
         from . import chains
@@ -489,42 +498,13 @@ def build_model(
     return report.model
 
 
-def _class_of(rules, J: int, x: int) -> tuple[int, int]:
-    """The class X of outside index ``x`` over the closed member ``J``
-    (bitmasks), and the mask of every c with [a b c] != 0 for a, b in X.
-
-    Two outside indices a, c are joined when [a b c] != 0 for some b in J;
-    X is the connected component of x.  ``rules`` maps the bit of each
-    index to its ``SpaceModel.closure_rules`` entry.  A rule (a, b) with
-    both slots in X fires when the later of a and b is reached, as by then
-    the earlier one is in X.
-    """
-    X = pending = x
-    reach = 0
-    while pending:
-        bit = pending & -pending
-        pending ^= bit
-        partners, implied = rules[bit]
-        fire = partners & J
-        while fire:
-            b = fire & -fire
-            fire ^= b
-            new = implied[b] & ~X
-            X |= new
-            pending |= new
-        fire = partners & X
-        while fire:
-            b = fire & -fire
-            fire ^= b
-            reach |= implied[b]
-    return X, reach
-
-
-def _grow(rules, J: int, X: int, reach: int, grown: list) -> int:
-    """cl(J | X) for a class X of the closed member J whose rules ``reach``
-    outside J | X: every rule with both slots in J | X has already fired,
-    so only the rules of the indices added from here on can add more, and
-    of those only the ones whose partner is already in the set.
+def _grow(rows, J: int, X: int, reach: int, grown: list) -> int:
+    """cl(J | X) for a class X of the closed member ``J`` whose rules
+    ``reach`` outside J | X: every rule with both slots in J | X has already
+    fired, so only the rules of the indices added from here on can add
+    more.  Row x of the OR of the join ``rows`` over the growing set holds
+    every index that a rule of x fires; an index added later fires its
+    rules with x in its own turn, by the symmetry of the bracket.
 
     ``grown`` holds (Y, cl(J | Y)) for the classes Y grown before.  Once the
     growing set takes in an index of such a Y whose closure holds X, that
@@ -532,9 +512,11 @@ def _grow(rules, J: int, X: int, reach: int, grown: list) -> int:
     set, which holds an index of Y, lies inside the answer, and so does
     the closure of that index, cl(J | Y).
     """
+    s = len(rows)
     C = J | X
     pending = new = reach & ~C
     C |= new
+    A = _joins(rows, C)
     while True:
         for Y, C0 in grown:
             if new & Y and not X & ~C0:
@@ -543,16 +525,18 @@ def _grow(rules, J: int, X: int, reach: int, grown: list) -> int:
             return C
         bit = pending & -pending
         pending ^= bit
-        partners, implied = rules[bit]
-        fire = partners & C
-        new = 0
-        while fire:
-            b = fire & -fire
-            fire ^= b
-            new |= implied[b]
-        new &= ~C
+        new = A >> (bit.bit_length() - 1) * s & ~C & (1 << s) - 1
+        A |= _joins(rows, new)
         pending |= new
         C |= new
+
+
+def _joins(rows, mask: int) -> int:
+    """The OR of the join rows of the indices of ``mask``."""
+    A = 0
+    for i in unpack(mask):
+        A |= rows[i - 1]
+    return A
 
 
 def unpack(mask: int) -> tuple[int, ...]:
@@ -575,62 +559,83 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     reaches all of them.  It raises :class:`ModelError` once it holds more
     than MAX_MEMBERS members.
 
-    The closures of J are found per class X of outside indices (see the
-    module docstring), by one search each (``_class_of``) that also runs
-    the leak test.  When nothing leaks, J | X is the closure, and a cover,
-    as X fills C - J.  Otherwise the closure is grown (``_grow``), with the
-    closures of the classes grown before at hand: as soon as it takes in an
-    index of such a class whose closure holds X, the two closures are
-    equal.  A grown closure C is a cover when the classes that generate it
-    fill C - J.  On the full flags SU(n)/T no class leaks: a class of a
-    partition's member is the set of pairs between two of its blocks, and
-    J | X merges the two.
+    The closures of J are found per class X of outside indices, by one
+    search each on the join rows that also runs the leak test (see the
+    module docstring).  When nothing leaks, J | X is the closure and a
+    cover.  Otherwise the closure is grown (``_grow``), and it is a cover
+    when the classes that generate it fill C - J.  On the full flags
+    SU(n)/T no class leaks: a class of a partition's member is the set of
+    pairs between two of its blocks, and J | X merges the two.
     """
-    s = model.s
-    rules = {1 << a: rule for a, rule in enumerate(model.closure_rules)}
+    s, rows = model.s, model.join_rows
     everything = (1 << s) - 1
-    upper: dict[int, list[int]] = {}
+    A_of = {0: 0}  # A_J per member found and not yet searched
+    lowers: dict[int, list[int]] = {0: []}  # per member, the members it covers
     todo = [0]
     while todo:
         J = todo.pop()
-        if J in upper:
-            continue
-        if len(upper) == MAX_MEMBERS:
-            raise ModelError(
-                f"the subalgebra lattice has more than {MAX_MEMBERS} members"
-            )
+        A = A_of.pop(J)
         covers = []
         leaking = []
         outside = everything & ~J
         while outside:
-            X, reach = _class_of(rules, J, outside & -outside)
-            outside &= ~X
+            X = pending = outside & -outside
+            outside ^= X
+            A_X = reach = 0
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                i = bit.bit_length() - 1
+                shift = i * s
+                A_X |= rows[i]
+                reach |= A_X >> shift & everything
+                new = A >> shift & outside
+                outside ^= new
+                X |= new
+                pending |= new
             if reach & ~(J | X):
                 leaking.append((X, reach))
             else:
-                covers.append(J | X)
+                covers.append((J | X, A | A_X))
         if leaking:
             generators: dict[int, int] = {}
             grown: list[tuple[int, int]] = []
             for X, reach in leaking:
-                C = _grow(rules, J, X, reach, grown)
+                C = _grow(rows, J, X, reach, grown)
                 grown.append((X, C))
                 generators[C] = generators.get(C, 0) | X
-            covers.extend(C for C, gens in generators.items() if gens == C & ~J)
-        upper[J] = covers
-        todo.extend(C for C in covers if C not in upper)
+            covers.extend(
+                (C, _joins(rows, C)) for C, gens in generators.items() if gens == C & ~J
+            )
+        for C, A_C in covers:
+            below = lowers.get(C)
+            if below is None:
+                if len(lowers) == MAX_MEMBERS:
+                    raise ModelError(
+                        f"the subalgebra lattice has more than {MAX_MEMBERS} members"
+                    )
+                lowers[C] = [J]
+                A_of[C] = A_C
+                todo.append(C)
+            else:
+                below.append(J)
 
-    order = sorted(((unpack(m), m) for m in upper), key=lambda p: (len(p[0]), p[0]))
-    index = {m: pos for pos, (_, m) in enumerate(order)}
-    sets = tuple(J for J, _ in order)
+    found = {unpack(m): m for m in lowers}
+    sets = sorted(found)
+    sets.sort(key=len)  # stable: (size, lex)
+    masks = tuple(map(found.__getitem__, sets))
+    index = {m: pos for pos, m in enumerate(masks)}
+    dims = (0, *model.dims)
     return SubalgebraLattice(
         s=s,
-        members=sets,
-        member_dims=tuple(sum(model.dims[i - 1] for i in J) for J in sets),
+        members=tuple(sets),
+        member_dims=tuple(sum(map(dims.__getitem__, J)) for J in sets),
         covers=tuple(
-            sorted((index[C], index[J]) for J, ups in upper.items() for C in ups)
+            (pos, lower)
+            for pos, m in enumerate(masks)
+            for lower in sorted(map(index.__getitem__, lowers[m]))
         ),
-        masks=tuple(m for _, m in order),
+        masks=masks,
     )
 
 
@@ -641,14 +646,16 @@ def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:
     d_j = 1, the summand must interact with the subalgebra: zeta_j > 0 (it
     sees the isotropy algebra) or some [j,k,*] with k in J is nonzero.  So
     only the lines with zeta_j = 0 are looked at, each through the mask of j
-    and its bracket partners k (the partner mask of ``closure_rules``): J
+    and its bracket partners k, row j of the OR of all join rows: J
     violates the requirement at j when it holds none of them.
     """
     if model.casimir is None:
         raise ModelError("hypothesis check needs a validated model (casimir missing)")
+    s = model.s
+    joined = _joins(model.join_rows, (1 << s) - 1)
     lines = [
-        (j, 1 << (j - 1) | model.closure_rules[j - 1][0])
-        for j in range(1, model.s + 1)
+        (j, 1 << (j - 1) | joined >> (j - 1) * s & (1 << s) - 1)
+        for j in range(1, s + 1)
         if model.dims[j - 1] == 1 and model.casimir[j - 1] == 0
     ]
     violations = []

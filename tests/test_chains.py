@@ -351,11 +351,14 @@ def test_report_line_spells_non_finite_floats_as_the_encoder():
     """A float model's eta, and so its threshold and margin, can leave the
     float range: the line names them as json.dumps does, and keeps -0.0."""
     etas = (math.inf, math.nan, -0.0)
-    chains = tuple(chains_mod.SimpleChain((1, 2), (1,), (2,), 1, eta) for eta in etas)
+    # three chains ({1, 2}, {1}) over the members {}, {1} and {1, 2}
+    chains = chains_mod.SimpleChains(
+        False, ((), (1,), (1, 2)), (0, 1, 1), {0b10: (2,)}, [2] * 3, [1] * 3, [0b10] * 3, etas
+    )
     margins = [0.5 - 3 * eta for eta in etas]
     oks = [margin > chains_mod.FLOAT_MARGIN_EPS for margin in margins]
     columns = ([1] * 3, [2] * 3, margins, [1] * 3, [3] * 3, oks)
-    report = chains_mod.ConditionReport("corollary", chains, False, 4, columns, False)
+    report = chains_mod.ConditionReport("corollary", chains, 4, columns, False)
     rows = [
         {**chain.to_dict(), "lambda_min": 0.25, "trace": 0.5, "threshold": chain.eta * 3,
          "margin": margin, "passed": ok}
@@ -441,6 +444,47 @@ def test_exact_check_builds_fractions_only_when_read(monkeypatch):
             got = (cond.lambda_min, cond.trace, cond.margin)
             assert got == (lam, bound, margin)
             assert all(type(v) is Fraction for v in got)
+
+
+def _counted(built, name, make):
+    """``make``, counting each call in ``built[name]``."""
+    def counted(*args):
+        built[name] += 1
+        return make(*args)
+    return counted
+
+
+def test_check_json_builds_no_chain_and_no_fraction(monkeypatch):
+    """On SU(6)/T a check and its JSON line read only the columns, under
+    either criterion: no SimpleChain and no Fraction is built until the
+    conditions are read."""
+    model = full_flag(6)
+    T = random_positive_form(np.random.default_rng(30), model.s, exact=True)
+    built = Counter()
+    monkeypatch.setattr(chains_mod, "SimpleChain", _counted(built, "chain", chains_mod.SimpleChain))
+    monkeypatch.setattr(chains_mod, "Fraction", _counted(built, "fraction", Fraction))
+    for check in (check_theorem, check_corollary_lambda):
+        assert len(json.loads(check(model, T).to_json())["conditions"]) == 841
+    assert not built
+    assert len(check_theorem(model, T).conditions) == 841
+    assert built["chain"] == 841 and 0 < built["fraction"] <= 841
+
+
+def test_chain_sequence_is_lazy_and_equals_its_tuple(monkeypatch):
+    """A model's chains are one object, whose length needs no item; its
+    items are built once, on first read, and it equals their tuple."""
+    model = full_flag(5)
+    built = Counter()
+    monkeypatch.setattr(chains_mod, "SimpleChain", _counted(built, "chain", chains_mod.SimpleChain))
+    chains = model.chains
+    assert chains is model.chains
+    assert len(chains) == 150 and chains and not built
+    items = tuple(chains)
+    assert chains == items and items == chains and chains != items[1:]
+    assert (chains[0], chains[-1], chains[:2]) == (items[0], items[-1], items[:2])
+    assert list(chains) == list(items) and items[3] in chains
+    assert built["chain"] == 150
+    assert enumerate_simple_chains(model) == chains
 
 
 def test_corollary_implies_theorem():

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from homricci import cli, iteration
+from homricci import build_model, cli, iteration, serialize_model
+from helpers import random_space_model
 
 
 def run(capsys, *argv):
@@ -268,6 +271,36 @@ def test_solve_command(g2_path, capsys):
     assert doc["status"] == "solved"
     assert doc["c"] > 0
     assert doc["residual"] < 1e-8
+
+
+def test_solve_json_line_is_the_encoders(g2_path, tmp_path, capsys, monkeypatch):
+    """The solve line takes the chain report's own line at its key: it is
+    byte for byte json.dumps of the report's dict, with and without one."""
+    reports = []
+
+    def solve(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    original = cli.solve_prescribed_ricci
+    monkeypatch.setattr(cli, "solve_prescribed_ricci", solve)
+    assert cli.main(["catalog", "twosum", "2", "3", "1/4", "3/10", "4/5"]) == 0
+    (tmp_path / "twosum.json").write_text(capsys.readouterr().out)
+    rng = np.random.default_rng(41)
+    (tmp_path / "random.json").write_text(serialize_model(random_space_model(rng, s=6)))
+    T6 = ",".join(repr(float(v)) for v in rng.uniform(0.7, 1.4, 6))
+    # requirement 2 fails here, so the report has no condition
+    (tmp_path / "isolated.json").write_text(serialize_model(build_model(
+        "isolated", dims=(1, 2, 2), casimir=(0, Fraction(3, 10), Fraction(2, 5)),
+        triples={(1, 3, 3): Fraction(1, 2)},
+    )))
+    cases = [("g2u2", "1,1,1"), ("g2u2", "1,1,0.1"), ("twosum", "4/9,1"), ("twosum", "1/4,1"),
+             ("random", T6), ("isolated", "1,1,1")]
+    for name, T in cases:
+        _, out, _ = run(capsys, "solve", str(tmp_path / f"{name}.json"), "--T", T, "--json")
+        assert out == json.dumps(reports[-1].to_dict()) + "\n"
+        assert (reports[-1].condition is None) == (name == "isolated")
+    assert len(reports) == len(cases)
 
 
 def test_solve_failure_exit_code(tmp_path, capsys):
