@@ -37,20 +37,13 @@ from typing import Optional
 
 from . import _polynomials as poly
 from .model import DiagonalForm, SpaceModel
+from .numbers import ratio
 
 # An isolated root is refined to this relative width before it is read as
 # a float; isolation of the resultant stops at this depth, where it may have
 # a multiple root, and runs again on its square-free part.
 _ROOT_BITS = 55
 _ISOLATION_DEPTH = 64
-
-
-def _ratio(num: int, den: int) -> float:
-    """num / den correctly rounded, infinite beyond the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
 def ricci_core(model: SpaceModel) -> list[dict]:
@@ -127,7 +120,7 @@ def read_root(p: list, root: tuple, reverse: bool) -> tuple[float, tuple]:
     refined root; the refined root)."""
     root = poly.refine(p, root, _ROOT_BITS)
     num, depth = poly.point(root)
-    return (_ratio(1 << depth, num) if reverse else _ratio(num, 1 << depth)), root
+    return (ratio(1 << depth, num) if reverse else ratio(num, 1 << depth)), root
 
 
 def _sign(p: list, f: list, root: tuple) -> int:
@@ -147,10 +140,8 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     P = poly.trim([z2 * a - z1 * b for a, b in zip(r1, r2)])
     # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
     C = poly.trim([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
-    # where P = 0 every t solves: the base start t = 1; so for a float T
-    # within rounding of a target where P = 0 (see three_summand_points)
-    magnitude = z2 * sum(map(abs, r1)) + z1 * sum(map(abs, r2))
-    if not P or not T.exact and sum(map(abs, P)) << 47 <= magnitude:
+    # where P = 0 every t solves: the base start t = 1
+    if not P:
         return ([(1.0, 1.0)] if poly.sign_at(C, 1, 0) > 0 else []), ()
     # P's signs are (+, +, any, -, -), zeros allowed: by Descartes' rule of
     # signs one change of sign is one positive root, a simple one, and none
@@ -269,7 +260,7 @@ def _admissible_points(
             found += points
         elif sign_a * poly.sign_near(P, B, root, vb) < 0:  # u > 0
             if c_sign(P, Hs, A, B, root, va, vb) * sign_a ** (len(h) - 1) > 0:
-                w = _read_ratio(P, B, A, root, _ratio(-vb, va))
+                w = _read_ratio(P, B, A, root, ratio(-vb, va))
                 found.append((1.0, w, v) if swap else (1.0, v, w))
     return sorted(found)
 
@@ -302,12 +293,12 @@ def _read_ratio(P: list, B: list, A: list, root: tuple, w: float) -> float:
         k, c, _ = root
         a0, a1 = poly.value_at(A, c, k), poly.value_at(A, c + 1, k)
         if a0 and a1:
-            w0 = _ratio(-poly.value_at(B, c, k), a0)
-            w1 = _ratio(-poly.value_at(B, c + 1, k), a1)
+            w0 = ratio(-poly.value_at(B, c, k), a0)
+            w1 = ratio(-poly.value_at(B, c + 1, k), a1)
             if w1 in (w0, math.nextafter(w0, w1)):
                 break
         root = poly.refine(P, root, 2 * c.bit_length())
-        w = _ratio(-poly.value_at(B, *poly.point(root)), poly.value_at(A, *poly.point(root)))
+        w = ratio(-poly.value_at(B, *poly.point(root)), poly.value_at(A, *poly.point(root)))
     return w
 
 
@@ -327,7 +318,7 @@ def _points_at(t0: tuple[int, int], f: list, g: list, h: list, swap: bool) -> Op
     if len(W) == 1:
         return []
     W = poly.squarefree(W)
-    v = _ratio(num, den)
+    v = ratio(num, den)
     found = []
     for reverse, root in poly.positive_roots(W):
         P, Hs = (W[::-1], H[::-1]) if reverse else (W, H)

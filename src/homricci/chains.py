@@ -28,13 +28,13 @@ would be).  In the same way <J J J> = sum_{a, b in J} M[a][b] for a
 member J.  The cross term depends on J_l alone, and is summed once per
 J_l: for a, c in J_l a nonzero [abc] has b in J_k, as J_k is closed, so
 its nonzero terms are those with a, c in J_l and b outside J_l, whichever
-chain it belongs to.  An exact model's scaled rows hold M[a][b]; a float
-model's hold each [abc] apart, so the sums add the triples in the model's
-order, and a float cross term reads the same terms in the same order
-for every chain with that J_l.  The
-defining form, from Killing traces and bracket masses of the four derived
-blocks, equals the Casimir form wherever the Casimir identity holds, which
-``validate`` enforces; the tests check the two forms against each other.
+chain it belongs to.  The scaled rows hold M[a][b] as integers over one
+denominator on every model (a float is a dyadic rational), so every sum is
+exact and the denominator cancels in eta.  The defining form, from
+Killing traces and bracket masses of the four derived blocks, equals the
+Casimir form wherever the Casimir identity holds, which ``validate``
+enforces (to a tolerance on float data, whose given zeta the Casimir form
+reads); the tests check the two forms against each other.
 
 A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
@@ -43,34 +43,32 @@ below it they do not.
 
 The chains are kept as columns over the lattice members
 (:class:`SimpleChains`): per chain the indices of J_k and J_k' among the
-members, the mask of J_l and eta, as (p, q) in lowest terms on an exact
-model and as a float on a float one; per member omega, and its mass, which
-is taken once.  The :class:`SimpleChain` items, with their eta
-``Fraction``s, are built only when read.  Every T is read as integers
-over its common denominator, exactly (a float is a dyadic rational), so
-each chain's lambda_min and trace are integers, whatever the arithmetic of
-T.  The model's arithmetic alone decides: on an exact model the margin is
-an integer numerator over an integer denominator and the verdict its sign,
-so a float T gets the verdict of its exact value; on a float model the
-margin is the correctly rounded lambda_min / trace less the float
-threshold, and must exceed FLOAT_MARGIN_EPS.
+members, the mask of J_l and eta, as (p, q) in lowest terms; per member
+omega, and its mass, which is taken once.  The :class:`SimpleChain` items,
+with their etas, are built only when read.  Every T is read as integers
+over its common denominator, exactly, so each chain's lambda_min and trace
+are integers, and the margin lambda_min / trace - eta * w is an integer
+numerator over an integer denominator whose sign is the verdict, whatever
+the arithmetic of the model or of T: a float model or target gets the
+verdict of its exact value.  The model's arithmetic decides only how the
+figures are spelled: as ``Fraction``s on an exact model, and as their
+correctly rounded floats on a float one (infinite beyond the float range).
 
 A :class:`ConditionReport` keeps these figures in columns beside the
 chains', one entry per chain: lambda_min (taken once per J_k') and trace
 (once per J_l) over T's denominator, the margin's numerator and
 denominator, the factor w of the threshold eta * w, and the verdict.  Its
 ``conditions`` are built from the columns on first read, and each
-:class:`ChainCondition` builds its figures only when read, as ``Fraction``s
-on an exact model and as correctly rounded floats on a float one.
-``to_json`` writes the report's JSON line in one pass over the columns,
-each member's and each J_l's index list, each figure over T's denominator
-and each exact (eta, threshold) text once per report.  Its bytes are
-those ``json.dumps`` writes of the same values, as it spells each one:
-ints and ``"p/q"`` strings in one way, every float as the repr of the
-same correctly rounded int true division (on a float model, of the same
-float), NaN and the infinities as the encoder names them, and keys and
-separators as its defaults place them.  ``to_dict`` reads that line
-back, so the keys and the float format are in one place.
+:class:`ChainCondition` builds its figures only when read, spelled as the
+model's arithmetic says.  ``to_json`` writes the report's JSON line in one
+pass over the columns, each member's and each J_l's index list, each
+figure over T's denominator and each (eta, threshold) text once per
+report.  Its bytes are those ``json.dumps`` writes of the same values, as
+it spells each one: ints and ``"p/q"`` strings in one way, every float as
+the repr of the same correctly rounded int true division, the infinities
+as the encoder names them, and keys and separators as its defaults place
+them.  No eta is NaN or -0.0, as p >= 0 and q > 0.  ``to_dict`` reads that
+line back, so the keys and the float format are in one place.
 """
 
 from __future__ import annotations
@@ -83,11 +81,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .curvature import ricci as _ricci
 from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
-from .numbers import Scalar, format_number, is_exact
-
-FLOAT_MARGIN_EPS = 1e-12
+from .numbers import Scalar, format_number, ratio
 
 
 class ChainError(ValueError):
@@ -154,11 +149,17 @@ class SimpleChains(Sequence):
         self.middle_sets = middle_sets
         self.uppers, self.lowers, self.middles, self.etas = uppers, lowers, middles, etas
 
+    @property
+    def spell(self):
+        """p, q -> the figure p / q as the model's arithmetic spells it:
+        ``Fraction`` on an exact model, ``ratio`` on a float one."""
+        return Fraction if self.exact else ratio
+
     @cached_property
     def _items(self) -> tuple[SimpleChain, ...]:
-        members, etas = self.members.__getitem__, self.etas
-        if self.exact:  # chains share few etas: each Fraction is built once
-            etas = map(_Memo(lambda pq: Fraction(*pq)).__getitem__, etas)
+        members, spell = self.members.__getitem__, self.spell
+        # chains share few etas: each is built once
+        etas = map(_Memo(lambda pq: spell(*pq)).__getitem__, self.etas)
         return tuple(map(
             SimpleChain, map(members, self.uppers), map(members, self.lowers),
             map(self.middle_sets.__getitem__, self.middles),
@@ -190,8 +191,8 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
     nonempty, ordered by (size, lex) of the upper and then the lower member.
     Each eta is in the Casimir form: every member's mass and omega are
     computed once, and only the cross term <J_l J_k' J_l> is summed per
-    chain.  Everything runs in the model's scaled units, so an exact model
-    adds integers and the common denominator cancels in one gcd.  Raises
+    chain.  Everything runs in the model's scaled units, so every model adds
+    integers and the common denominator cancels in one gcd.  Raises
     :class:`HypothesisViolatedError` when the structural requirements
     demonstrably fail (the conditions would be meaningless).
     """
@@ -202,7 +203,7 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
         )
     lattice = model.lattice
     members, masks = lattice.members, lattice.masks
-    rows, casimir, exact = model.scaled.rows, model.scaled.casimir_mass, model.exact
+    rows, casimir = model.scaled.rows, model.scaled.casimir_mass
     dims = (0, *model.dims)
     # P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>; J is closed, so every
     # nonzero [abc] with a, b in J has c in J
@@ -229,15 +230,12 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
                 f"chain ({members[upper]}, {members[lower]}) has zero denominator; the model "
                 "violates requirement 2 (a summand block commutes with the inner subalgebra)"
             )
-        if exact:
-            g = math.gcd(P_kprime, den)
-            etas.append((P_kprime // g, den // g))
-        else:
-            etas.append(P_kprime / den)
+        g = math.gcd(P_kprime, den)
+        etas.append((P_kprime // g, den // g))
         uppers.append(upper)
         lowers.append(lower)
         middles.append(between)
-    return SimpleChains(exact, members, omegas, sets, uppers, lowers, middles, etas)
+    return SimpleChains(model.exact, members, omegas, sets, uppers, lowers, middles, etas)
 
 
 class ChainCondition:
@@ -247,15 +245,18 @@ class ChainCondition:
     largest eigenvalue over the middle block and w = dim(l).
 
     lambda_min and trace are kept as integers in units of T's common
-    denominator, and on an exact model the margin as an integer numerator
-    over a positive integer denominator (on a float model, a float over 1).
-    ``lambda_min``, ``trace`` and ``margin`` build their values only when
-    read: exact on an exact model, floats on a float one.
+    denominator, eta as (p, q), and the margin as an integer numerator over
+    a positive integer denominator.  The figures build their values only
+    when read, by ``spell``: ``Fraction`` on an exact model, ``ratio`` (the
+    correctly rounded float) on a float one.
     """
 
-    __slots__ = ("chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_weight")
+    __slots__ = (
+        "chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_eta", "_weight",
+        "_spell",
+    )
 
-    def __init__(self, chain, passed, lam, bound, scale, margin, den, weight):
+    def __init__(self, chain, passed, lam, bound, scale, margin, den, eta, weight, spell):
         self.chain = chain
         self.passed = passed
         self._lam = lam
@@ -263,27 +264,26 @@ class ChainCondition:
         self._scale = scale
         self._margin = margin
         self._den = den
+        self._eta = eta
         self._weight = weight
-
-    def _figure(self, num: int, den: int) -> Scalar:
-        # the model's arithmetic shows in eta's
-        return Fraction(num, den) if is_exact(self.chain.eta) else num / den
+        self._spell = spell
 
     @property
     def lambda_min(self) -> Scalar:
-        return self._figure(self._lam, self._scale)
+        return self._spell(self._lam, self._scale)
 
     @property
     def trace(self) -> Scalar:
-        return self._figure(self._bound, self._scale)
+        return self._spell(self._bound, self._scale)
 
     @property
     def threshold(self) -> Scalar:
-        return self.chain.eta * self._weight
+        p, q = self._eta
+        return self._spell(p * self._weight, q)
 
     @property
     def margin(self) -> Scalar:
-        return self._figure(self._margin, self._den)
+        return self._spell(self._margin, self._den)
 
     def __repr__(self) -> str:
         return (
@@ -293,26 +293,32 @@ class ChainCondition:
         )
 
 
-def _ratio(p: int, q: int) -> str:
+def _exact(p: int, q: int) -> str:
     """p / q in lowest terms, in JSON as ``format_number`` gives it."""
     return str(p) if q == 1 else f'"{p}/{q}"'
 
 
+def _float(num: int, den: int) -> str:
+    """num / den correctly rounded, as ``json.dumps`` writes the float: its
+    repr, or Infinity or -Infinity beyond the float range."""
+    x = ratio(num, den)
+    if math.isfinite(x):
+        return repr(x)
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 def _exact_texts(key: tuple[tuple[int, int], int]) -> tuple[str, str]:
-    """eta = p / q and its threshold eta * w, in JSON.  eta is in lowest
-    terms, so only w and q can share a factor."""
+    """eta = p / q and its threshold eta * w, in JSON, exact.  eta is in
+    lowest terms, so only w and q can share a factor."""
     (p, q), w = key
     g = math.gcd(w, q)
-    return _ratio(p, q), _ratio(p * (w // g), q // g)
+    return _exact(p, q), _exact(p * (w // g), q // g)
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(x: float) -> str:
-    """x as ``json.dumps`` writes it: its repr, or NaN, Infinity, -Infinity."""
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
+def _float_texts(key: tuple[tuple[int, int], int]) -> tuple[str, str]:
+    """eta = p / q and its threshold eta * w, in JSON, as floats."""
+    (p, q), w = key
+    return _float(p, q), _float(p * w, q)
 
 
 class ConditionReport:
@@ -339,10 +345,11 @@ class ConditionReport:
 
     @cached_property
     def conditions(self) -> tuple[ChainCondition, ...]:
+        chains = self._chains
         lams, bounds, margins, dens, weights, oks = self._columns
         return tuple(map(
-            ChainCondition, self._chains, oks, lams, bounds, repeat(self._scale),
-            margins, dens, weights,
+            ChainCondition, chains, oks, lams, bounds, repeat(self._scale),
+            margins, dens, chains.etas, weights, repeat(chains.spell),
         ))
 
     @property
@@ -358,30 +365,24 @@ class ConditionReport:
         by its index: byte for byte what ``json.dumps`` writes of
         ``to_dict()``, written in one pass over the columns."""
         chains, scale = self._chains, self._scale
-        exact, members, omegas = chains.exact, chains.members, chains.omegas
-        sets = chains.middle_sets
+        members, omegas, sets = chains.members, chains.omegas, chains.middle_sets
         # k, k' and l, the figures over T's denominator, and eta with its
         # threshold repeat across chains: each is written once
         member_lists = _Memo(lambda i: str(list(members[i])))  # reads the same in JSON
         middle_lists = _Memo(lambda mask: str(list(sets[mask])))
-        figures = _Memo(lambda v: repr(v / scale))
-        texts = _Memo(_exact_texts)
+        figures = _Memo(lambda v: _float(v, scale))
+        texts = _Memo(_exact_texts if chains.exact else _float_texts)
         rows = []
         for upper, lower, middle, eta, lam, bound, margin, den, weight, ok in zip(
             chains.uppers, chains.lowers, chains.middles, chains.etas, *self._columns
         ):
-            if exact:
-                eta_text, threshold = texts[eta, weight]
-                margin_text = repr(margin / den)
-            else:
-                eta_text, threshold = _float(eta), _float(eta * weight)
-                margin_text = _float(margin)  # over den = 1
+            eta_text, threshold = texts[eta, weight]
             rows.append(
                 f'{{"k": {member_lists[upper]}, "kprime": {member_lists[lower]}, '
                 f'"l": {middle_lists[middle]}, "omega": {omegas[lower]}, '
                 f'"eta": {eta_text}, "lambda_min": {figures[lam]}, '
                 f'"trace": {figures[bound]}, "threshold": {threshold}, '
-                f'"margin": {margin_text}, "passed": {"true" if ok else "false"}}}'
+                f'"margin": {_float(margin, den)}, "passed": {"true" if ok else "false"}}}'
             )
         failing = "null" if self._first is None else self._first
         return (
@@ -400,8 +401,8 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     if T.support != tuple(range(1, model.s + 1)):
         raise ChainError("target form must cover the full index set")
     # T is read as integers over one common denominator, as SpaceModel.scaled
-    # reads the model, so lam and bound are integer work, and on an exact
-    # model so is the margin (lam q - p w bound) / (bound q), eta = p / q.
+    # reads the model, so lam and bound are integer work, and so is the
+    # margin (lam q - p w bound) / (bound q), eta = p / q.
     # The 1-based tables let each figure be one map over a chain's indices.
     scale, ints = T.integers
     z = (0, *ints)
@@ -409,8 +410,9 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     dz = tuple(d * v for d, v in zip(dims, z))
     # Each chain's lambda_min and trace are at most the d-weighted trace of
     # T, and lambda_min / trace at most max z / min z: when these two are
-    # doubles, so is every figure of the report.  Int true division raises
-    # beyond the float range.
+    # doubles, so are those figures (eta, its threshold and the margin read
+    # as infinite where the model's data leave the float range).  Int true
+    # division raises beyond the float range.
     try:
         sum(dz) / scale, max(ints) / min(ints)
     except OverflowError:
@@ -432,19 +434,11 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
         bound_of = _Memo(lambda mask: sum(map(dz.__getitem__, sets[mask])))
         weights = [1] * len(chains)
     bounds = list(map(bound_of.__getitem__, chains.middles))
-    if model.exact:
-        margins, dens = [], []
-        for (p, q), lam, bound, w in zip(chains.etas, lams, bounds, weights):
-            margins.append(lam * q - p * w * bound)
-            dens.append(bound * q)
-        oks = [margin > 0 for margin in margins]
-    else:
-        # lam / bound correctly rounded, less the threshold: a float over 1
-        margins = [
-            lam / bound - eta * w for eta, lam, bound, w in zip(chains.etas, lams, bounds, weights)
-        ]
-        dens = [1] * len(chains)
-        oks = [margin > FLOAT_MARGIN_EPS for margin in margins]
+    margins, dens = [], []
+    for (p, q), lam, bound, w in zip(chains.etas, lams, bounds, weights):
+        margins.append(lam * q - p * w * bound)
+        dens.append(bound * q)
+    oks = [margin > 0 for margin in margins]
     return ConditionReport(
         criterion, chains, scale, (lams, bounds, margins, dens, weights, oks),
         requirement1_unknown=not model.pairwise_inequivalent,
@@ -473,7 +467,8 @@ class TwoSummandReport(NamedTuple):
     (both or neither single-index set closed) where the threshold does not
     apply: with no proper subalgebra existence is unconditional, and when
     both sides close every metric has the same Ricci coefficients so
-    existence reduces to T being parallel to them.
+    existence reduces to T being parallel to them, which the exact s = 2
+    solve (``_elimination.two_summand_points``) decides on T's exact value.
     """
 
     eta: Optional[Scalar]
@@ -505,14 +500,9 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         # Degenerate lattice; see the class docstring.
         if not closed:
             return TwoSummandReport(None, None, True, True, None, None)
-        x = DiagonalForm.full((1, 1)) if model.exact else DiagonalForm.full((1.0, 1.0))
-        r = _ricci(model, x)
-        if model.exact:
-            _, (z1, z2) = T.integers
-            parallel = r[0] > 0 and r[0] * z2 == r[1] * z1
-        else:
-            a, b = float(r[0] / T[1]), float(r[1] / T[2])
-            parallel = a > 0 and abs(a - b) <= 1e-9 * max(1.0, abs(a))
+        from ._elimination import two_summand_points  # on first use, as in solver
+
+        parallel = bool(two_summand_points(model, T)[0])
         return TwoSummandReport(None, None, parallel, True, None, None)
     # the one chain ({1, 2}, {a}), whose eigenvalue-variant margin is
     # z_a / z_o - d_o eta: the threshold's verdict
@@ -523,5 +513,5 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         passed=cond.passed,
         trivial=False,
         subalgebra=cond.chain.J_kprime[0],
-        ratio=cond._figure(cond._lam, cond._bound),
+        ratio=cond._spell(cond._lam, cond._bound),
     )

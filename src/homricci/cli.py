@@ -37,7 +37,7 @@ from .model import (
     serialize_model,
     validate,
 )
-from .numbers import NumberFormatError, format_number, parse_number
+from .numbers import NumberFormatError, format_number, parse_number, to_float
 from .solver import SolverError, SolverOptions, solve_prescribed_ricci
 
 _INPUT_ERRORS = (
@@ -209,7 +209,7 @@ def cmd_check(args) -> int:
             yield (
                 f"  k'={list(cond.chain.J_kprime)}: "
                 f"{float(cond.lambda_min):.6g}/{float(cond.trace):.6g} vs "
-                f"threshold {format_number(cond.threshold)} margin {float(cond.margin):+.6g} "
+                f"threshold {format_number(cond.threshold)} margin {to_float(cond.margin):+.6g} "
                 + ("ok" if cond.passed else "FAIL")
             )
         if not report.conditions:

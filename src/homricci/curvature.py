@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .model import DiagonalForm, SpaceModel
-from .numbers import Scalar
+from .numbers import Scalar, to_float
 
 
 class CurvatureError(ValueError):
@@ -47,11 +47,11 @@ class _Tables:
     def __init__(self, model: SpaceModel, J: tuple[int, ...]):
         pos = {g: i for i, g in enumerate(J)}
         self.d = np.array([model.dims[g - 1] for g in J], dtype=np.float64)
-        self.b = np.array([float(model.killing[g - 1]) for g in J], dtype=np.float64)
+        self.b = np.array([to_float(model.killing[g - 1]) for g in J], dtype=np.float64)
         self.db = self.d * self.b
         inside = set(J)
         rows = [
-            (pos[a], pos[bb], pos[c], float(v))
+            (pos[a], pos[bb], pos[c], to_float(v))
             for a, bb, c, v in model.ordered_triples
             if a in inside and bb in inside and c in inside
         ]

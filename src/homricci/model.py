@@ -58,6 +58,7 @@ from .numbers import (
     NumberFormatError,
     Scalar,
     all_exact,
+    common_denominator,
     format_number,
     normalize,
     parse_number,
@@ -73,14 +74,10 @@ class ModelError(ValueError):
 
 
 class ScaledData(NamedTuple):
-    """A validated model's numbers over one common denominator.
-
-    For an exact model every entry is the true value times one integer, the
-    same for all; a float model keeps its floats.  Bit ``i - 1`` of a mask
-    stands for summand ``i``.  A float model's ``rows`` keep one entry per
-    nonzero [abc], in the order of ``ordered_triples``, so that a sum over
-    them adds the triples in that order; an exact model's hold one entry
-    per b.
+    """A validated model's numbers over one common denominator: every entry
+    is the true value times one integer, the same for all, on a float model
+    too (a float is a dyadic rational).  Bit ``i - 1`` of a mask stands for
+    summand ``i``.
     """
 
     casimir_mass: tuple  # d_i zeta_i per index
@@ -171,33 +168,19 @@ class SpaceModel:
 
     @cached_property
     def scaled(self) -> ScaledData:
-        """The model's numbers as integers over a common denominator; needs
-        a validated model."""
+        """The model's numbers as integers over a common denominator
+        (``numbers.common_denominator``); needs a validated model."""
         if self.casimir is None or self.killing is None:
             raise ModelError("scaled data needs a validated model")
-        if self.exact:
-            scale = math.lcm(
-                *(v.denominator for *_, v in self.ordered_triples),
-                *(v.denominator for v in self.casimir),
-            )
-
-            def fix(v):
-                return v.numerator * (scale // v.denominator)
-
-        else:
-            def fix(v):
-                return v
-
-        rows = [{} if self.exact else [] for _ in range(self.s)]
-        for a, b, c, v in self.ordered_triples:
+        triples = self.ordered_triples
+        _, ints = common_denominator([*(v for *_, v in triples), *self.casimir])
+        rows = [{} for _ in range(self.s)]
+        for (a, b, _, _), v in zip(triples, ints):
             row, bit = rows[a - 1], 1 << (b - 1)
-            if self.exact:
-                row[bit] = row.get(bit, 0) + fix(v)
-            else:
-                row.append((bit, v))
+            row[bit] = row.get(bit, 0) + v
         return ScaledData(
-            casimir_mass=tuple(d * fix(v) for d, v in zip(self.dims, self.casimir)),
-            rows=tuple(tuple(r.items() if self.exact else r) for r in rows),
+            casimir_mass=tuple(d * v for d, v in zip(self.dims, ints[len(triples):])),
+            rows=tuple(tuple(r.items()) for r in rows),
         )
 
     @cached_property
@@ -259,9 +242,7 @@ class DiagonalForm:
     def integers(self) -> tuple[int, tuple[int, ...]]:
         """(scale, ints): the values as integers over their least common
         denominator, exactly (a float is a dyadic rational)."""
-        ratios = [v.as_integer_ratio() for v in self.values]
-        scale = math.lcm(*(den for _, den in ratios))
-        return scale, tuple(num * (scale // den) for num, den in ratios)
+        return common_denominator(self.values)
 
     def restrict(self, indices: Iterable[int]) -> "DiagonalForm":
         J = tuple(sorted(set(int(i) for i in indices)))

@@ -1,9 +1,12 @@
 """Scalar arithmetic shared across the package.
 
 Every quantity in a space model is either exact (a ``fractions.Fraction``) or
-a float, and whole models are one or the other: exact models keep the lattice
-and eta algebra exact, float models run everything in double precision.  The
-optimizer always works in floats regardless of the model's arithmetic.
+a float, and whole models are one or the other.  A float is an exact dyadic
+rational, so eta and the chain conditions read every model, and every
+target, as integers over one denominator (:func:`common_denominator`); a
+model's arithmetic decides only how their figures are spelled, as
+``Fraction``s or as correctly rounded floats (:func:`ratio`).  The optimizer
+always works in floats regardless of the model's arithmetic.
 """
 
 from __future__ import annotations
@@ -62,6 +65,27 @@ def format_number(value: Scalar):
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     return float(value)
+
+
+def common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the values as integers over their least common
+    denominator, exactly (a float is a dyadic rational)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(den for _, den in ratios))
+    return scale, tuple(num * (scale // den) for num, den in ratios)
+
+
+def ratio(num: int, den: int) -> float:
+    """num / den correctly rounded, infinite beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
+
+
+def to_float(value) -> float:
+    """The float nearest a number, infinite beyond the float range."""
+    return ratio(*value.as_integer_ratio())
 
 
 def is_exact(value) -> bool:

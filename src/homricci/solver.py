@@ -48,9 +48,8 @@ so unless P vanishes identically (below) the solution is unique up to
 scale.  With no root the escaping coordinate is x_2 when P > 0 (S grows
 as t grows without bound) and x_1 when P < 0.  When P vanishes
 identically (both singletons close and T is parallel to r), every t
-solves, and the solve returns t = 1, the base start; so it does for a
-float T within rounding of such a target, where every t solves to
-rounding.
+solves, and the solve returns t = 1, the base start.  A float T is read
+at its exact value, so it is parallel to r only when that value is.
 
 For s = 3, along x = (1, t, u), the positive roots t of the resultant
 R(t) = Res_u(E_1, E_2) of E_1 = z_2 r_1 - z_1 r_2 and E_2 = z_3 r_1 -

@@ -153,16 +153,18 @@ def test_eta_matches_the_defining_form_on_random_float_models():
     count = 0
     for _ in range(30):
         m = random_space_model(rng)
+        exact = exact_data(m)
         for ch in enumerate_simple_chains(m):
             assert ch.eta == pytest.approx(def_form_eta(m, ch), rel=1e-12, abs=0)
+            # the correctly rounded eta of the model's exact data
+            assert ch.eta == float(def_form_eta(exact, ch))
             count += 1
     assert count > 30
 
 
 def test_eta_matches_the_defining_form_where_pairs_have_several_brackets():
     # s = 6 to 10: many pairs (a, b) have [abc] != 0 for several c, which
-    # an exact model's scaled rows sum into one M[a][b], and a float
-    # model's keep apart, in the order of the model's triples
+    # the scaled rows sum into one M[a][b]
     rng = np.random.default_rng(24)
     count = shared = 0
     for k in range(24):
@@ -170,11 +172,9 @@ def test_eta_matches_the_defining_form_where_pairs_have_several_brackets():
         m = random_space_model(rng, s=6 + k % 5, exact=exact)
         pairs = Counter((a, b) for a, b, _, _ in m.ordered_triples)
         shared += sum(1 for n in pairs.values() if n > 1)
+        want = Fraction if exact else float
         for ch in enumerate_simple_chains(m):
-            if exact:
-                assert ch.eta == def_form_eta(m, ch)
-            else:
-                assert ch.eta == pytest.approx(def_form_eta(m, ch), rel=1e-12, abs=0)
+            assert ch.eta == want(def_form_eta(exact_data(m), ch))
             count += 1
     assert count > 30 and shared > 100
 
@@ -263,20 +263,32 @@ def test_corollary_check_flag_golden():
     assert thresholds == [Fraction(8, 48), Fraction(18, 20)]
 
 
+def exact_data(model):
+    """The model with its data read at their exact values (a float is a
+    dyadic rational), and its Killing coefficients derived from them."""
+    if model.exact:
+        return model
+    return build_model(
+        model.name, dims=model.dims, casimir=[Fraction(v) for v in model.casimir],
+        triples={(i, j, k): Fraction(v) for i, j, k, v in model.triples},
+        pairwise_inequivalent=model.pairwise_inequivalent,
+    )
+
+
 def _generic_figures(model, T, chain, criterion):
-    """lambda_min, trace, threshold and margin of one chain, in the plain
-    arithmetic of the exact values of T and of chain.eta: exact on an exact
-    model; on a float model lambda_min / trace is rounded once and the
-    float threshold subtracted."""
+    """eta, lambda_min, trace, threshold and margin of one chain, exactly:
+    at the exact values of T and of the data of ``model`` (an exact model,
+    see ``exact_data``), with eta in the defining form."""
     z = {i: Fraction(v) for i, v in zip(T.support, T.values)}
+    eta = def_form_eta(model, chain)
     lam = min(z[i] for i in chain.J_kprime)
     if criterion == "theorem":
         bound = sum(model.dims[i - 1] * z[i] for i in chain.J_l)
-        threshold = chain.eta
+        threshold = eta
     else:
         bound = max(z[i] for i in chain.J_l)
-        threshold = chain.eta * sum(model.dims[i - 1] for i in chain.J_l)
-    return lam, bound, threshold, lam / bound - threshold
+        threshold = eta * sum(model.dims[i - 1] for i in chain.J_l)
+    return eta, lam, bound, threshold, lam / bound - threshold
 
 
 # no chains: the isotropy algebra is maximal
@@ -297,37 +309,37 @@ UNFLAGGED = build_model(
 @pytest.mark.parametrize("exact_model", [True, False])
 @pytest.mark.parametrize("exact_T", [True, False])
 def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
-    """Every T, float or exact, is checked on its exact value: on an exact
-    model the figures are that value's, on a float model their floats.  The
-    report's JSON line is what json.dumps writes of the same report built
-    here from those figures."""
+    """Every model and every T, float or exact, is checked on its exact
+    value: the verdict is the sign of the exact margin, and the figures are
+    the exact ones on an exact model and their correctly rounded floats on
+    a float one.  The report's JSON line is what json.dumps writes of the
+    same report built here from those figures."""
     rng = np.random.default_rng([27, exact_model, exact_T])
     models = [random_space_model(rng, exact=exact_model) for _ in range(12)]
     count = 0
     for m in [*models, MAXIMAL, UNFLAGGED]:
         T = random_positive_form(rng, m.s, exact=exact_T)
+        exact = exact_data(m)
+        spell = Fraction if m.exact else float
         for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
             report = check(m, T)
             rows = []
             for cond in report.conditions:
-                got = (cond.lambda_min, cond.trace, cond.threshold, cond.margin)
-                want = _generic_figures(m, T, cond.chain, criterion)
-                if m.exact:
-                    assert got == want
-                    assert all(isinstance(v, Fraction) for v in got)
-                    passed = want[3] > 0
-                else:
-                    assert got == tuple(float(v) for v in want)
-                    assert all(type(v) is float for v in got)
-                    passed = want[3] > chains_mod.FLOAT_MARGIN_EPS
+                got = (cond.chain.eta, cond.lambda_min, cond.trace, cond.threshold, cond.margin)
+                want = _generic_figures(exact, T, cond.chain, criterion)
+                eta, lam, bound, threshold, margin = map(spell, want)
+                assert got == (eta, lam, bound, threshold, margin)
+                assert all(type(v) is spell for v in got)
+                passed = want[4] > 0
                 assert cond.passed is passed
-                # each float bit for bit the float of the generic figure
+                # each float bit for bit the float of the exact figure
                 rows.append({
                     **cond.chain.to_dict(),
-                    "lambda_min": float(want[0]),
-                    "trace": float(want[1]),
-                    "threshold": format_number(want[2]),
-                    "margin": float(want[3]),
+                    "eta": format_number(eta),
+                    "lambda_min": float(lam),
+                    "trace": float(bound),
+                    "threshold": format_number(threshold),
+                    "margin": float(margin),
                     "passed": passed,
                 })
                 count += 1
@@ -349,25 +361,37 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
 
 def test_report_line_spells_non_finite_floats_as_the_encoder():
     """A float model's eta, and so its threshold and margin, can leave the
-    float range: the line names them as json.dumps does, and keeps -0.0."""
-    etas = (math.inf, math.nan, -0.0)
+    float range: the line names them as json.dumps does.  Every figure is
+    the correctly rounded float of the exact one, and an eta of 0 is 0.0:
+    with p >= 0 and q > 0 no eta is NaN or -0.0."""
+    big = 10**400
+    etas = [(big, 1), (big, big - 1), (0, 1)]
     # three chains ({1, 2}, {1}) over the members {}, {1} and {1, 2}
     chains = chains_mod.SimpleChains(
         False, ((), (1,), (1, 2)), (0, 1, 1), {0b10: (2,)}, [2] * 3, [1] * 3, [0b10] * 3, etas
     )
-    margins = [0.5 - 3 * eta for eta in etas]
-    oks = [margin > chains_mod.FLOAT_MARGIN_EPS for margin in margins]
-    columns = ([1] * 3, [2] * 3, margins, [1] * 3, [3] * 3, oks)
+    # lambda_min 1/4 and trace 2/4, eta p / q and w = 3, as _check takes them
+    margins = [1 * q - p * 3 * 2 for p, q in etas]
+    dens = [2 * q for _, q in etas]
+    oks = [margin > 0 for margin in margins]
+    columns = ([1] * 3, [2] * 3, margins, dens, [3] * 3, oks)
     report = chains_mod.ConditionReport("corollary", chains, 4, columns, False)
+    figures = [
+        (math.inf, math.inf, -math.inf),
+        (1.0, 3.0, float(Fraction(1, 2) - Fraction(3 * big, big - 1))),
+        (0.0, 0.0, 0.5),
+    ]
     rows = [
-        {**chain.to_dict(), "lambda_min": 0.25, "trace": 0.5, "threshold": chain.eta * 3,
-         "margin": margin, "passed": ok}
-        for chain, margin, ok in zip(chains, margins, oks)
+        {**chain.to_dict(), "eta": eta, "lambda_min": 0.25, "trace": 0.5,
+         "threshold": threshold, "margin": margin, "passed": ok}
+        for chain, (eta, threshold, margin), ok in zip(chains, figures, oks)
     ]
     want = {"criterion": "corollary", "passed": False, "existence": "inconclusive",
             "caveat_requirement1": False, "conditions": rows, "failing": 0}
     assert report.to_json() == json.dumps(want)
-    assert "Infinity" in report.to_json() and "NaN" in report.to_json()
+    assert [c.chain.eta for c in report.conditions] == [math.inf, 1.0, 0.0]
+    assert [(c.threshold, c.margin) for c in report.conditions] == [f[1:] for f in figures]
+    assert "Infinity" in report.to_json() and "NaN" not in report.to_json()
 
 
 def exact_of(T):
@@ -382,11 +406,11 @@ G2_FLOAT = build_model(
 )
 
 
-def test_float_target_checked_on_its_exact_value(monkeypatch):
+def test_float_target_checked_on_its_exact_value():
     """On an exact model a float T gets the verdict and the figures of its
     exact value.  On g2u2 with z_2 one ulp above 1/6 the first chain passes
-    by an exact margin of 2.3e-18, below FLOAT_MARGIN_EPS, which only a
-    float model reads."""
+    by an exact margin of 2.3e-18; a float model too decides by the sign of
+    its exact margin, however small."""
     T = DiagonalForm.full((1.0, math.nextafter(1 / 6, 1), 1.0))
     for check in (check_theorem, check_corollary_lambda):
         got, want = check(G2, T), check(G2, exact_of(T))
@@ -397,9 +421,15 @@ def test_float_target_checked_on_its_exact_value(monkeypatch):
             assert figures == (b.lambda_min, b.trace, b.threshold, b.margin)
             assert all(isinstance(v, Fraction) for v in figures)
     assert check_theorem(G2, T).conditions[0].margin == Fraction(1, 432345564227567616)
-    monkeypatch.setattr(chains_mod, "FLOAT_MARGIN_EPS", math.inf)
-    assert check_theorem(G2, T).passed and check_corollary_lambda(G2, T).passed
-    assert not check_theorem(G2_FLOAT, DiagonalForm.full((1, 1, 1))).passed
+    # G2_FLOAT's first eta lies 8.7e-18 above 1/48, and the first chain's
+    # ratio 1 / (4 + 4 z_3) crosses it between these two adjacent doubles
+    below, above = 10.999999999999995, 10.999999999999996
+    for z3, passed in ((below, True), (above, False)):
+        T = DiagonalForm.full((1.0, 1.0, z3))
+        cond = check_theorem(G2_FLOAT, T).conditions[0]
+        margin = _generic_figures(exact_data(G2_FLOAT), T, cond.chain, "theorem")[4]
+        assert 0 < abs(margin) < 1e-12 and (margin > 0) is passed
+        assert cond.passed is passed and cond.margin == float(margin)
 
 
 def test_two_summand_verdict_at_the_threshold():
@@ -440,7 +470,7 @@ def test_exact_check_builds_fractions_only_when_read(monkeypatch):
         assert len(report.conditions) == 841
         assert len(built) <= len(report.conditions)
         for cond in report.conditions:
-            lam, bound, _, margin = _generic_figures(model, T, cond.chain, criterion)
+            _, lam, bound, _, margin = _generic_figures(model, T, cond.chain, criterion)
             got = (cond.lambda_min, cond.trace, cond.margin)
             assert got == (lam, bound, margin)
             assert all(type(v) is Fraction for v in got)
@@ -570,12 +600,18 @@ def test_two_summand_condition_degenerate_cases():
     assert aligned.trivial and aligned.passed
     skew = two_summand_condition(frozen, DiagonalForm.full((1, 5)))
     assert skew.trivial and not skew.passed
-    # a float T is compared exactly on the exact model: (0.15, 0.1) is not
-    # exactly parallel to r; on the float model it is, to 1e-9
+    # every T and every model is compared at its exact value: (0.15, 0.1)
+    # is not exactly parallel to r, on either model, and (3/20, 1/10) is
+    # parallel to the exact model's r but not to the float model's, whose
+    # r_2 is the double nearest 1/3; that double itself is parallel
     T = DiagonalForm.full((0.15, 0.1))
-    assert not two_summand_condition(frozen, T).passed
+    exact_T = DiagonalForm.full((Fraction(3, 20), Fraction(1, 10)))
     frozen_float = build_model("frozen", dims=(2, 2), casimir=(0.5, 1 / 3))
-    assert two_summand_condition(frozen_float, T).passed
+    assert not two_summand_condition(frozen, T).passed
+    assert not two_summand_condition(frozen_float, T).passed
+    assert two_summand_condition(frozen, exact_T).passed
+    assert not two_summand_condition(frozen_float, exact_T).passed
+    assert two_summand_condition(frozen_float, DiagonalForm.full((0.5, 1 / 3))).passed
     assert not two_summand_condition(frozen_float, DiagonalForm.full((1.0, 5.0))).passed
 
 

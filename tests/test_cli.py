@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,7 +162,9 @@ def test_check_text_golden(g2_path, capsys):
 # The --json lines of `check`, captured before the report was written
 # straight from its columns: g2u2 failing, under both criteria, the same
 # check on g2u2 as a float model, and a two-summand check, whose verdict
-# follows the report's keys.
+# follows the report's keys.  The float model's figures are the correctly
+# rounded floats of the exact figures of its data (see
+# tests/test_chains.py::test_condition_figures_match_generic_arithmetic).
 CHECK_JSON_GOLDEN = {
     ("g2u2", "1,1,0.1"): (
         '{"criterion": "theorem", "passed": false, "existence": "inconclusive", '
@@ -187,8 +190,8 @@ CHECK_JSON_GOLDEN = {
         '{"criterion": "theorem", "passed": false, "existence": "inconclusive", '
         '"caveat_requirement1": false, "conditions": ['
         '{"k": [1, 2, 3], "kprime": [2], "l": [1, 3], "omega": 2, '
-        '"eta": 0.020833333333333346, "lambda_min": 1.0, "trace": 4.4, '
-        '"threshold": 0.020833333333333346, "margin": 0.20643939393939392, "passed": true}, '
+        '"eta": 0.020833333333333343, "lambda_min": 1.0, "trace": 4.4, '
+        '"threshold": 0.020833333333333343, "margin": 0.20643939393939392, "passed": true}, '
         '{"k": [1, 2, 3], "kprime": [3], "l": [1, 2], "omega": 4, "eta": 0.15, '
         '"lambda_min": 0.1, "trace": 6.0, "threshold": 0.15, '
         '"margin": -0.13333333333333333, "passed": false}], "failing": 1}'
@@ -325,6 +328,27 @@ def test_targets_beyond_the_float_range_exit_two(g2_path, capsys):
     code, out, err = run(capsys, "solve", str(g2_path), "--T", "1e-310,1e-310,1e-310", "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: target coefficients must be normal doubles")
+
+
+def test_model_data_beyond_the_float_range(tmp_path, capsys):
+    # zeta_1 = 10**400: eta and the threshold are exact and huge, the margin
+    # reads as -inf, and no solution exists; no figure overflows
+    big = str(10**400)
+    assert cli.main(["catalog", "twosum", "2", "3", big, "3/10", "4/5"]) == 0
+    path = tmp_path / "huge.json"
+    path.write_text(capsys.readouterr().out)
+    code, out, err = run(capsys, "check", str(path), "--T", "1,1")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1].endswith("margin -inf FAIL")
+    code, out, err = run(capsys, "check", str(path), "--T", "1,1", "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["conditions"][0]["margin"] == -math.inf
+    assert doc["two_summand"]["eta"].startswith(big[:50])
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "solve", str(path), "--T", "1,1", *flags)
+        assert (code, err) == (1, "")
+        assert "diverged" in out
 
 
 def test_iterate_json_lines(tmp_path, capsys):

@@ -43,6 +43,7 @@ from homricci._polynomials import (
     trim,
     value_at,
 )
+from homricci.numbers import ratio
 from helpers import (
     bisected_root,
     has_root_in,
@@ -363,11 +364,17 @@ def test_degenerate_two_summand_lattices(monkeypatch):
         assert (rep.status, rep.collapsed) == (status, collapsed), (model.name, values)
         assert_same_solve(rep, newton_solve(monkeypatch, model, T))
     assert maximize_S_on_MT(frozen, DiagonalForm.full((3, 2))).x.values == (10.0, 10.0)
-    # a float target that rounds one parallel to r: P is within rounding of
-    # 0, and t = 1 certifies; P's signs alone would read as a proof that no
-    # t solves
-    rep = maximize_S_on_MT(frozen, DiagonalForm.full((0.15, 0.1)))
-    assert (rep.status, rep.starts_used, rep.x[1] / rep.x[2]) == ("solved", 1, 1.0)
+    # a float target is read at its exact value: (0.15, 0.1) is not
+    # parallel to r, and z_1 / z_2 < 3/2 lets x_2 escape; (3/20, 1/10) is
+    # parallel, and t = 1 certifies
+    for values, status, collapsed in (
+        ((0.15, 0.1), "diverged", (2,)), ((Fraction(3, 20), Fraction(1, 10)), "solved", ()),
+    ):
+        T = DiagonalForm.full(values)
+        rep = maximize_S_on_MT(frozen, T)
+        assert two_summand_condition(frozen, T).passed == (status == "solved")
+        assert (rep.status, rep.collapsed) == (status, collapsed)
+    assert (rep.starts_used, rep.x[1] / rep.x[2]) == (1, 1.0)
 
 
 def test_unit_solve_kernel_calls(monkeypatch):
@@ -1062,8 +1069,8 @@ def test_points_at_a_rational_root_without_a_finite_point():
 
 def test_ratio_overflows_to_infinity():
     big = 10**400
-    assert _elimination._ratio(1, 3) == 1 / 3
-    assert _elimination._ratio(big, 1) == math.inf
-    assert _elimination._ratio(-big, 1) == -math.inf
-    assert _elimination._ratio(big, -3) == -math.inf
-    assert _elimination._ratio(-big, -3) == math.inf
+    assert ratio(1, 3) == 1 / 3
+    assert ratio(big, 1) == math.inf
+    assert ratio(-big, 1) == -math.inf
+    assert ratio(big, -3) == -math.inf
+    assert ratio(-big, -3) == math.inf
