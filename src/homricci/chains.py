@@ -63,12 +63,11 @@ denominator, the factor w of the threshold eta * w, and the verdict.  Its
 model's arithmetic says.  ``to_json`` writes the report's JSON line in one
 pass over the columns, each member's and each J_l's index list, each
 figure over T's denominator and each (eta, threshold) text once per
-report.  Its bytes are those ``json.dumps`` writes of the same values, as
-it spells each one: ints and ``"p/q"`` strings in one way, every float as
-the repr of the same correctly rounded int true division, the infinities
-as the encoder names them, and keys and separators as its defaults place
-them.  No eta is NaN or -0.0, as p >= 0 and q > 0.  ``to_dict`` reads that
-line back, so the keys and the float format are in one place.
+report.  Each figure is written by ``numbers.json_figure``, null beyond the
+float range, so the line's bytes are those ``json.dumps`` writes of the
+same values as ``numbers.format_number`` spells them, with keys and
+separators as the encoder's defaults place them.  ``to_dict`` reads that
+line back, so the keys are in one place.
 """
 
 from __future__ import annotations
@@ -76,13 +75,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
-from .numbers import Scalar, format_number, ratio
+from .numbers import Scalar, figure, format_number, json_figure
 
 
 class ChainError(ValueError):
@@ -149,17 +147,11 @@ class SimpleChains(Sequence):
         self.middle_sets = middle_sets
         self.uppers, self.lowers, self.middles, self.etas = uppers, lowers, middles, etas
 
-    @property
-    def spell(self):
-        """p, q -> the figure p / q as the model's arithmetic spells it:
-        ``Fraction`` on an exact model, ``ratio`` on a float one."""
-        return Fraction if self.exact else ratio
-
     @cached_property
     def _items(self) -> tuple[SimpleChain, ...]:
-        members, spell = self.members.__getitem__, self.spell
+        members, exact = self.members.__getitem__, self.exact
         # chains share few etas: each is built once
-        etas = map(_Memo(lambda pq: spell(*pq)).__getitem__, self.etas)
+        etas = map(_Memo(lambda pq: figure(*pq, exact)).__getitem__, self.etas)
         return tuple(map(
             SimpleChain, map(members, self.uppers), map(members, self.lowers),
             map(self.middle_sets.__getitem__, self.middles),
@@ -247,16 +239,15 @@ class ChainCondition:
     lambda_min and trace are kept as integers in units of T's common
     denominator, eta as (p, q), and the margin as an integer numerator over
     a positive integer denominator.  The figures build their values only
-    when read, by ``spell``: ``Fraction`` on an exact model, ``ratio`` (the
-    correctly rounded float) on a float one.
+    when read, as ``numbers.figure`` spells them on the model's arithmetic.
     """
 
     __slots__ = (
         "chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_eta", "_weight",
-        "_spell",
+        "_exact",
     )
 
-    def __init__(self, chain, passed, lam, bound, scale, margin, den, eta, weight, spell):
+    def __init__(self, chain, passed, lam, bound, scale, margin, den, eta, weight, exact):
         self.chain = chain
         self.passed = passed
         self._lam = lam
@@ -266,24 +257,24 @@ class ChainCondition:
         self._den = den
         self._eta = eta
         self._weight = weight
-        self._spell = spell
+        self._exact = exact
 
     @property
     def lambda_min(self) -> Scalar:
-        return self._spell(self._lam, self._scale)
+        return figure(self._lam, self._scale, self._exact)
 
     @property
     def trace(self) -> Scalar:
-        return self._spell(self._bound, self._scale)
+        return figure(self._bound, self._scale, self._exact)
 
     @property
     def threshold(self) -> Scalar:
         p, q = self._eta
-        return self._spell(p * self._weight, q)
+        return figure(p * self._weight, q, self._exact)
 
     @property
     def margin(self) -> Scalar:
-        return self._spell(self._margin, self._den)
+        return figure(self._margin, self._den, self._exact)
 
     def __repr__(self) -> str:
         return (
@@ -291,34 +282,6 @@ class ChainCondition:
             f"trace={self.trace!r}, threshold={self.threshold!r}, "
             f"margin={self.margin!r}, passed={self.passed!r})"
         )
-
-
-def _exact(p: int, q: int) -> str:
-    """p / q in lowest terms, in JSON as ``format_number`` gives it."""
-    return str(p) if q == 1 else f'"{p}/{q}"'
-
-
-def _float(num: int, den: int) -> str:
-    """num / den correctly rounded, as ``json.dumps`` writes the float: its
-    repr, or Infinity or -Infinity beyond the float range."""
-    x = ratio(num, den)
-    if math.isfinite(x):
-        return repr(x)
-    return "Infinity" if x > 0 else "-Infinity"
-
-
-def _exact_texts(key: tuple[tuple[int, int], int]) -> tuple[str, str]:
-    """eta = p / q and its threshold eta * w, in JSON, exact.  eta is in
-    lowest terms, so only w and q can share a factor."""
-    (p, q), w = key
-    g = math.gcd(w, q)
-    return _exact(p, q), _exact(p * (w // g), q // g)
-
-
-def _float_texts(key: tuple[tuple[int, int], int]) -> tuple[str, str]:
-    """eta = p / q and its threshold eta * w, in JSON, as floats."""
-    (p, q), w = key
-    return _float(p, q), _float(p * w, q)
 
 
 class ConditionReport:
@@ -349,7 +312,7 @@ class ConditionReport:
         lams, bounds, margins, dens, weights, oks = self._columns
         return tuple(map(
             ChainCondition, chains, oks, lams, bounds, repeat(self._scale),
-            margins, dens, chains.etas, weights, repeat(chains.spell),
+            margins, dens, chains.etas, weights, repeat(chains.exact),
         ))
 
     @property
@@ -364,14 +327,19 @@ class ConditionReport:
         """The report as one line of JSON, the first failing condition named
         by its index: byte for byte what ``json.dumps`` writes of
         ``to_dict()``, written in one pass over the columns."""
-        chains, scale = self._chains, self._scale
+        chains, scale, exact = self._chains, self._scale, self._chains.exact
         members, omegas, sets = chains.members, chains.omegas, chains.middle_sets
         # k, k' and l, the figures over T's denominator, and eta with its
         # threshold repeat across chains: each is written once
         member_lists = _Memo(lambda i: str(list(members[i])))  # reads the same in JSON
         middle_lists = _Memo(lambda mask: str(list(sets[mask])))
-        figures = _Memo(lambda v: _float(v, scale))
-        texts = _Memo(_exact_texts if chains.exact else _float_texts)
+        figures = _Memo(lambda v: json_figure(v, scale))
+
+        def eta_texts(key):  # eta = p / q and its threshold eta * w
+            (p, q), w = key
+            return json_figure(p, q, exact), json_figure(p * w, q, exact)
+
+        texts = _Memo(eta_texts)
         rows = []
         for upper, lower, middle, eta, lam, bound, margin, den, weight, ok in zip(
             chains.uppers, chains.lowers, chains.middles, chains.etas, *self._columns
@@ -382,7 +350,7 @@ class ConditionReport:
                 f'"l": {middle_lists[middle]}, "omega": {omegas[lower]}, '
                 f'"eta": {eta_text}, "lambda_min": {figures[lam]}, '
                 f'"trace": {figures[bound]}, "threshold": {threshold}, '
-                f'"margin": {_float(margin, den)}, "passed": {"true" if ok else "false"}}}'
+                f'"margin": {json_figure(margin, den)}, "passed": {"true" if ok else "false"}}}'
             )
         failing = "null" if self._first is None else self._first
         return (
@@ -480,8 +448,8 @@ class TwoSummandReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "eta": None if self.eta is None else format_number(self.eta),
-            "threshold": None if self.threshold is None else format_number(self.threshold),
+            "eta": format_number(self.eta),
+            "threshold": format_number(self.threshold),
             "passed": self.passed,
             "trivial": self.trivial,
             "subalgebra": self.subalgebra,
@@ -513,5 +481,5 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         passed=cond.passed,
         trivial=False,
         subalgebra=cond.chain.J_kprime[0],
-        ratio=cond._spell(cond._lam, cond._bound),
+        ratio=figure(cond._lam, cond._bound, model.exact),
     )

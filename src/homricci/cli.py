@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 from . import catalog as catalog_mod
 from .chains import (
@@ -60,8 +59,8 @@ def _parse_form(text: str) -> DiagonalForm:
 
 def _emit(args, line, text) -> None:
     """Print one JSON line under ``--json``, else lines of text.  ``line()``
-    returns the line already encoded, as ``ConditionReport.to_json`` writes
-    it or as ``_encoded`` dumps a payload, and ``text()`` yields the text
+    returns the line already encoded, as a report's ``to_json`` writes it
+    or as ``_encoded`` dumps a payload, and ``text()`` yields the text
     lines: each is built only when it is printed."""
     if args.json:
         print(line())
@@ -117,9 +116,7 @@ def cmd_validate(args) -> int:
         if report.ok:
             yield f"{model.name}: valid (s={model.s}, dim={model.dimension})"
             if report.derived:
-                values = ", ".join(
-                    str(format_number(v)) for v in getattr(model, report.derived)
-                )
+                values = ", ".join(map(str, getattr(model, report.derived)))
                 yield f"derived {report.derived}: {values}"
         else:
             yield "invalid model:"
@@ -160,7 +157,7 @@ def cmd_chains(args) -> int:
         for ch in chains:
             yield (
                 f"  k={list(ch.J_k)} k'={list(ch.J_kprime)} l={list(ch.J_l)} "
-                f"omega={ch.omega} eta={format_number(ch.eta)}"
+                f"omega={ch.omega} eta={ch.eta}"
             )
 
     _emit(args, _encoded(payload), text)
@@ -181,7 +178,7 @@ def cmd_eta(args) -> int:
         if not chains:
             yield "no simple chains (isotropy algebra is maximal)"
         for ch in chains:
-            yield f"eta(k={list(ch.J_k)}, k'={list(ch.J_kprime)}) = {format_number(ch.eta)}"
+            yield f"eta(k={list(ch.J_k)}, k'={list(ch.J_kprime)}) = {ch.eta}"
 
     _emit(args, _encoded(payload), text)
     return 0
@@ -209,7 +206,7 @@ def cmd_check(args) -> int:
             yield (
                 f"  k'={list(cond.chain.J_kprime)}: "
                 f"{float(cond.lambda_min):.6g}/{float(cond.trace):.6g} vs "
-                f"threshold {format_number(cond.threshold)} margin {to_float(cond.margin):+.6g} "
+                f"threshold {cond.threshold} margin {to_float(cond.margin):+.6g} "
                 + ("ok" if cond.passed else "FAIL")
             )
         if not report.conditions:
@@ -233,7 +230,7 @@ def cmd_ricci(args) -> int:
         "grad_S": [format_number(v) for v in g],
     }
     _emit(
-        args, _encoded(payload), lambda: ["ricci: " + ", ".join(str(format_number(v)) for v in r)]
+        args, _encoded(payload), lambda: ["ricci: " + ", ".join(map(str, r))]
     )
     return 0
 
@@ -246,15 +243,6 @@ def cmd_solve(args) -> int:
     model = _load(args)
     T = _parse_form(args.T)
     report = solve_prescribed_ricci(model, T, options=_solver_options(args))
-
-    def line():
-        # the chain report's own line goes in at its key, not read back and
-        # encoded again; every value before that key is the status, a number
-        # or a list of numbers, so the first "condition": null is the key's
-        out = json.dumps(replace(report, condition=None).to_dict(), check_circular=False)
-        if report.condition is None:
-            return out
-        return out.replace('"condition": null', f'"condition": {report.condition.to_json()}', 1)
 
     def text():
         yield f"{model.name}: solve status = {report.status}"
@@ -269,7 +257,7 @@ def cmd_solve(args) -> int:
         for note in report.notes:
             yield f"  note: {note}"
 
-    _emit(args, line, text)
+    _emit(args, report.to_json, text)
     return 0 if report.status == "solved" else 1
 
 
@@ -279,8 +267,6 @@ def cmd_iterate(args) -> int:
     trace = ricci_iterate(model, start, args.steps, options=_solver_options(args))
     if args.json:
         sys.stdout.write(trace.to_json_lines())
-        if trace.status != "completed":
-            print(json.dumps({"status": trace.status, "failure": trace.failed_step}))
     else:
         for st in trace.steps:
             print(

@@ -2,14 +2,17 @@
 
 Starting from a positive form gbar_1, each step solves Ric gbar_{i+1} =
 c_i gbar_i and rescales g_i = c_i gbar_i, so consecutive rescaled metrics
-satisfy Ric g_{i+1} = g_i (Ricci coefficients are scale invariant).  Whether
-the sequence converges is not asserted; the trace records the sup-normalized
-Cauchy differences so callers can judge for themselves.
+satisfy Ric g_{i+1} = g_i (Ricci coefficients are scale invariant).  Each
+target gbar_{i+1} is scaled by a power of two so that its largest
+coefficient is in [1, 2): g_i is unchanged, and no run leaves the float
+range.  Whether the sequence converges is not asserted; the trace records
+the sup-normalized Cauchy differences so callers can judge for themselves.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,7 +78,12 @@ class IterationTrace:
         }
 
     def to_json_lines(self) -> str:
-        return "".join(json.dumps(st.to_dict()) + "\n" for st in self.steps)
+        """One JSON line per step, then the status and the failing step
+        when a step failed."""
+        lines = [st.to_dict() for st in self.steps]
+        if self.failure is not None:
+            lines.append({"status": self.status, "failure": self.failed_step})
+        return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 def ricci_iterate(
@@ -116,7 +124,8 @@ def ricci_iterate(
                 status="solved",
             )
         )
-        g_bar = report.x
+        e = math.frexp(max(report.x.values))[1]  # 2**(e - 1) <= max x < 2**e
+        g_bar = DiagonalForm.full(tuple(math.ldexp(v, 1 - e) for v in report.x.values))
 
     cauchy = []
     for prev, cur in zip(completed, completed[1:]):

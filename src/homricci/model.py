@@ -421,9 +421,14 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
             )
             exact = all_exact(residuals)
             for idx, res in enumerate(residuals, start=1):
-                bad = (res != 0) if exact else (abs(res) > tol)
+                # a float residual that overflowed is NaN or infinite: it fails
+                bad = (res != 0) if exact else not abs(res) <= tol
                 if bad:
                     errors.append(f"casimir identity fails at i={idx}: residual {res}")
+        if derived:  # float data can derive values beyond the float range
+            values = casimir if derived == "casimir" else killing
+            if not all(map(_finite, values)):
+                errors.append(f"derived {derived} values are beyond the float range: {values}")
 
     if errors:
         return ValidationReport(False, tuple(errors), derived, residuals, None)

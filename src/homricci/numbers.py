@@ -5,15 +5,18 @@ a float, and whole models are one or the other.  A float is an exact dyadic
 rational, so eta and the chain conditions read every model, and every
 target, as integers over one denominator (:func:`common_denominator`); a
 model's arithmetic decides only how their figures are spelled, as
-``Fraction``s or as correctly rounded floats (:func:`ratio`).  The optimizer
+``Fraction``s or as correctly rounded floats (:func:`figure`).  The optimizer
 always works in floats regardless of the model's arithmetic.
+
+This module alone decides how a figure is written in JSON (:func:`format_number`,
+:func:`json_figure`): exact, as a float, or null beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Scalar = Union[Fraction, float]
 
@@ -58,13 +61,17 @@ def parse_number(raw, rational: bool = False) -> Scalar:
     return normalize(raw)
 
 
-def format_number(value: Scalar):
-    """JSON-friendly representation: int, ``"p/q"`` string, or float."""
+def format_number(value: Optional[Scalar]):
+    """A figure as ``json.dumps`` takes it: an int or a ``"p/q"`` string
+    when exact, else a float, and None where it is absent or not finite."""
+    if value is None:
+        return None
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    return float(value)
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def common_denominator(values) -> tuple[int, tuple[int, ...]]:
@@ -83,9 +90,26 @@ def ratio(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
+def figure(num: int, den: int, exact: bool) -> Scalar:
+    """num / den as a model's arithmetic spells it: a ``Fraction`` on an
+    exact model, the correctly rounded float (:func:`ratio`) on a float one."""
+    return Fraction(num, den) if exact else ratio(num, den)
+
+
+def json_figure(num: int, den: int, exact: bool = False) -> str:
+    """``figure(num, den, exact)`` in JSON, den > 0: the text ``json.dumps``
+    writes of its :func:`format_number`, built without either."""
+    if exact:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        return str(num) if den == 1 else f'"{num}/{den}"'
+    x = ratio(num, den)
+    return repr(x) if math.isfinite(x) else "null"
+
+
 def to_float(value) -> float:
     """The float nearest a number, infinite beyond the float range."""
-    return ratio(*value.as_integer_ratio())
+    return value if isinstance(value, float) else ratio(*value.as_integer_ratio())
 
 
 def is_exact(value) -> bool:

@@ -79,6 +79,7 @@ solution for T as given).
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -94,6 +95,7 @@ from .chains import (
     check_theorem,
 )
 from .model import DiagonalForm, SpaceModel
+from .numbers import format_number
 
 
 class SolverError(ValueError):
@@ -129,8 +131,8 @@ class SolveReport:
     "diverged" reports which coordinates collapsed (the escaping subalgebra
     direction); "inconclusive" covers exhausted budgets and failed
     certification, and a certified answer whose x or c is beyond the float
-    range at the scale of T.  Any of x, c, S and the start values that is
-    beyond the float range is None, so that ``to_dict`` is strict JSON.
+    range at the scale of T.  Any figure that is not finite is None, as
+    ``numbers.format_number`` spells it, so that ``to_json`` is strict JSON.
 
     For s = 2 and s = 3 (see the module docstring) the starts are the
     admissible roots of the exact solve: ``starts_used`` counts them,
@@ -155,8 +157,10 @@ class SolveReport:
     solutions: Optional[tuple[tuple[Optional[float], ...], ...]] = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The report as one line of JSON, byte for byte what ``json.dumps``
+        writes, with the chain report's own line in place at its key."""
+        head = json.dumps({
             "status": self.status,
             "x": None if self.x is None else [float(v) for v in self.x.values],
             "c": self.c,
@@ -167,10 +171,16 @@ class SolveReport:
             "iterations": self.iterations,
             "collapsed": list(self.collapsed),
             "start_S_values": list(self.start_values),
-            "condition": None if self.condition is None else self.condition.to_dict(),
+        }, check_circular=False)
+        tail = json.dumps({
             "solutions": None if self.solutions is None else [list(x) for x in self.solutions],
             "notes": list(self.notes),
-        }
+        }, check_circular=False)
+        condition = "null" if self.condition is None else self.condition.to_json()
+        return f'{head[:-1]}, "condition": {condition}, {tail[1:]}'
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
 
 @dataclass
@@ -469,10 +479,6 @@ def _ldexp(v: float, k: int) -> float:
         return math.copysign(math.inf, v)
 
 
-def _finite(v: float) -> Optional[float]:
-    return v if math.isfinite(v) else None
-
-
 def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
     if not isinstance(T, DiagonalForm):
         raise SolverError("target must be a DiagonalForm")
@@ -582,16 +588,16 @@ def maximize_S_on_MT(
         status=status,
         x=DiagonalForm.full(tuple(x)) if returns_x else None,
         c=c if status != "diverged" and math.isfinite(c) else None,
-        residual=None if best is None else best.residual,
-        S_value=None if S is None else _finite(S),
+        residual=None if best is None else format_number(best.residual),
+        S_value=format_number(S),
         # numpy's sum, whose order of additions differs from sum() for s >= 8
         constraint_error=abs(float(np.sum(ev.dz / xb)) - 1.0) if returns_x else None,
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=escaped,
-        start_values=tuple(_finite(_ldexp(o.S, -k)) for o in outcomes),
+        start_values=tuple(format_number(_ldexp(o.S, -k)) for o in outcomes),
         solutions=None if not exact else tuple(
-            tuple(_finite(_ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
+            tuple(format_number(_ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
             for o in outcomes
         ),
         notes=notes,

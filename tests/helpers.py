@@ -7,7 +7,7 @@ asked for, and carry one or two deliberately protected index sets so the
 subalgebra lattice is nontrivial.
 
 The oracles here never share code with the library paths they check: the
-scalar-curvature oracle sums over the dense s^3 tensor, the closure and
+Ricci and scalar-curvature oracles sum over the dense s^3 tensor, the closure and
 requirement-2 oracles test subsets against that same dense tensor, the
 chain oracle redoes betweenness with set algebra, and the eta oracle sums the defining form over
 the ordered triples rather than the library's scaled bitmask rows.  The
@@ -141,6 +141,19 @@ def dense_tensor(model: SpaceModel) -> np.ndarray:
         for a, b, c in set(permutations((i, j, k))):
             out[a - 1, b - 1, c - 1] = float(v)
     return out
+
+
+def oracle_ricci(model: SpaceModel, x: DiagonalForm) -> np.ndarray:
+    """r_i = b_i/2 + x_i^2/(4 d_i) sum_jk [jki]/(x_j x_k)
+    - 1/(2 d_i) sum_jk [ijk] x_k/x_j, summed over the dense tensor."""
+    t = dense_tensor(model)
+    x = np.array([float(v) for v in x.values])
+    d = np.array(model.dims, dtype=float)
+    b = np.array([float(v) for v in model.killing])
+    inv = 1.0 / x
+    inner = np.einsum("jki,j,k->i", t, inv, inv)
+    outer = np.einsum("ijk,j,k->i", t, inv, x)
+    return b / 2 + x * x * inner / (4 * d) - outer / (2 * d)
 
 
 def oracle_scalar_S(model: SpaceModel, x: DiagonalForm, J=None) -> float:

@@ -25,7 +25,7 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import chains as chains_mod
-from homricci.numbers import format_number
+from homricci.numbers import figure, format_number
 from helpers import (
     def_form_eta,
     oracle_full_flag,
@@ -361,9 +361,10 @@ def test_condition_figures_match_generic_arithmetic(exact_model, exact_T):
 
 def test_report_line_spells_non_finite_floats_as_the_encoder():
     """A float model's eta, and so its threshold and margin, can leave the
-    float range: the line names them as json.dumps does.  Every figure is
-    the correctly rounded float of the exact one, and an eta of 0 is 0.0:
-    with p >= 0 and q > 0 no eta is NaN or -0.0."""
+    float range: the line writes them null, as json.dumps writes their
+    format_number, and is strict JSON.  Every figure is the correctly
+    rounded float of the exact one, and an eta of 0 is 0.0: with p >= 0
+    and q > 0 no eta is NaN or -0.0."""
     big = 10**400
     etas = [(big, 1), (big, big - 1), (0, 1)]
     # three chains ({1, 2}, {1}) over the members {}, {1} and {1, 2}
@@ -384,14 +385,17 @@ def test_report_line_spells_non_finite_floats_as_the_encoder():
     rows = [
         {**chain.to_dict(), "eta": eta, "lambda_min": 0.25, "trace": 0.5,
          "threshold": threshold, "margin": margin, "passed": ok}
-        for chain, (eta, threshold, margin), ok in zip(chains, figures, oks)
+        for chain, (eta, threshold, margin), ok in zip(
+            chains, [map(format_number, f) for f in figures], oks
+        )
     ]
     want = {"criterion": "corollary", "passed": False, "existence": "inconclusive",
             "caveat_requirement1": False, "conditions": rows, "failing": 0}
     assert report.to_json() == json.dumps(want)
     assert [c.chain.eta for c in report.conditions] == [math.inf, 1.0, 0.0]
     assert [(c.threshold, c.margin) for c in report.conditions] == [f[1:] for f in figures]
-    assert "Infinity" in report.to_json() and "NaN" not in report.to_json()
+    line = report.to_json()
+    assert line.count("null") == 3 and "Infinity" not in line and "NaN" not in line
 
 
 def exact_of(T):
@@ -461,9 +465,10 @@ def test_exact_check_builds_fractions_only_when_read(monkeypatch):
 
     def counted(*args):
         built.append(args)
-        return Fraction(*args)
+        return figure(*args)
 
-    monkeypatch.setattr(chains_mod, "Fraction", counted)
+    # on an exact model each figure is one Fraction
+    monkeypatch.setattr(chains_mod, "figure", counted)
     for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
         built.clear()
         report = check(model, T)
@@ -492,7 +497,7 @@ def test_check_json_builds_no_chain_and_no_fraction(monkeypatch):
     T = random_positive_form(np.random.default_rng(30), model.s, exact=True)
     built = Counter()
     monkeypatch.setattr(chains_mod, "SimpleChain", _counted(built, "chain", chains_mod.SimpleChain))
-    monkeypatch.setattr(chains_mod, "Fraction", _counted(built, "fraction", Fraction))
+    monkeypatch.setattr(chains_mod, "figure", _counted(built, "fraction", figure))
     for check in (check_theorem, check_corollary_lambda):
         assert len(json.loads(check(model, T).to_json())["conditions"]) == 841
     assert not built

@@ -1,7 +1,6 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +14,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict(line):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(line, parse_constant=refuse)
 
 
 @pytest.fixture()
@@ -332,7 +338,8 @@ def test_targets_beyond_the_float_range_exit_two(g2_path, capsys):
 
 def test_model_data_beyond_the_float_range(tmp_path, capsys):
     # zeta_1 = 10**400: eta and the threshold are exact and huge, the margin
-    # reads as -inf, and no solution exists; no figure overflows
+    # reads as -inf, and no solution exists; no figure overflows, and in
+    # JSON the margin is null
     big = str(10**400)
     assert cli.main(["catalog", "twosum", "2", "3", big, "3/10", "4/5"]) == 0
     path = tmp_path / "huge.json"
@@ -340,15 +347,60 @@ def test_model_data_beyond_the_float_range(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), "--T", "1,1")
     assert (code, err) == (1, "")
     assert out.splitlines()[1].endswith("margin -inf FAIL")
-    code, out, err = run(capsys, "check", str(path), "--T", "1,1", "--json")
-    assert (code, err) == (1, "")
-    doc = json.loads(out)
-    assert doc["conditions"][0]["margin"] == -math.inf
-    assert doc["two_summand"]["eta"].startswith(big[:50])
+    for flags in ((), ("--corollary",)):
+        code, out, err = run(capsys, "check", str(path), "--T", "1,1", *flags, "--json")
+        assert (code, err) == (1, "")
+        doc = strict(out)
+        assert doc["conditions"][0]["margin"] is None
+        assert doc["two_summand"]["eta"].startswith(big[:50])
     for flags in ((), ("--json",)):
         code, out, err = run(capsys, "solve", str(path), "--T", "1,1", *flags)
         assert (code, err) == (1, "")
         assert "diverged" in out
+    assert strict(out)["condition"]["conditions"][0]["margin"] is None
+
+
+def test_float_model_figures_beyond_the_float_range(tmp_path, capsys):
+    # a float model whose exact eta is about 1e600: its eta, threshold and
+    # margin are null in JSON and inf in text
+    path = tmp_path / "far.json"
+    path.write_text(
+        '{"name": "far", "s": 2, "dims": [2, 3], "casimir": [1e300, 1e-300], '
+        '"triples": [[1, 2, 2, 1e-300]], "pairwise_inequivalent": true}'
+    )
+    lines = {}
+    for argv in (["chains"], ["eta"], ["check", "--T", "1,1"], ["solve", "--T", "1,1"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--json")
+        assert (code, err) == (0 if argv[0] in ("chains", "eta") else 1, "")
+        lines[argv[0]] = strict(out)
+    assert lines["chains"]["chains"][0]["eta"] is None
+    assert lines["eta"]["chains"][0]["eta"] is None
+    assert lines["check"]["two_summand"]["threshold"] is None
+    for cond in (lines["check"]["conditions"][0], lines["solve"]["condition"]["conditions"][0]):
+        assert (cond["eta"], cond["threshold"], cond["margin"]) == (None, None, None)
+        assert cond["lambda_min"] == 1.0
+    code, out, err = run(capsys, "check", str(path), "--T", "1,1")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == "  k'=[1]: 1/3 vs threshold inf margin -inf FAIL"
+    code, out, _ = run(capsys, "chains", str(path))
+    assert out.endswith("eta=inf\n")
+
+
+def test_derived_data_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    # zeta_1 = 1e308 derives b_1 = 2 zeta_1 + r_1 / d_1, beyond the float range
+    path = tmp_path / "over.json"
+    path.write_text(
+        '{"name": "f", "s": 2, "dims": [2, 3], "casimir": [1e308, 0.3], '
+        '"triples": [[1, 2, 2, 0.8]], "pairwise_inequivalent": true}'
+    )
+    message = "derived killing values are beyond the float range"
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == 2
+    assert strict(out)["errors"] == [f"{message}: (inf, 1.1333333333333333)"]
+    for argv in (["check", "--T", "1,1"], ["solve", "--T", "1,1"], ["chains"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_iterate_json_lines(tmp_path, capsys):

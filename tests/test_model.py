@@ -76,6 +76,18 @@ def test_float_casimir_tolerance():
     assert not bad.ok
 
 
+def test_float_data_beyond_the_float_range_rejected():
+    # each given value is a double, but b_1 = 2 zeta_1 + r_1 / d_1 is not
+    report = validate(SpaceModel("f", (2, 3), (1e308, 0.3), None, ((1, 2, 2, 0.8),)))
+    assert report.errors == ("derived killing values are beyond the float range: "
+                             "(inf, 1.1333333333333333)",)
+    # d_1 b_1 and 2 d_1 zeta_1 overflow: the residual is NaN, and the
+    # identity, off by 1e307 here, is not taken as holding
+    killing = (1.7e308, 1.1333333333333333)
+    report = validate(SpaceModel("f", (2, 3), (0.8e308, 0.3), killing, ((1, 2, 2, 0.8),)))
+    assert report.errors == ("casimir identity fails at i=1: residual nan",)
+
+
 def test_structural_rejections():
     with pytest.raises(ModelError):
         build_model("neg", dims=(2, 2), casimir=(1, 1), triples={(1, 2, 2): -1})

@@ -43,7 +43,7 @@ from homricci._polynomials import (
     trim,
     value_at,
 )
-from homricci.numbers import ratio
+from homricci.numbers import figure, format_number, json_figure, ratio
 from helpers import (
     bisected_root,
     has_root_in,
@@ -1074,3 +1074,19 @@ def test_ratio_overflows_to_infinity():
     assert ratio(-big, 1) == -math.inf
     assert ratio(big, -3) == -math.inf
     assert ratio(-big, -3) == math.inf
+
+
+def test_one_speller_for_json_figures():
+    """json_figure writes what json.dumps writes of format_number(figure()),
+    strict JSON: exact figures in lowest terms, floats as their repr, and
+    null where a float is beyond the float range."""
+    big = 10**400
+    cases = [(1, 3), (6, 4), (-6, 4), (0, 7), (12, 4), (big, 1), (-big, 3), (1, big), (big, big + 1)]
+    for num, den in cases:
+        for exact in (False, True):
+            text = json_figure(num, den, exact)
+            assert text == json.dumps(format_number(figure(num, den, exact)))
+            json.loads(text, parse_constant=_raise)
+    assert [json_figure(n, d) for n, d in cases[5:7]] == ["null", "null"]
+    assert (json_figure(6, 4, True), json_figure(12, 4, True)) == ('"3/2"', "3")
+    assert [format_number(v) for v in (math.nan, -math.inf, None, 0.5)] == [None, None, None, 0.5]
