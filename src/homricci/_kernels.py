@@ -1,7 +1,8 @@
 """The evaluation kernel: scalar curvature, Ricci coefficients and their
 Jacobian in one call, for a batch of points.
 
-The kernel works on flat arrays for one (model, index set) pair:
+The kernel works on flat arrays for one model on its full index set
+(``solver.kernel_arrays``, kept as ``SpaceModel.kernel_arrays``):
 
 * ``db``, ``b``, ``d``: per-summand d_i*b_i, b_i, d_i (float64, length n)
 * ``ti``, ``tj``, ``tk``, ``tv``: one row per distinct ordering of each
@@ -30,8 +31,10 @@ batch, so every point's S, ``out_r`` and ``out_jac`` are bit-identical to a
 batch of that point alone; ``out_r`` is bit-identical with or without
 ``out_jac``.
 
-Callers look the function up on this module at call time and pass every
-argument positionally, so that a wrapper installed here sees every call.
+The solver is the only caller: it looks the function up on this module at
+call time and passes every argument positionally, so that a wrapper
+installed here sees every call.  ``curvature`` evaluates the same formulas
+at one point in plain Python, exactly or on floats.
 """
 
 from __future__ import annotations

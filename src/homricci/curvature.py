@@ -16,80 +16,40 @@ and the Ricci coefficients relative to the background form are
 
 equivalently r_i = -(x_i^2/d_i) dS/dx_i, so the gradient of S comes for free.
 
-Exact (Fraction) inputs are evaluated exactly; float inputs go through the
-numpy kernel in ``_kernels``, as a batch of one point taken to the scale
-[1, 2) and mapped back exactly, so that no scale of x a double holds
-overflows.  Evaluation tables per (model, index set) are cached, since the
-optimizer calls the kernel in a tight loop.
+Each operation reads one pass over the model's triple rows (``_evaluate``),
+the kernel's formulas (see ``_kernels``) in plain Python: exact when the
+model and x are exact, otherwise on floats at x / 2**k with max x / 2**k in
+[1, 2), mapped back exactly, so that no scale of x a double holds overflows.
+Float r is bit-identical to the kernel's at that point; float S and Shat are
+summed by ``math.fsum``.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .model import DiagonalForm, SpaceModel
-from .numbers import Scalar, to_float
+from .numbers import Scalar, ldexp, ratio, to_float
 
 
 class CurvatureError(ValueError):
     """Raised for evaluation requests outside an operation's domain."""
 
 
-class _Tables:
-    """Flat float64 arrays for one (model, index set) pair."""
-
-    __slots__ = ("d", "b", "db", "ti", "tj", "tk", "tv")
-
-    def __init__(self, model: SpaceModel, J: tuple[int, ...]):
-        pos = {g: i for i, g in enumerate(J)}
-        self.d = np.array([model.dims[g - 1] for g in J], dtype=np.float64)
-        self.b = np.array([to_float(model.killing[g - 1]) for g in J], dtype=np.float64)
-        self.db = self.d * self.b
-        inside = set(J)
-        rows = [
-            (pos[a], pos[bb], pos[c], to_float(v))
-            for a, bb, c, v in model.ordered_triples
-            if a in inside and bb in inside and c in inside
-        ]
-        self.ti = np.array([r[0] for r in rows], dtype=np.int64)
-        self.tj = np.array([r[1] for r in rows], dtype=np.int64)
-        self.tk = np.array([r[2] for r in rows], dtype=np.int64)
-        self.tv = np.array([r[3] for r in rows], dtype=np.float64)
-
-    def value_and_ricci(
-        self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """S on this index set at each row of the float coefficients x (m, n);
-        fills out_r (m, n) with the Ricci coefficients and, if given, out_jac
-        (m, n, n) with dr/dx (see ``_kernels`` for the formulas)."""
-        return _kernels.value_and_ricci(
-            self.db, self.b, self.d, self.ti, self.tj, self.tk, self.tv, x, out_r, out_jac
-        )
-
-    def at_any_scale(self, x: np.ndarray, out_r: np.ndarray) -> float:
-        """S at the one point x (length n), out_r filled with its Ricci
-        coefficients, at any scale of x that a double holds.
-
-        The kernel runs at x / 2**k with max x / 2**k in [1, 2): r does not
-        depend on the scale, and S(x) = 2**-k S(x / 2**k), exactly, so
-        neither overflows nor underflows where the result fits.
-        """
-        k = int(np.frexp(np.max(x))[1]) - 1
-        S = self.value_and_ricci(np.ldexp(x, -k)[None, :], out_r[None, :])
-        return float(np.ldexp(S[0], -k))
+def _exponent(v) -> int:
+    """floor(log2 v) of a positive float or Fraction, exactly."""
+    n, d = v.as_integer_ratio()
+    k = n.bit_length() - d.bit_length()
+    return k - (n < d << k if k >= 0 else n << -k < d)
 
 
-def tables_for(model: SpaceModel, J: tuple[int, ...]) -> _Tables:
-    if model.killing is None:
-        raise CurvatureError("model must be validated (killing coefficients missing)")
-    tab = model.kernel_tables.get(J)
-    if tab is None:
-        tab = model.kernel_tables[J] = _Tables(model, J)
-    return tab
+def _scaled(v, k: int) -> float:
+    """The float nearest v / 2**k, infinite beyond the float range."""
+    n, d = v.as_integer_ratio()
+    return ratio(n << -k, d) if k < 0 else ratio(n, d << k)
 
 
 def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
@@ -101,8 +61,51 @@ def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
     return J
 
 
-def _use_exact(model: SpaceModel, x: DiagonalForm) -> bool:
-    return model.exact and x.exact
+def _evaluate(model: SpaceModel, x: DiagonalForm, J: tuple[int, ...]) -> tuple:
+    """(S, Shat, r) on the non-empty index set J at x, over the rows of
+    ``model.ordered_triples`` inside J (see the module docstring); each float
+    r_i takes the kernel's operations in its order, on x / 2**k rounded once."""
+    if model.killing is None:
+        raise CurvatureError("model must be validated (killing coefficients missing)")
+    values = x.restrict(J).values
+    exact = model.exact and x.exact
+    if exact:
+        k, xs, num = 0, values, Fraction
+    else:
+        k = _exponent(max(values))
+        xs = [_scaled(v, k) for v in values]
+        if min(xs) < sys.float_info.min:
+            raise CurvatureError(
+                "form coefficients span beyond the float range: some x_i / max x "
+                "is not a normal double"
+            )
+        num = to_float
+    pos = {g: i for i, g in enumerate(J)}
+    d = [model.dims[g - 1] for g in J]
+    b = [num(model.killing[g - 1]) for g in J]
+    inv = [1 / v for v in xs]
+    acc_a, acc_b = [num(0)] * len(J), [num(0)] * len(J)
+    terms = [di * bi * vi / 2 for di, bi, vi in zip(d, b, inv)]
+    penalty = []
+    for a, bb, c, v in model.ordered_triples:
+        i, j, m = pos.get(a), pos.get(bb), pos.get(c)
+        if i is None:
+            continue
+        v = num(v)
+        if j is not None and m is not None:
+            contrib = v * inv[i] * inv[j]
+            acc_a[m] += contrib
+            acc_b[i] += v * xs[m] * inv[j]
+            terms.append(-(contrib * xs[m]) / 4)
+        elif j is None and m is None:
+            penalty.append(-(v * inv[i]) / 2)
+    r = [
+        bi / 2 + xi * xi * ai / (4 * di) - bbi / (2 * di)
+        for bi, xi, ai, bbi, di in zip(b, xs, acc_a, acc_b, d)
+    ]
+    if exact:
+        return sum(terms), sum(terms + penalty), r
+    return ldexp(math.fsum(terms), -k), ldexp(math.fsum(terms + penalty), -k), r
 
 
 def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = None) -> Scalar:
@@ -112,23 +115,8 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
     """
     J = _resolve_J(model, x, J)
     if not J:
-        return Fraction(0) if _use_exact(model, x) else 0.0
-    xr = x.restrict(J)
-    if _use_exact(model, x):
-        inside = set(J)
-        lin = sum(model.dims[i - 1] * model.killing[i - 1] / xr[i] for i in J)
-        # a Fraction start keeps an empty triple sum exact
-        tri = sum(
-            (
-                v * xr[c] / (xr[a] * xr[b])
-                for a, b, c, v in model.ordered_triples
-                if a in inside and b in inside and c in inside
-            ),
-            Fraction(0),
-        )
-        return lin / 2 - tri / 4
-    xs = np.array([float(xr[i]) for i in J], dtype=np.float64)
-    return tables_for(model, J).at_any_scale(xs, np.empty(len(J)))
+        return Fraction(0) if model.exact and x.exact else 0.0
+    return _evaluate(model, x, J)[0]
 
 
 def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = None) -> Scalar:
@@ -141,17 +129,7 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     J_k = _resolve_J(model, x, J_k)
     if not J_k:
         raise CurvatureError("hat_S needs a non-empty index set")
-    xr = x.restrict(J_k)
-    inside = set(J_k)
-    penalty = sum(
-        (
-            v / xr[a]
-            for a, b, c, v in model.ordered_triples
-            if a in inside and b not in inside and c not in inside
-        ),
-        Fraction(0),
-    )
-    return scalar_S(model, xr, J_k) - penalty / 2
+    return _evaluate(model, x, J_k)[1]
 
 
 def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
@@ -163,28 +141,22 @@ def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
     full = tuple(range(1, model.s + 1))
     if x.support != full:
         raise CurvatureError("ricci needs a form on the full index set")
-    if _use_exact(model, x):
-        s = model.s
-        acc_a = [Fraction(0)] * s
-        acc_b = [Fraction(0)] * s
-        for a, b, c, v in model.ordered_triples:
-            acc_a[c - 1] += v / (x[a] * x[b])
-            acc_b[a - 1] += v * x[c] / x[b]
-        return tuple(
-            model.killing[i - 1] / 2
-            + x[i] ** 2 * acc_a[i - 1] / (4 * model.dims[i - 1])
-            - acc_b[i - 1] / (2 * model.dims[i - 1])
-            for i in full
-        )
-    xs = np.array([float(x[i]) for i in full], dtype=np.float64)
-    out = np.empty(model.s, dtype=np.float64)
-    tables_for(model, full).at_any_scale(xs, out)
-    return tuple(float(v) for v in out)
+    return tuple(_evaluate(model, x, full)[2])
 
 
 def grad_S(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
-    """Analytic gradient of scalar_S on the full index set: dS/dx_i = -d_i r_i / x_i^2."""
+    """Analytic gradient of scalar_S on the full index set: dS/dx_i = -d_i r_i / x_i^2.
+
+    On floats x_i^2 is squared exactly and rounded once, as m 2**e with m in
+    [1, 2), so the quotient is that of -d_i r_i by the double nearest x_i^2
+    at any scale; a value beyond the float range is infinite.
+    """
     r = ricci(model, x)
-    return tuple(
-        -model.dims[i - 1] * r[i - 1] / (x[i] * x[i]) for i in range(1, model.s + 1)
-    )
+    if model.exact and x.exact:
+        return tuple(-d * ri / (v * v) for d, ri, v in zip(model.dims, r, x.values))
+    out = []
+    for d, ri, v in zip(model.dims, r, x.values):
+        square = Fraction(v) ** 2
+        e = _exponent(square)
+        out.append(ldexp(-d * ri / _scaled(square, e), -e))
+    return tuple(out)

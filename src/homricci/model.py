@@ -91,7 +91,8 @@ class SpaceModel:
     ``triples`` stores only canonical index triples i <= j <= k (1-based);
     :attr:`ordered_triples` expands each to its distinct orderings.
     ``casimir``/``killing`` may be None on a raw model; :func:`validate`
-    completes whichever is missing.
+    completes whichever is missing.  Data derived from the numbers alone, the
+    kernel's arrays included, is built once per model, on first read.
     """
 
     name: str
@@ -162,9 +163,12 @@ class SpaceModel:
         return _elimination.ricci_core(self)
 
     @cached_property
-    def kernel_tables(self) -> dict:
-        """The kernel's tables per index set, filled by ``curvature.tables_for``."""
-        return {}
+    def kernel_arrays(self) -> tuple:
+        """The kernel's arrays on the full index set (``solver.kernel_arrays``),
+        built once per model; not to be modified."""
+        from . import solver
+
+        return solver.kernel_arrays(self)
 
     @cached_property
     def scaled(self) -> ScaledData:

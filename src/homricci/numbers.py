@@ -90,6 +90,14 @@ def ratio(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
+def ldexp(v: float, k: int) -> float:
+    """v * 2**k, infinite beyond the float range."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def figure(num: int, den: int, exact: bool) -> Scalar:
     """num / den as a model's arithmetic spells it: a ``Fraction`` on an
     exact model, the correctly rounded float (:func:`ratio`) on a float one."""

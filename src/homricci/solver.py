@@ -87,7 +87,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import curvature
+from . import _kernels
 from .chains import (
     ConditionReport,
     EtaUndefinedError,
@@ -95,7 +95,7 @@ from .chains import (
     check_theorem,
 )
 from .model import DiagonalForm, SpaceModel
-from .numbers import format_number
+from .numbers import format_number, ldexp, to_float
 
 
 class SolverError(ValueError):
@@ -196,15 +196,28 @@ class _StartOutcome:
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
 
 
+def kernel_arrays(model: SpaceModel) -> tuple:
+    """The kernel's arrays (see ``_kernels``) on the full index set, in the
+    order it takes them: db, b, d, ti, tj, tk, tv."""
+    if model.killing is None:
+        raise SolverError("model must be validated (killing coefficients missing)")
+    d = np.array(model.dims, dtype=np.float64)
+    b = np.array([to_float(v) for v in model.killing], dtype=np.float64)
+    rows = model.ordered_triples
+    ti, tj, tk = (np.array([row[p] - 1 for row in rows], dtype=np.int64) for p in range(3))
+    tv = np.array([to_float(row[3]) for row in rows], dtype=np.float64)
+    return d * b, b, d, ti, tj, tk, tv
+
+
 class _Evaluator:
     """Kernel calls and the fit of r = c z for one model/target pair, on
     batches of points u (m, n) on the simplex."""
 
     def __init__(self, model: SpaceModel, z: Sequence[float]):
-        full = tuple(range(1, model.s + 1))
-        self.tab = curvature.tables_for(model, full)
+        self.arrays = model.kernel_arrays
+        self.d = self.arrays[2]
         self.z = np.asarray(z, dtype=np.float64)
-        self.dz = self.tab.d * self.z
+        self.dz = self.d * self.z
         self.dzz = float(np.dot(self.dz, self.z))
         self.zmax = float(max(z))
 
@@ -212,15 +225,15 @@ class _Evaluator:
         self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """S at each row of u (m, n); fills out_r (m, n) and, if given,
-        out_jac (m, n, n)."""
-        return self.tab.value_and_ricci(self.dz / u, out_r, out_jac)
+        out_jac (m, n, n); the kernel is read off ``_kernels`` at call time."""
+        return _kernels.value_and_ricci(*self.arrays, self.dz / u, out_r, out_jac)
 
     def fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares c for r = c z, and the relative residual
         max|r - c z| / (|c| max z), the same for T and any multiple of T
         (over max z alone when c = 0, so that it stays finite); per row of
         r, along its last axis."""
-        c = np.vecdot(self.tab.d * r, self.z) / self.dzz
+        c = np.vecdot(self.d * r, self.z) / self.dzz
         scale = np.where(c == 0, 1.0, np.abs(c)) * self.zmax
         return c, np.abs(r - c[..., None] * self.z).max(axis=-1) / scale
 
@@ -471,14 +484,6 @@ def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
     return min(tied, key=lambda o: o.residual, default=top)
 
 
-def _ldexp(v: float, k: int) -> float:
-    """v * 2**k, infinite beyond the float range."""
-    try:
-        return math.ldexp(v, k)
-    except OverflowError:
-        return math.copysign(math.inf, v)
-
-
 def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
     if not isinstance(T, DiagonalForm):
         raise SolverError("target must be a DiagonalForm")
@@ -569,7 +574,7 @@ def maximize_S_on_MT(
         notes += (
             ("no root" if exact else "no start")
             + " certified; best residual " + format(best.residual, ".3e")
-            + ("" if best.c > 0 else f", c = {_ldexp(best.c, -k):.3e} not positive"),
+            + ("" if best.c > 0 else f", c = {ldexp(best.c, -k):.3e} not positive"),
         )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
@@ -578,7 +583,7 @@ def maximize_S_on_MT(
     x = c = S = None
     if best is not None:
         xb = ev.dz / best.u
-        x, c, S = [_ldexp(v, k) for v in xb.tolist()], _ldexp(best.c, -k), _ldexp(best.S, -k)
+        x, c, S = [ldexp(v, k) for v in xb.tolist()], ldexp(best.c, -k), ldexp(best.S, -k)
     if status != "diverged" and not (all(map(math.isfinite, x)) and math.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
@@ -595,9 +600,9 @@ def maximize_S_on_MT(
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=escaped,
-        start_values=tuple(format_number(_ldexp(o.S, -k)) for o in outcomes),
+        start_values=tuple(format_number(ldexp(o.S, -k)) for o in outcomes),
         solutions=None if not exact else tuple(
-            tuple(format_number(_ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
+            tuple(format_number(ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
             for o in outcomes
         ),
         notes=notes,

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -214,11 +215,14 @@ CHECK_JSON_GOLDEN = {
 }
 
 
+# g2u2 as a float model
+G2U2_FLOAT = {"name": "g2u2-float", "s": 3, "dims": [4, 2, 4], "killing": [1.0, 1.0, 1.0],
+              "triples": [[1, 1, 2, 2 / 3], [1, 2, 3, 0.5]], "pairwise_inequivalent": True}
+
+
 def test_check_json_golden_lines(g2_path, tmp_path, capsys):
     # g2_path is tmp_path / "g2u2.json"; the other two models go beside it
-    float_doc = {"name": "g2u2-float", "s": 3, "dims": [4, 2, 4], "killing": [1.0, 1.0, 1.0],
-                 "triples": [[1, 1, 2, 2 / 3], [1, 2, 3, 0.5]], "pairwise_inequivalent": True}
-    (tmp_path / "g2u2-float.json").write_text(json.dumps(float_doc))
+    (tmp_path / "g2u2-float.json").write_text(json.dumps(G2U2_FLOAT))
     assert cli.main(["catalog", "twosum", "2", "3", "1/4", "3/10", "4/5"]) == 0
     (tmp_path / "twosum.json").write_text(capsys.readouterr().out)
     for (name, T, *flags), want in CHECK_JSON_GOLDEN.items():
@@ -271,6 +275,33 @@ def test_ricci_command(g2_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ricci"] == ["17/48", "7/24", "7/16"]
+
+
+def test_ricci_at_the_float_limits(tmp_path, capsys):
+    # the exact --x is read at x / 2**k and each x_i^2 squared exactly: a
+    # gradient beyond the float range is null, and coefficients that span
+    # beyond it are one error line, with no numeric warning anywhere
+    path = tmp_path / "g2u2-float.json"
+    path.write_text(json.dumps(G2U2_FLOAT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, grad in (
+            ("1,2,3", [-0.8333333333333335, -0.20833333333333337, -0.2777777777777778]),
+            ("0.1,0.2,0.3", [-83.33333333333334, -20.833333333333336, -27.77777777777778]),
+            ("1e-170,2e-170,3e-170", [None, None, None]),
+            ("1e300,1e300,1e300", [-0.0, -0.0, -0.0]),
+        ):
+            code, out, err = run(capsys, "ricci", str(path), "--x", x, "--json")
+            assert (code, err) == (0, ""), x
+            doc = strict(out)
+            assert doc["grad_S"] == grad
+            if x != "1e300,1e300,1e300":
+                assert doc["ricci"][0] == pytest.approx(0.20833333333333337, rel=1e-15)
+        for x in ("1e400,1,1", "1,1,1e-310"):
+            for json_flag in ((), ("--json",)):
+                code, out, err = run(capsys, "ricci", str(path), "--x", x, *json_flag)
+                assert (code, out) == (2, ""), x
+                assert err.startswith("error: form coefficients") and err.count("\n") == 1
 
 
 def test_solve_command(g2_path, capsys):

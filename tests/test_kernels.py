@@ -1,6 +1,9 @@
-"""The numpy kernel: agreement with the exact path and the call route."""
+"""The numpy kernel and the scalar pass: agreement with each other and with
+exact arithmetic, and the solver's call route."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,22 +13,20 @@ from homricci import (
     _kernels,
     build_model,
     flag3,
+    grad_S,
     hat_S,
     ricci,
     scalar_S,
     solve_prescribed_ricci,
 )
-from homricci.curvature import tables_for
+from homricci.numbers import ldexp
 from helpers import random_positive_form, random_space_model
 
 
-def _random_inputs(rng, m):
-    full = tuple(range(1, m.s + 1))
-    tab = tables_for(m, full)
-    x = np.array(
+def _random_point(rng, m):
+    return np.array(
         [float(v) for v in random_positive_form(rng, m.s).values], dtype=np.float64
     )
-    return tab, x
 
 
 def test_float_path_matches_exact_path():
@@ -42,17 +43,15 @@ def test_float_path_matches_exact_path():
         r_e = [float(v) for v in ricci(m, x_exact)]
         r_f = [float(v) for v in ricci(m, x_float)]
         np.testing.assert_allclose(r_f, r_e, rtol=1e-11, atol=1e-12)
-    assert len(tables_for(cases[-1], (1, 2)).tv) == 0
+    assert len(cases[-1].kernel_arrays[6]) == 0
 
 
 def test_value_and_ricci_consistent_with_public_ricci():
     rng = np.random.default_rng(44)
     m = flag3(4, 2, 4)
-    tab, x = _random_inputs(rng, m)
+    x = _random_point(rng, m)
     out = np.empty((1, 3))
-    val = _kernels.value_and_ricci(
-        tab.db, tab.b, tab.d, tab.ti, tab.tj, tab.tk, tab.tv, x[None, :], out
-    )
+    val = _kernels.value_and_ricci(*m.kernel_arrays, x[None, :], out)
     assert val.shape == (1,)
     form = DiagonalForm.full(tuple(float(v) for v in x))
     assert val[0] == pytest.approx(float(scalar_S(m, form)), rel=1e-13)
@@ -66,8 +65,7 @@ def test_batched_kernel_is_bit_identical_to_single_points():
     cases = [random_space_model(rng, s=int(rng.integers(2, 7))) for _ in range(10)]
     cases.append(flag3(4, 2, 4))
     for m in cases:
-        tab = tables_for(m, tuple(range(1, m.s + 1)))
-        args = (tab.db, tab.b, tab.d, tab.ti, tab.tj, tab.tk, tab.tv)
+        args = m.kernel_arrays
         for size in (1, 2, 16):
             x = np.exp(rng.normal(0.0, 1.0, size=(size, m.s)))
             r, jac = np.empty((size, m.s)), np.empty((size, m.s, m.s))
@@ -90,11 +88,10 @@ def test_ricci_jacobian_matches_central_differences():
     )
     cases.append(build_model("no-triples", dims=(2, 3), killing=(1, Fraction(1, 2))))
     for m in cases:
-        tab, x = _random_inputs(rng, m)
-        x = x[None, :]
+        x = _random_point(rng, m)[None, :]
         n = m.s
         r_plain, r, jac = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, n))
-        args = (tab.db, tab.b, tab.d, tab.ti, tab.tj, tab.tk, tab.tv)
+        args = m.kernel_arrays
         _kernels.value_and_ricci(*args, x, r_plain)
         _kernels.value_and_ricci(*args, x, r, jac)
         assert np.array_equal(r, r_plain)
@@ -104,12 +101,12 @@ def test_ricci_jacobian_matches_central_differences():
         _kernels.value_and_ricci(*args, x + steps, r_fd)
         fd = (r_fd[:n] - r_fd[n:]).T / (2e-6 * x)
         np.testing.assert_allclose(jac[0], fd, rtol=1e-8, atol=1e-8 * np.max(np.abs(jac)))
-    assert len(tables_for(cases[-1], (1, 2)).tv) == 0
+    assert len(cases[-1].kernel_arrays[6]) == 0
 
 
 def test_float_evaluations_reach_the_module_kernel(monkeypatch):
     # A wrapper that takes positional arguments only, installed on the
-    # module, must see every float evaluation: run records count kernel
+    # module, must see every solve evaluation: run records count kernel
     # calls this way.
     original = _kernels.value_and_ricci
     calls = []
@@ -120,17 +117,99 @@ def test_float_evaluations_reach_the_module_kernel(monkeypatch):
 
     monkeypatch.setattr(_kernels, "value_and_ricci", counting)
     m = flag3(4, 2, 4)
-    x = DiagonalForm.full((1.0, 0.5, 2.0))
-    for evaluate in (
-        lambda: scalar_S(m, x),
-        lambda: hat_S(m, x, (2,)),
-        lambda: ricci(m, x),
-    ):
-        calls.clear()
-        evaluate()
-        assert calls == [1]
-    calls.clear()
     rep = solve_prescribed_ricci(m, DiagonalForm.full((1.0, 1.0, 1.0)))
     assert rep.status == "solved"
     # at least one evaluated point per start and per ascent iteration
     assert sum(calls) >= rep.starts_used + rep.iterations
+
+
+def _kernel_point(x: DiagonalForm) -> np.ndarray:
+    """x / 2**k with max x / 2**k in [1, 2), each coefficient rounded once:
+    the float point the scalar pass reads."""
+    k = max(math.frexp(float(v))[1] for v in x.values) - 1
+    return np.array([float(Fraction(v) / Fraction(2) ** k) for v in x.values])
+
+
+def test_float_ricci_is_the_kernels_out_r_bit_for_bit():
+    # both model arithmetics, float and exact forms (not both exact), at
+    # scales a double holds from 2**-900 to 2**900
+    rng = np.random.default_rng(47)
+    for trial in range(60):
+        m = random_space_model(rng, s=2 + trial % 6, exact=bool(trial % 2))
+        # an exact form on every other float model
+        x = random_positive_form(rng, m.s, exact=trial % 4 == 0)
+        for e in (-900, -1, 0, 3, 900):
+            scaled = x.scale(Fraction(2) ** e if x.exact else 2.0**e)
+            out = np.empty((1, m.s))
+            _kernels.value_and_ricci(*m.kernel_arrays, _kernel_point(scaled)[None, :], out)
+            assert ricci(m, scaled) == tuple(out[0].tolist())
+
+
+def test_float_grad_S_maps_back_from_the_scaled_square():
+    # -d_i r_i over the double nearest x_i^2, at any scale: 2**e x has the
+    # gradient 2**(-2e) grad(x) bit for bit, and 0 or inf beyond the range
+    rng = np.random.default_rng(48)
+    for trial in range(20):
+        m = random_space_model(rng, exact=bool(trial % 2))
+        x = random_positive_form(rng, m.s)
+        r, g = ricci(m, x), grad_S(m, x)
+        assert g == tuple(-d * ri / (v * v) for d, ri, v in zip(m.dims, r, x.values))
+        for e in (-900, -300, 300, 900):
+            assert grad_S(m, x.scale(2.0**e)) == tuple(ldexp(v, -2 * e) for v in g)
+
+
+def _exact_oracle(m, x, J):
+    """(S, Shat, r on the full set) by dense summation in Fractions."""
+    full = range(1, m.s + 1)
+    tv = {(i, j, k): Fraction(v) for i, j, k, v in m.ordered_triples}
+
+    def S(J):
+        lin = sum(m.dims[i - 1] * m.killing[i - 1] / x[i] for i in J)
+        tri = sum(tv.get((i, j, k), 0) * x[k] / (x[i] * x[j]) for i, j, k in product(J, repeat=3))
+        return lin / 2 - tri / 4
+
+    outside = [i for i in full if i not in J]
+    pen = sum(
+        (tv.get((i, j, k), 0) / x[i] for i in J for j, k in product(outside, repeat=2)),
+        Fraction(0),
+    )
+    r = tuple(
+        m.killing[i - 1] / 2
+        + x[i] ** 2 * sum(tv.get((j, k, i), 0) / (x[j] * x[k]) for j, k in product(full, repeat=2))
+        / (4 * m.dims[i - 1])
+        - sum(tv.get((i, j, k), 0) * x[k] / x[j] for j, k in product(full, repeat=2))
+        / (2 * m.dims[i - 1])
+        for i in full
+    )
+    return S(J), S(J) - pen / 2, r
+
+
+def test_exact_pass_matches_a_dense_fraction_oracle():
+    # the flag3 goldens are in test_curvature; here random exact models
+    rng = np.random.default_rng(49)
+    for _ in range(15):
+        m = random_space_model(rng, exact=True)
+        x = random_positive_form(rng, m.s, exact=True)
+        size = int(rng.integers(1, m.s + 1))
+        J = tuple(sorted(int(i) + 1 for i in rng.choice(m.s, size=size, replace=False)))
+        S, S_hat, r = _exact_oracle(m, x, J)
+        got = (scalar_S(m, x, J), hat_S(m, x, J), ricci(m, x))
+        assert got == (S, S_hat, r)
+        assert all(isinstance(v, Fraction) for v in (*got[:2], *got[2]))
+
+
+def test_float_scalar_S_is_no_less_accurate_than_the_kernel():
+    # median relative error against the exact value at the same float point
+    rng = np.random.default_rng(50)
+    pass_err, kernel_err = [], []
+    for trial in range(200):
+        m = random_space_model(rng, s=2 + trial % 6, exact=True)
+        x = random_positive_form(rng, m.s)
+        exact = scalar_S(m, DiagonalForm.full([Fraction(v) for v in x.values]))
+        if exact == 0:
+            continue
+        point = np.array(x.values)[None, :]
+        kernel = _kernels.value_and_ricci(*m.kernel_arrays, point, np.empty((1, m.s)))[0]
+        for errors, value in ((pass_err, scalar_S(m, x)), (kernel_err, kernel)):
+            errors.append(abs(Fraction(float(value)) - exact) / abs(exact))
+    assert np.median([float(e) for e in pass_err]) <= np.median([float(e) for e in kernel_err])
