@@ -27,12 +27,15 @@ root whose R is within its rounding of vanishing identically.  With u
 missing from an E_i, and of degree >= 2 in the other, t is eliminated
 instead.  Both solves refine an isolated root to _ROOT_BITS bits, as
 bisection would, and read it as a float by correctly rounded int division;
-u = -b / a is read once it is as accurate as t.
+u = -b / a is read once it is as accurate as t.  ``certify`` then
+evaluates the core in integers at the float metric the solver makes of
+each root, and decides it there exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 from . import _polynomials as poly
@@ -46,9 +49,9 @@ _ROOT_BITS = 55
 _ISOLATION_DEPTH = 64
 
 
-def ricci_core(model: SpaceModel) -> list[dict]:
-    """The polynomial Ricci core (see the module docstring): per index i,
-    a dict from the exponents of (x_2, ..., x_s) to the integer
+def ricci_core(model: SpaceModel) -> tuple[int, list[dict]]:
+    """The polynomial Ricci core (see the module docstring): M, and per
+    index i a dict from the exponents of (x_2, ..., x_s) to the integer
     coefficients of M r_i x_2^2 ... x_s^2."""
     s = model.s
 
@@ -75,7 +78,7 @@ def ricci_core(model: SpaceModel) -> list[dict]:
     core = [{} for _ in range(s)]
     for i, e, num, den in terms:
         core[i - 1][e] = core[i - 1].get(e, 0) + num * (scale // den)
-    return [{e: v for e, v in row.items() if v} for row in core]
+    return scale, [{e: v for e, v in row.items() if v} for row in core]
 
 
 def integer_target(T: DiagonalForm) -> list[int]:
@@ -84,6 +87,60 @@ def integer_target(T: DiagonalForm) -> list[int]:
     _, ints = T.integers
     g = math.gcd(*ints)
     return [v // g for v in ints]
+
+
+def certify(model: SpaceModel, T: DiagonalForm, x: list, k: int, tol: float) -> tuple:
+    """(c, residual, S, certified) at the metric x for the target
+    z = T / 2**k, from its Ricci coefficients r in integers on the core:
+    the least-squares c of r = c z, the relative residual
+    max|r - c z| / (|c| max z) (over max z alone when c = 0) and
+    S = sum d_i r_i / x_i, each the correctly rounded float of its exact
+    value, and certified when c > 0 and the residual is at most tol,
+    decided exactly.  Every figure is nan, and uncertified, where some x_i
+    is 0 or not finite."""
+    if not all(0 < v < math.inf for v in x):
+        return math.nan, math.nan, math.nan, False
+    M, core = model.ricci_core
+    # x is X / 2**e in integers, and r is the same at X: H_i = M r_i X_1^2
+    # ... X_s^2 is the core at X_j / X_1 times X_1^(2s)
+    ratios = [v.as_integer_ratio() for v in x]
+    den = max(q for _, q in ratios)
+    X = [p * (den // q) for p, q in ratios]
+    deg = 2 * model.s
+    first, *rest = [[v**n for n in range(deg + 1)] for v in X]
+    H = []
+    for terms in core:
+        h = 0
+        for e, term in terms.items():
+            term *= first[deg - sum(e)]
+            for powers, n in zip(rest, e):
+                term *= powers[n]
+            h += term
+        H.append(h)
+    # r = H / Q and T = Z / scale: the least-squares c at T is
+    # N scale / (Q W), and the residual max|H W - N Z| / (|N| max Z)
+    prod = math.prod(X)
+    Q = M * prod * prod
+    scale, Z = T.integers
+    d = model.dims
+    N = sum(di * h * zi for di, h, zi in zip(d, H, Z))
+    W = sum(di * zi * zi for di, zi in zip(d, Z))
+    zmax = max(Z)
+
+    def at_z(num: int, den: int) -> tuple[int, int]:  # a figure at T, times 2**k
+        return (num << k, den) if k >= 0 else (num, den << -k)
+
+    if N:
+        residual = max(abs(h * W - N * zi) for h, zi in zip(H, Z)), abs(N) * zmax
+    else:
+        residual = at_z(max(map(abs, H)) * scale, Q * zmax)
+    S = sum(di * h * (prod // v) for di, h, v in zip(d, H, X))
+    return (
+        ratio(*at_z(N * scale, Q * W)),
+        ratio(*residual),
+        ratio(den * S, Q * prod),
+        N > 0 and Fraction(*residual) <= tol,
+    )
 
 
 def by_power(e: dict, swap: bool) -> list:
@@ -103,7 +160,7 @@ def by_power(e: dict, swap: bool) -> list:
 def equations(model: SpaceModel, T: DiagonalForm) -> tuple[list[dict], list[int]]:
     """The s = 3 system [E_1, E_2], each polynomial in (t, u) as
     {(i, j): coefficient of t^i u^j}, and the target's integers."""
-    core = model.ricci_core
+    _, core = model.ricci_core
     z = integer_target(T)
     E = []
     for zi, terms in ((z[1], core[1]), (z[2], core[2])):
@@ -136,7 +193,7 @@ def two_summand_points(model: SpaceModel, T: DiagonalForm) -> tuple[list[tuple],
     d1, d2 = model.dims
     z1, z2 = integer_target(T)
     # M t^2 r_1 and M t^2 r_2 at x = (1, t)
-    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in model.ricci_core)
+    r1, r2 = ([terms.get((e,), 0) for e in range(5)] for terms in model.ricci_core[1])
     P = poly.trim([z2 * a - z1 * b for a, b in zip(r1, r2)])
     # at a root r = c z, so t^2 (d_1 z_1 r_1 + d_2 z_2 r_2) has the sign of c
     C = poly.trim([d1 * z1 * a + d2 * z2 * b for a, b in zip(r1, r2)])
@@ -163,7 +220,7 @@ def three_summand_points(model: SpaceModel, T: DiagonalForm) -> Optional[list[tu
     finds no admissible root for a float T within rounding of a target
     where it is."""
     E, z = equations(model, T)
-    core = model.ricci_core
+    _, core = model.ricci_core
     # A float T stands for every target within its rounding.  Moving T by a
     # relative 2**-47 (a few dozen units in the last place) moves each
     # coefficient of E_i by at most 2**-47 of its magnitude z_(i+1) |r_1| +

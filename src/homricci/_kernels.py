@@ -2,7 +2,7 @@
 Jacobian in one call, for a batch of points.
 
 The kernel works on flat arrays for one model on its full index set
-(``solver.kernel_arrays``, kept as ``SpaceModel.kernel_arrays``):
+(:func:`kernel_arrays`, kept as ``SpaceModel.kernel_arrays``):
 
 * ``db``, ``b``, ``d``: per-summand d_i*b_i, b_i, d_i (float64, length n)
 * ``ti``, ``tj``, ``tk``, ``tv``: one row per distinct ordering of each
@@ -31,15 +31,29 @@ batch, so every point's S, ``out_r`` and ``out_jac`` are bit-identical to a
 batch of that point alone; ``out_r`` is bit-identical with or without
 ``out_jac``.
 
-The solver is the only caller: it looks the function up on this module at
-call time and passes every argument positionally, so that a wrapper
-installed here sees every call.  ``curvature`` evaluates the same formulas
-at one point in plain Python, exactly or on floats.
+The solver's ascent is the only caller: it looks the function up on this
+module at call time and passes every argument positionally, so that a
+wrapper installed here sees every call.  ``curvature`` evaluates the same
+formulas at one point in plain Python, exactly or on floats, and the exact
+s <= 3 solve certifies its roots on the polynomial Ricci core in integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .numbers import to_float
+
+
+def kernel_arrays(model) -> tuple:
+    """The kernel's arrays on the full index set of a validated model, in
+    the order it takes them: db, b, d, ti, tj, tk, tv."""
+    d = np.array(model.dims, dtype=np.float64)
+    b = np.array([to_float(v) for v in model.killing], dtype=np.float64)
+    rows = model.ordered_triples
+    ti, tj, tk = (np.array([row[p] - 1 for row in rows], dtype=np.int64) for p in range(3))
+    tv = np.array([to_float(row[3]) for row in rows], dtype=np.float64)
+    return d * b, b, d, ti, tj, tk, tv
 
 
 def value_and_ricci(db, b, d, ti, tj, tk, tv, x, out_r, out_jac=None) -> np.ndarray:

@@ -155,20 +155,21 @@ class SpaceModel:
         return chains.enumerate_simple_chains(self)
 
     @cached_property
-    def ricci_core(self) -> list[dict]:
-        """The polynomial Ricci core (``_elimination.ricci_core``), built once
-        per model; not to be modified."""
+    def ricci_core(self) -> tuple[int, list[dict]]:
+        """The polynomial Ricci core and its factor M
+        (``_elimination.ricci_core``), built once per model; not to be
+        modified."""
         from . import _elimination  # on first use: only s <= 3 solves need it
 
         return _elimination.ricci_core(self)
 
     @cached_property
     def kernel_arrays(self) -> tuple:
-        """The kernel's arrays on the full index set (``solver.kernel_arrays``),
+        """The kernel's arrays on the full index set (``_kernels.kernel_arrays``),
         built once per model; not to be modified."""
-        from . import solver
+        from . import _kernels
 
-        return solver.kernel_arrays(self)
+        return _kernels.kernel_arrays(self)
 
     @cached_property
     def scaled(self) -> ScaledData:
@@ -219,6 +220,8 @@ class DiagonalForm:
             raise ModelError(f"support must be strictly increasing: {support}")
         if support[0] < 1:
             raise ModelError(f"support indices are 1-based: {support}")
+        if not all(map(_finite, values)):
+            raise ModelError(f"diagonal coefficients must be finite: {values}")
         if any(v <= 0 for v in values):
             raise ModelError(f"diagonal coefficients must be positive: {values}")
         object.__setattr__(self, "values", values)

@@ -70,11 +70,15 @@ Either way an isolated root is refined to 55 bits by exact secant-Newton
 steps, ending on the interval bisection would reach, and read as a float;
 for s = 3, u once -b / a at the ends of t's interval rounds to doubles at
 most 1 ulp apart.
-Each admissible root is certified like a start, at its float metric, all
-in one kernel call; the report returns the certified one with the highest
-S, and lists every admissible root.  With no admissible root no solution
-exists, so for s <= 3 "diverged" is a proof of nonexistence (of an exact
-solution for T as given).
+Each admissible root is certified like a start, componentwise on the
+float metric the report returns, but in exact arithmetic and with no
+kernel call: r comes from the core in integers at that dyadic metric, and
+c, the residual and S are the correctly rounded floats of their exact
+values (``_elimination.certify``; c and S at T / 2**k, mapped back
+exactly unless the figure at T is subnormal).  The report returns the
+certified root with the highest S, and lists every admissible root.  With
+no admissible root no solution exists, so for s <= 3 "diverged" is a
+proof of nonexistence (of an exact solution for T as given).
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .chains import (
     check_theorem,
 )
 from .model import DiagonalForm, SpaceModel
-from .numbers import format_number, ldexp, to_float
+from .numbers import format_number, ldexp
 
 
 class SolverError(ValueError):
@@ -138,9 +142,11 @@ class SolveReport:
     admissible roots of the exact solve: ``starts_used`` counts them,
     ``start_values`` holds S at each, ``iterations`` is 0, and
     ``solutions`` holds the metric at each, in the order of x_2 / x_1 (it
-    is None where the ascent decided).  There "diverged" is a proof that no
-    solution exists, and its residual and S are None, since no point was
-    evaluated; for s = 3 it names no escaping coordinates.
+    is None where the ascent decided).  There c, the residual, S and the
+    start values are the correctly rounded floats of their exact values at
+    the returned metrics.  "diverged" is then a proof that no solution
+    exists, and its residual and S are None, since no point was evaluated;
+    for s = 3 it names no escaping coordinates.
     """
 
     status: str
@@ -185,8 +191,11 @@ class SolveReport:
 
 @dataclass
 class _StartOutcome:
+    """A start's or an exact root's outcome at the target z / 2**k (see
+    ``maximize_S_on_MT``): its metric x = d z / u, S and c there."""
+
     S: float
-    u: np.ndarray
+    x: list[float]
     c: float
     residual: float
     status: str  # converged | stalled | collapsed | budget; an exact root converged | stalled
@@ -194,19 +203,6 @@ class _StartOutcome:
     certified: bool
     collapsed: tuple[int, ...]
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
-
-
-def kernel_arrays(model: SpaceModel) -> tuple:
-    """The kernel's arrays (see ``_kernels``) on the full index set, in the
-    order it takes them: db, b, d, ti, tj, tk, tv."""
-    if model.killing is None:
-        raise SolverError("model must be validated (killing coefficients missing)")
-    d = np.array(model.dims, dtype=np.float64)
-    b = np.array([to_float(v) for v in model.killing], dtype=np.float64)
-    rows = model.ordered_triples
-    ti, tj, tk = (np.array([row[p] - 1 for row in rows], dtype=np.int64) for p in range(3))
-    tv = np.array([to_float(row[3]) for row in rows], dtype=np.float64)
-    return d * b, b, d, ti, tj, tk, tv
 
 
 class _Evaluator:
@@ -276,7 +272,7 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _outcome(st: _Starts, i: int, tol: float, budget: int) -> _StartOutcome:
+def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float, budget: int) -> _StartOutcome:
     u = st.u[i]
     c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
     certified = res <= tol and c > 0
@@ -288,7 +284,7 @@ def _outcome(st: _Starts, i: int, tol: float, budget: int) -> _StartOutcome:
         status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
     return _StartOutcome(
         S=float(st.S[i]),
-        u=u.copy(),
+        x=(dz / u).tolist(),
         c=c,
         residual=res,
         status=status,
@@ -333,7 +329,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     def stop(rows: np.ndarray) -> None:
         if rows.any():
             for i in np.flatnonzero(rows):
-                outcomes[st.index[i]] = _outcome(st, i, tol, budget)
+                outcomes[st.index[i]] = _outcome(st, i, dz, tol, budget)
             st.keep(~rows)
 
     while len(st.index):
@@ -428,42 +424,14 @@ def _ascend(ev: _Evaluator, opts: SolverOptions) -> list[_StartOutcome]:
     return _run_starts(ev, V0, opts.residual_tol, MAX_ITERATIONS)
 
 
-def _certified(ev: _Evaluator, X: np.ndarray, tol: float) -> list[_StartOutcome]:
-    """An outcome for each metric, a row of X (m, s), certified at residual
-    ``tol`` in one kernel call."""
-    if not len(X):
-        return []
-    u = ev.dz / X
-    u /= u.sum(axis=1, keepdims=True)
-    r = np.empty(u.shape)
-    S = ev.value_and_ricci(u, r)
-    c, res = ev.fit(r)
-    out = []
-    for Si, ui, ci, ri in zip(S.tolist(), u, c.tolist(), res.tolist()):
-        certified = ri <= tol and ci > 0
-        out.append(
-            _StartOutcome(
-                S=Si,
-                u=ui,
-                c=ci,
-                residual=ri,
-                status="converged" if certified else "stalled",
-                iterations=0,
-                certified=certified,
-                collapsed=(),
-                rejected=0,
-            )
-        )
-    return out
-
-
 def _exact_roots(
-    model: SpaceModel, T: DiagonalForm, ev: _Evaluator, tol: float
+    model: SpaceModel, T: DiagonalForm, dz: list[float], k: int, tol: float
 ) -> tuple[Optional[list[_StartOutcome]], tuple[int, ...]]:
-    """The s = 2 or s = 3 solve (see the module docstring): an outcome for
-    each admissible root, each certified at residual ``tol`` in one kernel
-    call, or None when the s = 3 elimination is degenerate; and, for s = 2,
-    the coordinate that escapes when P has no root."""
+    """The s = 2 or s = 3 solve (see the module docstring) at the target
+    z = T / 2**k, with dz = d z: an outcome for each admissible root,
+    certified at residual ``tol`` in exact arithmetic, or None when the
+    s = 3 elimination is degenerate; and, for s = 2, the coordinate that
+    escapes when P has no root."""
     # the exact algebra is imported on first use, so that a process that
     # solves no two- or three-summand problem never compiles it
     from . import _elimination
@@ -472,7 +440,20 @@ def _exact_roots(
         points, escaped = _elimination.two_summand_points(model, T)
     else:
         points, escaped = _elimination.three_summand_points(model, T), ()
-    return (None if points is None else _certified(ev, np.array(points), tol)), escaped
+    if points is None:
+        return None, escaped
+    outcomes = []
+    for point in points:
+        # the root as a float metric, as the ascent reads one: x = dz / u at
+        # u = dz / point, normalised (a quotient by 0 is inf, as in numpy)
+        u = [a / b if b else math.inf for a, b in zip(dz, point)]
+        total = sum(u)
+        u = [v / total for v in u]
+        x = [a / v if v else math.inf for a, v in zip(dz, u)]
+        c, residual, S, certified = _elimination.certify(model, T, x, k, tol)
+        status = "converged" if certified else "stalled"
+        outcomes.append(_StartOutcome(S, x, c, residual, status, 0, certified, (), 0))
+    return outcomes, escaped
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -530,17 +511,20 @@ def maximize_S_on_MT(
     "solved", no admissible root makes "diverged", a proof of nonexistence,
     and only uncertified ones "inconclusive".
     """
+    if model.killing is None:
+        raise SolverError("model must be validated (killing coefficients missing)")
     opts = options or SolverOptions()
     z = _as_target(model, T)
-    # Ric g = c T is the same problem for every multiple of T: the ascent
+    # Ric g = c T is the same problem for every multiple of T: the solve
     # runs on z / 2**k with max z / 2**k in [1, 2), and x, c and S are
     # mapped back by 2**k, exactly, so that S, r and the Jacobian neither
     # overflow nor underflow at any scale of T.
     k = math.frexp(max(z))[1] - 1
-    ev = _Evaluator(model, [math.ldexp(v, -k) for v in z])
+    z = [math.ldexp(v, -k) for v in z]
+    dz = [d * v for d, v in zip(model.dims, z)]
     outcomes, escaped, notes = None, (), ()
     if model.s in (2, 3):
-        outcomes, escaped = _exact_roots(model, T, ev, opts.residual_tol)
+        outcomes, escaped = _exact_roots(model, T, dz, k, opts.residual_tol)
         if outcomes is None:
             notes = (
                 "the exact elimination is degenerate here, or T is within rounding "
@@ -549,7 +533,7 @@ def maximize_S_on_MT(
             )
     exact = outcomes is not None
     if not exact:
-        outcomes = _ascend(ev, opts)
+        outcomes = _ascend(_Evaluator(model, z), opts)
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]
@@ -582,8 +566,7 @@ def maximize_S_on_MT(
 
     x = c = S = None
     if best is not None:
-        xb = ev.dz / best.u
-        x, c, S = [ldexp(v, k) for v in xb.tolist()], ldexp(best.c, -k), ldexp(best.S, -k)
+        x, c, S = [ldexp(v, k) for v in best.x], ldexp(best.c, -k), ldexp(best.S, -k)
     if status != "diverged" and not (all(map(math.isfinite, x)) and math.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
@@ -596,14 +579,13 @@ def maximize_S_on_MT(
         residual=None if best is None else format_number(best.residual),
         S_value=format_number(S),
         # numpy's sum, whose order of additions differs from sum() for s >= 8
-        constraint_error=abs(float(np.sum(ev.dz / xb)) - 1.0) if returns_x else None,
+        constraint_error=abs(float(np.sum(np.divide(dz, best.x))) - 1.0) if returns_x else None,
         starts_used=len(outcomes),
         iterations=sum(o.iterations for o in outcomes),
         collapsed=escaped,
         start_values=tuple(format_number(ldexp(o.S, -k)) for o in outcomes),
         solutions=None if not exact else tuple(
-            tuple(format_number(ldexp(d / v, k)) for d, v in zip(ev.dz.tolist(), o.u.tolist()))
-            for o in outcomes
+            tuple(format_number(ldexp(v, k)) for v in o.x) for o in outcomes
         ),
         notes=notes,
     )

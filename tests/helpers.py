@@ -133,27 +133,44 @@ def random_two_summand_case(rng, pass_side: bool):
 # --- independent oracles -----------------------------------------------------
 
 
-def dense_tensor(model: SpaceModel) -> np.ndarray:
-    """The full s^3 symmetric tensor of bracket norms, as floats."""
+def dense_tensor(model: SpaceModel, exact: bool = False) -> np.ndarray:
+    """The full s^3 symmetric tensor of bracket norms, as floats, or as
+    Fractions in an object array when ``exact``."""
     s = model.s
-    out = np.zeros((s, s, s))
+    num = Fraction if exact else float
+    out = np.zeros((s, s, s), dtype=object if exact else float)
     for i, j, k, v in model.triples:
         for a, b, c in set(permutations((i, j, k))):
-            out[a - 1, b - 1, c - 1] = float(v)
+            out[a - 1, b - 1, c - 1] = num(v)
     return out
 
 
-def oracle_ricci(model: SpaceModel, x: DiagonalForm) -> np.ndarray:
+def oracle_ricci(model: SpaceModel, x: DiagonalForm, exact: bool = False) -> np.ndarray:
     """r_i = b_i/2 + x_i^2/(4 d_i) sum_jk [jki]/(x_j x_k)
-    - 1/(2 d_i) sum_jk [ijk] x_k/x_j, summed over the dense tensor."""
-    t = dense_tensor(model)
-    x = np.array([float(v) for v in x.values])
-    d = np.array(model.dims, dtype=float)
-    b = np.array([float(v) for v in model.killing])
-    inv = 1.0 / x
+    - 1/(2 d_i) sum_jk [ijk] x_k/x_j, summed over the dense tensor; in
+    Fractions when ``exact``, every float read at its exact value."""
+    num = Fraction if exact else float
+    t = dense_tensor(model, exact)
+    x = np.array([num(v) for v in x.values], dtype=t.dtype)
+    d = np.array(model.dims, dtype=t.dtype)
+    b = np.array([num(v) for v in model.killing], dtype=t.dtype)
+    inv = 1 / x
     inner = np.einsum("jki,j,k->i", t, inv, inv)
     outer = np.einsum("ijk,j,k->i", t, inv, x)
     return b / 2 + x * x * inner / (4 * d) - outer / (2 * d)
+
+
+def oracle_figures(model: SpaceModel, x: DiagonalForm, T: DiagonalForm) -> tuple:
+    """(c, residual, S) at the metric x for the target T, exactly, from
+    ``oracle_ricci`` in Fractions: the least-squares c of r = c T, the
+    relative residual max|r - c T| / (c max T) and S = sum d_i r_i / x_i."""
+    r = oracle_ricci(model, x, exact=True)
+    x = [Fraction(v) for v in x.values]
+    z = [Fraction(v) for v in T.values]
+    d = model.dims
+    c = sum(di * ri * zi for di, ri, zi in zip(d, r, z)) / sum(di * zi * zi for di, zi in zip(d, z))
+    residual = max(abs(ri - c * zi) for ri, zi in zip(r, z)) / (abs(c) * max(z))
+    return c, residual, sum(di * ri / xi for di, ri, xi in zip(d, r, x))
 
 
 def oracle_scalar_S(model: SpaceModel, x: DiagonalForm, J=None) -> float:

@@ -18,7 +18,7 @@ from homricci import (
     solve_prescribed_ricci,
     two_summand_condition,
 )
-from helpers import oracle_ricci, random_space_model, random_two_summand_case
+from helpers import oracle_figures, oracle_ricci, random_space_model, random_two_summand_case
 
 TOL = SolverOptions.residual_tol
 
@@ -58,6 +58,10 @@ def _consistent(model, T):
         r = oracle_ricci(model, report.x)
         z = np.array([float(v) for v in T.values])
         assert np.max(np.abs(r - report.c * z)) / (report.c * np.max(z)) <= TOL
+        if report.solutions is not None:
+            # the exact s <= 3 solve's figures are exact, rounded once
+            c, residual, S = oracle_figures(model, report.x, T)
+            assert (report.c, report.residual, report.S_value) == (float(c), float(residual), float(S))
     return report.status
 
 

@@ -13,6 +13,7 @@ from homricci import (
     _kernels,
     build_model,
     flag3,
+    full_flag,
     grad_S,
     hat_S,
     ricci,
@@ -116,9 +117,9 @@ def test_float_evaluations_reach_the_module_kernel(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(_kernels, "value_and_ricci", counting)
-    m = flag3(4, 2, 4)
-    rep = solve_prescribed_ricci(m, DiagonalForm.full((1.0, 1.0, 1.0)))
-    assert rep.status == "solved"
+    # SU(4)/T: s = 6, where the ascent solves
+    rep = solve_prescribed_ricci(full_flag(4), DiagonalForm.full((1.0,) * 6))
+    assert rep.status == "solved" and rep.iterations > 0
     # at least one evaluated point per start and per ascent iteration
     assert sum(calls) >= rep.starts_used + rep.iterations
 

@@ -1,5 +1,6 @@
 """Model validation, lattice enumeration, hypothesis and classification."""
 
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -457,3 +458,16 @@ def test_diagonal_form_contract():
     assert f.scale(2).values == (Fraction(2), Fraction(4), Fraction(6))
     with pytest.raises(ModelError):
         f[4]
+
+
+def test_diagonal_form_rejects_non_finite_coefficients():
+    # inf, -inf and nan are no coefficients, and a scale that overflows
+    # makes none; an exact coefficient beyond the float range is one
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ModelError, match="finite"):
+            DiagonalForm.full((bad, 1.0, 1.0))
+        with pytest.raises(ModelError, match="finite"):
+            DiagonalForm((1.0, bad), (1, 3))
+    with pytest.raises(ModelError, match="finite"):
+        DiagonalForm.full((1e300, 1.0)).scale(1e10)
+    assert DiagonalForm.full((Fraction(10) ** 400, 1)).exact
