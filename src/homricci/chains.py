@@ -12,29 +12,35 @@ and J_l = J_k - J_k', it reads
     N = P(J_k'),
     D = P(J_k) - P(J_k') + <J_l J_k' J_l>,
 
-where omega = min_{j in J_k'} d_j.  D is the sum over j in J_l of
-4 d_j zeta_j + <j J_l J_l> + 4 <j J_k' J_l>: expanding <J_k J_k J_k> over
-J_k = J_k' + J_l gives P(J_k) - P(J_k') = 4 sum_{j in J_l} d_j zeta_j
-+ <J_l J_l J_l> + 3 <J_l J_k' J_l> + 3 <J_k' J_k' J_l>, and the last term
-is zero because J_k' is closed (a nonzero [abc] with a, b in J_k' has c in
-J_k').  So P is computed once per lattice member and a chain sums only its
-cross term, as
+where omega = min_{j in J_k'} d_j.  Expanding <J_k J_k J_k> over
+J_k = J_k' + J_l gives the rise
 
-    <J_l J_k' J_l> = sum_{a in J_l} sum_{b in J_k'} M[a][b],   M[a][b] = sum_c [abc]:
+    P(J_k) - P(J_k') = 4 sum_{j in J_l} d_j zeta_j + <J_l J_l J_l>
+                       + 3 <J_l J_l J_k'> + 3 <J_k' J_k' J_l>,
+
+and the last term is zero because J_k' is closed (a nonzero [abc] with
+a, b in J_k' has c in J_k').  With M[a][b] = sum_c [abc] and M[X][Y] its
+sum over a in X, b in Y, the cross term is
+
+    <J_l J_k' J_l> = M[J_l][J_k']:
 
 for a in J_l and b in J_k', a nonzero [abc] has c in J_k, as J_k is
 closed, and c outside J_k', as J_k' is closed (with b and c inside, a
-would be).  In the same way <J J J> = sum_{a, b in J} M[a][b] for a
-member J.  The cross term depends on J_l alone, and is summed once per
-J_l: for a, c in J_l a nonzero [abc] has b in J_k, as J_k is closed, so
-its nonzero terms are those with a, c in J_l and b outside J_l, whichever
-chain it belongs to.  The scaled rows hold M[a][b] as integers over one
-denominator on every model (a float is a dyadic rational), so every sum is
-exact and the denominator cancels in eta.  The defining form, from
-Killing traces and bracket masses of the four derived blocks, equals the
-Casimir form wherever the Casimir identity holds, which ``validate``
-enforces (to a tolerance on float data, whose given zeta the Casimir form
-reads); the tests check the two forms against each other.
+would be).  And M[J_l][J_l] = <J_l J_l J_l> + <J_l J_l J_k'>, as J_k is
+closed, so the rise is 4 sum_{j in J_l} d_j zeta_j + M[J_l][J_l] + 2
+<J_l J_k' J_l>.  Both numbers depend on J_l alone: the cross term's
+nonzero terms [abc] are those with a, c in J_l and b outside J_l,
+whichever chain it belongs to.  So one pass over the rows M[a], a in J_l,
+gives both, once per distinct J_l, and a member's mass is a lower cover's
+mass plus the rise, the same from each (the empty set's mass is 0): no
+mass is summed from scratch, and D is the rise plus the cross term.  The
+scaled rows hold M[a][b] as integers over one denominator on every model
+(a float is a dyadic rational), so every sum is exact and the denominator
+cancels in eta.  The defining form, from Killing traces and bracket masses
+of the four derived blocks, equals the Casimir form wherever the Casimir
+identity holds, which ``validate`` enforces (to a tolerance on float data,
+whose given zeta the Casimir form reads); the tests check the two forms
+against each other.
 
 A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
@@ -44,13 +50,13 @@ below it they do not.
 The chains are kept as columns over the lattice members
 (:class:`SimpleChains`): per chain the indices of J_k and J_k' among the
 members, the mask of J_l and eta, as (p, q) in lowest terms; per member
-omega, and its mass, which is taken once.  The :class:`SimpleChain` items,
-with their etas, are built only when read.  Every T is read as integers
-over its common denominator, exactly, so each chain's lambda_min and trace
-are integers, and the margin lambda_min / trace - eta * w is an integer
-numerator over an integer denominator whose sign is the verdict, whatever
-the arithmetic of the model or of T: a float model or target gets the
-verdict of its exact value.  The model's arithmetic decides only how the
+omega and its mass.  The :class:`SimpleChain` items, with their etas, are
+built only when read.  Every T is read as integers over its common
+denominator, exactly, so each chain's lambda_min and trace are integers,
+and the margin lambda_min / trace - eta * w is an integer numerator over
+an integer denominator whose sign is the verdict, whatever the arithmetic
+of the model or of T: a float model or target gets the verdict of its
+exact value.  The model's arithmetic decides only how the
 figures are spelled: as ``Fraction``s on an exact model, and as their
 correctly rounded floats on a float one (infinite beyond the float range).
 
@@ -114,14 +120,6 @@ class SimpleChain(NamedTuple):
         }
 
 
-def _block_sum(rows, A, B: int):
-    """Bracket mass sum_{a in A, b in B} M[a][b], M[a][b] = sum_c [abc],
-    with A an index tuple and B a bitmask, in the units of
-    ``SpaceModel.scaled``: <A B C> wherever every nonzero [abc] with a in A
-    and b in B has c in C."""
-    return sum([v for a in A for b, v in rows[a - 1] if b & B])
-
-
 class _Memo(dict):
     """A dict that fills a missing key with ``fn(key)``."""
 
@@ -137,13 +135,14 @@ class _Memo(dict):
 
 class SimpleChains(Sequence):
     """The simple chains of one model as columns (see the module docstring):
-    ``members`` and ``omegas`` per member, ``uppers``, ``lowers``,
-    ``middles`` and ``etas`` per chain, and ``middle_sets``, the index tuple
-    of each J_l mask.  As a sequence it equals the tuple of its
-    :class:`SimpleChain` items, which are built on first read."""
+    ``members``, ``omegas`` and ``masses`` (in the units of
+    ``SpaceModel.scaled``) per member, ``uppers``, ``lowers``, ``middles``
+    and ``etas`` per chain, and ``middle_sets``, the index tuple of each J_l
+    mask.  As a sequence it equals the tuple of its :class:`SimpleChain`
+    items, which are built on first read."""
 
-    def __init__(self, exact, members, omegas, middle_sets, uppers, lowers, middles, etas):
-        self.exact, self.members, self.omegas = exact, members, omegas
+    def __init__(self, exact, members, omegas, masses, middle_sets, uppers, lowers, middles, etas):
+        self.exact, self.members, self.omegas, self.masses = exact, members, omegas, masses
         self.middle_sets = middle_sets
         self.uppers, self.lowers, self.middles, self.etas = uppers, lowers, middles, etas
 
@@ -181,10 +180,11 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
 
     The chains are the lattice's covering pairs whose lower member is
     nonempty, ordered by (size, lex) of the upper and then the lower member.
-    Each eta is in the Casimir form: every member's mass and omega are
-    computed once, and only the cross term <J_l J_k' J_l> is summed per
-    chain.  Everything runs in the model's scaled units, so every model adds
-    integers and the common denominator cancels in one gcd.  Raises
+    Each eta is in the Casimir form: the rise and the cross term are summed
+    once per middle block, and each member's mass is a lower cover's plus
+    the rise (see the module docstring).  Everything runs in the model's
+    scaled units, so every model adds integers and the common denominator
+    cancels in one gcd.  Raises
     :class:`HypothesisViolatedError` when the structural requirements
     demonstrably fail (the conditions would be meaningless).
     """
@@ -197,37 +197,49 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
     members, masks = lattice.members, lattice.masks
     rows, casimir = model.scaled.rows, model.scaled.casimir_mass
     dims = (0, *model.dims)
-    # P(J) = 4 sum_{i in J} d_i zeta_i + <J J J>; J is closed, so every
-    # nonzero [abc] with a, b in J has c in J
-    masses = [
-        4 * sum(casimir[i - 1] for i in J) + _block_sum(rows, J, mask)
-        for J, mask in zip(members, masks)
-    ]
     omegas = tuple(min(map(dims.__getitem__, J), default=0) for J in members)
     sets = _Memo(unpack)  # J_l by mask: many chains share one
-    crosses = {}  # <J_l J_k' J_l> by the mask of J_l (see the module docstring)
+    steps = {}  # (rise, cross) by the mask of J_l (see the module docstring)
+    masses = [0] * len(members)
     uppers, lowers, middles, etas = [], [], [], []
-    for upper, lower in lattice.covers:
-        inner = masks[lower]
-        if not inner:
-            continue
-        between = masks[upper] & ~inner
-        cross = crosses.get(between)
-        if cross is None:
-            cross = crosses[between] = _block_sum(rows, sets[between], inner)
-        P_kprime = masses[lower]
-        den = omegas[lower] * (masses[upper] - P_kprime + cross)
-        if den == 0:
-            raise EtaUndefinedError(
-                f"chain ({members[upper]}, {members[lower]}) has zero denominator; the model "
-                "violates requirement 2 (a summand block commutes with the inner subalgebra)"
-            )
-        g = math.gcd(P_kprime, den)
-        etas.append((P_kprime // g, den // g))
-        uppers.append(upper)
-        lowers.append(lower)
-        middles.append(between)
-    return SimpleChains(model.exact, members, omegas, sets, uppers, lowers, middles, etas)
+    for upper, below in enumerate(lattice.lower_covers):
+        outer = masks[upper]
+        for lower in below:
+            inner = masks[lower]
+            between = outer & ~inner
+            step = steps.get(between)
+            if step is None:
+                # one pass over the rows of J_l: M[l][l], and the cross
+                # term, whose terms have b in J_k' (any chain's)
+                middle = sets[between]
+                within = cross = 0
+                for a in middle:
+                    for b, v in rows[a - 1]:
+                        if b & between:
+                            within += v
+                        elif b & inner:
+                            cross += v
+                rise = 4 * sum(casimir[a - 1] for a in middle) + within + 2 * cross
+                step = steps[between] = rise, cross
+            rise, cross = step
+            P_kprime = masses[lower]
+            masses[upper] = P_kprime + rise  # the same from every lower cover
+            if not inner:
+                continue
+            den = omegas[lower] * (rise + cross)
+            if den == 0:
+                raise EtaUndefinedError(
+                    f"chain ({members[upper]}, {members[lower]}) has zero denominator; the model "
+                    "violates requirement 2 (a summand block commutes with the inner subalgebra)"
+                )
+            g = math.gcd(P_kprime, den)
+            etas.append((P_kprime // g, den // g))
+            uppers.append(upper)
+            lowers.append(lower)
+            middles.append(between)
+    return SimpleChains(
+        model.exact, members, omegas, masses, sets, uppers, lowers, middles, etas
+    )
 
 
 class ChainCondition:

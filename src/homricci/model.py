@@ -27,21 +27,23 @@ cl(J + x), and by the symmetry of the bracket the rule fired by y and b puts
 x in cl(J + y).  So every index of a class X (a connected component of
 "joined") generates the same closure cl(J | X).  And J | X is closed unless
 a rule with both slots in X leads outside J | X (the leak test): a rule
-with one slot in J and one in X leads into X, and J is closed.  So one
-search per class finds the closure whenever nothing leaks, and only a
-leaking class is grown further.  The walk raises :class:`ModelError` once
-it holds more than MAX_MEMBERS members; it sets no bound on s.
+with one slot in J and one in X leads into X, and J is closed.  A J | X
+that is already a member is closed, and a cover, with no test; only a new
+J | X runs the test, and only a leaking class is grown further.  So where
+nothing leaks, as on the full flags, the test runs once per member, not
+once per covering pair.  The walk raises :class:`ModelError` once it holds
+more than MAX_MEMBERS members; it sets no bound on s.
 
 The walk reads the bracket from one integer per index b, its join row:
 row a of it (bits a*s to a*s + s - 1) is the mask of every c with
 [a b c] != 0.  The OR A_J of the join rows over a member J holds in its
 row x every index joined to x over J, so a class is found with one shift
-and mask per index.  The OR A_X over the class, gathered on the way,
-holds in its row x every c that a rule with slots x and b in X reaches:
-read when x is reached, the row holds the rules of x with the indices
-reached before it, and each index reached later adds its rule with x by
-the symmetry of the bracket.  That is the leak test, and a cover J | X
-takes A_J | A_X as its own.
+and mask per index.  The OR A_X over a class holds in its row x every c
+that a rule with slots x and b in X reaches, so the leak test ORs the rows
+x of A_X over x in X, and a cover J | X takes A_J | A_X as its own.
+
+The walk keeps, per member, the positions of the members it covers: the
+list of all covering pairs is built from them only when read.
 """
 
 from __future__ import annotations
@@ -293,17 +295,26 @@ class SubalgebraLattice:
 
     Always contains the empty set (the isotropy algebra itself) and the full
     index set.  ``member_dims`` holds sum_{i in J} d_i per member.
-    ``covers`` holds every covering pair (no member strictly between) as
-    ``(upper, lower)`` indices into ``members``, sorted, so its order follows
-    the members' order.  ``masks`` holds each member as a bitmask, bit
-    ``i - 1`` for summand ``i``.
+    ``lower_covers`` holds per member the sorted indices into ``members`` of
+    the members it covers (no member strictly between).  ``covers``, built
+    on first read, holds every covering pair as ``(upper, lower)`` indices,
+    sorted, so its order follows the members' order.  ``masks`` holds each
+    member as a bitmask, bit ``i - 1`` for summand ``i``.
     """
 
     s: int
     members: tuple[tuple[int, ...], ...]
     member_dims: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
+    lower_covers: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (upper, lower)
+            for upper, below in enumerate(self.lower_covers)
+            for lower in below
+        )
 
     def __contains__(self, indices) -> bool:
         return tuple(sorted(indices)) in self._member_set
@@ -524,6 +535,19 @@ def _grow(rows, J: int, X: int, reach: int, grown: list) -> int:
         C |= new
 
 
+def _leak_test(rows, X: int) -> tuple[int, int]:
+    """(A_X, reach) for a class X: A_X is the OR of the join ``rows`` over
+    X, and reach, the OR of row x of A_X over x in X, is the mask of every
+    index that a rule with both slots in X fires.  J | X is closed exactly
+    when reach lies inside it."""
+    s = len(rows)
+    A_X = _joins(rows, X)
+    reach = 0
+    for i in unpack(X):
+        reach |= A_X >> (i - 1) * s
+    return A_X, reach & (1 << s) - 1
+
+
 def _joins(rows, mask: int) -> int:
     """The OR of the join rows of the indices of ``mask``."""
     A = 0
@@ -553,8 +577,9 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     than MAX_MEMBERS members.
 
     The closures of J are found per class X of outside indices, by one
-    search each on the join rows that also runs the leak test (see the
-    module docstring).  When nothing leaks, J | X is the closure and a
+    search each on the join rows (see the module docstring).  A J | X that
+    is already a member is a cover.  A new J | X runs the leak test
+    (``_leak_test``): when nothing leaks, J | X is the closure and a
     cover.  Otherwise the closure is grown (``_grow``), and it is a cover
     when the classes that generate it fill C - J.  On the full flags
     SU(n)/T no class leaks: a class of a partition's member is the set of
@@ -574,22 +599,23 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
         while outside:
             X = pending = outside & -outside
             outside ^= X
-            A_X = reach = 0
             while pending:
                 bit = pending & -pending
                 pending ^= bit
-                i = bit.bit_length() - 1
-                shift = i * s
-                A_X |= rows[i]
-                reach |= A_X >> shift & everything
-                new = A >> shift & outside
+                new = A >> (bit.bit_length() - 1) * s & outside
                 outside ^= new
                 X |= new
                 pending |= new
-            if reach & ~(J | X):
+            C = J | X
+            below = lowers.get(C)
+            if below is not None:  # a member is closed, so X leaks nothing
+                below.append(J)
+                continue
+            A_X, reach = _leak_test(rows, X)
+            if reach & ~C:
                 leaking.append((X, reach))
             else:
-                covers.append((J | X, A | A_X))
+                covers.append((C, A | A_X))
         if leaking:
             generators: dict[int, int] = {}
             grown: list[tuple[int, int]] = []
@@ -623,11 +649,7 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
         s=s,
         members=tuple(sets),
         member_dims=tuple(sum(map(dims.__getitem__, J)) for J in sets),
-        covers=tuple(
-            (pos, lower)
-            for pos, m in enumerate(masks)
-            for lower in sorted(map(index.__getitem__, lowers[m]))
-        ),
+        lower_covers=tuple(tuple(sorted(map(index.__getitem__, lowers[m]))) for m in masks),
         masks=masks,
     )
 

@@ -134,9 +134,11 @@ class SolveReport:
     implies residual <= tolerance, c > 0 and the constraint holds;
     "diverged" reports which coordinates collapsed (the escaping subalgebra
     direction); "inconclusive" covers exhausted budgets and failed
-    certification, and a certified answer whose x or c is beyond the float
-    range at the scale of T.  Any figure that is not finite is None, as
-    ``numbers.format_number`` spells it, so that ``to_json`` is strict JSON.
+    certification, a certified answer whose x or c is beyond the float
+    range at the scale of T, and an exact root whose ratio x_j / x_1 is
+    beyond the float range, at every scale of T.  Any figure that is not
+    finite is None, as ``numbers.format_number`` spells it, so that
+    ``to_json`` is strict JSON.
 
     For s = 2 and s = 3 (see the module docstring) the starts are the
     admissible roots of the exact solve: ``starts_used`` counts them,
@@ -203,6 +205,7 @@ class _StartOutcome:
     certified: bool
     collapsed: tuple[int, ...]
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
+    beyond: tuple[int, ...] = ()  # an exact root's j whose x_j / x_1 has no double
 
 
 class _Evaluator:
@@ -444,6 +447,9 @@ def _exact_roots(
         return None, escaped
     outcomes = []
     for point in points:
+        # a ratio x_j / x_1 beyond the float range reads as 0 or inf, and
+        # then no scale of T gives the root a float metric
+        beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
         # the root as a float metric, as the ascent reads one: x = dz / u at
         # u = dz / point, normalised (a quotient by 0 is inf, as in numpy)
         u = [a / b if b else math.inf for a, b in zip(dz, point)]
@@ -452,7 +458,7 @@ def _exact_roots(
         x = [a / v if v else math.inf for a, v in zip(dz, u)]
         c, residual, S, certified = _elimination.certify(model, T, x, k, tol)
         status = "converged" if certified else "stalled"
-        outcomes.append(_StartOutcome(S, x, c, residual, status, 0, certified, (), 0))
+        outcomes.append(_StartOutcome(S, x, c, residual, status, 0, certified, (), 0, beyond))
     return outcomes, escaped
 
 
@@ -555,11 +561,19 @@ def maximize_S_on_MT(
         )
     else:
         status, best, escaped = "inconclusive", _most_accurate(outcomes), ()
-        notes += (
-            ("no root" if exact else "no start")
-            + " certified; best residual " + format(best.residual, ".3e")
-            + ("" if best.c > 0 else f", c = {ldexp(best.c, -k):.3e} not positive"),
-        )
+        if best.beyond:
+            ratios = " and ".join(f"x_{j} / x_1" for j in best.beyond)
+            notes += (
+                f"a root exists, but {ratios} there "
+                + ("is" if len(best.beyond) == 1 else "are")
+                + " beyond the float range; no scale of T brings it into range",
+            )
+        else:
+            notes += (
+                ("no root" if exact else "no start")
+                + " certified; best residual " + format(best.residual, ".3e")
+                + ("" if best.c > 0 else f", c = {ldexp(best.c, -k):.3e} not positive"),
+            )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
         notes += (f"{rejected} trial points with non-finite curvature rejected",)
@@ -570,7 +584,8 @@ def maximize_S_on_MT(
     if status != "diverged" and not (all(map(math.isfinite, x)) and math.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
-        notes += ("x or c is beyond the float range at this scale of T; rescale T",)
+        if not best.beyond:
+            notes += ("x or c is beyond the float range at this scale of T; rescale T",)
     returns_x = status != "diverged" and all(map(math.isfinite, x))
     return SolveReport(
         status=status,

@@ -99,6 +99,21 @@ def combinations_with_repetition(s):
                 yield i, j, k
 
 
+def sparse_model(rng, s):
+    """Few nonzero triples, so the lattice has tens to hundreds of members;
+    every dimension is at least 2, so triples (i,i,k) and (i,i,i) occur."""
+    dims = [int(rng.integers(2, 4)) for _ in range(s)]
+    # chance of a nonzero triple by its number of distinct indices
+    chance = {1: 0.3, 2: 1.0 / s**2, 3: 6.0 / s**2}
+    triples = {
+        t: Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        for t in combinations_with_repetition(s)
+        if rng.random() < chance[len(set(t))]
+    }
+    casimir = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(s)]
+    return build_model(f"sparse-s{s}", dims, casimir=casimir, triples=triples)
+
+
 def random_positive_form(rng, s, exact=False, low=0.3, high=3.0):
     if exact:
         values = [Fraction(int(rng.integers(1, 16)), int(rng.integers(1, 8))) for _ in range(s)]

@@ -32,6 +32,7 @@ from helpers import (
     oracle_simple_chains,
     random_positive_form,
     random_space_model,
+    sparse_model,
 )
 
 G2 = flag3(4, 2, 4)
@@ -177,6 +178,38 @@ def test_eta_matches_the_defining_form_where_pairs_have_several_brackets():
             assert ch.eta == want(def_form_eta(exact_data(m), ch))
             count += 1
     assert count > 30 and shared > 100
+
+
+def test_masses_from_covers_and_etas_match_oracles_on_sparse_models():
+    # sparse lattices: classes that leak, and members with several lower
+    # covers, each of which gives the member's mass from its own
+    rng = np.random.default_rng(32)
+    count = several = 0
+    for s in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+        exact = sparse_model(rng, s)
+        floats = build_model(
+            exact.name, exact.dims, casimir=[float(v) for v in exact.casimir],
+            triples={(i, j, k): float(v) for i, j, k, v in exact.triples},
+        )
+        for m in (exact, floats):
+            data = exact_data(m)
+            chains = enumerate_simple_chains(m)
+            members = chains.members
+
+            def mass(J):  # P(J) = 4 sum d zeta + <J J J>, summed from scratch
+                return 4 * sum(data.dims[i - 1] * data.casimir[i - 1] for i in J) + sum(
+                    v for a, b, c, v in data.ordered_triples if {a, b, c} <= set(J)
+                )
+
+            scale = Fraction(chains.masses[-1]) / mass(members[-1])
+            assert scale > 0 and scale.denominator == 1
+            assert [Fraction(P) for P in chains.masses] == [scale * mass(J) for J in members]
+            several += sum(len(below) > 1 for below in m.lattice.lower_covers)
+            want = Fraction if m.exact else float
+            for ch in chains:
+                assert ch.eta == want(def_form_eta(data, ch))
+                count += 1
+    assert count > 100 and several > 20
 
 
 def test_eta_is_the_casimir_form_within_validation_tolerance():
@@ -369,7 +402,8 @@ def test_report_line_spells_non_finite_floats_as_the_encoder():
     etas = [(big, 1), (big, big - 1), (0, 1)]
     # three chains ({1, 2}, {1}) over the members {}, {1} and {1, 2}
     chains = chains_mod.SimpleChains(
-        False, ((), (1,), (1, 2)), (0, 1, 1), {0b10: (2,)}, [2] * 3, [1] * 3, [0b10] * 3, etas
+        False, ((), (1,), (1, 2)), (0, 1, 1), [0, 1, 2], {0b10: (2,)}, [2] * 3, [1] * 3,
+        [0b10] * 3, etas,
     )
     # lambda_min 1/4 and trace 2/4, eta p / q and w = 3, as _check takes them
     margins = [1 * q - p * 3 * 2 for p, q in etas]

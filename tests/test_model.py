@@ -1,5 +1,6 @@
 """Model validation, lattice enumeration, hypothesis and classification."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -27,12 +28,12 @@ from homricci import (
 from homricci import catalog, cli
 from homricci import model as model_mod
 from helpers import (
-    combinations_with_repetition,
     oracle_full_flag,
     oracle_lattice,
     oracle_requirement2,
     oracle_simple_chains,
     random_space_model,
+    sparse_model,
 )
 
 
@@ -204,21 +205,6 @@ def test_lattice_monotone_under_zeroing():
         assert before <= after
 
 
-def _sparse_model(rng, s):
-    """Few nonzero triples, so the lattice has tens to hundreds of members;
-    every dimension is at least 2, so triples (i,i,k) and (i,i,i) occur."""
-    dims = [int(rng.integers(2, 4)) for _ in range(s)]
-    # chance of a nonzero triple by its number of distinct indices
-    chance = {1: 0.3, 2: 1.0 / s**2, 3: 6.0 / s**2}
-    triples = {
-        t: Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        for t in combinations_with_repetition(s)
-        if rng.random() < chance[len(set(t))]
-    }
-    casimir = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(s)]
-    return build_model(f"sparse-s{s}", dims, casimir=casimir, triples=triples)
-
-
 def counted_growth(monkeypatch):
     """The list of classes X the walk grows (``_grow``), those whose rules
     lead outside J | X."""
@@ -233,14 +219,31 @@ def counted_growth(monkeypatch):
     return calls
 
 
+def counted_leak_tests(monkeypatch):
+    """The list of classes X whose leak test the walk runs
+    (``_leak_test``), those whose J | X is not yet a member."""
+    calls = []
+    original = model_mod._leak_test
+
+    def counted(rows, X):
+        calls.append(X)
+        return original(rows, X)
+
+    monkeypatch.setattr(model_mod, "_leak_test", counted)
+    return calls
+
+
 def test_lattice_and_covers_match_oracles_up_to_s14(monkeypatch):
-    # the corpus enters both branches of the walk: classes whose J | X is
-    # closed, and classes whose closure is grown
+    # the corpus enters every branch of the walk: classes whose J | X is
+    # already a member, classes whose J | X is new and closed, and classes
+    # whose closure is grown
     grown = counted_growth(monkeypatch)
+    tested = counted_leak_tests(monkeypatch)
+    covers = 0
     rng = np.random.default_rng(31)
     shapes = set()
     for s in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
-        for m in (_sparse_model(rng, s), _sparse_model(rng, s), random_space_model(rng, s=s)):
+        for m in (sparse_model(rng, s), sparse_model(rng, s), random_space_model(rng, s=s)):
             shapes.update(len({i, j, k}) for i, j, k, _ in m.triples)
             lat = enumerate_subalgebras(m)
             assert list(lat.members) == oracle_lattice(m)
@@ -251,8 +254,43 @@ def test_lattice_and_covers_match_oracles_up_to_s14(monkeypatch):
             assert sorted(K for K, Kp in pairs if not Kp) == sorted(
                 tuple(sorted(J)) for J in atoms
             )
+            covers += len(pairs)
     assert shapes == {1, 2, 3}  # (i,i,i), (i,i,k) and (i,j,k) triples all occurred
     assert grown
+    # one test per class would be at least one per covering pair
+    assert len(grown) < len(tested) < covers
+
+
+def test_leak_test_runs_once_per_new_member(monkeypatch):
+    # no class of SU(n)/T leaks, so each member but the empty set is found
+    # once as a new J | X, and every other covering pair is a class whose
+    # J | X is already a member: no test
+    tested = counted_leak_tests(monkeypatch)
+    for n, bell, covers in ((3, 5, 6), (4, 15, 31), (5, 52, 160), (6, 203, 856), (7, 877, 4802)):
+        tested.clear()
+        lattice = enumerate_subalgebras(full_flag(n))
+        assert len(lattice.covers) == covers
+        assert len(tested) == len(lattice.members) - 1 == bell - 1
+
+
+def test_subalgebras_command_builds_no_covers(monkeypatch, tmp_path, capsys):
+    lattices = []
+    original = model_mod.enumerate_subalgebras
+
+    def kept(model):
+        lattices.append(original(model))
+        return lattices[-1]
+
+    monkeypatch.setattr(model_mod, "enumerate_subalgebras", kept)
+    path = tmp_path / "su6.json"
+    path.write_text(serialize_model(full_flag(6)))
+    assert cli.main(["subalgebras", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["lattice"]["members"]) == 203
+    (lattice,) = lattices
+    assert "covers" not in vars(lattice)
+    # built on first read, from each member's lower covers
+    assert len(lattice.covers) == 856 == sum(map(len, lattice.lower_covers))
+    assert "covers" in vars(lattice)
 
 
 def test_full_flag_classes_never_grow(monkeypatch):
