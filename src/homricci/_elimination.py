@@ -40,7 +40,7 @@ from typing import Optional
 
 from . import _polynomials as poly
 from .model import DiagonalForm, SpaceModel
-from .numbers import ratio
+from .numbers import exponent, ratio
 
 # An isolated root is refined to this relative width before it is read as
 # a float; isolation of the resultant stops at this depth, where it may have
@@ -90,16 +90,17 @@ def integer_target(T: DiagonalForm) -> list[int]:
 
 
 def certify(model: SpaceModel, T: DiagonalForm, x: list, k: int, tol: float) -> tuple:
-    """(c, residual, S, certified) at the metric x for the target
-    z = T / 2**k, from its Ricci coefficients r in integers on the core:
-    the least-squares c of r = c z, the relative residual
+    """(c, residual, S, certified, c_exponent) at the metric x for the
+    target z = T / 2**k, from its Ricci coefficients r in integers on the
+    core: the least-squares c of r = c z, the relative residual
     max|r - c z| / (|c| max z) (over max z alone when c = 0) and
     S = sum d_i r_i / x_i, each the correctly rounded float of its exact
     value, and certified when c > 0 and the residual is at most tol,
-    decided exactly.  Every figure is nan, and uncertified, where some x_i
-    is 0 or not finite."""
+    decided exactly; c_exponent is floor(log2 |c|), exactly, also where c
+    is beyond the float range (None when c = 0).  Every figure is nan, and
+    uncertified, where some x_i is 0 or not finite."""
     if not all(0 < v < math.inf for v in x):
-        return math.nan, math.nan, math.nan, False
+        return math.nan, math.nan, math.nan, False, None
     M, core = model.ricci_core
     # x is X / 2**e in integers, and r is the same at X: H_i = M r_i X_1^2
     # ... X_s^2 is the core at X_j / X_1 times X_1^(2s)
@@ -135,11 +136,13 @@ def certify(model: SpaceModel, T: DiagonalForm, x: list, k: int, tol: float) -> 
     else:
         residual = at_z(max(map(abs, H)) * scale, Q * zmax)
     S = sum(di * h * (prod // v) for di, h, v in zip(d, H, X))
+    c = at_z(N * scale, Q * W)
     return (
-        ratio(*at_z(N * scale, Q * W)),
+        ratio(*c),
         ratio(*residual),
         ratio(den * S, Q * prod),
         N > 0 and Fraction(*residual) <= tol,
+        exponent(abs(c[0]), c[1]) if N else None,
     )
 
 

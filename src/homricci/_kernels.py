@@ -33,9 +33,10 @@ batch of that point alone; ``out_r`` is bit-identical with or without
 
 The solver's ascent is the only caller: it looks the function up on this
 module at call time and passes every argument positionally, so that a
-wrapper installed here sees every call.  ``curvature`` evaluates the same
-formulas at one point in plain Python, exactly or on floats, and the exact
-s <= 3 solve certifies its roots on the polynomial Ricci core in integers.
+wrapper installed here sees every call.  The kernel has no float twin:
+``curvature`` evaluates the same formulas at one point in exact rationals
+and rounds each figure once, and the exact s <= 3 solve certifies its roots
+on the polynomial Ricci core in integers.
 """
 
 from __future__ import annotations

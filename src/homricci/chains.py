@@ -86,7 +86,7 @@ from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
-from .numbers import Scalar, figure, format_number, json_figure
+from .numbers import Scalar, figure, format_number, json_figure, to_float
 
 
 class ChainError(ValueError):
@@ -388,18 +388,6 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     z = (0, *ints)
     dims = (0, *model.dims)
     dz = tuple(d * v for d, v in zip(dims, z))
-    # Each chain's lambda_min and trace are at most the d-weighted trace of
-    # T, and lambda_min / trace at most max z / min z: when these two are
-    # doubles, so are those figures (eta, its threshold and the margin read
-    # as infinite where the model's data leave the float range).  Int true
-    # division raises beyond the float range.
-    try:
-        sum(dz) / scale, max(ints) / min(ints)
-    except OverflowError:
-        raise ChainError(
-            "target out of range: its d-weighted trace or max z / min z is beyond "
-            "the float range; rescale T (the conditions do not depend on its scale)"
-        ) from None
     chains = model.chains
     members, sets = chains.members, chains.middle_sets
     # J_k' and J_l repeat across chains: each figure is taken once per
@@ -465,7 +453,7 @@ class TwoSummandReport(NamedTuple):
             "passed": self.passed,
             "trivial": self.trivial,
             "subalgebra": self.subalgebra,
-            "ratio": None if self.ratio is None else float(self.ratio),
+            "ratio": format_number(None if self.ratio is None else to_float(self.ratio)),
         }
 
 

@@ -205,7 +205,7 @@ def cmd_check(args) -> int:
         for cond in report.conditions:
             yield (
                 f"  k'={list(cond.chain.J_kprime)}: "
-                f"{float(cond.lambda_min):.6g}/{float(cond.trace):.6g} vs "
+                f"{to_float(cond.lambda_min):.6g}/{to_float(cond.trace):.6g} vs "
                 f"threshold {cond.threshold} margin {to_float(cond.margin):+.6g} "
                 + ("ok" if cond.passed else "FAIL")
             )

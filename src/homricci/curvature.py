@@ -17,39 +17,26 @@ and the Ricci coefficients relative to the background form are
 equivalently r_i = -(x_i^2/d_i) dS/dx_i, so the gradient of S comes for free.
 
 Each operation reads one pass over the model's triple rows (``_evaluate``),
-the kernel's formulas (see ``_kernels``) in plain Python: exact when the
-model and x are exact, otherwise on floats at x / 2**k with max x / 2**k in
-[1, 2), mapped back exactly, so that no scale of x a double holds overflows.
-Float r is bit-identical to the kernel's at that point; float S and Shat are
-summed by ``math.fsum``.
+the kernel's formulas (see ``_kernels``) in integers: x, b and [ijk] are
+read exactly as integers over common denominators (a float is a dyadic
+rational), and each figure is one ratio of integers.  It is returned as a
+``Fraction`` on an exact model at an exact x, and otherwise as the correctly
+rounded float (``numbers.figure``), infinite beyond the float range: no
+spread or scale of x loses digits to cancellation or overflows.  The numpy
+kernel, the solver's, has no float twin here.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import DiagonalForm, SpaceModel
-from .numbers import Scalar, ldexp, ratio, to_float
+from .numbers import Scalar, common_denominator, figure
 
 
 class CurvatureError(ValueError):
     """Raised for evaluation requests outside an operation's domain."""
-
-
-def _exponent(v) -> int:
-    """floor(log2 v) of a positive float or Fraction, exactly."""
-    n, d = v.as_integer_ratio()
-    k = n.bit_length() - d.bit_length()
-    return k - (n < d << k if k >= 0 else n << -k < d)
-
-
-def _scaled(v, k: int) -> float:
-    """The float nearest v / 2**k, infinite beyond the float range."""
-    n, d = v.as_integer_ratio()
-    return ratio(n << -k, d) if k < 0 else ratio(n, d << k)
 
 
 def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
@@ -62,50 +49,48 @@ def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
 
 
 def _evaluate(model: SpaceModel, x: DiagonalForm, J: tuple[int, ...]) -> tuple:
-    """(S, Shat, r) on the non-empty index set J at x, over the rows of
-    ``model.ordered_triples`` inside J (see the module docstring); each float
-    r_i takes the kernel's operations in its order, on x / 2**k rounded once."""
+    """(S, Shat, r) on the non-empty index set J at x over the rows of
+    ``model.ordered_triples`` inside J, each figure as (num, den), den > 0.
+
+    With x = X / D, and b and [ijk] integers over one E, each sum is an
+    integer over a power of P = prod X: 1 / X_i = Y_i / P with Y_i = P / X_i,
+    so A_m P^2 E = sum [ijm] Y_i Y_j and B_i P E = sum [ijm] X_m Y_j.  r does
+    not depend on the scale of x, and S at x is D times S at X."""
     if model.killing is None:
         raise CurvatureError("model must be validated (killing coefficients missing)")
-    values = x.restrict(J).values
-    exact = model.exact and x.exact
-    if exact:
-        k, xs, num = 0, values, Fraction
-    else:
-        k = _exponent(max(values))
-        xs = [_scaled(v, k) for v in values]
-        if min(xs) < sys.float_info.min:
-            raise CurvatureError(
-                "form coefficients span beyond the float range: some x_i / max x "
-                "is not a normal double"
-            )
-        num = to_float
+    D, X = common_denominator(x.restrict(J).values)
+    rows = model.ordered_triples
+    E, ints = common_denominator([*(model.killing[g - 1] for g in J), *(row[3] for row in rows)])
     pos = {g: i for i, g in enumerate(J)}
-    d = [model.dims[g - 1] for g in J]
-    b = [num(model.killing[g - 1]) for g in J]
-    inv = [1 / v for v in xs]
-    acc_a, acc_b = [num(0)] * len(J), [num(0)] * len(J)
-    terms = [di * bi * vi / 2 for di, bi, vi in zip(d, b, inv)]
-    penalty = []
-    for a, bb, c, v in model.ordered_triples:
+    d, b = [model.dims[g - 1] for g in J], ints[: len(J)]
+    P = math.prod(X)
+    Y = [P // v for v in X]
+    acc_a, acc_b, leak = [0] * len(J), [0] * len(J), [0] * len(J)
+    for (a, bb, c, _), v in zip(rows, ints[len(J) :]):
         i, j, m = pos.get(a), pos.get(bb), pos.get(c)
         if i is None:
             continue
-        v = num(v)
         if j is not None and m is not None:
-            contrib = v * inv[i] * inv[j]
-            acc_a[m] += contrib
-            acc_b[i] += v * xs[m] * inv[j]
-            terms.append(-(contrib * xs[m]) / 4)
+            acc_a[m] += v * Y[i] * Y[j]
+            acc_b[i] += v * X[m] * Y[j]
         elif j is None and m is None:
-            penalty.append(-(v * inv[i]) / 2)
+            leak[i] += v
+    # S = 1/2 sum d b / x - 1/4 sum_m x_m A_m, Shat = S - 1/2 sum leak / x
+    S = 2 * P * sum(map(math.prod, zip(d, b, Y))) - sum(map(math.prod, zip(X, acc_a)))
+    S_hat = S - 2 * P * sum(map(math.prod, zip(leak, Y)))
+    den = 4 * E * P * P
     r = [
-        bi / 2 + xi * xi * ai / (4 * di) - bbi / (2 * di)
-        for bi, xi, ai, bbi, di in zip(b, xs, acc_a, acc_b, d)
+        (2 * di * bi * P * P + xi * xi * ai - 2 * P * bbi, di * den)
+        for di, bi, xi, ai, bbi in zip(d, b, X, acc_a, acc_b)
     ]
-    if exact:
-        return sum(terms), sum(terms + penalty), r
-    return ldexp(math.fsum(terms), -k), ldexp(math.fsum(terms + penalty), -k), r
+    return (D * S, den), (D * S_hat, den), r
+
+
+def _ricci(model: SpaceModel, x: DiagonalForm) -> list:
+    full = tuple(range(1, model.s + 1))
+    if x.support != full:
+        raise CurvatureError("ricci needs a form on the full index set")
+    return _evaluate(model, x, full)[2]
 
 
 def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = None) -> Scalar:
@@ -114,9 +99,7 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
     J defaults to the form's support; an empty J gives 0.
     """
     J = _resolve_J(model, x, J)
-    if not J:
-        return Fraction(0) if model.exact and x.exact else 0.0
-    return _evaluate(model, x, J)[0]
+    return figure(*(_evaluate(model, x, J)[0] if J else (0, 1)), model.exact and x.exact)
 
 
 def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = None) -> Scalar:
@@ -129,7 +112,7 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     J_k = _resolve_J(model, x, J_k)
     if not J_k:
         raise CurvatureError("hat_S needs a non-empty index set")
-    return _evaluate(model, x, J_k)[1]
+    return figure(*_evaluate(model, x, J_k)[1], model.exact and x.exact)
 
 
 def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
@@ -138,25 +121,14 @@ def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
     Scale invariant: ricci(c*x) == ricci(x).  Coefficients may be negative,
     so the result is a plain tuple rather than a DiagonalForm.
     """
-    full = tuple(range(1, model.s + 1))
-    if x.support != full:
-        raise CurvatureError("ricci needs a form on the full index set")
-    return tuple(_evaluate(model, x, full)[2])
+    return tuple(figure(*ri, model.exact and x.exact) for ri in _ricci(model, x))
 
 
 def grad_S(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
-    """Analytic gradient of scalar_S on the full index set: dS/dx_i = -d_i r_i / x_i^2.
-
-    On floats x_i^2 is squared exactly and rounded once, as m 2**e with m in
-    [1, 2), so the quotient is that of -d_i r_i by the double nearest x_i^2
-    at any scale; a value beyond the float range is infinite.
-    """
-    r = ricci(model, x)
-    if model.exact and x.exact:
-        return tuple(-d * ri / (v * v) for d, ri, v in zip(model.dims, r, x.values))
-    out = []
-    for d, ri, v in zip(model.dims, r, x.values):
-        square = Fraction(v) ** 2
-        e = _exponent(square)
-        out.append(ldexp(-d * ri / _scaled(square, e), -e))
-    return tuple(out)
+    """Analytic gradient of scalar_S on the full index set: dS/dx_i = -d_i r_i / x_i^2,
+    taken exactly and rounded once."""
+    D, X = x.integers
+    return tuple(
+        figure(-d * num * D * D, den * v * v, model.exact and x.exact)
+        for d, (num, den), v in zip(model.dims, _ricci(model, x), X)
+    )

@@ -90,6 +90,12 @@ def ratio(num: int, den: int) -> float:
         return math.inf if (num < 0) == (den < 0) else -math.inf
 
 
+def exponent(num: int, den: int) -> int:
+    """floor(log2 (num / den)) of positive integers, exactly."""
+    k = num.bit_length() - den.bit_length()
+    return k - (num < den << k if k >= 0 else num << -k < den)
+
+
 def ldexp(v: float, k: int) -> float:
     """v * 2**k, infinite beyond the float range."""
     try:

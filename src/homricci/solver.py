@@ -206,6 +206,9 @@ class _StartOutcome:
     collapsed: tuple[int, ...]
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
     beyond: tuple[int, ...] = ()  # an exact root's j whose x_j / x_1 has no double
+    # an exact root's floor(log2 |c|), also where c has no double; else
+    # read off c
+    c_exponent: Optional[int] = None
 
 
 class _Evaluator:
@@ -456,10 +459,20 @@ def _exact_roots(
         total = sum(u)
         u = [v / total for v in u]
         x = [a / v if v else math.inf for a, v in zip(dz, u)]
-        c, residual, S, certified = _elimination.certify(model, T, x, k, tol)
+        c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
         status = "converged" if certified else "stalled"
-        outcomes.append(_StartOutcome(S, x, c, residual, status, 0, certified, (), 0, beyond))
+        outcomes.append(
+            _StartOutcome(S, x, c, residual, status, 0, certified, (), 0, beyond, e)
+        )
     return outcomes, escaped
+
+
+def _rescalable(z: list[float], best: _StartOutcome) -> bool:
+    """Whether some 2**j makes the target 2**j z, the metric 2**j x and the
+    multiplier 2**-j c of an outcome at z normal doubles together."""
+    e = [math.frexp(v)[1] - 1 for v in (*z, *best.x)]
+    e_c = math.frexp(best.c)[1] - 1 if best.c_exponent is None else best.c_exponent
+    return max(-1022 - min(e), e_c - 1023) <= min(1023 - max(e), e_c + 1022)
 
 
 def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
@@ -485,9 +498,9 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
         raise SolverError(
             f"target coefficients must be normal doubles, {_TINY:.4g} to {_HUGE:.4g}"
         )
-    # the chain check's bound; far beyond it the smallest coefficient of
-    # z / 2**k (see maximize_S_on_MT) underflows to 0.  Int true division
-    # raises beyond the float range.
+    # far beyond this bound the smallest coefficient of z / 2**k (see
+    # maximize_S_on_MT) underflows to 0.  Int true division raises beyond
+    # the float range.
     _, ints = T.integers
     try:
         max(ints) / min(ints)
@@ -585,7 +598,11 @@ def maximize_S_on_MT(
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"
         if not best.beyond:
-            notes += ("x or c is beyond the float range at this scale of T; rescale T",)
+            notes += (
+                "x or c is beyond the float range at this scale of T; "
+                + ("rescale T" if _rescalable(z, best) else
+                   "no scale of T brings x and c into the float range together"),
+            )
     returns_x = status != "diverged" and all(map(math.isfinite, x))
     return SolveReport(
         status=status,

@@ -162,8 +162,9 @@ def test_ricci_scale_invariance():
 
 
 def test_float_curvature_at_any_scale():
-    # the kernel runs at x / 2**k: no overflow or underflow at any scale a
-    # double holds; a power-of-two scale maps r and S back bit for bit
+    # each figure is rounded once from its exact value: no overflow or
+    # underflow at any scale a double holds, and a power-of-two scale maps
+    # r and S back bit for bit
     x = DiagonalForm.full((1.0, 0.5, 2.0))
     r, S, S_hat = ricci(G2, x), scalar_S(G2, x), hat_S(G2, x, (2,))
     with warnings.catch_warnings():

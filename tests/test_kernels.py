@@ -1,7 +1,6 @@
 """The numpy kernel and the scalar pass: agreement with each other and with
 exact arithmetic, and the solver's call route."""
 
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +19,7 @@ from homricci import (
     scalar_S,
     solve_prescribed_ricci,
 )
-from homricci.numbers import ldexp
+from homricci.numbers import ldexp, to_float
 from helpers import random_positive_form, random_space_model
 
 
@@ -124,14 +123,7 @@ def test_float_evaluations_reach_the_module_kernel(monkeypatch):
     assert sum(calls) >= rep.starts_used + rep.iterations
 
 
-def _kernel_point(x: DiagonalForm) -> np.ndarray:
-    """x / 2**k with max x / 2**k in [1, 2), each coefficient rounded once:
-    the float point the scalar pass reads."""
-    k = max(math.frexp(float(v))[1] for v in x.values) - 1
-    return np.array([float(Fraction(v) / Fraction(2) ** k) for v in x.values])
-
-
-def test_float_ricci_is_the_kernels_out_r_bit_for_bit():
+def test_float_ricci_is_the_correctly_rounded_exact_value():
     # both model arithmetics, float and exact forms (not both exact), at
     # scales a double holds from 2**-900 to 2**900
     rng = np.random.default_rng(47)
@@ -141,48 +133,59 @@ def test_float_ricci_is_the_kernels_out_r_bit_for_bit():
         x = random_positive_form(rng, m.s, exact=trial % 4 == 0)
         for e in (-900, -1, 0, 3, 900):
             scaled = x.scale(Fraction(2) ** e if x.exact else 2.0**e)
-            out = np.empty((1, m.s))
-            _kernels.value_and_ricci(*m.kernel_arrays, _kernel_point(scaled)[None, :], out)
-            assert ricci(m, scaled) == tuple(out[0].tolist())
+            r = _exact_r(m, scaled)
+            assert ricci(m, scaled) == tuple(map(to_float, r))
 
 
-def test_float_grad_S_maps_back_from_the_scaled_square():
-    # -d_i r_i over the double nearest x_i^2, at any scale: 2**e x has the
+def test_float_grad_S_is_rounded_once_at_any_scale():
+    # -d_i r_i / x_i^2 taken exactly and rounded once: 2**e x has the
     # gradient 2**(-2e) grad(x) bit for bit, and 0 or inf beyond the range
     rng = np.random.default_rng(48)
     for trial in range(20):
         m = random_space_model(rng, exact=bool(trial % 2))
         x = random_positive_form(rng, m.s)
-        r, g = ricci(m, x), grad_S(m, x)
-        assert g == tuple(-d * ri / (v * v) for d, ri, v in zip(m.dims, r, x.values))
+        r, g = _exact_r(m, x), grad_S(m, x)
+        assert g == tuple(
+            to_float(-d * ri / Fraction(v) ** 2) for d, ri, v in zip(m.dims, r, x.values)
+        )
         for e in (-900, -300, 300, 900):
             assert grad_S(m, x.scale(2.0**e)) == tuple(ldexp(v, -2 * e) for v in g)
 
 
-def _exact_oracle(m, x, J):
-    """(S, Shat, r on the full set) by dense summation in Fractions."""
-    full = range(1, m.s + 1)
+def _exact_values(m, x):
+    """Each float of the model and of x at its exact value: (x by index,
+    b, the triple values by ordered triple)."""
+    xs = {i: Fraction(v) for i, v in zip(x.support, x.values)}
     tv = {(i, j, k): Fraction(v) for i, j, k, v in m.ordered_triples}
+    return xs, [Fraction(v) for v in m.killing], tv
 
-    def S(J):
-        lin = sum(m.dims[i - 1] * m.killing[i - 1] / x[i] for i in J)
-        tri = sum(tv.get((i, j, k), 0) * x[k] / (x[i] * x[j]) for i, j, k in product(J, repeat=3))
-        return lin / 2 - tri / 4
 
-    outside = [i for i in full if i not in J]
+def _exact_S(m, x, J):
+    """(S, Shat) on J by dense summation in Fractions."""
+    x, b, tv = _exact_values(m, x)
+    lin = sum(m.dims[i - 1] * b[i - 1] / x[i] for i in J)
+    tri = sum(tv.get((i, j, k), 0) * x[k] / (x[i] * x[j]) for i, j, k in product(J, repeat=3))
+    outside = [i for i in range(1, m.s + 1) if i not in J]
     pen = sum(
         (tv.get((i, j, k), 0) / x[i] for i in J for j, k in product(outside, repeat=2)),
         Fraction(0),
     )
-    r = tuple(
-        m.killing[i - 1] / 2
+    S = lin / 2 - tri / 4
+    return S, S - pen / 2
+
+
+def _exact_r(m, x):
+    """r on the full set by dense summation in Fractions."""
+    x, b, tv = _exact_values(m, x)
+    full = range(1, m.s + 1)
+    return tuple(
+        b[i - 1] / 2
         + x[i] ** 2 * sum(tv.get((j, k, i), 0) / (x[j] * x[k]) for j, k in product(full, repeat=2))
         / (4 * m.dims[i - 1])
         - sum(tv.get((i, j, k), 0) * x[k] / x[j] for j, k in product(full, repeat=2))
         / (2 * m.dims[i - 1])
         for i in full
     )
-    return S(J), S(J) - pen / 2, r
 
 
 def test_exact_pass_matches_a_dense_fraction_oracle():
@@ -193,10 +196,45 @@ def test_exact_pass_matches_a_dense_fraction_oracle():
         x = random_positive_form(rng, m.s, exact=True)
         size = int(rng.integers(1, m.s + 1))
         J = tuple(sorted(int(i) + 1 for i in rng.choice(m.s, size=size, replace=False)))
-        S, S_hat, r = _exact_oracle(m, x, J)
+        (S, S_hat), r = _exact_S(m, x, J), _exact_r(m, x)
         got = (scalar_S(m, x, J), hat_S(m, x, J), ricci(m, x))
         assert got == (S, S_hat, r)
         assert all(isinstance(v, Fraction) for v in (*got[:2], *got[2]))
+
+
+def test_every_figure_is_its_exact_value_rounded_once():
+    # float draws, s = 2..7, with coefficients of x spread up to 1e+-200:
+    # S and Shat on every lattice member, r and grad S are the correctly
+    # rounded floats of the dense oracle's values; exact draws keep them
+    rng = np.random.default_rng(51)
+    for trial in range(320):
+        s = 2 + trial % 6
+        exact = trial % 17 == 0
+        m = random_space_model(rng, s=s, exact=exact or bool(trial % 3))
+        x = random_positive_form(rng, s, exact=exact)
+        if not exact:
+            spread = 10.0 ** rng.uniform(-200, 200, s)
+            x = DiagonalForm.full([float(v * w) for v, w in zip(x.values, spread)])
+        spell = (lambda v: v) if exact else to_float
+        r = _exact_r(m, x)
+        assert ricci(m, x) == tuple(map(spell, r))
+        assert grad_S(m, x) == tuple(
+            spell(-d * ri / Fraction(v) ** 2) for d, ri, v in zip(m.dims, r, x.values)
+        )
+        for J in m.lattice.members[1:]:
+            S, S_hat = _exact_S(m, x, J)
+            assert (scalar_S(m, x, J), hat_S(m, x, J)) == (spell(S), spell(S_hat))
+        if exact:
+            assert all(isinstance(v, Fraction) for v in ricci(m, x))
+    # g2u2 as a float model at (1, 1, 1e-200): 5/12, 5/12, 3/8, where the
+    # kernel's formula cancels every digit of r_1 and r_2
+    g2 = build_model(
+        "g2u2-float", dims=(4, 2, 4), killing=(1.0, 1.0, 1.0),
+        triples={(1, 1, 2): 2 / 3, (1, 2, 3): 0.5},
+    )
+    assert ricci(g2, DiagonalForm.full((1, 1, Fraction(1, 10**200)))) == (
+        0.4166666666666667, 0.4166666666666667, 0.375,
+    )
 
 
 def test_float_scalar_S_is_no_less_accurate_than_the_kernel():

@@ -529,6 +529,25 @@ def test_root_whose_metric_has_no_double_is_inconclusive():
     json.loads(json.dumps(rep.to_dict()), parse_constant=_raise)
 
 
+def test_rescale_note_only_where_a_scale_of_T_helps():
+    # [122] = 1e700: c is about 1e699 / max T at every scale, so no normal T
+    # brings x and c into the float range together; on flag3(4,2,4) at
+    # 3e307 x (1, 1, 1) x overflows, and T / 2**1000 answers
+    m = two_summand(2, 3, "1/4", "3/10", "1e700")
+    for T in ((1, 1), (1e300, 1e300), (1e300, 1e-5), (1e308, 1e308)):
+        rep = maximize_S_on_MT(m, DiagonalForm.full(T))
+        assert (rep.status, rep.c) == ("inconclusive", None), T
+        assert rep.notes == (
+            "x or c is beyond the float range at this scale of T; "
+            "no scale of T brings x and c into the float range together",
+        ), T
+    rep = maximize_S_on_MT(G2, DiagonalForm.full((3e307,) * 3))
+    assert (rep.status, rep.x) == ("inconclusive", None)
+    assert rep.notes == ("x or c is beyond the float range at this scale of T; rescale T",)
+    rescaled = maximize_S_on_MT(G2, DiagonalForm.full((3e307 / 2**1000,) * 3))
+    assert rescaled.status == "solved"
+
+
 def test_solver_rejects_partial_target():
     with pytest.raises(SolverError):
         maximize_S_on_MT(G2, DiagonalForm((1.0,), (2,)))
@@ -735,8 +754,9 @@ def test_three_summand_float_target_near_a_curve_of_solutions():
         "curve", dims=(1, 1, 4), casimir=(1 / 3, 1 / 3, 1 / 3),
         triples={(1, 2, 3): math.sqrt(4 / 3)},
     )
-    T = DiagonalForm.full(ricci(model, DiagonalForm.full((1, 2, 1))))
-    assert all(isinstance(v, float) for v in T.values)
+    # the kernel's Ricci coefficients at (1, 2, 1), within 1 ulp of the
+    # correctly rounded ones that ricci() returns there
+    T = DiagonalForm.full((0.33333333333333326, 2.642734410091836, 0.3333333333333333))
     rep = solve_prescribed_ricci(model, T)
     assert (rep.status, rep.starts_used, rep.solutions) == ("solved", solver_mod.MULTISTARTS, None)
     assert rep.notes[-1].startswith("the exact elimination is degenerate here, or T is within")
