@@ -63,17 +63,15 @@ def ricci_core(model: SpaceModel) -> tuple[int, list[dict]]:
         return tuple(e)
 
     terms = []  # (i, exponents, numerator, denominator)
-    for i in range(1, s + 1):
-        d = model.dims[i - 1]
-        num, den = model.killing[i - 1].as_integer_ratio()
+    for i, b_i in enumerate(model.killing, start=1):
+        num, den = b_i.as_integer_ratio()
         terms.append((i, monomial(), num, 2 * den))
-        # r_i = b_i/2 + x_i^2/(4 d_i) A_i - B_i/(2 d_i), as in _kernels
-        for a, b, c, v in model.ordered_triples:
-            num, den = v.as_integer_ratio()
-            if c == i:
-                terms.append((i, monomial((2, i), (-1, a), (-1, b)), num, 4 * d * den))
-            if a == i:
-                terms.append((i, monomial((1, c), (-1, b)), -num, 2 * d * den))
+    # r_i = b_i/2 + x_i^2/(4 d_i) A_i - B_i/(2 d_i), as in _kernels: the row
+    # [abc] adds its term of A_c to r_c and its term of B_a to r_a
+    for a, b, c, v in model.ordered_triples:
+        num, den = v.as_integer_ratio()
+        terms.append((c, monomial((2, c), (-1, a), (-1, b)), num, 4 * model.dims[c - 1] * den))
+        terms.append((a, monomial((1, c), (-1, b)), -num, 2 * model.dims[a - 1] * den))
     scale = math.lcm(*(den for *_, den in terms))
     core = [{} for _ in range(s)]
     for i, e, num, den in terms:

@@ -23,7 +23,7 @@ from .chains import (
     enumerate_simple_chains,
     two_summand_condition,
 )
-from .curvature import CurvatureError, grad_S, ricci
+from .curvature import CurvatureError, _ricci_and_grad
 from .iteration import IterationError, ricci_iterate
 from .model import (
     CASIMIR_TOL,
@@ -223,8 +223,7 @@ def cmd_check(args) -> int:
 def cmd_ricci(args) -> int:
     model = _load(args, args.tol)
     x = _parse_form(args.x)
-    r = ricci(model, x)
-    g = grad_S(model, x)
+    r, g = _ricci_and_grad(model, x)
     payload = {
         "ricci": [format_number(v) for v in r],
         "grad_S": [format_number(v) for v in g],
@@ -305,8 +304,9 @@ def cmd_catalog(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' parsers by name, built once per
+    process: parsing leaves them unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
@@ -366,11 +366,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", help=" | ".join([*catalog_mod.KINDS, "list"]))
     p.add_argument("params", nargs="*", help="generator parameters")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # the top-level parser runs only to report a line no subcommand's reads whole
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+    if rest:
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

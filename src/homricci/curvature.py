@@ -86,13 +86,6 @@ def _evaluate(model: SpaceModel, x: DiagonalForm, J: tuple[int, ...]) -> tuple:
     return (D * S, den), (D * S_hat, den), r
 
 
-def _ricci(model: SpaceModel, x: DiagonalForm) -> list:
-    full = tuple(range(1, model.s + 1))
-    if x.support != full:
-        raise CurvatureError("ricci needs a form on the full index set")
-    return _evaluate(model, x, full)[2]
-
-
 def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = None) -> Scalar:
     """Scalar curvature of the diagonal metric x restricted to J.
 
@@ -115,20 +108,30 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     return figure(*_evaluate(model, x, J_k)[1], model.exact and x.exact)
 
 
+def _ricci_and_grad(model: SpaceModel, x: DiagonalForm) -> tuple[tuple, tuple]:
+    """(ricci, grad_S) at x, from one pass."""
+    full = tuple(range(1, model.s + 1))
+    if x.support != full:
+        raise CurvatureError("ricci needs a form on the full index set")
+    r = _evaluate(model, x, full)[2]
+    exact = model.exact and x.exact
+    D, X = x.integers
+    return tuple(figure(*ri, exact) for ri in r), tuple(
+        figure(-d * num * D * D, den * v * v, exact)
+        for d, (num, den), v in zip(model.dims, r, X)
+    )
+
+
 def ricci(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
     """Ricci coefficients of the full diagonal metric, relative to Q.
 
     Scale invariant: ricci(c*x) == ricci(x).  Coefficients may be negative,
     so the result is a plain tuple rather than a DiagonalForm.
     """
-    return tuple(figure(*ri, model.exact and x.exact) for ri in _ricci(model, x))
+    return _ricci_and_grad(model, x)[0]
 
 
 def grad_S(model: SpaceModel, x: DiagonalForm) -> tuple[Scalar, ...]:
     """Analytic gradient of scalar_S on the full index set: dS/dx_i = -d_i r_i / x_i^2,
     taken exactly and rounded once."""
-    D, X = x.integers
-    return tuple(
-        figure(-d * num * D * D, den * v * v, model.exact and x.exact)
-        for d, (num, den), v in zip(model.dims, _ricci(model, x), X)
-    )
+    return _ricci_and_grad(model, x)[1]

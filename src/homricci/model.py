@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .numbers import (
@@ -125,11 +124,18 @@ class SpaceModel:
     def ordered_triples(self) -> tuple[tuple[int, int, int, Scalar], ...]:
         """Each nonzero canonical triple expanded to its distinct orderings."""
         out = []
-        for i, j, k, v in self.triples:
+        for i, j, k, v in self.triples:  # i <= j <= k: the orderings in sorted order
             if v == 0:
                 continue
-            for perm in sorted(set(permutations((i, j, k)))):
-                out.append((*perm, v))
+            if i == k:
+                out.append((i, i, i, v))
+            elif i == j:
+                out += (i, i, k, v), (i, k, i, v), (k, i, i, v)
+            elif j == k:
+                out += (i, j, j, v), (j, i, j, v), (j, j, i, v)
+            else:
+                out += (i, j, k, v), (i, k, j, v), (j, i, k, v)
+                out += (j, k, i, v), (k, i, j, v), (k, j, i, v)
         return tuple(out)
 
     @cached_property
@@ -459,6 +465,10 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
         triples=model.triples,
         pairwise_inequivalent=model.pairwise_inequivalent,
     )
+    # completion leaves the triples as they were, and derives each value in
+    # the arithmetic of the given ones: the tables read above carry over
+    for key in ("exact", "ordered_triples", "row_sums"):
+        completed.__dict__[key] = model.__dict__[key]
     return ValidationReport(True, (), derived, residuals, completed)
 
 

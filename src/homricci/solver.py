@@ -594,6 +594,8 @@ def maximize_S_on_MT(
     x = c = S = None
     if best is not None:
         x, c, S = [ldexp(v, k) for v in best.x], ldexp(best.c, -k), ldexp(best.S, -k)
+        if c == 0 and (best.c != 0 or best.c_exponent is not None):
+            c = math.nan  # c is not 0 but rounds to it at T: it has no double
     if status != "diverged" and not (all(map(math.isfinite, x)) and math.isfinite(c)):
         # certified at T / 2**k, but the answer at T has no double
         status = "inconclusive"

@@ -11,6 +11,8 @@ Ricci and scalar-curvature oracles sum over the dense s^3 tensor, the closure an
 requirement-2 oracles test subsets against that same dense tensor, the
 chain oracle redoes betweenness with set algebra, and the eta oracle sums the defining form over
 the ordered triples rather than the library's scaled bitmask rows.  The
+ordered triples are checked against the sorted set of each triple's
+permutations, where the library writes them from its equality pattern.  The
 subresultant oracle takes Sylvester determinants by fraction-free (Bareiss)
 elimination, where the library runs a subresultant chain, and the root
 oracle bisects one bit at a time, where the library takes Newton steps.
@@ -146,6 +148,17 @@ def random_two_summand_case(rng, pass_side: bool):
 
 
 # --- independent oracles -----------------------------------------------------
+
+
+def oracle_ordered_triples(model: SpaceModel) -> tuple:
+    """Each nonzero canonical triple expanded to the sorted set of its
+    permutations."""
+    return tuple(
+        (*perm, v)
+        for i, j, k, v in model.triples
+        if v != 0
+        for perm in sorted(set(permutations((i, j, k))))
+    )
 
 
 def dense_tensor(model: SpaceModel, exact: bool = False) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homricci import build_model, cli, iteration, serialize_model
+from homricci import build_model, cli, curvature, iteration, serialize_model
 from helpers import random_space_model
 
 
@@ -99,10 +100,19 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_unknown_flag_exits_two(g2_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eta", str(g2_path), "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_two(g2_path, capsys):
+    model = str(g2_path)
+    for argv, last in (
+        (["eta", model, "--frobnicate"], "homricci: error: unrecognized arguments: --frobnicate"),
+        ([], "homricci: error: the following arguments are required: command"),
+        # the choices are listed as the Python version spells them
+        (["sol", model], r"homricci: error: argument command: invalid choice: 'sol' \(.*\)"),
+        (["solve", model], "homricci solve: error: the following arguments are required: --T"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert re.fullmatch(last, capsys.readouterr().err.splitlines()[-1]), argv
 
 
 def test_subalgebras_output(g2_path, capsys):
@@ -270,9 +280,13 @@ def test_check_rational_margins(g2_path, capsys):
     assert doc["conditions"][0]["eta"] == "1/48"
 
 
-def test_ricci_command(g2_path, capsys):
+def test_ricci_command(g2_path, capsys, monkeypatch):
+    # ricci and grad_S come from one exact pass
+    calls = []
+    original = curvature._evaluate
+    monkeypatch.setattr(curvature, "_evaluate", lambda *a: calls.append(a) or original(*a))
     code, out, _ = run(capsys, "ricci", str(g2_path), "--x", "1,1,1", "--json", "--rational")
-    assert code == 0
+    assert code == 0 and len(calls) == 1
     doc = json.loads(out)
     assert doc["ricci"] == ["17/48", "7/24", "7/16"]
 

@@ -28,8 +28,10 @@ from homricci import (
 from homricci import catalog, cli
 from homricci import model as model_mod
 from helpers import (
+    combinations_with_repetition,
     oracle_full_flag,
     oracle_lattice,
+    oracle_ordered_triples,
     oracle_requirement2,
     oracle_simple_chains,
     random_space_model,
@@ -184,6 +186,26 @@ def test_lattice_closure_restatement():
             for i, j, k, v in m.ordered_triples:
                 if j in inside and k in inside and i not in inside:
                     assert v == 0
+
+
+def test_ordered_triples_match_sorted_permutations():
+    # raw models whose triples have every equality pattern and zero values,
+    # exact and float
+    rng = np.random.default_rng(29)
+    patterns, zeros = set(), 0
+    for _ in range(200):
+        s = int(rng.integers(1, 7))
+        triples = []
+        for i, j, k in combinations_with_repetition(s):
+            if rng.random() < 0.4:
+                continue
+            value = (0, 0.0, Fraction(int(rng.integers(1, 9)), 7), float(rng.uniform(0.1, 2)))
+            triples.append((i, j, k, value[int(rng.integers(0, 4))]))
+            patterns.add(len({i, j, k}))
+            zeros += triples[-1][3] == 0
+        m = SpaceModel("raw", (2,) * s, None, (1,) * s, tuple(triples))
+        assert m.ordered_triples == oracle_ordered_triples(m)
+    assert patterns == {1, 2, 3} and zeros > 0
 
 
 def test_lattice_monotone_under_zeroing():
@@ -417,6 +439,12 @@ def test_chains_and_core_built_once_per_model(monkeypatch):
     trace = ricci_iterate(line, DiagonalForm.full((1.0, 1.3)), steps=10)
     assert (trace.status, len(trace.steps)) == ("completed", 10)
     assert calls == {"chains": 1, "core": 1}
+    # a load expands the triples once: the completed model keeps the raw
+    # model's tables
+    raw = parse_model(serialize_model(line))
+    completed = validate(raw).model
+    assert completed.ordered_triples is raw.ordered_triples
+    assert completed.row_sums is raw.row_sums
     # a model that violates the hypothesis raises on every read
     violated = build_model(
         "isolated", dims=(1, 2, 2), casimir=(0, Fraction(3, 10), Fraction(2, 5)),

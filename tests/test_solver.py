@@ -49,6 +49,7 @@ from helpers import (
     bisected_root,
     has_root_in,
     oracle_figures,
+    oracle_ricci,
     random_positive_form,
     random_space_model,
     random_two_summand_case,
@@ -531,16 +532,20 @@ def test_root_whose_metric_has_no_double_is_inconclusive():
 
 def test_rescale_note_only_where_a_scale_of_T_helps():
     # [122] = 1e700: c is about 1e699 / max T at every scale, so no normal T
-    # brings x and c into the float range together; on flag3(4,2,4) at
-    # 3e307 x (1, 1, 1) x overflows, and T / 2**1000 answers
-    m = two_summand(2, 3, "1/4", "3/10", "1e700")
-    for T in ((1, 1), (1e300, 1e300), (1e300, 1e-5), (1e308, 1e308)):
-        rep = maximize_S_on_MT(m, DiagonalForm.full(T))
-        assert (rep.status, rep.c) == ("inconclusive", None), T
-        assert rep.notes == (
-            "x or c is beyond the float range at this scale of T; "
-            "no scale of T brings x and c into the float range together",
-        ), T
+    # brings x and c into the float range together; with every value
+    # 1e-700, c is positive, exactly, yet rounds to 0.0 at every scale.  On
+    # flag3(4,2,4) at 3e307 x (1, 1, 1) x overflows, and T / 2**1000 answers
+    for m in (two_summand(2, 3, "1/4", "3/10", "1e700"),
+              two_summand(2, 3, "1e-700", "1e-700", "1e-700")):
+        for T in ((1, 1), (1e300, 1e300), (1e300, 1e-5), (1e308, 1e308)):
+            rep = maximize_S_on_MT(m, DiagonalForm.full(T))
+            assert (rep.status, rep.c) == ("inconclusive", None), T
+            assert rep.notes == (
+                "x or c is beyond the float range at this scale of T; "
+                "no scale of T brings x and c into the float range together",
+            ), T
+    rep = maximize_S_on_MT(G2, UNIT)
+    assert rep.status == "solved" and rep.c > 0
     rep = maximize_S_on_MT(G2, DiagonalForm.full((3e307,) * 3))
     assert (rep.status, rep.x) == ("inconclusive", None)
     assert rep.notes == ("x or c is beyond the float range at this scale of T; rescale T",)
@@ -766,6 +771,28 @@ def test_three_summand_float_target_near_a_curve_of_solutions():
     exact = solve_prescribed_ricci(model, DiagonalForm.full(tuple(Fraction(v) for v in T.values)))
     assert (exact.status, exact.starts_used) == ("diverged", 0)
     assert exact.notes[-1].startswith("no solution exists")
+
+
+def test_ricci_core_matches_dense_oracle():
+    # at x = (1, x_2, ..., x_s) the core's row i is M r_i x_2^2 ... x_s^2,
+    # with r from the dense tensor in fractions
+    rng = np.random.default_rng(37)
+    for n in range(100):
+        model = random_space_model(rng, s=2 + n % 2, exact=n % 4 < 2)
+        M, core = model.ricci_core
+        for _ in range(20):
+            x = [Fraction(1), *(
+                Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+                for _ in range(model.s - 1)
+            )]
+            r = oracle_ricci(model, DiagonalForm.full(x), exact=True)
+            scale = math.prod(v * v for v in x[1:])
+            for ri, terms in zip(r, core):
+                value = sum(
+                    coeff * math.prod(v**e for v, e in zip(x[1:], exps))
+                    for exps, coeff in terms.items()
+                )
+                assert value == M * ri * scale
 
 
 def test_root_bisection_lands_on_a_dyadic_root():
