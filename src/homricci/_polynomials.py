@@ -13,7 +13,9 @@ bisection (Collins and Akritas, SYMSAC 1976) on dyadic intervals
 (x + 1) / 2 (Rouillier and Zimmermann, J. Comput. Appl. Math. 162, 2004);
 a root at a dyadic point is found exactly, and a multiple root nowhere else.
 An isolated root is refined by exact Newton steps that each verify their own
-interval (Abbott, quadratic interval refinement, 2006).  Nothing here rounds.
+interval (Abbott, quadratic interval refinement, 2006), the first from a
+float Newton estimate where exact signs confirm it.  No result rounds: a
+float only proposes a point.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from typing import Optional
 
 # A prime for the modular coprimality test of ``gcd_poly``.
 _PRIME = 2**61 - 1
+# ``refine``'s float first step: at most this many Newton steps, a grid this
+# many bits deep, and the secant steps' gain after it.
+_SEED_STEPS, _SEED_BITS, _SEEDED_GAIN = 10, 44, 16
 
 
 def trim(p: list) -> list:
@@ -285,18 +290,23 @@ def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, in
     finds it at the first depth where c >= 2**bits: the interval there, or
     the root itself when it is a dyadic point of no greater depth.
 
-    Each step from an interval at depth k puts the zero of the secant
-    through its ends on the grid of depth k + gain, and keeps the one
-    interval of that grid next to it that the sign there and at one
-    neighbour show to hold the root; the gain then doubles.  A step that
-    fails bisects once and halves the gain.  Any interval at depth K lies
-    in one of every lower depth, so the last is cut back to the first
+    The first step is a float estimate (``_seeded``) where it brackets the
+    root.  Each further step from an interval at depth k puts the zero of
+    the secant through its ends on the grid of depth k + gain, and keeps
+    the one interval of that grid next to it that the sign there and at
+    one neighbour show to hold the root; the gain then doubles.  A step
+    that fails bisects once and halves the gain.  Any interval at depth K
+    lies in one of every lower depth, so the last is cut back to the first
     depth with c >= 2**bits."""
     k, c, left = root
     if not left or c >> bits:
         return root
-    k0, n, gain = k, len(p) - 1, 2
-    ends = value_at(p, c, k), value_at(p, c + 1, k)
+    k0, n = k, len(p) - 1
+    seeded = _seeded(p, root, bits)
+    if seeded is None:
+        gain, ends = 2, (value_at(p, c, k), value_at(p, c + 1, k))
+    else:
+        gain, (k, c, left), ends = _SEEDED_GAIN, *seeded
     while left and c >> bits == 0:
         step = min(gain, bits + 1 - c.bit_length())
         lo, hi = c << step, (c + 1) << step
@@ -304,17 +314,10 @@ def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, in
         f0, f1 = ends[0] << (step * n), ends[1] << (step * n)
         if step > 1 and f0 != f1:
             X = min(max(lo + _round_div(f0 << step, f0 - f1), lo + 1), hi - 1)
-            vx = value_at(p, X, k + step)
-            sx = (vx > 0) - (vx < 0)
-            # the root lies on the side of X where p has the sign -sx
-            Y = X + 1 if sx == left else X - 1
-            vy = f1 if Y == hi else f0 if Y == lo else value_at(p, Y, k + step)
-            sy = -left if Y == hi else left if Y == lo else (vy > 0) - (vy < 0)
-            if not sx or not sy:
-                k, c, left = k + step, Y if sx else X, 0
-            elif sx != sy:
-                k, c, gain = k + step, min(X, Y), 2 * gain
-                ends = (vx, vy) if X < Y else (vy, vx)
+            bracket = _bracket(p, k + step, X, left, lo, hi, (f0, f1))
+            if bracket is not None:
+                (k, c, left), ends = bracket
+                gain *= 2
                 continue
         if left:  # bisect
             vm = value_at(p, 2 * c + 1, k + 1)
@@ -330,6 +333,67 @@ def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, in
     if not left and k <= depth:
         return k, c, 0
     return depth, c >> (k - depth), left or root[2]
+
+
+def _bracket(p, depth, X, left, lo, hi, ends=None):
+    """The interval of the grid of depth ``depth`` next to X, lo < X < hi,
+    that the sign of p at X and at one neighbour show to hold the root of
+    p in (lo, hi) on that grid, where p has the sign ``left`` just right of
+    lo: ((depth, c, left), the values at its ends), or ((depth, c, 0), None)
+    when the root is the point c; None when the two signs agree.  ``ends``
+    are the values at lo and hi, when known."""
+    vx = value_at(p, X, depth)
+    sx = (vx > 0) - (vx < 0)
+    # the root lies on the side of X where p has the sign -sx
+    Y = X + 1 if sx == left else X - 1
+    if Y == lo or Y == hi:  # p may vanish there, at another root
+        sy = left if Y == lo else -left
+        vy = value_at(p, Y, depth) if ends is None else ends[Y == hi]
+    else:
+        vy = value_at(p, Y, depth)
+        sy = (vy > 0) - (vy < 0)
+    if not sx or not sy:
+        return (depth, Y if sx else X, 0), None
+    if sx == sy:
+        return None
+    return (depth, min(X, Y), left), ((vx, vy) if X < Y else (vy, vx))
+
+
+def _seeded(p, root, bits):
+    """A first step for ``refine``: a few float Newton steps from the middle
+    of the interval, put on the grid about _SEED_BITS bits deep at the
+    estimate (no deeper than bits + 1 bits), and kept as ``_bracket`` keeps
+    a secant step; None where that grid is not at least two levels below
+    the interval, p's coefficients or values overflow a float, the estimate
+    is not finite or outside the interval, or the signs do not bracket the
+    root (Abbott's quadratic interval refinement, seeded)."""
+    k, c, left = root
+    if min(_SEED_BITS, bits + 1) - c.bit_length() < 2:
+        return None  # the interval is as narrow as the grid, or nearly
+    x = math.ldexp(2 * c + 1, -k - 1)
+    try:
+        coefficients = [float(v) for v in reversed(p)]
+        for _ in range(_SEED_STEPS):
+            f = df = 0.0
+            for a in coefficients:
+                df = df * x + f
+                f = f * x + a
+            dx = f / df
+            x -= dx
+            if abs(dx) <= abs(x) * 2.0**-_SEED_BITS:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    lo, hi = math.ldexp(c, -k), math.ldexp(c + 1, -k)
+    if not lo < x < hi:  # also where x is not finite
+        return None
+    depth = min(_SEED_BITS, bits + 1) - math.frexp(x)[1]
+    step = depth - k
+    if step < 2:
+        return None
+    lo, hi = c << step, (c + 1) << step
+    X = min(max(round(math.ldexp(x, depth)), lo + 1), hi - 1)
+    return _bracket(p, depth, X, left, lo, hi)
 
 
 def _round_div(a: int, b: int) -> int:

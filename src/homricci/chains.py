@@ -36,11 +36,13 @@ mass plus the rise, the same from each (the empty set's mass is 0): no
 mass is summed from scratch, and D is the rise plus the cross term.  The
 scaled rows hold M[a][b] as integers over one denominator on every model
 (a float is a dyadic rational), so every sum is exact and the denominator
-cancels in eta.  The defining form, from Killing traces and bracket masses
-of the four derived blocks, equals the Casimir form wherever the Casimir
-identity holds, which ``validate`` enforces (to a tolerance on float data,
-whose given zeta the Casimir form reads); the tests check the two forms
-against each other.
+cancels in eta.  Each row groups its entries by value, as the mask of every
+b with that value, so the pass adds v times the number of those b in J_l,
+and in J_k', once per distinct value.  The defining form, from Killing
+traces and bracket masses of the four derived blocks, equals the Casimir
+form wherever the Casimir identity holds, which ``validate`` enforces (to
+a tolerance on float data, whose given zeta the Casimir form reads); the
+tests check the two forms against each other.
 
 A positive form T solves the prescribed-curvature problem whenever, for every
 chain, min_{i in J_k'} z_i / sum_{i in J_l} d_i z_i exceeds eta.  For two
@@ -214,11 +216,9 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
                 middle = sets[between]
                 within = cross = 0
                 for a in middle:
-                    for b, v in rows[a - 1]:
-                        if b & between:
-                            within += v
-                        elif b & inner:
-                            cross += v
+                    for v, mask in rows[a - 1]:
+                        within += v * (mask & between).bit_count()
+                        cross += v * (mask & inner).bit_count()
                 rise = 4 * sum(casimir[a - 1] for a in middle) + within + 2 * cross
                 step = steps[between] = rise, cross
             rise, cross = step

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import DiagonalForm, SpaceModel
-from .solver import SolveReport, SolverOptions, solve_prescribed_ricci
+from .solver import SolveReport, SolverOptions, _with_chain_check, maximize_S_on_MT
 
 
 class IterationError(ValueError):
@@ -94,9 +94,10 @@ def ricci_iterate(
 ) -> IterationTrace:
     """Run the iteration for the requested number of solve steps.
 
-    Each step's solve checks the chain condition for its target; a failing
-    check is advisory (the solve still runs).  On a failed solve the
-    trace is truncated with that step's report attached.
+    Each step maximizes S for its target.  On a failed solve the trace is
+    truncated with that step's report attached, as ``solve_prescribed_ricci``
+    gives it: with the chain check of its target (advisory), which a solved
+    step, whose report is dropped, does not take.
     """
     if steps < 1:
         raise IterationError("need at least one step")
@@ -108,9 +109,9 @@ def ricci_iterate(
     completed: list[IterationStep] = []
     failure = None
     for index in range(1, steps + 1):
-        report = solve_prescribed_ricci(model, g_bar, options=opts)
+        report = maximize_S_on_MT(model, g_bar, opts)
         if report.status != "solved":
-            failure = report
+            failure = _with_chain_check(model, g_bar, report)
             break
         # max|Ric(gbar_{i+1}) - g_i| / max g_i with g_i = c_i gbar_i is the
         # solve's relative residual max|r - c z| / (c max z), c = c_i > 0.

@@ -82,7 +82,9 @@ class ScaledData(NamedTuple):
     """
 
     casimir_mass: tuple  # d_i zeta_i per index
-    rows: tuple  # per index a: (bit of b, M[a][b]) with M[a][b] = sum_c [abc]
+    # per index a: (v, mask of every b with M[a][b] = v) for each distinct
+    # nonzero v, where M[a][b] = sum_c [abc]
+    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -187,13 +189,20 @@ class SpaceModel:
             raise ModelError("scaled data needs a validated model")
         triples = self.ordered_triples
         _, ints = common_denominator([*(v for *_, v in triples), *self.casimir])
-        rows = [{} for _ in range(self.s)]
+        sums = [{} for _ in range(self.s)]
         for (a, b, _, _), v in zip(triples, ints):
-            row, bit = rows[a - 1], 1 << (b - 1)
-            row[bit] = row.get(bit, 0) + v
+            row = sums[a - 1]
+            row[b] = row.get(b, 0) + v
+        rows = []
+        for row in sums:
+            masks = {}  # M[a][b] -> the mask of every b with that value
+            for b, v in row.items():
+                if v:
+                    masks[v] = masks.get(v, 0) | 1 << (b - 1)
+            rows.append(tuple(masks.items()))
         return ScaledData(
             casimir_mass=tuple(d * v for d, v in zip(self.dims, ints[len(triples):])),
-            rows=tuple(tuple(r.items()) for r in rows),
+            rows=tuple(rows),
         )
 
     @cached_property

@@ -18,9 +18,11 @@ without a positive u_i, is rejected, counted and halved like any other.
 The MULTISTARTS seeded starts run in lockstep: each start keeps its own
 state as one row of arrays, and each round builds the new steps of the
 starts that have just accepted one in one stacked linear solve, makes one
-trial point per running start, evaluates them all in one batched kernel
-call, and accepts or halves each.  Every operation acts on each row alone,
-so a start's outcome is bit for bit the one it has run alone.
+trial point per running start (only the Newton trial on a Newton row, and
+only the softmax one on a gradient row), evaluates them all in one batched
+kernel call, and accepts or halves each; when every row accepts, the trial
+is the new state.  Every operation acts on each row alone, so a start's
+outcome is bit for bit the one it has run alone.
 
 A start stops when its projected gradient vanishes, if its residual
 certifies or some u_i is below the collapse threshold; when its line search
@@ -67,7 +69,8 @@ vanishing identically, since a target that T rounds may have a curve of
 solutions.
 
 Either way an isolated root is refined to 55 bits by exact secant-Newton
-steps, ending on the interval bisection would reach, and read as a float;
+steps, the first from a float estimate that exact signs confirm, ending on
+the interval bisection would reach, and read as a float;
 for s = 3, u once -b / a at the ends of t's interval rounds to doubles at
 most 1 ulp apart.
 Each admissible root is certified like a start, componentwise on the
@@ -278,6 +281,15 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _rows(mask: np.ndarray):
+    """The rows where ``mask`` is set: all of them as a slice, so that
+    numpy indexes them by view, else their indices; None for no row."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return slice(None)
+    return mask.nonzero()[0] if count else None
+
+
 def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float, budget: int) -> _StartOutcome:
     u = st.u[i]
     c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
@@ -311,8 +323,9 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     outcome is the one it has run alone.  Each round makes one stacked
     linear solve, for the Newton steps of the starts that have just accepted
     a step, and one kernel call, at the trial point of every running start
-    (the first of a new step or a halved one of its line search).  A start
-    leaves the batch when it stops.
+    (the first of a new step or a halved one of its line search), built
+    along its own kind of step only.  A start leaves the batch when it
+    stops.
     """
     m, n = V0.shape
     z, dz = ev.z, ev.dz
@@ -340,8 +353,8 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
 
     while len(st.index):
         # A new step for every start that has just accepted one (or begun).
-        if fresh.any():
-            f = slice(None) if fresh.all() else np.flatnonzero(fresh)
+        f = _rows(fresh)
+        if f is not None:
             u = st.u[f]
             F = st.r[f] / z
             cbar = np.vecdot(u, F)
@@ -381,13 +394,20 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
         if not len(st.index):
             break
 
-        # One trial point per running start, all in one kernel call.
-        u_t = st.u + st.t[:, None] * st.step
-        u_t /= u_t.sum(axis=1, keepdims=True)
-        v_t = st.v + st.t[:, None] * st.step
-        v_t -= v_t.max(axis=1, keepdims=True)
-        u_t = np.where(st.newton[:, None], u_t, _softmax(v_t))
+        # One trial point per running start, all in one kernel call: u + t du,
+        # renormalised, for a Newton step, softmax(v + t p) for a gradient
+        # one.  v_t holds each row's next v, should it accept.
         k = len(st.index)
+        newton = st.newton
+        N, G = _rows(newton), _rows(~newton)
+        u_t, v_t = np.empty((k, n)), np.empty((k, n))
+        if N is not None:
+            w = st.u[N] + st.t[N, None] * st.step[N]
+            u_t[N] = w / w.sum(axis=1, keepdims=True)
+        if G is not None:
+            w = st.v[G] + st.t[G, None] * st.step[G]
+            w -= w.max(axis=1, keepdims=True)
+            v_t[G], u_t[G] = w, _softmax(w)
         r_t, jac_t = np.empty((k, n)), np.empty((k, n, n))
         S_t = ev.value_and_ricci(u_t, r_t, jac_t)
         finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1) & (u_t > 0).all(axis=1)
@@ -397,11 +417,22 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
         # without lowering S
         fresh = finite & (
             (S_t >= st.S + 1e-4 * st.t * st.slope)
-            | (st.newton & (S_t >= st.S) & (res_t < st.res))
+            | (newton & (S_t >= st.S) & (res_t < st.res))
         )
+        A = _rows(fresh & newton)
+        if A is not None:
+            v_t[A] = np.log(u_t[A])
+        if fresh.all():
+            # every row accepts: the trial is the new state
+            if G is not None:
+                st.alpha[G] = np.minimum(st.t[G] * 2.0, 1e12)
+            st.v, st.u, st.r, st.jac = v_t, u_t, r_t, jac_t
+            st.S, st.c, st.res = S_t, c_t, res_t
+            st.iterations += 1
+            continue
         row = fresh[:, None]
-        st.v = np.where(row, np.where(st.newton[:, None], np.log(u_t), v_t), st.v)
-        st.alpha = np.where(fresh & ~st.newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
+        st.v = np.where(row, v_t, st.v)
+        st.alpha = np.where(fresh & ~newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
         st.u, st.r = np.where(row, u_t, st.u), np.where(row, r_t, st.r)
         st.jac = np.where(row[:, :, None], jac_t, st.jac)
         st.S = np.where(fresh, S_t, st.S)
@@ -632,24 +663,28 @@ def solve_prescribed_ricci(
 ) -> SolveReport:
     """Solve Ric g = c T for the given positive target form.
 
-    Runs the chain conditions first (advisory: a failing or unknown check
-    does not stop the solve), then maximizes S on the constraint set; a
+    Maximizes S on the constraint set and attaches the chain conditions
+    (advisory: a failing or unknown check does not change the solve); a
     "solved" report is certified componentwise on exactly the metric it
     returns.
     """
-    opts = options or SolverOptions()
+    return _with_chain_check(model, T, maximize_S_on_MT(model, T, options))
+
+
+def _with_chain_check(model: SpaceModel, T: DiagonalForm, report: SolveReport) -> SolveReport:
+    """The solve ``report`` for T with the chain check of T attached: its
+    condition, None where the check cannot be taken, and a note on a
+    failing or unknown check before the report's own notes."""
     notes: list[str] = []
     condition = None
     try:
         condition = check_theorem(model, T)
         if not condition.passed:
-            # for s <= 3 the solve below decides existence exactly
+            # for s <= 3 the solve decides existence exactly
             gloss = "" if model.s <= 3 else "; existence not guaranteed"
             notes.append("chain condition failed" + gloss)
     except HypothesisViolatedError as exc:
         notes.append(f"hypothesis violated: {exc}")
     except EtaUndefinedError as exc:
         notes.append(f"eta undefined: {exc}")
-
-    report = maximize_S_on_MT(model, T, opts)
     return replace(report, condition=condition, notes=tuple(notes) + report.notes)

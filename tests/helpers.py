@@ -10,7 +10,7 @@ The oracles here never share code with the library paths they check: the
 Ricci and scalar-curvature oracles sum over the dense s^3 tensor, the closure and
 requirement-2 oracles test subsets against that same dense tensor, the
 chain oracle redoes betweenness with set algebra, and the eta oracle sums the defining form over
-the ordered triples rather than the library's scaled bitmask rows.  The
+the ordered triples rather than the library's scaled rows of value masks.  The
 ordered triples are checked against the sorted set of each triple's
 permutations, where the library writes them from its equality pattern.  The
 subresultant oracle takes Sylvester determinants by fraction-free (Bareiss)
@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from homricci import DiagonalForm, SpaceModel, build_model, two_summand
+from homricci import ChainError, DiagonalForm, SpaceModel, build_model, check_theorem, two_summand
 from homricci._polynomials import exact_div, mul, sign_at, sub
 
 
@@ -92,6 +92,26 @@ def random_space_model(rng, s=None, exact=False, ensure_proper_subalgebra=True, 
         triples=triples,
         pairwise_inequivalent=True,
     )
+
+
+def draw_corpus(seed, low, high, z_low, z_high, keep_passing, size):
+    """(model, T) draws in the order ROADMAP.md records its corpora: s in
+    [low, high), an exact model, z uniform in [z_low, z_high); a draw whose
+    check raises is skipped, and one is kept when its check passes (or
+    fails)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < size:
+        s = int(rng.integers(low, high))
+        model = random_space_model(rng, s, exact=True)
+        T = DiagonalForm.full(tuple(float(v) for v in rng.uniform(z_low, z_high, s)))
+        try:
+            passed = check_theorem(model, T).passed
+        except ChainError:
+            continue
+        if passed == keep_passing:
+            out.append((model, T))
+    return out
 
 
 def combinations_with_repetition(s):

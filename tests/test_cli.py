@@ -501,13 +501,13 @@ def test_iterate_tol_reaches_the_solves(tmp_path, capsys, monkeypatch):
     path = tmp_path / "line.json"
     path.write_text(out)
     seen = []
-    original = iteration.solve_prescribed_ricci
+    original = iteration.maximize_S_on_MT
 
     def recording(model, T, options=None):
         seen.append(options.residual_tol)
-        return original(model, T, options=options)
+        return original(model, T, options)
 
-    monkeypatch.setattr(iteration, "solve_prescribed_ricci", recording)
+    monkeypatch.setattr(iteration, "maximize_S_on_MT", recording)
     argv = ["iterate", str(path), "--start", "1,1", "--steps", "2", "--json"]
     assert run(capsys, *argv, "--tol", "1e-6")[0] == 0
     assert run(capsys, *argv)[0] == 0

@@ -10,36 +10,15 @@ two-summand cases on both sides of the threshold.
 import numpy as np
 
 from homricci import (
-    ChainError,
-    DiagonalForm,
     SolverOptions,
     check_corollary_lambda,
     check_theorem,
     solve_prescribed_ricci,
     two_summand_condition,
 )
-from helpers import oracle_figures, oracle_ricci, random_space_model, random_two_summand_case
+from helpers import draw_corpus, oracle_figures, oracle_ricci, random_two_summand_case
 
 TOL = SolverOptions.residual_tol
-
-
-def _corpus(seed, low, high, z_low, z_high, keep_passing, size):
-    """(model, T) draws in the recorded order: s in [low, high), an exact
-    model, z uniform in [z_low, z_high); a draw whose check raises is
-    skipped, and one is kept when its check passes (or fails)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < size:
-        s = int(rng.integers(low, high))
-        model = random_space_model(rng, s, exact=True)
-        T = DiagonalForm.full(tuple(float(v) for v in rng.uniform(z_low, z_high, s)))
-        try:
-            passed = check_theorem(model, T).passed
-        except ChainError:
-            continue
-        if passed == keep_passing:
-            out.append((model, T))
-    return out
 
 
 def _consistent(model, T):
@@ -66,12 +45,12 @@ def _consistent(model, T):
 
 
 def test_passing_corpus_is_solved():
-    corpus = _corpus(7, 3, 7, 0.3, 3, keep_passing=True, size=80)
+    corpus = draw_corpus(7, 3, 7, 0.3, 3, keep_passing=True, size=80)
     assert [_consistent(model, T) for model, T in corpus] == ["solved"] * 80
 
 
 def test_failing_corpus_three_summands_decided():
-    corpus = _corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=40)
+    corpus = draw_corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=40)
     statuses = [_consistent(model, T) for model, T in corpus if model.s == 3]
     assert len(statuses) == 17
     assert set(statuses) <= {"solved", "diverged"}

@@ -14,9 +14,11 @@ from homricci import (
     flag3,
     ricci,
     ricci_iterate,
+    solve_prescribed_ricci,
     two_summand,
     two_summand_condition,
 )
+from homricci import iteration, solver
 from helpers import oracle_figures
 
 
@@ -111,6 +113,34 @@ def test_three_summand_iteration_ends_with_a_proof():
         failure = trace.to_dict()["failure"]
         assert (failure["step"], failure["status"]) == (2, "diverged")
         assert failure["notes"][-1].startswith("no solution exists")
+
+
+def test_only_a_failing_step_takes_the_chain_check(monkeypatch):
+    # g2u2 from the unit metric: step 1 solves and takes no check; step 2
+    # is solved once, and its report is what solve_prescribed_ricci gives
+    # for that target, with the check's condition and note
+    model = flag3(4, 2, 4)
+    solves, checks = [], []
+    solve, check = iteration.maximize_S_on_MT, solver.check_theorem
+
+    def solving(model, T, options=None):
+        solves.append(T)
+        return solve(model, T, options)
+
+    def checking(model, T):
+        checks.append(T)
+        return check(model, T)
+
+    monkeypatch.setattr(iteration, "maximize_S_on_MT", solving)
+    monkeypatch.setattr(solver, "check_theorem", checking)
+    trace = ricci_iterate(model, DiagonalForm.full((1.0, 1.0, 1.0)), steps=5)
+    assert (trace.status, len(trace.steps), len(solves)) == ("truncated", 1, 2)
+    assert checks == [solves[1]]
+    failure = trace.failure
+    assert not failure.condition.passed
+    assert failure.notes[0] == "chain condition failed"
+    monkeypatch.undo()
+    assert failure.to_json() == solve_prescribed_ricci(model, solves[1]).to_json()
 
 
 def test_iteration_input_validation():

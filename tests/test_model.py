@@ -23,6 +23,7 @@ from homricci import (
     parse_model,
     ricci_iterate,
     serialize_model,
+    solve_prescribed_ricci,
     validate,
 )
 from homricci import catalog, cli
@@ -414,6 +415,10 @@ def test_lattice_walked_once_per_model(tmp_path, capsys, monkeypatch):
     m = catalog.entry("twosum", *params)
     trace = ricci_iterate(m, DiagonalForm.full((1, 1)), steps=4)
     assert len(trace.steps) == 4
+    # a solved iteration step takes no chain check, so nothing walks
+    assert walks == []
+    for T in ((1, 1), (2, 1), (1, 3)):
+        solve_prescribed_ricci(m, DiagonalForm.full(T))
     assert len(walks) == 1
 
 
@@ -434,10 +439,14 @@ def test_chains_and_core_built_once_per_model(monkeypatch):
     monkeypatch.setattr(chains_mod, "enumerate_simple_chains", counted("chains"))
     monkeypatch.setattr(_elimination, "ricci_core", counted("core"))
     # a two-summand model whose first summand is a line: each of the ten
-    # steps checks the chain condition and solves on the core
+    # steps solves on the core, and none of them, all solved, takes the
+    # chain check; solves that do take it enumerate the chains once
     line = catalog.entry("twosum", "1", "3", "0", "3/10", "4/5")
     trace = ricci_iterate(line, DiagonalForm.full((1.0, 1.3)), steps=10)
     assert (trace.status, len(trace.steps)) == ("completed", 10)
+    assert calls == {"chains": 0, "core": 1}
+    for T in ((1.0, 1.3), (2.0, 1.0)):
+        solve_prescribed_ricci(line, DiagonalForm.full(T))
     assert calls == {"chains": 1, "core": 1}
     # a load expands the triples once: the completed model keeps the raw
     # model's tables

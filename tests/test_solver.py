@@ -47,6 +47,7 @@ from homricci._polynomials import (
 from homricci.numbers import figure, format_number, json_figure, ratio
 from helpers import (
     bisected_root,
+    draw_corpus,
     has_root_in,
     oracle_figures,
     oracle_ricci,
@@ -245,18 +246,38 @@ def test_every_start_monotone_in_S():
         assert list(values[-1]) == [o.S for o in full]
 
 
-def test_lockstep_starts_match_starts_run_alone():
-    # a start's outcome does not depend on the starts it runs beside
+def test_lockstep_starts_match_starts_run_alone(monkeypatch):
+    # a start's outcome does not depend on the starts it runs beside, also
+    # in rounds where some rows take a Newton trial and others a gradient
+    # one, as on the escaping failing-corpus s = 4 targets (entries 1 and 4)
     rng = np.random.default_rng(3)
     s6 = random_space_model(rng, s=6)
     cases = [(G2, T) for T in (UNIT, flag3_target(4.0, 1.4), DiagonalForm.full((1.0, 1.0, 0.1)))]
     cases += [(s6, random_positive_form(rng, 6)) for _ in range(2)]
-    statuses, zero_points = set(), 0
+    failing = draw_corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=5)
+    cases += [failing[1], failing[4]]
+    assert [model.s for model, _ in cases[-2:]] == [4, 4]
+    softmax, gradient_rows = solver_mod._softmax, [0]
+
+    def counting(v):
+        gradient_rows[0] += len(v)
+        return softmax(v)
+
+    monkeypatch.setattr(solver_mod, "_softmax", counting)
+    statuses, zero_points, mixed = set(), 0, []
     for model, T in cases:
         ev = solver_mod._Evaluator(model, np.array([float(v) for v in T.values]))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(16, model.s))
-        together = solver_mod._run_starts(ev, V0, TOL, 100)
         evaluate, points = ev.value_and_ricci, []
+
+        def batch(u, out_r, out_jac):
+            # the rows that took a gradient trial since the last call
+            mixed.append(0 < gradient_rows[0] < len(u))
+            gradient_rows[0] = 0
+            return evaluate(u, out_r, out_jac)
+
+        ev.value_and_ricci, gradient_rows[0] = batch, 0
+        together = solver_mod._run_starts(ev, V0, TOL, 100)
 
         def recording(u, out_r, out_jac):
             S = evaluate(u, out_r, out_jac)
@@ -279,7 +300,7 @@ def test_lockstep_starts_match_starts_run_alone():
             assert np.all(np.isfinite(o.x)) and np.all(np.array(o.x) > 0)
             statuses.add(o.status)
     assert statuses == {"converged", "collapsed", "stalled", "budget"}
-    assert zero_points > 0
+    assert zero_points > 0 and any(mixed)
 
 
 def test_determinism_and_seed_sensitivity(monkeypatch):
@@ -898,6 +919,56 @@ def test_newton_root_read_matches_bisection():
                 reads += 1
                 exact += bool(root[2] and not refined[2])
     assert reads > 600 and exact > 30
+
+
+def test_seeded_refine_ends_where_the_loop_and_bisection_end(monkeypatch):
+    # the float first step changes how refine reaches its interval, not
+    # which: on every refine the flag3 grid and the s = 3 sweep make, the
+    # result is the unseeded loop's and one-bit bisection's, in few exact
+    # evaluations on the grid
+    calls, evaluations, inside = [], [0], [0]
+    original, evaluate = poly.refine, poly.value_at
+
+    def recording(p, root, bits):
+        calls.append((p, root, bits))
+        inside[0] += 1
+        try:
+            return original(p, root, bits)
+        finally:
+            inside[0] -= 1
+
+    def counting(*args):
+        evaluations[0] += inside[0] > 0
+        return evaluate(*args)
+
+    monkeypatch.setattr(poly, "refine", recording)
+    monkeypatch.setattr(poly, "value_at", counting)
+    for model, T in GRID:
+        three_summand_points(model, T)
+    grid, on_grid = len(calls), evaluations[0]
+    for model, T in sweep_cases():
+        three_summand_points(model, T)
+    monkeypatch.undo()
+    assert grid > 40 and on_grid <= 6 * grid
+    seeded = [refine(*call) for call in calls]
+    assert seeded == [bisected_root(*call) for call in calls]
+    monkeypatch.setattr(poly, "_seeded", lambda p, root, bits: None)
+    assert seeded == [refine(*call) for call in calls]
+    monkeypatch.undo()
+    # coefficients beyond the float range, where the loop runs alone; a
+    # root 3 / 2**50 right of the end of its interval (1/2, 1), which the
+    # first step brackets by the known sign there; two roots 2**-40 apart
+    huge = mul([-3, 10], [10**400])
+    near_end = mul([-1, 4], [-(2**49 + 3), 2**50])
+    close = mul([-(3 << 40), 10 << 40], [-(3 << 40) - 10, 10 << 40])
+    for p in (huge, near_end, close):
+        for reverse, root in positive_roots(p):
+            P = p[::-1] if reverse else p
+            for bits in (20, 55, 90):
+                assert refine(P, root, bits) == bisected_root(P, root, bits), (P, root, bits)
+    ((_, root),) = positive_roots(huge)
+    assert poly._seeded(huge, root, 55) is None
+    assert poly._seeded(near_end, (1, 1, -1), 55)[0] == (44, 2**43, -1)
 
 
 def test_sign_near_a_root_falls_back_where_the_bound_fails():
