@@ -22,14 +22,15 @@ positive root t_0, E_1(t_0, u) and E_2(t_0, u) are solved in u exactly.  A
 common factor of E_1 and E_2 whose coefficients share one sign has no point
 with t, u > 0 and is divided out.  Where a vanishes at an irrational
 positive root, or another common factor leaves a curve of solutions, the
-caller falls back to the ascent; so does a float target with no admissible
+caller falls back to the float solve; so does a float target with no admissible
 root whose R is within its rounding of vanishing identically.  With u
 missing from an E_i, and of degree >= 2 in the other, t is eliminated
 instead.  Both solves refine an isolated root to _ROOT_BITS bits, as
 bisection would, and read it as a float by correctly rounded int division;
 u = -b / a is read once it is as accurate as t.  ``certify`` then
 evaluates the core in integers at the float metric the solver makes of
-each root, and decides it there exactly.
+each root, and decides it there exactly; at any s, it does the same for a
+metric that the solver's Levenberg-Marquardt phase finds.
 """
 
 from __future__ import annotations

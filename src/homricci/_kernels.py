@@ -31,8 +31,9 @@ batch, so every point's S, ``out_r`` and ``out_jac`` are bit-identical to a
 batch of that point alone; ``out_r`` is bit-identical with or without
 ``out_jac``.
 
-The solver's ascent is the only caller: it looks the function up on this
-module at call time and passes every argument positionally, so that a
+The solver is the only caller, its ascent on batches and its
+Levenberg-Marquardt phase on one point a call: it looks the function up on
+this module at call time and passes every argument positionally, so that a
 wrapper installed here sees every call.  The kernel has no float twin:
 ``curvature`` evaluates the same formulas at one point in exact rationals
 and rounds each figure once, and the exact s <= 3 solve certifies its roots

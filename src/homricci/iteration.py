@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import DiagonalForm, SpaceModel
-from .solver import SolveReport, SolverOptions, _with_chain_check, maximize_S_on_MT
+from .solver import SolveReport, SolverOptions, _as_target, _with_chain_check, maximize_S_on_MT
 
 
 class IterationError(ValueError):
@@ -105,7 +105,9 @@ def ricci_iterate(
         raise IterationError("starting form must cover the full index set")
     opts = options or SolverOptions()
 
-    g_bar = g_bar_1.to_float()
+    # the start is read as the first solve's target: normal doubles, or a
+    # SolverError, also where a coefficient has no double
+    g_bar = DiagonalForm.full(tuple(_as_target(model, g_bar_1)))
     completed: list[IterationStep] = []
     failure = None
     for index in range(1, steps + 1):

@@ -35,6 +35,28 @@ is not attained, never a proof of nonexistence.  The ascent runs for
 s = 1 and s >= 4, and for s = 3 only where the elimination below is
 degenerate.
 
+Before the ascent, on every such solve but s = 1, a minimum-norm Newton
+phase solves Ric g = c T itself: Levenberg-Marquardt on F = r(x) - c z = 0
+in the unknowns w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian
+columns x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step
+solves (A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by
+3 after a step that lowers |F| and multiplied by 4 after one that does not,
+which is rejected.  It needs no isolated maximizer of S: where the
+solutions form a family, so that A is rank-deficient, the damped step
+tends to the minimum-norm one and lands on a point of the family.  The
+seeded starts run one at a time, in seed order, one point per kernel call.
+A start stops after 30 rejections in a row or 200 steps, or when a step is
+not finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
+float residual is at most tol with c > 0, and |F| has stopped shrinking
+fast (the last trial was rejected, or the last step shrank |F| less than
+fourfold), its metric, rescaled onto the constraint set, is certified in
+exact arithmetic as an exact root is (below).  The first start to certify
+ends the solve "solved": a certified solution, first in seed order, and
+not necessarily the maximizer of S.  With no certificate after LM_CALLS
+kernel calls the ascent runs as it would alone, so "diverged" is always
+the ascent's verdict, and so is "inconclusive", but where a certified
+metric has no double at the scale of T.
+
 Two and three summands take no ascent: Ric g = c T is solved exactly on the
 polynomial Ricci core (``_elimination``), each r_i times x_2^2 ... x_s^2 as
 an integer polynomial at x = (1, x_2, ..., x_s), with T as exact integers.
@@ -63,7 +85,7 @@ decided exactly, and one whose isolating interval already shows u < 0 is
 never read.  Where two solutions share a rational t_0 (a(t_0) = 0), u is
 solved for at t_0 exactly.  Where E_1 and E_2 share a factor with points
 at t, u > 0 (a curve of solutions), or a vanishes at an irrational
-positive root, the ascent decides instead, with a note; so it does where
+positive root, the float solve decides instead, with a note; so it does where
 a float T has no admissible root but R is within the rounding of T of
 vanishing identically, since a target that T rounds may have a curve of
 solutions.
@@ -115,6 +137,9 @@ class SolverError(ValueError):
 # _run_starts).
 MULTISTARTS = 16
 MAX_ITERATIONS = 10_000
+# Levenberg-Marquardt makes at most LM_CALLS kernel calls a solve (see
+# _levenberg_marquardt).
+LM_CALLS = 64
 GRADIENT_TOL = 1e-10
 COLLAPSE_THRESHOLD = 1e-12
 # The normal doubles, the targets a solve takes.
@@ -143,11 +168,20 @@ class SolveReport:
     finite is None, as ``numbers.format_number`` spells it, so that
     ``to_json`` is strict JSON.
 
+    Where Levenberg-Marquardt certifies a start (see the module docstring;
+    its note reads "minimum-norm Newton on Ric g = c T; N kernel calls"),
+    ``starts_used`` counts the starts it ran, in seed order, the certified
+    one last; ``iterations`` counts their accepted steps; ``start_values``
+    holds S at each start's last metric, on the constraint set; and c, the
+    residual and S are the correctly rounded floats of their exact values
+    at the returned metric.  Where the ascent decides, they count and
+    describe its MULTISTARTS starts and its iterations.
+
     For s = 2 and s = 3 (see the module docstring) the starts are the
     admissible roots of the exact solve: ``starts_used`` counts them,
     ``start_values`` holds S at each, ``iterations`` is 0, and
     ``solutions`` holds the metric at each, in the order of x_2 / x_1 (it
-    is None where the ascent decided).  There c, the residual, S and the
+    is None where the float solve decided).  There c, the residual, S and the
     start values are the correctly rounded floats of their exact values at
     the returned metrics.  "diverged" is then a proof that no solution
     exists, and its residual and S are None, since no point was evaluated;
@@ -231,7 +265,11 @@ class _Evaluator:
     ) -> np.ndarray:
         """S at each row of u (m, n); fills out_r (m, n) and, if given,
         out_jac (m, n, n); the kernel is read off ``_kernels`` at call time."""
-        return _kernels.value_and_ricci(*self.arrays, self.dz / u, out_r, out_jac)
+        return self.at(self.dz / u, out_r, out_jac)
+
+    def at(self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None) -> np.ndarray:
+        """The same at each row of x (m, n), the metrics themselves."""
+        return _kernels.value_and_ricci(*self.arrays, x, out_r, out_jac)
 
     def fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares c for r = c z, and the relative residual
@@ -448,17 +486,121 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     return outcomes
 
 
-def _ascend(ev: _Evaluator, opts: SolverOptions) -> list[_StartOutcome]:
-    """The seeded starts' ascent: the base start, the constant multiple of the
-    background form that sits on the constraint set, then MULTISTARTS - 1
-    random ones; for s = 1 the constraint set is a point: the base start,
-    and no steps."""
+def _seeded_starts(ev: _Evaluator, seed: int) -> np.ndarray:
+    """The seeded starts in softmax coordinates, one per row: the base start,
+    the constant multiple of the background form that sits on the
+    constraint set, then MULTISTARTS - 1 random ones."""
     base = np.log(ev.dz)
-    if len(base) == 1:
-        return _run_starts(ev, base[None, :], opts.residual_tol, 0)
-    rng = np.random.default_rng(opts.seed)
-    V0 = np.vstack([base, base + rng.normal(0.0, 0.75, size=(MULTISTARTS - 1, len(base)))])
-    return _run_starts(ev, V0, opts.residual_tol, MAX_ITERATIONS)
+    rng = np.random.default_rng(seed)
+    return np.vstack([base, base + rng.normal(0.0, 0.75, size=(MULTISTARTS - 1, len(base)))])
+
+
+def _on_constraint(dz: Sequence[float], point: Sequence[float]) -> list[float]:
+    """The multiple of the metric ``point`` on the constraint set, as the
+    ascent reads one: x = dz / u at u = dz / point, normalised (a quotient by
+    0 is inf, as in numpy)."""
+    u = [a / b if b else math.inf for a, b in zip(dz, point)]
+    total = sum(u)
+    u = [v / total for v in u]
+    return [a / v if v else math.inf for a, v in zip(dz, u)]
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _levenberg_marquardt(
+    model: SpaceModel, T: DiagonalForm, ev: _Evaluator, V0: np.ndarray, k: int, tol: float
+) -> tuple[list[_StartOutcome], int]:
+    """Levenberg-Marquardt on r(x) - c z = 0 (see the module docstring) from
+    each row of V0 in turn, at the target z = T / 2**k, until a start's
+    metric certifies in exact arithmetic at residual ``tol``, or LM_CALLS
+    kernel calls are spent: the outcomes of the starts run, the last one
+    certified unless none is, and the kernel calls made."""
+    from . import _elimination
+
+    z, dz = ev.z, ev.dz
+    n = len(z)
+    # the Jacobian of F = r - c z in (w_2, ..., w_n, c), w_j = log(x_j / x_1):
+    # dF/dw_j = x_j dr/dx_j, and dF/dc = -z
+    A = np.empty((n, n))
+    A[:, -1] = -z
+    diagonal = np.arange(n) * (n + 1)
+    x = np.ones((1, n))  # the kernel's point, x_1 = 1
+    r, jac = np.empty((1, n)), np.empty((1, n, n))
+    r_t, jac_t = np.empty((1, n)), np.empty((1, n, n))
+    outcomes: list[_StartOutcome] = []
+    calls = 0
+    for v in V0:
+        if calls == LM_CALLS:
+            break
+        u = _softmax(v)
+        w0 = w = np.log(u[0] * dz[1:] / (u[1:] * dz[0]))
+        x[0, 1:] = np.exp(w)
+        S = ev.at(x, r, jac)[0]
+        calls += 1
+        c = float(ev.fit(r[0])[0])
+        F = r[0] - c * z
+        norm = float(F @ F)
+        mu, steps, misses, rejected = 1e-3, 0, 0, 0
+        # |F| has stopped shrinking fast: the last trial was rejected, or the
+        # last step shrank it less than fourfold
+        settled = norm == 0
+        while math.isfinite(norm):
+            done = misses == 30 or steps == 200 or calls == LM_CALLS
+            if settled or done:
+                c_fit, res = ev.fit(r[0])
+                if res <= tol and c_fit > 0:
+                    point = _on_constraint(dz, x[0].tolist())
+                    figures = _elimination.certify(model, T, point, k, tol)
+                    if figures[3]:
+                        c, res, S, _, e = figures
+                        outcomes.append(_StartOutcome(
+                            S, point, c, res, "converged", steps, True, (), rejected, (), e
+                        ))
+                        return outcomes, calls
+            if done:
+                break
+            A[:, :-1] = jac[0, :, 1:] * x[0, 1:]
+            H = A.T @ A
+            H.flat[diagonal] += mu
+            try:
+                step = np.linalg.solve(H, A.T @ F)
+            except np.linalg.LinAlgError:  # mu below the rounding of H
+                step = np.full(n, np.nan)
+            w_t, c_t = w - step[:-1], c - float(step[-1])
+            # a start whose ratios x_j / x_1 move e**40 away escapes
+            if not np.abs(w_t - w0).max() <= 40:
+                break
+            x_t = x.copy()
+            x_t[0, 1:] = np.exp(w_t)
+            S_t = ev.at(x_t, r_t, jac_t)[0]
+            calls += 1
+            F_t = r_t[0] - c_t * z
+            norm_t = float(F_t @ F_t)
+            finite = math.isfinite(S_t) and math.isfinite(norm_t)
+            rejected += not finite
+            if finite and norm_t < norm:
+                settled = norm_t > norm / 16.0
+                w, c, x, S, F, norm = w_t, c_t, x_t, S_t, F_t, norm_t
+                r, r_t, jac, jac_t = r_t, r, jac_t, jac
+                mu, steps, misses = mu / 3.0, steps + 1, 0
+            else:
+                mu, misses, settled = mu * 4.0, misses + 1, True
+        # uncertified: the start's last metric, on the constraint set, where
+        # S is the kernel's S over the scale
+        scale = float(np.sum(dz / x[0]))
+        c_fit, res = ev.fit(r[0])
+        outcomes.append(_StartOutcome(
+            float(S) / scale, (x[0] * scale).tolist(), float(c_fit), float(res), "stalled",
+            steps, False, (), rejected,
+        ))
+    return outcomes, calls
+
+
+def _ascend(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcome]:
+    """The ascent from the seeded starts V0; for s = 1 the constraint set is
+    a point: the base start, and no steps."""
+    if V0.shape[1] == 1:
+        return _run_starts(ev, V0[:1], tol, 0)
+    return _run_starts(ev, V0, tol, MAX_ITERATIONS)
 
 
 def _exact_roots(
@@ -470,7 +612,7 @@ def _exact_roots(
     s = 3 elimination is degenerate; and, for s = 2, the coordinate that
     escapes when P has no root."""
     # the exact algebra is imported on first use, so that a process that
-    # solves no two- or three-summand problem never compiles it
+    # certifies nothing never compiles it
     from . import _elimination
 
     if model.s == 2:
@@ -484,12 +626,7 @@ def _exact_roots(
         # a ratio x_j / x_1 beyond the float range reads as 0 or inf, and
         # then no scale of T gives the root a float metric
         beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
-        # the root as a float metric, as the ascent reads one: x = dz / u at
-        # u = dz / point, normalised (a quotient by 0 is inf, as in numpy)
-        u = [a / b if b else math.inf for a, b in zip(dz, point)]
-        total = sum(u)
-        u = [v / total for v in u]
-        x = [a / v if v else math.inf for a, v in zip(dz, u)]
+        x = _on_constraint(dz, point)
         c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
         status = "converged" if certified else "stalled"
         outcomes.append(
@@ -544,13 +681,17 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
 def maximize_S_on_MT(
     model: SpaceModel, T: DiagonalForm, options: Optional[SolverOptions] = None
 ) -> SolveReport:
-    """Multistart Newton ascent of S over the constraint set, certified.
+    """Solve Ric g = c T on the constraint set, certified: by
+    Levenberg-Marquardt, else by the multistart Newton ascent of S.
 
     Starts are seeded deterministically; the first start is the constant
-    multiple of the background form that sits on the constraint set.  Each
-    runs the module's one ascent until it converges (projected gradient
-    vanished, residual certified), collapses, stalls or spends its budget.
-    A certified start makes "solved"; else a collapsed start makes
+    multiple of the background form that sits on the constraint set.
+    Levenberg-Marquardt runs them in seed order (see the module docstring),
+    and the first start it certifies in exact arithmetic makes "solved",
+    with a note that counts its kernel calls.  Else each start runs the
+    module's one ascent until it converges (projected gradient vanished,
+    residual certified), collapses, stalls or spends its budget.  A
+    certified start makes "solved"; else a collapsed start makes
     "diverged"; else "inconclusive".  Of the starts that decide the status,
     the report returns the most accurate one tied in S with the highest.
     Overflow raises no warning: a note counts the rejected trial points with
@@ -572,18 +713,27 @@ def maximize_S_on_MT(
     k = math.frexp(max(z))[1] - 1
     z = [math.ldexp(v, -k) for v in z]
     dz = [d * v for d, v in zip(model.dims, z)]
-    outcomes, escaped, notes = None, (), ()
+    outcomes, escaped, notes, calls = None, (), (), 0
     if model.s in (2, 3):
         outcomes, escaped = _exact_roots(model, T, dz, k, opts.residual_tol)
-        if outcomes is None:
-            notes = (
-                "the exact elimination is degenerate here, or T is within rounding "
-                "of a target where it is (a curve of solutions, or two at one root); "
-                "the multistart ascent decided",
-            )
     exact = outcomes is not None
     if not exact:
-        outcomes = _ascend(_Evaluator(model, z), opts)
+        ev = _Evaluator(model, z)
+        V0 = _seeded_starts(ev, opts.seed)
+        if model.s > 1:
+            outcomes, calls = _levenberg_marquardt(model, T, ev, V0, k, opts.residual_tol)
+        if not (outcomes and outcomes[-1].certified):
+            outcomes, calls = _ascend(ev, V0, opts.residual_tol), 0
+        if model.s in (2, 3):
+            notes = (
+                "the exact elimination is degenerate here, or T is within rounding "
+                "of a target where it is (a curve of solutions, or two at one root); the "
+                + ("minimum-norm Newton" if calls else "multistart ascent") + " decided",
+            )
+        if calls:
+            notes += (
+                f"minimum-norm Newton on Ric g = c T; {calls} kernel call" + "s" * (calls != 1),
+            )
 
     certified = [o for o in outcomes if o.certified]
     collapsed = [o for o in outcomes if o.status == "collapsed"]

@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from homricci import ChainError, DiagonalForm, SpaceModel, build_model, check_theorem, two_summand
+from homricci import ChainError, DiagonalForm, SpaceModel, build_model, check_theorem, ricci, two_summand
 from homricci._polynomials import exact_div, mul, sign_at, sub
 
 
@@ -111,6 +111,23 @@ def draw_corpus(seed, low, high, z_low, z_high, keep_passing, size):
             continue
         if passed == keep_passing:
             out.append((model, T))
+    return out
+
+
+def draw_known_solutions(seed, size):
+    """(model, T) draws of the known-solution corpus as ROADMAP.md records
+    it: s in [4, 7), an exact model, a metric x of quarters from 1/4 to 5,
+    and T = Ric x in exact arithmetic, so that x solves Ric g = c T with
+    c = 1; a draw with some coefficient of T not positive is skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < size:
+        s = int(rng.integers(4, 7))
+        model = random_space_model(rng, s, exact=True)
+        x = DiagonalForm.full(tuple(Fraction(int(k), 4) for k in rng.integers(1, 21, s)))
+        T = ricci(model, x)
+        if all(v > 0 for v in T):
+            out.append((model, DiagonalForm.full(tuple(T))))
     return out
 
 

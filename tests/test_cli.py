@@ -398,6 +398,15 @@ def test_targets_beyond_the_float_range(g2_path, capsys):
     code, out, err = run(capsys, "solve", str(g2_path), "--T", "1e-310,1e-310,1e-310", "--json")
     assert (code, out) == (2, "")
     assert err.startswith("error: target coefficients must be normal doubles")
+    # a coefficient beyond the largest double: the same one-line error from
+    # solve and from iterate, whose start is its first solve's target
+    errors = []
+    for argv in (("solve", "--T", "1e400,1,1"), ("iterate", "--start", "1e400,1,1", "--steps", "3")):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, argv[0], str(g2_path), *argv[1:], *json_flag)
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            errors.append(err)
+    assert set(errors) == {errors[0]} and errors[0].startswith("error: target coefficients must be normal doubles")
 
 
 def test_model_data_beyond_the_float_range(tmp_path, capsys):

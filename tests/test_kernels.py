@@ -19,6 +19,7 @@ from homricci import (
     scalar_S,
     solve_prescribed_ricci,
 )
+from homricci import solver
 from homricci.numbers import ldexp, to_float
 from helpers import random_positive_form, random_space_model
 
@@ -116,10 +117,22 @@ def test_float_evaluations_reach_the_module_kernel(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(_kernels, "value_and_ricci", counting)
-    # SU(4)/T: s = 6, where the ascent solves
-    rep = solve_prescribed_ricci(full_flag(4), DiagonalForm.full((1.0,) * 6))
+    # SU(4)/T: s = 6, where Levenberg-Marquardt certifies, one point a call
+    # and as many calls as its note counts; at the unit target, the normal
+    # metric, its first
+    su4 = full_flag(4)
+    for values, count in (((1.0,) * 6, 1), ((1.0,) * 5 + (1.01,), 8)):
+        calls.clear()
+        rep = solve_prescribed_ricci(su4, DiagonalForm.full(values))
+        assert rep.status == "solved"
+        assert rep.notes[-1].startswith("minimum-norm Newton on Ric g = c T; ")
+        assert calls == [1] * count and rep.notes[-1].endswith(f" {count} kernel call" + "s" * (count > 1))
+    # the ascent, where Levenberg-Marquardt certifies no start: at least
+    # one evaluated point per start and per ascent iteration
+    calls.clear()
+    monkeypatch.setattr(solver, "_levenberg_marquardt", lambda *args: ([], 0))
+    rep = solve_prescribed_ricci(su4, DiagonalForm.full((1.0,) * 6))
     assert rep.status == "solved" and rep.iterations > 0
-    # at least one evaluated point per start and per ascent iteration
     assert sum(calls) >= rep.starts_used + rep.iterations
 
 

@@ -208,11 +208,16 @@ def test_uncertified_solve_returns_most_accurate_tied_start(monkeypatch):
 
 
 def test_multistart_agreement_on_passing_model(monkeypatch):
-    rep = newton_solve(monkeypatch, G2, UNIT)  # default 16 starts
+    rep = ascent_solve(monkeypatch, G2, UNIT)  # default 16 starts
     assert len(rep.start_values) == solver_mod.MULTISTARTS
     best = max(rep.start_values)
     close = sum(1 for v in rep.start_values if abs(v - best) <= 1e-6)
     assert close >= 0.9 * len(rep.start_values)
+    # Levenberg-Marquardt certifies the base start, at the ascent's metric
+    lm = newton_solve(monkeypatch, G2, UNIT)
+    assert (lm.status, lm.starts_used, len(lm.start_values)) == ("solved", 1, 1)
+    assert lm.notes[-1].startswith("minimum-norm Newton on Ric g = c T; ")
+    assert lm.x.values == pytest.approx(rep.x.values, rel=1e-12)
 
 
 def test_iterates_monotone_in_S():
@@ -326,13 +331,30 @@ def test_randomized_two_summand_agreement_small():
 
 
 def newton_solve(monkeypatch, model, T, options=None):
-    """The s = 2 or s = 3 solve by the multistart Newton ascent instead of
-    the exact path, through the same report: the exact path reports itself
-    degenerate, so the solve falls back to the ascent."""
+    """The s = 2 or s = 3 solve by Levenberg-Marquardt and the multistart
+    Newton ascent instead of the exact path, through the same report: the
+    exact path reports itself degenerate, so the solve falls back to them."""
     opts = options or SolverOptions()
     with monkeypatch.context() as patch:
         patch.setattr(solver_mod, "_exact_roots", lambda *args: (None, ()))
         return solve_prescribed_ricci(model, T, opts)
+
+
+def ascent_solve(monkeypatch, model, T, options=None):
+    """The solve by the multistart Newton ascent alone: as ``newton_solve``,
+    with Levenberg-Marquardt certifying no start."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "_levenberg_marquardt", lambda *args: ([], 0))
+        return newton_solve(monkeypatch, model, T, options)
+
+
+def lm_solve(monkeypatch, model, T, options=None):
+    """The solve by Levenberg-Marquardt alone, the exact path bypassed as by
+    ``newton_solve`` and the ascent patched out: "solved" exactly where it
+    certifies a start."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "_ascend", lambda *args: [])
+        return newton_solve(monkeypatch, model, T, options)
 
 
 def assert_same_solve(exact, newton, escaping=True):
@@ -702,11 +724,18 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
     assert (rep.status, rep.starts_used) == ("diverged", 0)
     assert newton_solve(monkeypatch, DECOUPLED, UNIT).status == "diverged"
     # ... and when they share a root in t, every u solves: R = 0, a curve of
-    # solutions, and the ascent decides
+    # solutions, and the float solve decides
     T = DiagonalForm.full(ricci(DECOUPLED, DiagonalForm.full((1, 1, 1))))
+    ascent = ascent_solve(monkeypatch, DECOUPLED, T)
+    assert ascent.status == "solved" and ascent.starts_used == solver_mod.MULTISTARTS
+    assert ascent.notes[-1].startswith("the exact elimination is degenerate")
+    assert ascent.notes[-1].endswith("; the multistart ascent decided")
+    # Levenberg-Marquardt certifies the base start first
     rep = solve_prescribed_ricci(DECOUPLED, T)
-    assert rep.status == "solved" and rep.starts_used == solver_mod.MULTISTARTS
-    assert rep.notes[-1].startswith("the exact elimination is degenerate")
+    assert (rep.status, rep.starts_used) == ("solved", 1)
+    assert rep.notes[-2].startswith("the exact elimination is degenerate")
+    assert rep.notes[-2].endswith("; the minimum-norm Newton decided")
+    assert rep.notes[-1] == "minimum-norm Newton on Ric g = c T; 1 kernel call"
     assert rep.solutions is None and rep.to_dict()["solutions"] is None
     # SU(3)/T with the unit target: E_1 = (1 - t)(1 + t - u)(1 + t + u) and
     # E_2 share the factor 1 + t + u, which vanishes at no t, u > 0 and is
@@ -717,12 +746,14 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
     assert (rep.status, rep.starts_used, rep.notes) == ("solved", 1, ())
     assert rep.to_dict()["solutions"] == [[6.0, 6.0, 6.0]]
     # the invariant Kahler metrics x_3 = x_1 + x_2 all have a Ricci form
-    # parallel to (1, 1, 2): a curve of solutions, and the ascent decides
+    # parallel to (1, 1, 2): a curve of solutions, and the float solve
+    # decides, Levenberg-Marquardt or, without it, the ascent
     T = DiagonalForm.full((1, 1, 2))
     assert subresultant(*stripped_system(su3, T), 0) == [[]]
-    rep = solve_prescribed_ricci(su3, T)
-    assert rep.status == "solved" and rep.notes[-1].startswith("the exact elimination is degenerate")
-    assert rep.x[3] == pytest.approx(rep.x[1] + rep.x[2], rel=1e-8)
+    for rep in (solve_prescribed_ricci(su3, T), ascent_solve(monkeypatch, su3, T)):
+        assert rep.status == "solved"
+        assert any(note.startswith("the exact elimination is degenerate") for note in rep.notes)
+        assert rep.x[3] == pytest.approx(rep.x[1] + rep.x[2], rel=1e-8)
     # E_1 of degree 1 in u (a draw of the s = 3 sweep): u is read off E_1
     statuses = []
     for values in ((1.7117, 0.09559, 2.6901), (1.0, 1.0, 1.0), (1.0, 5.0, 0.1)):
@@ -768,14 +799,73 @@ def test_three_summand_saddle_solution_is_found(monkeypatch):
     r = np.array(ricci(SADDLE, rep.x))
     assert np.max(np.abs(r - rep.c * np.array(SADDLE_T.values))) <= 1e-8 * rep.c * max(SADDLE_T.values)
     monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 150)
-    ascent = newton_solve(monkeypatch, SADDLE, SADDLE_T)
+    ascent = ascent_solve(monkeypatch, SADDLE, SADDLE_T)
     assert ascent.status == "diverged" and ascent.S_value > rep.S_value
+    # Levenberg-Marquardt solves the equation itself, and certifies the saddle
+    lm = newton_solve(monkeypatch, SADDLE, SADDLE_T)
+    assert lm.status == "solved" and lm.notes[-1].startswith("minimum-norm Newton on Ric g = c T; ")
+    assert_same_solve(rep, lm)
 
 
-def test_three_summand_float_target_near_a_curve_of_solutions():
+def test_levenberg_marquardt_certifies_no_target_without_a_solution(monkeypatch):
+    # with the exact path bypassed, Levenberg-Marquardt certifies none of
+    # the s = 3 targets that the exact path proves have no solution: 111 of
+    # the s = 3 sweep and 16 of the failing corpus; on the two-summand
+    # threshold set it certifies exactly the targets above the threshold;
+    # and no solve spends more than LM_CALLS kernel calls on it
+    original, calls = _kernels.value_and_ricci, []
+
+    def counting(*args):
+        calls.append(len(args[7]))
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "value_and_ricci", counting)
+
+    def certified(model, T):
+        calls.clear()
+        rep = lm_solve(monkeypatch, model, T)
+        assert calls == [1] * len(calls) and len(calls) <= solver_mod.LM_CALLS
+        if rep.status == "solved":
+            n = len(calls)
+            assert rep.notes[-1] == f"minimum-norm Newton on Ric g = c T; {n} kernel call" + "s" * (n > 1)
+        return rep.status == "solved"
+
+    failing = [case for case in draw_corpus(11, 3, 6, 0.05, 5, False, 40) if case[0].s == 3]
+    proved = 0
+    for model, T in sweep_cases() + failing:
+        if maximize_S_on_MT(model, T).status == "diverged":
+            proved += 1
+            assert not certified(model, T)
+    assert proved == 111 + 16
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        model, _, threshold = random_two_summand_case(rng, pass_side=True)
+        for f in (0.99, 0.995, 0.999, 1.001, 1.005, 1.01):
+            assert certified(model, DiagonalForm.full((f * threshold, 1.0))) == (f > 1)
+
+
+def test_degenerate_three_summand_targets_are_certified():
+    # the six targets whose exact elimination is degenerate (ROADMAP.md,
+    # Corpora): Levenberg-Marquardt certifies each within its call cap
+    cases = [(full_flag(3), T) for T in ((1, 1, 2), (2, 2, 4))]
+    cases += [(flag3(1, 3, 3), T) for T in ((1, 2, 3), (1, 3, 2), (2, 1, 1))]
+    cases += [(flag3(1, 4, 2), (1, 2, 3))]
+    for model, values in cases:
+        rep = solve_prescribed_ricci(model, DiagonalForm.full(values))
+        assert rep.status == "solved" and rep.solutions is None, (model.name, values)
+        assert rep.notes[-2].startswith("the exact elimination is degenerate")
+        note = rep.notes[-1]
+        assert note.startswith("minimum-norm Newton on Ric g = c T; ")
+        assert int(note.split("; ")[1].split()[0]) <= solver_mod.LM_CALLS
+        c, residual, S = oracle_figures(model, rep.x, DiagonalForm.full(values))
+        assert (rep.c, rep.residual, rep.S_value) == (float(c), float(residual), float(S))
+
+
+def test_three_summand_float_target_near_a_curve_of_solutions(monkeypatch):
     # with [123] alone the metrics (1, t, t - 1) share one Ricci form up to
     # scale, so the target built from (1, 2, 1) has a curve of solutions;
-    # its float rounding has none, yet (1, 2, 1) certifies: the ascent decides
+    # its float rounding has none, yet (1, 2, 1) certifies: the float solve
+    # decides, Levenberg-Marquardt first, else the ascent
     model = build_model(
         "curve", dims=(1, 1, 4), casimir=(1 / 3, 1 / 3, 1 / 3),
         triples={(1, 2, 3): math.sqrt(4 / 3)},
@@ -783,10 +873,17 @@ def test_three_summand_float_target_near_a_curve_of_solutions():
     # the kernel's Ricci coefficients at (1, 2, 1), within 1 ulp of the
     # correctly rounded ones that ricci() returns there
     T = DiagonalForm.full((0.33333333333333326, 2.642734410091836, 0.3333333333333333))
+    ascent = ascent_solve(monkeypatch, model, T)
+    assert (ascent.status, ascent.starts_used, ascent.solutions) == (
+        "solved", solver_mod.MULTISTARTS, None
+    )
+    assert ascent.notes[-1].startswith("the exact elimination is degenerate here, or T is within")
     rep = solve_prescribed_ricci(model, T)
-    assert (rep.status, rep.starts_used, rep.solutions) == ("solved", solver_mod.MULTISTARTS, None)
-    assert rep.notes[-1].startswith("the exact elimination is degenerate here, or T is within")
-    assert rep.x[2] == pytest.approx(rep.x[1] + rep.x[3], rel=1e-8)
+    assert (rep.status, rep.starts_used, rep.solutions) == ("solved", 1, None)
+    assert rep.notes[-2].startswith("the exact elimination is degenerate here, or T is within")
+    assert rep.notes[-1].startswith("minimum-norm Newton on Ric g = c T; ")
+    for rep in (ascent, rep):
+        assert rep.x[2] == pytest.approx(rep.x[1] + rep.x[3], rel=1e-8)
     assert _elimination.certify(model, T, [1.0, 2.0, 1.0], 0, TOL)[3]
     # the same dyadic numbers read as exact fractions: a proof of nonexistence
     exact = solve_prescribed_ricci(model, DiagonalForm.full(tuple(Fraction(v) for v in T.values)))
@@ -1053,7 +1150,7 @@ def test_square_free_step_gives_the_same_points(monkeypatch):
     capped = [three_summand_points(model, T) for model, T in cases]
     assert capped == default
     assert 0 < hit and len(steps) >= hit + 150
-    # the ascent decides the seven targets whose solutions form a curve
+    # the float solve decides the seven targets whose solutions form a curve
     assert sum(points is None for points in default) == 7 and sum(map(bool, default)) > 100
 
 
