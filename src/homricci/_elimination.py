@@ -2,8 +2,9 @@
 
 The polynomial Ricci core: at x = (1, x_2, ..., x_s), M r_i x_2^2 ... x_s^2
 is a polynomial with integer coefficients for every i, with one positive
-integer M for all i, read off ``SpaceModel.ordered_triples`` by the
-kernel's formula (see ``_kernels``).  A target T becomes the coprime
+integer M for all i, read off the model's integer form
+(``SpaceModel.integer_form``) by the kernel's formula (see ``_kernels``).
+Only these two solves read it.  A target T becomes the coprime
 integers of a positive multiple of it, exactly (a float is a dyadic
 rational).  Ric g = c T is then E_1 = z_2 r_1 - z_1 r_2 = 0 and, for s = 3,
 E_2 = z_3 r_1 - z_1 r_3 = 0, polynomial equations in (t, u) = (x_2, x_3)
@@ -27,21 +28,23 @@ root whose R is within its rounding of vanishing identically.  With u
 missing from an E_i, and of degree >= 2 in the other, t is eliminated
 instead.  Both solves refine an isolated root to _ROOT_BITS bits, as
 bisection would, and read it as a float by correctly rounded int division;
-u = -b / a is read once it is as accurate as t.  ``certify`` then
-evaluates the core in integers at the float metric the solver makes of
-each root, and decides it there exactly; at any s, it does the same for a
-metric that the solver's Levenberg-Marquardt phase finds.
+u = -b / a is read once it is as accurate as t.  ``certify`` then takes
+the Ricci coefficients in integers at the float metric the solver makes of
+each root, by the curvature pass over the triple rows
+(``curvature._evaluate``), and decides the root there exactly; at any s, it
+does the same for a metric that the solver's Levenberg-Marquardt phase
+finds, with no core built.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
 from . import _polynomials as poly
+from . import curvature
 from .model import DiagonalForm, SpaceModel
-from .numbers import exponent, ratio
+from .numbers import common_denominator, exponent, ratio
 
 # An isolated root is refined to this relative width before it is read as
 # a float; isolation of the resultant stops at this depth, where it may have
@@ -53,31 +56,30 @@ _ISOLATION_DEPTH = 64
 def ricci_core(model: SpaceModel) -> tuple[int, list[dict]]:
     """The polynomial Ricci core (see the module docstring): M, and per
     index i a dict from the exponents of (x_2, ..., x_s) to the integer
-    coefficients of M r_i x_2^2 ... x_s^2."""
-    s = model.s
-
-    def monomial(*factors):
-        e = [2] * (s - 1)
-        for power, i in factors:
-            if i > 1:
-                e[i - 2] += power
-        return tuple(e)
-
-    terms = []  # (i, exponents, numerator, denominator)
-    for i, b_i in enumerate(model.killing, start=1):
-        num, den = b_i.as_integer_ratio()
-        terms.append((i, monomial(), num, 2 * den))
-    # r_i = b_i/2 + x_i^2/(4 d_i) A_i - B_i/(2 d_i), as in _kernels: the row
-    # [abc] adds its term of A_c to r_c and its term of B_a to r_a
-    for a, b, c, v in model.ordered_triples:
-        num, den = v.as_integer_ratio()
-        terms.append((c, monomial((2, c), (-1, a), (-1, b)), num, 4 * model.dims[c - 1] * den))
-        terms.append((a, monomial((1, c), (-1, b)), -num, 2 * model.dims[a - 1] * den))
-    scale = math.lcm(*(den for *_, den in terms))
+    coefficients of M r_i x_2^2 ... x_s^2.  Over the integer form's E and
+    L = lcm(d), 4 E L r_i = (L / d_i) (2 d_i b_i E + x_i^2 A_i - 2 B_i), A
+    and B as in ``_kernels`` on the rows [abc] E, so M = 4 E L."""
+    s, form = model.s, model.integer_form
+    f = form.cofactors
     core = [{} for _ in range(s)]
-    for i, e, num, den in terms:
-        core[i - 1][e] = core[i - 1].get(e, 0) + num * (scale // den)
-    return scale, [{e: v for e, v in row.items() if v} for row in core]
+    for row, k, fi in zip(core, form.killing_mass, f):
+        row[(2,) * (s - 1)] = 2 * k * fi
+    # the row [abc] adds its term of A_c to r_c and its term of B_a to r_a:
+    # x_c^2 / (x_a x_b) and x_c / x_b times x_2^2 ... x_s^2, whose exponents
+    # e[2:] are read at x_1 = 1
+    for (a, b, c, _), v in zip(model.ordered_triples, form.triples):
+        e = [2] * (s + 1)
+        e[c] += 2
+        e[a] -= 1
+        e[b] -= 1
+        row, key = core[c - 1], tuple(e[2:])
+        row[key] = row.get(key, 0) + v * f[c - 1]
+        e = [2] * (s + 1)
+        e[c] += 1
+        e[b] -= 1
+        row, key = core[a - 1], tuple(e[2:])
+        row[key] = row.get(key, 0) - 2 * v * f[a - 1]
+    return 4 * form.scale * form.dims_lcm, [{e: v for e, v in row.items() if v} for row in core]
 
 
 def integer_target(T: DiagonalForm) -> list[int]:
@@ -90,37 +92,26 @@ def integer_target(T: DiagonalForm) -> list[int]:
 
 def certify(model: SpaceModel, T: DiagonalForm, x: list, k: int, tol: float) -> tuple:
     """(c, residual, S, certified, c_exponent) at the metric x for the
-    target z = T / 2**k, from its Ricci coefficients r in integers on the
-    core: the least-squares c of r = c z, the relative residual
-    max|r - c z| / (|c| max z) (over max z alone when c = 0) and
-    S = sum d_i r_i / x_i, each the correctly rounded float of its exact
+    target z = T / 2**k, from its Ricci coefficients r in integers by the
+    curvature pass (``curvature._evaluate``): the least-squares c of
+    r = c z, the relative residual max|r - c z| / (|c| max z) (over max z
+    alone when c = 0) and S, each the correctly rounded float of its exact
     value, and certified when c > 0 and the residual is at most tol,
     decided exactly; c_exponent is floor(log2 |c|), exactly, also where c
     is beyond the float range (None when c = 0).  Every figure is nan, and
     uncertified, where some x_i is 0 or not finite."""
     if not all(0 < v < math.inf for v in x):
         return math.nan, math.nan, math.nan, False, None
-    M, core = model.ricci_core
-    # x is X / 2**e in integers, and r is the same at X: H_i = M r_i X_1^2
-    # ... X_s^2 is the core at X_j / X_1 times X_1^(2s)
-    ratios = [v.as_integer_ratio() for v in x]
-    den = max(q for _, q in ratios)
-    X = [p * (den // q) for p, q in ratios]
-    deg = 2 * model.s
-    first, *rest = [[v**n for n in range(deg + 1)] for v in X]
-    H = []
-    for terms in core:
-        h = 0
-        for e, term in terms.items():
-            term *= first[deg - sum(e)]
-            for powers, n in zip(rest, e):
-                term *= powers[n]
-            h += term
-        H.append(h)
-    # r = H / Q and T = Z / scale: the least-squares c at T is
-    # N scale / (Q W), and the residual max|H W - N Z| / (|N| max Z)
-    prod = math.prod(X)
-    Q = M * prod * prod
+    # x is X / D in integers: d_i r_i = R_i / q at any scale, and S at x
+    # is D S / q
+    D, X = common_denominator(x)
+    S, _, R, q = curvature._evaluate(model, X, tuple(range(1, model.s + 1)))
+    # over L = lcm(d), r = H / Q with H_i = R_i L / d_i; T = Z / scale: the
+    # least-squares c at T is N scale / (Q W), and the residual
+    # max|H W - N Z| / (|N| max Z)
+    form = model.integer_form
+    H = [f * v for f, v in zip(form.cofactors, R)]
+    Q = form.dims_lcm * q
     scale, Z = T.integers
     d = model.dims
     N = sum(di * h * zi for di, h, zi in zip(d, H, Z))
@@ -134,13 +125,15 @@ def certify(model: SpaceModel, T: DiagonalForm, x: list, k: int, tol: float) -> 
         residual = max(abs(h * W - N * zi) for h, zi in zip(H, Z)), abs(N) * zmax
     else:
         residual = at_z(max(map(abs, H)) * scale, Q * zmax)
-    S = sum(di * h * (prod // v) for di, h, v in zip(d, H, X))
     c = at_z(N * scale, Q * W)
+    # residual <= tol as p / t, exactly; an infinite tol admits every
+    # residual, and a nan one none
+    p, t = tol.as_integer_ratio() if math.isfinite(tol) else (1 if tol > 0 else -1, 0)
     return (
         ratio(*c),
         ratio(*residual),
-        ratio(den * S, Q * prod),
-        N > 0 and Fraction(*residual) <= tol,
+        ratio(D * S, q),
+        N > 0 and residual[0] * t <= p * residual[1],
         exponent(abs(c[0]), c[1]) if N else None,
     )
 

@@ -36,8 +36,8 @@ Levenberg-Marquardt phase on one point a call: it looks the function up on
 this module at call time and passes every argument positionally, so that a
 wrapper installed here sees every call.  The kernel has no float twin:
 ``curvature`` evaluates the same formulas at one point in exact rationals
-and rounds each figure once, and the exact s <= 3 solve certifies its roots
-on the polynomial Ricci core in integers.
+and rounds each figure once, and every exact certificate of a solve reads
+that same pass in integers.
 """
 
 from __future__ import annotations

@@ -16,14 +16,16 @@ and the Ricci coefficients relative to the background form are
 
 equivalently r_i = -(x_i^2/d_i) dS/dx_i, so the gradient of S comes for free.
 
-Each operation reads one pass over the model's triple rows (``_evaluate``),
-the kernel's formulas (see ``_kernels``) in integers: x, b and [ijk] are
-read exactly as integers over common denominators (a float is a dyadic
-rational), and each figure is one ratio of integers.  It is returned as a
-``Fraction`` on an exact model at an exact x, and otherwise as the correctly
-rounded float (``numbers.figure``), infinite beyond the float range: no
-spread or scale of x loses digits to cancellation or overflows.  The numpy
-kernel, the solver's, has no float twin here.
+Each operation reads one pass over the rows of the model's integer form
+(``_evaluate``, on ``SpaceModel.integer_form``), the kernel's formulas (see
+``_kernels``) in integers: x is read exactly as integers over its common
+denominator, b and [ijk] as the form's integers over the model's (a float
+is a dyadic rational), and each figure is one ratio of integers.  It is
+returned as a ``Fraction`` on an exact model at an exact x, and otherwise as
+the correctly rounded float (``numbers.figure``), infinite beyond the float
+range: no spread or scale of x loses digits to cancellation or overflows.
+The numpy kernel, the solver's, has no float twin here.  The exact
+certificate of a solve (``_elimination.certify``) reads the same pass.
 """
 
 from __future__ import annotations
@@ -48,42 +50,42 @@ def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
     return J
 
 
-def _evaluate(model: SpaceModel, x: DiagonalForm, J: tuple[int, ...]) -> tuple:
-    """(S, Shat, r) on the non-empty index set J at x over the rows of
-    ``model.ordered_triples`` inside J, each figure as (num, den), den > 0.
+def _evaluate(model: SpaceModel, X: Sequence[int], J: tuple[int, ...]) -> tuple:
+    """(S, S_hat, R, den) on the non-empty index set J at the metric X,
+    positive integers on J, over the rows of the model's integer form
+    inside J: S and Shat at X are S / den and S_hat / den, and d_i r_i =
+    R_i / den, den > 0.  r does not depend on the scale of the metric, and
+    S at X / D is D times S at X.
 
-    With x = X / D, and b and [ijk] integers over one E, each sum is an
-    integer over a power of P = prod X: 1 / X_i = Y_i / P with Y_i = P / X_i,
-    so A_m P^2 E = sum [ijm] Y_i Y_j and B_i P E = sum [ijm] X_m Y_j.  r does
-    not depend on the scale of x, and S at x is D times S at X."""
+    With the masses d b and the rows [ijk] integers over one E, each sum is
+    an integer over a power of P = prod X: 1 / X_i = Y_i / P with
+    Y_i = P / X_i, so A_m P^2 E = sum [ijm] Y_i Y_j and
+    B_i P E = sum [ijm] X_m Y_j."""
     if model.killing is None:
         raise CurvatureError("model must be validated (killing coefficients missing)")
-    D, X = common_denominator(x.restrict(J).values)
-    rows = model.ordered_triples
-    E, ints = common_denominator([*(model.killing[g - 1] for g in J), *(row[3] for row in rows)])
-    pos = {g: i for i, g in enumerate(J)}
-    d, b = [model.dims[g - 1] for g in J], ints[: len(J)]
+    form = model.integer_form
+    pos = [None] * (model.s + 1)
+    for i, g in enumerate(J):
+        pos[g] = i
+    db = [form.killing_mass[g - 1] for g in J]
     P = math.prod(X)
     Y = [P // v for v in X]
     acc_a, acc_b, leak = [0] * len(J), [0] * len(J), [0] * len(J)
-    for (a, bb, c, _), v in zip(rows, ints[len(J) :]):
-        i, j, m = pos.get(a), pos.get(bb), pos.get(c)
+    for (a, b, c, _), v in zip(model.ordered_triples, form.triples):
+        i = pos[a]
         if i is None:
             continue
+        j, m = pos[b], pos[c]
         if j is not None and m is not None:
             acc_a[m] += v * Y[i] * Y[j]
             acc_b[i] += v * X[m] * Y[j]
         elif j is None and m is None:
             leak[i] += v
     # S = 1/2 sum d b / x - 1/4 sum_m x_m A_m, Shat = S - 1/2 sum leak / x
-    S = 2 * P * sum(map(math.prod, zip(d, b, Y))) - sum(map(math.prod, zip(X, acc_a)))
+    S = 2 * P * sum(map(math.prod, zip(db, Y))) - sum(map(math.prod, zip(X, acc_a)))
     S_hat = S - 2 * P * sum(map(math.prod, zip(leak, Y)))
-    den = 4 * E * P * P
-    r = [
-        (2 * di * bi * P * P + xi * xi * ai - 2 * P * bbi, di * den)
-        for di, bi, xi, ai, bbi in zip(d, b, X, acc_a, acc_b)
-    ]
-    return (D * S, den), (D * S_hat, den), r
+    R = [2 * k * P * P + x * x * a - 2 * P * b for k, x, a, b in zip(db, X, acc_a, acc_b)]
+    return S, S_hat, R, 4 * form.scale * P * P
 
 
 def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = None) -> Scalar:
@@ -92,7 +94,11 @@ def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = No
     J defaults to the form's support; an empty J gives 0.
     """
     J = _resolve_J(model, x, J)
-    return figure(*(_evaluate(model, x, J)[0] if J else (0, 1)), model.exact and x.exact)
+    if not J:
+        return figure(0, 1, model.exact and x.exact)
+    D, X = common_denominator(x.restrict(J).values)
+    S, _, _, den = _evaluate(model, X, J)
+    return figure(D * S, den, model.exact and x.exact)
 
 
 def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = None) -> Scalar:
@@ -105,7 +111,9 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     J_k = _resolve_J(model, x, J_k)
     if not J_k:
         raise CurvatureError("hat_S needs a non-empty index set")
-    return figure(*_evaluate(model, x, J_k)[1], model.exact and x.exact)
+    D, X = common_denominator(x.restrict(J_k).values)
+    _, S_hat, _, den = _evaluate(model, X, J_k)
+    return figure(D * S_hat, den, model.exact and x.exact)
 
 
 def _ricci_and_grad(model: SpaceModel, x: DiagonalForm) -> tuple[tuple, tuple]:
@@ -113,12 +121,12 @@ def _ricci_and_grad(model: SpaceModel, x: DiagonalForm) -> tuple[tuple, tuple]:
     full = tuple(range(1, model.s + 1))
     if x.support != full:
         raise CurvatureError("ricci needs a form on the full index set")
-    r = _evaluate(model, x, full)[2]
-    exact = model.exact and x.exact
     D, X = x.integers
-    return tuple(figure(*ri, exact) for ri in r), tuple(
-        figure(-d * num * D * D, den * v * v, exact)
-        for d, (num, den), v in zip(model.dims, r, X)
+    _, _, R, den = _evaluate(model, X, full)
+    exact = model.exact and x.exact
+    # r_i = R_i / (d_i den), and dS/dx_i = -d_i r_i / x_i^2
+    return tuple(figure(v, d * den, exact) for d, v in zip(model.dims, R)), tuple(
+        figure(-v * D * D, den * w * w, exact) for v, w in zip(R, X)
     )
 
 

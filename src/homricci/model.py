@@ -11,6 +11,12 @@ compatibility law per index,
 which validation enforces exactly for rational data and to a tolerance for
 float data; when only one of zeta/b is supplied the other is derived from it.
 
+Every exact consumer reads a model's numbers as integers over one common
+denominator (:class:`IntegerForm`): validation's exact row sums and derived
+values, the chain tables (``SpaceModel.scaled``), the curvature pass and the
+polynomial Ricci core.  Exact data builds it once at load, and the completed
+model shares it; float data builds it on first read.
+
 Index sets J whose summand span closes under the Lie bracket form the
 subalgebra lattice.  Closure is visible directly in the data: J is closed
 exactly when every nonzero triple [ijk] has either at most one or all three
@@ -74,11 +80,25 @@ class ModelError(ValueError):
     """Raised for structurally broken or inconsistent space data."""
 
 
+class IntegerForm(NamedTuple):
+    """A model's numbers over one common denominator E: each entry is its
+    value times E, an integer, on a float model too.  Where the model lacks
+    the Casimir or the Killing values, their masses follow from the
+    compatibility law d_i b_i = 2 d_i zeta_i + R_i.
+    """
+
+    scale: int  # E
+    triples: tuple  # [abc] E per row (a, b, c) of SpaceModel.ordered_triples
+    row_sums: tuple  # R_i E, R_i = sum_{j,k} [ijk]
+    casimir_mass: tuple  # d_i zeta_i E
+    killing_mass: tuple  # d_i b_i E
+    dims_lcm: int  # L = lcm(d_1, ..., d_s)
+    cofactors: tuple  # L / d_i
+
+
 class ScaledData(NamedTuple):
-    """A validated model's numbers over one common denominator: every entry
-    is the true value times one integer, the same for all, on a float model
-    too (a float is a dyadic rational).  Bit ``i - 1`` of a mask stands for
-    summand ``i``.
+    """A validated model's chain tables, in the units of its integer form.
+    Bit ``i - 1`` of a mask stands for summand ``i``.
     """
 
     casimir_mass: tuple  # d_i zeta_i per index
@@ -165,6 +185,12 @@ class SpaceModel:
         return chains.enumerate_simple_chains(self)
 
     @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The model's numbers as integers over one common denominator
+        (:func:`integer_form`), built once per model."""
+        return integer_form(self)
+
+    @cached_property
     def ricci_core(self) -> tuple[int, list[dict]]:
         """The polynomial Ricci core and its factor M
         (``_elimination.ricci_core``), built once per model; not to be
@@ -183,14 +209,13 @@ class SpaceModel:
 
     @cached_property
     def scaled(self) -> ScaledData:
-        """The model's numbers as integers over a common denominator
-        (``numbers.common_denominator``); needs a validated model."""
+        """The chain tables, read off the integer form; needs a validated
+        model."""
         if self.casimir is None or self.killing is None:
             raise ModelError("scaled data needs a validated model")
-        triples = self.ordered_triples
-        _, ints = common_denominator([*(v for *_, v in triples), *self.casimir])
+        form = self.integer_form
         sums = [{} for _ in range(self.s)]
-        for (a, b, _, _), v in zip(triples, ints):
+        for (a, b, _, _), v in zip(self.ordered_triples, form.triples):
             row = sums[a - 1]
             row[b] = row.get(b, 0) + v
         rows = []
@@ -200,19 +225,49 @@ class SpaceModel:
                 if v:
                     masks[v] = masks.get(v, 0) | 1 << (b - 1)
             rows.append(tuple(masks.items()))
-        return ScaledData(
-            casimir_mass=tuple(d * v for d, v in zip(self.dims, ints[len(triples):])),
-            rows=tuple(rows),
-        )
+        return ScaledData(casimir_mass=form.casimir_mass, rows=tuple(rows))
 
     @cached_property
     def row_sums(self) -> tuple[Scalar, ...]:
-        """Per-index totals sum_{j,k} [ijk] of the full symmetric tensor."""
-        zero = Fraction(0) if self.exact else 0.0
-        sums = [zero] * self.s
+        """Per-index totals sum_{j,k} [ijk] of the full symmetric tensor:
+        read off the integer form on exact data, summed in floats on float
+        data, as validation derives in the data's arithmetic."""
+        if self.exact:
+            form = self.integer_form
+            return tuple(Fraction(v, form.scale) for v in form.row_sums)
+        sums = [0.0] * self.s
         for a, _, _, v in self.ordered_triples:
-            sums[a - 1] = sums[a - 1] + v
+            sums[a - 1] += v
         return tuple(sums)
+
+
+def integer_form(model: SpaceModel) -> IntegerForm:
+    """The integer form of a model that has at least one of its Casimir and
+    Killing values (see :class:`IntegerForm`)."""
+    dims, s, triples = model.dims, model.s, model.ordered_triples
+    casimir, killing = model.casimir, model.killing
+    n = len(triples)
+    scale, ints = common_denominator(
+        [*(row[3] for row in triples), *(casimir or ()), *(killing or ())]
+    )
+    if casimir is None:  # d zeta = (d b - R) / 2: integers over 2E
+        scale, ints = 2 * scale, [2 * v for v in ints]
+    sums = [0] * s
+    for row, v in zip(triples, ints):
+        sums[row[0] - 1] += v
+    masses = [d * v for d, v in zip(dims * 2, ints[n:])]  # the given arrays in turn
+    if casimir is None:
+        killing = masses
+        casimir = [(k - r) // 2 for k, r in zip(killing, sums)]
+    else:
+        casimir, killing = masses[:s], masses[s:]
+        if not killing:
+            killing = [2 * c + r for c, r in zip(casimir, sums)]
+    lcm = math.lcm(*dims)
+    return IntegerForm(
+        scale, tuple(ints[:n]), tuple(sums), tuple(casimir), tuple(killing), lcm,
+        tuple(lcm // d for d in dims),
+    )
 
 
 @dataclass(frozen=True)
@@ -412,6 +467,11 @@ def _structural_errors(model: SpaceModel) -> list[str]:
     return errors
 
 
+def _from_masses(dims, masses, scale: int) -> tuple:
+    """The exact values v_i of the masses d_i v_i over the scale."""
+    return tuple(Fraction(m, d * scale) for d, m in zip(dims, masses))
+
+
 def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
     """Check every invariant and complete whichever of zeta/b is missing.
 
@@ -434,9 +494,12 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
         errors.append(f"negative killing coefficient in {killing}")
 
     if not errors:
+        # exact data reads each derived value off its mass d_i v_i E in the
+        # integer form, float data derives it in floats
+        form = model.integer_form if model.exact else None
         if casimir is None:
             derived = "casimir"
-            casimir = tuple(
+            casimir = _from_masses(model.dims, form.casimir_mass, form.scale) if form else tuple(
                 (d * b - r) / (2 * d) for d, b, r in zip(model.dims, killing, row)
             )
             for idx, z in enumerate(casimir, start=1):
@@ -444,7 +507,7 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
                     errors.append(f"derived casimir eigenvalue at i={idx} is negative: {z}")
         elif killing is None:
             derived = "killing"
-            killing = tuple(
+            killing = _from_masses(model.dims, form.killing_mass, form.scale) if form else tuple(
                 2 * z + r / d for d, z, r in zip(model.dims, casimir, row)
             )
         else:
@@ -475,8 +538,11 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
         pairwise_inequivalent=model.pairwise_inequivalent,
     )
     # completion leaves the triples as they were, and derives each value in
-    # the arithmetic of the given ones: the tables read above carry over
-    for key in ("exact", "ordered_triples", "row_sums"):
+    # the arithmetic of the given ones: the tables read above carry over,
+    # and on exact data so does the integer form, whose derived masses are
+    # the completed values' (float data derives in floats)
+    shared = ("exact", "ordered_triples", "row_sums", "integer_form")
+    for key in shared if model.exact else shared[:-1]:
         completed.__dict__[key] = model.__dict__[key]
     return ValidationReport(True, (), derived, residuals, completed)
 

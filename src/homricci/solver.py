@@ -97,7 +97,8 @@ for s = 3, u once -b / a at the ends of t's interval rounds to doubles at
 most 1 ulp apart.
 Each admissible root is certified like a start, componentwise on the
 float metric the report returns, but in exact arithmetic and with no
-kernel call: r comes from the core in integers at that dyadic metric, and
+kernel call: r comes in integers at that dyadic metric from the curvature
+pass over the model's triple rows (``curvature._evaluate``), and
 c, the residual and S are the correctly rounded floats of their exact
 values (``_elimination.certify``; c and S at T / 2**k, mapped back
 exactly unless the figure at T is subnormal).  The report returns the
@@ -770,7 +771,8 @@ def maximize_S_on_MT(
             )
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
-        notes += (f"{rejected} trial points with non-finite curvature rejected",)
+        noun = "trial point" if rejected == 1 else "trial points"
+        notes += (f"{rejected} {noun} with non-finite curvature rejected",)
 
     x = c = S = None
     if best is not None:

@@ -16,6 +16,7 @@ from homricci import (
     SpaceModel,
     build_model,
     check_hypothesis,
+    check_theorem,
     classify_cor_all,
     enumerate_subalgebras,
     flag3,
@@ -463,6 +464,69 @@ def test_chains_and_core_built_once_per_model(monkeypatch):
         with pytest.raises(HypothesisViolatedError):
             violated.chains
     assert calls["chains"] == 3
+    # an s >= 4 solve builds no core: Levenberg-Marquardt's metric is
+    # certified on the curvature pass over the triple rows (its chain check
+    # enumerates the chains once)
+    su4 = full_flag(4)
+    rep = solve_prescribed_ricci(su4, DiagonalForm.full((1.0,) * 5 + (1.01,)))
+    assert rep.status == "solved" and rep.notes[-1].startswith("minimum-norm Newton")
+    assert calls == {"chains": 4, "core": 1}
+
+
+def test_integer_form_built_once_per_load(monkeypatch):
+    exact_text = serialize_model(full_flag(4))
+    float_text = serialize_model(random_space_model(np.random.default_rng(5), s=6))
+    calls = []
+    original = model_mod.integer_form
+    monkeypatch.setattr(model_mod, "integer_form", lambda m: calls.append(m) or original(m))
+    target = DiagonalForm.full((1.0,) * 5 + (1.01,))
+    # exact data builds it at load, where the row sums read it, and the
+    # completed model, the chain tables and the certificate share it
+    raw = parse_model(exact_text)
+    completed = validate(raw).model
+    assert len(calls) == 1 and completed.integer_form is raw.integer_form
+    assert completed.row_sums is raw.row_sums
+    assert completed.scaled.casimir_mass is completed.integer_form.casimir_mass
+    check_theorem(completed, target)
+    assert solve_prescribed_ricci(completed, target).status == "solved"
+    assert len(calls) == 1
+    # float data derives in floats, so it builds its own on first read, once
+    raw = parse_model(float_text)
+    completed = validate(raw).model
+    assert len(calls) == 1
+    solve_prescribed_ricci(completed, DiagonalForm.full((1.0,) * 6))
+    check_theorem(completed, DiagonalForm.full((1.0,) * 6))
+    assert calls[1:] == [completed]
+
+
+def test_integer_form_matches_the_model():
+    # every entry is its value times E, and a missing array's masses follow
+    # from the compatibility law d b = 2 d zeta + R, whichever the data gives
+    rng = np.random.default_rng(17)
+    for n in range(40):
+        model = random_space_model(rng, s=1 + n % 6, exact=n % 2 == 0)
+        for given in ("casimir", "killing", "both"):
+            raw = SpaceModel(
+                model.name, model.dims,
+                None if given == "killing" else model.casimir,
+                None if given == "casimir" else model.killing,
+                model.triples,
+            )
+            form = raw.integer_form
+            E = Fraction(form.scale)
+            rows = raw.ordered_triples
+            assert form.triples == tuple(Fraction(v) * E for *_, v in rows)
+            R = [sum(Fraction(v) * E for a, *_, v in rows if a == i) for i in range(1, model.s + 1)]
+            assert list(form.row_sums) == R
+            casimir = [d * Fraction(z) * E for d, z in zip(model.dims, model.casimir)]
+            killing = [d * Fraction(b) * E for d, b in zip(model.dims, model.killing)]
+            if given == "casimir":
+                killing = [2 * c + r for c, r in zip(casimir, R)]
+            elif given == "killing":
+                casimir = [(k - r) / 2 for k, r in zip(killing, R)]
+            assert (list(form.casimir_mass), list(form.killing_mass)) == (casimir, killing)
+            L = math.lcm(*model.dims)
+            assert (form.dims_lcm, form.cofactors) == (L, tuple(L // d for d in model.dims))
 
 
 def test_hypothesis_unknown_without_flag():

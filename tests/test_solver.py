@@ -27,7 +27,7 @@ from homricci import (
     two_summand,
     two_summand_condition,
 )
-from homricci import _elimination
+from homricci import _elimination, curvature
 from homricci import _polynomials as poly
 from homricci import solver as solver_mod
 from homricci._elimination import by_power, c_sign, equations, read_root, three_summand_points
@@ -1356,3 +1356,67 @@ def test_one_speller_for_json_figures():
     assert [json_figure(n, d) for n, d in cases[5:7]] == ["null", "null"]
     assert (json_figure(6, 4, True), json_figure(12, 4, True)) == ('"3/2"', "3")
     assert [format_number(v) for v in (math.nan, -math.inf, None, 0.5)] == [None, None, None, 0.5]
+
+
+def test_rejected_trial_points_are_counted_in_number(monkeypatch):
+    # poisoned kernel calls read as non-finite: Levenberg-Marquardt rejects
+    # its first trial points there, and the note agrees with the count
+    original = _kernels.value_and_ricci
+    model, T = full_flag(4), DiagonalForm.full((1.0,) * 5 + (1.01,))
+    for poisoned, note in (({2}, "1 trial point with"), ({2, 3}, "2 trial points with")):
+        calls = []
+
+        def kernel(*args):
+            S = original(*args)
+            calls.append(len(S))
+            return np.full_like(S, np.nan) if len(calls) in poisoned else S
+
+        monkeypatch.setattr(_kernels, "value_and_ricci", kernel)
+        rep = maximize_S_on_MT(model, T)
+        assert rep.status == "solved" and calls[:3] == [1, 1, 1]
+        assert rep.notes[-1] == f"{note} non-finite curvature rejected"
+
+
+def test_certificate_matches_the_oracle_at_every_s(monkeypatch):
+    # certify's c, residual and S are the correctly rounded exact figures at
+    # T / 2**k, and certified and c_exponent are decided exactly, on exact
+    # and float models with s = 2 to 6: at dyadic metrics whose ratios reach
+    # 2**40 either way against a drawn T, and at metrics scaled by up to
+    # 2**40 either way against their own rounded Ricci coefficients
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for n in range(40):
+        s, exact, certifiable = 2 + n % 5, n % 2 == 0, n % 4 < 2
+        spread, shift = (2, int(rng.integers(-40, 41))) if certifiable else (20, 0)
+        while True:
+            model = random_space_model(rng, s=s, exact=exact)
+            x = [math.ldexp(float(rng.uniform(1, 2)), shift + int(rng.integers(-spread, spread + 1)))
+                 for _ in range(s)]
+            r = ricci(model, DiagonalForm.full(x))
+            if not certifiable or all(v > 0 for v in r):
+                break
+        T = DiagonalForm.full(r if certifiable else tuple(float(v) for v in rng.uniform(0.3, 3, s)))
+        for k in (-3, 0, 4):
+            c, residual, S, certified, e = _elimination.certify(model, T, x, k, TOL)
+            z = DiagonalForm.full(tuple(Fraction(v) / 2**k for v in T.values))
+            oc, ores, oS = oracle_figures(model, DiagonalForm.full(x), z)
+            assert (c, residual, S) == (float(oc), float(ores), float(oS))
+            assert certified == (oc > 0 and ores <= TOL)
+            assert Fraction(2) ** e <= abs(oc) < Fraction(2) ** (e + 1)
+            outcomes.add((s, certified))
+    assert len(outcomes) == 10
+    # a zero or infinite coordinate: every figure nan, uncertified
+    model = random_space_model(rng, s=4)
+    T = DiagonalForm.full((1.0,) * 4)
+    for bad in (0.0, math.inf):
+        figures = _elimination.certify(model, T, [1.0, bad, 2.0, 1.0], 0, TOL)
+        assert [math.isnan(v) for v in figures[:3]] == [True] * 3 and figures[3:] == (False, None)
+    # ricci and the certificate read the one curvature pass, with the same
+    # integers at the same metric
+    passes = []
+    original = curvature._evaluate
+    monkeypatch.setattr(curvature, "_evaluate", lambda *a: passes.append(a) or original(*a))
+    x = [0.5, 3.0, 1.25, 0.75]
+    ricci(model, DiagonalForm.full(x))
+    _elimination.certify(model, T, x, 0, TOL)
+    assert len(passes) == 2 and passes[0][1:] == passes[1][1:]
