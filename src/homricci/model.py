@@ -101,7 +101,7 @@ class ScaledData(NamedTuple):
     Bit ``i - 1`` of a mask stands for summand ``i``.
     """
 
-    casimir_mass: tuple  # d_i zeta_i per index
+    casimir_mass: tuple  # d_i zeta_i E per index, the integer form's
     # per index a: (v, mask of every b with M[a][b] = v) for each distinct
     # nonzero v, where M[a][b] = sum_c [abc]
     rows: tuple
