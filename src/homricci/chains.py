@@ -138,10 +138,10 @@ class _Memo(dict):
 class SimpleChains(Sequence):
     """The simple chains of one model as columns (see the module docstring):
     ``members``, ``omegas`` and ``masses`` (in the units of
-    ``SpaceModel.scaled``) per member, ``uppers``, ``lowers``, ``middles``
-    and ``etas`` per chain, and ``middle_sets``, the index tuple of each J_l
-    mask.  As a sequence it equals the tuple of its :class:`SimpleChain`
-    items, which are built on first read."""
+    ``SpaceModel.integer_form``) per member, ``uppers``, ``lowers``,
+    ``middles`` and ``etas`` per chain, and ``middle_sets``, the index tuple
+    of each J_l mask.  As a sequence it equals the tuple of its
+    :class:`SimpleChain` items, which are built on first read."""
 
     def __init__(self, exact, members, omegas, masses, middle_sets, uppers, lowers, middles, etas):
         self.exact, self.members, self.omegas, self.masses = exact, members, omegas, masses
@@ -197,7 +197,7 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
         )
     lattice = model.lattice
     members, masks = lattice.members, lattice.masks
-    rows, casimir = model.scaled.rows, model.scaled.casimir_mass
+    rows, casimir = model.scaled, model.integer_form.casimir_mass
     dims = (0, *model.dims)
     omegas = tuple(min(map(dims.__getitem__, J), default=0) for J in members)
     sets = _Memo(unpack)  # J_l by mask: many chains share one
@@ -380,9 +380,9 @@ def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionRepor
     """One condition per simple chain, for criterion "theorem" or "corollary"."""
     if T.support != tuple(range(1, model.s + 1)):
         raise ChainError("target form must cover the full index set")
-    # T is read as integers over one common denominator, as SpaceModel.scaled
-    # reads the model, so lam and bound are integer work, and so is the
-    # margin (lam q - p w bound) / (bound q), eta = p / q.
+    # T is read as integers over one common denominator, as the model's
+    # integer form reads the model, so lam and bound are integer work, and
+    # so is the margin (lam q - p w bound) / (bound q), eta = p / q.
     # The 1-based tables let each figure be one map over a chain's indices.
     scale, ints = T.integers
     z = (0, *ints)

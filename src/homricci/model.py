@@ -96,17 +96,6 @@ class IntegerForm(NamedTuple):
     cofactors: tuple  # L / d_i
 
 
-class ScaledData(NamedTuple):
-    """A validated model's chain tables, in the units of its integer form.
-    Bit ``i - 1`` of a mask stands for summand ``i``.
-    """
-
-    casimir_mass: tuple  # d_i zeta_i E per index, the integer form's
-    # per index a: (v, mask of every b with M[a][b] = v) for each distinct
-    # nonzero v, where M[a][b] = sum_c [abc]
-    rows: tuple
-
-
 @dataclass(frozen=True)
 class SpaceModel:
     """A homogeneous space reduced to summand-level numbers.
@@ -208,9 +197,11 @@ class SpaceModel:
         return _kernels.kernel_arrays(self)
 
     @cached_property
-    def scaled(self) -> ScaledData:
-        """The chain tables, read off the integer form; needs a validated
-        model."""
+    def scaled(self) -> tuple:
+        """The chain tables in the units of the integer form: per index a,
+        (v, mask of every b with M[a][b] = v) for each distinct nonzero v,
+        where M[a][b] = sum_c [abc] and bit ``b - 1`` of a mask stands for
+        summand b; needs a validated model."""
         if self.casimir is None or self.killing is None:
             raise ModelError("scaled data needs a validated model")
         form = self.integer_form
@@ -225,7 +216,7 @@ class SpaceModel:
                 if v:
                     masks[v] = masks.get(v, 0) | 1 << (b - 1)
             rows.append(tuple(masks.items()))
-        return ScaledData(casimir_mass=form.casimir_mass, rows=tuple(rows))
+        return tuple(rows)
 
     @cached_property
     def row_sums(self) -> tuple[Scalar, ...]:

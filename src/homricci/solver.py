@@ -11,17 +11,15 @@ Otherwise it steps along F centered at its u-average in softmax
 coordinates (u = softmax(v)), an ascent direction that keeps escaping
 coordinates moving at unit speed when no maximizer exists (some u_i then
 collapses to 0, i.e. x_i grows without bound).  One backtracking line
-search accepts an Armijo increase of S, or a Newton step that lowers the
-residual without lowering S; a trial point with non-finite curvature, or
-without a positive u_i, is rejected, counted and halved like any other.
+search accepts an Armijo increase of S; a trial point with non-finite
+curvature, or without a positive u_i, is rejected, counted and halved like
+any other.
 
 The MULTISTARTS seeded starts run in lockstep: each start keeps its own
 state as one row of arrays, and each round builds the new steps of the
-starts that have just accepted one in one stacked linear solve, makes one
-trial point per running start (only the Newton trial on a Newton row, and
-only the softmax one on a gradient row), evaluates them all in one batched
-kernel call, and accepts or halves each; when every row accepts, the trial
-is the new state.  Every operation acts on each row alone, so a start's
+starts that have just accepted one in one stacked linear solve, evaluates
+one trial point per running start in one batched kernel call, and accepts
+or halves each.  Every operation acts on each row alone, so a start's
 outcome is bit for bit the one it has run alone.
 
 A start stops when its projected gradient vanishes, if its residual
@@ -56,6 +54,12 @@ not necessarily the maximizer of S.  With no certificate after LM_CALLS
 kernel calls the ascent runs as it would alone, so "diverged" is always
 the ascent's verdict, and so is "inconclusive", but where a certified
 metric has no double at the scale of T.
+
+For s >= 4 "solved" is a residual certificate, not a proof that a solution
+exists, and it can hold at a metric escaping to infinity: with the exact
+path set aside, Levenberg-Marquardt certifies SU(3)/T at T = (3, 3, 2),
+where the exact root count proves that no solution exists, at
+x = (4.33e8, 4.33e8, 4.0) with residual 8.4e-10.
 
 Two and three summands take no ascent: Ric g = c T is solved exactly on the
 polynomial Ricci core (``_elimination``), each r_i times x_2^2 ... x_s^2 as
@@ -320,15 +324,6 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _rows(mask: np.ndarray):
-    """The rows where ``mask`` is set: all of them as a slice, so that
-    numpy indexes them by view, else their indices; None for no row."""
-    count = np.count_nonzero(mask)
-    if count == len(mask):
-        return slice(None)
-    return mask.nonzero()[0] if count else None
-
-
 def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float, budget: int) -> _StartOutcome:
     u = st.u[i]
     c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
@@ -362,9 +357,8 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     outcome is the one it has run alone.  Each round makes one stacked
     linear solve, for the Newton steps of the starts that have just accepted
     a step, and one kernel call, at the trial point of every running start
-    (the first of a new step or a halved one of its line search), built
-    along its own kind of step only.  A start leaves the batch when it
-    stops.
+    (the first of a new step or a halved one of its line search).  A start
+    leaves the batch when it stops.
     """
     m, n = V0.shape
     z, dz = ev.z, ev.dz
@@ -392,8 +386,8 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
 
     while len(st.index):
         # A new step for every start that has just accepted one (or begun).
-        f = _rows(fresh)
-        if f is not None:
+        if fresh.any():
+            f = slice(None) if fresh.all() else np.flatnonzero(fresh)
             u = st.u[f]
             F = st.r[f] / z
             cbar = np.vecdot(u, F)
@@ -434,44 +428,24 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
             break
 
         # One trial point per running start, all in one kernel call: u + t du,
-        # renormalised, for a Newton step, softmax(v + t p) for a gradient
-        # one.  v_t holds each row's next v, should it accept.
+        # renormalised, on a Newton row, softmax(v + t p) on a gradient one.
+        newton, step = st.newton[:, None], st.t[:, None] * st.step
+        u_t = st.u + step
+        u_t /= u_t.sum(axis=1, keepdims=True)
+        v_t = st.v + step
+        v_t -= v_t.max(axis=1, keepdims=True)
+        u_t = np.where(newton, u_t, _softmax(v_t))
         k = len(st.index)
-        newton = st.newton
-        N, G = _rows(newton), _rows(~newton)
-        u_t, v_t = np.empty((k, n)), np.empty((k, n))
-        if N is not None:
-            w = st.u[N] + st.t[N, None] * st.step[N]
-            u_t[N] = w / w.sum(axis=1, keepdims=True)
-        if G is not None:
-            w = st.v[G] + st.t[G, None] * st.step[G]
-            w -= w.max(axis=1, keepdims=True)
-            v_t[G], u_t[G] = w, _softmax(w)
         r_t, jac_t = np.empty((k, n)), np.empty((k, n, n))
         S_t = ev.value_and_ricci(u_t, r_t, jac_t)
         finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1) & (u_t > 0).all(axis=1)
         st.rejected += ~finite
         c_t, res_t = ev.fit(r_t)
-        # an Armijo increase of S, or a Newton step that lowers the residual
-        # without lowering S
-        fresh = finite & (
-            (S_t >= st.S + 1e-4 * st.t * st.slope)
-            | (newton & (S_t >= st.S) & (res_t < st.res))
-        )
-        A = _rows(fresh & newton)
-        if A is not None:
-            v_t[A] = np.log(u_t[A])
-        if fresh.all():
-            # every row accepts: the trial is the new state
-            if G is not None:
-                st.alpha[G] = np.minimum(st.t[G] * 2.0, 1e12)
-            st.v, st.u, st.r, st.jac = v_t, u_t, r_t, jac_t
-            st.S, st.c, st.res = S_t, c_t, res_t
-            st.iterations += 1
-            continue
+        # an Armijo increase of S
+        fresh = finite & (S_t >= st.S + 1e-4 * st.t * st.slope)
         row = fresh[:, None]
-        st.v = np.where(row, v_t, st.v)
-        st.alpha = np.where(fresh & ~newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
+        st.v = np.where(row, np.where(newton, np.log(u_t), v_t), st.v)
+        st.alpha = np.where(fresh & ~st.newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
         st.u, st.r = np.where(row, u_t, st.u), np.where(row, r_t, st.r)
         st.jac = np.where(row[:, :, None], jac_t, st.jac)
         st.S = np.where(fresh, S_t, st.S)

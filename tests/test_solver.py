@@ -262,13 +262,13 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
     failing = draw_corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=5)
     cases += [failing[1], failing[4]]
     assert [model.s for model, _ in cases[-2:]] == [4, 4]
-    softmax, gradient_rows = solver_mod._softmax, [0]
+    softmax, last = solver_mod._softmax, [None]
 
-    def counting(v):
-        gradient_rows[0] += len(v)
-        return softmax(v)
+    def recording_softmax(v):
+        last[0] = softmax(v)
+        return last[0]
 
-    monkeypatch.setattr(solver_mod, "_softmax", counting)
+    monkeypatch.setattr(solver_mod, "_softmax", recording_softmax)
     statuses, zero_points, mixed = set(), 0, []
     for model, T in cases:
         ev = solver_mod._Evaluator(model, np.array([float(v) for v in T.values]))
@@ -276,12 +276,13 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
         evaluate, points = ev.value_and_ricci, []
 
         def batch(u, out_r, out_jac):
-            # the rows that took a gradient trial since the last call
-            mixed.append(0 < gradient_rows[0] < len(u))
-            gradient_rows[0] = 0
+            # the rows whose trial point is the softmax one took a gradient
+            # trial, the others a Newton one
+            gradient = np.count_nonzero((u == last[0]).all(axis=1))
+            mixed.append(0 < gradient < len(u))
             return evaluate(u, out_r, out_jac)
 
-        ev.value_and_ricci, gradient_rows[0] = batch, 0
+        ev.value_and_ricci = batch
         together = solver_mod._run_starts(ev, V0, TOL, 100)
 
         def recording(u, out_r, out_jac):
@@ -306,6 +307,23 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
             statuses.add(o.status)
     assert statuses == {"converged", "collapsed", "stalled", "budget"}
     assert zero_points > 0 and any(mixed)
+
+
+def test_ascent_decides_the_escaping_failing_targets():
+    # the ascent's own job, evidence of escape: the eight s = 4 failing-corpus
+    # targets that Levenberg-Marquardt does not certify end "diverged", with
+    # the same escaping coordinates, in at most the iterations the Newton
+    # ascent takes (a gradient-only ascent takes 130,036 on entry 22)
+    escaping = {
+        1: ((4,), 289), 4: ((1, 2, 4), 71), 22: ((4,), 1895), 27: ((2, 3, 4), 365),
+        32: ((2,), 922), 36: ((1,), 529), 37: ((4,), 2405), 38: ((1, 2, 4), 47),
+    }
+    failing = draw_corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=40)
+    for entry, (collapsed, iterations) in escaping.items():
+        model, T = failing[entry]
+        rep = maximize_S_on_MT(model, T)
+        assert model.s == 4 and rep.status == "diverged", entry
+        assert rep.collapsed == collapsed and rep.iterations <= iterations, entry
 
 
 def test_determinism_and_seed_sensitivity(monkeypatch):
