@@ -11,15 +11,15 @@ The kernel works on flat arrays for one model on its full index set
   (float64, shape (m, n))
 
 ``value_and_ricci`` returns, as an (m,) array, S = (1/2) sum db/x
-- (1/4) sum tv * x[tk]/(x[ti]x[tj]) at each point and fills ``out_r``
+- (1/4) sum tv * x[tk]/(x[ti]x[tj]) at each point, fills ``out_r``
 (m, n) with the Ricci coefficients relative to the background form,
 
     r_c = b_c/2 + x_c^2/(4 d_c) * A_c - B_c/(2 d_c),
     A_c = sum over rows with tk == c of tv/(x[ti] x[tj]),
     B_a = sum over rows with ti == a of tv * x[tk]/x[tj].
 
-Given ``out_jac`` (m, n, n), it also fills J[c, m] = dr_c/dx_m at each
-point.  The rows hold every ordering of each triple, so swapping i and j in
+and fills ``out_jac`` (m, n, n) with J[c, m] = dr_c/dx_m at each point.
+The rows hold every ordering of each triple, so swapping i and j in
 A, and j and k in B, sums each derivative once per pair (ti, tk):
 
     J[c, m] = [c == m] x_c A_c/(2 d_c) - x_c^2/(2 d_c x_m) P[m, c] - Q[c, m]/(2 d_c),
@@ -28,8 +28,7 @@ A, and j and k in B, sums each derivative once per pair (ti, tk):
 
 Each sum runs over one point's triple rows in the same order whatever the
 batch, so every point's S, ``out_r`` and ``out_jac`` are bit-identical to a
-batch of that point alone; ``out_r`` is bit-identical with or without
-``out_jac``.
+batch of that point alone.
 
 The solver is the only caller, its ascent on batches and its
 Levenberg-Marquardt phase on one point a call: it looks the function up on
@@ -58,7 +57,7 @@ def kernel_arrays(model) -> tuple:
     return d * b, b, d, ti, tj, tk, tv
 
 
-def value_and_ricci(db, b, d, ti, tj, tk, tv, x, out_r, out_jac=None) -> np.ndarray:
+def value_and_ricci(db, b, d, ti, tj, tk, tv, x, out_r, out_jac) -> np.ndarray:
     m, n = x.shape
     inv = 1.0 / x
     # take() keeps the (m, rows) gathers C-ordered, so that each point's
@@ -77,17 +76,16 @@ def value_and_ricci(db, b, d, ti, tj, tk, tv, x, out_r, out_jac=None) -> np.ndar
     ).reshape(m, n)
     xx = x * x
     out_r[:] = 0.5 * b + xx * acc_a / (4.0 * d) - acc_b / (2.0 * d)
-    if out_jac is not None:
-        pair = (ti * n + tk + n * offset).ravel()
-        p = np.bincount(pair, contrib_a.ravel(), minlength=m * n * n).reshape(m, n, n)
-        q = np.bincount(
-            pair, (tv * (inv_tj - x_tj * inv_tk**2)).ravel(), minlength=m * n * n
-        ).reshape(m, n, n)
-        out_jac[:] = (
-            p.transpose(0, 2, 1) * inv[:, None, :] * xx[:, :, None] + q
-        ) / (-2.0 * d)[:, None]
-        diag = np.arange(n)
-        out_jac[:, diag, diag] += x * acc_a / (2.0 * d)
+    pair = (ti * n + tk + n * offset).ravel()
+    p = np.bincount(pair, contrib_a.ravel(), minlength=m * n * n).reshape(m, n, n)
+    q = np.bincount(
+        pair, (tv * (inv_tj - x_tj * inv_tk**2)).ravel(), minlength=m * n * n
+    ).reshape(m, n, n)
+    out_jac[:] = (
+        p.transpose(0, 2, 1) * inv[:, None, :] * xx[:, :, None] + q
+    ) / (-2.0 * d)[:, None]
+    diag = np.arange(n)
+    out_jac[:, diag, diag] += x * acc_a / (2.0 * d)
     tri = (contrib_a * x_tk).sum(axis=1)
     # vecdot sums each row as np.dot does a single vector
     return 0.5 * np.vecdot(db, inv) - 0.25 * tri

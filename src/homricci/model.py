@@ -327,9 +327,6 @@ class DiagonalForm:
             raise ModelError("scale factor must be positive")
         return DiagonalForm(tuple(v * factor for v in self.values), self.support)
 
-    def to_float(self) -> "DiagonalForm":
-        return DiagonalForm(tuple(float(v) for v in self.values), self.support)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -22,38 +22,44 @@ one trial point per running start in one batched kernel call, and accepts
 or halves each.  Every operation acts on each row alone, so a start's
 outcome is bit for bit the one it has run alone.
 
-A start stops when its projected gradient vanishes, if its residual
-certifies or some u_i is below the collapse threshold; when its line search
-accepts no step; or after MAX_ITERATIONS steps.  "solved" is certified
-componentwise on the returned metric x = d z / u: c > 0 and the relative
-residual max_i |r_i - c z_i| / (c max_i z_i) is at most tol; scaling T
-scales c inversely and leaves the residual unchanged.  Collapse with no
-certified start is reported as "diverged" -- evidence that the supremum
-is not attained, never a proof of nonexistence.  The ascent runs for
-s = 1 and s >= 4, and for s = 3 only where the elimination below is
-degenerate.
+A start stops when its projected gradient vanishes, if its float
+residual is at most tol with c > 0 or some u_i is below the collapse
+threshold; when its line search accepts no step; or after MAX_ITERATIONS
+steps.  Collapse with no certified start is reported as "diverged" --
+evidence that the supremum is not attained, never a proof of
+nonexistence.  The ascent runs for s >= 4, and for s = 3 only where the
+elimination below is degenerate.
 
-Before the ascent, on every such solve but s = 1, a minimum-norm Newton
-phase solves Ric g = c T itself: Levenberg-Marquardt on F = r(x) - c z = 0
-in the unknowns w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian
-columns x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step
-solves (A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by
-3 after a step that lowers |F| and multiplied by 4 after one that does not,
-which is rejected.  It needs no isolated maximizer of S: where the
-solutions form a family, so that A is rank-deficient, the damped step
-tends to the minimum-norm one and lands on a point of the family.  The
-seeded starts run one at a time, in seed order, one point per kernel call.
-A start stops after 30 rejections in a row or 200 steps, or when a step is
-not finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
+Before the ascent a minimum-norm Newton phase solves Ric g = c T itself:
+Levenberg-Marquardt on F = r(x) - c z = 0 in the unknowns
+w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian columns
+x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step solves
+(A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by 3 after
+a step that lowers |F| and multiplied by 4 after one that does not, which
+is rejected.  It needs no isolated maximizer of S: where the solutions
+form a family, so that A is rank-deficient, the damped step tends to the
+minimum-norm one and lands on a point of the family.  The seeded starts
+run one at a time, in seed order, one point per kernel call.  A start
+stops after 30 rejections in a row or 200 steps, or when a step is not
+finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
 float residual is at most tol with c > 0, and |F| has stopped shrinking
 fast (the last trial was rejected, or the last step shrank |F| less than
-fourfold), its metric, rescaled onto the constraint set, is certified in
-exact arithmetic as an exact root is (below).  The first start to certify
-ends the solve "solved": a certified solution, first in seed order, and
-not necessarily the maximizer of S.  With no certificate after LM_CALLS
+fourfold), its metric is certified.  The first start to certify ends the
+solve "solved": a certified solution, first in seed order, and not
+necessarily the maximizer of S.  With no certificate after LM_CALLS
 kernel calls the ascent runs as it would alone, so "diverged" is always
 the ascent's verdict, and so is "inconclusive", but where a certified
 metric has no double at the scale of T.
+
+Every "solved", at every s and whichever method found its metric, has one
+certificate (``_elimination.certify``): on the returned float metric,
+rescaled onto the constraint set, c > 0 and the relative residual
+max_i |r_i - c z_i| / (c max_i z_i) is at most tol, decided in exact
+arithmetic with no kernel call from r in integers by the curvature pass
+over the model's triple rows (``curvature._evaluate``); c, the residual
+and S are the correctly rounded floats of their exact values (at
+T / 2**k, mapped back exactly unless the figure at T is subnormal).
+Scaling T scales c inversely and leaves the residual unchanged.
 
 For s >= 4 "solved" is a residual certificate, not a proof that a solution
 exists, and it can hold at a metric escaping to infinity: with the exact
@@ -61,9 +67,11 @@ path set aside, Levenberg-Marquardt certifies SU(3)/T at T = (3, 3, 2),
 where the exact root count proves that no solution exists, at
 x = (4.33e8, 4.33e8, 4.0) with residual 8.4e-10.
 
-Two and three summands take no ascent: Ric g = c T is solved exactly on the
-polynomial Ricci core (``_elimination``), each r_i times x_2^2 ... x_s^2 as
-an integer polynomial at x = (1, x_2, ..., x_s), with T as exact integers.
+One, two and three summands take no ascent.  For s = 1 the constraint set
+is the one point x = d z, the one root.  For s = 2 and s = 3,
+Ric g = c T is solved exactly on the polynomial Ricci core
+(``_elimination``), each r_i times x_2^2 ... x_s^2 as an integer
+polynomial at x = (1, x_2, ..., x_s), with T as exact integers.
 
 For s = 2, along x = (1, t), P(t) = M t^2 (z_2 r_1 - z_1 r_2) is a
 polynomial of degree at most 4, and dS/dt has the sign of P.  Since d,
@@ -96,19 +104,12 @@ solutions.
 
 Either way an isolated root is refined to 55 bits by exact secant-Newton
 steps, the first from a float estimate that exact signs confirm, ending on
-the interval bisection would reach, and read as a float;
-for s = 3, u once -b / a at the ends of t's interval rounds to doubles at
-most 1 ulp apart.
-Each admissible root is certified like a start, componentwise on the
-float metric the report returns, but in exact arithmetic and with no
-kernel call: r comes in integers at that dyadic metric from the curvature
-pass over the model's triple rows (``curvature._evaluate``), and
-c, the residual and S are the correctly rounded floats of their exact
-values (``_elimination.certify``; c and S at T / 2**k, mapped back
-exactly unless the figure at T is subnormal).  The report returns the
-certified root with the highest S, and lists every admissible root.  With
-no admissible root no solution exists, so for s <= 3 "diverged" is a
-proof of nonexistence (of an exact solution for T as given).
+the interval bisection would reach, and read as a float; for s = 3, u
+once -b / a at the ends of t's interval rounds to doubles at most 1 ulp
+apart.  The report returns the certified root with the highest S, and
+lists every admissible root.  With no admissible root no solution exists,
+so for s <= 3 "diverged" is a proof of nonexistence (of an exact solution
+for T as given).
 """
 
 from __future__ import annotations
@@ -173,24 +174,23 @@ class SolveReport:
     finite is None, as ``numbers.format_number`` spells it, so that
     ``to_json`` is strict JSON.
 
-    Where Levenberg-Marquardt certifies a start (see the module docstring;
-    its note reads "minimum-norm Newton on Ric g = c T; N kernel calls"),
+    In every "solved" report c, the residual and S are the correctly
+    rounded floats of their exact values at the returned metric (see the
+    module docstring).  Where Levenberg-Marquardt certifies a start (its
+    note reads "minimum-norm Newton on Ric g = c T; N kernel calls"),
     ``starts_used`` counts the starts it ran, in seed order, the certified
-    one last; ``iterations`` counts their accepted steps; ``start_values``
-    holds S at each start's last metric, on the constraint set; and c, the
-    residual and S are the correctly rounded floats of their exact values
-    at the returned metric.  Where the ascent decides, they count and
-    describe its MULTISTARTS starts and its iterations.
+    one last; ``iterations`` counts their accepted steps; and
+    ``start_values`` holds S at each start's last metric, on the constraint
+    set.  Where the ascent decides, they count and describe its MULTISTARTS
+    starts and its iterations.
 
-    For s = 2 and s = 3 (see the module docstring) the starts are the
-    admissible roots of the exact solve: ``starts_used`` counts them,
-    ``start_values`` holds S at each, ``iterations`` is 0, and
+    For s <= 3 (see the module docstring) the starts are the admissible
+    roots of the exact solve: ``starts_used`` counts them, ``start_values``
+    holds the exact S at each, rounded, ``iterations`` is 0, and
     ``solutions`` holds the metric at each, in the order of x_2 / x_1 (it
-    is None where the float solve decided).  There c, the residual, S and the
-    start values are the correctly rounded floats of their exact values at
-    the returned metrics.  "diverged" is then a proof that no solution
-    exists, and its residual and S are None, since no point was evaluated;
-    for s = 3 it names no escaping coordinates.
+    is None where the float solve decided).  "diverged" is then a proof
+    that no solution exists, and its residual and S are None, since no
+    point was evaluated; for s = 3 it names no escaping coordinates.
     """
 
     status: str
@@ -242,13 +242,13 @@ class _StartOutcome:
     x: list[float]
     c: float
     residual: float
-    status: str  # converged | stalled | collapsed | budget; an exact root converged | stalled
+    status: str  # converged | stalled | collapsed | budget; an exact check's converged | stalled
     iterations: int
     certified: bool
     collapsed: tuple[int, ...]
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
     beyond: tuple[int, ...] = ()  # an exact root's j whose x_j / x_1 has no double
-    # an exact root's floor(log2 |c|), also where c has no double; else
+    # an exact check's floor(log2 |c|), also where c has no double; else
     # read off c
     c_exponent: Optional[int] = None
 
@@ -265,14 +265,12 @@ class _Evaluator:
         self.dzz = float(np.dot(self.dz, self.z))
         self.zmax = float(max(z))
 
-    def value_and_ricci(
-        self, u: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """S at each row of u (m, n); fills out_r (m, n) and, if given,
-        out_jac (m, n, n); the kernel is read off ``_kernels`` at call time."""
+    def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
+        """S at each row of u (m, n); fills out_r (m, n) and out_jac
+        (m, n, n); the kernel is read off ``_kernels`` at call time."""
         return self.at(self.dz / u, out_r, out_jac)
 
-    def at(self, x: np.ndarray, out_r: np.ndarray, out_jac: Optional[np.ndarray] = None) -> np.ndarray:
+    def at(self, x: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
         """The same at each row of x (m, n), the metrics themselves."""
         return _kernels.value_and_ricci(*self.arrays, x, out_r, out_jac)
 
@@ -324,13 +322,13 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float, budget: int) -> _StartOutcome:
+def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float) -> _StartOutcome:
     u = st.u[i]
     c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
     certified = res <= tol and c > 0
     if certified:
         status = "converged"
-    elif iterations == budget:
+    elif iterations == MAX_ITERATIONS:
         status = "budget"
     else:
         status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
@@ -348,10 +346,10 @@ def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float, budget: int) -> _S
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list[_StartOutcome]:
+def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcome]:
     """Run the ascent from each row of V0 (softmax coordinates), all starts
-    in lockstep, each for at most ``budget`` steps, certifying at residual
-    ``tol``; the outcomes in the order of the rows.
+    in lockstep, each for at most MAX_ITERATIONS steps, certifying in floats
+    at residual ``tol``; the outcomes in the order of the rows.
 
     Every start follows its own ascent (see the module docstring), and its
     outcome is the one it has run alone.  Each round makes one stacked
@@ -381,7 +379,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
     def stop(rows: np.ndarray) -> None:
         if rows.any():
             for i in np.flatnonzero(rows):
-                outcomes[st.index[i]] = _outcome(st, i, dz, tol, budget)
+                outcomes[st.index[i]] = _outcome(st, i, dz, tol)
             st.keep(~rows)
 
     while len(st.index):
@@ -401,7 +399,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float, budget: int) -> list
             done = (np.abs(gv).max(axis=1) <= GRADIENT_TOL * np.abs(cbar)) & (
                 certified | ~interior
             )
-            done |= st.iterations[f] == budget
+            done |= st.iterations[f] == MAX_ITERATIONS
             # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c);
             # dF_i/du_m = -J[i, m] / z_i * x_m / u_m, with x = dz / u
             kkt = np.zeros((len(u), n + 1, n + 1))
@@ -480,6 +478,28 @@ def _on_constraint(dz: Sequence[float], point: Sequence[float]) -> list[float]:
     return [a / v if v else math.inf for a, v in zip(dz, u)]
 
 
+def _certified(
+    model: SpaceModel, T: DiagonalForm, dz: Sequence[float], point: Sequence[float], k: int,
+    tol: float, iterations: int = 0, rejected: int = 0,
+) -> _StartOutcome:
+    """The outcome at the multiple of the float metric ``point`` on the
+    constraint set, for the target z = T / 2**k with dz = d z: c, the
+    residual, S and the certificate at residual ``tol`` in exact arithmetic
+    (``_elimination.certify``); ``iterations`` and ``rejected`` count the
+    steps and the rejected trial points that reached it."""
+    # the exact algebra is imported on first use, so that a process that
+    # certifies nothing never compiles it
+    from . import _elimination
+
+    # a ratio x_j / x_1 beyond the float range reads as 0 or inf, and then no
+    # scale of T gives the point a float metric
+    beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
+    x = _on_constraint(dz, point)
+    c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
+    status = "converged" if certified else "stalled"
+    return _StartOutcome(S, x, c, residual, status, iterations, certified, (), rejected, beyond, e)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _levenberg_marquardt(
     model: SpaceModel, T: DiagonalForm, ev: _Evaluator, V0: np.ndarray, k: int, tol: float
@@ -489,8 +509,6 @@ def _levenberg_marquardt(
     metric certifies in exact arithmetic at residual ``tol``, or LM_CALLS
     kernel calls are spent: the outcomes of the starts run, the last one
     certified unless none is, and the kernel calls made."""
-    from . import _elimination
-
     z, dz = ev.z, ev.dz
     n = len(z)
     # the Jacobian of F = r - c z in (w_2, ..., w_n, c), w_j = log(x_j / x_1):
@@ -523,13 +541,9 @@ def _levenberg_marquardt(
             if settled or done:
                 c_fit, res = ev.fit(r[0])
                 if res <= tol and c_fit > 0:
-                    point = _on_constraint(dz, x[0].tolist())
-                    figures = _elimination.certify(model, T, point, k, tol)
-                    if figures[3]:
-                        c, res, S, _, e = figures
-                        outcomes.append(_StartOutcome(
-                            S, point, c, res, "converged", steps, True, (), rejected, (), e
-                        ))
+                    outcome = _certified(model, T, dz, x[0].tolist(), k, tol, steps, rejected)
+                    if outcome.certified:
+                        outcomes.append(outcome)
                         return outcomes, calls
             if done:
                 break
@@ -570,44 +584,24 @@ def _levenberg_marquardt(
     return outcomes, calls
 
 
-def _ascend(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcome]:
-    """The ascent from the seeded starts V0; for s = 1 the constraint set is
-    a point: the base start, and no steps."""
-    if V0.shape[1] == 1:
-        return _run_starts(ev, V0[:1], tol, 0)
-    return _run_starts(ev, V0, tol, MAX_ITERATIONS)
-
-
 def _exact_roots(
     model: SpaceModel, T: DiagonalForm, dz: list[float], k: int, tol: float
 ) -> tuple[Optional[list[_StartOutcome]], tuple[int, ...]]:
-    """The s = 2 or s = 3 solve (see the module docstring) at the target
+    """The s <= 3 solve (see the module docstring) at the target
     z = T / 2**k, with dz = d z: an outcome for each admissible root,
     certified at residual ``tol`` in exact arithmetic, or None when the
     s = 3 elimination is degenerate; and, for s = 2, the coordinate that
     escapes when P has no root."""
-    # the exact algebra is imported on first use, so that a process that
-    # certifies nothing never compiles it
     from . import _elimination
 
+    points, escaped = [(1.0,)], ()
     if model.s == 2:
         points, escaped = _elimination.two_summand_points(model, T)
-    else:
-        points, escaped = _elimination.three_summand_points(model, T), ()
+    elif model.s == 3:
+        points = _elimination.three_summand_points(model, T)
     if points is None:
         return None, escaped
-    outcomes = []
-    for point in points:
-        # a ratio x_j / x_1 beyond the float range reads as 0 or inf, and
-        # then no scale of T gives the root a float metric
-        beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
-        x = _on_constraint(dz, point)
-        c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
-        status = "converged" if certified else "stalled"
-        outcomes.append(
-            _StartOutcome(S, x, c, residual, status, 0, certified, (), 0, beyond, e)
-        )
-    return outcomes, escaped
+    return [_certified(model, T, dz, point, k, tol) for point in points], escaped
 
 
 def _rescalable(z: list[float], best: _StartOutcome) -> bool:
@@ -665,15 +659,16 @@ def maximize_S_on_MT(
     and the first start it certifies in exact arithmetic makes "solved",
     with a note that counts its kernel calls.  Else each start runs the
     module's one ascent until it converges (projected gradient vanished,
-    residual certified), collapses, stalls or spends its budget.  A
-    certified start makes "solved"; else a collapsed start makes
-    "diverged"; else "inconclusive".  Of the starts that decide the status,
-    the report returns the most accurate one tied in S with the highest.
+    residual certified), collapses, stalls or spends its budget.  A start
+    certified in floats and then in exact arithmetic makes "solved"; else a
+    collapsed start makes "diverged"; else "inconclusive".  Of the starts
+    that decide the status, the report returns the most accurate one tied
+    in S with the highest.
     Overflow raises no warning: a note counts the rejected trial points with
     non-finite curvature.
 
-    For s = 2 and s = 3 the admissible roots of the exact solve take the
-    place of the starts (see the module docstring): a certified root makes
+    For s <= 3 the admissible roots of the exact solve take the place of
+    the starts (see the module docstring): a certified root makes
     "solved", no admissible root makes "diverged", a proof of nonexistence,
     and only uncertified ones "inconclusive".
     """
@@ -688,18 +683,24 @@ def maximize_S_on_MT(
     k = math.frexp(max(z))[1] - 1
     z = [math.ldexp(v, -k) for v in z]
     dz = [d * v for d, v in zip(model.dims, z)]
+    tol = opts.residual_tol
     outcomes, escaped, notes, calls = None, (), (), 0
-    if model.s in (2, 3):
-        outcomes, escaped = _exact_roots(model, T, dz, k, opts.residual_tol)
+    if model.s <= 3:
+        outcomes, escaped = _exact_roots(model, T, dz, k, tol)
     exact = outcomes is not None
     if not exact:
         ev = _Evaluator(model, z)
         V0 = _seeded_starts(ev, opts.seed)
-        if model.s > 1:
-            outcomes, calls = _levenberg_marquardt(model, T, ev, V0, k, opts.residual_tol)
+        outcomes, calls = _levenberg_marquardt(model, T, ev, V0, k, tol)
         if not (outcomes and outcomes[-1].certified):
-            outcomes, calls = _ascend(ev, V0, opts.residual_tol), 0
-        if model.s in (2, 3):
+            # a start the float check certifies is certified exactly
+            outcomes, calls = _run_starts(ev, V0, tol), 0
+            outcomes = [
+                _certified(model, T, dz, o.x, k, tol, o.iterations, o.rejected)
+                if o.certified else o
+                for o in outcomes
+            ]
+        if model.s == 3:
             notes = (
                 "the exact elimination is degenerate here, or T is within rounding "
                 "of a target where it is (a curve of solutions, or two at one root); the "

@@ -84,6 +84,8 @@ DYADIC = build_model(
     triples={(1, 2, 2): Fraction(5, 8), (1, 2, 3): Fraction(11)},
 )
 DYADIC_T = DiagonalForm.full(ricci(DYADIC, DiagonalForm.full((1, 2, 3))))
+# one summand, where the float kernel reads c = 32/75 one ulp low
+ONE = build_model("one", dims=(3,), casimir=(Fraction(1, 100),), triples={(1, 1, 1): 5})
 
 
 def flag3_target(p, q):
@@ -122,7 +124,7 @@ def test_single_summand_flat_torus():
     assert rep.status == "inconclusive"
     assert (rep.c, rep.residual, rep.iterations, rep.starts_used) == (0.0, 0.0, 0, 1)
     assert rep.x.values == (6.0,)
-    assert "not positive" in rep.notes[-1]
+    assert rep.notes[-1] == "no root certified; best residual 0.000e+00, c = 0.000e+00 not positive"
     assert "Infinity" not in json.dumps(rep.to_dict()) and "NaN" not in json.dumps(rep.to_dict())
 
 
@@ -220,31 +222,39 @@ def test_multistart_agreement_on_passing_model(monkeypatch):
     assert lm.x.values == pytest.approx(rep.x.values, rel=1e-12)
 
 
-def test_iterates_monotone_in_S():
+def _run_starts_for(monkeypatch, ev, V0, iterations):
+    """The ascent's outcomes from the rows of V0, each start stopped after
+    at most ``iterations`` steps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "MAX_ITERATIONS", iterations)
+        return solver_mod._run_starts(ev, V0, TOL)
+
+
+def test_iterates_monotone_in_S(monkeypatch):
     # S after k ascent iterations never decreases in k
     z = np.array([1.0, 1.0, 1.0])
     ev = solver_mod._Evaluator(G2, z)
     v0 = (np.log(ev.dz) + 0.3)[None, :]
-    (full,) = solver_mod._run_starts(ev, v0, TOL, solver_mod.MAX_ITERATIONS)
+    (full,) = solver_mod._run_starts(ev, v0, TOL)
     assert full.status == "converged" and full.iterations > 3
     values = [
-        solver_mod._run_starts(ev, v0, TOL, k)[0].S
+        _run_starts_for(monkeypatch, ev, v0, k)[0].S
         for k in range(1, full.iterations + 1)
     ]
     assert values[-1] == full.S
     assert np.all(np.diff(np.array(values)) >= 0)
 
 
-def test_every_start_monotone_in_S():
+def test_every_start_monotone_in_S(monkeypatch):
     # Newton steps accepted on a smaller residual must not lower S either
     rng = np.random.default_rng(0)
     for T in (flag3_target(1.2, 1.4), DiagonalForm.full((1.0, 0.5, 2.0))):
         ev = solver_mod._Evaluator(G2, np.array(T.values))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(8, 3))
-        full = solver_mod._run_starts(ev, V0, TOL, solver_mod.MAX_ITERATIONS)
+        full = solver_mod._run_starts(ev, V0, TOL)
         assert all(o.status == "converged" for o in full)
         values = np.array([
-            [o.S for o in solver_mod._run_starts(ev, V0, TOL, k)]
+            [o.S for o in _run_starts_for(monkeypatch, ev, V0, k)]
             for k in range(1, max(o.iterations for o in full) + 1)
         ])
         assert np.all(np.diff(values, axis=0) >= 0)
@@ -283,7 +293,7 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
             return evaluate(u, out_r, out_jac)
 
         ev.value_and_ricci = batch
-        together = solver_mod._run_starts(ev, V0, TOL, 100)
+        together = _run_starts_for(monkeypatch, ev, V0, 100)
 
         def recording(u, out_r, out_jac):
             S = evaluate(u, out_r, out_jac)
@@ -293,7 +303,7 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
         ev.value_and_ricci = recording
         for v0, o in zip(V0, together):
             points.clear()
-            (alone,) = solver_mod._run_starts(ev, v0[None, :], TOL, 100)
+            (alone,) = _run_starts_for(monkeypatch, ev, v0[None, :], 100)
             assert (alone.S, alone.status, alone.iterations, alone.rejected) == (
                 o.S, o.status, o.iterations, o.rejected
             )
@@ -371,7 +381,7 @@ def lm_solve(monkeypatch, model, T, options=None):
     ``newton_solve`` and the ascent patched out: "solved" exactly where it
     certifies a start."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver_mod, "_ascend", lambda *args: [])
+        patch.setattr(solver_mod, "_run_starts", lambda *args: [])
         return newton_solve(monkeypatch, model, T, options)
 
 
@@ -507,8 +517,8 @@ def test_two_summand_root_read_from_sign_pattern():
 
 
 def test_two_summand_solve_kernel_calls(monkeypatch):
-    # the exact s = 2 and s = 3 solves certify their roots in integers and
-    # call no kernel
+    # the exact s <= 3 solves certify their roots in integers and call no
+    # kernel
     def kernel(*args):
         raise AssertionError("kernel called")
 
@@ -522,6 +532,11 @@ def test_two_summand_solve_kernel_calls(monkeypatch):
     for model, values, status in cases:
         rep = maximize_S_on_MT(model, DiagonalForm.full(values))
         assert (rep.status, rep.iterations) == (status, 0)
+    # one summand: the constraint set is the point x = d z, where r = c T
+    # exactly with c = 32/75
+    rep = maximize_S_on_MT(ONE, DiagonalForm.full((1.0,)))
+    assert (rep.status, rep.iterations, rep.x.values, rep.solutions) == ("solved", 0, (3.0,), ((3.0,),))
+    assert (rep.c, rep.residual, rep.S_value) == (0.4266666666666667, 0.0, 0.4266666666666667)
 
 
 def test_exact_solves_report_exact_figures():
@@ -550,6 +565,35 @@ def test_exact_solves_report_exact_figures():
     # flag3(3,2,1) at the normal metric: S = 3/8 and r = c T exactly
     rep = maximize_S_on_MT(flag3(3, 2, 1), UNIT)
     assert (rep.x.values, rep.S_value, rep.residual) == ((6.0, 6.0, 6.0), 0.375, 0.0)
+
+
+def test_every_solved_report_is_its_exact_certificate(monkeypatch):
+    # whichever method decides, at every s, a solved report's c, residual
+    # and S are what certify reads at its x: the exact roots for s <= 3,
+    # Levenberg-Marquardt, and the ascent, whose start certified in floats
+    # is certified again in exact arithmetic
+    su4 = full_flag(4)
+    unit6 = DiagonalForm.full((1.0,) * 6)
+    twosum = two_summand(2, 3, "1/4", "3/10", "4/5")
+    reports = [
+        (ONE, DiagonalForm.full((1.0,)), maximize_S_on_MT, None),
+        (twosum, DiagonalForm.full((1.0, 1.0)), maximize_S_on_MT, None),
+        (G2, UNIT, maximize_S_on_MT, None),
+        (G2, UNIT, lambda m, T: lm_solve(monkeypatch, m, T), "minimum-norm Newton"),
+        (su4, unit6, maximize_S_on_MT, "minimum-norm Newton"),
+        (G2, UNIT, lambda m, T: ascent_solve(monkeypatch, m, T), "multistart ascent"),
+        (G2, flag3_target(1.2, 1.4), lambda m, T: ascent_solve(monkeypatch, m, T), "multistart ascent"),
+        (su4, unit6, lambda m, T: ascent_solve(monkeypatch, m, T), None),
+    ]
+    for model, T, solve, method in reports:
+        rep = solve(model, T)
+        assert rep.status == "solved", model.name
+        assert method is None or any(method in note for note in rep.notes)
+        assert max(T.values) < 2  # the solve runs at T itself, k = 0
+        c, residual, S, certified, _ = _elimination.certify(model, T, list(rep.x.values), 0, TOL)
+        assert certified and (rep.c, rep.residual, rep.S_value) == (c, residual, S), model.name
+    # the ascent decided the last: iterations, and every start run
+    assert rep.iterations > 0 and rep.starts_used == solver_mod.MULTISTARTS
 
 
 def test_solver_rejects_unvalidated_model():
@@ -783,7 +827,7 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
     assert statuses == ["solved", "solved", "diverged"]
 
 
-def test_three_summand_exact_matches_bounded_ascent():
+def test_three_summand_exact_matches_bounded_ascent(monkeypatch):
     # the first 30 targets of the s = 3 sweep: wherever 16 ascent starts of
     # at most 100 steps decide, the exact path agrees, and its x matches
     rng = np.random.default_rng(2026)
@@ -795,7 +839,7 @@ def test_three_summand_exact_matches_bounded_ascent():
         ev = solver_mod._Evaluator(model, z)
         base = np.log(ev.dz)
         V0 = np.vstack([base, base + np.random.default_rng(0).normal(0.0, 0.75, size=(15, 3))])
-        outcomes = solver_mod._run_starts(ev, V0, TOL, 100)
+        outcomes = _run_starts_for(monkeypatch, ev, V0, 100)
         certified = [o for o in outcomes if o.certified]
         if certified:
             best = solver_mod._most_accurate(certified)
