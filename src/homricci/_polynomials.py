@@ -291,10 +291,11 @@ def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, in
     the root itself when it is a dyadic point of no greater depth.
 
     The first step is a float estimate (``_seeded``) where it brackets the
-    root.  Each further step from an interval at depth k puts the zero of
-    the secant through its ends on the grid of depth k + gain, and keeps
-    the one interval of that grid next to it that the sign there and at
-    one neighbour show to hold the root; the gain then doubles.  A step
+    root, and else a secant step of gain max(2, k // 2) from the interval
+    at depth k.  Each further step from an interval at depth k puts the
+    zero of the secant through its ends on the grid of depth k + gain, and
+    keeps the one interval of that grid next to it that the sign there and
+    at one neighbour show to hold the root; the gain then doubles.  A step
     that fails bisects once and halves the gain.  Any interval at depth K
     lies in one of every lower depth, so the last is cut back to the first
     depth with c >= 2**bits."""
@@ -304,7 +305,10 @@ def refine(p: list, root: tuple[int, int, int], bits: int) -> tuple[int, int, in
     k0, n = k, len(p) - 1
     seeded = _seeded(p, root, bits)
     if seeded is None:
-        gain, ends = 2, (value_at(p, c, k), value_at(p, c + 1, k))
+        # the secant's error is about quadratic in the interval's width
+        # 2**-k, so its first step from depth k may gain about k bits; half
+        # that leaves room for a steep p
+        gain, ends = max(2, k // 2), (value_at(p, c, k), value_at(p, c + 1, k))
     else:
         gain, (k, c, left), ends = _SEEDED_GAIN, *seeded
     while left and c >> bits == 0:

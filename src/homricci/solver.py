@@ -1,19 +1,39 @@
 """Constrained maximization of scalar curvature and the certified solve.
 
-The feasible set {x positive : sum d_i z_i / x_i = 1} is the image of the
-open unit simplex under u_i = d_i z_i / x_i.  In u the gradient of S is
-F = r / z, so Ric g = c T is the Lagrange system F(u) = c 1, sum u = 1 of
-maximizing S on the simplex, and one ascent solves it.  Each step solves
-the Newton system of that Lagrange system, with the Hessian dF/du built
-from the kernel's analytic Ricci Jacobian, and takes the Newton step when
-it ascends (F . du > 0), capped at 0.9 of the distance to the boundary.
-Otherwise it steps along F centered at its u-average in softmax
-coordinates (u = softmax(v)), an ascent direction that keeps escaping
-coordinates moving at unit speed when no maximizer exists (some u_i then
-collapses to 0, i.e. x_i grows without bound).  One backtracking line
-search accepts an Armijo increase of S; a trial point with non-finite
-curvature, or without a positive u_i, is rejected, counted and halved like
-any other.
+For s >= 4, and for s = 3 where the exact elimination below is degenerate,
+Levenberg-Marquardt decides every "solved": a minimum-norm Newton solve of
+Ric g = c T itself, F = r(x) - c z = 0 in the unknowns
+w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian columns
+x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step solves
+(A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by 3 after
+a step that lowers |F| and multiplied by 4 after one that does not, which
+is rejected.  It needs no isolated maximizer of S: where the solutions
+form a family, so that A is rank-deficient, the damped step tends to the
+minimum-norm one and lands on a point of the family.  The MULTISTARTS
+seeded starts run one at a time, in seed order, one point per kernel call.
+A start stops after LM_START_CALLS kernel calls, or when a step is not
+finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
+float residual is at most tol with c > 0, and |F| has stopped shrinking
+fast (the last trial was rejected, or the last step shrank |F| less than
+fourfold), its metric is certified.  The first start to certify ends the
+solve "solved": a certified solution, first in seed order, and not
+necessarily the maximizer of S.
+
+With no start certified, an ascent of S decides between "diverged" and
+"inconclusive"; it certifies nothing.  The feasible set
+{x positive : sum d_i z_i / x_i = 1} is the image of the open unit simplex
+under u_i = d_i z_i / x_i.  In u the gradient of S is F = r / z, so
+Ric g = c T is the Lagrange system F(u) = c 1, sum u = 1 of maximizing S
+on the simplex.  Each step solves the Newton system of that Lagrange
+system, with the Hessian dF/du built from the kernel's analytic Ricci
+Jacobian, and takes the Newton step when it ascends (F . du > 0), capped
+at 0.9 of the distance to the boundary.  Otherwise it steps along F
+centered at its u-average in softmax coordinates (u = softmax(v)), an
+ascent direction that keeps escaping coordinates moving at unit speed when
+no maximizer exists (some u_i then collapses to 0, i.e. x_i grows without
+bound).  One backtracking line search accepts an Armijo increase of S; a
+trial point with non-finite curvature, or without a positive u_i, is
+rejected, counted and halved like any other.
 
 The MULTISTARTS seeded starts run in lockstep: each start keeps its own
 state as one row of arrays, and each round builds the new steps of the
@@ -22,34 +42,14 @@ one trial point per running start in one batched kernel call, and accepts
 or halves each.  Every operation acts on each row alone, so a start's
 outcome is bit for bit the one it has run alone.
 
-A start stops when its projected gradient vanishes, if its float
-residual is at most tol with c > 0 or some u_i is below the collapse
-threshold; when its line search accepts no step; or after MAX_ITERATIONS
-steps.  Collapse with no certified start is reported as "diverged" --
-evidence that the supremum is not attained, never a proof of
-nonexistence.  The ascent runs for s >= 4, and for s = 3 only where the
-elimination below is degenerate.
-
-Before the ascent a minimum-norm Newton phase solves Ric g = c T itself:
-Levenberg-Marquardt on F = r(x) - c z = 0 in the unknowns
-w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian columns
-x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step solves
-(A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by 3 after
-a step that lowers |F| and multiplied by 4 after one that does not, which
-is rejected.  It needs no isolated maximizer of S: where the solutions
-form a family, so that A is rank-deficient, the damped step tends to the
-minimum-norm one and lands on a point of the family.  The seeded starts
-run one at a time, in seed order, one point per kernel call.  A start
-stops after 30 rejections in a row or 200 steps, or when a step is not
-finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
-float residual is at most tol with c > 0, and |F| has stopped shrinking
-fast (the last trial was rejected, or the last step shrank |F| less than
-fourfold), its metric is certified.  The first start to certify ends the
-solve "solved": a certified solution, first in seed order, and not
-necessarily the maximizer of S.  With no certificate after LM_CALLS
-kernel calls the ascent runs as it would alone, so "diverged" is always
-the ascent's verdict, and so is "inconclusive", but where a certified
-metric has no double at the scale of T.
+A start stops when its projected gradient vanishes with some u_i below the
+collapse threshold; when its line search accepts no step, as it does at an
+interior critical point of S; or after MAX_ITERATIONS steps ("budget").
+It has then "collapsed" where some u_i is below the threshold, and else
+"stalled".  A collapsed start makes the solve "diverged" -- evidence that
+the supremum is not attained, never a proof of nonexistence -- and
+otherwise it is "inconclusive", but where a certified metric has no double
+at the scale of T.
 
 Every "solved", at every s and whichever method found its metric, has one
 certificate (``_elimination.certify``): on the returned float metric,
@@ -67,7 +67,8 @@ path set aside, Levenberg-Marquardt certifies SU(3)/T at T = (3, 3, 2),
 where the exact root count proves that no solution exists, at
 x = (4.33e8, 4.33e8, 4.0) with residual 8.4e-10.
 
-One, two and three summands take no ascent.  For s = 1 the constraint set
+One, two and three summands are solved exactly, but where the s = 3
+elimination is degenerate.  For s = 1 the constraint set
 is the one point x = d z, the one root.  For s = 2 and s = 3,
 Ric g = c T is solved exactly on the polynomial Ricci core
 (``_elimination``), each r_i times x_2^2 ... x_s^2 as an integer
@@ -138,14 +139,14 @@ class SolverError(ValueError):
 
 
 # A solve runs MULTISTARTS starts of at most MAX_ITERATIONS steps each; a
-# start stops once its projected gradient is this small relative to the
-# multiplier, or some u_i falls below the collapse threshold (see
+# start stops once some u_i falls below the collapse threshold and its
+# projected gradient is this small relative to the multiplier (see
 # _run_starts).
 MULTISTARTS = 16
 MAX_ITERATIONS = 10_000
-# Levenberg-Marquardt makes at most LM_CALLS kernel calls a solve (see
+# Levenberg-Marquardt makes at most LM_START_CALLS kernel calls a start (see
 # _levenberg_marquardt).
-LM_CALLS = 64
+LM_START_CALLS = 32
 GRADIENT_TOL = 1e-10
 COLLAPSE_THRESHOLD = 1e-12
 # The normal doubles, the targets a solve takes.
@@ -176,13 +177,14 @@ class SolveReport:
 
     In every "solved" report c, the residual and S are the correctly
     rounded floats of their exact values at the returned metric (see the
-    module docstring).  Where Levenberg-Marquardt certifies a start (its
-    note reads "minimum-norm Newton on Ric g = c T; N kernel calls"),
-    ``starts_used`` counts the starts it ran, in seed order, the certified
-    one last; ``iterations`` counts their accepted steps; and
-    ``start_values`` holds S at each start's last metric, on the constraint
-    set.  Where the ascent decides, they count and describe its MULTISTARTS
-    starts and its iterations.
+    module docstring).  For s >= 4 Levenberg-Marquardt decides every
+    "solved", each start within LM_START_CALLS kernel calls (its note reads
+    "minimum-norm Newton on Ric g = c T; N kernel calls"): ``starts_used``
+    counts the starts it ran, in seed order, the certified one last;
+    ``iterations`` counts their accepted steps; and ``start_values`` holds S
+    at each start's last metric, on the constraint set.  The ascent decides
+    only "diverged" and "inconclusive"; there they count and describe its
+    MULTISTARTS starts and its iterations.
 
     For s <= 3 (see the module docstring) the starts are the admissible
     roots of the exact solve: ``starts_used`` counts them, ``start_values``
@@ -242,7 +244,7 @@ class _StartOutcome:
     x: list[float]
     c: float
     residual: float
-    status: str  # converged | stalled | collapsed | budget; an exact check's converged | stalled
+    status: str  # the ascent's stalled | collapsed | budget; stalled off the ascent
     iterations: int
     certified: bool
     collapsed: tuple[int, ...]
@@ -298,7 +300,7 @@ class _Starts:
     """
 
     __slots__ = (
-        "index", "v", "u", "S", "r", "jac", "c", "res", "alpha",
+        "index", "v", "u", "S", "r", "jac", "alpha",
         "iterations", "rejected", "step", "t", "slope", "newton", "tries",
     )
 
@@ -322,34 +324,32 @@ def _newton_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _outcome(st: _Starts, i: int, dz: np.ndarray, tol: float) -> _StartOutcome:
+def _outcome(st: _Starts, i: int, ev: _Evaluator) -> _StartOutcome:
     u = st.u[i]
-    c, res, iterations = float(st.c[i]), float(st.res[i]), int(st.iterations[i])
-    certified = res <= tol and c > 0
-    if certified:
-        status = "converged"
-    elif iterations == MAX_ITERATIONS:
+    c, res = ev.fit(st.r[i])
+    iterations = int(st.iterations[i])
+    if iterations == MAX_ITERATIONS:
         status = "budget"
     else:
         status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
     return _StartOutcome(
         S=float(st.S[i]),
-        x=(dz / u).tolist(),
-        c=c,
-        residual=res,
+        x=(ev.dz / u).tolist(),
+        c=float(c),
+        residual=float(res),
         status=status,
         iterations=iterations,
-        certified=certified,
+        certified=False,
         collapsed=tuple(int(j) + 1 for j in np.flatnonzero(u < COLLAPSE_THRESHOLD)),
         rejected=int(st.rejected[i]),
     )
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcome]:
+def _run_starts(ev: _Evaluator, V0: np.ndarray) -> list[_StartOutcome]:
     """Run the ascent from each row of V0 (softmax coordinates), all starts
-    in lockstep, each for at most MAX_ITERATIONS steps, certifying in floats
-    at residual ``tol``; the outcomes in the order of the rows.
+    in lockstep, each for at most MAX_ITERATIONS steps; the outcomes in the
+    order of the rows.
 
     Every start follows its own ascent (see the module docstring), and its
     outcome is the one it has run alone.  Each round makes one stacked
@@ -366,7 +366,6 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcom
     st.u = _softmax(st.v)
     st.r, st.jac = np.empty((m, n)), np.empty((m, n, n))
     st.S = ev.value_and_ricci(st.u, st.r, st.jac)
-    st.c, st.res = ev.fit(st.r)
     st.alpha = np.ones(m)
     st.iterations = np.zeros(m, dtype=np.int64)
     st.rejected = np.zeros(m, dtype=np.int64)
@@ -379,7 +378,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcom
     def stop(rows: np.ndarray) -> None:
         if rows.any():
             for i in np.flatnonzero(rows):
-                outcomes[st.index[i]] = _outcome(st, i, dz, tol)
+                outcomes[st.index[i]] = _outcome(st, i, ev)
             st.keep(~rows)
 
     while len(st.index):
@@ -392,12 +391,11 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcom
             p = F - cbar[:, None]
             gv = u * p
             # F, c and S scale alike with the target, hence the relative test.
-            # Uncertified in the interior, a vanishing gradient means escaping
-            # coordinates that stopped registering: go on until they collapse.
-            certified = (st.res[f] <= tol) & (st.c[f] > 0)
-            interior = u.min(axis=1) >= COLLAPSE_THRESHOLD
+            # In the interior a vanishing gradient may mean escaping
+            # coordinates that stopped registering: go on until they collapse
+            # or the line search stalls.
             done = (np.abs(gv).max(axis=1) <= GRADIENT_TOL * np.abs(cbar)) & (
-                certified | ~interior
+                u.min(axis=1) < COLLAPSE_THRESHOLD
             )
             done |= st.iterations[f] == MAX_ITERATIONS
             # Newton system of F(u) = c 1, sum u = 1 in the unknowns (du, c);
@@ -438,17 +436,15 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray, tol: float) -> list[_StartOutcom
         S_t = ev.value_and_ricci(u_t, r_t, jac_t)
         finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1) & (u_t > 0).all(axis=1)
         st.rejected += ~finite
-        c_t, res_t = ev.fit(r_t)
-        # an Armijo increase of S
-        fresh = finite & (S_t >= st.S + 1e-4 * st.t * st.slope)
+        # an Armijo increase of S, and a strict one: at a critical point of S
+        # no step is accepted, and the line search stalls
+        fresh = finite & (S_t >= st.S + 1e-4 * st.t * st.slope) & (S_t > st.S)
         row = fresh[:, None]
         st.v = np.where(row, np.where(newton, np.log(u_t), v_t), st.v)
         st.alpha = np.where(fresh & ~st.newton, np.minimum(st.t * 2.0, 1e12), st.alpha)
         st.u, st.r = np.where(row, u_t, st.u), np.where(row, r_t, st.r)
         st.jac = np.where(row[:, :, None], jac_t, st.jac)
         st.S = np.where(fresh, S_t, st.S)
-        st.c = np.where(fresh, c_t, st.c)
-        st.res = np.where(fresh, res_t, st.res)
         st.iterations += fresh
         st.t = np.where(fresh, st.t, 0.5 * st.t)
         st.tries += ~fresh
@@ -496,8 +492,7 @@ def _certified(
     beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
     x = _on_constraint(dz, point)
     c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
-    status = "converged" if certified else "stalled"
-    return _StartOutcome(S, x, c, residual, status, iterations, certified, (), rejected, beyond, e)
+    return _StartOutcome(S, x, c, residual, "stalled", iterations, certified, (), rejected, beyond, e)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -506,9 +501,9 @@ def _levenberg_marquardt(
 ) -> tuple[list[_StartOutcome], int]:
     """Levenberg-Marquardt on r(x) - c z = 0 (see the module docstring) from
     each row of V0 in turn, at the target z = T / 2**k, until a start's
-    metric certifies in exact arithmetic at residual ``tol``, or LM_CALLS
-    kernel calls are spent: the outcomes of the starts run, the last one
-    certified unless none is, and the kernel calls made."""
+    metric certifies in exact arithmetic at residual ``tol``, each start for
+    at most LM_START_CALLS kernel calls: the outcomes of the starts run, the
+    last one certified unless none is, and the kernel calls made."""
     z, dz = ev.z, ev.dz
     n = len(z)
     # the Jacobian of F = r - c z in (w_2, ..., w_n, c), w_j = log(x_j / x_1):
@@ -522,8 +517,7 @@ def _levenberg_marquardt(
     outcomes: list[_StartOutcome] = []
     calls = 0
     for v in V0:
-        if calls == LM_CALLS:
-            break
+        first = calls
         u = _softmax(v)
         w0 = w = np.log(u[0] * dz[1:] / (u[1:] * dz[0]))
         x[0, 1:] = np.exp(w)
@@ -532,12 +526,12 @@ def _levenberg_marquardt(
         c = float(ev.fit(r[0])[0])
         F = r[0] - c * z
         norm = float(F @ F)
-        mu, steps, misses, rejected = 1e-3, 0, 0, 0
+        mu, steps, rejected = 1e-3, 0, 0
         # |F| has stopped shrinking fast: the last trial was rejected, or the
         # last step shrank it less than fourfold
         settled = norm == 0
         while math.isfinite(norm):
-            done = misses == 30 or steps == 200 or calls == LM_CALLS
+            done = calls - first == LM_START_CALLS
             if settled or done:
                 c_fit, res = ev.fit(r[0])
                 if res <= tol and c_fit > 0:
@@ -570,9 +564,9 @@ def _levenberg_marquardt(
                 settled = norm_t > norm / 16.0
                 w, c, x, S, F, norm = w_t, c_t, x_t, S_t, F_t, norm_t
                 r, r_t, jac, jac_t = r_t, r, jac_t, jac
-                mu, steps, misses = mu / 3.0, steps + 1, 0
+                mu, steps = mu / 3.0, steps + 1
             else:
-                mu, misses, settled = mu * 4.0, misses + 1, True
+                mu, settled = mu * 4.0, True
         # uncertified: the start's last metric, on the constraint set, where
         # S is the kernel's S over the scale
         scale = float(np.sum(dz / x[0]))
@@ -650,20 +644,19 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
 def maximize_S_on_MT(
     model: SpaceModel, T: DiagonalForm, options: Optional[SolverOptions] = None
 ) -> SolveReport:
-    """Solve Ric g = c T on the constraint set, certified: by
-    Levenberg-Marquardt, else by the multistart Newton ascent of S.
+    """Solve Ric g = c T on the constraint set, certified by
+    Levenberg-Marquardt; else the multistart Newton ascent of S tells
+    "diverged" from "inconclusive".
 
     Starts are seeded deterministically; the first start is the constant
     multiple of the background form that sits on the constraint set.
     Levenberg-Marquardt runs them in seed order (see the module docstring),
     and the first start it certifies in exact arithmetic makes "solved",
     with a note that counts its kernel calls.  Else each start runs the
-    module's one ascent until it converges (projected gradient vanished,
-    residual certified), collapses, stalls or spends its budget.  A start
-    certified in floats and then in exact arithmetic makes "solved"; else a
-    collapsed start makes "diverged"; else "inconclusive".  Of the starts
-    that decide the status, the report returns the most accurate one tied
-    in S with the highest.
+    module's one ascent until it collapses, stalls or spends its budget: a
+    collapsed start makes "diverged", and else the solve is "inconclusive".
+    Of the starts that decide the status, the report returns the most
+    accurate one tied in S with the highest.
     Overflow raises no warning: a note counts the rejected trial points with
     non-finite curvature.
 
@@ -693,13 +686,7 @@ def maximize_S_on_MT(
         V0 = _seeded_starts(ev, opts.seed)
         outcomes, calls = _levenberg_marquardt(model, T, ev, V0, k, tol)
         if not (outcomes and outcomes[-1].certified):
-            # a start the float check certifies is certified exactly
-            outcomes, calls = _run_starts(ev, V0, tol), 0
-            outcomes = [
-                _certified(model, T, dz, o.x, k, tol, o.iterations, o.rejected)
-                if o.certified else o
-                for o in outcomes
-            ]
+            outcomes, calls = _run_starts(ev, V0), 0
         if model.s == 3:
             notes = (
                 "the exact elimination is degenerate here, or T is within rounding "

@@ -131,6 +131,33 @@ def draw_known_solutions(seed, size):
     return out
 
 
+def sweep_cases(count=150):
+    """The s = 3 sweep as ROADMAP.md records it: random exact models with
+    float targets."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(count):
+        model = random_space_model(rng, 3, exact=True)
+        cases.append((model, DiagonalForm.full(tuple(float(v) for v in rng.uniform(0.05, 5, 3)))))
+    return cases
+
+
+def draw_near_curve(seed, size):
+    """(model, T) draws of the near-curve corpus as ROADMAP.md records it: a
+    float s = 3 model, a float metric x uniform in [0.2, 5) and T = Ric x as
+    floats, so that T is within rounding of a target that x solves; a draw
+    with some coefficient of T not positive is skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < size:
+        model = random_space_model(rng, 3, exact=False)
+        x = DiagonalForm.full(tuple(float(v) for v in rng.uniform(0.2, 5, 3)))
+        T = tuple(float(v) for v in ricci(model, x))
+        if all(v > 0 for v in T):
+            out.append((model, DiagonalForm.full(T)))
+    return out
+
+
 def combinations_with_repetition(s):
     for i in range(1, s + 1):
         for j in range(i, s + 1):

@@ -4,9 +4,13 @@ summands, the exact threshold, on seeded corpora of random models.
 The corpora are drawn as ROADMAP.md records them: the passing corpus
 (every target whose theorem check passes), the s = 3 entries of the
 failing corpus (every one decided by the exact solve), a seeded set of
-two-summand cases on both sides of the threshold, and the known-solution
-corpus (targets built from a metric, so that every one has a solution).
+two-summand cases on both sides of the threshold, the known-solution
+corpus (targets built from a metric, so that every one has a solution),
+the s = 3 sweep and the near-curve corpus (float s = 3 targets within
+rounding of one that a metric solves).
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -22,19 +26,15 @@ from homricci import solver
 from helpers import (
     draw_corpus,
     draw_known_solutions,
+    draw_near_curve,
     oracle_figures,
     oracle_ricci,
     random_two_summand_case,
+    sweep_cases,
 )
 
 TOL = SolverOptions.residual_tol
 NEWTON = "minimum-norm Newton on Ric g = c T; "
-# the known-solution entries that the ascent leaves unsolved, 26 "diverged"
-# and 6 "inconclusive" (ROADMAP.md, Corpora)
-ASCENT_MISSES = (
-    7, 11, 17, 23, 43, 45, 49, 60, 61, 72, 77, 78, 83, 84, 95, 100,
-    106, 111, 115, 117, 137, 144, 147, 152, 153, 154, 158, 159, 163, 171, 175, 183,
-)
 
 
 def _newton_calls(report):
@@ -95,29 +95,33 @@ def test_two_summand_status_is_the_exact_threshold():
         assert status == ("solved" if two_summand_condition(model, T).passed else "diverged")
 
 
-def test_known_solutions_are_solved(monkeypatch):
-    corpus = draw_known_solutions(5, 200)
-    # Levenberg-Marquardt alone (the ascent patched out, so that a solve is
-    # "solved" exactly where it certifies a start), within its call cap
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_run_starts", lambda *args: [])
-        alone = [maximize_S_on_MT(model, T) for model, T in corpus]
-    # entries 121 and 154 need more than LM_CALLS kernel calls (about 125
-    # and 700 uncapped), so the ascent decides them
-    assert [i for i, rep in enumerate(alone) if rep.status != "solved"] == [121, 154]
-    calls = [_newton_calls(rep) for rep in alone if rep.status == "solved"]
-    assert all(0 < n <= solver.LM_CALLS for n in calls)
-    # full solves: every ascent miss but 154 is certified, with exact figures
-    for i in ASCENT_MISSES:
-        if i == 154:
-            continue
-        model, T = corpus[i]
+def test_three_summand_solved_exactly_where_an_admissible_root_exists():
+    # for s = 3 the exact path decides: "solved" exactly when it finds an
+    # admissible root, "diverged" when it finds none; where its elimination
+    # is degenerate (no solutions listed) Levenberg-Marquardt solves
+    failing = [case for case in draw_corpus(11, 3, 6, 0.05, 5, False, 40) if case[0].s == 3]
+    counts = Counter()
+    for model, T in sweep_cases() + failing + draw_near_curve(3, 300):
         report = maximize_S_on_MT(model, T)
-        assert report.status == "solved" and _newton_calls(report) is not None, i
+        if report.solutions is None:
+            assert report.status == "solved" and _newton_calls(report) is not None
+            counts["degenerate"] += 1
+        else:
+            assert report.status == ("solved" if report.solutions else "diverged")
+            counts[report.status] += 1
+    assert counts == {"solved": 223, "diverged": 127, "degenerate": 117}
+
+
+def test_known_solutions_are_solved():
+    # every target has a solution, and Levenberg-Marquardt certifies all
+    # 200, each start within LM_START_CALLS kernel calls, with exact figures
+    corpus = draw_known_solutions(5, 200)
+    calls = []
+    for i, (model, T) in enumerate(corpus):
+        report = maximize_S_on_MT(model, T)
+        calls.append(_newton_calls(report))
+        assert report.status == "solved" and calls[-1] is not None, i
+        assert calls[-1] <= report.starts_used * solver.LM_START_CALLS, i
         _exact_figures(model, T, report)
-    # the ascent solves 121, its start certified again exactly; 154 stays a
-    # miss: the ascent ends it "inconclusive" after 160,000 iterations,
-    # about 3 s, not spent here
-    report = maximize_S_on_MT(*corpus[121])
-    assert report.status == "solved" and _newton_calls(report) is None
-    _exact_figures(*corpus[121], report)
+    # the most is entry 121's, over seven starts; entry 154 takes 178
+    assert (max(calls), calls[121], calls[154]) == (218, 218, 178)

@@ -55,6 +55,7 @@ from helpers import (
     random_space_model,
     random_two_summand_case,
     subresultant,
+    sweep_cases,
 )
 
 G2 = flag3(4, 2, 4)
@@ -210,11 +211,14 @@ def test_uncertified_solve_returns_most_accurate_tied_start(monkeypatch):
 
 
 def test_multistart_agreement_on_passing_model(monkeypatch):
-    rep = ascent_solve(monkeypatch, G2, UNIT)  # default 16 starts
+    # the ascent's 16 starts agree on the maximizer, where they stall: the
+    # ascent certifies nothing, so alone it is "inconclusive" there
+    rep = ascent_solve(monkeypatch, G2, UNIT)
     assert len(rep.start_values) == solver_mod.MULTISTARTS
     best = max(rep.start_values)
     close = sum(1 for v in rep.start_values if abs(v - best) <= 1e-6)
     assert close >= 0.9 * len(rep.start_values)
+    assert rep.status == "inconclusive" and rep.notes[-1].startswith("no start certified")
     # Levenberg-Marquardt certifies the base start, at the ascent's metric
     lm = newton_solve(monkeypatch, G2, UNIT)
     assert (lm.status, lm.starts_used, len(lm.start_values)) == ("solved", 1, 1)
@@ -227,16 +231,17 @@ def _run_starts_for(monkeypatch, ev, V0, iterations):
     at most ``iterations`` steps."""
     with monkeypatch.context() as patch:
         patch.setattr(solver_mod, "MAX_ITERATIONS", iterations)
-        return solver_mod._run_starts(ev, V0, TOL)
+        return solver_mod._run_starts(ev, V0)
 
 
 def test_iterates_monotone_in_S(monkeypatch):
-    # S after k ascent iterations never decreases in k
+    # S after k ascent iterations never decreases in k, up to the maximizer,
+    # where the start stalls
     z = np.array([1.0, 1.0, 1.0])
     ev = solver_mod._Evaluator(G2, z)
     v0 = (np.log(ev.dz) + 0.3)[None, :]
-    (full,) = solver_mod._run_starts(ev, v0, TOL)
-    assert full.status == "converged" and full.iterations > 3
+    (full,) = solver_mod._run_starts(ev, v0)
+    assert full.status == "stalled" and full.iterations > 3
     values = [
         _run_starts_for(monkeypatch, ev, v0, k)[0].S
         for k in range(1, full.iterations + 1)
@@ -251,8 +256,8 @@ def test_every_start_monotone_in_S(monkeypatch):
     for T in (flag3_target(1.2, 1.4), DiagonalForm.full((1.0, 0.5, 2.0))):
         ev = solver_mod._Evaluator(G2, np.array(T.values))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(8, 3))
-        full = solver_mod._run_starts(ev, V0, TOL)
-        assert all(o.status == "converged" for o in full)
+        full = solver_mod._run_starts(ev, V0)
+        assert all(o.status == "stalled" for o in full)
         values = np.array([
             [o.S for o in _run_starts_for(monkeypatch, ev, V0, k)]
             for k in range(1, max(o.iterations for o in full) + 1)
@@ -315,24 +320,26 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
             zero_points += sum(u_min <= 0 for u_min, _ in trials)
             assert np.all(np.isfinite(o.x)) and np.all(np.array(o.x) > 0)
             statuses.add(o.status)
-    assert statuses == {"converged", "collapsed", "stalled", "budget"}
+    assert statuses == {"collapsed", "stalled", "budget"}
     assert zero_points > 0 and any(mixed)
 
 
 def test_ascent_decides_the_escaping_failing_targets():
-    # the ascent's own job, evidence of escape: the eight s = 4 failing-corpus
-    # targets that Levenberg-Marquardt does not certify end "diverged", with
-    # the same escaping coordinates, in at most the iterations the Newton
-    # ascent takes (a gradient-only ascent takes 130,036 on entry 22)
+    # the ascent's own job, evidence of escape: the eight s = 4 and three
+    # s = 5 failing-corpus targets that Levenberg-Marquardt does not certify
+    # end "diverged", with the same escaping coordinates, in at most the
+    # iterations the Newton ascent takes (a gradient-only ascent takes
+    # 130,036 on entry 22)
     escaping = {
-        1: ((4,), 289), 4: ((1, 2, 4), 71), 22: ((4,), 1895), 27: ((2, 3, 4), 365),
-        32: ((2,), 922), 36: ((1,), 529), 37: ((4,), 2405), 38: ((1, 2, 4), 47),
+        1: ((4,), 289), 4: ((1, 2, 4), 71), 22: ((4,), 387), 27: ((2, 3, 4), 231),
+        32: ((2,), 512), 36: ((1,), 497), 37: ((4,), 356), 38: ((1, 2, 4), 47),
+        16: ((1, 2), 318), 31: ((5,), 543), 33: ((2, 3), 449),
     }
     failing = draw_corpus(11, 3, 6, 0.05, 5, keep_passing=False, size=40)
     for entry, (collapsed, iterations) in escaping.items():
         model, T = failing[entry]
         rep = maximize_S_on_MT(model, T)
-        assert model.s == 4 and rep.status == "diverged", entry
+        assert model.s == (5 if entry in (16, 31, 33) else 4) and rep.status == "diverged", entry
         assert rep.collapsed == collapsed and rep.iterations <= iterations, entry
 
 
@@ -370,7 +377,7 @@ def newton_solve(monkeypatch, model, T, options=None):
 
 def ascent_solve(monkeypatch, model, T, options=None):
     """The solve by the multistart Newton ascent alone: as ``newton_solve``,
-    with Levenberg-Marquardt certifying no start."""
+    with Levenberg-Marquardt certifying no start, so never "solved"."""
     with monkeypatch.context() as patch:
         patch.setattr(solver_mod, "_levenberg_marquardt", lambda *args: ([], 0))
         return newton_solve(monkeypatch, model, T, options)
@@ -378,8 +385,9 @@ def ascent_solve(monkeypatch, model, T, options=None):
 
 def lm_solve(monkeypatch, model, T, options=None):
     """The solve by Levenberg-Marquardt alone, the exact path bypassed as by
-    ``newton_solve`` and the ascent patched out: "solved" exactly where it
-    certifies a start."""
+    ``newton_solve``: "solved" exactly where it certifies a start, as in
+    ``newton_solve``, but with the ascent patched out, so that a solve it
+    does not certify costs no ascent."""
     with monkeypatch.context() as patch:
         patch.setattr(solver_mod, "_run_starts", lambda *args: [])
         return newton_solve(monkeypatch, model, T, options)
@@ -569,9 +577,8 @@ def test_exact_solves_report_exact_figures():
 
 def test_every_solved_report_is_its_exact_certificate(monkeypatch):
     # whichever method decides, at every s, a solved report's c, residual
-    # and S are what certify reads at its x: the exact roots for s <= 3,
-    # Levenberg-Marquardt, and the ascent, whose start certified in floats
-    # is certified again in exact arithmetic
+    # and S are what certify reads at its x: the exact roots for s <= 3 and
+    # Levenberg-Marquardt
     su4 = full_flag(4)
     unit6 = DiagonalForm.full((1.0,) * 6)
     twosum = two_summand(2, 3, "1/4", "3/10", "4/5")
@@ -581,9 +588,6 @@ def test_every_solved_report_is_its_exact_certificate(monkeypatch):
         (G2, UNIT, maximize_S_on_MT, None),
         (G2, UNIT, lambda m, T: lm_solve(monkeypatch, m, T), "minimum-norm Newton"),
         (su4, unit6, maximize_S_on_MT, "minimum-norm Newton"),
-        (G2, UNIT, lambda m, T: ascent_solve(monkeypatch, m, T), "multistart ascent"),
-        (G2, flag3_target(1.2, 1.4), lambda m, T: ascent_solve(monkeypatch, m, T), "multistart ascent"),
-        (su4, unit6, lambda m, T: ascent_solve(monkeypatch, m, T), None),
     ]
     for model, T, solve, method in reports:
         rep = solve(model, T)
@@ -592,8 +596,13 @@ def test_every_solved_report_is_its_exact_certificate(monkeypatch):
         assert max(T.values) < 2  # the solve runs at T itself, k = 0
         c, residual, S, certified, _ = _elimination.certify(model, T, list(rep.x.values), 0, TOL)
         assert certified and (rep.c, rep.residual, rep.S_value) == (c, residual, S), model.name
-    # the ascent decided the last: iterations, and every start run
-    assert rep.iterations > 0 and rep.starts_used == solver_mod.MULTISTARTS
+    # the ascent certifies nothing: alone, it stalls at the maximizer, whose
+    # metric the certificate accepts, and the solve is "inconclusive"
+    for model, T in ((G2, UNIT), (G2, flag3_target(1.2, 1.4)), (su4, unit6)):
+        rep = ascent_solve(monkeypatch, model, T)
+        assert (rep.status, rep.starts_used) == ("inconclusive", solver_mod.MULTISTARTS)
+        assert rep.iterations > 0 and rep.notes[-1].startswith("no start certified")
+        assert _elimination.certify(model, T, list(rep.x.values), 0, TOL)[3], model.name
 
 
 def test_solver_rejects_unvalidated_model():
@@ -786,12 +795,13 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
     assert (rep.status, rep.starts_used) == ("diverged", 0)
     assert newton_solve(monkeypatch, DECOUPLED, UNIT).status == "diverged"
     # ... and when they share a root in t, every u solves: R = 0, a curve of
-    # solutions, and the float solve decides
+    # solutions, and the float solve decides.  The ascent alone certifies
+    # nothing, and here its starts escape: "diverged", evidence only
     T = DiagonalForm.full(ricci(DECOUPLED, DiagonalForm.full((1, 1, 1))))
     ascent = ascent_solve(monkeypatch, DECOUPLED, T)
-    assert ascent.status == "solved" and ascent.starts_used == solver_mod.MULTISTARTS
-    assert ascent.notes[-1].startswith("the exact elimination is degenerate")
-    assert ascent.notes[-1].endswith("; the multistart ascent decided")
+    assert (ascent.status, ascent.starts_used) == ("diverged", solver_mod.MULTISTARTS)
+    assert ascent.notes[-2].startswith("the exact elimination is degenerate")
+    assert ascent.notes[-2].endswith("; the multistart ascent decided")
     # Levenberg-Marquardt certifies the base start first
     rep = solve_prescribed_ricci(DECOUPLED, T)
     assert (rep.status, rep.starts_used) == ("solved", 1)
@@ -809,11 +819,13 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
     assert rep.to_dict()["solutions"] == [[6.0, 6.0, 6.0]]
     # the invariant Kahler metrics x_3 = x_1 + x_2 all have a Ricci form
     # parallel to (1, 1, 2): a curve of solutions, and the float solve
-    # decides, Levenberg-Marquardt or, without it, the ascent
+    # decides.  Levenberg-Marquardt certifies a point of it; without it the
+    # ascent stalls on the curve and, certifying nothing, is "inconclusive"
     T = DiagonalForm.full((1, 1, 2))
     assert subresultant(*stripped_system(su3, T), 0) == [[]]
-    for rep in (solve_prescribed_ricci(su3, T), ascent_solve(monkeypatch, su3, T)):
-        assert rep.status == "solved"
+    solved, ascent = solve_prescribed_ricci(su3, T), ascent_solve(monkeypatch, su3, T)
+    assert (solved.status, ascent.status) == ("solved", "inconclusive")
+    for rep in (solved, ascent):
         assert any(note.startswith("the exact elimination is degenerate") for note in rep.notes)
         assert rep.x[3] == pytest.approx(rep.x[1] + rep.x[2], rel=1e-8)
     # E_1 of degree 1 in u (a draw of the s = 3 sweep): u is read off E_1
@@ -828,22 +840,18 @@ def test_three_summand_degenerate_eliminations(monkeypatch):
 
 
 def test_three_summand_exact_matches_bounded_ascent(monkeypatch):
-    # the first 30 targets of the s = 3 sweep: wherever 16 ascent starts of
-    # at most 100 steps decide, the exact path agrees, and its x matches
-    rng = np.random.default_rng(2026)
+    # the first 30 targets of the s = 3 sweep: wherever Levenberg-Marquardt
+    # certifies, the exact path solves too, at an x that matches; else,
+    # wherever one of the 16 seeded ascent starts collapses within 100
+    # steps, the exact path finds no solution
     decided = {"solved": 0, "diverged": 0}
-    for _ in range(30):
-        model = random_space_model(rng, 3, exact=True)
-        z = rng.uniform(0.05, 5, 3)
-        exact = maximize_S_on_MT(model, DiagonalForm.full(tuple(float(v) for v in z)))
-        ev = solver_mod._Evaluator(model, z)
-        base = np.log(ev.dz)
-        V0 = np.vstack([base, base + np.random.default_rng(0).normal(0.0, 0.75, size=(15, 3))])
-        outcomes = _run_starts_for(monkeypatch, ev, V0, 100)
-        certified = [o for o in outcomes if o.certified]
-        if certified:
-            best = solver_mod._most_accurate(certified)
-            x, y = np.array(exact.x.values), np.array(best.x)
+    for model, T in sweep_cases(30):
+        exact = maximize_S_on_MT(model, T)
+        lm = lm_solve(monkeypatch, model, T)
+        ev = solver_mod._Evaluator(model, T.values)
+        outcomes = _run_starts_for(monkeypatch, ev, solver_mod._seeded_starts(ev, 0), 100)
+        if lm.status == "solved":
+            x, y = np.array(exact.x.values), np.array(lm.x.values)
             assert exact.status == "solved"
             assert x / x[0] == pytest.approx(y / y[0], rel=1e-8)
             decided["solved"] += 1
@@ -874,7 +882,7 @@ def test_levenberg_marquardt_certifies_no_target_without_a_solution(monkeypatch)
     # the s = 3 targets that the exact path proves have no solution: 111 of
     # the s = 3 sweep and 16 of the failing corpus; on the two-summand
     # threshold set it certifies exactly the targets above the threshold;
-    # and no solve spends more than LM_CALLS kernel calls on it
+    # and no solve spends more than LM_START_CALLS kernel calls a start on it
     original, calls = _kernels.value_and_ricci, []
 
     def counting(*args):
@@ -886,7 +894,8 @@ def test_levenberg_marquardt_certifies_no_target_without_a_solution(monkeypatch)
     def certified(model, T):
         calls.clear()
         rep = lm_solve(monkeypatch, model, T)
-        assert calls == [1] * len(calls) and len(calls) <= solver_mod.LM_CALLS
+        assert calls == [1] * len(calls)
+        assert len(calls) <= solver_mod.MULTISTARTS * solver_mod.LM_START_CALLS
         if rep.status == "solved":
             n = len(calls)
             assert rep.notes[-1] == f"minimum-norm Newton on Ric g = c T; {n} kernel call" + "s" * (n > 1)
@@ -908,17 +917,18 @@ def test_levenberg_marquardt_certifies_no_target_without_a_solution(monkeypatch)
 
 def test_degenerate_three_summand_targets_are_certified():
     # the six targets whose exact elimination is degenerate (ROADMAP.md,
-    # Corpora): Levenberg-Marquardt certifies each within its call cap
+    # Corpora): Levenberg-Marquardt certifies each at its first start, within
+    # the call cap of a start
     cases = [(full_flag(3), T) for T in ((1, 1, 2), (2, 2, 4))]
     cases += [(flag3(1, 3, 3), T) for T in ((1, 2, 3), (1, 3, 2), (2, 1, 1))]
     cases += [(flag3(1, 4, 2), (1, 2, 3))]
     for model, values in cases:
         rep = solve_prescribed_ricci(model, DiagonalForm.full(values))
-        assert rep.status == "solved" and rep.solutions is None, (model.name, values)
+        assert (rep.status, rep.starts_used, rep.solutions) == ("solved", 1, None), (model.name, values)
         assert rep.notes[-2].startswith("the exact elimination is degenerate")
         note = rep.notes[-1]
         assert note.startswith("minimum-norm Newton on Ric g = c T; ")
-        assert int(note.split("; ")[1].split()[0]) <= solver_mod.LM_CALLS
+        assert int(note.split("; ")[1].split()[0]) <= solver_mod.LM_START_CALLS
         c, residual, S = oracle_figures(model, rep.x, DiagonalForm.full(values))
         assert (rep.c, rep.residual, rep.S_value) == (float(c), float(residual), float(S))
 
@@ -927,7 +937,8 @@ def test_three_summand_float_target_near_a_curve_of_solutions(monkeypatch):
     # with [123] alone the metrics (1, t, t - 1) share one Ricci form up to
     # scale, so the target built from (1, 2, 1) has a curve of solutions;
     # its float rounding has none, yet (1, 2, 1) certifies: the float solve
-    # decides, Levenberg-Marquardt first, else the ascent
+    # decides, and Levenberg-Marquardt certifies a point of the curve; the
+    # ascent alone certifies nothing, and its starts escape
     model = build_model(
         "curve", dims=(1, 1, 4), casimir=(1 / 3, 1 / 3, 1 / 3),
         triples={(1, 2, 3): math.sqrt(4 / 3)},
@@ -937,15 +948,14 @@ def test_three_summand_float_target_near_a_curve_of_solutions(monkeypatch):
     T = DiagonalForm.full((0.33333333333333326, 2.642734410091836, 0.3333333333333333))
     ascent = ascent_solve(monkeypatch, model, T)
     assert (ascent.status, ascent.starts_used, ascent.solutions) == (
-        "solved", solver_mod.MULTISTARTS, None
+        "diverged", solver_mod.MULTISTARTS, None
     )
-    assert ascent.notes[-1].startswith("the exact elimination is degenerate here, or T is within")
+    assert ascent.notes[-2].startswith("the exact elimination is degenerate here, or T is within")
     rep = solve_prescribed_ricci(model, T)
     assert (rep.status, rep.starts_used, rep.solutions) == ("solved", 1, None)
     assert rep.notes[-2].startswith("the exact elimination is degenerate here, or T is within")
     assert rep.notes[-1].startswith("minimum-norm Newton on Ric g = c T; ")
-    for rep in (ascent, rep):
-        assert rep.x[2] == pytest.approx(rep.x[1] + rep.x[3], rel=1e-8)
+    assert rep.x[2] == pytest.approx(rep.x[1] + rep.x[3], rel=1e-8)
     assert _elimination.certify(model, T, [1.0, 2.0, 1.0], 0, TOL)[3]
     # the same dyadic numbers read as exact fractions: a proof of nonexistence
     exact = solve_prescribed_ricci(model, DiagonalForm.full(tuple(Fraction(v) for v in T.values)))
@@ -1130,6 +1140,33 @@ def test_seeded_refine_ends_where_the_loop_and_bisection_end(monkeypatch):
     assert poly._seeded(near_end, (1, 1, -1), 55)[0] == (44, 2**43, -1)
 
 
+def test_unseeded_refine_starts_near_the_depth_of_its_interval(monkeypatch):
+    # where no float seed fits, as on the reads of u from depth-56
+    # intervals, the secant loop's first gain is about half the interval's
+    # depth: of the refines that the flag3 grid and the s = 3 sweep make, 7
+    # take 8 or more exact evaluations (31 with a first gain of 2), each from
+    # an interval at most 4 levels deep
+    per_refine, evaluations = [], [0]
+    original, evaluate = poly.refine, poly.value_at
+
+    def recording(p, root, bits):
+        before = evaluations[0]
+        refined = original(p, root, bits)
+        per_refine.append((evaluations[0] - before, root[0]))
+        return refined
+
+    def counting(*args):
+        evaluations[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(poly, "refine", recording)
+    monkeypatch.setattr(poly, "value_at", counting)
+    for model, T in GRID + sweep_cases():
+        three_summand_points(model, T)
+    costly = [depth for n, depth in per_refine if n >= 8]
+    assert (len(per_refine), len(costly), max(costly)) == (189, 7, 4)
+
+
 def test_sign_near_a_root_falls_back_where_the_bound_fails():
     # f = 2**80 (3t - 1) + e has the sign of e at the root 1/3 of p = 3t - 1,
     # but at the read point, within 2**-56 of it, the sign of 3t - 1: the
@@ -1180,16 +1217,6 @@ def test_three_summand_rational_shared_roots():
     for T in ((3.0, 3.0, 1.0), (2.0, 2.0, 1.0)):
         assert reports[T].status == "diverged"
         assert reports[T].notes[-1].startswith("no solution exists")
-
-
-def sweep_cases(count=150):
-    """The s = 3 sweep: random exact models with float targets."""
-    rng = np.random.default_rng(2026)
-    cases = []
-    for _ in range(count):
-        model = random_space_model(rng, 3, exact=True)
-        cases.append((model, DiagonalForm.full(tuple(float(v) for v in rng.uniform(0.05, 5, 3)))))
-    return cases
 
 
 GRID = [(G2, flag3_target(p, q)) for p in (1.2, 2.0, 4.0, 8.0) for q in (1.1, 1.4, 2.0, 3.0)]
