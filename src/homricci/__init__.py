@@ -61,7 +61,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 #: The evaluation kernel in use; the numpy kernel in ``_kernels`` is the only one.
-kernel_backend = "python"
+kernel_backend = "numpy"
 
 __all__ = [
     "ChainCondition",

@@ -4,8 +4,8 @@ Three families are constructible from closed-form data: the three-summand
 flag spaces (structure constants determined by the dimensions alone, with the
 background form normalized against the Killing form so every b_i = 1), the
 full flag manifolds SU(n)/T, and two-summand spaces where the first summand
-spans the subalgebra side.  All generate exact-rational models that pass
-validation by construction.
+spans the subalgebra side.  All generate exact-rational models, and raise
+:class:`ModelError` with validation's errors on parameters that give none.
 
 Known spaces with the unconditional-existence structure (a single abelian
 line as the only proper subalgebra) are listed by name only; their summand
@@ -107,18 +107,16 @@ def two_summand(
     """Two-summand space with the first summand spanning the subalgebra side.
 
     [112] = 0 is enforced (side 1 closes under the bracket) and [122] must be
-    positive (side 2 does not).  Killing coefficients are derived from the
-    compatibility law, so validation passes by construction.
+    positive (side 2 does not); a summand with zero Casimir eigenvalue must
+    be a line, on which [iii] vanishes.  Killing coefficients are derived
+    from the compatibility law, and validation checks the rest: positive
+    dimensions and non-negative values.
     """
     d1, d2 = int(d1), int(d2)
     zeta1, zeta2 = parse_number(zeta1), parse_number(zeta2)
     t111, t122, t222 = parse_number(t111), parse_number(t122), parse_number(t222)
-    if min(d1, d2) < 1:
-        raise ModelError("dimensions must be positive")
     if t122 <= 0:
         raise ModelError("[122] must be positive (side 2 must not close)")
-    if min(zeta1, zeta2) < 0 or t111 < 0 or t222 < 0:
-        raise ModelError("casimir eigenvalues and bracket norms must be non-negative")
     for d, z, label in ((d1, zeta1, 1), (d2, zeta2, 2)):
         if z == 0 and d != 1:
             raise ModelError(

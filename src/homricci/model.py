@@ -11,8 +11,15 @@ compatibility law per index,
 which validation enforces exactly for rational data and to a tolerance for
 float data; when only one of zeta/b is supplied the other is derived from it.
 
+:func:`validate` checks every rule a model obeys, and reports every broken
+one: positive integer dims of total at least 3, arrays of length s,
+integer triple indices in canonical order with no duplicate, finite
+non-negative values, and the compatibility law.  :func:`parse_model`
+checks only a document's shape (its keys, types and numbers), and
+:func:`build_model` and :func:`load_model` raise the report's errors.
+
 Every exact consumer reads a model's numbers as integers over one common
-denominator (:class:`IntegerForm`): validation's exact row sums and derived
+denominator (:class:`IntegerForm`): validation's residuals and derived
 values, the chain tables (``SpaceModel.scaled``), the curvature pass and the
 polynomial Ricci core.  Exact data builds it once at load, and the completed
 model shares it; float data builds it on first read.
@@ -100,9 +107,10 @@ class IntegerForm(NamedTuple):
 class SpaceModel:
     """A homogeneous space reduced to summand-level numbers.
 
-    ``triples`` stores only canonical index triples i <= j <= k (1-based);
-    :attr:`ordered_triples` expands each to its distinct orderings.
-    ``casimir``/``killing`` may be None on a raw model; :func:`validate`
+    ``triples`` stores canonical index triples i <= j <= k (1-based), one
+    row each; :attr:`ordered_triples` expands each to its distinct
+    orderings.  A raw model may break any rule, which :func:`validate`
+    reports, and ``casimir``/``killing`` may be None on it; validation
     completes whichever is missing.  Data derived from the numbers alone, the
     kernel's arrays included, is built once per model, on first read.
     """
@@ -217,19 +225,6 @@ class SpaceModel:
                     masks[v] = masks.get(v, 0) | 1 << (b - 1)
             rows.append(tuple(masks.items()))
         return tuple(rows)
-
-    @cached_property
-    def row_sums(self) -> tuple[Scalar, ...]:
-        """Per-index totals sum_{j,k} [ijk] of the full symmetric tensor:
-        read off the integer form on exact data, summed in floats on float
-        data, as validation derives in the data's arithmetic."""
-        if self.exact:
-            form = self.integer_form
-            return tuple(Fraction(v, form.scale) for v in form.row_sums)
-        sums = [0.0] * self.s
-        for a, _, _, v in self.ordered_triples:
-            sums[a - 1] += v
-        return tuple(sums)
 
 
 def integer_form(model: SpaceModel) -> IntegerForm:
@@ -425,29 +420,43 @@ def _finite(value: Scalar) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _structural_errors(model: SpaceModel) -> list[str]:
+    s = model.s
+    if s < 1:
+        return ["need at least one summand"]
     errors = []
-    if model.s < 1:
-        errors.append("need at least one summand")
-        return errors
-    if any((not isinstance(d, int)) or d < 1 for d in model.dims):
+    if not all(_is_int(d) and d >= 1 for d in model.dims):
         errors.append(f"dims must be positive integers: {model.dims}")
-    if sum(model.dims) < 3:
+    elif sum(model.dims) < 3:
         errors.append(f"total dimension {sum(model.dims)} is below 3")
-    for arr, label in ((model.casimir, "casimir"), (model.killing, "killing")):
-        if arr is not None and len(arr) != model.s:
-            errors.append(f"{label} has length {len(arr)}, expected {model.s}")
-        if arr is not None and not all(map(_finite, arr)):
-            errors.append(f"{label} values must be finite: {arr}")
+    for name, arr, noun in (
+        ("casimir", model.casimir, "eigenvalue"),
+        ("killing", model.killing, "coefficient"),
+    ):
+        if arr is None:
+            continue
+        if len(arr) != s:
+            errors.append(f"{name} has length {len(arr)}, expected {s}")
+        if not all(map(_finite, arr)):
+            errors.append(f"{name} values must be finite: {arr}")
+        elif any(v < 0 for v in arr):
+            errors.append(f"negative {name} {noun} in {arr}")
     if model.casimir is None and model.killing is None:
         errors.append("at least one of casimir/killing must be given")
     seen = set()
     for i, j, k, v in model.triples:
-        if not (1 <= i <= j <= k <= model.s):
-            errors.append(f"triple ({i},{j},{k}) is not canonical for s={model.s}")
-        if (i, j, k) in seen:
+        if not all(map(_is_int, (i, j, k))):
+            errors.append(f"triple indices must be integers: {(i, j, k)}")
+        elif not 1 <= i <= j <= k <= s:
+            errors.append(f"triple ({i},{j},{k}) is not canonical for s={s}")
+        elif (i, j, k) in seen:
             errors.append(f"duplicate triple ({i},{j},{k})")
-        seen.add((i, j, k))
+        else:
+            seen.add((i, j, k))
         if not _finite(v):
             errors.append(f"bracket norm [{i}{j}{k}] = {v} is not finite")
         elif v < 0:
@@ -461,58 +470,57 @@ def _from_masses(dims, masses, scale: int) -> tuple:
 
 
 def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
-    """Check every invariant and complete whichever of zeta/b is missing.
+    """Check every rule of the model and complete whichever of zeta/b is
+    missing.
 
-    Rational data is held to exact identities; float data to ``tol``.  When
-    both zeta and b are supplied and disagree, validation fails rather than
-    preferring one.
+    Each broken structural rule is reported; the compatibility law is
+    checked on data that obeys them all.  Exact data is held to exact
+    identities, read off its integer form; float data to ``tol``, in
+    floats.  When both zeta and b are supplied and disagree, validation
+    fails rather than preferring one.
     """
     errors = _structural_errors(model)
     if errors:
         return ValidationReport(False, tuple(errors), None, None, None)
 
-    casimir, killing = model.casimir, model.killing
-    derived = None
+    dims, casimir, killing = model.dims, model.casimir, model.killing
+    derived = "casimir" if casimir is None else "killing" if killing is None else None
     residuals = None
-    row = model.row_sums
-
-    if casimir is not None and any(z < 0 for z in casimir):
-        errors.append(f"negative casimir eigenvalue in {casimir}")
-    if killing is not None and any(b < 0 for b in killing):
-        errors.append(f"negative killing coefficient in {killing}")
-
-    if not errors:
-        # exact data reads each derived value off its mass d_i v_i E in the
-        # integer form, float data derives it in floats
-        form = model.integer_form if model.exact else None
-        if casimir is None:
-            derived = "casimir"
-            casimir = _from_masses(model.dims, form.casimir_mass, form.scale) if form else tuple(
-                (d * b - r) / (2 * d) for d, b, r in zip(model.dims, killing, row)
-            )
-            for idx, z in enumerate(casimir, start=1):
-                if z < 0:
-                    errors.append(f"derived casimir eigenvalue at i={idx} is negative: {z}")
-        elif killing is None:
-            derived = "killing"
-            killing = _from_masses(model.dims, form.killing_mass, form.scale) if form else tuple(
-                2 * z + r / d for d, z, r in zip(model.dims, casimir, row)
-            )
+    if model.exact:  # read off the masses d_i v_i E of the integer form
+        form = model.integer_form
+        if derived == "casimir":
+            casimir = _from_masses(dims, form.casimir_mass, form.scale)
+        elif derived:
+            killing = _from_masses(dims, form.killing_mass, form.scale)
         else:
             residuals = tuple(
-                d * b - 2 * d * z - r
-                for d, b, z, r in zip(model.dims, killing, casimir, row)
+                Fraction(b - 2 * z - r, form.scale)
+                for b, z, r in zip(form.killing_mass, form.casimir_mass, form.row_sums)
             )
-            exact = all_exact(residuals)
-            for idx, res in enumerate(residuals, start=1):
-                # a float residual that overflowed is NaN or infinite: it fails
-                bad = (res != 0) if exact else not abs(res) <= tol
-                if bad:
-                    errors.append(f"casimir identity fails at i={idx}: residual {res}")
-        if derived:  # float data can derive values beyond the float range
-            values = casimir if derived == "casimir" else killing
-            if not all(map(_finite, values)):
-                errors.append(f"derived {derived} values are beyond the float range: {values}")
+    else:
+        row = [0.0] * model.s
+        for a, _, _, v in model.ordered_triples:
+            row[a - 1] += v
+        if derived == "casimir":
+            casimir = tuple((d * b - r) / (2 * d) for d, b, r in zip(dims, killing, row))
+        elif derived:
+            killing = tuple(2 * z + r / d for d, z, r in zip(dims, casimir, row))
+        else:
+            residuals = tuple(
+                d * b - 2 * d * z - r for d, b, z, r in zip(dims, killing, casimir, row)
+            )
+    if derived == "casimir":
+        for idx, z in enumerate(casimir, start=1):
+            if z < 0:
+                errors.append(f"derived casimir eigenvalue at i={idx} is negative: {z}")
+    if derived:  # float data can derive values beyond the float range
+        values = casimir if derived == "casimir" else killing
+        if not all(map(_finite, values)):
+            errors.append(f"derived {derived} values are beyond the float range: {values}")
+    for idx, res in enumerate(residuals or (), start=1):
+        # a float residual that overflowed is NaN or infinite: it fails
+        if (res != 0) if model.exact else not abs(res) <= tol:
+            errors.append(f"casimir identity fails at i={idx}: residual {res}")
 
     if errors:
         return ValidationReport(False, tuple(errors), derived, residuals, None)
@@ -529,10 +537,19 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
     # the arithmetic of the given ones: the tables read above carry over,
     # and on exact data so does the integer form, whose derived masses are
     # the completed values' (float data derives in floats)
-    shared = ("exact", "ordered_triples", "row_sums", "integer_form")
+    shared = ("exact", "ordered_triples", "integer_form")
     for key in shared if model.exact else shared[:-1]:
         completed.__dict__[key] = model.__dict__[key]
     return ValidationReport(True, (), derived, residuals, completed)
+
+
+def _validated(raw: SpaceModel, tol: float = CASIMIR_TOL) -> SpaceModel:
+    """The completed model of :func:`validate`, or :class:`ModelError` with
+    every error it reports."""
+    report = validate(raw, tol)
+    if not report.ok:
+        raise ModelError("; ".join(report.errors))
+    return report.model
 
 
 def build_model(
@@ -542,7 +559,6 @@ def build_model(
     killing: Optional[Sequence] = None,
     triples: Optional[dict | Sequence] = None,
     pairwise_inequivalent: bool = True,
-    tol: float = CASIMIR_TOL,
 ) -> SpaceModel:
     """Construct and validate a model, raising :class:`ModelError` on failure.
 
@@ -569,43 +585,30 @@ def build_model(
         )
     except NumberFormatError as exc:
         raise ModelError(str(exc)) from exc
-    report = validate(raw, tol=tol)
-    if not report.ok:
-        raise ModelError("; ".join(report.errors))
-    return report.model
+    return _validated(raw)
 
 
-def _grow(rows, J: int, X: int, reach: int, grown: list) -> int:
+def _grow(rows, J: int, X: int, reach: int) -> int:
     """cl(J | X) for a class X of the closed member ``J`` whose rules
     ``reach`` outside J | X: every rule with both slots in J | X has already
     fired, so only the rules of the indices added from here on can add
     more.  Row x of the OR of the join ``rows`` over the growing set holds
     every index that a rule of x fires; an index added later fires its
     rules with x in its own turn, by the symmetry of the bracket.
-
-    ``grown`` holds (Y, cl(J | Y)) for the classes Y grown before.  Once the
-    growing set takes in an index of such a Y whose closure holds X, that
-    closure is the answer: it is closed and holds J | X, and the growing
-    set, which holds an index of Y, lies inside the answer, and so does
-    the closure of that index, cl(J | Y).
     """
     s = len(rows)
     C = J | X
-    pending = new = reach & ~C
-    C |= new
+    pending = reach & ~C
+    C |= pending
     A = _joins(rows, C)
-    while True:
-        for Y, C0 in grown:
-            if new & Y and not X & ~C0:
-                return C0
-        if not pending:
-            return C
+    while pending:
         bit = pending & -pending
         pending ^= bit
         new = A >> (bit.bit_length() - 1) * s & ~C & (1 << s) - 1
         A |= _joins(rows, new)
         pending |= new
         C |= new
+    return C
 
 
 def _leak_test(rows, X: int) -> tuple[int, int]:
@@ -691,10 +694,8 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
                 covers.append((C, A | A_X))
         if leaking:
             generators: dict[int, int] = {}
-            grown: list[tuple[int, int]] = []
             for X, reach in leaking:
-                C = _grow(rows, J, X, reach, grown)
-                grown.append((X, C))
+                C = _grow(rows, J, X, reach)
                 generators[C] = generators.get(C, 0) | X
             covers.extend(
                 (C, _joins(rows, C)) for C, gens in generators.items() if gens == C & ~J
@@ -801,8 +802,13 @@ _MODEL_KEYS = {
 def parse_model(source, rational: bool = False) -> SpaceModel:
     """Parse a model document (JSON text or an already-decoded dict).
 
-    Unknown fields and duplicate or non-canonical triples are rejected here;
-    semantic invariants are the job of :func:`validate`.
+    Only the document's shape is checked here: a JSON object with the known
+    fields and the required ones, a string ``name``, a boolean
+    ``pairwise_inequivalent``, an integer ``s`` equal to the length of
+    ``dims``, arrays for ``dims``, ``casimir``, ``killing`` and ``triples``,
+    four entries per triple, and numbers that parse.  Every structural rule
+    of the model is checked by :func:`validate`, which reports each one
+    broken.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -826,49 +832,43 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
         raise ModelError("name must be a string")
     if not isinstance(doc["pairwise_inequivalent"], bool):
         raise ModelError("pairwise_inequivalent must be a boolean")
-    dims = doc["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-        raise ModelError("dims must be an array of integers")
-    if doc["s"] != len(dims):
-        raise ModelError(f"s={doc['s']} does not match len(dims)={len(dims)}")
+    for key in ("dims", "casimir", "killing", "triples"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ModelError(f"{key} must be an array")
+    s, dims = doc["s"], doc["dims"]
+    if not _is_int(s):
+        raise ModelError(f"s must be an integer, got {s!r}")
+    if s != len(dims):
+        raise ModelError(f"s={s} does not match len(dims)={len(dims)}")
 
     def parse_array(key):
         if key not in doc:
             return None
-        arr = doc[key]
-        if not isinstance(arr, list) or len(arr) != len(dims):
-            raise ModelError(f"{key} must be an array of length {len(dims)}")
         try:
-            return tuple(parse_number(v, rational=rational) for v in arr)
+            return tuple(parse_number(v, rational=rational) for v in doc[key])
         except NumberFormatError as exc:
             raise ModelError(f"bad number in {key}: {exc}") from exc
 
-    casimir = parse_array("casimir")
-    killing = parse_array("killing")
+    casimir, killing = parse_array("casimir"), parse_array("killing")
     rows = []
-    seen = set()
     for entry in doc.get("triples", []):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ModelError(f"triple entries must be [i, j, k, value]: {entry!r}")
         i, j, k, v = entry
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k)):
-            raise ModelError(f"triple indices must be integers: {entry!r}")
-        if not (1 <= i <= j <= k <= len(dims)):
-            raise ModelError(f"triple ({i},{j},{k}) is not canonical (need 1 <= i <= j <= k <= s)")
-        if (i, j, k) in seen:
-            raise ModelError(f"duplicate triple ({i},{j},{k})")
-        seen.add((i, j, k))
         try:
             rows.append((i, j, k, parse_number(v, rational=rational)))
         except NumberFormatError as exc:
             raise ModelError(f"bad triple value for ({i},{j},{k}): {exc}") from exc
+    # in index order; an index that is no integer, an error validation
+    # reports, sorts as 0
+    rows.sort(key=lambda row: [t if _is_int(t) else 0 for t in row[:3]])
 
     return SpaceModel(
         name=doc["name"],
         dims=tuple(dims),
         casimir=casimir,
         killing=killing,
-        triples=tuple(sorted(rows)),
+        triples=tuple(rows),
         pairwise_inequivalent=doc["pairwise_inequivalent"],
     )
 
@@ -888,8 +888,4 @@ def serialize_model(model: SpaceModel) -> str:
 def load_model(path, rational: bool = False, tol: float = CASIMIR_TOL) -> SpaceModel:
     """Read, parse and validate a model file; raises :class:`ModelError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_model(fh.read(), rational=rational)
-    report = validate(raw, tol=tol)
-    if not report.ok:
-        raise ModelError("; ".join(report.errors))
-    return report.model
+        return _validated(parse_model(fh.read(), rational=rational), tol)

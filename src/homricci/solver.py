@@ -640,7 +640,6 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
     return z
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def maximize_S_on_MT(
     model: SpaceModel, T: DiagonalForm, options: Optional[SolverOptions] = None
 ) -> SolveReport:

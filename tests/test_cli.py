@@ -60,6 +60,31 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "below 3" in out
 
 
+def test_validate_reports_every_structural_error(tmp_path, capsys):
+    # a duplicate triple, a triple out of canonical order and a short
+    # killing array: one report lists them all, on stdout
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x", "s": 2, "dims": [2, 3], "killing": [1], '
+                    '"triples": [[1, 2, 2, 0.5], [1, 2, 2, 0.5], [2, 1, 1, 0.5]], '
+                    '"pairwise_inequivalent": true}')
+    errors = [
+        "killing has length 1, expected 2",
+        "duplicate triple (1,2,2)",
+        "triple (2,1,1) is not canonical for s=2",
+    ]
+    code, out, err = run(capsys, "validate", str(path), "--json")
+    assert (code, err) == (2, "")
+    assert strict(out) == {"ok": False, "errors": errors, "derived": None}
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["invalid model:", *(f"  - {e}" for e in errors)]
+    # every other command takes them as one input error
+    for argv in (("subalgebras",), ("check", "--T", "1,1"), ("solve", "--T", "1,1", "--json")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: " + "; ".join(errors) + "\n"
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -48,7 +48,9 @@ def test_single_summand_derives_casimir():
 
 def test_flag_model_derived_casimir_golden():
     m = flag3(4, 2, 4)
-    assert m.row_sums == (Fraction(7, 3), Fraction(5, 3), Fraction(1))
+    form = m.integer_form
+    R = tuple(Fraction(r, form.scale) for r in form.row_sums)
+    assert R == (Fraction(7, 3), Fraction(5, 3), Fraction(1))
     assert m.casimir == (Fraction(5, 24), Fraction(1, 12), Fraction(3, 8))
 
 
@@ -121,14 +123,34 @@ def test_parse_rejects_bad_documents():
         parse_model('{"name": "x", "s": 1, "dims": [3], "killing": [1], '
                      '"triples": [], "pairwise_inequivalent": true, "extra": 1}')
     with pytest.raises(ModelError):
-        parse_model('{"name": "x", "s": 2, "dims": [2, 2], "killing": [1, 1], '
-                     '"triples": [[2, 1, 1, 0.5]], "pairwise_inequivalent": true}')
-    with pytest.raises(ModelError):
-        parse_model('{"name": "x", "s": 2, "dims": [2, 2], "killing": [1, 1], '
-                     '"triples": [[1, 1, 2, 0.5], [1, 1, 2, 0.5]], '
-                     '"pairwise_inequivalent": true}')
-    with pytest.raises(ModelError):
         parse_model("not json {")
+    # the parser checks the document's shape, and validation every
+    # structural rule
+    head = '{"name": "x", "dims": [2, 2], "pairwise_inequivalent": true, '
+    for shape, error in (
+        ('"s": true, "killing": [1, 1]', "s must be an integer, got True"),
+        ('"s": 2.0, "killing": [1, 1]', "s must be an integer, got 2.0"),
+        ('"s": 3, "killing": [1, 1]', "s=3 does not match"),
+        ('"s": 2, "killing": 1', "killing must be an array"),
+        ('"s": 2, "killing": [1, 1], "triples": {}', "triples must be an array"),
+        ('"s": 2, "killing": [1, 1], "triples": [[1, 2, 2]]', "triple entries must be"),
+        ('"s": 2, "killing": [1, "x"]', "bad number in killing"),
+    ):
+        with pytest.raises(ModelError, match=error):
+            parse_model(head + shape + "}")
+    for rule, errors in (
+        ('"triples": [[2, 1, 1, 0.5]]', ["triple (2,1,1) is not canonical for s=2"]),
+        ('"triples": [[1, 1, 2, 0.5], [1, 1, 2, 0.5]]', ["duplicate triple (1,1,2)"]),
+        ('"triples": [[1, true, 2, 0.5], [1.0, 2, 2, 0.5]]',
+         ["triple indices must be integers: (1.0, 2, 2)",
+          "triple indices must be integers: (1, True, 2)"]),
+        ('"killing": [1]', ["killing has length 1, expected 2"]),
+        ('"dims": [2, true]', ["dims must be positive integers: (2, True)"]),
+        ('"dims": [2, 0.5]', ["dims must be positive integers: (2, 0.5)"]),
+    ):
+        doc = {"killing": [1, 1], **json.loads(head + '"s": 2, ' + rule + "}")}
+        report = validate(parse_model(doc))
+        assert (report.ok, list(report.errors)) == (False, errors)
 
 
 def test_serialize_round_trip_is_byte_identical():
@@ -235,9 +257,9 @@ def counted_growth(monkeypatch):
     calls = []
     original = model_mod._grow
 
-    def counted(rules, J, X, reach, grown):
+    def counted(rows, J, X, reach):
         calls.append(X)
-        return original(rules, J, X, reach, grown)
+        return original(rows, J, X, reach)
 
     monkeypatch.setattr(model_mod, "_grow", counted)
     return calls
@@ -454,7 +476,7 @@ def test_chains_and_core_built_once_per_model(monkeypatch):
     raw = parse_model(serialize_model(line))
     completed = validate(raw).model
     assert completed.ordered_triples is raw.ordered_triples
-    assert completed.row_sums is raw.row_sums
+    assert completed.integer_form is raw.integer_form
     # a model that violates the hypothesis raises on every read
     violated = build_model(
         "isolated", dims=(1, 2, 2), casimir=(0, Fraction(3, 10), Fraction(2, 5)),
@@ -480,12 +502,11 @@ def test_integer_form_built_once_per_load(monkeypatch):
     original = model_mod.integer_form
     monkeypatch.setattr(model_mod, "integer_form", lambda m: calls.append(m) or original(m))
     target = DiagonalForm.full((1.0,) * 5 + (1.01,))
-    # exact data builds it at load, where the row sums read it, and the
-    # completed model, the chain tables and the certificate share it
+    # exact data builds it at load, where validation reads its row sums,
+    # and the completed model, the chain tables and the certificate share it
     raw = parse_model(exact_text)
     completed = validate(raw).model
     assert len(calls) == 1 and completed.integer_form is raw.integer_form
-    assert completed.row_sums is raw.row_sums
     # the chain tables are read off the shared form: no second build
     assert len(completed.scaled) == completed.s and len(calls) == 1
     check_theorem(completed, target)
