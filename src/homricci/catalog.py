@@ -6,6 +6,8 @@ background form normalized against the Killing form so every b_i = 1), the
 full flag manifolds SU(n)/T, and two-summand spaces where the first summand
 spans the subalgebra side.  All generate exact-rational models, and raise
 :class:`ModelError` with validation's errors on parameters that give none.
+Parameters are checked, not converted: a dimension or rank of 4.7 or True
+is rejected, never truncated.
 
 Known spaces with the unconditional-existence structure (a single abelian
 line as the only proper subalgebra) are listed by name only; their summand
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .model import ModelError, SpaceModel, build_model
+from .model import ModelError, SpaceModel, _integral, build_model
 from .numbers import parse_number
 
 
@@ -42,7 +44,7 @@ def flag3(d1: int, d2: int, d3: int) -> SpaceModel:
 
     The Casimir eigenvalues follow from the compatibility law.
     """
-    d1, d2, d3 = int(d1), int(d2), int(d3)
+    d1, d2, d3 = (_integral(d, "flag3 dimension") for d in (d1, d2, d3))
     if min(d1, d2, d3) < 1:
         raise ModelError("dimensions must be positive")
     denom = d1 + 4 * d2 + 9 * d3
@@ -77,7 +79,7 @@ def full_flag(n: int) -> SpaceModel:
     zeta_i = 1/n.  The lattice members are the set partitions of {1..n}, so
     there are Bell(n) of them.
     """
-    n = int(n)
+    n = _integral(n, "SU(n)/T's n")
     if n < 3:
         raise ModelError(f"SU(n)/T needs n >= 3, got n={n}")
     pairs = {p: i for i, p in enumerate(combinations(range(1, n + 1), 2), start=1)}
@@ -112,7 +114,6 @@ def two_summand(
     from the compatibility law, and validation checks the rest: positive
     dimensions and non-negative values.
     """
-    d1, d2 = int(d1), int(d2)
     zeta1, zeta2 = parse_number(zeta1), parse_number(zeta2)
     t111, t122, t222 = parse_number(t111), parse_number(t122), parse_number(t222)
     if t122 <= 0:
@@ -171,8 +172,8 @@ def entry(kind: str, *params) -> SpaceModel:
     usage, counts, ints, build = KINDS[kind]
     if len(params) not in counts:
         raise ModelError(f"usage: {usage}")
-    try:
-        leading = [int(p) for p in params[:ints]]
+    try:  # a parameter given as text is read here, a number by its builder
+        leading = [int(p) if isinstance(p, str) else p for p in params[:ints]]
     except ValueError as exc:
         raise ModelError(f"usage: {usage} ({exc})") from exc
     return build(*leading, *params[ints:])

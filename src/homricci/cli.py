@@ -29,10 +29,11 @@ from .model import (
     CASIMIR_TOL,
     DiagonalForm,
     ModelError,
+    ValidationReport,
+    _read_model,
     check_hypothesis,
     classify_cor_all,
     load_model,
-    parse_model,
     serialize_model,
     validate,
 )
@@ -51,10 +52,8 @@ _INPUT_ERRORS = (
 
 
 def _parse_form(text: str) -> DiagonalForm:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise NumberFormatError("empty coefficient list")
-    return DiagonalForm.full(tuple(parse_number(p) for p in parts))
+    """A comma-separated coefficient list; an empty field is an input error."""
+    return DiagonalForm.full(tuple(map(parse_number, text.split(","))))
 
 
 def _emit(args, line, text) -> None:
@@ -104,9 +103,12 @@ def _load(args, tol=None):
 
 
 def cmd_validate(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        raw = parse_model(fh.read(), rational=args.rational)
-    report = validate(raw, tol=args.tol or CASIMIR_TOL)
+    try:
+        raw = _read_model(args.model, rational=args.rational)
+    except ModelError as exc:  # a reader error is reported as a broken rule is
+        report = ValidationReport(False, (str(exc),), None, None, None)
+    else:
+        report = validate(raw, tol=args.tol or CASIMIR_TOL)
     payload = report.to_dict()
     model = report.model
     if report.ok:

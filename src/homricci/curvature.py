@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .model import DiagonalForm, SpaceModel
+from .model import DiagonalForm, SpaceModel, _integral
 from .numbers import Scalar, common_denominator, figure
 
 
@@ -44,7 +44,7 @@ class CurvatureError(ValueError):
 def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
     if J is None:
         J = x.support
-    J = tuple(sorted(set(int(i) for i in J)))
+    J = tuple(sorted(set(_integral(i, "index", CurvatureError) for i in J)))
     if J and (J[0] < 1 or J[-1] > model.s):
         raise CurvatureError(f"indices {J} out of range for s={model.s}")
     return J

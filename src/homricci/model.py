@@ -15,8 +15,10 @@ float data; when only one of zeta/b is supplied the other is derived from it.
 one: positive integer dims of total at least 3, arrays of length s,
 integer triple indices in canonical order with no duplicate, finite
 non-negative values, and the compatibility law.  :func:`parse_model`
-checks only a document's shape (its keys, types and numbers), and
-:func:`build_model` and :func:`load_model` raise the report's errors.
+checks only a document's shape (its keys, types and numbers), and is the
+one reader of outside values: :func:`build_model` reads its arguments as a
+document through it, and it and :func:`load_model` raise the report's
+errors.
 
 Every exact consumer reads a model's numbers as integers over one common
 denominator (:class:`IntegerForm`): validation's residuals and derived
@@ -66,6 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .numbers import (
@@ -269,7 +272,7 @@ class DiagonalForm:
 
     def __post_init__(self):
         values = tuple(normalize(v) for v in self.values)
-        support = tuple(int(i) for i in self.support)
+        support = tuple(_integral(i, "support index") for i in self.support)
         if len(values) != len(support):
             raise ModelError("form values and support differ in length")
         if not support:
@@ -310,7 +313,7 @@ class DiagonalForm:
         return common_denominator(self.values)
 
     def restrict(self, indices: Iterable[int]) -> "DiagonalForm":
-        J = tuple(sorted(set(int(i) for i in indices)))
+        J = tuple(sorted(set(_integral(i, "index") for i in indices)))
         missing = [i for i in J if i not in self._by_index]
         if missing:
             raise ModelError(f"indices {missing} outside form support {self.support}")
@@ -422,6 +425,19 @@ def _finite(value: Scalar) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integral(value, what: Optional[str] = None, error=ModelError):
+    """The integer rule: ``value`` as an ``int`` when it has an integer
+    type, numpy's included, other than bool.  Any other value, such as 2.5
+    or True, is returned as it is, or, where ``what`` names it, raises
+    ``error``."""
+    # a plain int is tested first: the check against the ABC is slower
+    if type(value) is int or isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if what is None:
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _structural_errors(model: SpaceModel) -> list[str]:
@@ -562,30 +578,22 @@ def build_model(
 ) -> SpaceModel:
     """Construct and validate a model, raising :class:`ModelError` on failure.
 
-    ``triples`` may be a mapping {(i,j,k): value} or a sequence of
-    ``(i, j, k, value)`` rows; indices must already be canonical.
+    The arguments are read as a model file's fields are, by
+    :func:`parse_model`: numbers may be ints, floats, Fractions or
+    ``"p/q"`` strings, and dims and triple indices must be integral, of any
+    integer type, and are never truncated.  ``triples`` may be a mapping
+    {(i,j,k): value} or a sequence of ``(i, j, k, value)`` rows; indices
+    must already be canonical.
     """
-    if triples is None:
-        rows = []
-    elif isinstance(triples, dict):
-        rows = [(i, j, k, v) for (i, j, k), v in triples.items()]
-    else:
-        rows = [tuple(row) for row in triples]
-    try:
-        norm_rows = tuple(
-            sorted((int(i), int(j), int(k), normalize(v)) for i, j, k, v in rows)
-        )
-        raw = SpaceModel(
-            name=str(name),
-            dims=tuple(int(d) for d in dims),
-            casimir=None if casimir is None else tuple(normalize(v) for v in casimir),
-            killing=None if killing is None else tuple(normalize(v) for v in killing),
-            triples=norm_rows,
-            pairwise_inequivalent=bool(pairwise_inequivalent),
-        )
-    except NumberFormatError as exc:
-        raise ModelError(str(exc)) from exc
-    return _validated(raw)
+    if isinstance(triples, dict):
+        triples = [[*key, v] for key, v in triples.items()]
+    doc = {"name": name, "dims": list(dims), "pairwise_inequivalent": pairwise_inequivalent,
+           "triples": [list(row) for row in triples or ()]}
+    doc["s"] = len(doc["dims"])
+    for key, values in (("casimir", casimir), ("killing", killing)):
+        if values is not None:
+            doc[key] = list(values)
+    return _validated(parse_model(doc))
 
 
 def _grow(rows, J: int, X: int, reach: int) -> int:
@@ -806,16 +814,14 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
     fields and the required ones, a string ``name``, a boolean
     ``pairwise_inequivalent``, an integer ``s`` equal to the length of
     ``dims``, arrays for ``dims``, ``casimir``, ``killing`` and ``triples``,
-    four entries per triple, and numbers that parse.  Every structural rule
-    of the model is checked by :func:`validate`, which reports each one
-    broken.
+    four entries per triple, and numbers that parse.  ``s``, dims and triple
+    indices of an integer type, numpy's included, are read as ``int``; any
+    other value is left as it is.  Every structural rule of the model is
+    checked by :func:`validate`, which reports each one broken.
     """
     if isinstance(source, (str, bytes)):
         try:
-            if rational:
-                doc = json.loads(source, parse_float=Fraction)
-            else:
-                doc = json.loads(source)
+            doc = json.loads(source, parse_float=Fraction if rational else None)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed JSON: {exc}") from exc
     else:
@@ -835,7 +841,7 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
     for key in ("dims", "casimir", "killing", "triples"):
         if key in doc and not isinstance(doc[key], list):
             raise ModelError(f"{key} must be an array")
-    s, dims = doc["s"], doc["dims"]
+    s, dims = _integral(doc["s"]), doc["dims"]
     if not _is_int(s):
         raise ModelError(f"s must be an integer, got {s!r}")
     if s != len(dims):
@@ -856,7 +862,7 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
             raise ModelError(f"triple entries must be [i, j, k, value]: {entry!r}")
         i, j, k, v = entry
         try:
-            rows.append((i, j, k, parse_number(v, rational=rational)))
+            rows.append((*map(_integral, (i, j, k)), parse_number(v, rational=rational)))
         except NumberFormatError as exc:
             raise ModelError(f"bad triple value for ({i},{j},{k}): {exc}") from exc
     # in index order; an index that is no integer, an error validation
@@ -865,7 +871,7 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
 
     return SpaceModel(
         name=doc["name"],
-        dims=tuple(dims),
+        dims=tuple(map(_integral, dims)),
         casimir=casimir,
         killing=killing,
         triples=tuple(rows),
@@ -885,7 +891,17 @@ def serialize_model(model: SpaceModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _read_model(path, rational: bool = False) -> SpaceModel:
+    """Read and parse a model file, unvalidated; raises :class:`ModelError`,
+    also on a file that is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file is not UTF-8 text: {exc}") from exc
+    return parse_model(text, rational=rational)
+
+
 def load_model(path, rational: bool = False, tol: float = CASIMIR_TOL) -> SpaceModel:
     """Read, parse and validate a model file; raises :class:`ModelError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _validated(parse_model(fh.read(), rational=rational), tol)
+    return _validated(_read_model(path, rational), tol)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homricci import build_model, cli, curvature, iteration, serialize_model
+from homricci import build_model, cli, curvature, iteration, serialize_model, two_summand
 from helpers import random_space_model
 
 
@@ -83,6 +83,57 @@ def test_validate_reports_every_structural_error(tmp_path, capsys):
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out) == (2, "")
         assert err == "error: " + "; ".join(errors) + "\n"
+
+
+def test_validate_reports_reader_errors(tmp_path, capsys):
+    # an error the reader finds before validation runs is one report too
+    head = '{"name": "x", "dims": [3], "triples": [], "pairwise_inequivalent": true, '
+    for body, error in (
+        (head + '"s": 1, "killing": [1], "foo": 0}', "unknown fields: ['foo']"),
+        ('{"name": "x", "dims": [3], "killing": [1], "pairwise_inequivalent": true}',
+         "missing field: s"),
+        (head + '"s": true, "killing": [1]}', "s must be an integer, got True"),
+        (head + '"s": 1, "killing": ["1/x"]}', "bad number in killing: cannot parse number '1/x'"),
+        ("{oops", "malformed JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+        (b"\xff{}", "model file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                    "in position 0: invalid start byte"),
+    ):
+        path = tmp_path / "reader.json"
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
+        code, out, err = run(capsys, "validate", str(path), "--json")
+        assert (code, err, out.count("\n")) == (2, "", 1), error
+        assert strict(out) == {"ok": False, "errors": [error], "derived": None}
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (2, "")
+        assert out.splitlines() == ["invalid model:", f"  - {error}"]
+
+
+def test_non_utf8_model_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff" + serialize_model(build_model("x", dims=(2, 3), casimir=(1, 1))).encode())
+    error = ("model file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, f"invalid model:\n  - {error}\n", "")
+    for argv in (
+        ("subalgebras",), ("chains",), ("eta", "--json"), ("check", "--T", "1,1"),
+        ("ricci", "--x", "1,1"), ("solve", "--T", "1,1"),
+        ("iterate", "--start", "1,1", "--steps", "2"),
+    ):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {error}\n"), argv
+
+
+def test_empty_coefficient_field_is_input_error(tmp_path, capsys):
+    path = tmp_path / "twosum.json"
+    path.write_text(serialize_model(two_summand(2, 3, "1/4", "3/10", "4/5")))
+    for option, command in (("--T", "check"), ("--T", "solve"), ("--x", "ricci"),
+                            ("--start", "iterate")):
+        for text in ("1,,1", "1,1,", ",1", ""):
+            steps = ("--steps", "1") if command == "iterate" else ()
+            code, out, err = run(capsys, command, str(path), option, text, *steps)
+            assert (code, out, err) == (2, "", "error: cannot parse number ''\n"), (command, text)
 
 
 @pytest.mark.parametrize(

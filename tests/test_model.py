@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from homricci import (
+    CurvatureError,
     DiagonalForm,
     HypothesisViolatedError,
     ModelError,
@@ -23,8 +25,10 @@ from homricci import (
     full_flag,
     parse_model,
     ricci_iterate,
+    scalar_S,
     serialize_model,
     solve_prescribed_ricci,
+    two_summand,
     validate,
 )
 from homricci import catalog, cli
@@ -112,6 +116,52 @@ def test_structural_rejections():
     ):
         with pytest.raises(ModelError, match="finite"):
             build_model("non-finite", dims=(2, 3), **kwargs)
+
+
+def test_build_model_and_catalog_never_truncate():
+    # dims and triple indices are read as a model file's are: a float or a
+    # bool is reported by validation, never truncated to an integer
+    for kwargs, error in (
+        ({"dims": (2.5, 3)}, "dims must be positive integers: (2.5, 3)"),
+        ({"dims": (True, 2)}, "dims must be positive integers: (True, 2)"),
+        ({"dims": (2, 3), "triples": [(1.9, 2, 2, 1)]},
+         "triple indices must be integers: (1.9, 2, 2)"),
+        ({"dims": (2, 3), "triples": {(1, True, 2): 1}},
+         "triple indices must be integers: (1, True, 2)"),
+    ):
+        with pytest.raises(ModelError, match=re.escape(error)):
+            build_model("x", casimir=(1, 1), **kwargs)
+    for build, error in (
+        (lambda: flag3(4.7, 2, 4), "flag3 dimension must be an integer, got 4.7"),
+        (lambda: flag3(True, 2, 4), "flag3 dimension must be an integer, got True"),
+        (lambda: full_flag(4.9), "SU(n)/T's n must be an integer, got 4.9"),
+        (lambda: two_summand(2.5, 3, "1/4", "3/10", "4/5"),
+         "dims must be positive integers: (2.5, 3)"),
+        (lambda: catalog.entry("flag3", 4.7, 2, 4), "got 4.7"),
+    ):
+        with pytest.raises(ModelError, match=re.escape(error)):
+            build()
+    # its numbers are read as a file's: "p/q" strings are exact
+    assert build_model("x", dims=(2, 3), casimir=("1/4", "3/10"),
+                       triples={(1, 2, 2): "4/5"}) == two_summand(2, 3, "1/4", "3/10", "4/5", name="x")
+
+
+def test_numpy_integers_build_the_same_model():
+    # an integral value of any integer type is read exactly as an int
+    built = build_model("x", dims=np.array([2, 3]), casimir=(Fraction(1, 4), Fraction(3, 10)),
+                        triples={(np.int64(1), np.int32(2), np.uint8(2)): Fraction(4, 5)})
+    plain = build_model("x", dims=(2, 3), casimir=(Fraction(1, 4), Fraction(3, 10)),
+                        triples={(1, 2, 2): Fraction(4, 5)})
+    assert built == plain and serialize_model(built) == serialize_model(plain)
+    assert all(type(v) is int for v in (*built.dims, *built.triples[0][:3]))
+    for numpy_built, plain in (
+        (flag3(np.int64(4), np.int16(2), 4), flag3(4, 2, 4)),
+        (full_flag(np.int64(4)), full_flag(4)),
+        (two_summand(np.int64(2), np.int64(3), "1/4", "3/10", "4/5"),
+         two_summand(2, 3, "1/4", "3/10", "4/5")),
+    ):
+        assert serialize_model(numpy_built) == serialize_model(plain)
+        assert all(type(d) is int for d in numpy_built.dims)
 
 
 def test_parse_rejects_bad_documents():
@@ -619,6 +669,25 @@ def test_diagonal_form_contract():
     assert f.scale(2).values == (Fraction(2), Fraction(4), Fraction(6))
     with pytest.raises(ModelError):
         f[4]
+
+
+def test_forms_and_index_sets_reject_non_integral_indices():
+    # an index of an integer type is read as an int; a float or a bool is
+    # rejected, never truncated
+    for support in ((1, 2.7), (True, 2), (1.0, 2)):
+        with pytest.raises(ModelError, match="support index must be an integer"):
+            DiagonalForm((1, 2), support)
+    assert DiagonalForm((1, 2), (np.int64(1), 2)).support == (1, 2)
+    x = DiagonalForm.full((1, 2, 3))
+    for indices in ((2.9,), (True, 3)):
+        with pytest.raises(ModelError, match="index must be an integer"):
+            x.restrict(indices)
+    assert x.restrict((np.int64(3), 1)) == DiagonalForm((1, 3), (1, 3))
+    m = flag3(4, 2, 4)
+    for J in ((1.5, 2), (True, 2)):
+        with pytest.raises(CurvatureError, match="index must be an integer"):
+            scalar_S(m, x, J)
+    assert scalar_S(m, x, (np.int64(1), 2)) == scalar_S(m, x, (1, 2))
 
 
 def test_diagonal_form_rejects_non_finite_coefficients():
