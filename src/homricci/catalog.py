@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .model import ModelError, SpaceModel, _integral, build_model
-from .numbers import parse_number
+from .numbers import NumberFormatError, parse_number
 
 
 #: Spaces known to satisfy the unconditional-existence structure; summand
@@ -112,10 +112,17 @@ def two_summand(
     positive (side 2 does not); a summand with zero Casimir eigenvalue must
     be a line, on which [iii] vanishes.  Killing coefficients are derived
     from the compatibility law, and validation checks the rest: positive
-    dimensions and non-negative values.
+    dimensions and non-negative values.  A value that does not parse as a
+    number raises :class:`ModelError` ("bad number in zeta1: ...").
     """
-    zeta1, zeta2 = parse_number(zeta1), parse_number(zeta2)
-    t111, t122, t222 = parse_number(t111), parse_number(t122), parse_number(t222)
+    def number(key, value):
+        try:
+            return parse_number(value)
+        except NumberFormatError as exc:
+            raise ModelError(f"bad number in {key}: {exc}") from exc
+
+    zeta1, zeta2 = number("zeta1", zeta1), number("zeta2", zeta2)
+    t111, t122, t222 = number("t111", t111), number("t122", t122), number("t222", t222)
     if t122 <= 0:
         raise ModelError("[122] must be positive (side 2 must not close)")
     for d, z, label in ((d1, zeta1, 1), (d2, zeta2, 2)):

@@ -105,7 +105,7 @@ def _load(args, tol=None):
 def cmd_validate(args) -> int:
     try:
         raw = _read_model(args.model, rational=args.rational)
-    except ModelError as exc:  # a reader error is reported as a broken rule is
+    except (ModelError, OSError) as exc:  # reported as a broken rule is
         report = ValidationReport(False, (str(exc),), None, None, None)
     else:
         report = validate(raw, tol=args.tol or CASIMIR_TOL)

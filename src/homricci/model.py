@@ -372,13 +372,6 @@ class SubalgebraLattice:
             for lower in below
         )
 
-    def __contains__(self, indices) -> bool:
-        return tuple(sorted(indices)) in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     @property
     def full(self) -> tuple[int, ...]:
         return tuple(range(1, self.s + 1))

@@ -1,71 +1,12 @@
 """Constrained maximization of scalar curvature and the certified solve.
 
-For s >= 4, and for s = 3 where the exact elimination below is degenerate,
-Levenberg-Marquardt decides every "solved": a minimum-norm Newton solve of
-Ric g = c T itself, F = r(x) - c z = 0 in the unknowns
-w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian columns
-x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step solves
-(A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by 3 after
-a step that lowers |F| and multiplied by 4 after one that does not, which
-is rejected.  It needs no isolated maximizer of S: where the solutions
-form a family, so that A is rank-deficient, the damped step tends to the
-minimum-norm one and lands on a point of the family.  The MULTISTARTS
-seeded starts run one at a time, in seed order, one point per kernel call.
-A start stops after LM_START_CALLS kernel calls, or when a step is not
-finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
-float residual is at most tol with c > 0, and |F| has stopped shrinking
-fast (the last trial was rejected, or the last step shrank |F| less than
-fourfold), its metric is certified.  The first start to certify ends the
-solve "solved": a certified solution, first in seed order, and not
-necessarily the maximizer of S.
-
-With no start certified, an ascent of S decides between "diverged" and
-"inconclusive"; it certifies nothing.  The feasible set
-{x positive : sum d_i z_i / x_i = 1} is the image of the open unit simplex
-under u_i = d_i z_i / x_i.  In u the gradient of S is F = r / z, so
-Ric g = c T is the Lagrange system F(u) = c 1, sum u = 1 of maximizing S
-on the simplex.  Each step solves the Newton system of that Lagrange
-system, with the Hessian dF/du built from the kernel's analytic Ricci
-Jacobian, and takes the Newton step when it ascends (F . du > 0), capped
-at 0.9 of the distance to the boundary.  Otherwise it steps along F
-centered at its u-average in softmax coordinates (u = softmax(v)), an
-ascent direction that keeps escaping coordinates moving at unit speed when
-no maximizer exists (some u_i then collapses to 0, i.e. x_i grows without
-bound).  One backtracking line search accepts an Armijo increase of S; a
-trial point with non-finite curvature, or without a positive u_i, is
-rejected, counted and halved like any other.
-
-The MULTISTARTS seeded starts run in lockstep: each start keeps its own
-state as one row of arrays, and each round builds the new steps of the
-starts that have just accepted one in one stacked linear solve, evaluates
-one trial point per running start in one batched kernel call, and accepts
-or halves each.  Every operation acts on each row alone, so a start's
-outcome is bit for bit the one it has run alone.
-
-A start stops when its projected gradient vanishes with some u_i below the
-collapse threshold; when its line search accepts no step, as it does at an
-interior critical point of S; or after MAX_ITERATIONS steps ("budget").
-It has then "collapsed" where some u_i is below the threshold, and else
-"stalled".  A collapsed start makes the solve "diverged" -- evidence that
-the supremum is not attained, never a proof of nonexistence -- and
-otherwise it is "inconclusive", but where a certified metric has no double
-at the scale of T.
-
-Every "solved", at every s and whichever method found its metric, has one
-certificate (``_elimination.certify``): on the returned float metric,
-rescaled onto the constraint set, c > 0 and the relative residual
-max_i |r_i - c z_i| / (c max_i z_i) is at most tol, decided in exact
-arithmetic with no kernel call from r in integers by the curvature pass
-over the model's triple rows (``curvature._evaluate``); c, the residual
-and S are the correctly rounded floats of their exact values (at
-T / 2**k, mapped back exactly unless the figure at T is subnormal).
-Scaling T scales c inversely and leaves the residual unchanged.
-
-For s >= 4 "solved" is a residual certificate, not a proof that a solution
-exists, and it can hold at a metric escaping to infinity: with the exact
-path set aside, Levenberg-Marquardt certifies SU(3)/T at T = (3, 3, 2),
-where the exact root count proves that no solution exists, at
-x = (4.33e8, 4.33e8, 4.0) with residual 8.4e-10.
+Three methods solve Ric g = c T, tried in turn, and each either decides
+the status or passes the target on to the next (``maximize_S_on_MT``).  For
+s <= 3 the exact root count decides all three statuses; it passes the
+target on only where the s = 3 elimination is degenerate.
+Levenberg-Marquardt decides "solved" where it certifies a start, and else
+passes the target on.  The multistart ascent of S then decides between
+"diverged" and "inconclusive"; it certifies nothing.
 
 One, two and three summands are solved exactly, but where the s = 3
 elimination is degenerate.  For s = 1 the constraint set
@@ -111,6 +52,76 @@ apart.  The report returns the certified root with the highest S, and
 lists every admissible root.  With no admissible root no solution exists,
 so for s <= 3 "diverged" is a proof of nonexistence (of an exact solution
 for T as given).
+
+For s >= 4, and for s = 3 where the exact elimination above is degenerate,
+Levenberg-Marquardt decides every "solved": a minimum-norm Newton solve of
+Ric g = c T itself, F = r(x) - c z = 0 in the unknowns
+w_j = log(x_j / x_1), j >= 2, and c, with the Jacobian columns
+x_j dr/dx_j from the kernel's Ricci Jacobian and -z.  Each step solves
+(A^T A + mu I) delta = -A^T F; mu starts at 1e-3 and is divided by 3 after
+a step that lowers |F| and multiplied by 4 after one that does not, which
+is rejected.  It needs no isolated maximizer of S: where the solutions
+form a family, so that A is rank-deficient, the damped step tends to the
+minimum-norm one and lands on a point of the family.  The MULTISTARTS
+seeded starts run one at a time, in seed order, one point per kernel call.
+A start stops after LM_START_CALLS kernel calls, or when a step is not
+finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
+float residual is at most tol with c > 0, and |F| has stopped shrinking
+fast (the last trial was rejected, or the last step shrank |F| less than
+fourfold), its metric is certified.  The first start to certify ends the
+solve "solved": a certified solution, first in seed order, and not
+necessarily the maximizer of S.  With no start certified it passes the
+target on.
+
+For s >= 4 "solved" is a residual certificate, not a proof that a solution
+exists, and it can hold at a metric escaping to infinity: with the exact
+path set aside, Levenberg-Marquardt certifies SU(3)/T at T = (3, 3, 2),
+where the exact root count proves that no solution exists, at
+x = (4.33e8, 4.33e8, 4.0) with residual 8.4e-10.
+
+The ascent of S, which the target reaches only where Levenberg-Marquardt
+certifies no start, decides between "diverged" and "inconclusive"; it
+certifies nothing.  The feasible set
+{x positive : sum d_i z_i / x_i = 1} is the image of the open unit simplex
+under u_i = d_i z_i / x_i.  In u the gradient of S is F = r / z, so
+Ric g = c T is the Lagrange system F(u) = c 1, sum u = 1 of maximizing S
+on the simplex.  Each step solves the Newton system of that Lagrange
+system, with the Hessian dF/du built from the kernel's analytic Ricci
+Jacobian, and takes the Newton step when it ascends (F . du > 0), capped
+at 0.9 of the distance to the boundary.  Otherwise it steps along F
+centered at its u-average in softmax coordinates (u = softmax(v)), an
+ascent direction that keeps escaping coordinates moving at unit speed when
+no maximizer exists (some u_i then collapses to 0, i.e. x_i grows without
+bound).  One backtracking line search accepts an Armijo increase of S; a
+trial point with non-finite curvature, or without a positive u_i, is
+rejected, counted and halved like any other.
+
+The MULTISTARTS seeded starts run in lockstep: each start keeps its own
+state as one row of arrays, and each round builds the new steps of the
+starts that have just accepted one in one stacked linear solve, evaluates
+one trial point per running start in one batched kernel call, and accepts
+or halves each.  Every operation acts on each row alone, so a start's
+outcome is bit for bit the one it has run alone.
+
+A start stops when its projected gradient vanishes with some u_i below the
+collapse threshold; when its line search accepts no step, as it does at an
+interior critical point of S; or after MAX_ITERATIONS steps ("budget").
+It has then "collapsed" where some u_i is below the threshold, and else
+"stalled".  A collapsed start makes the solve "diverged" -- evidence that
+the supremum is not attained, never a proof of nonexistence -- and
+otherwise it is "inconclusive".
+
+Every "solved", at every s and whichever method found its metric, has one
+certificate (``_elimination.certify``): on the returned float metric,
+rescaled onto the constraint set, c > 0 and the relative residual
+max_i |r_i - c z_i| / (c max_i z_i) is at most tol, decided in exact
+arithmetic with no kernel call from r in integers by the curvature pass
+over the model's triple rows (``curvature._evaluate``); c, the residual
+and S are the correctly rounded floats of their exact values (at
+T / 2**k, mapped back exactly unless the figure at T is subnormal).
+Scaling T scales c inversely and leaves the residual unchanged.  A
+certified metric whose x or c has no double at the scale of T makes the
+solve "inconclusive" instead.
 """
 
 from __future__ import annotations
@@ -498,12 +509,14 @@ def _certified(
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _levenberg_marquardt(
     model: SpaceModel, T: DiagonalForm, ev: _Evaluator, V0: np.ndarray, k: int, tol: float
-) -> tuple[list[_StartOutcome], int]:
+) -> Optional[tuple]:
     """Levenberg-Marquardt on r(x) - c z = 0 (see the module docstring) from
-    each row of V0 in turn, at the target z = T / 2**k, until a start's
-    metric certifies in exact arithmetic at residual ``tol``, each start for
-    at most LM_START_CALLS kernel calls: the outcomes of the starts run, the
-    last one certified unless none is, and the kernel calls made."""
+    each row of V0 in turn, at the target z = T / 2**k, each start for at
+    most LM_START_CALLS kernel calls.  It decides "solved" at the first start
+    whose metric certifies in exact arithmetic at residual ``tol``: the
+    verdict holds the outcomes of the starts run, the certified one last,
+    and a note that counts the kernel calls made.  Where no start certifies
+    it passes the target on: None."""
     z, dz = ev.z, ev.dz
     n = len(z)
     # the Jacobian of F = r - c z in (w_2, ..., w_n, c), w_j = log(x_j / x_1):
@@ -538,7 +551,8 @@ def _levenberg_marquardt(
                     outcome = _certified(model, T, dz, x[0].tolist(), k, tol, steps, rejected)
                     if outcome.certified:
                         outcomes.append(outcome)
-                        return outcomes, calls
+                        note = f"minimum-norm Newton on Ric g = c T; {calls} kernel call"
+                        return "solved", outcome, outcomes, (), (note + "s" * (calls != 1),)
             if done:
                 break
             A[:, :-1] = jac[0, :, 1:] * x[0, 1:]
@@ -575,17 +589,19 @@ def _levenberg_marquardt(
             float(S) / scale, (x[0] * scale).tolist(), float(c_fit), float(res), "stalled",
             steps, False, (), rejected,
         ))
-    return outcomes, calls
+    return None
 
 
 def _exact_roots(
     model: SpaceModel, T: DiagonalForm, dz: list[float], k: int, tol: float
-) -> tuple[Optional[list[_StartOutcome]], tuple[int, ...]]:
+) -> Optional[tuple]:
     """The s <= 3 solve (see the module docstring) at the target
-    z = T / 2**k, with dz = d z: an outcome for each admissible root,
-    certified at residual ``tol`` in exact arithmetic, or None when the
-    s = 3 elimination is degenerate; and, for s = 2, the coordinate that
-    escapes when P has no root."""
+    z = T / 2**k, with dz = d z, which decides every status: "solved" at an
+    admissible root certified at residual ``tol`` in exact arithmetic,
+    "diverged" (with, for s = 2, the coordinate that escapes) where there is
+    none, and else "inconclusive", over an outcome for each admissible root.
+    It passes the target on, None, only where the s = 3 elimination is
+    degenerate."""
     from . import _elimination
 
     points, escaped = [(1.0,)], ()
@@ -594,8 +610,49 @@ def _exact_roots(
     elif model.s == 3:
         points = _elimination.three_summand_points(model, T)
     if points is None:
-        return None, escaped
-    return [_certified(model, T, dz, point, k, tol) for point in points], escaped
+        return None
+    outcomes = [_certified(model, T, dz, point, k, tol) for point in points]
+    certified = [o for o in outcomes if o.certified]
+    if certified:
+        return "solved", _most_accurate(certified), outcomes, (), ()
+    if not outcomes:
+        return "diverged", None, outcomes, escaped, (
+            "no solution exists: the exact root count finds no root with x > 0 and c > 0"
+            + (f"; coordinates {escaped} escape (x there grows without bound)" if escaped else ""),
+        )
+    best = _most_accurate(outcomes)
+    if not best.beyond:
+        return "inconclusive", best, outcomes, (), (_uncertified("no root", best, k),)
+    ratios = " and ".join(f"x_{j} / x_1" for j in best.beyond)
+    return "inconclusive", best, outcomes, (), (
+        f"a root exists, but {ratios} there " + ("is" if len(best.beyond) == 1 else "are")
+        + " beyond the float range; no scale of T brings it into range",
+    )
+
+
+def _ascent(ev: _Evaluator, V0: np.ndarray, k: int) -> tuple:
+    """The multistart ascent from the rows of V0 (``_run_starts``), at the
+    target z = T / 2**k, which tells "diverged", where some start collapsed,
+    from "inconclusive"; it certifies nothing."""
+    outcomes = _run_starts(ev, V0)
+    collapsed = [o for o in outcomes if o.status == "collapsed"]
+    if collapsed:
+        best = _most_accurate(collapsed)
+        return "diverged", best, outcomes, best.collapsed, (
+            f"supremum appears unattained; coordinates {best.collapsed} escaped"
+            " (x there grows without bound)",
+        )
+    best = _most_accurate(outcomes)
+    return "inconclusive", best, outcomes, (), (_uncertified("no start", best, k),)
+
+
+def _uncertified(subject: str, best: _StartOutcome, k: int) -> str:
+    """The note on an "inconclusive" verdict at the target z = T / 2**k
+    whose returned outcome ``best`` failed the certificate."""
+    return (
+        f"{subject} certified; best residual {best.residual:.3e}"
+        + ("" if best.c > 0 else f", c = {ldexp(best.c, -k):.3e} not positive")
+    )
 
 
 def _rescalable(z: list[float], best: _StartOutcome) -> bool:
@@ -643,26 +700,31 @@ def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
 def maximize_S_on_MT(
     model: SpaceModel, T: DiagonalForm, options: Optional[SolverOptions] = None
 ) -> SolveReport:
-    """Solve Ric g = c T on the constraint set, certified by
-    Levenberg-Marquardt; else the multistart Newton ascent of S tells
-    "diverged" from "inconclusive".
+    """Solve Ric g = c T on the constraint set: the exact roots for s <= 3,
+    else Levenberg-Marquardt, else the multistart Newton ascent of S.
+
+    Each method returns its verdict, (status, best, outcomes, escaped,
+    notes), or None to pass the target on to the next (see the module
+    docstring):
+
+    - ``_exact_roots`` decides every status for s <= 3 over the admissible
+      roots: a certified root makes "solved", no admissible root makes
+      "diverged", a proof of nonexistence, and only uncertified ones
+      "inconclusive".  It passes on only where the s = 3 elimination is
+      degenerate.
+    - ``_levenberg_marquardt`` runs the seeded starts in seed order; the
+      first start it certifies in exact arithmetic makes "solved", with a
+      note that counts its kernel calls.  Else it passes on.
+    - ``_ascent`` runs each start until it collapses, stalls or spends its
+      budget: a collapsed start makes "diverged", and else the solve is
+      "inconclusive".
 
     Starts are seeded deterministically; the first start is the constant
-    multiple of the background form that sits on the constraint set.
-    Levenberg-Marquardt runs them in seed order (see the module docstring),
-    and the first start it certifies in exact arithmetic makes "solved",
-    with a note that counts its kernel calls.  Else each start runs the
-    module's one ascent until it collapses, stalls or spends its budget: a
-    collapsed start makes "diverged", and else the solve is "inconclusive".
-    Of the starts that decide the status, the report returns the most
-    accurate one tied in S with the highest.
-    Overflow raises no warning: a note counts the rejected trial points with
-    non-finite curvature.
-
-    For s <= 3 the admissible roots of the exact solve take the place of
-    the starts (see the module docstring): a certified root makes
-    "solved", no admissible root makes "diverged", a proof of nonexistence,
-    and only uncertified ones "inconclusive".
+    multiple of the background form that sits on the constraint set.  Of
+    the starts or roots that decide the status, the report returns the
+    most accurate one tied in S with the highest.  Overflow raises no
+    warning: a note counts the rejected trial points with non-finite
+    curvature.
     """
     if model.killing is None:
         raise SolverError("model must be validated (killing coefficients missing)")
@@ -676,60 +738,19 @@ def maximize_S_on_MT(
     z = [math.ldexp(v, -k) for v in z]
     dz = [d * v for d, v in zip(model.dims, z)]
     tol = opts.residual_tol
-    outcomes, escaped, notes, calls = None, (), (), 0
-    if model.s <= 3:
-        outcomes, escaped = _exact_roots(model, T, dz, k, tol)
-    exact = outcomes is not None
+    verdict = _exact_roots(model, T, dz, k, tol) if model.s <= 3 else None
+    exact = verdict is not None
     if not exact:
         ev = _Evaluator(model, z)
         V0 = _seeded_starts(ev, opts.seed)
-        outcomes, calls = _levenberg_marquardt(model, T, ev, V0, k, tol)
-        if not (outcomes and outcomes[-1].certified):
-            outcomes, calls = _run_starts(ev, V0), 0
-        if model.s == 3:
-            notes = (
-                "the exact elimination is degenerate here, or T is within rounding "
-                "of a target where it is (a curve of solutions, or two at one root); the "
-                + ("minimum-norm Newton" if calls else "multistart ascent") + " decided",
-            )
-        if calls:
-            notes += (
-                f"minimum-norm Newton on Ric g = c T; {calls} kernel call" + "s" * (calls != 1),
-            )
-
-    certified = [o for o in outcomes if o.certified]
-    collapsed = [o for o in outcomes if o.status == "collapsed"]
-    if certified:
-        status, best, escaped = "solved", _most_accurate(certified), ()
-    elif not outcomes:
-        # s <= 3, and the exact count found no admissible root
-        status, best = "diverged", None
-        notes += (
-            "no solution exists: the exact root count finds no root with x > 0 and c > 0"
-            + (f"; coordinates {escaped} escape (x there grows without bound)" if escaped else ""),
-        )
-    elif collapsed:
-        status, best = "diverged", _most_accurate(collapsed)
-        escaped = best.collapsed
-        notes += (
-            "supremum appears unattained; coordinates "
-            f"{best.collapsed} escaped (x there grows without bound)",
-        )
-    else:
-        status, best, escaped = "inconclusive", _most_accurate(outcomes), ()
-        if best.beyond:
-            ratios = " and ".join(f"x_{j} / x_1" for j in best.beyond)
-            notes += (
-                f"a root exists, but {ratios} there "
-                + ("is" if len(best.beyond) == 1 else "are")
-                + " beyond the float range; no scale of T brings it into range",
-            )
-        else:
-            notes += (
-                ("no root" if exact else "no start")
-                + " certified; best residual " + format(best.residual, ".3e")
-                + ("" if best.c > 0 else f", c = {ldexp(best.c, -k):.3e} not positive"),
-            )
+        verdict = _levenberg_marquardt(model, T, ev, V0, k, tol) or _ascent(ev, V0, k)
+    status, best, outcomes, escaped, notes = verdict
+    if model.s == 3 and not exact:
+        notes = (
+            "the exact elimination is degenerate here, or T is within rounding "
+            "of a target where it is (a curve of solutions, or two at one root); the "
+            + ("minimum-norm Newton" if status == "solved" else "multistart ascent") + " decided",
+        ) + notes
     rejected = sum(o.rejected for o in outcomes)
     if rejected:
         noun = "trial point" if rejected == 1 else "trial points"

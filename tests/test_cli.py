@@ -109,6 +109,22 @@ def test_validate_reports_reader_errors(tmp_path, capsys):
         assert out.splitlines() == ["invalid model:", f"  - {error}"]
 
 
+def test_validate_reports_a_path_it_cannot_read(tmp_path, capsys):
+    # a missing path or a directory: validate writes its one report, and
+    # every other command its one error line
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError) as raised:
+            open(path, encoding="utf-8").read()
+        error = str(raised.value)
+        code, out, err = run(capsys, "validate", str(path), "--json")
+        assert (code, err, out.count("\n")) == (2, "", 1), path
+        assert strict(out) == {"ok": False, "errors": [error], "derived": None}
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (2, f"invalid model:\n  - {error}\n", "")
+        code, out, err = run(capsys, "check", str(path), "--T", "1,1", "--json")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_non_utf8_model_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff" + serialize_model(build_model("x", dims=(2, 3), casimir=(1, 1))).encode())

@@ -129,7 +129,7 @@ def test_float_evaluations_reach_the_module_kernel(monkeypatch):
     # one evaluated point per start and per ascent iteration; it certifies
     # nothing, and stalls at the normal metric
     calls.clear()
-    monkeypatch.setattr(solver, "_levenberg_marquardt", lambda *args: ([], 0))
+    monkeypatch.setattr(solver, "_levenberg_marquardt", lambda *args: None)
     rep = solve_prescribed_ricci(su4, DiagonalForm.full((1.0,) * 6))
     assert rep.status == "inconclusive" and rep.iterations > 0
     assert sum(calls) >= rep.starts_used + rep.iterations

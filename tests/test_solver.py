@@ -368,28 +368,29 @@ def test_randomized_two_summand_agreement_small():
 def newton_solve(monkeypatch, model, T, options=None):
     """The s = 2 or s = 3 solve by Levenberg-Marquardt and the multistart
     Newton ascent instead of the exact path, through the same report: the
-    exact path reports itself degenerate, so the solve falls back to them."""
+    exact path passes the target on, as where it is degenerate, so the
+    solve falls back to them."""
     opts = options or SolverOptions()
     with monkeypatch.context() as patch:
-        patch.setattr(solver_mod, "_exact_roots", lambda *args: (None, ()))
+        patch.setattr(solver_mod, "_exact_roots", lambda *args: None)
         return solve_prescribed_ricci(model, T, opts)
 
 
 def ascent_solve(monkeypatch, model, T, options=None):
     """The solve by the multistart Newton ascent alone: as ``newton_solve``,
-    with Levenberg-Marquardt certifying no start, so never "solved"."""
+    with Levenberg-Marquardt passing every target on, so never "solved"."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver_mod, "_levenberg_marquardt", lambda *args: ([], 0))
+        patch.setattr(solver_mod, "_levenberg_marquardt", lambda *args: None)
         return newton_solve(monkeypatch, model, T, options)
 
 
 def lm_solve(monkeypatch, model, T, options=None):
     """The solve by Levenberg-Marquardt alone, the exact path bypassed as by
     ``newton_solve``: "solved" exactly where it certifies a start, as in
-    ``newton_solve``, but with the ascent patched out, so that a solve it
-    does not certify costs no ascent."""
+    ``newton_solve``, but with the ascent's verdict replaced by a "diverged"
+    with no start, so that a solve it does not certify costs no ascent."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver_mod, "_run_starts", lambda *args: [])
+        patch.setattr(solver_mod, "_ascent", lambda *args: ("diverged", None, [], (), ()))
         return newton_solve(monkeypatch, model, T, options)
 
 
