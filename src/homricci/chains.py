@@ -52,8 +52,8 @@ below it they do not.
 The chains are kept as columns over the lattice members
 (:class:`SimpleChains`): per chain the indices of J_k and J_k' among the
 members, the mask of J_l and eta, as (p, q) in lowest terms; per member
-omega and its mass.  The :class:`SimpleChain` items, with their etas, are
-built only when read.  Every T is read as integers over its common
+omega.  The :class:`SimpleChain` items, with their etas, are built only
+when read.  Every T is read as integers over its common
 denominator, exactly, so each chain's lambda_min and trace are integers,
 and the margin lambda_min / trace - eta * w is an integer numerator over
 an integer denominator whose sign is the verdict, whatever the arithmetic
@@ -66,9 +66,10 @@ A :class:`ConditionReport` keeps these figures in columns beside the
 chains', one entry per chain: lambda_min (taken once per J_k') and trace
 (once per J_l) over T's denominator, the margin's numerator and
 denominator, the factor w of the threshold eta * w, and the verdict.  Its
-``conditions`` are built from the columns on first read, and each
-:class:`ChainCondition` builds its figures only when read, spelled as the
-model's arithmetic says.  ``to_json`` writes the report's JSON line in one
+``conditions`` are plain :class:`ChainCondition` records, one a chain,
+built from the columns on first read, with each figure spelled as the
+model's arithmetic says, and each figure over T's denominator and each
+threshold built once.  ``to_json`` writes the report's JSON line in one
 pass over the columns, each member's and each J_l's index list, each
 figure over T's denominator and each (eta, threshold) text once per
 report.  Each figure is written by ``numbers.json_figure``, null beyond the
@@ -84,7 +85,6 @@ import json
 import math
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
@@ -137,14 +137,13 @@ class _Memo(dict):
 
 class SimpleChains(Sequence):
     """The simple chains of one model as columns (see the module docstring):
-    ``members``, ``omegas`` and ``masses`` (in the units of
-    ``SpaceModel.integer_form``) per member, ``uppers``, ``lowers``,
+    ``members`` and ``omegas`` per member, ``uppers``, ``lowers``,
     ``middles`` and ``etas`` per chain, and ``middle_sets``, the index tuple
     of each J_l mask.  As a sequence it equals the tuple of its
     :class:`SimpleChain` items, which are built on first read."""
 
-    def __init__(self, exact, members, omegas, masses, middle_sets, uppers, lowers, middles, etas):
-        self.exact, self.members, self.omegas, self.masses = exact, members, omegas, masses
+    def __init__(self, exact, members, omegas, middle_sets, uppers, lowers, middles, etas):
+        self.exact, self.members, self.omegas = exact, members, omegas
         self.middle_sets = middle_sets
         self.uppers, self.lowers, self.middles, self.etas = uppers, lowers, middles, etas
 
@@ -237,63 +236,24 @@ def enumerate_simple_chains(model: SpaceModel) -> SimpleChains:
             uppers.append(upper)
             lowers.append(lower)
             middles.append(between)
-    return SimpleChains(
-        model.exact, members, omegas, masses, sets, uppers, lowers, middles, etas
-    )
+    return SimpleChains(model.exact, members, omegas, sets, uppers, lowers, middles, etas)
 
 
-class ChainCondition:
-    """One chain's inequality: lambda_min / trace > threshold = eta * w.
+class ChainCondition(NamedTuple):
+    """One chain's inequality: lambda_min / trace > threshold = eta * w,
+    with its margin lambda_min / trace - threshold and the verdict.
 
     For the theorem w = 1.  For the eigenvalue variant ``trace`` holds the
-    largest eigenvalue over the middle block and w = dim(l).
-
-    lambda_min and trace are kept as integers in units of T's common
-    denominator, eta as (p, q), and the margin as an integer numerator over
-    a positive integer denominator.  The figures build their values only
-    when read, as ``numbers.figure`` spells them on the model's arithmetic.
+    largest eigenvalue over the middle block and w = dim(l).  Each figure is
+    spelled as ``numbers.figure`` spells it on the model's arithmetic.
     """
 
-    __slots__ = (
-        "chain", "passed", "_lam", "_bound", "_scale", "_margin", "_den", "_eta", "_weight",
-        "_exact",
-    )
-
-    def __init__(self, chain, passed, lam, bound, scale, margin, den, eta, weight, exact):
-        self.chain = chain
-        self.passed = passed
-        self._lam = lam
-        self._bound = bound
-        self._scale = scale
-        self._margin = margin
-        self._den = den
-        self._eta = eta
-        self._weight = weight
-        self._exact = exact
-
-    @property
-    def lambda_min(self) -> Scalar:
-        return figure(self._lam, self._scale, self._exact)
-
-    @property
-    def trace(self) -> Scalar:
-        return figure(self._bound, self._scale, self._exact)
-
-    @property
-    def threshold(self) -> Scalar:
-        p, q = self._eta
-        return figure(p * self._weight, q, self._exact)
-
-    @property
-    def margin(self) -> Scalar:
-        return figure(self._margin, self._den, self._exact)
-
-    def __repr__(self) -> str:
-        return (
-            f"ChainCondition(chain={self.chain!r}, lambda_min={self.lambda_min!r}, "
-            f"trace={self.trace!r}, threshold={self.threshold!r}, "
-            f"margin={self.margin!r}, passed={self.passed!r})"
-        )
+    chain: SimpleChain
+    lambda_min: Scalar
+    trace: Scalar
+    threshold: Scalar
+    margin: Scalar
+    passed: bool
 
 
 class ConditionReport:
@@ -320,11 +280,21 @@ class ConditionReport:
 
     @cached_property
     def conditions(self) -> tuple[ChainCondition, ...]:
-        chains = self._chains
+        chains, scale, exact = self._chains, self._scale, self._chains.exact
         lams, bounds, margins, dens, weights, oks = self._columns
+        # the figures over T's denominator and the thresholds repeat across
+        # chains: each is built once
+        figures = _Memo(lambda v: figure(v, scale, exact)).__getitem__
+
+        def threshold(key):  # eta * w, eta = p / q
+            (p, q), w = key
+            return figure(p * w, q, exact)
+
+        thresholds = map(_Memo(threshold).__getitem__, zip(chains.etas, weights))
+        margins = (figure(margin, den, exact) for margin, den in zip(margins, dens))
         return tuple(map(
-            ChainCondition, chains, oks, lams, bounds, repeat(self._scale),
-            margins, dens, chains.etas, weights, repeat(chains.exact),
+            ChainCondition, chains, map(figures, lams), map(figures, bounds), thresholds,
+            margins, oks,
         ))
 
     @property
@@ -474,12 +444,14 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
         return TwoSummandReport(None, None, parallel, True, None, None)
     # the one chain ({1, 2}, {a}), whose eigenvalue-variant margin is
     # z_a / z_o - d_o eta: the threshold's verdict
-    (cond,) = check_corollary_lambda(model, T).conditions
+    report = check_corollary_lambda(model, T)
+    (cond,) = report.conditions
+    (lam,), (bound,) = report._columns[:2]  # over T's denominator
     return TwoSummandReport(
         eta=cond.chain.eta,
         threshold=cond.threshold,
         passed=cond.passed,
         trivial=False,
         subalgebra=cond.chain.J_kprime[0],
-        ratio=figure(cond._lam, cond._bound, model.exact),
+        ratio=figure(lam, bound, model.exact),
     )

@@ -31,7 +31,6 @@ class IterationStep:
     c: float
     g: DiagonalForm
     residual: float
-    status: str
 
     def to_dict(self) -> dict:
         return {
@@ -40,7 +39,7 @@ class IterationStep:
             "c": self.c,
             "g": [float(v) for v in self.g.values],
             "residual": self.residual,
-            "status": self.status,
+            "status": "solved",  # a step is kept only where its solve solved
         }
 
 
@@ -124,7 +123,6 @@ def ricci_iterate(
                 c=report.c,
                 g=g_bar.scale(report.c),
                 residual=report.residual,
-                status="solved",
             )
         )
         e = math.frexp(max(report.x.values))[1]  # 2**(e - 1) <= max x < 2**e

@@ -57,8 +57,8 @@ and mask per index.  The OR A_X over a class holds in its row x every c
 that a rule with slots x and b in X reaches, so the leak test ORs the rows
 x of A_X over x in X, and a cover J | X takes A_J | A_X as its own.
 
-The walk keeps, per member, the positions of the members it covers: the
-list of all covering pairs is built from them only when read.
+The walk keeps, per member, the positions of the members it covers; no
+list of all covering pairs is built.
 """
 
 from __future__ import annotations
@@ -352,10 +352,8 @@ class SubalgebraLattice:
     Always contains the empty set (the isotropy algebra itself) and the full
     index set.  ``member_dims`` holds sum_{i in J} d_i per member.
     ``lower_covers`` holds per member the sorted indices into ``members`` of
-    the members it covers (no member strictly between).  ``covers``, built
-    on first read, holds every covering pair as ``(upper, lower)`` indices,
-    sorted, so its order follows the members' order.  ``masks`` holds each
-    member as a bitmask, bit ``i - 1`` for summand ``i``.
+    the members it covers (no member strictly between).  ``masks`` holds
+    each member as a bitmask, bit ``i - 1`` for summand ``i``.
     """
 
     s: int
@@ -363,14 +361,6 @@ class SubalgebraLattice:
     member_dims: tuple[int, ...]
     lower_covers: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (upper, lower)
-            for upper, below in enumerate(self.lower_covers)
-            for lower in below
-        )
 
     @property
     def full(self) -> tuple[int, ...]:
@@ -742,17 +732,19 @@ def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:
     if model.casimir is None:
         raise ModelError("hypothesis check needs a validated model (casimir missing)")
     s = model.s
-    joined = _joins(model.join_rows, (1 << s) - 1)
+    everything = (1 << s) - 1
+    joined = _joins(model.join_rows, everything)
     lines = [
-        (j, 1 << (j - 1) | joined >> (j - 1) * s & (1 << s) - 1)
+        (j, 1 << (j - 1) | joined >> (j - 1) * s & everything)
         for j in range(1, s + 1)
         if model.dims[j - 1] == 1 and model.casimir[j - 1] == 0
     ]
     violations = []
     if lines:
-        for J in model.lattice.proper_nontrivial():
-            inside = sum(1 << (i - 1) for i in J)
-            violations.extend((J, j) for j, touched in lines if not inside & touched)
+        lattice = model.lattice
+        for J, inside in zip(lattice.members, lattice.masks):
+            if 0 < inside < everything:  # a proper nontrivial member
+                violations.extend((J, j) for j, touched in lines if not inside & touched)
     requirement2 = "violated" if violations else "satisfied"
     requirement1 = "satisfied" if model.pairwise_inequivalent else "unknown"
     if violations:

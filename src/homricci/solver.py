@@ -64,11 +64,13 @@ is rejected.  It needs no isolated maximizer of S: where the solutions
 form a family, so that A is rank-deficient, the damped step tends to the
 minimum-norm one and lands on a point of the family.  The MULTISTARTS
 seeded starts run one at a time, in seed order, one point per kernel call.
-A start stops after LM_START_CALLS kernel calls, or when a step is not
-finite or moves a ratio x_j / x_1 e**40 away from its start.  Once its
-float residual is at most tol with c > 0, and |F| has stopped shrinking
-fast (the last trial was rejected, or the last step shrank |F| less than
-fourfold), its metric is certified.  The first start to certify ends the
+A start stops after LM_START_CALLS kernel calls; once it stalls, where the
+least |F|^2 of its last 12 kernel calls is not below half the least before
+them; or when a step is not finite or moves a ratio x_j / x_1 e**40 away
+from its start.  Once its float residual is at most tol with c > 0, and
+|F| has stopped shrinking fast (the last trial was rejected, or the last
+step shrank |F| less than fourfold) or the start stops at the cap or
+stalls, its metric is certified.  The first start to certify ends the
 solve "solved": a certified solution, first in seed order, and not
 necessarily the maximizer of S.  With no start certified it passes the
 target on.
@@ -106,7 +108,8 @@ outcome is bit for bit the one it has run alone.
 A start stops when its projected gradient vanishes with some u_i below the
 collapse threshold; when its line search accepts no step, as it does at an
 interior critical point of S; or after MAX_ITERATIONS steps ("budget").
-It has then "collapsed" where some u_i is below the threshold, and else
+One that stops before its budget has then "collapsed" where some u_i is
+below the threshold, and its outcome names those i; else it has
 "stalled".  A collapsed start makes the solve "diverged" -- evidence that
 the supremum is not attained, never a proof of nonexistence -- and
 otherwise it is "inconclusive".
@@ -141,7 +144,7 @@ from .chains import (
     HypothesisViolatedError,
     check_theorem,
 )
-from .model import DiagonalForm, SpaceModel
+from .model import DiagonalForm, ModelError, SpaceModel
 from .numbers import format_number, ldexp
 
 
@@ -155,8 +158,8 @@ class SolverError(ValueError):
 # _run_starts).
 MULTISTARTS = 16
 MAX_ITERATIONS = 10_000
-# Levenberg-Marquardt makes at most LM_START_CALLS kernel calls a start (see
-# _levenberg_marquardt).
+# Levenberg-Marquardt makes at most LM_START_CALLS kernel calls a start, and
+# fewer where the start stalls (see _levenberg_marquardt).
 LM_START_CALLS = 32
 GRADIENT_TOL = 1e-10
 COLLAPSE_THRESHOLD = 1e-12
@@ -255,10 +258,9 @@ class _StartOutcome:
     x: list[float]
     c: float
     residual: float
-    status: str  # the ascent's stalled | collapsed | budget; stalled off the ascent
     iterations: int
     certified: bool
-    collapsed: tuple[int, ...]
+    collapsed: tuple[int, ...]  # the ascent's u_i below the threshold; none at its budget
     rejected: int  # trial points with non-finite curvature or some u_i <= 0
     beyond: tuple[int, ...] = ()  # an exact root's j whose x_j / x_1 has no double
     # an exact check's floor(log2 |c|), also where c has no double; else
@@ -278,13 +280,9 @@ class _Evaluator:
         self.dzz = float(np.dot(self.dz, self.z))
         self.zmax = float(max(z))
 
-    def value_and_ricci(self, u: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
-        """S at each row of u (m, n); fills out_r (m, n) and out_jac
-        (m, n, n); the kernel is read off ``_kernels`` at call time."""
-        return self.at(self.dz / u, out_r, out_jac)
-
     def at(self, x: np.ndarray, out_r: np.ndarray, out_jac: np.ndarray) -> np.ndarray:
-        """The same at each row of x (m, n), the metrics themselves."""
+        """S at each row of x (m, n), the metrics; fills out_r (m, n) and
+        out_jac (m, n, n); the kernel is read off ``_kernels`` at call time."""
         return _kernels.value_and_ricci(*self.arrays, x, out_r, out_jac)
 
     def fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,19 +337,17 @@ def _outcome(st: _Starts, i: int, ev: _Evaluator) -> _StartOutcome:
     u = st.u[i]
     c, res = ev.fit(st.r[i])
     iterations = int(st.iterations[i])
-    if iterations == MAX_ITERATIONS:
-        status = "budget"
-    else:
-        status = "stalled" if float(np.min(u)) >= COLLAPSE_THRESHOLD else "collapsed"
     return _StartOutcome(
         S=float(st.S[i]),
         x=(ev.dz / u).tolist(),
         c=float(c),
         residual=float(res),
-        status=status,
         iterations=iterations,
         certified=False,
-        collapsed=tuple(int(j) + 1 for j in np.flatnonzero(u < COLLAPSE_THRESHOLD)),
+        # a start that spent its budget has not collapsed
+        collapsed=() if iterations == MAX_ITERATIONS else tuple(
+            int(j) + 1 for j in np.flatnonzero(u < COLLAPSE_THRESHOLD)
+        ),
         rejected=int(st.rejected[i]),
     )
 
@@ -376,7 +372,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray) -> list[_StartOutcome]:
     st.v = V0 - V0.max(axis=1, keepdims=True)
     st.u = _softmax(st.v)
     st.r, st.jac = np.empty((m, n)), np.empty((m, n, n))
-    st.S = ev.value_and_ricci(st.u, st.r, st.jac)
+    st.S = ev.at(dz / st.u, st.r, st.jac)
     st.alpha = np.ones(m)
     st.iterations = np.zeros(m, dtype=np.int64)
     st.rejected = np.zeros(m, dtype=np.int64)
@@ -444,7 +440,7 @@ def _run_starts(ev: _Evaluator, V0: np.ndarray) -> list[_StartOutcome]:
         u_t = np.where(newton, u_t, _softmax(v_t))
         k = len(st.index)
         r_t, jac_t = np.empty((k, n)), np.empty((k, n, n))
-        S_t = ev.value_and_ricci(u_t, r_t, jac_t)
+        S_t = ev.at(dz / u_t, r_t, jac_t)
         finite = np.isfinite(S_t) & np.isfinite(r_t).all(axis=1) & (u_t > 0).all(axis=1)
         st.rejected += ~finite
         # an Armijo increase of S, and a strict one: at a critical point of S
@@ -503,7 +499,7 @@ def _certified(
     beyond = tuple(j for j, v in enumerate(point, start=1) if not 0 < v < math.inf)
     x = _on_constraint(dz, point)
     c, residual, S, certified, e = _elimination.certify(model, T, x, k, tol)
-    return _StartOutcome(S, x, c, residual, "stalled", iterations, certified, (), rejected, beyond, e)
+    return _StartOutcome(S, x, c, residual, iterations, certified, (), rejected, beyond, e)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -512,11 +508,11 @@ def _levenberg_marquardt(
 ) -> Optional[tuple]:
     """Levenberg-Marquardt on r(x) - c z = 0 (see the module docstring) from
     each row of V0 in turn, at the target z = T / 2**k, each start for at
-    most LM_START_CALLS kernel calls.  It decides "solved" at the first start
-    whose metric certifies in exact arithmetic at residual ``tol``: the
-    verdict holds the outcomes of the starts run, the certified one last,
-    and a note that counts the kernel calls made.  Where no start certifies
-    it passes the target on: None."""
+    most LM_START_CALLS kernel calls and until it stalls.  It decides
+    "solved" at the first start whose metric certifies in exact arithmetic
+    at residual ``tol``: the verdict holds the outcomes of the starts run,
+    the certified one last, and a note that counts the kernel calls made.
+    Where no start certifies it passes the target on: None."""
     z, dz = ev.z, ev.dz
     n = len(z)
     # the Jacobian of F = r - c z in (w_2, ..., w_n, c), w_j = log(x_j / x_1):
@@ -530,7 +526,6 @@ def _levenberg_marquardt(
     outcomes: list[_StartOutcome] = []
     calls = 0
     for v in V0:
-        first = calls
         u = _softmax(v)
         w0 = w = np.log(u[0] * dz[1:] / (u[1:] * dz[0]))
         x[0, 1:] = np.exp(w)
@@ -543,8 +538,11 @@ def _levenberg_marquardt(
         # |F| has stopped shrinking fast: the last trial was rejected, or the
         # last step shrank it less than fourfold
         settled = norm == 0
+        least = [norm]  # the least |F|^2 after each of the start's kernel calls
         while math.isfinite(norm):
-            done = calls - first == LM_START_CALLS
+            # the last 12 calls did not halve the least |F|^2 before them
+            stalled = len(least) > 12 and not least[-1] < least[-13] / 2
+            done = stalled or len(least) == LM_START_CALLS
             if settled or done:
                 c_fit, res = ev.fit(r[0])
                 if res <= tol and c_fit > 0:
@@ -581,13 +579,14 @@ def _levenberg_marquardt(
                 mu, steps = mu / 3.0, steps + 1
             else:
                 mu, settled = mu * 4.0, True
+            least.append(norm)
         # uncertified: the start's last metric, on the constraint set, where
         # S is the kernel's S over the scale
         scale = float(np.sum(dz / x[0]))
         c_fit, res = ev.fit(r[0])
         outcomes.append(_StartOutcome(
-            float(S) / scale, (x[0] * scale).tolist(), float(c_fit), float(res), "stalled",
-            steps, False, (), rejected,
+            float(S) / scale, (x[0] * scale).tolist(), float(c_fit), float(res), steps, False,
+            (), rejected,
         ))
     return None
 
@@ -635,7 +634,7 @@ def _ascent(ev: _Evaluator, V0: np.ndarray, k: int) -> tuple:
     target z = T / 2**k, which tells "diverged", where some start collapsed,
     from "inconclusive"; it certifies nothing."""
     outcomes = _run_starts(ev, V0)
-    collapsed = [o for o in outcomes if o.status == "collapsed"]
+    collapsed = [o for o in outcomes if o.collapsed]
     if collapsed:
         best = _most_accurate(collapsed)
         return "diverged", best, outcomes, best.collapsed, (
@@ -807,8 +806,9 @@ def solve_prescribed_ricci(
 
 def _with_chain_check(model: SpaceModel, T: DiagonalForm, report: SolveReport) -> SolveReport:
     """The solve ``report`` for T with the chain check of T attached: its
-    condition, None where the check cannot be taken, and a note on a
-    failing or unknown check before the report's own notes."""
+    condition, None where the check cannot be taken (as where the lattice
+    is beyond its guard), and a note on a failing or unknown check before
+    the report's own notes."""
     notes: list[str] = []
     condition = None
     try:
@@ -821,4 +821,6 @@ def _with_chain_check(model: SpaceModel, T: DiagonalForm, report: SolveReport) -
         notes.append(f"hypothesis violated: {exc}")
     except EtaUndefinedError as exc:
         notes.append(f"eta undefined: {exc}")
+    except ModelError as exc:  # the lattice guard
+        notes.append(f"chain condition not checked: {exc}")
     return replace(report, condition=condition, notes=tuple(notes) + report.notes)

@@ -194,16 +194,9 @@ def test_masses_from_covers_and_etas_match_oracles_on_sparse_models():
         for m in (exact, floats):
             data = exact_data(m)
             chains = enumerate_simple_chains(m)
-            members = chains.members
-
-            def mass(J):  # P(J) = 4 sum d zeta + <J J J>, summed from scratch
-                return 4 * sum(data.dims[i - 1] * data.casimir[i - 1] for i in J) + sum(
-                    v for a, b, c, v in data.ordered_triples if {a, b, c} <= set(J)
-                )
-
-            scale = Fraction(chains.masses[-1]) / mass(members[-1])
-            assert scale > 0 and scale.denominator == 1
-            assert [Fraction(P) for P in chains.masses] == [scale * mass(J) for J in members]
+            # each eta's numerator is the mass of J_k', which the walk takes
+            # from one lower cover's mass: the defining form, which sums
+            # every mass from scratch, checks them
             several += sum(len(below) > 1 for below in m.lattice.lower_covers)
             want = Fraction if m.exact else float
             for ch in chains:
@@ -402,8 +395,8 @@ def test_report_line_spells_non_finite_floats_as_the_encoder():
     etas = [(big, 1), (big, big - 1), (0, 1)]
     # three chains ({1, 2}, {1}) over the members {}, {1} and {1, 2}
     chains = chains_mod.SimpleChains(
-        False, ((), (1,), (1, 2)), (0, 1, 1), [0, 1, 2], {0b10: (2,)}, [2] * 3, [1] * 3,
-        [0b10] * 3, etas,
+        False, ((), (1,), (1, 2)), (0, 1, 1), {0b10: (2,)}, [2] * 3, [1] * 3, [0b10] * 3,
+        etas,
     )
     # lambda_min 1/4 and trace 2/4, eta p / q and w = 3, as _check takes them
     margins = [1 * q - p * 3 * 2 for p, q in etas]
@@ -491,10 +484,10 @@ def test_two_summand_verdict_at_the_threshold():
 
 
 def test_exact_check_builds_fractions_only_when_read(monkeypatch):
-    """On SU(6)/T with an exact T, a check builds one Fraction a chain, its
-    eta; lambda_min, trace and margin are built when read."""
-    model = full_flag(6)
-    T = random_positive_form(np.random.default_rng(29), model.s, exact=True)
+    """On SU(6)/T with an exact T, a check builds no Fraction until its
+    conditions are read; then one a margin, and one a distinct eta,
+    threshold and figure over T's denominator."""
+    T = random_positive_form(np.random.default_rng(29), 15, exact=True)
     built = []
 
     def counted(*args):
@@ -505,9 +498,16 @@ def test_exact_check_builds_fractions_only_when_read(monkeypatch):
     monkeypatch.setattr(chains_mod, "figure", counted)
     for check, criterion in ((check_theorem, "theorem"), (check_corollary_lambda, "corollary")):
         built.clear()
+        model = full_flag(6)  # whose chains' etas are built with the conditions
         report = check(model, T)
+        assert not built
         assert len(report.conditions) == 841
-        assert len(built) <= len(report.conditions)
+        lams, bounds, _, _, weights, _ = report._columns
+        distinct = (
+            len(set(model.chains.etas)) + len(set(zip(model.chains.etas, weights)))
+            + len({*lams, *bounds})
+        )
+        assert len(built) == 841 + distinct
         for cond in report.conditions:
             _, lam, bound, _, margin = _generic_figures(model, T, cond.chain, criterion)
             got = (cond.lambda_min, cond.trace, cond.margin)
@@ -535,8 +535,13 @@ def test_check_json_builds_no_chain_and_no_fraction(monkeypatch):
     for check in (check_theorem, check_corollary_lambda):
         assert len(json.loads(check(model, T).to_json())["conditions"]) == 841
     assert not built
-    assert len(check_theorem(model, T).conditions) == 841
-    assert built["chain"] == 841 and 0 < built["fraction"] <= 841
+    report = check_theorem(model, T)
+    assert len(report.conditions) == 841
+    # a Fraction a margin, and one a distinct eta, threshold (w = 1: one a
+    # distinct eta) and figure over T's denominator
+    lams, bounds = report._columns[:2]
+    distinct = 2 * len(set(model.chains.etas)) + len({*lams, *bounds})
+    assert built["chain"] == 841 and built["fraction"] == 841 + distinct
 
 
 def test_chain_sequence_is_lazy_and_equals_its_tuple(monkeypatch):
@@ -664,3 +669,25 @@ def test_two_summand_zero_threshold_always_passes():
 def test_two_summand_requires_two_summands():
     with pytest.raises(ChainError):
         two_summand_condition(G2, DiagonalForm.full((1, 1, 1)))
+
+
+def test_condition_repr_names_each_figure():
+    """A condition is a record of its chain, figures and verdict, printed
+    with each figure as the model's arithmetic spells it."""
+    exact = check_theorem(G2, DiagonalForm.full((1, 1, Fraction(1, 10))))
+    assert repr(exact.conditions) == (
+        "(ChainCondition(chain=SimpleChain(J_k=(1, 2, 3), J_kprime=(2,), J_l=(1, 3), omega=2, "
+        "eta=Fraction(1, 48)), lambda_min=Fraction(1, 1), trace=Fraction(22, 5), "
+        "threshold=Fraction(1, 48), margin=Fraction(109, 528), passed=True), "
+        "ChainCondition(chain=SimpleChain(J_k=(1, 2, 3), J_kprime=(3,), J_l=(1, 2), omega=4, "
+        "eta=Fraction(3, 20)), lambda_min=Fraction(1, 10), trace=Fraction(6, 1), "
+        "threshold=Fraction(3, 20), margin=Fraction(-2, 15), passed=False))"
+    )
+    floats = build_model(
+        "g2u2-float", (4, 2, 4), killing=(1.0, 1.0, 1.0), triples={(1, 1, 2): 2 / 3, (1, 2, 3): 0.5}
+    )
+    assert repr(check_corollary_lambda(floats, DiagonalForm.full((1, 1, 0.1))).failing) == (
+        "ChainCondition(chain=SimpleChain(J_k=(1, 2, 3), J_kprime=(3,), J_l=(1, 2), omega=4, "
+        "eta=0.15), lambda_min=0.1, trace=1.0, threshold=0.8999999999999999, "
+        "margin=-0.7999999999999999, passed=False)"
+    )

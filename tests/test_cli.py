@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from homricci import build_model, cli, curvature, iteration, serialize_model, two_summand
+from homricci import model as model_mod
 from helpers import random_space_model
 
 
@@ -578,6 +579,13 @@ def test_iterate_json_lines(tmp_path, capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [ln["step"] for ln in lines] == [1, 2, 3]
     assert all(ln["residual"] < 1e-7 for ln in lines)
+    # the text lists the steps, the status and the step differences
+    code, out, _ = run(capsys, "iterate", str(path), "--start", "1,1", "--steps", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["step 1", "step 2", "step 3"]
+    assert lines[3:-1] == ["status: completed; completed 3/3 steps"]
+    assert re.fullmatch(r"normalized step differences: \S+e[+-]\d+, \S+e[+-]\d+", lines[-1])
 
 
 def test_iterate_reports_the_failing_step(g2_path, capsys):
@@ -710,3 +718,36 @@ def test_validate_prints_derived_values(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(path), "--json")
     doc = json.loads(out)
     assert doc["model"]["casimir"] == ["1/2"]
+
+
+def test_solve_exits_with_its_own_status_where_the_lattice_is_beyond_its_guard(
+    g2_path, capsys, monkeypatch
+):
+    # the chain check is advisory: a lattice beyond its guard (here of 2
+    # members) is a note, and the solve's status decides the exit code
+    monkeypatch.setattr(model_mod, "MAX_MEMBERS", 2)
+    code, out, err = run(capsys, "solve", str(g2_path), "--T", "1,1,1", "--json")
+    assert (code, err) == (0, "")
+    doc = strict(out)
+    assert (doc["status"], doc["condition"]) == ("solved", None)
+    assert doc["notes"][0] == (
+        "chain condition not checked: the subalgebra lattice has more than 2 members"
+    )
+    code, out, _ = run(capsys, "solve", str(g2_path), "--T", "1,1,1")
+    assert code == 0 and "  note: chain condition not checked: " in out
+
+
+def test_text_lines_for_no_chains_and_an_uncertified_inequivalence(tmp_path, capsys):
+    # one summand: the isotropy algebra is maximal, so there is no chain
+    one = tmp_path / "one.json"
+    one.write_text('{"name": "one", "s": 1, "dims": [3], "casimir": ["1/100"], '
+                   '"triples": [[1, 1, 1, 5]], "pairwise_inequivalent": false}')
+    code, out, _ = run(capsys, "eta", str(one))
+    assert (code, out) == (0, "no simple chains (isotropy algebra is maximal)\n")
+    code, out, _ = run(capsys, "check", str(one), "--T", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "one: theorem check PASS",
+        "  no simple chains: passes unconditionally",
+        "  caveat: inequivalence requirement not certified by the data",
+    ]

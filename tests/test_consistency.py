@@ -123,5 +123,6 @@ def test_known_solutions_are_solved():
         assert report.status == "solved" and calls[-1] is not None, i
         assert calls[-1] <= report.starts_used * solver.LM_START_CALLS, i
         _exact_figures(model, T, report)
-    # the most is entry 121's, over seven starts; entry 154 takes 178
-    assert (max(calls), calls[121], calls[154]) == (218, 218, 178)
+    # the most is entry 121's, over seven starts; entry 154 takes 145, where
+    # a start that stalls stops before its cap
+    assert (max(calls), calls[121], calls[154]) == (218, 218, 145)

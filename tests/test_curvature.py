@@ -9,6 +9,7 @@ import pytest
 from homricci import (
     CurvatureError,
     DiagonalForm,
+    SpaceModel,
     build_model,
     enumerate_simple_chains,
     enumerate_subalgebras,
@@ -235,3 +236,21 @@ def test_trace_constraint_characterization():
 
     assert constraint(x) == pytest.approx(1.0, abs=1e-12)
     assert constraint(x.scale(2.0)) != pytest.approx(1.0, abs=1e-3)
+
+
+def test_index_sets_outside_the_model_and_unvalidated_models_are_rejected():
+    x = DiagonalForm.full((1, 2, 3))
+    with pytest.raises(CurvatureError, match=r"indices \(1, 4\) out of range for s=3"):
+        scalar_S(G2, x, (1, 4))
+    with pytest.raises(CurvatureError, match="hat_S needs a non-empty index set"):
+        hat_S(G2, x, ())
+    raw = SpaceModel("raw", G2.dims, G2.casimir, None, G2.triples)
+    with pytest.raises(CurvatureError, match="model must be validated"):
+        scalar_S(raw, x)
+
+
+def test_scalar_S_on_the_empty_set_is_zero_in_the_model_arithmetic():
+    exact = scalar_S(G2, DiagonalForm.full((1, 2, 3)), ())
+    assert exact == 0 and type(exact) is Fraction
+    floats = scalar_S(G2, DiagonalForm.full((1.0, 2.0, 3.0)), ())
+    assert floats == 0 and type(floats) is float

@@ -19,6 +19,7 @@ from homricci import (
     two_summand_condition,
 )
 from homricci import iteration, solver
+from homricci import model as model_mod
 from helpers import oracle_figures
 
 
@@ -157,3 +158,19 @@ def test_cauchy_diagnostics_monotone_for_contracting_space():
     assert len(trace.cauchy) == 7
     # not asserted to converge in general; this space does settle down
     assert trace.cauchy[-1] < trace.cauchy[0]
+
+
+def test_failing_step_reports_a_lattice_beyond_its_guard_as_a_note(monkeypatch):
+    # the failing step takes the chain check of its target: where the
+    # lattice is beyond its guard (here a guard of 2 members), the note says
+    # so and the step's own status and notes stand
+    model = flag3(4, 2, 4)
+    start = DiagonalForm.full((1.0, 1.0, 1.0))
+    monkeypatch.setattr(model_mod, "MAX_MEMBERS", 2)
+    trace = ricci_iterate(model, start, steps=5)
+    assert (trace.status, len(trace.steps), trace.failure.status) == ("truncated", 1, "diverged")
+    assert trace.failure.condition is None
+    assert trace.failure.notes[0] == (
+        "chain condition not checked: the subalgebra lattice has more than 2 members"
+    )
+    assert trace.failure.notes[1].startswith("no solution exists")

@@ -33,6 +33,7 @@ from homricci import (
 )
 from homricci import catalog, cli
 from homricci import model as model_mod
+from homricci.numbers import NumberFormatError, parse_number
 from helpers import (
     combinations_with_repetition,
     oracle_full_flag,
@@ -191,6 +192,14 @@ def test_parse_rejects_bad_documents():
                      '"triples": [], "pairwise_inequivalent": true, "extra": 1}')
     with pytest.raises(ModelError):
         parse_model("not json {")
+    for source, error in (
+        ("[1, 2]", "model document must be a JSON object"),
+        (good.replace('"flag3:4,2,4"', "7"), "name must be a string"),
+        (good.replace('"pairwise_inequivalent": true', '"pairwise_inequivalent": 1'),
+         "pairwise_inequivalent must be a boolean"),
+    ):
+        with pytest.raises(ModelError, match=error):
+            parse_model(source)
     # the parser checks the document's shape, and validation every
     # structural rule
     head = '{"name": "x", "dims": [2, 2], "pairwise_inequivalent": true, '
@@ -214,6 +223,10 @@ def test_parse_rejects_bad_documents():
         ('"killing": [1]', ["killing has length 1, expected 2"]),
         ('"dims": [2, true]', ["dims must be positive integers: (2, True)"]),
         ('"dims": [2, 0.5]', ["dims must be positive integers: (2, 0.5)"]),
+        ('"casimir": [0.25, -1.0], "killing": [1.0, -2.0]',
+         ["negative casimir eigenvalue in (0.25, -1.0)",
+          "negative killing coefficient in (1.0, -2.0)"]),
+        ('"s": 0, "dims": [], "killing": []', ["need at least one summand"]),
     ):
         doc = {"killing": [1, 1], **json.loads(head + '"s": 2, ' + rule + "}")}
         report = validate(parse_model(doc))
@@ -344,6 +357,12 @@ def counted_leak_tests(monkeypatch):
     return calls
 
 
+def covering_pairs(lattice):
+    """Every covering pair (upper, lower) of the lattice's member indices,
+    in the members' order."""
+    return [(upper, lower) for upper, below in enumerate(lattice.lower_covers) for lower in below]
+
+
 def test_lattice_and_covers_match_oracles_up_to_s14(monkeypatch):
     # the corpus enters every branch of the walk: classes whose J | X is
     # already a member, classes whose J | X is new and closed, and classes
@@ -358,7 +377,7 @@ def test_lattice_and_covers_match_oracles_up_to_s14(monkeypatch):
             shapes.update(len({i, j, k}) for i, j, k, _ in m.triples)
             lat = enumerate_subalgebras(m)
             assert list(lat.members) == oracle_lattice(m)
-            pairs = [(lat.members[u], lat.members[l]) for u, l in lat.covers]
+            pairs = [(lat.members[u], lat.members[l]) for u, l in covering_pairs(lat)]
             assert [p for p in pairs if p[1]] == oracle_simple_chains(lat.members)
             nonempty = [frozenset(J) for J in lat.members if J]
             atoms = [J for J in nonempty if not any(M < J for M in nonempty)]
@@ -380,7 +399,7 @@ def test_leak_test_runs_once_per_new_member(monkeypatch):
     for n, bell, covers in ((3, 5, 6), (4, 15, 31), (5, 52, 160), (6, 203, 856), (7, 877, 4802)):
         tested.clear()
         lattice = enumerate_subalgebras(full_flag(n))
-        assert len(lattice.covers) == covers
+        assert len(covering_pairs(lattice)) == covers
         assert len(tested) == len(lattice.members) - 1 == bell - 1
 
 
@@ -398,10 +417,9 @@ def test_subalgebras_command_builds_no_covers(monkeypatch, tmp_path, capsys):
     assert cli.main(["subalgebras", str(path), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["lattice"]["members"]) == 203
     (lattice,) = lattices
-    assert "covers" not in vars(lattice)
-    # built on first read, from each member's lower covers
-    assert len(lattice.covers) == 856 == sum(map(len, lattice.lower_covers))
-    assert "covers" in vars(lattice)
+    # the walk keeps each member's lower covers, and no list of the pairs
+    assert not hasattr(lattice, "covers")
+    assert len(covering_pairs(lattice)) == 856
 
 
 def test_full_flag_classes_never_grow(monkeypatch):
@@ -441,7 +459,7 @@ def test_lattice_member_guard():
 
 def test_full_flag_su8_lattice():
     lattice = enumerate_subalgebras(full_flag(8))
-    assert (len(lattice.members), len(lattice.covers)) == (4140, 28337)
+    assert (len(lattice.members), len(covering_pairs(lattice))) == (4140, 28337)
     assert list(lattice.members) == oracle_full_flag(8)[0]
 
 
@@ -684,6 +702,16 @@ def test_diagonal_form_contract():
     assert f.scale(2).values == (Fraction(2), Fraction(4), Fraction(6))
     with pytest.raises(ModelError):
         f[4]
+    for values, support, error in (
+        ((1, 2), (1,), "form values and support differ in length"),
+        ((), (), "empty diagonal form"),
+        ((1, 2), (0, 1), "support indices are 1-based: (0, 1)"),
+    ):
+        with pytest.raises(ModelError, match=re.escape(error)):
+            DiagonalForm(values, support)
+    for factor in (0, -2, Fraction(-1, 3)):
+        with pytest.raises(ModelError, match="scale factor must be positive"):
+            f.scale(factor)
 
 
 def test_forms_and_index_sets_reject_non_integral_indices():
@@ -716,3 +744,25 @@ def test_diagonal_form_rejects_non_finite_coefficients():
     with pytest.raises(ModelError, match="finite"):
         DiagonalForm.full((1e300, 1.0)).scale(1e10)
     assert DiagonalForm.full((Fraction(10) ** 400, 1)).exact
+
+
+def test_catalog_rejects_each_invalid_parameter():
+    for build, args, error in (
+        (catalog.flag3, (0, 1, 1), "dimensions must be positive"),
+        (catalog.flag3, (1, 5, 5), "dims (1,5,5) give a negative bracket norm [112]=-5/33"),
+        (catalog.two_summand, (2, 3, 1, 1, 0), "[122] must be positive"),
+        (catalog.two_summand, (2, 3, 0, 1, 1), "summand 1 has zero casimir eigenvalue but dimension 2"),
+        (catalog.two_summand, (2, 3, 1, 0, 1), "summand 2 has zero casimir eigenvalue but dimension 3"),
+        (catalog.two_summand, (1, 3, 0, 1, 1, 1), "[111] must vanish on a 1-dimensional summand"),
+        (catalog.two_summand, (3, 1, 1, 0, 1, 0, 1), "[222] must vanish on a 1-dimensional summand"),
+        (catalog.entry, ("nope",), "unknown catalog kind 'nope'"),
+    ):
+        with pytest.raises(ModelError, match=re.escape(error)):
+            build(*args)
+
+
+def test_rational_reading_of_a_float_is_its_shortest_decimal():
+    assert parse_number(0.1, rational=True) == Fraction(1, 10)
+    assert parse_number(0.1) == 0.1 and type(parse_number(0.1)) is float
+    with pytest.raises(NumberFormatError, match="not a finite number"):
+        parse_number(math.inf, rational=True)

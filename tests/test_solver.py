@@ -226,6 +226,13 @@ def test_multistart_agreement_on_passing_model(monkeypatch):
     assert lm.x.values == pytest.approx(rep.x.values, rel=1e-12)
 
 
+def stop_reason(outcome, budget=solver_mod.MAX_ITERATIONS):
+    """How an ascent start stopped: "collapsed", "budget" or "stalled"."""
+    if outcome.collapsed:
+        return "collapsed"
+    return "budget" if outcome.iterations == budget else "stalled"
+
+
 def _run_starts_for(monkeypatch, ev, V0, iterations):
     """The ascent's outcomes from the rows of V0, each start stopped after
     at most ``iterations`` steps."""
@@ -241,7 +248,7 @@ def test_iterates_monotone_in_S(monkeypatch):
     ev = solver_mod._Evaluator(G2, z)
     v0 = (np.log(ev.dz) + 0.3)[None, :]
     (full,) = solver_mod._run_starts(ev, v0)
-    assert full.status == "stalled" and full.iterations > 3
+    assert stop_reason(full) == "stalled" and full.iterations > 3
     values = [
         _run_starts_for(monkeypatch, ev, v0, k)[0].S
         for k in range(1, full.iterations + 1)
@@ -257,7 +264,7 @@ def test_every_start_monotone_in_S(monkeypatch):
         ev = solver_mod._Evaluator(G2, np.array(T.values))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(8, 3))
         full = solver_mod._run_starts(ev, V0)
-        assert all(o.status == "stalled" for o in full)
+        assert all(stop_reason(o) == "stalled" for o in full)
         values = np.array([
             [o.S for o in _run_starts_for(monkeypatch, ev, V0, k)]
             for k in range(1, max(o.iterations for o in full) + 1)
@@ -288,29 +295,30 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
     for model, T in cases:
         ev = solver_mod._Evaluator(model, np.array([float(v) for v in T.values]))
         V0 = np.log(ev.dz) + rng.normal(0.0, 0.75, size=(16, model.s))
-        evaluate, points = ev.value_and_ricci, []
+        evaluate, points = ev.at, []
 
-        def batch(u, out_r, out_jac):
+        def batch(x, out_r, out_jac):
             # the rows whose trial point is the softmax one took a gradient
             # trial, the others a Newton one
-            gradient = np.count_nonzero((u == last[0]).all(axis=1))
-            mixed.append(0 < gradient < len(u))
-            return evaluate(u, out_r, out_jac)
+            gradient = np.count_nonzero((x == ev.dz / last[0]).all(axis=1))
+            mixed.append(0 < gradient < len(x))
+            return evaluate(x, out_r, out_jac)
 
-        ev.value_and_ricci = batch
+        ev.at = batch
         together = _run_starts_for(monkeypatch, ev, V0, 100)
 
-        def recording(u, out_r, out_jac):
-            S = evaluate(u, out_r, out_jac)
+        def recording(x, out_r, out_jac):
+            S = evaluate(x, out_r, out_jac)
+            u = ev.dz / x  # x = dz / u: u_i = 0 is x_i = inf
             points.append((u.min(), np.isfinite(S[0]) and np.isfinite(out_r).all()))
             return S
 
-        ev.value_and_ricci = recording
+        ev.at = recording
         for v0, o in zip(V0, together):
             points.clear()
             (alone,) = _run_starts_for(monkeypatch, ev, v0[None, :], 100)
-            assert (alone.S, alone.status, alone.iterations, alone.rejected) == (
-                o.S, o.status, o.iterations, o.rejected
+            assert (alone.S, alone.collapsed, alone.iterations, alone.rejected) == (
+                o.S, o.collapsed, o.iterations, o.rejected
             )
             assert np.array_equal(alone.x, o.x)
             # a trial point with a zero u_i is evaluated, counted as
@@ -319,7 +327,7 @@ def test_lockstep_starts_match_starts_run_alone(monkeypatch):
             assert o.rejected == sum(not (u_min > 0 and finite) for u_min, finite in trials)
             zero_points += sum(u_min <= 0 for u_min, _ in trials)
             assert np.all(np.isfinite(o.x)) and np.all(np.array(o.x) > 0)
-            statuses.add(o.status)
+            statuses.add(stop_reason(o, 100))
     assert statuses == {"collapsed", "stalled", "budget"}
     assert zero_points > 0 and any(mixed)
 
@@ -671,6 +679,37 @@ def test_rescale_note_only_where_a_scale_of_T_helps():
 def test_solver_rejects_partial_target():
     with pytest.raises(SolverError):
         maximize_S_on_MT(G2, DiagonalForm((1.0,), (2,)))
+    for T in ((1.0, 1.0, 1.0), [1, 1, 1]):
+        with pytest.raises(SolverError, match="target must be a DiagonalForm"):
+            maximize_S_on_MT(G2, T)
+
+
+def test_chain_check_that_cannot_be_taken_is_a_note():
+    # requirement 2 fails on this model (summand 2 commutes with {1}): no
+    # eta is defined, and the solve, which the exact root count decides,
+    # says so in a note and attaches no condition
+    model = build_model("x", (2, 2), casimir=(1, 0), triples={(1, 1, 1): 1})
+    rep = solve_prescribed_ricci(model, DiagonalForm.full((1, 1)))
+    assert (rep.status, rep.condition) == ("diverged", None)
+    assert rep.notes[0] == (
+        "eta undefined: chain ((1, 2), (1,)) has zero denominator; the model violates "
+        "requirement 2 (a summand block commutes with the inner subalgebra)"
+    )
+    assert rep.notes[1:] == maximize_S_on_MT(model, DiagonalForm.full((1, 1))).notes
+
+
+def test_lattice_beyond_its_guard_leaves_the_solve_alone():
+    # SU(10)/T has Bell(10) = 115,975 members, beyond the lattice guard: the
+    # chain check cannot be taken, and the solve is Levenberg-Marquardt's
+    model = full_flag(10)
+    T = DiagonalForm.full((1,) * 45)
+    rep = solve_prescribed_ricci(model, T)
+    assert (rep.status, rep.condition) == ("solved", None)
+    assert rep.notes == (
+        "chain condition not checked: the subalgebra lattice has more than 25000 members",
+        "minimum-norm Newton on Ric g = c T; 3 kernel calls",
+    )
+    assert replace(rep, notes=rep.notes[1:]) == maximize_S_on_MT(model, T)
 
 
 def _raise(constant):
@@ -856,7 +895,7 @@ def test_three_summand_exact_matches_bounded_ascent(monkeypatch):
             assert exact.status == "solved"
             assert x / x[0] == pytest.approx(y / y[0], rel=1e-8)
             decided["solved"] += 1
-        elif any(o.status == "collapsed" for o in outcomes):
+        elif any(o.collapsed for o in outcomes):
             assert exact.status == "diverged"
             decided["diverged"] += 1
     assert decided["solved"] >= 10 and decided["diverged"] >= 10
@@ -914,6 +953,24 @@ def test_levenberg_marquardt_certifies_no_target_without_a_solution(monkeypatch)
         model, _, threshold = random_two_summand_case(rng, pass_side=True)
         for f in (0.99, 0.995, 0.999, 1.001, 1.005, 1.01):
             assert certified(model, DiagonalForm.full((f * threshold, 1.0))) == (f > 1)
+
+
+def test_levenberg_marquardt_stops_a_start_that_stalls(monkeypatch):
+    # the first s = 3 sweep target has no solution: with the exact path
+    # bypassed, no start of Levenberg-Marquardt halves its least |F|^2 in
+    # the 12 kernel calls after its first, so each stops at its 13th call,
+    # well before the cap
+    model, T = sweep_cases(1)[0]
+    assert maximize_S_on_MT(model, T).status == "diverged"
+    original, calls = _kernels.value_and_ricci, []
+
+    def counting(*args):
+        calls.append(len(args[7]))
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "value_and_ricci", counting)
+    assert lm_solve(monkeypatch, model, T).status == "diverged"
+    assert len(calls) == solver_mod.MULTISTARTS * 13 < solver_mod.MULTISTARTS * solver_mod.LM_START_CALLS
 
 
 def test_degenerate_three_summand_targets_are_certified():
