@@ -57,15 +57,19 @@ and mask per index.  The OR A_X over a class holds in its row x every c
 that a rule with slots x and b in X reaches, so the leak test ORs the rows
 x of A_X over x in X, and a cover J | X takes A_J | A_X as its own.
 
-The walk keeps, per member, the positions of the members it covers; no
-list of all covering pairs is built.
+The walk records each cover in the class loop, as its class is found: it
+keeps, per member mask, the masks of the members it covers, and builds no
+list of all covering pairs.  The lattice's two views of what it keeps,
+each member's dimension and the positions of its lower covers, are built
+on first read: ``subalgebras`` reads only the first, the chain enumeration
+only the second.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
@@ -170,11 +174,22 @@ class SpaceModel:
             rows[b - 1] |= 1 << (a - 1) * s + c - 1
         return tuple(rows)
 
-    @cached_property
+    @property
     def lattice(self) -> SubalgebraLattice:
         """The subalgebra lattice (:func:`enumerate_subalgebras`), walked once
-        per model: it depends on the bracket data alone."""
-        return enumerate_subalgebras(self)
+        per model: it depends on the bracket data alone.  A walk beyond the
+        member guard is not repeated: every read raises its error."""
+        lattice = self._walk
+        if isinstance(lattice, ModelError):
+            raise lattice.with_traceback(None)
+        return lattice
+
+    @cached_property
+    def _walk(self):
+        try:
+            return enumerate_subalgebras(self)
+        except ModelError as exc:
+            return exc
 
     @cached_property
     def chains(self) -> Sequence:
@@ -233,16 +248,21 @@ class SpaceModel:
 def integer_form(model: SpaceModel) -> IntegerForm:
     """The integer form of a model that has at least one of its Casimir and
     Killing values (see :class:`IntegerForm`)."""
-    dims, s, triples = model.dims, model.s, model.ordered_triples
+    dims, s, rows = model.dims, model.s, model.triples
     casimir, killing = model.casimir, model.killing
-    n = len(triples)
+    n = len(rows)
+    # each canonical row is read once, and its integer repeated below over
+    # its orderings: 1, 3 or 6 as its indices take 1, 2 or 3 values
     scale, ints = common_denominator(
-        [*(row[3] for row in triples), *(casimir or ()), *(killing or ())]
+        [*(row[3] for row in rows), *(casimir or ()), *(killing or ())]
     )
     if casimir is None:  # d zeta = (d b - R) / 2: integers over 2E
         scale, ints = 2 * scale, [2 * v for v in ints]
+    triples = [
+        v for (i, j, k, _), v in zip(rows, ints) if v for _ in range((0, 1, 3, 6)[len({i, j, k})])
+    ]
     sums = [0] * s
-    for row, v in zip(triples, ints):
+    for row, v in zip(model.ordered_triples, triples):
         sums[row[0] - 1] += v
     masses = [d * v for d, v in zip(dims * 2, ints[n:])]  # the given arrays in turn
     if casimir is None:
@@ -254,7 +274,7 @@ def integer_form(model: SpaceModel) -> IntegerForm:
             killing = [2 * c + r for c, r in zip(casimir, sums)]
     lcm = math.lcm(*dims)
     return IntegerForm(
-        scale, tuple(ints[:n]), tuple(sums), tuple(casimir), tuple(killing), lcm,
+        scale, tuple(triples), tuple(sums), tuple(casimir), tuple(killing), lcm,
         tuple(lcm // d for d in dims),
     )
 
@@ -350,17 +370,30 @@ class SubalgebraLattice:
     """All index sets closed under the bracket, ordered by (size, lex).
 
     Always contains the empty set (the isotropy algebra itself) and the full
-    index set.  ``member_dims`` holds sum_{i in J} d_i per member.
-    ``lower_covers`` holds per member the sorted indices into ``members`` of
-    the members it covers (no member strictly between).  ``masks`` holds
-    each member as a bitmask, bit ``i - 1`` for summand ``i``.
+    index set.  ``masks`` holds each member as a bitmask, bit ``i - 1`` for
+    summand ``i``.  ``lowers`` is the walk's record, not to be modified: per
+    member mask, the masks of the members it covers (no member strictly
+    between).  It follows from the members, so ``==`` and ``hash`` leave it
+    out.  Two views are built on first read: ``member_dims``, sum_{i in J}
+    d_i per member, and ``lower_covers``, per member the sorted indices into
+    ``members`` of its lower covers.
     """
 
     s: int
     members: tuple[tuple[int, ...], ...]
-    member_dims: tuple[int, ...]
-    lower_covers: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
+    summand_dims: tuple[int, ...]
+    lowers: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def member_dims(self) -> tuple[int, ...]:
+        dims = (0, *self.summand_dims)
+        return tuple(sum(map(dims.__getitem__, J)) for J in self.members)
+
+    @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        index = {m: pos for pos, m in enumerate(self.masks)}
+        return tuple(tuple(sorted(map(index.__getitem__, self.lowers[m]))) for m in self.masks)
 
     @property
     def full(self) -> tuple[int, ...]:
@@ -407,7 +440,13 @@ def _finite(value: Scalar) -> bool:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
+def _negative(value, exact: bool) -> bool:
+    # an exact value (an int or a Fraction) has its numerator's sign: no
+    # Fraction comparison
+    return (value.numerator if exact else value) < 0
 
 
 def _integral(value, what: Optional[str] = None, error=ModelError):
@@ -427,7 +466,7 @@ def _structural_errors(model: SpaceModel) -> list[str]:
     s = model.s
     if s < 1:
         return ["need at least one summand"]
-    errors = []
+    errors, exact = [], model.exact
     if not all(_is_int(d) and d >= 1 for d in model.dims):
         errors.append(f"dims must be positive integers: {model.dims}")
     elif sum(model.dims) < 3:
@@ -440,9 +479,9 @@ def _structural_errors(model: SpaceModel) -> list[str]:
             continue
         if len(arr) != s:
             errors.append(f"{name} has length {len(arr)}, expected {s}")
-        if not all(map(_finite, arr)):
+        if not exact and not all(map(_finite, arr)):  # a Fraction is finite
             errors.append(f"{name} values must be finite: {arr}")
-        elif any(v < 0 for v in arr):
+        elif any(_negative(v, exact) for v in arr):
             errors.append(f"negative {name} {noun} in {arr}")
     if model.casimir is None and model.killing is None:
         errors.append("at least one of casimir/killing must be given")
@@ -456,9 +495,9 @@ def _structural_errors(model: SpaceModel) -> list[str]:
             errors.append(f"duplicate triple ({i},{j},{k})")
         else:
             seen.add((i, j, k))
-        if not _finite(v):
+        if not exact and not _finite(v):
             errors.append(f"bracket norm [{i}{j}{k}] = {v} is not finite")
-        elif v < 0:
+        elif _negative(v, exact):
             errors.append(f"negative bracket norm [{i}{j}{k}] = {v}")
     return errors
 
@@ -510,9 +549,9 @@ def validate(model: SpaceModel, tol: float = CASIMIR_TOL) -> ValidationReport:
             )
     if derived == "casimir":
         for idx, z in enumerate(casimir, start=1):
-            if z < 0:
+            if _negative(z, model.exact):
                 errors.append(f"derived casimir eigenvalue at i={idx} is negative: {z}")
-    if derived:  # float data can derive values beyond the float range
+    if derived and not model.exact:  # float data can derive values beyond the float range
         values = casimir if derived == "casimir" else killing
         if not all(map(_finite, values)):
             errors.append(f"derived {derived} values are beyond the float range: {values}")
@@ -606,12 +645,18 @@ def _leak_test(rows, X: int) -> tuple[int, int]:
     """(A_X, reach) for a class X: A_X is the OR of the join ``rows`` over
     X, and reach, the OR of row x of A_X over x in X, is the mask of every
     index that a rule with both slots in X fires.  J | X is closed exactly
-    when reach lies inside it."""
+    when reach lies inside it.  One pass over X: row y of the OR over the
+    indices up to y holds the rules of y with each of them, and those of a
+    later index with y are read in that index's turn, by the symmetry of
+    the bracket."""
     s = len(rows)
-    A_X = _joins(rows, X)
-    reach = 0
-    for i in unpack(X):
-        reach |= A_X >> (i - 1) * s
+    A_X = reach = 0
+    while X:
+        bit = X & -X
+        X ^= bit
+        i = bit.bit_length() - 1
+        A_X |= rows[i]
+        reach |= A_X >> i * s
     return A_X, reach & (1 << s) - 1
 
 
@@ -651,6 +696,11 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     when the classes that generate it fill C - J.  On the full flags
     SU(n)/T no class leaks: a class of a partition's member is the set of
     pairs between two of its blocks, and J | X merges the two.
+
+    Each cover is recorded as it is found.  The walk builds the members in
+    (size, lex) order, their masks and, per member mask, the masks of its
+    lower covers; the lattice builds ``member_dims`` and ``lower_covers``
+    from these on first read.
     """
     s, rows = model.s, model.join_rows
     everything = (1 << s) - 1
@@ -660,7 +710,6 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     while todo:
         J = todo.pop()
         A = A_of.pop(J)
-        covers = []
         leaking = []
         outside = everything & ~J
         while outside:
@@ -670,9 +719,10 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
                 bit = pending & -pending
                 pending ^= bit
                 new = A >> (bit.bit_length() - 1) * s & outside
-                outside ^= new
-                X |= new
-                pending |= new
+                if new:
+                    outside ^= new
+                    X |= new
+                    pending |= new
             C = J | X
             below = lowers.get(C)
             if below is not None:  # a member is closed, so X leaks nothing
@@ -681,42 +731,29 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
             A_X, reach = _leak_test(rows, X)
             if reach & ~C:
                 leaking.append((X, reach))
-            else:
-                covers.append((C, A | A_X))
+                continue
+            lowers[C] = [J]
+            A_of[C] = A | A_X
+            todo.append(C)
         if leaking:
             generators: dict[int, int] = {}
             for X, reach in leaking:
                 C = _grow(rows, J, X, reach)
                 generators[C] = generators.get(C, 0) | X
-            covers.extend(
-                (C, _joins(rows, C)) for C, gens in generators.items() if gens == C & ~J
-            )
-        for C, A_C in covers:
-            below = lowers.get(C)
-            if below is None:
-                if len(lowers) == MAX_MEMBERS:
-                    raise ModelError(
-                        f"the subalgebra lattice has more than {MAX_MEMBERS} members"
-                    )
-                lowers[C] = [J]
-                A_of[C] = A_C
-                todo.append(C)
-            else:
-                below.append(J)
+            for C, gens in generators.items():
+                if gens == C & ~J:
+                    if C not in lowers:
+                        lowers[C] = []
+                        A_of[C] = _joins(rows, C)
+                        todo.append(C)
+                    lowers[C].append(J)
+        if len(lowers) > MAX_MEMBERS:
+            raise ModelError(f"the subalgebra lattice has more than {MAX_MEMBERS} members")
 
-    found = {unpack(m): m for m in lowers}
+    found = dict(zip(map(unpack, lowers), lowers))
     sets = sorted(found)
     sets.sort(key=len)  # stable: (size, lex)
-    masks = tuple(map(found.__getitem__, sets))
-    index = {m: pos for pos, m in enumerate(masks)}
-    dims = (0, *model.dims)
-    return SubalgebraLattice(
-        s=s,
-        members=tuple(sets),
-        member_dims=tuple(sum(map(dims.__getitem__, J)) for J in sets),
-        lower_covers=tuple(tuple(sorted(map(index.__getitem__, lowers[m]))) for m in masks),
-        masks=masks,
-    )
+    return SubalgebraLattice(s, tuple(sets), tuple(map(found.__getitem__, sets)), model.dims, lowers)
 
 
 def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:
@@ -851,8 +888,8 @@ def parse_model(source, rational: bool = False) -> SpaceModel:
         except NumberFormatError as exc:
             raise ModelError(f"bad triple value for ({i},{j},{k}): {exc}") from exc
     # in index order; an index that is no integer, an error validation
-    # reports, sorts as 0
-    rows.sort(key=lambda row: [t if _is_int(t) else 0 for t in row[:3]])
+    # reports, sorts as 0 (after _integral, every integer index is an int)
+    rows.sort(key=lambda row: [t if type(t) is int else 0 for t in row[:3]])
 
     return SpaceModel(
         name=doc["name"],

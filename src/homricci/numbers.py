@@ -32,10 +32,10 @@ def normalize(value) -> Scalar:
     """
     if isinstance(value, bool):
         raise NumberFormatError(f"boolean is not a scalar: {value!r}")
+    if isinstance(value, int):  # tested first: the check against Fraction's ABC is slower
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         return value
     raise NumberFormatError(f"unsupported scalar type: {value!r}")
@@ -127,7 +127,7 @@ def to_float(value) -> float:
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return type(value) is Fraction or isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def all_exact(values) -> bool:

@@ -403,7 +403,8 @@ def test_leak_test_runs_once_per_new_member(monkeypatch):
         assert len(tested) == len(lattice.members) - 1 == bell - 1
 
 
-def test_subalgebras_command_builds_no_covers(monkeypatch, tmp_path, capsys):
+def kept_lattices(monkeypatch):
+    """The list of lattices the walk returns (``enumerate_subalgebras``)."""
     lattices = []
     original = model_mod.enumerate_subalgebras
 
@@ -412,14 +413,64 @@ def test_subalgebras_command_builds_no_covers(monkeypatch, tmp_path, capsys):
         return lattices[-1]
 
     monkeypatch.setattr(model_mod, "enumerate_subalgebras", kept)
+    return lattices
+
+
+def oracle_views(model, members):
+    """(member dims, lower covers) of a lattice's members, from raw set
+    algebra: each cover is a simple chain (oracle_simple_chains) or an atom
+    over the empty set."""
+    position = {J: pos for pos, J in enumerate(members)}
+    nonempty = [frozenset(J) for J in members if J]
+    covers = [[] for _ in members]
+    for J in nonempty:
+        if not any(M < J for M in nonempty):
+            covers[position[tuple(sorted(J))]].append(0)
+    for K, Kp in oracle_simple_chains(members):
+        covers[position[K]].append(position[Kp])
+    dims = tuple(sum(model.dims[i - 1] for i in J) for J in members)
+    return dims, tuple(tuple(sorted(below)) for below in covers)
+
+
+def test_lattice_views_match_oracles_whichever_is_read_first():
+    rng = np.random.default_rng(31)
+    models = [full_flag(n) for n in range(3, 8)]
+    for s in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+        models += [sparse_model(rng, s), sparse_model(rng, s), random_space_model(rng, s=s)]
+    for m in models:
+        dims, covers = oracle_views(m, enumerate_subalgebras(m).members)
+        first, second = enumerate_subalgebras(m), enumerate_subalgebras(m)
+        assert not {"member_dims", "lower_covers"} & set(vars(first))
+        assert (first.member_dims, first.lower_covers) == (dims, covers)
+        assert (second.lower_covers, second.member_dims) == (covers, dims)
+        # the views are built from the walk's data, which == and hash leave out
+        assert first == second and hash(first) == hash(second)
+
+
+def test_subalgebras_command_builds_no_covers(monkeypatch, tmp_path, capsys):
+    lattices = kept_lattices(monkeypatch)
+    path = tmp_path / "su7.json"
+    path.write_text(serialize_model(full_flag(7)))
+    assert cli.main(["subalgebras", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["lattice"]["members"]) == 877
+    (lattice,) = lattices
+    # the walk keeps each member's lower covers as masks, and the command
+    # builds no list of the pairs and no index view of them
+    assert not hasattr(lattice, "covers")
+    assert "lower_covers" not in vars(lattice)
+    assert len(covering_pairs(lattice)) == 4802
+
+
+def test_check_command_builds_no_member_dims(monkeypatch, tmp_path, capsys):
+    lattices = kept_lattices(monkeypatch)
     path = tmp_path / "su6.json"
     path.write_text(serialize_model(full_flag(6)))
-    assert cli.main(["subalgebras", str(path), "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["lattice"]["members"]) == 203
+    T = ",".join(["1"] * 15)
+    assert cli.main(["check", str(path), "--T", T, "--json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["conditions"]) == 841
     (lattice,) = lattices
-    # the walk keeps each member's lower covers, and no list of the pairs
-    assert not hasattr(lattice, "covers")
-    assert len(covering_pairs(lattice)) == 856
+    assert "lower_covers" in vars(lattice)
+    assert "member_dims" not in vars(lattice)
 
 
 def test_full_flag_classes_never_grow(monkeypatch):
@@ -455,6 +506,26 @@ def test_lattice_member_guard():
     m = build_model("big", dims=(1,) * 25, casimir=(Fraction(1, 4),) * 25)
     with pytest.raises(ModelError, match="more than 25000 members"):
         enumerate_subalgebras(m)
+
+
+def test_lattice_guard_failure_is_kept(monkeypatch):
+    # SU(10)/T has Bell(10) = 115,975 members: the walk stops at the guard,
+    # and no later read of the model's lattice walks again
+    walks = []
+    original = model_mod.enumerate_subalgebras
+
+    def counted(model):
+        walks.append(model.name)
+        return original(model)
+
+    monkeypatch.setattr(model_mod, "enumerate_subalgebras", counted)
+    m = full_flag(10)
+    for _ in range(2):
+        with pytest.raises(ModelError, match="more than 25000 members"):
+            m.lattice
+    with pytest.raises(ModelError, match="more than 25000 members"):
+        check_theorem(m, DiagonalForm.full((1,) * 45))
+    assert len(walks) == 1
 
 
 def test_full_flag_su8_lattice():
