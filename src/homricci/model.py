@@ -753,7 +753,8 @@ def enumerate_subalgebras(model: SpaceModel) -> SubalgebraLattice:
     found = dict(zip(map(unpack, lowers), lowers))
     sets = sorted(found)
     sets.sort(key=len)  # stable: (size, lex)
-    return SubalgebraLattice(s, tuple(sets), tuple(map(found.__getitem__, sets)), model.dims, lowers)
+    masks = tuple(map(found.__getitem__, sets))
+    return SubalgebraLattice(s, tuple(sets), masks, model.dims, lowers)
 
 
 def check_hypothesis(model: SpaceModel) -> HypothesisVerdict:

@@ -127,7 +127,9 @@ def to_float(value) -> float:
 
 
 def is_exact(value) -> bool:
-    return type(value) is Fraction or isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    if type(value) is Fraction:  # the common case, tested without isinstance
+        return True
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def all_exact(values) -> bool:
