@@ -87,7 +87,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .model import DiagonalForm, SpaceModel, check_hypothesis, unpack
+from .model import DiagonalForm, SpaceModel, _check_count, check_hypothesis, unpack
 from .numbers import Scalar, figure, format_number, json_figure, to_float
 
 
@@ -348,8 +348,7 @@ class ConditionReport:
 
 def _check(model: SpaceModel, T: DiagonalForm, criterion: str) -> ConditionReport:
     """One condition per simple chain, for criterion "theorem" or "corollary"."""
-    if T.support != tuple(range(1, model.s + 1)):
-        raise ChainError("target form must cover the full index set")
+    _check_count(T, model.s, "target form", ChainError)
     # T is read as integers over one common denominator, as the model's
     # integer form reads the model, so lam and bound are integer work, and
     # so is the margin (lam q - p w bound) / (bound q), eta = p / q.
@@ -431,8 +430,7 @@ def two_summand_condition(model: SpaceModel, T: DiagonalForm) -> TwoSummandRepor
     """Decide solvability for s = 2 via the exact ratio threshold."""
     if model.s != 2:
         raise ChainError(f"two-summand condition needs s=2, got s={model.s}")
-    if T.support != (1, 2):
-        raise ChainError("target form must cover both summands")
+    _check_count(T, model.s, "target form", ChainError)
     closed = [J[0] for J in model.lattice.proper_nontrivial() if len(J) == 1]
     if len(closed) != 1:
         # Degenerate lattice; see the class docstring.

@@ -1,8 +1,9 @@
 """Scalar curvature, its modified companion, and Ricci coefficients.
 
-All operations act on diagonal data: a metric restricted to the summands in
-an index set J is just its positive coefficient vector there.  The two
-functionals are
+All operations act on diagonal data: a metric is its positive coefficient
+vector, one coefficient per summand, and each operation takes the whole
+metric.  S and Shat on an index set J read only the coefficients inside J;
+J defaults to the full index set.  The two functionals are
 
     S(x, J)    = 1/2 sum_{i in J} d_i b_i / x_i
                  - 1/4 sum_{i,j,k in J} [ijk] x_k / (x_i x_j),
@@ -33,8 +34,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .model import DiagonalForm, SpaceModel, _integral
-from .numbers import Scalar, common_denominator, figure
+from .model import DiagonalForm, SpaceModel, _check_count, _integral
+from .numbers import Scalar, figure
 
 
 class CurvatureError(ValueError):
@@ -42,8 +43,11 @@ class CurvatureError(ValueError):
 
 
 def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:
+    """J sorted, the full index set by default, once x has one coefficient
+    per summand."""
+    _check_count(x, model.s, "metric", CurvatureError)
     if J is None:
-        J = x.support
+        return tuple(range(1, model.s + 1))
     J = tuple(sorted(set(_integral(i, "index", CurvatureError) for i in J)))
     if J and (J[0] < 1 or J[-1] > model.s):
         raise CurvatureError(f"indices {J} out of range for s={model.s}")
@@ -91,13 +95,14 @@ def _evaluate(model: SpaceModel, X: Sequence[int], J: tuple[int, ...]) -> tuple:
 def scalar_S(model: SpaceModel, x: DiagonalForm, J: Optional[Sequence[int]] = None) -> Scalar:
     """Scalar curvature of the diagonal metric x restricted to J.
 
-    J defaults to the form's support; an empty J gives 0.
+    x is the whole metric, and only its coefficients inside J are read; J
+    defaults to the full index set, and an empty J gives 0.
     """
     J = _resolve_J(model, x, J)
     if not J:
         return figure(0, 1, model.exact and x.exact)
-    D, X = common_denominator(x.restrict(J).values)
-    S, _, _, den = _evaluate(model, X, J)
+    D, X = x.integers
+    S, _, _, den = _evaluate(model, [X[i - 1] for i in J], J)
     return figure(D * S, den, model.exact and x.exact)
 
 
@@ -105,22 +110,21 @@ def hat_S(model: SpaceModel, x: DiagonalForm, J_k: Optional[Sequence[int]] = Non
     """Modified scalar curvature on a subalgebra's index set.
 
     Penalizes S by the bracket mass flowing into the complement; coincides
-    with scalar_S when J_k is the full index set.  J_k is expected to be a
-    lattice member (not enforced here).
+    with scalar_S when J_k is the full index set.  x is the whole metric,
+    and only its coefficients inside J_k are read; J_k defaults to the full
+    index set, and is expected to be a lattice member (not enforced here).
     """
     J_k = _resolve_J(model, x, J_k)
     if not J_k:
         raise CurvatureError("hat_S needs a non-empty index set")
-    D, X = common_denominator(x.restrict(J_k).values)
-    _, S_hat, _, den = _evaluate(model, X, J_k)
+    D, X = x.integers
+    _, S_hat, _, den = _evaluate(model, [X[i - 1] for i in J_k], J_k)
     return figure(D * S_hat, den, model.exact and x.exact)
 
 
 def _ricci_and_grad(model: SpaceModel, x: DiagonalForm) -> tuple[tuple, tuple]:
     """(ricci, grad_S) at x, from one pass."""
-    full = tuple(range(1, model.s + 1))
-    if x.support != full:
-        raise CurvatureError("ricci needs a form on the full index set")
+    full = _resolve_J(model, x, None)
     D, X = x.integers
     _, _, R, den = _evaluate(model, X, full)
     exact = model.exact and x.exact

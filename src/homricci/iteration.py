@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import DiagonalForm, SpaceModel
+from .model import DiagonalForm, SpaceModel, _check_count, _integral
 from .solver import SolveReport, SolverOptions, _as_target, _with_chain_check, maximize_S_on_MT
 
 
@@ -98,10 +98,10 @@ def ricci_iterate(
     gives it: with the chain check of its target (advisory), which a solved
     step, whose report is dropped, does not take.
     """
+    steps = _integral(steps, "steps", IterationError)
     if steps < 1:
         raise IterationError("need at least one step")
-    if g_bar_1.support != tuple(range(1, model.s + 1)):
-        raise IterationError("starting form must cover the full index set")
+    _check_count(g_bar_1, model.s, "starting form", IterationError)
     opts = options or SolverOptions()
 
     # the start is read as the first solve's target: normal doubles, or a

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numbers import (
     NumberFormatError,
@@ -281,46 +281,34 @@ def integer_form(model: SpaceModel) -> IntegerForm:
 
 @dataclass(frozen=True)
 class DiagonalForm:
-    """Positive diagonal coefficients of an invariant bilinear form.
+    """Positive diagonal coefficients of an invariant bilinear form, one per
+    isotropy summand: ``form[i]`` is the coefficient on summand i, 1-based.
 
-    ``support`` lists the 1-based summand indices the form covers (the whole
-    space by default); coefficients outside the support do not exist.
+    A form carries no summand count of its own; each reader compares
+    ``len(values)`` with its model's ``s``.
     """
 
     values: tuple[Scalar, ...]
-    support: tuple[int, ...]
 
     def __post_init__(self):
         values = tuple(normalize(v) for v in self.values)
-        support = tuple(_integral(i, "support index") for i in self.support)
-        if len(values) != len(support):
-            raise ModelError("form values and support differ in length")
-        if not support:
+        if not values:
             raise ModelError("empty diagonal form")
-        if any(a >= b for a, b in zip(support, support[1:])):
-            raise ModelError(f"support must be strictly increasing: {support}")
-        if support[0] < 1:
-            raise ModelError(f"support indices are 1-based: {support}")
         if not all(map(_finite, values)):
             raise ModelError(f"diagonal coefficients must be finite: {values}")
         if any(v <= 0 for v in values):
             raise ModelError(f"diagonal coefficients must be positive: {values}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "support", support)
 
     @classmethod
     def full(cls, values: Sequence) -> "DiagonalForm":
-        return cls(tuple(values), tuple(range(1, len(values) + 1)))
-
-    @cached_property
-    def _by_index(self) -> dict[int, Scalar]:
-        return dict(zip(self.support, self.values))
+        return cls(tuple(values))
 
     def __getitem__(self, index: int) -> Scalar:
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise ModelError(f"index {index} outside form support {self.support}")
+        i = _integral(index)  # a bool or a float stays as it is, and is refused
+        if type(i) is not int or not 0 < i <= len(self.values):
+            raise ModelError(f"index {index!r} outside the form's summands 1..{len(self.values)}")
+        return self.values[i - 1]
 
     @cached_property
     def exact(self) -> bool:
@@ -332,18 +320,11 @@ class DiagonalForm:
         denominator, exactly (a float is a dyadic rational)."""
         return common_denominator(self.values)
 
-    def restrict(self, indices: Iterable[int]) -> "DiagonalForm":
-        J = tuple(sorted(set(_integral(i, "index") for i in indices)))
-        missing = [i for i in J if i not in self._by_index]
-        if missing:
-            raise ModelError(f"indices {missing} outside form support {self.support}")
-        return DiagonalForm(tuple(self._by_index[i] for i in J), J)
-
     def scale(self, factor) -> "DiagonalForm":
         factor = normalize(factor)
         if factor <= 0:
             raise ModelError("scale factor must be positive")
-        return DiagonalForm(tuple(v * factor for v in self.values), self.support)
+        return DiagonalForm(tuple(v * factor for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -460,6 +441,16 @@ def _integral(value, what: Optional[str] = None, error=ModelError):
     if what is None:
         return value
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _check_count(form: DiagonalForm, s: int, what: str, error) -> None:
+    """The count rule: ``form`` has one coefficient per summand of a model
+    with ``s`` summands, or ``error`` names both counts."""
+    n = len(form.values)
+    if n != s:
+        raise error(
+            f"{what} has {n} coefficient{'s' * (n != 1)}; the model has {s} summand{'s' * (s != 1)}"
+        )
 
 
 def _structural_errors(model: SpaceModel) -> list[str]:

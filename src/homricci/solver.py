@@ -144,7 +144,7 @@ from .chains import (
     HypothesisViolatedError,
     check_theorem,
 )
-from .model import DiagonalForm, ModelError, SpaceModel
+from .model import DiagonalForm, ModelError, SpaceModel, _check_count
 from .numbers import format_number, ldexp
 
 
@@ -674,8 +674,7 @@ def _most_accurate(outcomes: list[_StartOutcome]) -> _StartOutcome:
 def _as_target(model: SpaceModel, T: DiagonalForm) -> list[float]:
     if not isinstance(T, DiagonalForm):
         raise SolverError("target must be a DiagonalForm")
-    if T.support != tuple(range(1, model.s + 1)):
-        raise SolverError("target form must cover the full index set")
+    _check_count(T, model.s, "target form", SolverError)
     try:
         z = [float(v) for v in T.values]
     except OverflowError:  # an exact coefficient beyond the largest double

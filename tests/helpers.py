@@ -266,8 +266,9 @@ def oracle_figures(model: SpaceModel, x: DiagonalForm, T: DiagonalForm) -> tuple
 
 
 def oracle_scalar_S(model: SpaceModel, x: DiagonalForm, J=None) -> float:
-    """Naive dense summation over every ordered index triple."""
-    J = tuple(J) if J is not None else x.support
+    """Naive dense summation over every ordered index triple of J, read on
+    the whole metric x (J defaults to the full index set)."""
+    J = tuple(J) if J is not None else range(1, model.s + 1)
     t = dense_tensor(model)
     lin = sum(
         model.dims[i - 1] * float(model.killing[i - 1]) / float(x[i]) for i in J
@@ -279,6 +280,8 @@ def oracle_scalar_S(model: SpaceModel, x: DiagonalForm, J=None) -> float:
 
 
 def oracle_hat_S(model: SpaceModel, x: DiagonalForm, J_k) -> float:
+    """oracle_scalar_S on J_k less the bracket mass into the complement,
+    read on the whole metric x."""
     J_k = tuple(J_k)
     comp = [i for i in range(1, model.s + 1) if i not in set(J_k)]
     t = dense_tensor(model)

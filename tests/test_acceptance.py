@@ -200,9 +200,9 @@ def test_criterion_8_splitting_and_sup_positivity():
                 continue
             ch = chains[int(rng.integers(0, len(chains)))]
             x = random_positive_form(rng, m.s)
-            whole = hat_S(m, x.restrict(ch.J_k), ch.J_k)
-            inner = hat_S(m, x.restrict(ch.J_kprime), ch.J_kprime)
-            middle = scalar_S(m, x.restrict(ch.J_l), ch.J_l)
+            whole = hat_S(m, x, ch.J_k)
+            inner = hat_S(m, x, ch.J_kprime)
+            middle = scalar_S(m, x, ch.J_l)
             assert whole <= inner + middle + 1e-12
             samples += 1
         for _ in range(20):
@@ -213,7 +213,7 @@ def test_criterion_8_splitting_and_sup_positivity():
                 if not J:
                     continue
                 psi = sum(m.dims[i - 1] * float(z[i]) for i in J)
-                x = DiagonalForm(tuple(psi for _ in J), J)
+                x = DiagonalForm.full((psi,) * m.s)  # read on J only
                 assert hat_S(m, x, J) >= -1e-12
 
 

@@ -305,7 +305,7 @@ def _generic_figures(model, T, chain, criterion):
     """eta, lambda_min, trace, threshold and margin of one chain, exactly:
     at the exact values of T and of the data of ``model`` (an exact model,
     see ``exact_data``), with eta in the defining form."""
-    z = {i: Fraction(v) for i, v in zip(T.support, T.values)}
+    z = dict(enumerate(map(Fraction, T.values), 1))
     eta = def_form_eta(model, chain)
     lam = min(z[i] for i in chain.J_kprime)
     if criterion == "theorem":
@@ -427,7 +427,7 @@ def test_report_line_spells_non_finite_floats_as_the_encoder():
 
 def exact_of(T):
     """T with each value replaced by its exact value."""
-    return DiagonalForm(tuple(Fraction(v) for v in T.values), T.support)
+    return DiagonalForm.full(tuple(Fraction(v) for v in T.values))
 
 
 # flag3(4,2,4) as a float model

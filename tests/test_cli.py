@@ -8,7 +8,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homricci import build_model, cli, curvature, iteration, serialize_model, two_summand
+from homricci import (
+    ChainError,
+    CurvatureError,
+    DiagonalForm,
+    IterationError,
+    SolverError,
+    build_model,
+    check_corollary_lambda,
+    check_theorem,
+    cli,
+    curvature,
+    flag3,
+    grad_S,
+    hat_S,
+    iteration,
+    maximize_S_on_MT,
+    ricci,
+    ricci_iterate,
+    scalar_S,
+    serialize_model,
+    solve_prescribed_ricci,
+    two_summand,
+    two_summand_condition,
+)
 from homricci import model as model_mod
 from helpers import random_space_model
 
@@ -751,3 +774,42 @@ def test_text_lines_for_no_chains_and_an_uncertified_inequivalence(tmp_path, cap
         "  no simple chains: passes unconditionally",
         "  caveat: inequivalence requirement not certified by the data",
     ]
+
+
+def test_every_reader_refuses_a_form_of_the_wrong_length(g2_path, capsys):
+    # a form has one coefficient per summand: one short and one long are
+    # refused by each reader with its own error class, and by the CLI as an
+    # input error naming both counts
+    g2, pair = flag3(4, 2, 4), two_summand(2, 3, Fraction(1, 4), Fraction(3, 10), Fraction(4, 5))
+    readers = [
+        (g2, maximize_S_on_MT, SolverError, "target form"),
+        (g2, solve_prescribed_ricci, SolverError, "target form"),
+        (g2, check_theorem, ChainError, "target form"),
+        (g2, check_corollary_lambda, ChainError, "target form"),
+        (pair, two_summand_condition, ChainError, "target form"),
+        (g2, ricci, CurvatureError, "metric"),
+        (g2, grad_S, CurvatureError, "metric"),
+        (g2, scalar_S, CurvatureError, "metric"),
+        (g2, lambda m, x: scalar_S(m, x, (1,)), CurvatureError, "metric"),
+        (g2, hat_S, CurvatureError, "metric"),
+        (g2, lambda m, x: hat_S(m, x, (2,)), CurvatureError, "metric"),
+        (g2, lambda m, x: ricci_iterate(m, x, 2), IterationError, "starting form"),
+    ]
+    for model, reader, error, what in readers:
+        for n in (model.s - 1, model.s + 1):
+            counted = f"{n} coefficient{'s' * (n != 1)}; the model has {model.s} summands"
+            with pytest.raises(error, match=re.escape(f"{what} has {counted}")):
+                reader(model, DiagonalForm.full((1,) * n))
+    for command, option, what in (
+        ("check", "--T", "target form"),
+        ("solve", "--T", "target form"),
+        ("ricci", "--x", "metric"),
+        ("iterate", "--start", "starting form"),
+    ):
+        for n in (2, 4):
+            steps = ["--steps", "2"] * (command == "iterate")
+            argv = [command, str(g2_path), option, ",".join(["1"] * n), *steps]
+            for extra in ([], ["--json"]):
+                code, out, err = run(capsys, *argv, *extra)
+                assert (code, out) == (2, "")
+                assert err == f"error: {what} has {n} coefficients; the model has 3 summands\n"

@@ -33,13 +33,13 @@ G2 = flag3(4, 2, 4)
 def test_scalar_single_summand():
     # no brackets: S restricted to {1} is d*b/(2x)
     m = build_model("pt", dims=(2, 1), casimir=(Fraction(1, 2), Fraction(1, 4)))
-    x = DiagonalForm((1,), (1,))
+    x = DiagonalForm.full((1, 3))  # read on {1} only
     assert scalar_S(m, x, (1,)) == m.dims[0] * m.killing[0] / 2
 
 
 def test_exact_scalar_S_without_triples_is_a_fraction():
     # an empty triple sum must not turn the exact value into a float
-    x = DiagonalForm((1,), (2,))
+    x = DiagonalForm.full((5, 1, 7))  # read on {2} only
     assert scalar_S(G2, x, (2,)) == 1
     assert isinstance(scalar_S(G2, x, (2,)), Fraction)
     m = build_model("no-triples", dims=(2, 3), killing=(1, Fraction(1, 2)))
@@ -91,8 +91,8 @@ def test_hat_S_equals_S_on_full_set():
 
 
 def test_hat_S_flag_inner_block_golden():
-    x2 = DiagonalForm((1,), (2,))
-    assert hat_S(G2, x2, (2,)) == Fraction(1, 6)
+    x = DiagonalForm.full((5, 1, 7))  # read on {2} only
+    assert hat_S(G2, x, (2,)) == Fraction(1, 6)
 
 
 def test_hat_S_matches_dense_oracle():
@@ -102,7 +102,7 @@ def test_hat_S_matches_dense_oracle():
         x = random_positive_form(rng, m.s)
         size = int(rng.integers(1, m.s + 1))
         J = tuple(sorted(int(i) + 1 for i in rng.choice(m.s, size=size, replace=False)))
-        got = hat_S(m, x.restrict(J), J)
+        got = hat_S(m, x, J)
         assert got == pytest.approx(oracle_hat_S(m, x, J), rel=1e-12, abs=1e-12)
 
 
@@ -116,9 +116,9 @@ def test_splitting_inequality_on_chains():
             continue
         x = random_positive_form(rng, m.s)
         for ch in chains:
-            whole = hat_S(m, x.restrict(ch.J_k), ch.J_k)
-            inner = hat_S(m, x.restrict(ch.J_kprime), ch.J_kprime)
-            middle = scalar_S(m, x.restrict(ch.J_l), ch.J_l)
+            whole = hat_S(m, x, ch.J_k)
+            inner = hat_S(m, x, ch.J_kprime)
+            middle = scalar_S(m, x, ch.J_l)
             assert whole <= inner + middle + 1e-12
             checked += 1
 
@@ -133,7 +133,7 @@ def test_sup_nonnegativity_at_balanced_point():
             if not J:
                 continue
             psi = sum(m.dims[i - 1] * float(z[i]) for i in J)
-            x = DiagonalForm(tuple(psi for _ in J), J)
+            x = DiagonalForm.full((psi,) * m.s)  # read on J only
             assert hat_S(m, x, J) >= -1e-12
 
 
@@ -181,8 +181,8 @@ def test_float_curvature_at_any_scale():
 
 
 def test_ricci_requires_full_support():
-    with pytest.raises(CurvatureError):
-        ricci(G2, DiagonalForm((1, 1), (1, 2)))
+    with pytest.raises(CurvatureError, match="metric has 2 coefficients; the model has 3 summands"):
+        ricci(G2, DiagonalForm.full((1, 1)))
 
 
 def test_grad_single_summand():

@@ -1,8 +1,10 @@
 """Ricci iteration: per-step exactness, reproducibility, truncation."""
 
+import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homricci import (
@@ -149,7 +151,15 @@ def test_iteration_input_validation():
     with pytest.raises(IterationError):
         ricci_iterate(m, DiagonalForm.full((1.0, 1.0)), steps=0)
     with pytest.raises(IterationError):
-        ricci_iterate(m, DiagonalForm((1.0,), (1,)), steps=2)
+        ricci_iterate(m, DiagonalForm.full((1.0,)), steps=2)
+    # a float or a bool is no step count, and is not truncated; an integer
+    # of any integer type is one
+    start = DiagonalForm.full((1.0, 1.0))
+    for steps in (2.5, True, 2.0):
+        error = f"steps must be an integer, got {steps!r}"
+        with pytest.raises(IterationError, match=re.escape(error)):
+            ricci_iterate(m, start, steps)
+    assert len(ricci_iterate(m, start, np.int64(2)).steps) == 2
 
 
 def test_cauchy_diagnostics_monotone_for_contracting_space():

@@ -167,7 +167,7 @@ def test_float_grad_S_is_rounded_once_at_any_scale():
 def _exact_values(m, x):
     """Each float of the model and of x at its exact value: (x by index,
     b, the triple values by ordered triple)."""
-    xs = {i: Fraction(v) for i, v in zip(x.support, x.values)}
+    xs = dict(enumerate(map(Fraction, x.values), 1))
     tv = {(i, j, k): Fraction(v) for i, j, k, v in m.ordered_triples}
     return xs, [Fraction(v) for v in m.killing], tv
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -760,26 +761,17 @@ def test_derived_killing_satisfies_identity():
 
 def test_diagonal_form_contract():
     f = DiagonalForm.full((1, 2, 3))
-    assert f.support == (1, 2, 3)
-    assert f[2] == 2
-    g = f.restrict((1, 3))
-    assert g.support == (1, 3) and g[3] == 3
-    with pytest.raises(ModelError):
-        f.restrict((4,))
+    assert f == DiagonalForm((1, 2, 3)) and [field.name for field in fields(f)] == ["values"]
+    assert (f[1], f[2], f[3]) == (1, 2, 3)
     with pytest.raises(ModelError):
         DiagonalForm.full((1, 0))
-    with pytest.raises(ModelError):
-        DiagonalForm((1, 2), (2, 1))
     assert f.scale(2).values == (Fraction(2), Fraction(4), Fraction(6))
-    with pytest.raises(ModelError):
-        f[4]
-    for values, support, error in (
-        ((1, 2), (1,), "form values and support differ in length"),
-        ((), (), "empty diagonal form"),
-        ((1, 2), (0, 1), "support indices are 1-based: (0, 1)"),
-    ):
+    for index in (0, 4, -1):
+        error = f"index {index} outside the form's summands 1..3"
         with pytest.raises(ModelError, match=re.escape(error)):
-            DiagonalForm(values, support)
+            f[index]
+    with pytest.raises(ModelError, match="empty diagonal form"):
+        DiagonalForm(())
     for factor in (0, -2, Fraction(-1, 3)):
         with pytest.raises(ModelError, match="scale factor must be positive"):
             f.scale(factor)
@@ -788,15 +780,11 @@ def test_diagonal_form_contract():
 def test_forms_and_index_sets_reject_non_integral_indices():
     # an index of an integer type is read as an int; a float or a bool is
     # rejected, never truncated
-    for support in ((1, 2.7), (True, 2), (1.0, 2)):
-        with pytest.raises(ModelError, match="support index must be an integer"):
-            DiagonalForm((1, 2), support)
-    assert DiagonalForm((1, 2), (np.int64(1), 2)).support == (1, 2)
     x = DiagonalForm.full((1, 2, 3))
-    for indices in ((2.9,), (True, 3)):
-        with pytest.raises(ModelError, match="index must be an integer"):
-            x.restrict(indices)
-    assert x.restrict((np.int64(3), 1)) == DiagonalForm((1, 3), (1, 3))
+    for index in (True, 1.0, 2.7):
+        with pytest.raises(ModelError, match=re.escape(f"index {index!r} outside the form's")):
+            x[index]
+    assert x[np.int64(3)] == 3
     m = flag3(4, 2, 4)
     for J in ((1.5, 2), (True, 2)):
         with pytest.raises(CurvatureError, match="index must be an integer"):
@@ -811,7 +799,7 @@ def test_diagonal_form_rejects_non_finite_coefficients():
         with pytest.raises(ModelError, match="finite"):
             DiagonalForm.full((bad, 1.0, 1.0))
         with pytest.raises(ModelError, match="finite"):
-            DiagonalForm((1.0, bad), (1, 3))
+            DiagonalForm((1.0, bad))
     with pytest.raises(ModelError, match="finite"):
         DiagonalForm.full((1e300, 1.0)).scale(1e10)
     assert DiagonalForm.full((Fraction(10) ** 400, 1)).exact

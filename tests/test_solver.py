@@ -570,7 +570,7 @@ def test_exact_solves_report_exact_figures():
         triples={(1, 1, 2): 2 / 3, (1, 2, 3): 0.5},
     )
     twosum_float = two_summand(2, 3, 0.25, 0.3, 0.8)
-    cases += [(g2_float, UNIT), (g2_float, flag3_target(4.0, 1.4)), (twosum_float, UNIT.restrict((1, 2)))]
+    cases += [(g2_float, UNIT), (g2_float, flag3_target(4.0, 1.4)), (twosum_float, DiagonalForm.full((1.0, 1.0)))]
     for model, T in cases:
         rep = maximize_S_on_MT(model, T)
         assert (rep.status, rep.iterations) == ("solved", 0), model.name
@@ -678,7 +678,7 @@ def test_rescale_note_only_where_a_scale_of_T_helps():
 
 def test_solver_rejects_partial_target():
     with pytest.raises(SolverError):
-        maximize_S_on_MT(G2, DiagonalForm((1.0,), (2,)))
+        maximize_S_on_MT(G2, DiagonalForm.full((1.0,)))
     for T in ((1.0, 1.0, 1.0), [1, 1, 1]):
         with pytest.raises(SolverError, match="target must be a DiagonalForm"):
             maximize_S_on_MT(G2, T)
