@@ -5,6 +5,16 @@ enumerate its subalgebra lattice and simple chains, evaluate the solvability
 conditions for a target form, then solve Ric g = c T by maximizing scalar
 curvature on the constraint set, or run the Ricci iteration on top of the
 solver.
+
+Importing the package loads the exact side only: ``model``, ``numbers``,
+``chains`` and ``catalog``, with no numpy.  The names of ``curvature``,
+``solver`` and ``iteration`` (``ricci``, ``solve_prescribed_ricci``,
+``ricci_iterate`` and the rest), ``kernel_backend`` and those modules
+themselves are bound on first read (a module ``__getattr__``, PEP 562).
+The first read of any of them imports ``_kernels``, ``curvature``,
+``solver`` and ``iteration`` together, so that reading ``kernel_backend``
+leaves every module whose functions a tracer wraps in ``sys.modules``.
+Their error classes live in ``model`` and are bound at import.
 """
 
 from .catalog import (
@@ -26,18 +36,13 @@ from .chains import (
     enumerate_simple_chains,
     two_summand_condition,
 )
-from .curvature import (
-    CurvatureError,
-    grad_S,
-    hat_S,
-    ricci,
-    scalar_S,
-)
-from .iteration import IterationError, IterationStep, IterationTrace, ricci_iterate
 from .model import (
+    CurvatureError,
     DiagonalForm,
     HypothesisVerdict,
+    IterationError,
     ModelError,
+    SolverError,
     SpaceModel,
     SubalgebraLattice,
     ValidationReport,
@@ -50,18 +55,44 @@ from .model import (
     serialize_model,
     validate,
 )
-from .solver import (
-    SolveReport,
-    SolverError,
-    SolverOptions,
-    maximize_S_on_MT,
-    solve_prescribed_ricci,
-)
 
 __version__ = "0.1.0"
 
-#: The evaluation kernel in use; the numpy kernel in ``_kernels`` is the only one.
-kernel_backend = "numpy"
+# The modules of the float side, and the names bound on first read by
+# defining module.
+_MODULES = ("_kernels", "curvature", "iteration", "solver")
+_ON_FIRST_READ = {
+    "curvature": ("grad_S", "hat_S", "ricci", "scalar_S"),
+    "iteration": ("IterationStep", "IterationTrace", "ricci_iterate"),
+    "solver": ("SolveReport", "SolverOptions", "maximize_S_on_MT", "solve_prescribed_ricci"),
+}
+_LAZY = frozenset({"kernel_backend", *_MODULES}.union(*_ON_FIRST_READ.values()))
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    # a module alone, as ``import homricci.<name>`` would: ``from . import
+    # _kernels`` in solver reads it here while solver is half imported
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = globals()
+    for module in _MODULES:
+        import_module(f"{__name__}.{module}")  # binds the module here
+    for module, attrs in _ON_FIRST_READ.items():
+        names.update((attr, getattr(names[module], attr)) for attr in attrs)
+    # the evaluation kernel in use; the numpy kernel in ``_kernels`` is the only one
+    names["kernel_backend"] = "numpy"
+    return names[name]
+
+
+def __dir__():
+    # the names a full import binds, as before the lazy ones were read
+    hidden = {"_LAZY", "_MODULES", "_ON_FIRST_READ", "__dir__", "__getattr__"}
+    return sorted(_LAZY.union(globals()) - hidden)
+
 
 __all__ = [
     "ChainCondition",

@@ -5,6 +5,16 @@ model inspection, check / ricci / solve / iterate for the curvature problem,
 and catalog for the built-in generators.  Exit codes: 0 on success or a
 passing check, 1 when a condition fails or a solve does not certify, 2 for
 input errors.
+
+Only ``solve`` and ``iterate`` load numpy: they import ``solver`` and
+``iteration`` when they run.  ``ricci`` imports ``curvature``, which is
+exact.  The other commands load ``model``, ``numbers``, ``chains`` and
+``catalog`` only; a ``check`` on a two-summand model whose single-index
+sets are both closed adds the exact elimination (``_elimination``, with
+``_polynomials`` and ``curvature``).  The error classes of ``curvature``,
+``solver`` and ``iteration`` live in ``model``, so catching an input error
+imports nothing.  Reading a name of those modules off the package loads all
+of them together (see the package docstring).
 """
 
 from __future__ import annotations
@@ -23,12 +33,13 @@ from .chains import (
     enumerate_simple_chains,
     two_summand_condition,
 )
-from .curvature import CurvatureError, _ricci_and_grad
-from .iteration import IterationError, ricci_iterate
 from .model import (
     CASIMIR_TOL,
+    CurvatureError,
     DiagonalForm,
+    IterationError,
     ModelError,
+    SolverError,
     ValidationReport,
     _read_model,
     check_hypothesis,
@@ -38,7 +49,6 @@ from .model import (
     validate,
 )
 from .numbers import NumberFormatError, format_number, parse_number, to_float
-from .solver import SolverError, SolverOptions, solve_prescribed_ricci
 
 _INPUT_ERRORS = (
     ModelError,
@@ -223,6 +233,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_ricci(args) -> int:
+    from .curvature import _ricci_and_grad
+
     model = _load(args, args.tol)
     x = _parse_form(args.x)
     r, g = _ricci_and_grad(model, x)
@@ -236,11 +248,15 @@ def cmd_ricci(args) -> int:
     return 0
 
 
-def _solver_options(args) -> SolverOptions:
+def _solver_options(args):
+    from .solver import SolverOptions
+
     return SolverOptions(seed=args.seed, residual_tol=args.tol or SolverOptions.residual_tol)
 
 
 def cmd_solve(args) -> int:
+    from .solver import solve_prescribed_ricci
+
     model = _load(args)
     T = _parse_form(args.T)
     report = solve_prescribed_ricci(model, T, options=_solver_options(args))
@@ -263,6 +279,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    from .iteration import ricci_iterate
+
     model = _load(args)
     start = _parse_form(args.start)
     trace = ricci_iterate(model, start, args.steps, options=_solver_options(args))

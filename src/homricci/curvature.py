@@ -34,12 +34,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .model import DiagonalForm, SpaceModel, _check_count, _integral
+from .model import CurvatureError, DiagonalForm, SpaceModel, _check_count, _integral
 from .numbers import Scalar, figure
-
-
-class CurvatureError(ValueError):
-    """Raised for evaluation requests outside an operation's domain."""
 
 
 def _resolve_J(model: SpaceModel, x: DiagonalForm, J) -> tuple[int, ...]:

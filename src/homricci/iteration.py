@@ -16,12 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import DiagonalForm, SpaceModel, _check_count, _integral
+from .model import DiagonalForm, IterationError, SpaceModel, _check_count, _integral
 from .solver import SolveReport, SolverOptions, _as_target, _with_chain_check, maximize_S_on_MT
-
-
-class IterationError(ValueError):
-    """Raised for malformed iteration requests."""
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,23 @@ class ModelError(ValueError):
     """Raised for structurally broken or inconsistent space data."""
 
 
+# The errors of the curvature, solver and iteration modules live here, so
+# that the CLI catches them without importing those modules (and numpy);
+# each module imports its own from here.
+
+
+class CurvatureError(ValueError):
+    """Raised for evaluation requests outside an operation's domain."""
+
+
+class SolverError(ValueError):
+    """Raised for malformed solve requests."""
+
+
+class IterationError(ValueError):
+    """Raised for malformed iteration requests."""
+
+
 class IntegerForm(NamedTuple):
     """A model's numbers over one common denominator E: each entry is its
     value times E, an integer, on a float model too.  Where the model lacks

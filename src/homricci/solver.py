@@ -144,12 +144,8 @@ from .chains import (
     HypothesisViolatedError,
     check_theorem,
 )
-from .model import DiagonalForm, ModelError, SpaceModel, _check_count
+from .model import DiagonalForm, ModelError, SolverError, SpaceModel, _check_count
 from .numbers import format_number, ldexp
-
-
-class SolverError(ValueError):
-    """Raised for malformed solve requests."""
 
 
 # A solve runs MULTISTARTS starts of at most MAX_ITERATIONS steps each; a

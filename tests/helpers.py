@@ -20,13 +20,31 @@ oracle bisects one bit at a time, where the library takes Newton steps.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 
 from homricci import ChainError, DiagonalForm, SpaceModel, build_model, check_theorem, ricci, two_summand
 from homricci._polynomials import exact_div, mul, sign_at, sub
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_python(code: str, *argv, cwd=None):
+    """The JSON document that ``code``, run with ``argv`` in a new Python
+    process that imports homricci from this checkout, prints on stdout."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(done.stdout)
 
 
 def _count_inside(subset, triple) -> int:

@@ -29,11 +29,12 @@ from homricci import (
     scalar_S,
     serialize_model,
     solve_prescribed_ricci,
+    solver,
     two_summand,
     two_summand_condition,
 )
 from homricci import model as model_mod
-from helpers import random_space_model
+from helpers import fresh_python, random_space_model
 
 
 def run(capsys, *argv):
@@ -454,8 +455,8 @@ def test_solve_json_line_is_the_encoders(g2_path, tmp_path, capsys, monkeypatch)
         reports.append(original(*args, **kwargs))
         return reports[-1]
 
-    original = cli.solve_prescribed_ricci
-    monkeypatch.setattr(cli, "solve_prescribed_ricci", solve)
+    original = solver.solve_prescribed_ricci
+    monkeypatch.setattr(solver, "solve_prescribed_ricci", solve)
     assert cli.main(["catalog", "twosum", "2", "3", "1/4", "3/10", "4/5"]) == 0
     (tmp_path / "twosum.json").write_text(capsys.readouterr().out)
     rng = np.random.default_rng(41)
@@ -473,6 +474,60 @@ def test_solve_json_line_is_the_encoders(g2_path, tmp_path, capsys, monkeypatch)
         assert out == json.dumps(reports[-1].to_dict()) + "\n"
         assert (reports[-1].condition is None) == (name == "isolated")
     assert len(reports) == len(cases)
+
+
+# Runs one command in a fresh process, with its stdout captured, and prints
+# its exit code and which of the float side's modules it left loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from homricci import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+float_side = ("numpy", "homricci.solver", "homricci.iteration", "homricci._kernels")
+print(json.dumps([code, [name for name in float_side if name in sys.modules]]))
+"""
+
+
+def test_only_solving_commands_load_numpy(tmp_path, capsys):
+    """The exact commands load neither numpy nor the solver; solve loads
+    both, and iterate the iteration too.  Each runs in its own process,
+    since this one holds numpy."""
+    models = {
+        "g2u2": ("catalog", "g2u2"),
+        "twosum": ("catalog", "twosum", "2", "3", "1/4", "3/10", "4/5"),
+    }
+    for name, argv in models.items():
+        assert cli.main(list(argv)) == 0
+        (tmp_path / f"{name}.json").write_text(capsys.readouterr().out)
+    # both single-index sets closed: the check runs the exact elimination
+    (tmp_path / "frozen.json").write_text(serialize_model(build_model(
+        "frozen", dims=(2, 2), casimir=(Fraction(1, 2), Fraction(1, 3)),
+    )))
+
+    exact = [
+        ("validate", "g2u2.json"),
+        ("subalgebras", "g2u2.json"),
+        ("chains", "g2u2.json"),
+        ("eta", "g2u2.json"),
+        ("check", "g2u2.json", "--T", "1,1,1"),
+        ("check", "g2u2.json", "--T", "1,1,1", "--corollary"),
+        ("check", "twosum.json", "--T", "4/9,1"),
+        ("check", "twosum.json", "--T", "1/4,1", "--corollary"),
+        ("check", "frozen.json", "--T", "1,5"),
+        ("ricci", "g2u2.json", "--x", "1,1,1"),
+        ("catalog", "g2u2"),
+    ]
+    for argv in exact:
+        code, modules = fresh_python(_LOADED_AFTER, *argv, cwd=tmp_path)
+        assert code in (0, 1) and modules == [], argv
+    code, modules = fresh_python(_LOADED_AFTER, "solve", "g2u2.json", "--T", "1,1,1", cwd=tmp_path)
+    assert code == 0
+    assert modules == ["numpy", "homricci.solver", "homricci._kernels"]
+    code, modules = fresh_python(
+        _LOADED_AFTER, "iterate", "g2u2.json", "--start", "1,1,1", "--steps", "1", cwd=tmp_path
+    )
+    assert code == 0
+    assert modules == ["numpy", "homricci.solver", "homricci.iteration", "homricci._kernels"]
 
 
 def test_solve_failure_exit_code(tmp_path, capsys):

@@ -37,6 +37,7 @@ from homricci import model as model_mod
 from homricci.numbers import NumberFormatError, parse_number
 from helpers import (
     combinations_with_repetition,
+    fresh_python,
     oracle_full_flag,
     oracle_lattice,
     oracle_ordered_triples,
@@ -500,6 +501,35 @@ def test_star_import_exports_every_name():
     import homricci
 
     assert all(name in namespace for name in homricci.__all__)
+
+
+def test_public_surface_reads_the_float_side_on_first_read():
+    import homricci
+    from homricci import curvature, iteration, solver
+
+    # the star import is test_star_import_exports_every_name's
+    for name in homricci.__all__:
+        assert getattr(homricci, name) is not None, name
+    assert set(homricci.__all__) <= set(dir(homricci))
+    for error, module in [("CurvatureError", curvature), ("SolverError", solver),
+                          ("IterationError", iteration)]:
+        assert getattr(homricci, error) is getattr(module, error)
+        assert getattr(homricci, error) is getattr(model_mod, error)
+    assert homricci.kernel_backend == "numpy"
+    with pytest.raises(AttributeError, match="^module 'homricci' has no attribute 'no_such_name'$"):
+        homricci.no_such_name
+    # a tracer wraps functions of all four modules once it has read
+    # kernel_backend: that read alone must load them, and leaves dir as it was
+    fresh, same_dir, loaded = fresh_python(
+        "import json, sys, homricci\n"
+        "names = dir(homricci)\n"
+        "fresh = not {'numpy', 'homricci.solver'} & set(sys.modules)\n"
+        "homricci.kernel_backend\n"
+        "print(json.dumps([fresh, names == dir(homricci), sorted(sys.modules)]))"
+    )
+    assert fresh and same_dir
+    assert {"homricci.solver", "homricci.iteration", "homricci.curvature",
+            "homricci._kernels"} <= set(loaded)
 
 
 def test_lattice_member_guard():
